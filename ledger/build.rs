@@ -1,0 +1,14 @@
+//! Record which compiler built the ledger, for result-file headers.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=LEDGER_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
