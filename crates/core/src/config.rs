@@ -112,13 +112,6 @@ pub struct CqmsConfig {
     /// a linear scan — a repair storm would otherwise degrade reads until
     /// the next scheduled rebuild). `0` disables the forced publish.
     pub override_publish_threshold: usize,
-    /// Total tries (1 + retries) for transient write-path faults: miner
-    /// WAL flushes and snapshot writes retry with capped exponential
-    /// backoff before surfacing the error.
-    pub wal_retry_attempts: u32,
-    /// Base backoff between write-path retries, in milliseconds
-    /// (doubled per retry, capped at 8× the base).
-    pub wal_retry_base_ms: u64,
     /// Seal the storage's COW delta heads (text/trigram/posting maps,
     /// session + popularity tables, interner) into fresh sealed
     /// generations once their combined size passes this many entries.
@@ -248,8 +241,6 @@ impl Default for CqmsConfig {
             user_rate_burst: default_user_rate_burst(),
             open_degraded: default_open_degraded(),
             override_publish_threshold: 64,
-            wal_retry_attempts: 3,
-            wal_retry_base_ms: 1,
             snapshot_head_limit: env_or("CQMS_SNAPSHOT_HEAD_LIMIT", 4096),
             shards: default_shards(),
             repair_interval_ms: default_repair_interval_ms(),

@@ -128,11 +128,7 @@ pub fn scan_schema_changes(
                     if new_sql != r.raw_sql {
                         let original = std::mem::replace(&mut r.raw_sql, new_sql);
                         let old_tfp = r.template_fp;
-                        r.statement = Some(stmt.clone());
-                        r.canonical_sql = sqlparse::to_sql(&sqlparse::canonicalize(&stmt));
-                        r.structure_fp = sqlparse::structure_fingerprint(&stmt);
-                        r.template_fp = sqlparse::template_fingerprint(&stmt);
-                        r.features = crate::features::extract(&stmt, Some(&engine.catalog));
+                        r.derive(Some(stmt), Some(&engine.catalog));
                         Some((original, old_tfp, r.template_fp))
                     } else {
                         None

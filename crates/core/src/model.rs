@@ -6,7 +6,8 @@
 //! features, a semantic output summary, session membership, annotations,
 //! access control and maintenance state.
 
-use crate::features::SyntacticFeatures;
+use crate::features::{self, SyntacticFeatures};
+use relstore::Catalog;
 use sqlparse::ast::Statement;
 use sqlparse::EditOp;
 use std::fmt;
@@ -241,6 +242,35 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
+    /// Re-derive, in place, everything that is a function of `raw_sql`:
+    /// its parse, the canonical text, both fingerprints and the syntactic
+    /// features, resolved against `catalog` when one is given — the
+    /// rewrite path of WAL replay and maintenance repair alike. Features
+    /// come first: the scan-heavy reads are sensitive to where a record's
+    /// feature strings land on the heap, and ingest allocates in this
+    /// order too.
+    pub fn derive(&mut self, statement: Option<Statement>, catalog: Option<&Catalog>) {
+        self.features = statement
+            .as_ref()
+            .map(|stmt| features::extract(stmt, catalog))
+            .unwrap_or_default();
+        self.set_statement(statement);
+    }
+
+    /// The statement, its canonical text and fingerprints — the part of
+    /// [`QueryRecord::derive`] every record constructor shares.
+    pub(crate) fn set_statement(&mut self, statement: Option<Statement>) {
+        (self.canonical_sql, self.structure_fp, self.template_fp) = match &statement {
+            Some(stmt) => (
+                sqlparse::to_sql(&sqlparse::canonicalize(stmt)),
+                sqlparse::structure_fingerprint(stmt),
+                sqlparse::template_fingerprint(stmt),
+            ),
+            None => (self.raw_sql.clone(), 0, 0),
+        };
+        self.statement = statement;
+    }
+
     /// Is this record alive and usable for search/recommendation?
     pub fn is_live(&self) -> bool {
         self.validity.is_usable()

@@ -140,7 +140,8 @@ impl Cqms {
         config: CqmsConfig,
         dir: impl AsRef<Path>,
     ) -> Result<Self, CqmsError> {
-        let wal::Recovered { storage, report } = wal::open_dir(dir.as_ref(), config.wal_fsync)?;
+        let wal::Recovered { storage, report } =
+            wal::open_dir(dir.as_ref(), config.wal_fsync, Some(&data.catalog))?;
         let mut cqms = Cqms::new(data, config);
         // Trace time must never run backwards across a restart: resume
         // the clock past every recovered timestamp.
@@ -192,8 +193,7 @@ impl Cqms {
     /// (the operator's "force a snapshot" lever; the background path in
     /// [`spawn_background_miner`] prefers the off-lock route). Returns
     /// `false` for pure-RAM instances. A transient write fault is retried
-    /// with capped exponential backoff
-    /// ([`CqmsConfig::wal_retry_attempts`]) before surfacing.
+    /// with capped exponential backoff (3 tries) before surfacing.
     pub fn force_snapshot(&mut self) -> Result<bool, CqmsError> {
         if !self.storage.wal_attached() {
             return Ok(false);
@@ -201,15 +201,7 @@ impl Cqms {
         let mut body = Vec::new();
         self.storage.snapshot(&mut body)?;
         let horizon = self.storage.wal_last_lsn().unwrap_or(0);
-        let (attempts, base_ms) = (
-            self.config.wal_retry_attempts,
-            self.config.wal_retry_base_ms,
-        );
-        let (written, _retries) =
-            crate::admission::retry_with_backoff(attempts, base_ms, base_ms * 8, || {
-                self.storage.wal_write_snapshot(horizon, &body)
-            });
-        written?;
+        wal::retry_write(|| self.storage.wal_write_snapshot(horizon, &body)).0?;
         Ok(true)
     }
 
@@ -845,14 +837,7 @@ fn try_miner_epoch(
             // flush so it is durable — retrying transient sink faults
             // with capped backoff first — and surface, never swallow, a
             // terminal failure: the caller decides how loudly to report.
-            let (flush_attempts, base_ms) = (
-                guard.config.wal_retry_attempts,
-                guard.config.wal_retry_base_ms,
-            );
-            let (flushed, retries) =
-                crate::admission::retry_with_backoff(flush_attempts, base_ms, base_ms * 8, || {
-                    guard.wal_flush()
-                });
+            let (flushed, retries) = wal::retry_write(|| guard.wal_flush());
             report.wal_flush_retries = retries;
             if let Err(e) = flushed {
                 report.wal_flush_error = Some(e);
@@ -901,15 +886,11 @@ fn try_wal_snapshot(cqms: &RwLock<Cqms>, faults: &crate::faults::FaultPlan) -> b
                 guard.storage.wal_last_lsn().unwrap_or(0),
                 body,
                 guard.config.wal_fsync,
-                (
-                    guard.config.wal_retry_attempts,
-                    guard.config.wal_retry_base_ms,
-                ),
             ))
         }
         None => None,
     };
-    let Some((dir, horizon, body, fsync, (retry_attempts, retry_base_ms))) = collected else {
+    let Some((dir, horizon, body, fsync)) = collected else {
         return false;
     };
     match dir {
@@ -929,18 +910,13 @@ fn try_wal_snapshot(cqms: &RwLock<Cqms>, faults: &crate::faults::FaultPlan) -> b
             // The off-lock write retries transient faults (and consults
             // the wal.snapshot failpoint) with capped backoff: a snapshot
             // only stays due for the next cycle once backoff is spent.
-            let (written, _retries) = crate::admission::retry_with_backoff(
-                retry_attempts,
-                retry_base_ms,
-                retry_base_ms * 8,
-                || {
-                    if already_written {
-                        return Ok(());
-                    }
-                    faults.hit(crate::faults::SNAPSHOT_WRITE)?;
-                    wal::write_snapshot_file(&dir, horizon, &body, fsync)
-                },
-            );
+            let (written, _retries) = wal::retry_write(|| {
+                if already_written {
+                    return Ok(());
+                }
+                faults.hit(crate::faults::SNAPSHOT_WRITE)?;
+                wal::write_snapshot_file(&dir, horizon, &body, fsync)
+            });
             if written.is_err() {
                 return false;
             }

@@ -38,7 +38,7 @@
 //! multi-reader stress test and `benches/e10_concurrency.rs` for the read
 //! scaling experiment.
 
-use crate::admission::{retry_with_backoff, AdmissionGate};
+use crate::admission::AdmissionGate;
 use crate::assist::completion::Suggestion;
 use crate::assist::correction::{Correction, RepairSuggestion};
 use crate::assist::recommend::PanelRow;
@@ -551,18 +551,12 @@ impl CqmsService {
     /// mostly derives state, but refined sessions are re-logged and a due
     /// snapshot rotates the log, so the caller must be able to see that
     /// those did not reach disk. Transient flush faults are retried with
-    /// capped exponential backoff first
-    /// ([`CqmsConfig::wal_retry_attempts`](crate::config::CqmsConfig));
-    /// recovered retries are counted in [`MinerReport::wal_flush_retries`].
+    /// capped exponential backoff first; recovered retries are counted in
+    /// [`MinerReport::wal_flush_retries`].
     pub fn run_miner_epoch(&self) -> MinerReport {
         let mut guard = self.write_guard();
         let mut report = guard.run_miner_epoch();
-        let (attempts, base_ms) = (
-            guard.config.wal_retry_attempts,
-            guard.config.wal_retry_base_ms,
-        );
-        let (flushed, retries) =
-            retry_with_backoff(attempts, base_ms, base_ms * 8, || guard.wal_flush());
+        let (flushed, retries) = crate::wal::retry_write(|| guard.wal_flush());
         report.wal_flush_retries = retries;
         if let Err(e) = flushed {
             report.wal_flush_error = Some(e);

@@ -1,5 +1,7 @@
 //! The Query Storage (Figure 4): records, feature relations, text indexes,
-//! session graph, annotations, popularity — plus snapshot/restore.
+//! session graph, annotations, popularity — plus snapshot/restore, where
+//! a snapshot is the log compacted into the log's own frames (one durable
+//! format, see [`crate::wal`]) and restore is replay.
 //!
 //! Queries are stored redundantly in three coordinated representations,
 //! exactly the §4.1 "data model" discussion:
@@ -25,8 +27,9 @@ use crate::metricindex::MetricIndexStats;
 use crate::model::*;
 use crate::postings::PostingList;
 use crate::signature::{FeatureInterner, SimSignature};
-use crate::wal::{InsertFrame, WalOp, WalWriter};
+use crate::wal::{self, InsertFrame, WalOp, WalWriter};
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
+use relstore::Catalog;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -899,7 +902,7 @@ impl QueryStorage {
     /// service layer hits once per write operation / ingest batch.
     pub fn wal_flush(&mut self) -> Result<(), CqmsError> {
         match self.wal.as_mut() {
-            Some(w) => w.flush().map_err(crate::wal::wal_io),
+            Some(w) => w.flush().map_err(wal::wal_io),
             None => Ok(()),
         }
     }
@@ -920,7 +923,7 @@ impl QueryStorage {
     /// path, which wrote the file itself via [`crate::wal::write_snapshot_file`]).
     pub fn wal_mark_snapshot(&mut self, horizon: u64) -> Result<(), CqmsError> {
         match self.wal.as_mut() {
-            Some(w) => w.mark_snapshot(horizon).map_err(crate::wal::wal_io),
+            Some(w) => w.mark_snapshot(horizon).map_err(wal::wal_io),
             None => Ok(()),
         }
     }
@@ -929,7 +932,7 @@ impl QueryStorage {
     /// path for synchronous callers and in-memory sinks).
     pub fn wal_write_snapshot(&mut self, horizon: u64, body: &[u8]) -> Result<(), CqmsError> {
         match self.wal.as_mut() {
-            Some(w) => w.write_snapshot(horizon, body).map_err(crate::wal::wal_io),
+            Some(w) => w.write_snapshot(horizon, body).map_err(wal::wal_io),
             None => Ok(()),
         }
     }
@@ -943,8 +946,13 @@ impl QueryStorage {
     // Snapshot / restore
     // ------------------------------------------------------------------
 
-    /// Persist the storage as a TSV-ish text snapshot. Indexes and feature
-    /// relations are derived state and get rebuilt on load.
+    /// Persist the storage as a *compacted log*: a `cqms-snapshot v2`
+    /// line, then [`wal::encode_frame`]d ops in the log's own format — one
+    /// `Insert` per record in id order carrying its current SQL, session,
+    /// visibility, validity (tombstones included), runtime and quality,
+    /// then every `Annotate`, then every `Edge`. Frame LSNs just number
+    /// the frames from 1. Indexes, feature relations and everything
+    /// derived from the SQL are rebuilt on load.
     ///
     /// ```
     /// use cqms_core::storage::QueryStorage;
@@ -952,86 +960,46 @@ impl QueryStorage {
     /// let storage = QueryStorage::new();
     /// let mut buf = Vec::new();
     /// storage.snapshot(&mut buf).unwrap();
-    /// assert!(buf.starts_with(b"cqms-snapshot v1"));
+    /// assert_eq!(buf, b"cqms-snapshot v2\n");
     /// ```
     pub fn snapshot(&self, mut out: impl Write) -> Result<(), CqmsError> {
-        let w = &mut out;
-        writeln!(w, "cqms-snapshot v1").map_err(io_err)?;
-        writeln!(w, "[records]").map_err(io_err)?;
-        for r in &self.records {
-            let validity = match &r.validity {
-                Validity::Valid => "valid".to_string(),
-                Validity::Flagged { reason, at } => format!("flagged\u{1}{}\u{1}{at}", esc(reason)),
-                Validity::Repaired { original_sql, at } => {
-                    format!("repaired\u{1}{}\u{1}{at}", esc(original_sql))
-                }
-                Validity::Obsolete { reason, at } => {
-                    format!("obsolete\u{1}{}\u{1}{at}", esc(reason))
-                }
-                Validity::Deleted => "deleted".to_string(),
-            };
-            let visibility = match r.visibility {
-                Visibility::Private => "private".to_string(),
-                Visibility::Group(g) => format!("group:{}", g.0),
-                Visibility::Public => "public".to_string(),
-            };
-            writeln!(
-                w,
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                r.id.0,
-                r.user.0,
-                r.ts,
-                r.session.0,
-                esc(&r.raw_sql),
-                visibility,
-                validity,
-                r.runtime.elapsed_us,
-                r.runtime.cardinality,
-                if r.runtime.success { 1 } else { 0 },
-                r.quality,
-            )
-            .map_err(io_err)?;
-        }
-        writeln!(w, "[annotations]").map_err(io_err)?;
-        for r in &self.records {
-            for a in &r.annotations {
-                writeln!(
-                    w,
-                    "{}\t{}\t{}\t{}\t{}",
-                    r.id.0,
-                    a.author.0,
-                    a.at,
-                    esc(&a.text),
-                    a.fragment.as_deref().map(esc).unwrap_or_default(),
-                )
-                .map_err(io_err)?;
-            }
-        }
-        writeln!(w, "[edges]").map_err(io_err)?;
-        for e in &self.edges {
-            let kind = match e.kind {
-                EdgeKind::Evolution => "evolution",
-                EdgeKind::Investigation => "investigation",
-            };
-            let labels: Vec<String> = e.edits.iter().map(|op| esc(&op.label())).collect();
-            writeln!(
-                w,
-                "{}\t{}\t{}\t{}",
-                e.from.0,
-                e.to.0,
-                kind,
-                labels.join("\u{1}")
-            )
-            .map_err(io_err)?;
+        let inserts = self
+            .records
+            .iter()
+            .map(|r| WalOp::Insert(Box::new(InsertFrame::of(r))));
+        let annotations = self.records.iter().flat_map(|r| {
+            r.annotations.iter().map(|a| WalOp::Annotate {
+                id: r.id,
+                author: a.author,
+                at: a.at,
+                text: a.text.clone(),
+                fragment: a.fragment.clone(),
+            })
+        });
+        let edges = self.edges.iter().map(|e| WalOp::Edge {
+            from: e.from,
+            to: e.to,
+            kind: e.kind,
+        });
+        out.write_all(SNAPSHOT_MAGIC).map_err(io_err)?;
+        let mut frame = Vec::new();
+        for (i, op) in inserts.chain(annotations).chain(edges).enumerate() {
+            frame.clear();
+            wal::encode_frame(&mut frame, i as u64 + 1, &op);
+            out.write_all(&frame).map_err(io_err)?;
         }
         Ok(())
     }
 
-    /// Restore from a snapshot produced by [`QueryStorage::snapshot`].
+    /// Restore from a snapshot produced by [`QueryStorage::snapshot`] by
+    /// replaying its frames through [`wal::apply_op`] — the same path log
+    /// recovery takes. The whole body must decode: a frame that fails its
+    /// length, checksum or payload test is a load error, never a silently
+    /// shorter store. Output summaries are *not* persisted (they are
+    /// statistics, re-creatable by maintenance refresh).
     ///
-    /// Statements are re-parsed and features re-extracted; the text indexes
-    /// and feature relations are rebuilt. Output summaries are *not*
-    /// persisted (they are statistics, re-creatable by maintenance refresh).
+    /// Features are derived without a catalog here; recovery through
+    /// [`crate::Cqms::open`] passes the engine's.
     ///
     /// ```
     /// use cqms_core::storage::QueryStorage;
@@ -1042,230 +1010,55 @@ impl QueryStorage {
     /// let restored = QueryStorage::load(buf.as_slice()).unwrap();
     /// assert_eq!(restored.len(), storage.len());
     /// ```
-    pub fn load(reader: impl BufRead) -> Result<QueryStorage, CqmsError> {
+    pub fn load(mut reader: impl BufRead) -> Result<QueryStorage, CqmsError> {
+        let mut body = Vec::new();
+        reader.read_to_end(&mut body).map_err(io_err)?;
+        Self::load_body(&body, None)
+    }
+
+    /// [`QueryStorage::load`] of an in-memory body, resolving features
+    /// against `catalog`.
+    pub(crate) fn load_body(
+        body: &[u8],
+        catalog: Option<&Catalog>,
+    ) -> Result<QueryStorage, CqmsError> {
+        let frames = body.strip_prefix(SNAPSHOT_MAGIC).ok_or_else(|| {
+            CqmsError::Snapshot(if body.starts_with(SNAPSHOT_V1_MAGIC) {
+                "unsupported snapshot format `cqms-snapshot v1` (text); \
+                 this build reads `cqms-snapshot v2` (framed) only"
+                    .into()
+            } else {
+                "not a `cqms-snapshot v2` body".into()
+            })
+        })?;
         let mut storage = QueryStorage::new();
-        #[derive(PartialEq)]
-        enum Section {
-            Header,
-            Records,
-            Annotations,
-            Edges,
-        }
-        let mut section = Section::Header;
-        for line in reader.lines() {
-            let line = line.map_err(io_err)?;
-            if line.is_empty() {
-                continue;
-            }
-            match line.as_str() {
-                "cqms-snapshot v1" => continue,
-                "[records]" => {
-                    section = Section::Records;
-                    continue;
-                }
-                "[annotations]" => {
-                    section = Section::Annotations;
-                    continue;
-                }
-                "[edges]" => {
-                    section = Section::Edges;
-                    continue;
-                }
-                _ => {}
-            }
-            match section {
-                Section::Header => {
-                    return Err(CqmsError::Snapshot(format!("unexpected line: {line}")))
-                }
-                Section::Records => {
-                    let f: Vec<&str> = line.split('\t').collect();
-                    if f.len() != 11 {
-                        return Err(CqmsError::Snapshot(format!(
-                            "bad record line ({} fields)",
-                            f.len()
-                        )));
-                    }
-                    let raw_sql = unesc(f[4]);
-                    let statement = sqlparse::parse(&raw_sql).ok();
-                    let (canonical_sql, sfp, tfp, feats) = match &statement {
-                        Some(stmt) => (
-                            sqlparse::to_sql(&sqlparse::canonicalize(stmt)),
-                            sqlparse::structure_fingerprint(stmt),
-                            sqlparse::template_fingerprint(stmt),
-                            features::extract(stmt, None),
-                        ),
-                        None => (raw_sql.clone(), 0, 0, SyntacticFeatures::default()),
-                    };
-                    let visibility = match f[5] {
-                        "private" => Visibility::Private,
-                        "public" => Visibility::Public,
-                        g => {
-                            let gid = g
-                                .strip_prefix("group:")
-                                .and_then(|s| s.parse().ok())
-                                .ok_or_else(|| {
-                                    CqmsError::Snapshot(format!("bad visibility `{g}`"))
-                                })?;
-                            Visibility::Group(GroupId(gid))
-                        }
-                    };
-                    let vparts: Vec<&str> = f[6].split('\u{1}').collect();
-                    let validity = match vparts[0] {
-                        "valid" => Validity::Valid,
-                        "deleted" => Validity::Deleted,
-                        "flagged" => Validity::Flagged {
-                            reason: unesc(vparts.get(1).unwrap_or(&"")),
-                            at: vparts.get(2).and_then(|s| s.parse().ok()).unwrap_or(0),
-                        },
-                        "repaired" => Validity::Repaired {
-                            original_sql: unesc(vparts.get(1).unwrap_or(&"")),
-                            at: vparts.get(2).and_then(|s| s.parse().ok()).unwrap_or(0),
-                        },
-                        "obsolete" => Validity::Obsolete {
-                            reason: unesc(vparts.get(1).unwrap_or(&"")),
-                            at: vparts.get(2).and_then(|s| s.parse().ok()).unwrap_or(0),
-                        },
-                        other => {
-                            return Err(CqmsError::Snapshot(format!("bad validity `{other}`")))
-                        }
-                    };
-                    let record = QueryRecord {
-                        id: QueryId(parse_field(f[0])?),
-                        user: UserId(parse_field(f[1])?),
-                        ts: parse_field(f[2])?,
-                        session: SessionId(parse_field(f[3])?),
-                        raw_sql,
-                        statement,
-                        canonical_sql,
-                        structure_fp: sfp,
-                        template_fp: tfp,
-                        features: feats,
-                        runtime: RuntimeFeatures {
-                            elapsed_us: parse_field(f[7])?,
-                            cardinality: parse_field(f[8])?,
-                            success: f[9] == "1",
-                            ..Default::default()
-                        },
-                        summary: OutputSummary::None,
-                        visibility,
-                        annotations: Vec::new(),
-                        validity: validity.clone(),
-                        quality: f[10]
-                            .parse()
-                            .map_err(|_| CqmsError::Snapshot("bad quality".into()))?,
-                    };
-                    // insert() recognises tombstones and skips indexing,
-                    // so a restored delete needs no further work.
-                    storage.insert(record);
-                }
-                Section::Annotations => {
-                    let f: Vec<&str> = line.split('\t').collect();
-                    if f.len() != 5 {
-                        return Err(CqmsError::Snapshot("bad annotation line".into()));
-                    }
-                    let id = QueryId(parse_field(f[0])?);
-                    let fragment = if f[4].is_empty() {
-                        None
-                    } else {
-                        Some(unesc(f[4]))
-                    };
-                    storage.annotate(
-                        id,
-                        Annotation {
-                            author: UserId(parse_field(f[1])?),
-                            at: parse_field(f[2])?,
-                            text: unesc(f[3]),
-                            fragment,
-                        },
-                    )?;
-                }
-                Section::Edges => {
-                    let f: Vec<&str> = line.split('\t').collect();
-                    if f.len() != 4 {
-                        return Err(CqmsError::Snapshot("bad edge line".into()));
-                    }
-                    // Edge labels are display artifacts; recompute real edits
-                    // from the statements when both parse.
-                    let from = QueryId(parse_field(f[0])?);
-                    let to = QueryId(parse_field(f[1])?);
-                    let kind = match f[2] {
-                        "investigation" => EdgeKind::Investigation,
-                        _ => EdgeKind::Evolution,
-                    };
-                    let edits = match (
-                        storage.get(from).ok().and_then(|r| r.statement.clone()),
-                        storage.get(to).ok().and_then(|r| r.statement.clone()),
-                    ) {
-                        (Some(a), Some(b)) => sqlparse::diff_statements(&a, &b),
-                        _ => Vec::new(),
-                    };
-                    storage.add_edge(SessionEdge {
-                        from,
-                        to,
-                        kind,
-                        edits,
-                    });
-                }
-            }
+        let mut pos = 0;
+        while pos < frames.len() {
+            let (_lsn, op, len) = wal::decode_frame(&frames[pos..]).ok_or_else(|| {
+                CqmsError::Snapshot(format!("undecodable frame at body offset {pos}"))
+            })?;
+            wal::apply_op(&mut storage, &op, catalog)?;
+            pos += len;
         }
         Ok(storage)
     }
 }
 
-fn parse_field<T: std::str::FromStr>(s: &str) -> Result<T, CqmsError> {
-    s.parse()
-        .map_err(|_| CqmsError::Snapshot(format!("bad numeric field `{s}`")))
-}
+/// First line of a snapshot body; the frames follow it directly.
+const SNAPSHOT_MAGIC: &[u8] = b"cqms-snapshot v2\n";
+
+/// How a body in the retired TSV text format starts. Such a snapshot is
+/// refused outright ([`crate::wal::open_dir`] fails rather than
+/// quarantining it and opening empty).
+pub(crate) const SNAPSHOT_V1_MAGIC: &[u8] = b"cqms-snapshot v1";
 
 fn io_err(e: std::io::Error) -> CqmsError {
     CqmsError::Snapshot(e.to_string())
 }
 
-/// Escape tabs/newlines/backslashes for the snapshot format.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\u{1}' => out.push_str("\\x01"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('x') => {
-                // \x01
-                chars.next();
-                chars.next();
-                out.push('\u{1}');
-            }
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// Build a record from its parts — the Profiler's constructor, also used
-/// heavily by tests.
+/// Build a record from its parts — the constructor of ingest, replay,
+/// probes and tests; callers extract `features` first (against their
+/// catalog, if they have one).
 #[allow(clippy::too_many_arguments)]
 pub fn make_record(
     id: QueryId,
@@ -1279,23 +1072,15 @@ pub fn make_record(
     session: SessionId,
     visibility: Visibility,
 ) -> QueryRecord {
-    let (canonical_sql, sfp, tfp) = match &statement {
-        Some(stmt) => (
-            sqlparse::to_sql(&sqlparse::canonicalize(stmt)),
-            sqlparse::structure_fingerprint(stmt),
-            sqlparse::template_fingerprint(stmt),
-        ),
-        None => (raw_sql.to_string(), 0, 0),
-    };
-    QueryRecord {
+    let mut record = QueryRecord {
         id,
         user,
         ts,
         raw_sql: raw_sql.to_string(),
-        statement,
-        canonical_sql,
-        structure_fp: sfp,
-        template_fp: tfp,
+        statement: None,
+        canonical_sql: String::new(),
+        structure_fp: 0,
+        template_fp: 0,
         features,
         runtime,
         summary,
@@ -1304,7 +1089,9 @@ pub fn make_record(
         annotations: Vec::new(),
         validity: Validity::Valid,
         quality: 0.5,
-    }
+    };
+    record.set_statement(statement);
+    record
 }
 
 #[cfg(test)]
@@ -1507,11 +1294,61 @@ mod tests {
     #[test]
     fn load_rejects_garbage() {
         assert!(QueryStorage::load("random garbage\n".as_bytes()).is_err());
-        assert!(QueryStorage::load(
-            "cqms-snapshot v1\n[records]\nnot\tenough\tfields\n".as_bytes()
-        )
-        .is_err());
+        // The retired text format is named, not mistaken for corruption.
+        let err = QueryStorage::load("cqms-snapshot v1\n".as_bytes())
+            .err()
+            .expect("v1 refused");
+        assert!(err.to_string().contains("unsupported"), "{err}");
+        // Every byte past the magic must decode: a flipped frame byte or a
+        // cut-off tail is an error, never a shorter store.
+        let mut buf = Vec::new();
+        populated().snapshot(&mut buf).unwrap();
+        assert!(QueryStorage::load(&buf[..buf.len() - 1]).is_err());
+        let mid = buf.len() / 2;
+        buf[mid] ^= 0x01;
+        assert!(QueryStorage::load(&buf[..]).is_err());
     }
+
+    /// The on-disk format, pinned byte for byte: magic line, then one
+    /// Insert frame per record (the tombstone included), the Annotate
+    /// frame, the Edge frame — each `[len][crc32][lsn][tag][payload]`.
+    #[test]
+    fn snapshot_bytes_are_golden() {
+        let mut s = QueryStorage::new();
+        s.insert(record(0, 1, 10, "SELECT * FROM Lakes", 0));
+        s.insert(record(1, 1, 40, "SELECT lake FROM Lakes", 0));
+        s.insert(record(2, 2, 70, "not sql", 1));
+        s.delete(QueryId(0)).unwrap();
+        s.annotate(
+            QueryId(1),
+            Annotation {
+                author: UserId(2),
+                at: 50,
+                text: "names".into(),
+                fragment: Some("lake".into()),
+            },
+        )
+        .unwrap();
+        s.add_edge(SessionEdge {
+            from: QueryId(0),
+            to: QueryId(1),
+            kind: EdgeKind::Evolution,
+            edits: Vec::new(),
+        });
+        let mut buf = Vec::new();
+        s.snapshot(&mut buf).unwrap();
+        assert_eq!(
+            buf.escape_ascii().to_string(),
+            GOLDEN_SNAPSHOT.escape_ascii().to_string()
+        );
+    }
+
+    const GOLDEN_SNAPSHOT: &[u8] = b"cqms-snapshot v2\n\
+        W\x00\x00\x00J\xc0\x8d\x05\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\n\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x13\x00\x00\x00SELECT * FROM Lakes\x01\x04\xe8\x03\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\xe0?\
+        Z\x00\x00\x00\xc4S\xfc/\x02\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00(\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x16\x00\x00\x00SELECT lake FROM Lakes\x01\x00\xe8\x03\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\xe0?\
+        K\x00\x00\x00\xf5^\xc6T\x03\x00\x00\x00\x00\x00\x00\x00\x01\x02\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00F\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00not sql\x01\x00\xe8\x03\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\xe0?\
+        /\x00\x00\x00\x7f!S\xc8\x04\x00\x00\x00\x00\x00\x00\x00\x06\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x002\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00names\x01\x04\x00\x00\x00lake\
+        \x1a\x00\x00\x00\xdf\xfb\xe4\x91\x05\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00";
 
     #[test]
     fn live_counter_tracks_all_transitions() {

@@ -25,14 +25,23 @@
 //!
 //! # Snapshots and the horizon
 //!
-//! A snapshot file records the storage (in the established
-//! [`QueryStorage::snapshot`] text format) plus the **horizon**: the LSN
-//! of the last operation the snapshot includes. Recovery loads the newest
-//! snapshot and replays only frames with `lsn > horizon`, which makes
-//! replay idempotent — a log segment that overlaps the snapshot is
-//! harmless. After a snapshot is durable the writer rotates to a fresh
-//! segment and prunes segments that lie entirely at or below the horizon,
-//! bounding log growth.
+//! A snapshot is the log *compacted*, in the log's own format: a
+//! `cqms-snapshot v2` line followed by frames exactly as above — one
+//! `Insert` per record in id order carrying the record's current state
+//! (tombstones included), then the `Annotate` frames, then the `Edge`
+//! frames ([`QueryStorage::snapshot`]). Loading one is replaying it
+//! through [`apply_op`], the path every log frame takes, so there is one
+//! durable encoding and one way back from it. The snapshot *file* wraps
+//! that body in a `wal-horizon <lsn>` header — the **horizon**, the LSN of
+//! the last operation the snapshot includes — and a CRC-32 trailer over
+//! everything before it; a file without a matching trailer is corrupt.
+//! Recovery loads the newest snapshot and replays only frames with
+//! `lsn > horizon`, which makes replay idempotent — a log segment that
+//! overlaps the snapshot is harmless. After a snapshot is durable the
+//! writer rotates to a fresh segment and prunes segments that lie
+//! entirely at or below the horizon, bounding log growth. Snapshots in
+//! the retired `cqms-snapshot v1` text format are refused: [`open_dir`]
+//! fails rather than opening an empty store beside them.
 //!
 //! # Sinks
 //!
@@ -54,18 +63,22 @@
 //!
 //! # What is (deliberately) not logged
 //!
-//! Matching the snapshot format's scope: output summaries (statistics,
+//! Anything re-derivable: the parsed statement, canonical text,
+//! fingerprints and syntactic features (functions of the SQL and the
+//! catalog, see [`QueryRecord::derive`]), output summaries (statistics,
 //! re-creatable by maintenance refresh), runtime plan/error text, the
 //! miner's session refinements ([`QueryStorage::adopt_sessions`] — the
-//! miner re-derives them), mined rules/clusters, and the user/group
-//! directory (deployments re-register principals at startup, which
-//! reproduces the same dense ids).
+//! miner re-derives them; a snapshot does capture each record's session
+//! as of its horizon), mined rules/clusters, and the user/group directory
+//! (deployments re-register principals at startup, which reproduces the
+//! same dense ids).
 
 use crate::error::CqmsError;
-use crate::features::{self, SyntacticFeatures};
+use crate::features;
 use crate::model::*;
-use crate::storage::QueryStorage;
+use crate::storage::{make_record, QueryStorage, SNAPSHOT_V1_MAGIC};
 use parking_lot::Mutex;
+use relstore::Catalog;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
@@ -116,9 +129,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Operations
 // ---------------------------------------------------------------------
 
-/// The logged image of a [`QueryStorage::insert`] — the same fields the
-/// text snapshot persists per record (summaries and plan/error text are
-/// derived or re-creatable state on both paths).
+/// The durable image of a record, in the log (as inserted) and in a
+/// snapshot (as of the horizon) alike; summaries and plan/error text are
+/// derived or re-creatable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertFrame {
     /// Dense record id (must equal the store length at apply time).
@@ -130,7 +143,7 @@ pub struct InsertFrame {
     /// Session membership at insert time.
     pub session: SessionId,
     /// The raw SQL text; the statement, fingerprints and features are
-    /// re-derived from it on replay, exactly as snapshot restore does.
+    /// re-derived from it on replay.
     pub raw_sql: String,
     /// Access control at insert time.
     pub visibility: Visibility,
@@ -515,28 +528,32 @@ pub struct DecodedLog {
     pub torn_bytes: usize,
 }
 
+/// Decode the frame at the start of `bytes` into `(lsn, op, frame
+/// length)`; `None` when it fails the length, checksum or payload test.
+pub(crate) fn decode_frame(bytes: &[u8]) -> Option<(u64, WalOp, usize)> {
+    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().unwrap()) as usize;
+    if !(9..=MAX_FRAME_LEN).contains(&len) {
+        return None;
+    }
+    let crc = u32::from_le_bytes(bytes.get(4..8)?.try_into().unwrap());
+    let body = bytes.get(8..8 + len)?;
+    if crc32(body) != crc {
+        return None;
+    }
+    let lsn = u64::from_le_bytes(body[..8].try_into().unwrap());
+    let op = WalOp::decode(&body[8..]).ok()?;
+    Some((lsn, op, 8 + len))
+}
+
 /// Scan a segment's bytes into frames, stopping at the first frame that
 /// fails the length, checksum or payload test (a crash mid-append leaves
 /// exactly such a tail). Never errors: corruption just ends the scan.
 pub fn decode_log(bytes: &[u8]) -> DecodedLog {
     let mut frames = Vec::new();
     let mut pos = 0usize;
-    while bytes.len() - pos >= 8 {
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        if !(9..=MAX_FRAME_LEN).contains(&len) || bytes.len() - pos - 8 < len {
-            break;
-        }
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let body = &bytes[pos + 8..pos + 8 + len];
-        if crc32(body) != crc {
-            break;
-        }
-        let lsn = u64::from_le_bytes(body[..8].try_into().unwrap());
-        match WalOp::decode(&body[8..]) {
-            Ok(op) => frames.push((lsn, op)),
-            Err(_) => break,
-        }
-        pos += 8 + len;
+    while let Some((lsn, op, len)) = decode_frame(&bytes[pos..]) {
+        frames.push((lsn, op));
+        pos += len;
     }
     DecodedLog {
         frames,
@@ -715,27 +732,24 @@ pub fn write_snapshot_file(
 }
 
 /// Parse a snapshot file into `(horizon, snapshot body)`, verifying the
-/// CRC-32 trailer when present. Legacy trailer-less snapshots (written
-/// before the trailer existed) still load — detection keys on the exact
-/// fixed-width `snapshot-crc32 ` tail, which cannot appear at the end of
-/// a valid body (bodies end in a newline-terminated record, never this
-/// tag line).
+/// CRC-32 trailer. A file without the exact fixed-width trailer — cut
+/// short, or never finished — is as corrupt as one whose checksum
+/// mismatches: accepting it would load a prefix of the store.
 pub fn read_snapshot_file(path: &Path) -> std::io::Result<(u64, Vec<u8>)> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() >= SNAPSHOT_TRAILER_LEN
-        && bytes.ends_with(b"\n")
-        && bytes[bytes.len() - SNAPSHOT_TRAILER_LEN..].starts_with(SNAPSHOT_TRAILER_TAG)
-    {
-        let hex = &bytes[bytes.len() - 9..bytes.len() - 1];
-        let want = std::str::from_utf8(hex)
-            .ok()
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or_else(|| std::io::Error::other("bad snapshot-crc32 trailer"))?;
-        bytes.truncate(bytes.len() - SNAPSHOT_TRAILER_LEN);
-        if crc32(&bytes) != want {
-            return Err(std::io::Error::other("snapshot checksum mismatch"));
-        }
+    let content_len = bytes
+        .len()
+        .checked_sub(SNAPSHOT_TRAILER_LEN)
+        .filter(|&n| bytes[n..].starts_with(SNAPSHOT_TRAILER_TAG) && bytes.ends_with(b"\n"))
+        .ok_or_else(|| std::io::Error::other("snapshot missing its snapshot-crc32 trailer"))?;
+    let want = std::str::from_utf8(&bytes[bytes.len() - 9..bytes.len() - 1])
+        .ok()
+        .and_then(|h| u32::from_str_radix(h, 16).ok())
+        .ok_or_else(|| std::io::Error::other("bad snapshot-crc32 trailer"))?;
+    bytes.truncate(content_len);
+    if crc32(&bytes) != want {
+        return Err(std::io::Error::other("snapshot checksum mismatch"));
     }
     let nl = bytes
         .iter()
@@ -882,6 +896,7 @@ impl MemLog {
         let (storage, report, _) = recover(
             snapshot.as_ref().map(|(h, b)| (*h, b.as_slice())),
             &segments,
+            None,
         )?;
         Ok((storage, report))
     }
@@ -1108,9 +1123,15 @@ impl fmt::Display for RecoveryReport {
 }
 
 /// Apply one logged op to a storage. The storage must have **no WAL
-/// attached** (replay must not re-log itself). Returns whether the op
-/// changed state (`false` = skipped as already applied).
-pub fn apply_op(storage: &mut QueryStorage, op: &WalOp) -> Result<bool, CqmsError> {
+/// attached** (replay must not re-log itself). `catalog` is the one the
+/// live store derived features against (None for a catalog-less store).
+/// Returns whether the op changed state (`false` = skipped as already
+/// applied).
+pub fn apply_op(
+    storage: &mut QueryStorage,
+    op: &WalOp,
+    catalog: Option<&Catalog>,
+) -> Result<bool, CqmsError> {
     match op {
         WalOp::Insert(f) => {
             let len = storage.len() as u64;
@@ -1124,38 +1145,30 @@ pub fn apply_op(storage: &mut QueryStorage, op: &WalOp) -> Result<bool, CqmsErro
                 )));
             }
             let statement = sqlparse::parse(&f.raw_sql).ok();
-            let (canonical_sql, sfp, tfp, feats) = match &statement {
-                Some(stmt) => (
-                    sqlparse::to_sql(&sqlparse::canonicalize(stmt)),
-                    sqlparse::structure_fingerprint(stmt),
-                    sqlparse::template_fingerprint(stmt),
-                    features::extract(stmt, None),
-                ),
-                None => (f.raw_sql.clone(), 0, 0, SyntacticFeatures::default()),
-            };
-            storage.insert(QueryRecord {
-                id: f.id,
-                user: f.user,
-                ts: f.ts,
-                raw_sql: f.raw_sql.clone(),
+            let features = statement
+                .as_ref()
+                .map(|stmt| features::extract(stmt, catalog))
+                .unwrap_or_default();
+            let mut record = make_record(
+                f.id,
+                f.user,
+                f.ts,
+                &f.raw_sql,
                 statement,
-                canonical_sql,
-                structure_fp: sfp,
-                template_fp: tfp,
-                features: feats,
-                runtime: RuntimeFeatures {
+                features,
+                RuntimeFeatures {
                     elapsed_us: f.elapsed_us,
                     cardinality: f.cardinality,
                     success: f.success,
                     ..RuntimeFeatures::default()
                 },
-                summary: OutputSummary::None,
-                session: f.session,
-                visibility: f.visibility,
-                annotations: Vec::new(),
-                validity: f.validity.clone(),
-                quality: f.quality,
-            });
+                OutputSummary::None,
+                f.session,
+                f.visibility,
+            );
+            record.validity = f.validity.clone();
+            record.quality = f.quality;
+            storage.insert(record);
             Ok(true)
         }
         WalOp::Tombstone { id } => {
@@ -1205,32 +1218,13 @@ pub fn apply_op(storage: &mut QueryStorage, op: &WalOp) -> Result<bool, CqmsErro
             Ok(true)
         }
         WalOp::Reindex { id, raw_sql } => {
-            {
-                let r = storage.get(*id)?;
-                if r.raw_sql != *raw_sql {
-                    let statement = sqlparse::parse(raw_sql).ok();
-                    let (canonical_sql, sfp, tfp, feats) = match &statement {
-                        Some(stmt) => (
-                            sqlparse::to_sql(&sqlparse::canonicalize(stmt)),
-                            sqlparse::structure_fingerprint(stmt),
-                            sqlparse::template_fingerprint(stmt),
-                            features::extract(stmt, None),
-                        ),
-                        None => (raw_sql.clone(), 0, 0, SyntacticFeatures::default()),
-                    };
-                    let old_tfp = {
-                        let r = storage.get_mut(*id)?;
-                        let old = r.template_fp;
-                        r.raw_sql = raw_sql.clone();
-                        r.statement = statement;
-                        r.canonical_sql = canonical_sql;
-                        r.structure_fp = sfp;
-                        r.template_fp = tfp;
-                        r.features = feats;
-                        old
-                    };
-                    storage.retemplate(old_tfp, tfp);
-                }
+            if storage.get(*id)?.raw_sql != *raw_sql {
+                let r = storage.get_mut(*id)?;
+                let old_tfp = r.template_fp;
+                r.raw_sql = raw_sql.clone();
+                r.derive(sqlparse::parse(raw_sql).ok(), catalog);
+                let new_tfp = r.template_fp;
+                storage.retemplate(old_tfp, new_tfp);
             }
             storage.reindex(*id)?;
             Ok(true)
@@ -1289,14 +1283,16 @@ impl SalvagePlan {
 /// Corruption with no valid frame after it anywhere is the classic torn
 /// tail: benign, counted in `torn_bytes_truncated`, truncated.
 ///
+/// Snapshot and log frames alike derive features against `catalog`.
 /// Returns the storage (no WAL attached), the report, and the physical
 /// cleanup plan the caller should execute.
 pub fn recover(
     snapshot: Option<(u64, &[u8])>,
     segments: &[(u64, Vec<u8>)],
+    catalog: Option<&Catalog>,
 ) -> Result<(QueryStorage, RecoveryReport, SalvagePlan), CqmsError> {
     let (mut storage, horizon) = match snapshot {
-        Some((h, body)) => (QueryStorage::load(body)?, h),
+        Some((h, body)) => (QueryStorage::load_body(body, catalog)?, h),
         None => (QueryStorage::new(), 0),
     };
     let mut report = RecoveryReport {
@@ -1363,7 +1359,7 @@ pub fn recover(
                     report.frames_skipped += 1;
                     continue;
                 }
-                match apply_op(&mut storage, op) {
+                match apply_op(&mut storage, op, catalog) {
                     Ok(true) => report.frames_replayed += 1,
                     Ok(false) => report.frames_skipped += 1,
                     Err(_) => report.frames_failed += 1,
@@ -1463,8 +1459,15 @@ fn quarantine_file(dir: &Path, path: &Path, reason: &str, fsync: bool) -> std::i
 /// damaged files under `quarantine/` after re-anchoring survivors in a
 /// fresh snapshot — and attach a [`FileSink`]-backed writer resuming at
 /// `max_lsn + 1`. Corrupt snapshots met along the way are quarantined
-/// too, falling back to older snapshots and finally to log-only replay.
-pub fn open_dir(dir: &Path, fsync: bool) -> Result<Recovered, CqmsError> {
+/// too, falling back to older snapshots and finally to log-only replay;
+/// an intact snapshot in the retired v1 text format fails the open
+/// instead. `catalog` is the deployment's data catalog, against which
+/// recovered records re-derive their features.
+pub fn open_dir(
+    dir: &Path,
+    fsync: bool,
+    catalog: Option<&Catalog>,
+) -> Result<Recovered, CqmsError> {
     fs::create_dir_all(dir).map_err(wal_io)?;
     let segment_files = list_segments(dir).map_err(wal_io)?;
     let mut segments: Vec<(u64, Vec<u8>)> = Vec::with_capacity(segment_files.len());
@@ -1485,18 +1488,18 @@ pub fn open_dir(dir: &Path, fsync: bool) -> Result<Recovered, CqmsError> {
     snapshot_files.reverse();
     let mut outcome = None;
     let mut snapshot_bytes_quarantined = 0usize;
-    for (horizon, path) in &snapshot_files {
+    for (_, path) in &snapshot_files {
         let reason = match read_snapshot_file(path) {
-            Ok((file_h, body)) => {
-                let h = if file_h != 0 { file_h } else { *horizon };
-                match recover(Some((h, &body)), &segments) {
-                    Ok(r) => {
-                        outcome = Some(r);
-                        break;
-                    }
-                    Err(e) => format!("snapshot body failed to load: {e}"),
+            Ok((horizon, body)) => match recover(Some((horizon, &body)), &segments, catalog) {
+                Ok(r) => {
+                    outcome = Some(r);
+                    break;
                 }
-            }
+                // Intact but unreadable by this build: quarantining it
+                // would answer with an empty store.
+                Err(e) if body.starts_with(SNAPSHOT_V1_MAGIC) => return Err(e),
+                Err(e) => format!("snapshot body failed to load: {e}"),
+            },
             Err(e) => format!("unreadable snapshot: {e}"),
         };
         snapshot_bytes_quarantined +=
@@ -1504,7 +1507,7 @@ pub fn open_dir(dir: &Path, fsync: bool) -> Result<Recovered, CqmsError> {
     }
     let (storage, mut report, plan) = match outcome {
         Some(r) => r,
-        None => recover(None, &segments)?,
+        None => recover(None, &segments, catalog)?,
     };
     report.bytes_quarantined += snapshot_bytes_quarantined;
 
@@ -1570,11 +1573,23 @@ pub(crate) fn wal_io(e: std::io::Error) -> CqmsError {
     CqmsError::Wal(e.to_string())
 }
 
+/// Total tries (1 + retries) for a transient write-path fault.
+const RETRY_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry, in milliseconds; doubles per retry,
+/// capped at 8× this.
+const RETRY_BASE_MS: u64 = 1;
+
+/// Run a write-path `op` (a WAL flush, a snapshot write), retrying
+/// transient faults with capped exponential backoff before surfacing the
+/// error. Returns the final result and the retries spent.
+pub(crate) fn retry_write<T, E>(op: impl FnMut() -> Result<T, E>) -> (Result<T, E>, u32) {
+    crate::admission::retry_with_backoff(RETRY_ATTEMPTS, RETRY_BASE_MS, RETRY_BASE_MS * 8, op)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::extract;
-    use crate::storage::make_record;
 
     fn record(id: u64, sql: &str, session: u64) -> QueryRecord {
         let stmt = sqlparse::parse(sql).ok();
@@ -1806,15 +1821,10 @@ mod tests {
         // set_validity(Repaired), reindex — as maintenance.rs does.
         let (old_tfp, new_tfp) = {
             let new_sql = "SELECT temperature FROM WaterTemp WHERE temperature < 18";
-            let stmt = sqlparse::parse(new_sql).unwrap();
             let r = storage.get_mut(QueryId(0)).unwrap();
             let old = r.template_fp;
             r.raw_sql = new_sql.into();
-            r.canonical_sql = sqlparse::to_sql(&sqlparse::canonicalize(&stmt));
-            r.structure_fp = sqlparse::structure_fingerprint(&stmt);
-            r.template_fp = sqlparse::template_fingerprint(&stmt);
-            r.features = extract(&stmt, None);
-            r.statement = Some(stmt);
+            r.derive(sqlparse::parse(new_sql).ok(), None);
             (old, r.template_fp)
         };
         storage.retemplate(old_tfp, new_tfp);
@@ -1875,7 +1885,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
 
         {
-            let rec = open_dir(&dir, true).unwrap();
+            let rec = open_dir(&dir, true, None).unwrap();
             let mut storage = rec.storage;
             storage.insert(record(0, "SELECT * FROM WaterTemp WHERE temp < 18", 0));
             storage.insert(record(1, "SELECT * FROM Lakes", 0));
@@ -1890,7 +1900,7 @@ mod tests {
             f.write_all(&[0x13, 0x00, 0x00, 0x00, 0xAA, 0xBB]).unwrap();
         }
 
-        let rec = open_dir(&dir, true).unwrap();
+        let rec = open_dir(&dir, true, None).unwrap();
         assert_eq!(rec.storage.len(), 2);
         assert_eq!(rec.report.frames_replayed, 2);
         assert_eq!(rec.report.frames_failed, 0);
@@ -1901,7 +1911,7 @@ mod tests {
         let mut storage = rec.storage;
         storage.insert(record(2, "SELECT city FROM CityLocations", 1));
         storage.wal_flush().unwrap();
-        let rec = open_dir(&dir, true).unwrap();
+        let rec = open_dir(&dir, true, None).unwrap();
         assert_eq!(rec.storage.len(), 3);
         assert_eq!(rec.report.frames_failed, 0);
 
@@ -1913,7 +1923,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cqms-wal-snap-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
 
-        let rec = open_dir(&dir, true).unwrap();
+        let rec = open_dir(&dir, true, None).unwrap();
         let mut storage = rec.storage;
         for i in 0..4 {
             storage.insert(record(i, "SELECT * FROM Lakes", 0));
@@ -1931,7 +1941,7 @@ mod tests {
         storage.insert(record(4, "SELECT * FROM WaterTemp", 1));
         storage.wal_flush().unwrap();
 
-        let rec = open_dir(&dir, true).unwrap();
+        let rec = open_dir(&dir, true, None).unwrap();
         assert_eq!(rec.storage.len(), 5);
         assert_eq!(rec.report.snapshot_records, 4);
         assert_eq!(rec.report.frames_replayed, 1);
@@ -2013,7 +2023,7 @@ mod tests {
         // are identical ops except the id, so equal length).
         let frame_len = buf.len() / 5;
         buf[2 * frame_len + 4] ^= 0xFF;
-        let (storage, report, plan) = recover(None, &[(1, buf.clone())]).unwrap();
+        let (storage, report, plan) = recover(None, &[(1, buf.clone())], None).unwrap();
         // Frames 1-2 replay; 4-5 decode but continuity broke at 3.
         assert_eq!(report.frames_replayed, 2);
         assert_eq!(report.frames_lost, 2);
@@ -2048,7 +2058,7 @@ mod tests {
         storage.snapshot(&mut snap).unwrap();
         let frame_len = buf.len() / 4;
         buf[4] ^= 0xFF; // wreck frame 1 (lsn 1 <= horizon 2: covered)
-        let (recovered, report, plan) = recover(Some((2, &snap)), &[(1, buf)]).unwrap();
+        let (recovered, report, plan) = recover(Some((2, &snap)), &[(1, buf)], None).unwrap();
         assert_eq!(report.frames_lost, 0, "covered corruption loses nothing");
         assert_eq!(report.frames_replayed, 2, "lsn 3 and 4 salvaged");
         assert_eq!(report.frames_skipped, 1, "lsn 2 is a duplicate");
@@ -2084,13 +2094,13 @@ mod tests {
         fs::write(&path, &raw).unwrap();
         let err = read_snapshot_file(&path).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
-        // Legacy trailer-less snapshots still load.
-        let mut legacy = b"wal-horizon 7\n".to_vec();
-        legacy.extend_from_slice(body);
-        fs::write(&path, &legacy).unwrap();
-        let (h, read_body) = read_snapshot_file(&path).unwrap();
-        assert_eq!(h, 7);
-        assert_eq!(read_body, body);
+        // A file cut off before its trailer — even at a clean line
+        // boundary — is rejected, not read as a shorter snapshot.
+        let mut cut = b"wal-horizon 7\n".to_vec();
+        cut.extend_from_slice(body);
+        fs::write(&path, &cut).unwrap();
+        let err = read_snapshot_file(&path).unwrap_err();
+        assert!(err.to_string().contains("missing its"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2100,7 +2110,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
 
         {
-            let rec = open_dir(&dir, true).unwrap();
+            let rec = open_dir(&dir, true, None).unwrap();
             let mut storage = rec.storage;
             for i in 0..5 {
                 storage.insert(record(i, "SELECT * FROM Lakes", 0));
@@ -2115,7 +2125,7 @@ mod tests {
         raw[2 * frame_len + 4] ^= 0xFF;
         fs::write(&seg_path, &raw).unwrap();
 
-        let rec = open_dir(&dir, true).unwrap();
+        let rec = open_dir(&dir, true, None).unwrap();
         assert_eq!(rec.storage.len(), 2);
         assert_eq!(rec.report.frames_lost, 2);
         assert!(rec.report.lossy());
@@ -2126,7 +2136,7 @@ mod tests {
         assert_eq!(fs::read_dir(dir.join("quarantine")).unwrap().count(), 2);
         // Survivors were re-anchored in a snapshot; the next open is
         // clean and converges (no double-apply, nothing newly lost).
-        let rec2 = open_dir(&dir, true).unwrap();
+        let rec2 = open_dir(&dir, true, None).unwrap();
         assert_eq!(rec2.storage.len(), 2);
         assert!(!rec2.report.lossy());
         assert_eq!(rec2.report.max_lsn, rec.report.max_lsn);

@@ -31,13 +31,17 @@ fn engine() -> Engine {
     engine
 }
 
-/// The deterministic workload the child ingests before dying: three
+/// The deterministic workload the child ingests before dying: four
 /// acknowledged batches with explicit trace times (so sessions, edges and
-/// the clock recover identically on replay).
+/// the clock recover identically on replay). The two joins over
+/// *unqualified* columns only resolve `temp` to `watertemp` through the
+/// catalog, so their features recover intact only if replay sees the
+/// same catalog live ingest did.
 fn crash_batches(user: UserId) -> Vec<Vec<IngestItem>> {
-    let sqls: [&str; 12] = [
+    let sqls: [&str; 14] = [
         "SELECT * FROM Lakes",
         "SELECT lake, temp FROM WaterTemp WHERE temp < 18",
+        "SELECT lake, temp FROM WaterSalinity S, WaterTemp T WHERE S.loc_x = T.loc_x AND temp < 18",
         "SELECT lake, temp FROM WaterTemp WHERE temp < 15",
         "SELECT lake, temp FROM WaterTemp WHERE temp < 15 LIMIT 10",
         "SELECT salinity FROM WaterSalinity",
@@ -48,6 +52,7 @@ fn crash_batches(user: UserId) -> Vec<Vec<IngestItem>> {
         "SELECT * FROM WaterTemp WHERE month = 7",
         "SELECT * FROM WaterTemp WHERE month = 8",
         "not even close to valid sql",
+        "SELECT salinity FROM WaterSalinity S, WaterTemp T WHERE S.loc_x = T.loc_x AND temp < 15",
     ];
     sqls.chunks(4)
         .enumerate()
@@ -84,6 +89,9 @@ fn assert_storage_equiv(recovered: &QueryStorage, reference: &QueryStorage) {
         assert_eq!(got.visibility, want.visibility, "{}", want.id);
         assert_eq!(got.validity, want.validity, "{}", want.id);
         assert_eq!(got.template_fp, want.template_fp, "{}", want.id);
+        assert_eq!(got.structure_fp, want.structure_fp, "{}", want.id);
+        assert_eq!(got.canonical_sql, want.canonical_sql, "{}", want.id);
+        assert_eq!(got.features, want.features, "{}", want.id);
         assert_eq!(got.annotations.len(), want.annotations.len(), "{}", want.id);
         for (a, b) in got.annotations.iter().zip(&want.annotations) {
             assert_eq!(a.text, b.text);
@@ -236,32 +244,27 @@ fn torn_wal_tail_is_truncated_on_reopen() {
 
 /// Recovery composes the newest snapshot with the log tail behind it:
 /// records before the horizon come from the snapshot, records after it
-/// from replay, and a second cycle keeps working.
+/// from replay — and both routes rebuild exactly the record live ingest
+/// built, derived state included.
 #[test]
 fn snapshot_plus_log_tail_recovers_everything() {
     let dir = temp_dir("snap");
     let _ = std::fs::remove_dir_all(&dir);
+    let mut reference = Cqms::new(engine(), CqmsConfig::default());
     {
         let mut cqms = Cqms::open(engine(), CqmsConfig::default(), &dir).unwrap();
         let user = cqms.register_user("alice");
-        for i in 0..5u64 {
-            cqms.run_query_at(
-                user,
-                &format!("SELECT * FROM WaterTemp WHERE temp < {i}"),
-                1_000 + i * 60,
-            )
-            .unwrap();
-        }
-        cqms.wal_flush().unwrap();
-        assert!(cqms.force_snapshot().unwrap(), "snapshot written");
-        // Post-snapshot tail.
-        for i in 0..3u64 {
-            cqms.run_query_at(
-                user,
-                &format!("SELECT salinity FROM WaterSalinity WHERE salinity > {i}"),
-                2_000 + i * 60,
-            )
-            .unwrap();
+        assert_eq!(reference.register_user("alice"), user);
+        for (b, batch) in crash_batches(user).iter().enumerate() {
+            if b == 2 {
+                // Two batches behind the snapshot, two in the log tail.
+                cqms.wal_flush().unwrap();
+                assert!(cqms.force_snapshot().unwrap(), "snapshot written");
+            }
+            for item in batch {
+                let _ = cqms.run_query_at(item.user, &item.sql, item.ts.unwrap());
+                let _ = reference.run_query_at(item.user, &item.sql, item.ts.unwrap());
+            }
         }
         cqms.wal_flush().unwrap();
     }
@@ -271,10 +274,10 @@ fn snapshot_plus_log_tail_recovers_everything() {
         report.snapshot_lsn > 0,
         "recovery started from the snapshot"
     );
-    assert_eq!(report.snapshot_records, 5);
-    assert!(report.frames_replayed >= 3, "the tail replayed");
+    assert_eq!(report.snapshot_records, 8);
+    assert!(report.frames_replayed >= 6, "the tail replayed");
     assert_eq!(report.frames_failed, 0);
-    assert_eq!(recovered.storage.len(), 8);
+    assert_storage_equiv(&recovered.storage, &reference.storage);
     // Snapshotting pruned covered segments: the directory holds exactly
     // one snapshot plus the post-snapshot segment(s).
     assert_eq!(wal::list_snapshots(&dir).unwrap().len(), 1);
@@ -803,13 +806,15 @@ fn corrupt_snapshot_is_quarantined_and_log_replay_covers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Legacy snapshots written before the CRC trailer existed carry no
-/// trailer at all — they must keep loading as-is.
+/// A snapshot cut off exactly where its CRC trailer begins — a clean
+/// boundary, nothing torn — is as corrupt as any other: it is rejected
+/// and quarantined, and log replay covers, instead of the remains
+/// loading as a shorter store.
 #[test]
-fn legacy_trailerless_snapshot_still_loads() {
-    let dir = temp_dir("salvage-legacy");
+fn snapshot_truncated_at_its_trailer_is_quarantined() {
+    let dir = temp_dir("salvage-cut");
     let _ = std::fs::remove_dir_all(&dir);
-    let (reference, horizon) = {
+    let reference = {
         let mut cqms = Cqms::open(engine(), CqmsConfig::default(), &dir).unwrap();
         let user = cqms.register_user("alice");
         for i in 0..4u64 {
@@ -826,18 +831,44 @@ fn legacy_trailerless_snapshot_still_loads() {
         let mut body = Vec::new();
         cqms.storage.snapshot(&mut body).unwrap();
         wal::write_snapshot_file(&snap_dir, horizon, &body, true).unwrap();
-        (sorted_sqls(&cqms.storage), horizon)
+        sorted_sqls(&cqms.storage)
     };
 
-    // Strip the 24-byte trailer: byte-identical to a pre-trailer file.
+    // Strip the 24-byte trailer.
     let (_, snap) = wal::list_snapshots(&dir).unwrap().remove(0);
     let bytes = std::fs::read(&snap).unwrap();
     std::fs::write(&snap, &bytes[..bytes.len() - 24]).unwrap();
 
     let recovered = Cqms::open(engine(), CqmsConfig::default(), &dir).unwrap();
     let report = recovered.recovery().unwrap();
-    assert_eq!(report.snapshot_lsn, horizon, "legacy snapshot is used");
-    assert_eq!(report.bytes_quarantined, 0);
+    assert_eq!(report.snapshot_lsn, 0, "trailer-less snapshot is not used");
+    assert_eq!(report.bytes_quarantined, bytes.len() - 24);
+    assert_eq!(report.frames_failed, 0);
     assert_eq!(sorted_sqls(&recovered.storage), reference);
+    let manifest = std::fs::read_to_string(dir.join("quarantine").join("MANIFEST.txt")).unwrap();
+    assert!(manifest.contains("trailer"), "{manifest}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An intact snapshot in the retired v1 text format is not corruption:
+/// open fails naming the format and leaves the file where it is, rather
+/// than quarantining it and answering with an empty store.
+#[test]
+fn v1_text_snapshot_fails_the_open() {
+    let dir = temp_dir("v1-snap");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let body = b"cqms-snapshot v1\n[records]\n[annotations]\n[edges]\n";
+    wal::write_snapshot_file(&dir, 3, body, false).unwrap();
+
+    let err = Cqms::open(engine(), CqmsConfig::default(), &dir)
+        .err()
+        .expect("v1 snapshot refused");
+    assert!(
+        matches!(&err, cqms_core::CqmsError::Snapshot(m) if m.contains("cqms-snapshot v1")),
+        "{err}"
+    );
+    assert_eq!(wal::list_snapshots(&dir).unwrap().len(), 1, "left in place");
+    assert!(!dir.join("quarantine").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -53,7 +53,7 @@ fn sql_strategy() -> impl Strategy<Value = String> {
 }
 
 fn annotation_strategy() -> impl Strategy<Value = String> {
-    // Includes the characters the snapshot format must escape.
+    // Includes the characters a line-based format would have to escape.
     "[a-zA-Z0-9 \t\n\\\\'\"%_-]{0,40}"
 }
 
@@ -244,6 +244,13 @@ fn wal_step_strategy() -> impl Strategy<Value = WalStep> {
     ]
 }
 
+/// The snapshot body of a (restored) storage.
+fn resnapshot(storage: &QueryStorage) -> Vec<u8> {
+    let mut buf = Vec::new();
+    storage.snapshot(&mut buf).unwrap();
+    buf
+}
+
 // ---------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------
@@ -259,6 +266,7 @@ proptest! {
         let mut buf = Vec::new();
         st.snapshot(&mut buf).unwrap();
         let restored = QueryStorage::load(&buf[..]).unwrap();
+        prop_assert_eq!(&resnapshot(&restored), &buf, "snapshot → load → snapshot is a fixpoint");
         prop_assert_eq!(restored.len(), st.len());
         prop_assert_eq!(restored.live_count(), st.live_count());
         for r in st.iter() {
@@ -318,6 +326,7 @@ proptest! {
         let mut buf = Vec::new();
         st.snapshot(&mut buf).unwrap();
         let restored = QueryStorage::load(&buf[..]).unwrap();
+        prop_assert_eq!(&resnapshot(&restored), &buf, "snapshot → load → snapshot is a fixpoint");
 
         prop_assert_eq!(restored.len(), st.len());
         prop_assert_eq!(restored.live_count(), st.live_count());
@@ -723,6 +732,7 @@ proptest! {
         let mut buf = Vec::new();
         st.snapshot(&mut buf).unwrap();
         let restored = QueryStorage::load(&buf[..]).unwrap();
+        prop_assert_eq!(&resnapshot(&restored), &buf, "snapshot → load → snapshot is a fixpoint");
         prop_assert_eq!(restored.interner(), st.interner());
         prop_assert_eq!(restored.signatures(), st.signatures());
         // Posting lists may differ in stale entries (lazy compaction runs

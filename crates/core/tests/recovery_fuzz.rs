@@ -13,8 +13,10 @@
 //!    recover: if the recovered prefix is short, the report must show the
 //!    loss (`frames_lost` / `bytes_quarantined` for mid-log corruption,
 //!    `torn_bytes_truncated` for a damaged tail) — except for the one
-//!    physically undetectable case, a truncation landing exactly on a
-//!    frame boundary, which only a generated `Truncate` can produce.
+//!    physically undetectable case, a *segment* truncation landing
+//!    exactly on a frame boundary, which only a generated `Truncate` can
+//!    produce. Snapshots have no such case: one that lost its CRC trailer
+//!    is rejected like any other corrupt snapshot.
 //!
 //! The fuzzer drives the wal layer directly (hand-encoded frames, explicit
 //! segment splits, optional snapshot) so the oracle is exact: one frame is
@@ -160,7 +162,7 @@ fn oracle_prefixes(wal_ops: &[WalOp]) -> Vec<Vec<String>> {
     let mut storage = QueryStorage::new();
     let mut prefixes = vec![canonical(&storage)];
     for op in wal_ops {
-        apply_op(&mut storage, op).expect("oracle replay");
+        apply_op(&mut storage, op, None).expect("oracle replay");
         prefixes.push(canonical(&storage));
     }
     prefixes
@@ -184,32 +186,20 @@ fn corruptible_files(dir: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// What a corruption actually did: `truncated` is the only wound that can
-/// destroy synced data without leaving evidence (a cut at a frame
-/// boundary, or a snapshot losing its CRC trailer and passing as a
-/// shorter legacy file), and `snapshot` records whether it landed on a
-/// snapshot rather than a WAL segment.
-#[derive(Default, Clone, Copy)]
-struct Wound {
-    truncated: bool,
-    snapshot: bool,
-}
-
-/// Apply one corruption and report what it wounded.
-fn corrupt(files: &[PathBuf], c: &Corruption) -> Wound {
+/// Apply one corruption and report whether it truncated its file — the
+/// only wound that can destroy synced data without leaving evidence (a
+/// segment cut at a frame boundary) or quarantine nothing (a snapshot cut
+/// to zero bytes).
+fn corrupt(files: &[PathBuf], c: &Corruption) -> bool {
     let pick = match c {
         Corruption::BitFlip { pick, .. }
         | Corruption::Truncate { pick, .. }
         | Corruption::Garbage { pick, .. } => *pick,
     };
     let path = &files[pick % files.len()];
-    let snapshot = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n.starts_with("snapshot-"));
     let len = std::fs::metadata(path).expect("stat").len();
     if len == 0 {
-        return Wound::default();
+        return false;
     }
     match c {
         Corruption::BitFlip { frac, bit, .. } => {
@@ -217,10 +207,7 @@ fn corrupt(files: &[PathBuf], c: &Corruption) -> Wound {
             let off = (frac * (len - 1) / 10_000) as usize;
             bytes[off] ^= 1 << bit;
             std::fs::write(path, bytes).expect("write back");
-            Wound {
-                truncated: false,
-                snapshot,
-            }
+            false
         }
         Corruption::Truncate { frac, .. } => {
             let new_len = frac * (len - 1) / 10_000;
@@ -229,10 +216,7 @@ fn corrupt(files: &[PathBuf], c: &Corruption) -> Wound {
                 .open(path)
                 .expect("open");
             f.set_len(new_len).expect("truncate");
-            Wound {
-                truncated: true,
-                snapshot,
-            }
+            true
         }
         Corruption::Garbage {
             frac, len: glen, ..
@@ -244,10 +228,7 @@ fn corrupt(files: &[PathBuf], c: &Corruption) -> Wound {
                 *b = 0xAA;
             }
             std::fs::write(path, bytes).expect("write back");
-            Wound {
-                truncated: false,
-                snapshot,
-            }
+            false
         }
     }
 }
@@ -301,7 +282,7 @@ proptest! {
             let horizon = frac * n / 10_000;
             let mut storage = QueryStorage::new();
             for op in &wal_ops[..horizon as usize] {
-                apply_op(&mut storage, op).expect("snapshot build");
+                apply_op(&mut storage, op, None).expect("snapshot build");
             }
             let mut body = Vec::new();
             storage.snapshot(&mut body).expect("snapshot body");
@@ -312,27 +293,23 @@ proptest! {
         let files = corruptible_files(&dir);
         prop_assert!(!files.is_empty(), "directory always has a segment");
         let mut any_truncation = false;
-        let mut snapshot_truncated = false;
         for c in &corruptions {
-            let wound = corrupt(&files, c);
-            any_truncation |= wound.truncated;
-            snapshot_truncated |= wound.truncated && wound.snapshot;
+            any_truncation |= corrupt(&files, c);
         }
 
         // Contract 1: open never panics and never errors on corrupt data.
-        let recovered = open_dir(&dir, false).expect("open_dir survives corruption");
+        let recovered = open_dir(&dir, false, None).expect("open_dir survives corruption");
         let report = recovered.report.clone();
 
         let state = canonical(&recovered.storage);
 
         // Contract 3: with every frame that replayed accounted for, the
         // state is *exactly* the oracle prefix at max_lsn — nothing
-        // invented, nothing half-applied, nothing reordered. A truncated
-        // snapshot (CRC trailer cut off, passing as a shorter legacy
-        // file) or failed frames (reported!) relax this to the
-        // stability checks below.
+        // invented, nothing half-applied, nothing reordered, wounded
+        // snapshots included. Failed frames (reported!) relax this to
+        // the stability checks below.
         prop_assert!(report.max_lsn <= n, "cannot recover frames never written");
-        if !snapshot_truncated && report.frames_failed == 0 {
+        if report.frames_failed == 0 {
             prop_assert_eq!(
                 &state,
                 &prefixes[report.max_lsn as usize],
@@ -365,7 +342,7 @@ proptest! {
         // Contract 2: reopening the healed directory is clean (no further
         // loss of any kind) and reproduces the identical state — salvage
         // is convergent and nothing is double-applied.
-        let second = open_dir(&dir, false).expect("second open is clean");
+        let second = open_dir(&dir, false, None).expect("second open is clean");
         prop_assert_eq!(second.report.frames_lost, 0, "second open loses nothing");
         prop_assert_eq!(second.report.bytes_quarantined, 0, "nothing left to quarantine");
         prop_assert_eq!(second.report.torn_bytes_truncated, 0, "no torn tail remains");
@@ -397,7 +374,7 @@ proptest! {
         let prefixes = oracle_prefixes(&wal_ops);
         let mut storage = QueryStorage::new();
         for op in &wal_ops {
-            apply_op(&mut storage, op).expect("build");
+            apply_op(&mut storage, op, None).expect("build");
         }
         let mut body = Vec::new();
         storage.snapshot(&mut body).expect("snapshot body");
@@ -413,25 +390,60 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(snapshots.len(), 1);
-        let wound = corrupt(&snapshots, &corruption);
+        let truncated = corrupt(&snapshots, &corruption);
 
         // Whatever the wound, open returns Ok with a state equal to some
-        // oracle prefix. A bit-flip or overwrite is always caught by the
-        // CRC trailer and accounted as quarantined bytes; a truncation is
-        // exempt — it cuts the trailer off, and the remains may pass as a
-        // (shorter, or empty and thus zero-byte) legacy snapshot.
-        let recovered = open_dir(&dir, false).expect("open survives snapshot damage");
+        // oracle prefix. Every wound is caught by the CRC trailer (a
+        // truncation by its absence) and accounted as quarantined bytes;
+        // a truncation is exempt only because it may leave zero bytes.
+        let recovered = open_dir(&dir, false, None).expect("open survives snapshot damage");
         let state = canonical(&recovered.storage);
         prop_assert!(
             prefixes.iter().any(|p| p == &state),
             "state must be an oracle prefix"
         );
-        if state != prefixes[horizon as usize] && !wound.truncated {
+        if state != prefixes[horizon as usize] && !truncated {
             prop_assert!(
                 recovered.report.bytes_quarantined > 0,
                 "a rejected snapshot must be accounted for"
             );
         }
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A wound *inside* the snapshot body that the file-level trailer
+    /// cannot see (it was computed over the already-wounded bytes — a
+    /// bad write, not bad storage) is still caught by the per-frame CRC:
+    /// the snapshot fails to load as a whole, is quarantined, and open
+    /// falls back to the (here empty) log instead of serving a prefix.
+    #[test]
+    fn wounded_frame_under_a_valid_trailer_still_fails_to_load(
+        inserts in 1usize..10,
+        frac in 0u64..=10_000,
+        bit in 0u8..8,
+    ) {
+        let dir = case_dir("frame");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+
+        let wal_ops = materialize(&vec![FuzzOp::Insert; inserts]);
+        let mut storage = QueryStorage::new();
+        for op in &wal_ops {
+            apply_op(&mut storage, op, None).expect("build");
+        }
+        let mut body = Vec::new();
+        storage.snapshot(&mut body).expect("snapshot body");
+        let magic = body.iter().position(|&b| b == b'\n').expect("magic line") + 1;
+        let frames = (body.len() - magic) as u64;
+        body[magic + (frac * (frames - 1) / 10_000) as usize] ^= 1 << bit;
+        prop_assert!(QueryStorage::load(&body[..]).is_err(), "per-frame CRC catches it");
+        write_snapshot_file(&dir, wal_ops.len() as u64, &body, false).expect("snapshot file");
+
+        let recovered = open_dir(&dir, false, None).expect("open falls back");
+        prop_assert_eq!(recovered.storage.len(), 0, "never a prefix of the snapshot");
+        prop_assert_eq!(recovered.report.snapshot_lsn, 0);
+        prop_assert!(recovered.report.bytes_quarantined > 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
