@@ -26,9 +26,8 @@
 //! shard, bounds the caller).
 //!
 //! PR 10 adds the snapshot axes: `snapshot_read/{idle,writer_storm,
-//! rebuild_storm}` (reads served from the published one-`Arc`
-//! `ReadSnapshot`) against `locked_read/{...}` (the same ops inside the
-//! service-wide read lock — the pre-PR 10 shape).
+//! rebuild_storm}` — reads served from the published one-`Arc`
+//! `ReadSnapshot` while nothing, a writer storm or a rebuild storm runs.
 
 use cqms_bench::logged_cqms;
 use cqms_core::model::UserId;
@@ -44,43 +43,21 @@ use workload::{Domain, Trace, TraceConfig};
 /// Total read operations per measured iteration (divisible by 1, 2, 4, 8).
 const READ_OPS: usize = 120;
 
-/// One reader's share of the snapshot-served rotation: the three read
-/// paths PR 10 routes through the published one-`Arc` `ReadSnapshot`
-/// (completion, keyword and substring search). Each op clones the
-/// published snapshot under a momentary slot lock and scores lock-free.
+/// One reader's share of the snapshot-served rotation (completion,
+/// keyword and substring search). Each op clones the published snapshot
+/// under a momentary slot lock and scores lock-free.
 fn snapshot_read_ops(svc: &CqmsService, user: UserId, ops: usize) {
     for i in 0..ops {
+        let snap = svc.snapshot();
         match i % 3 {
             0 => {
-                std::hint::black_box(svc.complete(user, "SELECT * FROM WaterSalinity, ", 5));
+                std::hint::black_box(snap.complete(user, "SELECT * FROM WaterSalinity, ", 5));
             }
             1 => {
-                std::hint::black_box(svc.search_keyword(user, "temp", 10));
+                std::hint::black_box(snap.search_keyword(user, "temp", 10));
             }
             _ => {
-                std::hint::black_box(svc.search_substring(user, "watertemp"));
-            }
-        }
-    }
-}
-
-/// The same rotation forced through the pre-PR 10 shape: every op runs
-/// inside [`CqmsService::read`], holding the service-wide read lock for
-/// its full duration — so it queues behind writers and rebuild swaps.
-/// The `snapshot_read` axes are measured against this baseline.
-fn locked_read_ops(svc: &CqmsService, user: UserId, ops: usize) {
-    for i in 0..ops {
-        match i % 3 {
-            0 => {
-                svc.read(|c| {
-                    std::hint::black_box(c.complete(user, "SELECT * FROM WaterSalinity, ", 5))
-                });
-            }
-            1 => {
-                svc.read(|c| std::hint::black_box(c.search_keyword(user, "temp", 10)));
-            }
-            _ => {
-                svc.read(|c| std::hint::black_box(c.search_substring(user, "watertemp")));
+                std::hint::black_box(snap.search_substring(user, "watertemp"));
             }
         }
     }
@@ -92,10 +69,14 @@ fn read_ops(svc: &CqmsService, user: UserId, ops: usize) {
     for i in 0..ops {
         match i % 3 {
             0 => {
-                std::hint::black_box(svc.complete(user, "SELECT * FROM WaterSalinity, ", 5));
+                std::hint::black_box(svc.snapshot().complete(
+                    user,
+                    "SELECT * FROM WaterSalinity, ",
+                    5,
+                ));
             }
             1 => {
-                std::hint::black_box(svc.search_keyword(user, "temp", 10));
+                std::hint::black_box(svc.snapshot().search_keyword(user, "temp", 10));
             }
             _ => {
                 std::hint::black_box(
@@ -389,96 +370,86 @@ fn bench(c: &mut Criterion) {
         plan.disarm_all();
     }
 
-    // Snapshot vs locked reads (PR 10): the same fixed batch of
-    // snapshot-served ops (completion + keyword + substring), 4 reader
-    // threads, under three conditions — idle, an 8-writer storm, and a
-    // rebuild storm (continuously forced generation rebuilds). The
-    // `locked_read` baseline runs each op inside the service-wide read
-    // lock (the pre-PR 10 shape), so under the storms it queues behind
-    // every write/publish; `snapshot_read` clones the published Arc and
-    // never touches the store lock again. Acceptance: writer_storm
-    // snapshot ≥5× locked on multi-core runners (a 1-core container
-    // compresses the gap), idle snapshot within 1.1× of locked.
+    // Snapshot reads (PR 10): a fixed batch of snapshot-served ops
+    // (completion + keyword + substring), 4 reader threads, under three
+    // conditions — idle, an 8-writer storm, and a rebuild storm
+    // (continuously forced generation rebuilds). A reader clones the
+    // published Arc and never touches the store lock, so the storms cost
+    // it only the CPU they take.
     const SNAP_READERS: usize = 4;
     for (label, storm_writers, rebuild) in [
         ("idle", 0usize, false),
         ("writer_storm", 8, false),
         ("rebuild_storm", 0, true),
     ] {
-        type ReadFn = fn(&CqmsService, UserId, usize);
-        for (path, read_fn) in [
-            ("snapshot_read", snapshot_read_ops as ReadFn),
-            ("locked_read", locked_read_ops as ReadFn),
-        ] {
-            let lc = logged_cqms(Domain::Lakes, 1500, 0xE10);
-            let users = lc.users.clone();
-            let svc = CqmsService::new(lc.cqms);
-            let user = users[0];
+        let lc = logged_cqms(Domain::Lakes, 1500, 0xE10);
+        let users = lc.users.clone();
+        let svc = CqmsService::new(lc.cqms);
+        let user = users[0];
 
-            let stop = Arc::new(AtomicBool::new(false));
-            let writers: Vec<_> = (0..storm_writers)
-                .map(|w| {
-                    let svc = svc.clone();
-                    let stop = stop.clone();
-                    let u = users[1 + w % (users.len() - 1)];
-                    std::thread::spawn(move || {
-                        let mut i = 0u64;
-                        let mut prev = None;
-                        while !stop.load(Ordering::Relaxed) {
-                            let sql = format!(
-                                "SELECT * FROM WaterTemp WHERE temp < {}",
-                                (w as u64 * 97 + i) % 30
-                            );
-                            // Churned writes (insert + tombstone of the
-                            // previous one) keep the log near its seeded
-                            // size across samples.
-                            if let Ok(out) = svc.run_query(u, &sql) {
-                                if let Some(old) = prev.replace(out.id) {
-                                    let _ = svc.delete_query(u, old);
-                                }
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                            i += 1;
-                        }
-                        i
-                    })
-                })
-                .collect();
-            let rebuilder = rebuild.then(|| {
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..storm_writers)
+            .map(|w| {
                 let svc = svc.clone();
                 let stop = stop.clone();
+                let u = users[1 + w % (users.len() - 1)];
                 std::thread::spawn(move || {
-                    let mut rebuilds = 0u64;
+                    let mut i = 0u64;
+                    let mut prev = None;
                     while !stop.load(Ordering::Relaxed) {
-                        svc.write(|c| c.storage.schedule_index_rebuild());
-                        if svc.rebuild_indexes() {
-                            rebuilds += 1;
+                        let sql = format!(
+                            "SELECT * FROM WaterTemp WHERE temp < {}",
+                            (w as u64 * 97 + i) % 30
+                        );
+                        // Churned writes (insert + tombstone of the
+                        // previous one) keep the log near its seeded
+                        // size across samples.
+                        if let Ok(out) = svc.run_query(u, &sql) {
+                            if let Some(old) = prev.replace(out.id) {
+                                let _ = svc.delete_query(u, old);
+                            }
                         }
+                        std::thread::sleep(Duration::from_millis(1));
+                        i += 1;
                     }
-                    rebuilds
+                    i
                 })
-            });
+            })
+            .collect();
+        let rebuilder = rebuild.then(|| {
+            let svc = svc.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut rebuilds = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    svc.write(|c| c.storage.schedule_index_rebuild());
+                    if svc.rebuild_indexes() {
+                        rebuilds += 1;
+                    }
+                }
+                rebuilds
+            })
+        });
 
-            let per_thread = READ_OPS / SNAP_READERS;
-            group.bench_function(BenchmarkId::new(path, label), |b| {
-                b.iter(|| {
-                    std::thread::scope(|s| {
-                        for _ in 0..SNAP_READERS {
-                            let svc = svc.clone();
-                            s.spawn(move || read_fn(&svc, user, per_thread));
-                        }
-                    });
-                })
-            });
+        let per_thread = READ_OPS / SNAP_READERS;
+        group.bench_function(BenchmarkId::new("snapshot_read", label), |b| {
+            b.iter(|| {
+                std::thread::scope(|s| {
+                    for _ in 0..SNAP_READERS {
+                        let svc = svc.clone();
+                        s.spawn(move || snapshot_read_ops(&svc, user, per_thread));
+                    }
+                });
+            })
+        });
 
-            stop.store(true, Ordering::Relaxed);
-            for w in writers {
-                w.join().expect("storm writer panicked");
-            }
-            if let Some(r) = rebuilder {
-                let rebuilds = r.join().expect("rebuilder thread panicked");
-                assert!(rebuilds > 0, "rebuilder never published a generation");
-            }
+        stop.store(true, Ordering::Relaxed);
+        for w in writers {
+            w.join().expect("storm writer panicked");
+        }
+        if let Some(r) = rebuilder {
+            let rebuilds = r.join().expect("rebuilder thread panicked");
+            assert!(rebuilds > 0, "rebuilder never published a generation");
         }
     }
     group.finish();

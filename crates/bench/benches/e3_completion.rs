@@ -14,22 +14,21 @@ fn bench(c: &mut Criterion) {
         .measurement_time(std::time::Duration::from_secs(2));
     let lc = logged_cqms(Domain::Lakes, 2000, 0xE3);
     let user = lc.users[0];
+    let snap = lc.cqms.capture_snapshot(0);
     group.bench_function("table_context_aware", |b| {
         b.iter(|| {
-            lc.cqms
-                .complete(user, "SELECT * FROM WaterSalinity, ", 5)
+            snap.complete(user, "SELECT * FROM WaterSalinity, ", 5)
                 .len()
         })
     });
     group.bench_function("predicate", |b| {
         b.iter(|| {
-            lc.cqms
-                .complete(user, "SELECT * FROM WaterTemp WHERE ", 5)
+            snap.complete(user, "SELECT * FROM WaterTemp WHERE ", 5)
                 .len()
         })
     });
     group.bench_function("attribute_prefix", |b| {
-        b.iter(|| lc.cqms.complete(user, "SELECT te", 5).len())
+        b.iter(|| snap.complete(user, "SELECT te", 5).len())
     });
     group.finish();
 }

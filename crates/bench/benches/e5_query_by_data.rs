@@ -20,10 +20,10 @@ fn bench(c: &mut Criterion) {
         };
         let lc = logged_cqms_with(Domain::Lakes, size, 0xE5, cfg);
         let user = lc.users[0];
+        let snap = lc.cqms.capture_snapshot(0);
         group.bench_with_input(BenchmarkId::new("summary_match", size), &size, |b, _| {
             b.iter(|| {
-                lc.cqms
-                    .search_by_data(user, &["Lake Washington"], &["Lake Union"], false)
+                snap.search_by_data(user, &["Lake Washington"], &["Lake Union"])
                     .len()
             })
         });

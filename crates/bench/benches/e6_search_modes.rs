@@ -14,18 +14,19 @@ fn bench(c: &mut Criterion) {
         .measurement_time(std::time::Duration::from_secs(2));
     let lc = logged_cqms(Domain::Lakes, 2000, 0xE6);
     let user = lc.users[0];
+    let snap = lc.cqms.capture_snapshot(0);
     group.bench_function("keyword", |b| {
-        b.iter(|| lc.cqms.search_keyword(user, "salinity temp", 10).len())
+        b.iter(|| snap.search_keyword(user, "salinity temp", 10).len())
     });
     group.bench_function("substring", |b| {
-        b.iter(|| lc.cqms.search_substring(user, "temp < 1").len())
+        b.iter(|| snap.search_substring(user, "temp < 1").len())
     });
     let tree = TreePattern {
         tables_all: vec!["watersalinity".into()],
         ..Default::default()
     };
     group.bench_function("parse_tree", |b| {
-        b.iter(|| lc.cqms.search_parse_tree(user, &tree).len())
+        b.iter(|| snap.search_parse_tree(user, &tree).len())
     });
     group.bench_function("feature_sql", |b| {
         b.iter(|| {

@@ -36,6 +36,7 @@ fn bench(c: &mut Criterion) {
         .measurement_time(std::time::Duration::from_secs(2));
     let lc = logged_cqms(Domain::Lakes, 1000, 0xE7);
     let user = lc.users[0];
+    let snap = lc.cqms.capture_snapshot(0);
     for metric in [
         DistanceKind::Features,
         DistanceKind::ParseTree,
@@ -46,7 +47,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("metric", format!("{metric:?}")),
             &metric,
-            |b, &m| b.iter(|| lc.cqms.similar_queries(user, PROBE, 5, m).unwrap().len()),
+            |b, &m| b.iter(|| snap.similar_queries(user, PROBE, 5, m).unwrap().len()),
         );
     }
     // Cheap-bound hit rates at the 1000-query store, accumulated over the
@@ -64,6 +65,7 @@ fn bench(c: &mut Criterion) {
     for &size in &[500usize, 2000] {
         let lc = logged_cqms(Domain::Lakes, size, 0xE7);
         let user = lc.users[0];
+        let snap = lc.cqms.capture_snapshot(0);
         for metric in [
             DistanceKind::Features,
             DistanceKind::Combined,
@@ -73,7 +75,7 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("store_{metric:?}"), size),
                 &metric,
-                |b, &m| b.iter(|| lc.cqms.similar_queries(user, PROBE, 5, m).unwrap().len()),
+                |b, &m| b.iter(|| snap.similar_queries(user, PROBE, 5, m).unwrap().len()),
             );
         }
     }
@@ -100,13 +102,13 @@ fn bench(c: &mut Criterion) {
         lc.cqms.storage.schedule_index_rebuild();
         lc.cqms.storage.run_index_maintenance();
         let user = lc.users[0];
+        let snap = lc.cqms.capture_snapshot(0);
         group.bench_with_input(
             BenchmarkId::new("store_ParseTree_dup", size),
             &size,
             |b, _| {
                 b.iter(|| {
-                    lc.cqms
-                        .similar_queries(user, PROBE, 5, DistanceKind::ParseTree)
+                    snap.similar_queries(user, PROBE, 5, DistanceKind::ParseTree)
                         .unwrap()
                         .len()
                 })
@@ -140,7 +142,14 @@ fn bench(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("rebuild_while_probing", format!("{metric:?}")),
                 &metric,
-                |b, &m| b.iter(|| svc.similar_queries(user, PROBE, 5, m).unwrap().len()),
+                |b, &m| {
+                    b.iter(|| {
+                        svc.snapshot()
+                            .similar_queries(user, PROBE, 5, m)
+                            .unwrap()
+                            .len()
+                    })
+                },
             );
         }
         stop.store(true, Ordering::Relaxed);
@@ -149,7 +158,7 @@ fn bench(c: &mut Criterion) {
         report_rate("e7_knn/rebuild_while_probing/rebuilds", rebuilds as f64);
         report_rate(
             "e7_knn/rebuild_while_probing/final_generation",
-            svc.index_generation() as f64,
+            svc.snapshot().index_generation() as f64,
         );
     }
     group.finish();

@@ -156,7 +156,10 @@ fn e2_sessions() {
     let session = cqms.storage.get(QueryId(0)).unwrap().session;
     println!("\nRendered Figure 2 window:\n");
     println!("```text");
-    print!("{}", cqms.render_session(session).unwrap());
+    print!(
+        "{}",
+        cqms.capture_snapshot(0).render_session(session).unwrap()
+    );
     println!("```\n");
 }
 
@@ -187,6 +190,7 @@ fn e3_completion() {
             let user = users[q.user as usize % users.len()];
             let _ = cqms.run_query_at(user, &q.sql, q.ts);
         }
+        let snap = cqms.capture_snapshot(0);
         // Global popularity baseline.
         let mut pop: HashMap<String, u32> = HashMap::new();
         for r in cqms.storage.iter_live() {
@@ -219,7 +223,7 @@ fn e3_completion() {
                 .collect();
             cases += 1;
             let partial = format!("SELECT * FROM {}, ", context.join(", "));
-            let sugg = cqms.complete(users[0], &partial, 5);
+            let sugg = snap.complete(users[0], &partial, 5);
             if let Some(rank) = sugg
                 .iter()
                 .position(|s| s.text.eq_ignore_ascii_case(&target))
@@ -238,10 +242,7 @@ fn e3_completion() {
                 pop_hit1 += 1;
             }
         }
-        let t_suggest = {
-            let c = cqms;
-            time_mean(20, move || c.complete(users[0], "SELECT * FROM ", 5).len())
-        };
+        let t_suggest = time_mean(20, || snap.complete(users[0], "SELECT * FROM ", 5).len());
         let n = cases.max(1) as f64;
         println!(
             "| {} | {cases} | {:.3} | {:.3} | {:.3} | {:.3} | {} |",
@@ -336,7 +337,9 @@ fn e5_query_by_data() {
         )
         .unwrap();
     }
-    let hits = cqms.search_by_data(u, &["Lake Washington"], &["Lake Union"], false);
+    let hits = cqms
+        .capture_snapshot(0)
+        .search_by_data(u, &["Lake Washington"], &["Lake Union"]);
     let all_separating = hits.iter().all(|id| {
         let sql = &cqms.storage.get(*id).unwrap().raw_sql;
         // Lake Union temps start at 18.5 in the generator.
@@ -363,12 +366,10 @@ fn e5_query_by_data() {
         }
         let lc = logged_cqms_with(Domain::Lakes, size, 0xE5, cfg);
         let user = lc.users[0];
-        let hits = lc
-            .cqms
-            .search_by_data(user, &["Lake Washington"], &["Lake Union"], false);
+        let snap = lc.cqms.capture_snapshot(0);
+        let hits = snap.search_by_data(user, &["Lake Washington"], &["Lake Union"]);
         let t = time_mean(5, || {
-            lc.cqms
-                .search_by_data(user, &["Lake Washington"], &["Lake Union"], false)
+            snap.search_by_data(user, &["Lake Washington"], &["Lake Union"])
                 .len()
         });
         println!(
@@ -395,16 +396,15 @@ fn e6_search_modes() {
     };
     println!("| mode | results | latency (us) |");
     println!("|---|---|---|");
-    let n_kw = lc.cqms.search_keyword(user, "salinity temp", 10).len();
-    let t_kw = time_mean(20, || {
-        lc.cqms.search_keyword(user, "salinity temp", 10).len()
-    });
+    let snap = lc.cqms.capture_snapshot(0);
+    let n_kw = snap.search_keyword(user, "salinity temp", 10).len();
+    let t_kw = time_mean(20, || snap.search_keyword(user, "salinity temp", 10).len());
     println!("| keyword (TF-IDF top-10) | {n_kw} | {} |", us(t_kw));
-    let n_sub = lc.cqms.search_substring(user, "temp < 1").len();
-    let t_sub = time_mean(20, || lc.cqms.search_substring(user, "temp < 1").len());
+    let n_sub = snap.search_substring(user, "temp < 1").len();
+    let t_sub = time_mean(20, || snap.search_substring(user, "temp < 1").len());
     println!("| substring (trigram) | {n_sub} | {} |", us(t_sub));
-    let n_tree = lc.cqms.search_parse_tree(user, &tree).len();
-    let t_tree = time_mean(20, || lc.cqms.search_parse_tree(user, &tree).len());
+    let n_tree = snap.search_parse_tree(user, &tree).len();
+    let t_tree = time_mean(20, || snap.search_parse_tree(user, &tree).len());
     println!("| parse-tree pattern | {n_tree} | {} |", us(t_tree));
     let n_feat = lc
         .cqms
@@ -432,6 +432,7 @@ fn e7_knn() {
     println!("|---|---|---|---|");
     for &size in &[500usize, 2000] {
         let lc = logged_cqms(Domain::Lakes, size, 0xE7);
+        let snap = lc.cqms.capture_snapshot(0);
         let user = lc.users[0];
         let probes: Vec<(String, u32)> = lc
             .trace
@@ -450,7 +451,7 @@ fn e7_knn() {
             // probe's exact ground-truth topic label.
             let mut hits = 0usize;
             for (sql, topic) in &probes {
-                if let Ok(found) = lc.cqms.similar_queries(user, sql, 1, metric) {
+                if let Ok(found) = snap.similar_queries(user, sql, 1, metric) {
                     if let Some(best) = found.first() {
                         if lc.trace.queries[best.id.0 as usize].topic == *topic {
                             hits += 1;
@@ -460,10 +461,7 @@ fn e7_knn() {
             }
             let probe = probes[0].0.clone();
             let t = time_mean(10, || {
-                lc.cqms
-                    .similar_queries(user, &probe, 5, metric)
-                    .unwrap()
-                    .len()
+                snap.similar_queries(user, &probe, 5, metric).unwrap().len()
             });
             println!(
                 "| {size} | {metric:?} | {:.2} | {} |",
@@ -652,10 +650,11 @@ fn e12_access_control() {
         )
         .unwrap();
     }
-    let in_group = cqms.search_keyword(bob, "watertemp", 500).len();
-    let outside = cqms.search_keyword(eve, "watertemp", 500).len();
-    let t_member = time_mean(20, || cqms.search_keyword(bob, "watertemp", 50).len());
-    let t_outsider = time_mean(20, || cqms.search_keyword(eve, "watertemp", 50).len());
+    let snap = cqms.capture_snapshot(0);
+    let in_group = snap.search_keyword(bob, "watertemp", 500).len();
+    let outside = snap.search_keyword(eve, "watertemp", 500).len();
+    let t_member = time_mean(20, || snap.search_keyword(bob, "watertemp", 50).len());
+    let t_outsider = time_mean(20, || snap.search_keyword(eve, "watertemp", 50).len());
     println!("| viewer | visible results | keyword latency (us) |");
     println!("|---|---|---|");
     println!("| group member | {in_group} | {} |", us(t_member));

@@ -123,28 +123,17 @@ pub struct CompletionEngine<'a> {
     storage: &'a QueryStorage,
     rules: &'a RuleMiner,
     config: &'a CqmsConfig,
-    /// Catalog names (owned copy — cheap, a handful of strings).
-    catalog: CatalogView,
+    catalog: &'a CatalogView,
 }
 
 impl<'a> CompletionEngine<'a> {
-    /// Bind a completion engine over the storage, rule miner and catalog.
+    /// Bind a completion engine over the storage, rule miner and catalog
+    /// names.
     pub fn new(
         storage: &'a QueryStorage,
         rules: &'a RuleMiner,
         config: &'a CqmsConfig,
-        engine: &relstore::Engine,
-    ) -> Self {
-        Self::with_view(storage, rules, config, CatalogView::of(engine))
-    }
-
-    /// Bind over a pre-extracted [`CatalogView`] (the snapshot read path,
-    /// which has no engine in reach).
-    pub fn with_view(
-        storage: &'a QueryStorage,
-        rules: &'a RuleMiner,
-        config: &'a CqmsConfig,
-        catalog: CatalogView,
+        catalog: &'a CatalogView,
     ) -> Self {
         CompletionEngine {
             storage,
@@ -547,7 +536,7 @@ mod tests {
     use crate::model::*;
     use crate::storage::make_record;
 
-    fn seeded() -> (QueryStorage, RuleMiner, relstore::Engine) {
+    fn seeded() -> (QueryStorage, RuleMiner, CatalogView) {
         let mut engine = relstore::Engine::new();
         workload::Domain::Lakes.setup(&mut engine, 10, 1);
         let mut st = QueryStorage::new();
@@ -586,7 +575,7 @@ mod tests {
                 Visibility::Public,
             ));
         }
-        (st, rules, engine)
+        (st, rules, CatalogView::of(&engine))
     }
 
     #[test]
@@ -610,9 +599,9 @@ mod tests {
 
     #[test]
     fn paper_scenario_watertemp_over_citylocations() {
-        let (st, rules, engine) = seeded();
+        let (st, rules, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &engine);
+        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
         // No context: CityLocations is most popular.
         let plain = ce.suggest_tables(&[], "", 3);
         assert_eq!(plain[0].text, "CityLocations", "{plain:?}");
@@ -625,9 +614,9 @@ mod tests {
 
     #[test]
     fn prefix_filters_suggestions() {
-        let (st, rules, engine) = seeded();
+        let (st, rules, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &engine);
+        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
         let hits = ce.suggest_tables(&[], "Water", 5);
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|s| s.text.starts_with("Water")));
@@ -635,18 +624,18 @@ mod tests {
 
     #[test]
     fn full_pipeline_from_partial_sql() {
-        let (st, rules, engine) = seeded();
+        let (st, rules, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &engine);
+        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
         let hits = ce.suggest("SELECT * FROM WaterSalinity, ", 3);
         assert_eq!(hits[0].text, "WaterTemp");
     }
 
     #[test]
     fn attribute_suggestions_ranked_by_use() {
-        let (st, rules, engine) = seeded();
+        let (st, rules, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &engine);
+        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
         let hits = ce.suggest_attributes(&["citylocations".to_string()], "", 5);
         assert!(!hits.is_empty());
         // `pop` and `city` are the logged attributes of CityLocations.
@@ -656,9 +645,9 @@ mod tests {
 
     #[test]
     fn predicate_suggestions_include_popular_constant() {
-        let (st, rules, engine) = seeded();
+        let (st, rules, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &engine);
+        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
         let hits = ce.suggest_predicates(&["watertemp".to_string()], "", 5);
         assert!(hits.iter().any(|s| s.text == "temp < 18"), "{hits:?}");
     }
@@ -670,7 +659,8 @@ mod tests {
         let st = QueryStorage::new();
         let rules = RuleMiner::new();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &engine);
+        let view = CatalogView::of(&engine);
+        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
         let hits = ce.suggest_tables(&[], "", 10);
         assert!(hits.iter().any(|s| s.text == "WaterTemp"));
         let attrs = ce.suggest_attributes(&["watertemp".to_string()], "", 10);

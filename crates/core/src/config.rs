@@ -43,8 +43,6 @@ pub struct CqmsConfig {
     pub annotate_table_threshold: usize,
     /// …or contains nesting.
     pub annotate_on_subquery: bool,
-    /// Suggestions returned by completion/correction/recommendation.
-    pub suggestion_k: usize,
 
     // --- Mining (§4.3) ---
     /// Minimum absolute support for frequent itemsets.
@@ -220,7 +218,6 @@ impl Default for CqmsConfig {
             session_similarity_threshold: 0.2,
             annotate_table_threshold: 3,
             annotate_on_subquery: true,
-            suggestion_k: 5,
             assoc_min_support: 5,
             assoc_min_confidence: 0.5,
             cluster_k: 0,

@@ -16,11 +16,33 @@
 //! | Administrative Interaction (§2.4) | [`admin`] |
 //! | Client rendering (Figs. 2–3) | [`viz`] |
 //!
-//! The façade tying everything together over one embedded
-//! [`relstore::Engine`] is [`server::Cqms`]; see `examples/quickstart.rs`.
+//! Three types carry the public surface. [`server::Cqms`] owns one
+//! embedded [`relstore::Engine`] and the `&mut` write logic (run + profile
+//! a query, annotate, ACLs, miner epochs, maintenance). Every read that
+//! does not need the live engines is declared once, on the immutable
+//! [`snapshot::ReadSnapshot`] that [`server::Cqms::capture_snapshot`]
+//! returns:
+//!
+//! ```
+//! use cqms_core::{Cqms, CqmsConfig};
+//!
+//! let mut engine = relstore::Engine::new();
+//! engine.execute("CREATE TABLE Lakes (name TEXT, area FLOAT)").unwrap();
+//! let mut cqms = Cqms::new(engine, CqmsConfig::default());
+//! let alice = cqms.register_user("alice");
+//! cqms.run_query(alice, "SELECT name FROM Lakes WHERE area > 50").unwrap();
+//!
+//! let snap = cqms.capture_snapshot(0);
+//! assert_eq!(snap.search_keyword(alice, "lakes", 5).len(), 1);
+//! assert!(!snap.complete(alice, "SELECT * FROM ", 3).is_empty());
+//! ```
+//!
 //! For shared multi-threaded use — many analysts completing and searching
-//! while writers ingest and the miner runs in the background — wrap it in
-//! [`service::CqmsService`], which enforces the read/write lock discipline.
+//! while writers ingest and the miner runs in the background —
+//! [`shard::ShardedCqms`] splits the log over independently locked
+//! [`service::CqmsService`] cells, each of which publishes a fresh
+//! snapshot per write; readers pin one (`service.snapshot()`) and never
+//! take the store lock. See `examples/quickstart.rs`.
 //!
 //! Durable deployments build the façade with [`server::Cqms::open`], which
 //! attaches the [`wal`] write-ahead log and replays it on restart; see

@@ -19,7 +19,7 @@
 use crate::admin::Directory;
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
-use crate::model::{QueryId, QueryRecord, UserId};
+use crate::model::{QueryId, QueryRecord, UserId, Validity};
 use crate::similarity::{self, DistanceKind};
 use crate::storage::QueryStorage;
 use sqlparse::ast::*;
@@ -142,12 +142,14 @@ impl<'a> MetaQueryExecutor<'a> {
         record.is_live() && self.directory.can_see(viewer, record)
     }
 
-    /// Keyword search over query text (TF-IDF ranked).
-    pub fn keyword(&self, viewer: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
-        self.storage
-            .text_index()
-            .search(query, k * 4)
-            .into_iter()
+    /// The first `k` text-index hits `viewer` may see, as scored hits.
+    fn visible_hits(
+        &self,
+        viewer: UserId,
+        hits: Vec<textindex::SearchHit>,
+        k: usize,
+    ) -> Vec<ScoredHit> {
+        hits.into_iter()
             .filter_map(|h| {
                 let rec = self.storage.get(QueryId(h.doc)).ok()?;
                 self.visible(viewer, rec).then_some(ScoredHit {
@@ -157,6 +159,11 @@ impl<'a> MetaQueryExecutor<'a> {
             })
             .take(k)
             .collect()
+    }
+
+    /// Keyword search over query text (TF-IDF ranked).
+    pub fn keyword(&self, viewer: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
+        self.visible_hits(viewer, self.storage.text_index().search(query, k * 4), k)
     }
 
     /// [`MetaQueryExecutor::keyword`] scored against externally supplied
@@ -173,19 +180,11 @@ impl<'a> MetaQueryExecutor<'a> {
         total_docs: u64,
         df: &std::collections::HashMap<String, u64>,
     ) -> Vec<ScoredHit> {
-        self.storage
+        let hits = self
+            .storage
             .text_index()
-            .search_with_corpus(query, k * 4, total_docs, df)
-            .into_iter()
-            .filter_map(|h| {
-                let rec = self.storage.get(QueryId(h.doc)).ok()?;
-                self.visible(viewer, rec).then_some(ScoredHit {
-                    id: QueryId(h.doc),
-                    score: h.score,
-                })
-            })
-            .take(k)
-            .collect()
+            .search_with_corpus(query, k * 4, total_docs, df);
+        self.visible_hits(viewer, hits, k)
     }
 
     /// Substring search over query text.
@@ -209,6 +208,14 @@ impl<'a> MetaQueryExecutor<'a> {
     /// Relation/attribute names are stored canonically lower-cased; string
     /// literals compared against the `relName`/`attrName` columns are folded
     /// to match, so the paper's Figure 1 example runs verbatim.
+    ///
+    /// Access control is enforced at the source: the statement runs against
+    /// the feature relations *restricted to the queries `viewer` may see*
+    /// (the statement is rewritten so every relation reference excludes
+    /// the hidden `qid`s), so no projection, alias, aggregate, join or
+    /// subquery can return or count a hidden query. With nothing hidden the
+    /// statement runs as written; otherwise each relation reference pays
+    /// one `NOT IN` over the hidden ids per scanned row.
     pub fn by_feature_sql(
         &self,
         viewer: UserId,
@@ -217,28 +224,18 @@ impl<'a> MetaQueryExecutor<'a> {
         let mut stmt = sqlparse::parse(sql)?;
         if let Statement::Select(s) = &mut stmt {
             fold_name_literals(s);
-        }
-        let mut result = self.storage.meta_engine().query_statement(&stmt)?;
-        // ACL: when the result exposes a qid column, filter hidden queries.
-        if let Some(qid_col) = result
-            .columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case("qid"))
-        {
-            let rows = std::mem::take(&mut result.rows);
-            result.rows = rows
-                .into_iter()
-                .filter(|row| {
-                    row[qid_col]
-                        .as_i64()
-                        .and_then(|id| self.storage.get(QueryId(id as u64)).ok())
-                        .map(|r| self.visible(viewer, r))
-                        .unwrap_or(false)
-                })
+            // Tombstoned records have no rows in the relations.
+            let hidden: Vec<Expr> = self
+                .storage
+                .iter()
+                .filter(|r| r.validity != Validity::Deleted && !self.visible(viewer, r))
+                .map(|r| Expr::int(r.id.0 as i64))
                 .collect();
-            result.metrics.cardinality = result.rows.len() as u64;
+            if !hidden.is_empty() {
+                restrict_to_visible(s, &hidden);
+            }
         }
-        Ok(result)
+        Ok(self.storage.meta_engine().query_statement(&stmt)?)
     }
 
     /// §2.2: "the CQMS could automatically generate these statements from
@@ -919,6 +916,52 @@ impl TopK {
     }
 }
 
+/// Restrict every feature-relation reference of `s` — top-level FROM,
+/// explicit joins and subqueries at any depth — to rows whose `qid` is not
+/// in `hidden` (all five Figure 1 relations carry `qid`).
+///
+/// Each FROM factor `b` gains the WHERE conjunct
+/// `b.qid IS NULL OR b.qid NOT IN (hidden)`; the `IS NULL` arm keeps the
+/// NULL-extended rows of outer joins. An outer-joined factor also gains
+/// `b.qid NOT IN (hidden)` in its `ON`, so a hidden row cannot match and
+/// thereby suppress the other side's NULL-extension. Together the two are
+/// exactly "the relation without its hidden rows" for every join kind.
+fn restrict_to_visible(s: &mut SelectStatement, hidden: &[Expr]) {
+    let not_hidden = |binding: &str| Expr::InList {
+        expr: Box::new(Expr::qcol(binding, "qid")),
+        list: hidden.to_vec(),
+        negated: true,
+    };
+    let mut conjuncts: Vec<Expr> = s.where_clause.take().into_iter().collect();
+    let mut restrict = |binding: &str| {
+        conjuncts.push(Expr::or(
+            Expr::IsNull {
+                expr: Box::new(Expr::qcol(binding, "qid")),
+                negated: false,
+            },
+            not_hidden(binding),
+        ));
+    };
+    for t in &mut s.from {
+        restrict(t.binding_name());
+        for j in &mut t.joins {
+            restrict(j.binding_name());
+            if matches!(
+                j.kind,
+                JoinKind::LeftOuter | JoinKind::RightOuter | JoinKind::FullOuter
+            ) {
+                let on =
+                    j.on.take()
+                        .into_iter()
+                        .chain([not_hidden(j.binding_name())]);
+                j.on = Expr::from_conjuncts(on.collect());
+            }
+        }
+    }
+    s.where_clause = Expr::from_conjuncts(conjuncts);
+    sqlparse::visit::visit_subqueries_mut(s, &mut |sub| restrict_to_visible(sub, hidden));
+}
+
 /// Fold string literals compared against name-carrying feature columns
 /// (`relName`, `attrName`) to lower case, so meta-queries match the
 /// canonical stored form regardless of the case the user typed.
@@ -1092,6 +1135,15 @@ mod tests {
             .by_feature_sql(UserId(1), "SELECT qid FROM Queries")
             .unwrap();
         assert_eq!(filtered.rows.len(), 3);
+        // The restriction is on the relations, not on a projected `qid`.
+        let texts = mq
+            .by_feature_sql(UserId(1), "SELECT qText FROM Queries")
+            .unwrap();
+        assert_eq!(texts.rows.len(), 3);
+        let count = mq
+            .by_feature_sql(UserId(1), "SELECT COUNT(*) FROM Queries")
+            .unwrap();
+        assert_eq!(count.rows[0][0].render(), "3");
     }
 
     #[test]

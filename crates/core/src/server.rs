@@ -1,32 +1,34 @@
-//! The CQMS server façade (Figure 4): client-facing API over the Query
-//! Profiler, Query Storage, Meta-query Executor, Query Miner and Query
-//! Maintenance, wired to one embedded DBMS.
+//! The CQMS server (Figure 4): the `&mut` write side of the Query
+//! Profiler, Query Storage, Query Miner and Query Maintenance, wired to one
+//! embedded DBMS.
 //!
-//! The two *online* components (Profiler, Meta-query Executor) run on the
-//! caller's thread. The two *background* components (Miner, Maintenance) run
-//! either synchronously via [`Cqms::run_miner_epoch`] /
-//! [`Cqms::run_maintenance`] or on a background thread via
-//! [`spawn_background_miner`].
+//! [`Cqms`] owns the write logic and the few reads that need the live
+//! `relstore` engines (feature-SQL meta-queries, identifier checks,
+//! empty-result repair, query-by-data with re-execution, the tutorial).
+//! Every other read — the Meta-query Executor's search modes and the
+//! assisted mode — is declared once, on [`crate::snapshot::ReadSnapshot`]:
+//! single-threaded callers read through `cqms.capture_snapshot(0)`.
+//!
+//! The Profiler runs on the caller's thread. The two *background*
+//! components (Miner, Maintenance) run either synchronously via
+//! [`Cqms::run_miner_epoch`] / [`Cqms::run_maintenance`] or on a background
+//! thread via [`spawn_background_miner`].
 
 use crate::admin::Directory;
-use crate::assist::completion::{CompletionEngine, Suggestion};
 use crate::assist::correction::{Correction, CorrectionEngine, RepairSuggestion};
-use crate::assist::recommend::{recommend_panel, PanelRow};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::maintenance::{self, MaintenanceReport, RefreshReport};
-use crate::metaquery::{MetaQueryExecutor, ScoredHit, TreePattern};
+use crate::metaquery::MetaQueryExecutor;
 use crate::miner::assoc::{AssocRule, RuleMiner};
 use crate::miner::cluster::{self, ClusteringResult};
 use crate::miner::editpatterns::EditPatternMiner;
 use crate::miner::sessions;
 use crate::model::*;
 use crate::profiler::{ProfiledQuery, Profiler};
-use crate::similarity::DistanceKind;
 use crate::storage::QueryStorage;
-use crate::viz;
 use crate::wal::{self, RecoveryReport};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use relstore::{Engine, TableStats};
 use std::collections::HashMap;
 use std::path::Path;
@@ -301,42 +303,8 @@ impl Cqms {
     }
 
     // ------------------------------------------------------------------
-    // Search & Browse Interaction Mode (§2.2)
+    // Engine-bound reads (everything else reads a `capture_snapshot`)
     // ------------------------------------------------------------------
-
-    /// TF-IDF keyword search over logged query text.
-    pub fn search_keyword(&self, user: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config).keyword(user, query, k)
-    }
-
-    /// Corpus statistics of this instance's text index for `query`: live
-    /// document count and per-term document frequencies. A sharded
-    /// deployment sums these across shards and feeds the totals to
-    /// [`Cqms::search_keyword_with_corpus`] so keyword scores are
-    /// shard-placement independent.
-    pub fn keyword_corpus_stats(&self, query: &str) -> (u64, HashMap<String, u64>) {
-        let ix = self.storage.text_index();
-        (ix.len() as u64, ix.query_term_dfs(query))
-    }
-
-    /// [`Cqms::search_keyword`] with externally supplied corpus statistics
-    /// (the cross-shard global-IDF path).
-    pub fn search_keyword_with_corpus(
-        &self,
-        user: UserId,
-        query: &str,
-        k: usize,
-        total_docs: u64,
-        df: &HashMap<String, u64>,
-    ) -> Vec<ScoredHit> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config)
-            .keyword_with_corpus(user, query, k, total_docs, df)
-    }
-
-    /// Exact substring search over logged query text.
-    pub fn search_substring(&self, user: UserId, needle: &str) -> Vec<QueryId> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config).substring(user, needle)
-    }
 
     /// Run a SQL meta-query over the Figure 1 feature relations.
     pub fn search_feature_sql(
@@ -348,65 +316,21 @@ impl Cqms {
             .by_feature_sql(user, sql)
     }
 
-    /// §2.2: generate the feature meta-query for a partially typed query.
-    pub fn generate_feature_query(&self, partial_sql: &str) -> Result<String, CqmsError> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config)
-            .generate_feature_query(partial_sql)
-    }
-
-    /// Structural search by parse-tree pattern.
-    pub fn search_parse_tree(&self, user: UserId, pattern: &TreePattern) -> Vec<QueryId> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config)
-            .by_parse_tree(user, pattern)
-    }
-
-    /// Query-by-data with optional re-execution of sampled candidates
-    /// (re-execution stays on the engine's read-only path).
-    pub fn search_by_data(
+    /// Query-by-data with re-execution of sampled candidates on the data
+    /// engine's read-only path. The summary-only variant is
+    /// [`crate::snapshot::ReadSnapshot::search_by_data`].
+    pub fn search_by_data_reexecuting(
         &self,
         user: UserId,
         include: &[&str],
         exclude: &[&str],
-        reexecute: bool,
     ) -> Vec<QueryId> {
         MetaQueryExecutor::new(&self.storage, &self.directory, &self.config).by_data(
             user,
             include,
             exclude,
-            reexecute.then_some(&self.data),
+            Some(&self.data),
         )
-    }
-
-    /// kNN similar queries to arbitrary SQL text.
-    pub fn similar_queries(
-        &self,
-        user: UserId,
-        sql: &str,
-        k: usize,
-        metric: DistanceKind,
-    ) -> Result<Vec<ScoredHit>, CqmsError> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config)
-            .knn_sql(user, sql, k, metric)
-    }
-
-    /// Figure 2 session window.
-    pub fn render_session(&self, session: SessionId) -> Result<String, CqmsError> {
-        viz::render_session(&self.storage, session)
-    }
-
-    /// Browse view over the whole log.
-    pub fn render_log_summary(&self, max_sessions: usize) -> String {
-        viz::render_log_summary(&self.storage, max_sessions)
-    }
-
-    // ------------------------------------------------------------------
-    // Assisted Interaction Mode (§2.3)
-    // ------------------------------------------------------------------
-
-    /// Completions for partial SQL (Fig. 3 dropdown).
-    pub fn complete(&self, _user: UserId, partial_sql: &str, k: usize) -> Vec<Suggestion> {
-        CompletionEngine::new(&self.storage, &self.rules, &self.config, &self.data)
-            .suggest(partial_sql, k)
     }
 
     /// Identifier spell-check (Fig. 3 "Corrections").
@@ -417,33 +341,6 @@ impl Cqms {
     /// Empty-result repair suggestions.
     pub fn repair_empty_result(&self, sql: &str, k: usize) -> Vec<RepairSuggestion> {
         CorrectionEngine::new(&self.storage).repair_empty_result(&self.data, sql, k)
-    }
-
-    /// The Figure 3 "Similar Queries" panel for a query being composed.
-    pub fn recommend(
-        &self,
-        user: UserId,
-        seed_sql: &str,
-        k: usize,
-    ) -> Result<Vec<PanelRow>, CqmsError> {
-        recommend_panel(
-            &self.storage,
-            &self.directory,
-            &self.config,
-            user,
-            seed_sql,
-            k,
-        )
-    }
-
-    /// Render a recommendation panel as text (Fig. 3).
-    pub fn render_recommendations(
-        &self,
-        user: UserId,
-        seed_sql: &str,
-        k: usize,
-    ) -> Result<String, CqmsError> {
-        Ok(viz::render_panel(&self.recommend(user, seed_sql, k)?))
     }
 
     /// Auto-generated dataset tutorial (§2.3).
@@ -568,6 +465,11 @@ impl Cqms {
     /// The latest mined association rules.
     pub fn association_rules(&self) -> &[AssocRule] {
         &self.last_rules
+    }
+
+    /// The rule miner's transaction log (what completion scores against).
+    pub fn rule_miner(&self) -> &RuleMiner {
+        &self.rules
     }
 
     /// The latest clustering (query ids + assignment), if any.
@@ -772,11 +674,12 @@ impl Drop for BackgroundMiner {
 /// A snapshot-publication hook: called with the write lock still held
 /// after any background mutation, so the service layer can republish its
 /// [`crate::snapshot::ReadSnapshot`] before readers can observe the lock
-/// released. See [`spawn_background_miner_hooked`].
+/// released. See [`spawn_background_miner`].
 pub type SnapshotPublisher = Arc<dyn Fn(&Cqms) + Send + Sync>;
 
-/// Write-lock retry budget of one normal background epoch: 500 × 2 ms ≈ 1 s.
-const MINER_GRACE_ATTEMPTS: usize = 500;
+/// Write-lock retry budget of one normal background epoch, of the snapshot
+/// writer's rotate step and of a repair promotion: 500 × 2 ms ≈ 1 s.
+pub(crate) const MINER_GRACE_ATTEMPTS: usize = 500;
 /// Escalated budget once [`MINER_STARVATION_EPOCHS`] consecutive epochs were
 /// skipped: a continuous writer storm hands the lock over in microsecond
 /// windows, so a starving miner widens its net (~4 s) instead of skipping
@@ -785,15 +688,30 @@ const MINER_ESCALATED_ATTEMPTS: usize = 2000;
 /// Consecutive skipped epochs before the grace loop escalates.
 const MINER_STARVATION_EPOCHS: usize = 3;
 
-/// One miner epoch with a bounded write-lock retry (`attempts` × 2 ms grace).
+/// Take the write lock with a bounded retry: `attempts` tries, 2 ms apart.
 ///
-/// The miner must never *block* on the CQMS lock: a client that stops (or
+/// Background work (the miner, the off-lock snapshot writer, repair
+/// promotion) must never *block* on the CQMS lock: a client that stops (or
 /// drops) the miner handle while holding a guard would otherwise deadlock
 /// the join — the joiner waits on the miner, the miner waits on the write
 /// lock, the lock waits on the joiner's guard. Transient contention still
-/// gets its epoch via the retries; a lock held for the whole grace period
-/// skips the epoch instead of hanging. Returns the epoch's report, or
-/// `None` when the epoch was skipped.
+/// gets the lock via the retries; a lock held for the whole grace period
+/// yields `None` and the caller skips its work instead of hanging.
+pub(crate) fn try_write_within(
+    cqms: &RwLock<Cqms>,
+    attempts: usize,
+) -> Option<RwLockWriteGuard<'_, Cqms>> {
+    for _ in 0..attempts {
+        if let Some(guard) = cqms.try_write() {
+            return Some(guard);
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    None
+}
+
+/// One miner epoch under [`try_write_within`]`(attempts)`. Returns the
+/// epoch's report, or `None` when the epoch was skipped.
 ///
 /// A scheduled index rebuild is double-buffered here: the snapshot is
 /// collected under a momentary read lock (cheap `Arc` clones), the
@@ -810,7 +728,7 @@ fn try_miner_epoch(
     // The miner.epoch failpoint fires before any lock is taken, so an
     // injected panic can never leave a guard behind (and the shim locks
     // are non-poisoning anyway). The background loop survives it via
-    // catch_unwind; see `spawn_background_miner_with_faults`.
+    // catch_unwind; see `spawn_background_miner`.
     if faults.hit(crate::faults::MINER_EPOCH).is_err() {
         return None;
     }
@@ -820,43 +738,38 @@ fn try_miner_epoch(
             .index_rebuild_pending()
             .then(|| guard.storage.collect_index_rebuild())
     });
-    let mut build = snapshot.map(crate::indexreg::RebuildSnapshot::build); // off-lock
-    for _ in 0..attempts {
-        if let Some(mut guard) = cqms.try_write() {
-            if let Some(b) = build.take() {
-                // A racing explicit rebuild may have published newer
-                // content already — a discarded build just leaves the
-                // schedule pending for the next cycle.
-                let _ = guard.storage.publish_index_rebuild(b);
-            }
-            // A rebuild that became pending after (or was invisible to)
-            // the off-lock collect is *deferred* to the next cycle's
-            // collect/build — never built inline under the write lock.
-            let mut report = guard.miner_epoch(false);
-            // The epoch may have re-logged state (session refinement);
-            // flush so it is durable — retrying transient sink faults
-            // with capped backoff first — and surface, never swallow, a
-            // terminal failure: the caller decides how loudly to report.
-            let (flushed, retries) = wal::retry_write(|| guard.wal_flush());
-            report.wal_flush_retries = retries;
-            if let Err(e) = flushed {
-                report.wal_flush_error = Some(e);
-            }
-            // Republish the service's read snapshot before the lock is
-            // released: the epoch refreshed rules, rebuilt indexes and
-            // refined sessions, all of which snapshot readers must see.
-            if let Some(publish) = publish {
-                publish(&guard);
-            }
-            drop(guard);
-            // Durability rides the same seam: a due snapshot is written
-            // off the hot path now that the epoch's write lock is gone.
-            report.snapshot_written = try_wal_snapshot(cqms, faults);
-            return Some(report);
-        }
-        std::thread::sleep(Duration::from_millis(2));
+    let build = snapshot.map(crate::indexreg::RebuildSnapshot::build); // off-lock
+    let mut guard = try_write_within(cqms, attempts)?;
+    if let Some(b) = build {
+        // A racing explicit rebuild may have published newer content
+        // already — a discarded build just leaves the schedule pending
+        // for the next cycle.
+        let _ = guard.storage.publish_index_rebuild(b);
     }
-    None
+    // A rebuild that became pending after (or was invisible to) the
+    // off-lock collect is *deferred* to the next cycle's collect/build —
+    // never built inline under the write lock.
+    let mut report = guard.miner_epoch(false);
+    // The epoch may have re-logged state (session refinement); flush so it
+    // is durable — retrying transient sink faults with capped backoff
+    // first — and surface, never swallow, a terminal failure: the caller
+    // decides how loudly to report.
+    let (flushed, retries) = wal::retry_write(|| guard.wal_flush());
+    report.wal_flush_retries = retries;
+    if let Err(e) = flushed {
+        report.wal_flush_error = Some(e);
+    }
+    // Republish the service's read snapshot before the lock is released:
+    // the epoch refreshed rules, rebuilt indexes and refined sessions, all
+    // of which snapshot readers must see.
+    if let Some(publish) = publish {
+        publish(&guard);
+    }
+    drop(guard);
+    // Durability rides the same seam: a due snapshot is written off the
+    // hot path now that the epoch's write lock is gone.
+    report.snapshot_written = try_wal_snapshot(cqms, faults);
+    Some(report)
 }
 
 /// The background snapshot path, mirroring the index rebuild's
@@ -868,80 +781,60 @@ fn try_miner_epoch(
 /// write" is a vector push, too cheap to double-buffer.
 ///
 /// Every lock acquisition is a bounded try (the miner must never block,
-/// see [`try_miner_epoch`]); a skipped snapshot just stays due for the
+/// see [`try_write_within`]); a skipped snapshot just stays due for the
 /// next cycle. Returns whether a snapshot was marked.
 fn try_wal_snapshot(cqms: &RwLock<Cqms>, faults: &crate::faults::FaultPlan) -> bool {
     // Phase 1: collect (dir, horizon, body) under a momentary read lock.
-    let collected = match cqms.try_read() {
-        Some(guard) => {
-            if !guard.wal_snapshot_due() {
-                return false;
-            }
-            let mut body = Vec::new();
-            if guard.storage.snapshot(&mut body).is_err() {
-                return false;
-            }
-            Some((
-                guard.storage.wal_snapshot_dir(),
-                guard.storage.wal_last_lsn().unwrap_or(0),
-                body,
-                guard.config.wal_fsync,
-            ))
-        }
-        None => None,
-    };
-    let Some((dir, horizon, body, fsync)) = collected else {
+    let Some(guard) = cqms.try_read() else {
         return false;
     };
-    match dir {
-        Some(dir) => {
-            // Phase 2: durable write, no lock held. Ops logged meanwhile
-            // have lsn > horizon and replay on top of this snapshot.
-            //
-            // A previous cycle may have written+fsynced this very horizon
-            // and then failed phase 3 (write lock never came free within
-            // the grace period), orphaning an unmarked snapshot file.
-            // Recovery already prefers that file — replay skips lsn ≤
-            // horizon — so it is safe to *reuse* it and go straight to
-            // marking instead of serialising and fsyncing it again.
-            let already_written = wal::list_snapshots(&dir)
-                .map(|snaps| snaps.iter().any(|(h, _)| *h == horizon))
-                .unwrap_or(false);
-            // The off-lock write retries transient faults (and consults
-            // the wal.snapshot failpoint) with capped backoff: a snapshot
-            // only stays due for the next cycle once backoff is spent.
-            let (written, _retries) = wal::retry_write(|| {
-                if already_written {
-                    return Ok(());
-                }
-                faults.hit(crate::faults::SNAPSHOT_WRITE)?;
-                wal::write_snapshot_file(&dir, horizon, &body, fsync)
-            });
-            if written.is_err() {
-                return false;
-            }
-            // Phase 3: brief write lock to rotate + prune.
-            for _ in 0..500 {
-                if let Some(mut guard) = cqms.try_write() {
-                    return guard.storage.wal_mark_snapshot(horizon).is_ok();
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            false
-        }
-        None => {
-            for _ in 0..500 {
-                if let Some(mut guard) = cqms.try_write() {
-                    return guard.force_snapshot().unwrap_or(false);
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            false
-        }
+    let mut body = Vec::new();
+    if !guard.wal_snapshot_due() || guard.storage.snapshot(&mut body).is_err() {
+        return false;
     }
+    let dir = guard.storage.wal_snapshot_dir();
+    let horizon = guard.storage.wal_last_lsn().unwrap_or(0);
+    let fsync = guard.config.wal_fsync;
+    drop(guard);
+    let Some(dir) = dir else {
+        return try_write_within(cqms, MINER_GRACE_ATTEMPTS)
+            .is_some_and(|mut guard| guard.force_snapshot().unwrap_or(false));
+    };
+    // Phase 2: durable write, no lock held. Ops logged meanwhile have
+    // lsn > horizon and replay on top of this snapshot.
+    //
+    // A previous cycle may have written+fsynced this very horizon and then
+    // failed phase 3 (write lock never came free within the grace period),
+    // orphaning an unmarked snapshot file. Recovery already prefers that
+    // file — replay skips lsn ≤ horizon — so it is safe to *reuse* it and
+    // go straight to marking instead of serialising and fsyncing it again.
+    let already_written = wal::list_snapshots(&dir)
+        .map(|snaps| snaps.iter().any(|(h, _)| *h == horizon))
+        .unwrap_or(false);
+    // The off-lock write retries transient faults (and consults the
+    // wal.snapshot failpoint) with capped backoff: a snapshot only stays
+    // due for the next cycle once backoff is spent.
+    let (written, _retries) = wal::retry_write(|| {
+        if already_written {
+            return Ok(());
+        }
+        faults.hit(crate::faults::SNAPSHOT_WRITE)?;
+        wal::write_snapshot_file(&dir, horizon, &body, fsync)
+    });
+    if written.is_err() {
+        return false;
+    }
+    // Phase 3: brief write lock to rotate + prune.
+    try_write_within(cqms, MINER_GRACE_ATTEMPTS)
+        .is_some_and(|mut guard| guard.storage.wal_mark_snapshot(horizon).is_ok())
 }
 
 /// Spawn a miner thread that runs an epoch every `interval` until stopped.
+///
+/// `faults` is the plan whose `miner.epoch` / `wal.snapshot` failpoints the
+/// thread consults (a service passes its own, so per-service injection
+/// reaches its miner); `publish`, when given, is invoked with the write
+/// lock still held after every completed epoch.
 ///
 /// Starvation resilience: every skipped epoch (grace period exhausted under
 /// writer pressure) bumps a consecutive-skip counter; after
@@ -949,30 +842,14 @@ fn try_wal_snapshot(cqms: &RwLock<Cqms>, faults: &crate::faults::FaultPlan) -> b
 /// escalated (but still bounded) retry budget until an epoch lands. A WAL
 /// flush failure surfaced by an epoch is logged here — the background
 /// thread has no caller to return the report to.
-pub fn spawn_background_miner(cqms: Arc<RwLock<Cqms>>, interval: Duration) -> BackgroundMiner {
-    spawn_background_miner_with_faults(cqms, interval, crate::faults::global_plan())
-}
-
-/// [`spawn_background_miner_with_faults`] without a publication hook.
-pub fn spawn_background_miner_with_faults(
-    cqms: Arc<RwLock<Cqms>>,
-    interval: Duration,
-    faults: Arc<crate::faults::FaultPlan>,
-) -> BackgroundMiner {
-    spawn_background_miner_hooked(cqms, interval, faults, None)
-}
-
-/// [`spawn_background_miner`] with an explicit fault plan (the service
-/// layer passes its own, so per-service failpoints reach the miner) and
-/// an optional snapshot-publication hook, invoked with the write lock
-/// still held after every completed epoch. The
-/// loop runs each epoch under `catch_unwind`: an epoch that panics — a
+///
+/// The loop runs each epoch under `catch_unwind`: an epoch that panics — a
 /// mining bug, or the `miner.epoch` failpoint armed with a panic — is
 /// counted as a skipped epoch and the miner keeps running, instead of
 /// dying silently and letting rules/snapshots go permanently stale. (The
 /// lock shims are non-poisoning, and the failpoint fires before any lock
 /// is taken, so a panicking epoch can never wedge the lock.)
-pub fn spawn_background_miner_hooked(
+pub fn spawn_background_miner(
     cqms: Arc<RwLock<Cqms>>,
     interval: Duration,
     faults: Arc<crate::faults::FaultPlan>,
@@ -1057,7 +934,7 @@ mod tests {
         assert!(out.result.is_some());
         assert_eq!(c.storage.live_count(), 1);
         // Searching finds it.
-        let hits = c.search_keyword(alice, "temp", 5);
+        let hits = c.capture_snapshot(0).search_keyword(alice, "temp", 5);
         assert_eq!(hits.len(), 1);
     }
 
@@ -1079,14 +956,16 @@ mod tests {
             c.storage.get(out.id).unwrap().visibility,
             Visibility::Group(lab)
         );
-        assert_eq!(c.search_substring(bob, "salinity").len(), 1);
-        assert!(c.search_substring(carol, "salinity").is_empty());
+        let snap = c.capture_snapshot(0);
+        assert_eq!(snap.search_substring(bob, "salinity").len(), 1);
+        assert!(snap.search_substring(carol, "salinity").is_empty());
         // Carol can't annotate or delete it either.
         assert!(c.annotate(carol, out.id, "sneaky", None).is_err());
         assert!(c.delete_query(carol, out.id).is_err());
         // Alice makes it public.
         c.set_visibility(alice, out.id, Visibility::Public).unwrap();
-        assert_eq!(c.search_substring(carol, "salinity").len(), 1);
+        let snap = c.capture_snapshot(0);
+        assert_eq!(snap.search_substring(carol, "salinity").len(), 1);
     }
 
     #[test]
@@ -1151,7 +1030,12 @@ mod tests {
                     .unwrap();
             }
         }
-        let miner = spawn_background_miner(c.clone(), Duration::from_millis(10));
+        let miner = spawn_background_miner(
+            c.clone(),
+            Duration::from_millis(10),
+            crate::faults::global_plan(),
+            None,
+        );
         std::thread::sleep(Duration::from_millis(60));
         let epochs = miner.stop();
         assert!(epochs >= 1, "no epochs ran");

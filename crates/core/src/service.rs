@@ -1,28 +1,27 @@
-//! The concurrent multi-user service layer.
+//! The per-shard service cell: one [`Cqms`] made safely shareable.
 //!
 //! The paper's CQMS serves many analysts at once: the *online* components
 //! (Query Profiler, Meta-query Executor — Fig. 4) answer interactive
 //! requests while the Query Miner and Query Maintenance run in the
-//! background. [`CqmsService`] is the façade that makes one [`Cqms`]
-//! instance safely shareable across client threads with a strict
-//! **read/write lock discipline**:
+//! background. [`CqmsService`] wraps one [`Cqms`] instance — one shard of a
+//! [`crate::shard::ShardedCqms`] — in an `RwLock` and a published
+//! [`ReadSnapshot`] slot:
 //!
-//! * **Read path** — completion, every meta-query search mode,
-//!   recommendation, correction. These call the `&self` methods of [`Cqms`]
-//!   under the *read* side of an `RwLock`, so any number of clients search
-//!   and complete concurrently. The only mutable state on this path lives
-//!   behind interior mutability: the feature-relation engine's lazy hash
-//!   indexes are published as an epoch snapshot (`Arc`-swapped, rebuilt
-//!   off-lock — a contended SELECT never degrades or queues), and the rule
-//!   miner's result cache takes a blocking lock but holds it just long
-//!   enough to copy results in or out — the mining itself runs outside the
-//!   lock.
-//! * **Write path** — query ingestion, annotations, ACL changes, deletes,
-//!   miner epochs, maintenance passes. These take the write side and
-//!   serialise as a group, exactly like the single-user [`Cqms`].
+//! * **Reads** — [`CqmsService::snapshot`] hands out the published
+//!   snapshot (one `Arc` clone under a momentary slot lock) and every
+//!   snapshot-servable read is a method on *that*; the service re-declares
+//!   none of them. The only reads defined here are the engine-bound ones
+//!   (`search_feature_sql`, `check_identifiers`, `repair_empty_result`,
+//!   `search_by_data_reexecuting`, plus the [`CqmsService::read`] escape
+//!   hatch): they need the live `relstore` engines and run under the
+//!   *read* side of the lock.
+//! * **Writes** — query ingestion, annotations, ACL changes, deletes,
+//!   miner epochs, maintenance passes. These take the write side,
+//!   serialise as a group exactly like the single-user [`Cqms`], and
+//!   publish a fresh snapshot before releasing the lock.
 //! * **Batched ingestion** — [`CqmsService::ingest_batch`] amortises the
-//!   write lock (and the readers' wait) over a whole batch of queries
-//!   instead of paying one acquisition per statement.
+//!   write lock, the WAL flush and the snapshot publication over a whole
+//!   batch of queries instead of paying them per statement.
 //! * **Background mining** — [`CqmsService::start_miner`] runs the Query
 //!   Miner on its own thread; [`CqmsService::shutdown`] (or dropping the
 //!   last service clone) joins it gracefully after one final epoch, so
@@ -33,26 +32,24 @@
 //!   result is an acknowledgement that the query survives a crash. See
 //!   [`crate::wal`] for the log format and recovery semantics.
 //!
-//! The service is `Clone` (cheap: two `Arc`s); hand one clone to each
-//! client thread. See `tests/concurrency.rs` for the multi-writer /
+//! The service is `Clone` (cheap: a handful of `Arc`s); hand one clone to
+//! each client thread. See `tests/concurrency.rs` for the multi-writer /
 //! multi-reader stress test and `benches/e10_concurrency.rs` for the read
 //! scaling experiment.
 
 use crate::admission::AdmissionGate;
-use crate::assist::completion::Suggestion;
 use crate::assist::correction::{Correction, RepairSuggestion};
-use crate::assist::recommend::PanelRow;
 use crate::error::CqmsError;
 use crate::faults::{self, FaultPlan};
 use crate::maintenance::{MaintenanceReport, RefreshReport};
-use crate::metaquery::{ScoredHit, TreePattern};
-use crate::miner::assoc::AssocRule;
 use crate::model::*;
 use crate::profiler::ProfiledQuery;
-use crate::server::{spawn_background_miner_hooked, BackgroundMiner, Cqms, MinerReport};
-use crate::similarity::DistanceKind;
-use crate::snapshot::{assert_not_inside_snapshot_read, ReadSnapshot};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use crate::server::{
+    spawn_background_miner, try_write_within, BackgroundMiner, Cqms, MinerReport,
+    MINER_GRACE_ATTEMPTS,
+};
+use crate::snapshot::ReadSnapshot;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,18 +85,37 @@ impl IngestItem {
     }
 }
 
+/// The published [`ReadSnapshot`] slot and its epoch counter — the read
+/// path's whole world. Writers replace the inner `Arc` under a *momentary*
+/// write lock; readers clone it under a momentary read lock and then run
+/// with no lock at all. (The slot lock is never held across any actual
+/// work on either side.)
+#[derive(Clone)]
+struct Published {
+    slot: Arc<RwLock<Arc<ReadSnapshot>>>,
+    /// Monotonic snapshot publication epoch.
+    epoch: Arc<AtomicU64>,
+}
+
+impl Published {
+    /// Capture + publish a fresh snapshot of `cqms`. Callers hold the CQMS
+    /// write lock, so epochs are allocated in lock order; the epoch
+    /// comparison below makes out-of-order slot writes harmless anyway.
+    fn publish(&self, cqms: &Cqms) {
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        let snap = Arc::new(cqms.capture_snapshot(epoch));
+        let mut slot = self.slot.write();
+        if snap.epoch() >= slot.epoch() {
+            *slot = snap;
+        }
+    }
+}
+
 /// A thread-safe, cloneable handle to a shared CQMS.
 #[derive(Clone)]
 pub struct CqmsService {
     cqms: Arc<RwLock<Cqms>>,
-    /// The published [`ReadSnapshot`]: the lock-free read path's whole
-    /// world. Writers replace the inner `Arc` under a *momentary* write
-    /// lock; readers clone it under a momentary read lock and then run
-    /// with no lock at all. (The slot lock is never held across any
-    /// actual work on either side.)
-    published: Arc<RwLock<Arc<ReadSnapshot>>>,
-    /// Monotonic snapshot publication epoch.
-    epoch: Arc<AtomicU64>,
+    published: Published,
     miner: Arc<Mutex<Option<BackgroundMiner>>>,
     admission: Arc<AdmissionGate>,
     faults: Arc<FaultPlan>,
@@ -108,24 +124,14 @@ pub struct CqmsService {
 impl CqmsService {
     /// Wrap a CQMS for shared multi-threaded use.
     pub fn new(cqms: Cqms) -> Self {
-        Self::from_shared(Arc::new(RwLock::new(cqms)))
-    }
-
-    /// Build a service over an already-shared CQMS (e.g. one that other
-    /// code also holds via
-    /// [`crate::server::spawn_background_miner`]).
-    pub fn from_shared(cqms: Arc<RwLock<Cqms>>) -> Self {
-        let (admission, initial) = {
-            let guard = cqms.read();
-            (
-                Arc::new(AdmissionGate::from_config(&guard.config)),
-                Arc::new(guard.capture_snapshot(0)),
-            )
-        };
+        let admission = Arc::new(AdmissionGate::from_config(&cqms.config));
+        let initial = Arc::new(cqms.capture_snapshot(0));
         CqmsService {
-            cqms,
-            published: Arc::new(RwLock::new(initial)),
-            epoch: Arc::new(AtomicU64::new(0)),
+            cqms: Arc::new(RwLock::new(cqms)),
+            published: Published {
+                slot: Arc::new(RwLock::new(initial)),
+                epoch: Arc::new(AtomicU64::new(0)),
+            },
             miner: Arc::new(Mutex::new(None)),
             admission,
             // Every service gets its *own* plan, so tests can fault one
@@ -138,6 +144,8 @@ impl CqmsService {
     }
 
     /// The shared lock itself, for callers that need custom locking scope.
+    /// Mutating through it skips snapshot publication — writes belong in
+    /// [`CqmsService::write`].
     pub fn shared(&self) -> Arc<RwLock<Cqms>> {
         self.cqms.clone()
     }
@@ -158,58 +166,30 @@ impl CqmsService {
     /// the ambient (`CQMS_FAULTS`) plan and this service's own plan (a
     /// delay here simulates a slow/overloaded shard for deadline tests;
     /// other actions are meaningless for reads and ignored). Only the
-    /// engine-bound reads still come through here — everything else is
-    /// served off the published [`ReadSnapshot`].
+    /// engine-bound reads come through here — everything else is served
+    /// off the published [`ReadSnapshot`].
     fn read_guard(&self) -> RwLockReadGuard<'_, Cqms> {
-        assert_not_inside_snapshot_read("CqmsService::read_guard");
         let _ = faults::global_plan().hit(faults::SHARD_READ);
         let _ = self.faults.hit(faults::SHARD_READ);
         self.cqms.read()
     }
 
-    /// Take the write lock (debug builds prove no snapshot read path
-    /// sneaks through here).
-    fn write_guard(&self) -> RwLockWriteGuard<'_, Cqms> {
-        assert_not_inside_snapshot_read("CqmsService::write_guard");
-        self.cqms.write()
-    }
-
-    /// Capture + publish a fresh snapshot from the (locked) instance.
-    /// Callers hold the CQMS write lock (or, for [`Self::republish`], the
-    /// read lock), so epochs are allocated in lock order; the slot guard
-    /// below makes out-of-order slot writes harmless anyway.
-    fn publish(&self, cqms: &Cqms) {
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let snap = Arc::new(cqms.capture_snapshot(epoch));
-        let mut slot = self.published.write();
-        if snap.epoch() >= slot.epoch() {
-            *slot = snap;
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Read path (lock-free: one Arc clone under a momentary slot lock)
+    // Read path
     // ------------------------------------------------------------------
 
     /// The currently published read snapshot: **one `Arc` clone under a
     /// momentary lock**, then the caller runs entirely lock-free —
     /// unblocked by writers, miner epochs, index rebuilds and repair
     /// promotions, all of which publish new snapshots without touching
-    /// outstanding ones. The `shard.read` failpoints are consulted here,
-    /// so deadline/fault tests exercise this path like any other read.
+    /// outstanding ones. Every snapshot-servable read is a method on the
+    /// returned [`ReadSnapshot`]. The `shard.read` failpoints are
+    /// consulted here, so deadline/fault tests exercise this path like
+    /// any other read.
     pub fn snapshot(&self) -> Arc<ReadSnapshot> {
         let _ = faults::global_plan().hit(faults::SHARD_READ);
         let _ = self.faults.hit(faults::SHARD_READ);
-        Arc::clone(&self.published.read())
-    }
-
-    /// Re-capture and publish the snapshot from the live instance. Only
-    /// needed after mutating through [`CqmsService::shared`] directly —
-    /// every service-level write (and the hooked background miner)
-    /// already publishes.
-    pub fn republish(&self) {
-        let guard = self.cqms.read();
-        self.publish(&guard);
+        Arc::clone(&self.published.slot.read())
     }
 
     /// Run `f` under the read lock (escape hatch for compound reads that
@@ -217,21 +197,6 @@ impl CqmsService {
     /// readers use [`CqmsService::snapshot`] instead).
     pub fn read<R>(&self, f: impl FnOnce(&Cqms) -> R) -> R {
         f(&self.read_guard())
-    }
-
-    /// Completions for partial SQL (Fig. 3 dropdown).
-    pub fn complete(&self, user: UserId, partial_sql: &str, k: usize) -> Vec<Suggestion> {
-        self.snapshot().complete(user, partial_sql, k)
-    }
-
-    /// TF-IDF keyword search over logged query text.
-    pub fn search_keyword(&self, user: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
-        self.snapshot().search_keyword(user, query, k)
-    }
-
-    /// Exact substring search over logged query text.
-    pub fn search_substring(&self, user: UserId, needle: &str) -> Vec<QueryId> {
-        self.snapshot().search_substring(user, needle)
     }
 
     /// SQL meta-query over the Figure 1 feature relations (engine-bound:
@@ -244,48 +209,17 @@ impl CqmsService {
         self.read_guard().search_feature_sql(user, sql)
     }
 
-    /// Structural search by parse-tree pattern.
-    pub fn search_parse_tree(&self, user: UserId, pattern: &TreePattern) -> Vec<QueryId> {
-        self.snapshot().search_parse_tree(user, pattern)
-    }
-
-    /// Query-by-data: find queries whose output did/didn't contain
-    /// values. The summary-only variant runs lock-free off the snapshot;
-    /// `reexecute` needs the live data engine and stays on the lock.
-    pub fn search_by_data(
+    /// Query-by-data with re-execution of sampled candidates
+    /// (engine-bound: needs the live data engine). The summary-only
+    /// variant is [`ReadSnapshot::search_by_data`].
+    pub fn search_by_data_reexecuting(
         &self,
         user: UserId,
         include: &[&str],
         exclude: &[&str],
-        reexecute: bool,
     ) -> Vec<QueryId> {
-        if reexecute {
-            self.read_guard()
-                .search_by_data(user, include, exclude, true)
-        } else {
-            self.snapshot().search_by_data(user, include, exclude)
-        }
-    }
-
-    /// kNN similarity search around ad-hoc SQL.
-    pub fn similar_queries(
-        &self,
-        user: UserId,
-        sql: &str,
-        k: usize,
-        metric: DistanceKind,
-    ) -> Result<Vec<ScoredHit>, CqmsError> {
-        self.snapshot().similar_queries(user, sql, k, metric)
-    }
-
-    /// The Fig. 3 recommendation panel for a seed query.
-    pub fn recommend(
-        &self,
-        user: UserId,
-        seed_sql: &str,
-        k: usize,
-    ) -> Result<Vec<PanelRow>, CqmsError> {
-        self.snapshot().recommend(user, seed_sql, k)
+        self.read_guard()
+            .search_by_data_reexecuting(user, include, exclude)
     }
 
     /// Misspelled table/column detection with suggested fixes
@@ -300,26 +234,6 @@ impl CqmsService {
         self.read_guard().repair_empty_result(sql, k)
     }
 
-    /// Number of live (visible, usable) logged queries.
-    pub fn live_count(&self) -> usize {
-        self.snapshot().live_count()
-    }
-
-    /// The published structural-index generation number.
-    pub fn index_generation(&self) -> u64 {
-        self.snapshot().index_generation()
-    }
-
-    /// Current trace time.
-    pub fn now(&self) -> u64 {
-        self.snapshot().now()
-    }
-
-    /// The latest mined association rules (cloned out of the snapshot).
-    pub fn association_rules(&self) -> Vec<AssocRule> {
-        self.snapshot().association_rules().to_vec()
-    }
-
     // ------------------------------------------------------------------
     // Write path (write lock)
     // ------------------------------------------------------------------
@@ -327,9 +241,9 @@ impl CqmsService {
     /// Run `f` under the write lock (escape hatch for compound writes).
     /// A fresh snapshot is published before the lock is released.
     pub fn write<R>(&self, f: impl FnOnce(&mut Cqms) -> R) -> R {
-        let mut guard = self.write_guard();
+        let mut guard = self.cqms.write();
         let out = f(&mut guard);
-        self.publish(&guard);
+        self.published.publish(&guard);
         out
     }
 
@@ -354,27 +268,21 @@ impl CqmsService {
     // supervisor retries with it on a later epoch instead of dropping
     // the recovered state on the floor.
     #[allow(clippy::result_large_err)]
-    pub fn try_replace(&self, cqms: Cqms) -> Result<Cqms, Cqms> {
-        assert_not_inside_snapshot_read("CqmsService::try_replace");
-        const REPLACE_ATTEMPTS: usize = 500;
-        let mut incoming = cqms;
-        for _ in 0..REPLACE_ATTEMPTS {
-            if let Some(mut guard) = self.cqms.try_write() {
-                incoming.directory = std::mem::take(&mut guard.directory);
-                let outgoing = std::mem::replace(&mut *guard, incoming);
-                // One atomic epoch bump covering the whole promotion:
-                // the placeholder's snapshot is invalidated and the
-                // recovered instance's published in a single slot swap,
-                // so no reader can ever pair the promoted shard's
-                // indexes with the placeholder's popularity tables (or
-                // vice versa). Readers pinned to the old snapshot keep a
-                // fully coherent placeholder view until they re-clone.
-                self.publish(&guard);
-                return Ok(outgoing);
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        Err(incoming)
+    pub fn try_replace(&self, mut cqms: Cqms) -> Result<Cqms, Cqms> {
+        let Some(mut guard) = try_write_within(&self.cqms, MINER_GRACE_ATTEMPTS) else {
+            return Err(cqms);
+        };
+        cqms.directory = std::mem::take(&mut guard.directory);
+        let outgoing = std::mem::replace(&mut *guard, cqms);
+        // One atomic epoch bump covering the whole promotion: the
+        // placeholder's snapshot is invalidated and the recovered
+        // instance's published in a single slot swap, so no reader can ever
+        // pair the promoted shard's indexes with the placeholder's
+        // popularity tables (or vice versa). Readers pinned to the old
+        // snapshot keep a fully coherent placeholder view until they
+        // re-clone.
+        self.published.publish(&guard);
+        Ok(outgoing)
     }
 
     /// Run + profile one query (WAL flushed before returning).
@@ -385,12 +293,21 @@ impl CqmsService {
     /// of queueing on the write lock.
     pub fn run_query(&self, user: UserId, sql: &str) -> Result<ProfiledQuery, CqmsError> {
         let _permit = self.admission.admit_user(user)?;
-        let mut guard = self.write_guard();
-        let out = guard.run_query(user, sql);
+        self.acked_write(|c| c.run_query(user, sql))
+    }
+
+    /// One durably acknowledged write: run `f` under the write lock, flush
+    /// the WAL and publish — also when `f` failed (a failed profiling
+    /// attempt still ticks the trace clock, and snapshot `now()` must track
+    /// it) — then report `f`'s error ahead of the flush's.
+    fn acked_write<R>(
+        &self,
+        f: impl FnOnce(&mut Cqms) -> Result<R, CqmsError>,
+    ) -> Result<R, CqmsError> {
+        let mut guard = self.cqms.write();
+        let out = f(&mut guard);
         let flushed = guard.wal_flush();
-        // Publish even when profiling failed: failed attempts still tick
-        // the trace clock, and snapshot `now()` must track it.
-        self.publish(&guard);
+        self.published.publish(&guard);
         drop(guard);
         let out = out?;
         flushed?;
@@ -406,14 +323,7 @@ impl CqmsService {
         ts: u64,
     ) -> Result<ProfiledQuery, CqmsError> {
         let _permit = self.admission.admit_user(user)?;
-        let mut guard = self.write_guard();
-        let out = guard.run_query_at(user, sql, ts);
-        let flushed = guard.wal_flush();
-        self.publish(&guard);
-        drop(guard);
-        let out = out?;
-        flushed?;
-        Ok(out)
+        self.acked_write(|c| c.run_query_at(user, sql, ts))
     }
 
     /// Ingest a batch of queries under **one** write-lock acquisition.
@@ -458,7 +368,7 @@ impl CqmsService {
             Ok(p) => p,
             Err(e) => return items.iter().map(|_| Err(e.clone())).collect(),
         };
-        let mut guard = self.write_guard();
+        let mut guard = self.cqms.write();
         for (slot, item) in results.iter_mut().zip(items) {
             if slot.is_err() {
                 continue; // rate-shed: never executed, never acknowledged
@@ -472,7 +382,7 @@ impl CqmsService {
         let flushed = guard.wal_flush();
         // One publication per batch: batching is the unit of lock
         // amortisation, so it is also the unit of snapshot capture.
-        self.publish(&guard);
+        self.published.publish(&guard);
         drop(guard);
         drop(permit);
         match flushed {
@@ -485,26 +395,17 @@ impl CqmsService {
 
     /// Register (or look up) a user by name.
     pub fn register_user(&self, name: &str) -> UserId {
-        let mut guard = self.write_guard();
-        let id = guard.register_user(name);
-        self.publish(&guard);
-        id
+        self.write(|c| c.register_user(name))
     }
 
     /// Create a collaboration group.
     pub fn create_group(&self, name: &str) -> GroupId {
-        let mut guard = self.write_guard();
-        let id = guard.create_group(name);
-        self.publish(&guard);
-        id
+        self.write(|c| c.create_group(name))
     }
 
     /// Add a user to a group.
     pub fn join_group(&self, user: UserId, group: GroupId) -> Result<(), CqmsError> {
-        let mut guard = self.write_guard();
-        let out = guard.join_group(user, group);
-        self.publish(&guard);
-        out
+        self.write(|c| c.join_group(user, group))
     }
 
     /// Attach an annotation (durably acknowledged).
@@ -515,10 +416,10 @@ impl CqmsService {
         text: &str,
         fragment: Option<&str>,
     ) -> Result<(), CqmsError> {
-        let mut guard = self.write_guard();
+        let mut guard = self.cqms.write();
         guard.annotate(actor, id, text, fragment)?;
         let flushed = guard.wal_flush();
-        self.publish(&guard);
+        self.published.publish(&guard);
         flushed
     }
 
@@ -529,19 +430,19 @@ impl CqmsService {
         id: QueryId,
         visibility: Visibility,
     ) -> Result<(), CqmsError> {
-        let mut guard = self.write_guard();
+        let mut guard = self.cqms.write();
         guard.set_visibility(actor, id, visibility)?;
         let flushed = guard.wal_flush();
-        self.publish(&guard);
+        self.published.publish(&guard);
         flushed
     }
 
     /// Tombstone a query (durably acknowledged).
     pub fn delete_query(&self, actor: UserId, id: QueryId) -> Result<(), CqmsError> {
-        let mut guard = self.write_guard();
+        let mut guard = self.cqms.write();
         guard.delete_query(actor, id)?;
         let flushed = guard.wal_flush();
-        self.publish(&guard);
+        self.published.publish(&guard);
         flushed
     }
 
@@ -554,14 +455,14 @@ impl CqmsService {
     /// capped exponential backoff first; recovered retries are counted in
     /// [`MinerReport::wal_flush_retries`].
     pub fn run_miner_epoch(&self) -> MinerReport {
-        let mut guard = self.write_guard();
+        let mut guard = self.cqms.write();
         let mut report = guard.run_miner_epoch();
         let (flushed, retries) = crate::wal::retry_write(|| guard.wal_flush());
         report.wal_flush_retries = retries;
         if let Err(e) = flushed {
             report.wal_flush_error = Some(e);
         }
-        self.publish(&guard);
+        self.published.publish(&guard);
         report
     }
 
@@ -577,14 +478,7 @@ impl CqmsService {
         &self,
         basis: Option<&[u64]>,
     ) -> Result<(MaintenanceReport, RefreshReport), CqmsError> {
-        let mut guard = self.write_guard();
-        let out = guard.run_maintenance_with_basis(basis);
-        let flushed = guard.wal_flush();
-        self.publish(&guard);
-        drop(guard);
-        let out = out?;
-        flushed?;
-        Ok(out)
+        self.acked_write(|c| c.run_maintenance_with_basis(basis))
     }
 
     /// Execute a scheduled index rebuild, double-buffered: the snapshot
@@ -606,13 +500,13 @@ impl CqmsService {
             guard.storage.collect_index_rebuild()
         };
         let build = snapshot.build(); // off-lock
-        let mut guard = self.write_guard();
+        let mut guard = self.cqms.write();
         let swapped = guard.storage.publish_index_rebuild(build);
         // One epoch bump covering the generation swap: a reader either
         // keeps the whole pre-rebuild snapshot or clones the whole
         // post-rebuild one — never generation N+1 indexes with
         // generation N popularity/session state.
-        self.publish(&guard);
+        self.published.publish(&guard);
         swapped
     }
 
@@ -627,24 +521,14 @@ impl CqmsService {
         if slot.is_some() {
             return false;
         }
-        let published = Arc::clone(&self.published);
-        let epoch = Arc::clone(&self.epoch);
-        let publisher: crate::server::SnapshotPublisher = Arc::new(move |cqms: &Cqms| {
-            // Same discipline as `CqmsService::publish`: invoked while the
-            // miner thread still holds the write guard, so epochs are
-            // lock-ordered and the guard below is a formality.
-            let e = epoch.fetch_add(1, Ordering::Relaxed) + 1;
-            let snap = Arc::new(cqms.capture_snapshot(e));
-            let mut slot = published.write();
-            if snap.epoch() >= slot.epoch() {
-                *slot = snap;
-            }
-        });
-        *slot = Some(spawn_background_miner_hooked(
+        // Invoked while the miner thread still holds the write guard, like
+        // every other `publish` call.
+        let published = self.published.clone();
+        *slot = Some(spawn_background_miner(
             self.cqms.clone(),
             interval,
             self.faults.clone(),
-            Some(publisher),
+            Some(Arc::new(move |cqms: &Cqms| published.publish(cqms))),
         ));
         true
     }
@@ -690,13 +574,14 @@ mod tests {
             .run_query(user, "SELECT lake, temp FROM WaterTemp WHERE temp < 18")
             .unwrap()
             .id;
-        assert_eq!(svc.live_count(), 1);
-        assert_eq!(svc.search_keyword(user, "temp", 5).len(), 1);
-        assert_eq!(svc.search_substring(user, "temp < 18"), vec![id]);
-        assert!(!svc.complete(user, "SELECT * FROM ", 5).is_empty());
+        let snap = svc.snapshot();
+        assert_eq!(snap.live_count(), 1);
+        assert_eq!(snap.search_keyword(user, "temp", 5).len(), 1);
+        assert_eq!(snap.search_substring(user, "temp < 18"), vec![id]);
+        assert!(!snap.complete(user, "SELECT * FROM ", 5).is_empty());
         svc.annotate(user, id, "cold lakes", None).unwrap();
         svc.delete_query(user, id).unwrap();
-        assert_eq!(svc.live_count(), 0);
+        assert_eq!(svc.snapshot().live_count(), 0);
     }
 
     #[test]
@@ -710,9 +595,9 @@ mod tests {
         let ids = svc.ingest_batch(&batch);
         assert_eq!(ids.len(), 3);
         assert!(ids.iter().all(|r| r.is_ok()));
-        assert_eq!(svc.live_count(), 3);
+        assert_eq!(svc.snapshot().live_count(), 3);
         // The clock-ticking item advanced past the explicit timestamps.
-        assert_eq!(svc.now(), 160);
+        assert_eq!(svc.snapshot().now(), 160);
     }
 
     #[test]
@@ -731,16 +616,20 @@ mod tests {
         // A ticking item advances to 30; explicit timestamps then arrive
         // out of order and must never rewind `now()`.
         svc.run_query(user, "SELECT * FROM WaterTemp").unwrap();
-        assert_eq!(svc.now(), 30);
+        assert_eq!(svc.snapshot().now(), 30);
         svc.run_query_at(user, "SELECT * FROM WaterTemp WHERE temp < 5", 500)
             .unwrap();
         svc.run_query_at(user, "SELECT * FROM WaterTemp WHERE temp < 6", 100)
             .unwrap();
-        assert_eq!(svc.now(), 500, "stale explicit timestamp rewound now()");
+        assert_eq!(
+            svc.snapshot().now(),
+            500,
+            "stale explicit timestamp rewound now()"
+        );
         // A ticking item continues from the high-water mark.
         svc.run_query(user, "SELECT salinity FROM WaterSalinity")
             .unwrap();
-        assert_eq!(svc.now(), 530);
+        assert_eq!(svc.snapshot().now(), 530);
         // The batched variant of the same interleaving (the `now() == 160`
         // case of `batched_ingestion_...`, scrambled out of order).
         let batch = vec![
@@ -749,7 +638,11 @@ mod tests {
             IngestItem::new(user, "SELECT lake FROM WaterTemp"),
         ];
         assert!(svc.ingest_batch(&batch).iter().all(|r| r.is_ok()));
-        assert_eq!(svc.now(), 730, "tick must ride the monotonic maximum");
+        assert_eq!(
+            svc.snapshot().now(),
+            730,
+            "tick must ride the monotonic maximum"
+        );
     }
 
     #[test]
@@ -764,15 +657,16 @@ mod tests {
                 let svc = svc.clone();
                 s.spawn(move || {
                     for _ in 0..25 {
-                        assert!(!svc
+                        let snap = svc.snapshot();
+                        assert!(!snap
                             .complete(user, "SELECT * FROM WaterTemp WHERE ", 5)
                             .is_empty());
-                        assert!(svc.search_keyword(user, "watertemp", 5).len() <= 5);
+                        assert!(snap.search_keyword(user, "watertemp", 5).len() <= 5);
                     }
                 });
             }
         });
-        assert_eq!(svc.live_count(), 6);
+        assert_eq!(svc.snapshot().live_count(), 6);
     }
 
     #[test]
@@ -795,6 +689,6 @@ mod tests {
         assert!(!svc.miner_running());
         assert!(svc.shutdown().is_none(), "second shutdown is a no-op");
         // The final epoch's results are visible after shutdown.
-        assert!(!svc.association_rules().is_empty());
+        assert!(!svc.snapshot().association_rules().is_empty());
     }
 }

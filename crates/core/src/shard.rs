@@ -1,13 +1,18 @@
 //! Sharded writes with cross-shard merged reads.
 //!
-//! After PR 6 every writer still serialised on the single `RwLock<Cqms>`
-//! inside [`CqmsService`]. [`ShardedCqms`] splits the query log into N
-//! **independently write-locked shards** — a full [`Cqms`] each, with its
-//! own storage, feature engine, text indexes, WAL directory and background
-//! miner — and routes every query to the shard owning its user. Writers on
-//! different shards never contend; readers take only the brief per-shard
-//! read locks (the per-shard read path is itself epoch-based, see
-//! `relstore::Engine` and [`crate::indexreg`]).
+//! [`ShardedCqms`] splits the query log into N **independently
+//! write-locked shards** — a full [`Cqms`] each, behind its own
+//! [`CqmsService`] cell, with its own storage, feature engine, text
+//! indexes, WAL directory and background miner — and routes every query to
+//! the shard owning its user. Writers on different shards never contend,
+//! and readers take no shard lock at all: a merged read pins each shard's
+//! published [`ReadSnapshot`] (one `Arc` clone under a momentary slot
+//! lock), asks the snapshot — the one place read logic lives — for that
+//! shard's answer, and merges. This module declares only the merges. The
+//! engine-bound reads ([`ShardedCqms::search_feature_sql`],
+//! `check_identifiers`, `repair_empty_result`, query-by-data with
+//! re-execution) are the exception: they need a shard's live `relstore`
+//! engines and run under that shard's read lock.
 //!
 //! ## Shard map
 //!
@@ -19,9 +24,10 @@
 //! ## Global query ids (striping)
 //!
 //! Each shard assigns dense local ids; the deployment exposes
-//! `global = local × N + shard`. The mapping is a pure function of the
-//! shard count — nothing extra is persisted, so PR 6 WAL framing, snapshots
-//! and recovery work unchanged: each shard recovers its own `shard-{i}/`
+//! `global = local × N + shard` ([`ShardedCqms::globalize`], the only
+//! place the formula is written). The mapping is a pure function of the
+//! shard count — nothing extra is persisted, so WAL framing, snapshots and
+//! recovery work unchanged: each shard recovers its own `shard-{i}/`
 //! directory and the stripe falls back out. `locate` inverts it for
 //! id-addressed mutations (annotate / ACL / delete).
 //!
@@ -34,24 +40,10 @@
 //! shard-placement independent. kNN distances depend only on record
 //! content, and keyword TF-IDF is made placement-independent by scoring
 //! every shard with the summed corpus statistics
-//! ([`Cqms::keyword_corpus_stats`] → [`Cqms::search_keyword_with_corpus`]).
-//!
-//! ## Per-shard epoch lifecycle
-//!
-//! Miners, maintenance passes, WAL snapshots and structural-index
-//! generations all stay per shard: each shard's background miner runs the
-//! PR 5 collect → off-lock build → delta-replay publish dance against its
-//! own registry, and the PR 6 snapshot/rotation machinery sees an ordinary
-//! single-node WAL directory.
-//!
-//! ## One-snapshot merged reads
-//!
-//! Every cross-shard read first grabs all N shards' published
-//! [`ReadSnapshot`]s up front — one momentary slot lock per shard — and
-//! then merges entirely lock-free. Multi-pass protocols (keyword's
-//! corpus-stats pass and scoring pass) run both passes against the *same*
-//! snapshots, so writer churn between passes can no longer skew the
-//! merged ranking.
+//! ([`ReadSnapshot::keyword_corpus_stats`] →
+//! [`ReadSnapshot::search_keyword_with_corpus`]); both passes run against
+//! the *same* pinned snapshots, so writer churn between them cannot skew
+//! the merged ranking.
 //!
 //! [`ShardedCqms::complete`] and [`ShardedCqms::recommend`] are **exact**:
 //! completion merges each shard's summable [`CompletionStats`]
@@ -61,6 +53,23 @@
 //! scores every candidate on its home shard with the global recency
 //! anchor and popularity terms — both bit-identical to an unsharded
 //! deployment over the union log.
+//!
+//! ## Deadline reads
+//!
+//! kNN, substring and keyword search each have a `_deadline` twin
+//! returning a [`PartialResult`]. Both entry points are thin wrappers over
+//! one body that takes an optional deadline: without one the per-shard
+//! probes run inline on the caller's thread in shard order; with one they
+//! run on detached workers and the merge covers the shards that answered
+//! in time, naming the rest as lagging.
+//!
+//! ## Per-shard epoch lifecycle
+//!
+//! Miners, maintenance passes, WAL snapshots and structural-index
+//! generations all stay per shard: each shard's background miner runs the
+//! collect → off-lock build → delta-replay publish dance against its own
+//! registry, and the snapshot/rotation machinery sees an ordinary
+//! single-node WAL directory.
 //!
 //! ## Caveats (documented, by design)
 //!
@@ -102,10 +111,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The per-shard probe closure [`ShardedCqms`] fans out under a deadline:
-/// shared across the detached worker threads, one call per shard.
-type ShardProbe<T> = Arc<dyn Fn(&CqmsService, usize) -> T + Send + Sync>;
-
 /// A cross-shard read answered under a deadline budget: the merged value,
 /// whether any shard missed the deadline, and which ones did. See
 /// [`ShardedCqms::similar_queries_deadline`] for the exactness guarantee.
@@ -117,6 +122,16 @@ pub struct PartialResult<T> {
     pub partial: bool,
     /// The shards whose answers were not included, ascending.
     pub lagging_shards: Vec<usize>,
+}
+
+impl<T> PartialResult<T> {
+    fn new(value: T, lagging_shards: Vec<usize>) -> Self {
+        PartialResult {
+            value,
+            partial: !lagging_shards.is_empty(),
+            lagging_shards,
+        }
+    }
 }
 
 /// Lifecycle state of one shard, as reported by [`ShardedCqms::health`].
@@ -570,163 +585,66 @@ impl ShardedCqms {
         self.shards.iter().map(CqmsService::snapshot).collect()
     }
 
-    /// Live queries across all shards.
-    pub fn live_count(&self) -> usize {
-        self.snapshots().iter().map(|s| s.live_count()).sum()
+    /// One shard's hits with their ids striped into the global id space
+    /// (order is preserved: striping is monotone within a shard).
+    fn globalize_hits(&self, shard: usize, hits: Vec<ScoredHit>) -> Vec<ScoredHit> {
+        hits.into_iter()
+            .map(|h| ScoredHit {
+                id: self.globalize(shard, h.id),
+                score: h.score,
+            })
+            .collect()
     }
 
-    /// TF-IDF keyword search, scored with **global** corpus statistics so
-    /// the merged ranking is identical to an unsharded deployment's. Both
-    /// passes run against the same per-shard snapshots, so concurrent
-    /// writers cannot skew the IDF corpus between counting and scoring.
-    pub fn search_keyword(&self, user: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
-        let snaps = self.snapshots();
-        // Pass 1: sum each shard's live-doc count and per-term df.
-        let mut total_docs = 0u64;
-        let mut df: HashMap<String, u64> = HashMap::new();
-        for snap in &snaps {
-            let (n, local_df) = snap.keyword_corpus_stats(query);
-            total_docs += n;
-            for (term, d) in local_df {
-                *df.entry(term).or_insert(0) += d;
-            }
-        }
-        // Pass 2: per-shard top-k under the global stats, then merge.
-        let per_shard: Vec<Vec<ScoredHit>> = snaps
-            .iter()
+    /// Per-shard id lists (indexed by shard) merged into one list of
+    /// global ids, ascending.
+    fn merge_ids(&self, per_shard: impl IntoIterator<Item = Vec<QueryId>>) -> Vec<QueryId> {
+        let mut out: Vec<QueryId> = per_shard
+            .into_iter()
             .enumerate()
-            .map(|(i, snap)| {
-                snap.search_keyword_with_corpus(user, query, k, total_docs, &df)
-                    .into_iter()
-                    .map(|h| ScoredHit {
-                        id: self.globalize(i, h.id),
-                        score: h.score,
-                    })
-                    .collect()
-            })
-            .collect();
-        merge_scored(per_shard, k)
-    }
-
-    /// Exact substring search; the merged output is ascending by global id.
-    pub fn search_substring(&self, user: UserId, needle: &str) -> Vec<QueryId> {
-        let mut out: Vec<QueryId> = self
-            .snapshots()
-            .iter()
-            .enumerate()
-            .flat_map(|(i, snap)| {
-                snap.search_substring(user, needle)
-                    .into_iter()
-                    .map(move |id| QueryId(id.0 * self.shards.len() as u64 + i as u64))
-            })
+            .flat_map(|(i, ids)| ids.into_iter().map(move |id| self.globalize(i, id)))
             .collect();
         out.sort();
         out
     }
 
-    /// Structural search by parse-tree pattern (ascending global ids).
-    pub fn search_parse_tree(&self, user: UserId, pattern: &TreePattern) -> Vec<QueryId> {
-        let mut out: Vec<QueryId> = self
-            .snapshots()
-            .iter()
-            .enumerate()
-            .flat_map(|(i, snap)| {
-                snap.search_parse_tree(user, pattern)
-                    .into_iter()
-                    .map(move |id| QueryId(id.0 * self.shards.len() as u64 + i as u64))
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    /// Query-by-data across shards (ascending global ids). With
-    /// `reexecute` the sampled candidates need each shard's live data
-    /// engine, so that variant stays on the services' lock-retained path.
-    pub fn search_by_data(
-        &self,
-        user: UserId,
-        include: &[&str],
-        exclude: &[&str],
-        reexecute: bool,
-    ) -> Vec<QueryId> {
-        let n = self.shards.len() as u64;
-        let globalized = |i: usize, ids: Vec<QueryId>| {
-            ids.into_iter()
-                .map(move |id| QueryId(id.0 * n + i as u64))
-                .collect::<Vec<QueryId>>()
-        };
-        let mut out: Vec<QueryId> = if reexecute {
-            self.shards
-                .iter()
-                .enumerate()
-                .flat_map(|(i, s)| globalized(i, s.search_by_data(user, include, exclude, true)))
-                .collect()
-        } else {
-            self.snapshots()
-                .iter()
-                .enumerate()
-                .flat_map(|(i, snap)| globalized(i, snap.search_by_data(user, include, exclude)))
-                .collect()
-        };
-        out.sort();
-        out
-    }
-
-    /// kNN similarity search: per-shard bound-ordered sweeps, merged by a
-    /// heap over shard cursors — id-and-score equal to an unsharded scan
-    /// (distances depend only on record content).
-    pub fn similar_queries(
-        &self,
-        user: UserId,
-        sql: &str,
-        k: usize,
-        metric: DistanceKind,
-    ) -> Result<Vec<ScoredHit>, CqmsError> {
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for (i, snap) in self.snapshots().iter().enumerate() {
-            let hits = snap
-                .similar_queries(user, sql, k, metric)?
-                .into_iter()
-                .map(|h| ScoredHit {
-                    id: self.globalize(i, h.id),
-                    score: h.score,
-                })
-                .collect();
-            per_shard.push(hits);
-        }
-        Ok(merge_scored(per_shard, k))
-    }
-
-    // ------------------------------------------------------------------
-    // Deadline reads (graceful degradation under slow shards)
-    // ------------------------------------------------------------------
-
-    /// Fan a read over `idxs`, collecting each shard's answer until
-    /// `deadline`. Shards that miss it are abandoned (their detached
-    /// worker threads finish against a dropped channel) and reported as
-    /// lagging. Returns per-shard answers indexed by shard id.
-    fn fanout_until<T: Send + 'static>(
+    /// Run `probe` once per shard in `idxs` and collect the answers,
+    /// indexed by shard id, plus the shards that did not answer
+    /// (ascending).
+    ///
+    /// Without a deadline the probes run inline on the caller's thread in
+    /// shard order and every shard answers. With one, each probe runs on
+    /// a detached worker thread and answers are collected until
+    /// `deadline`; shards that miss it are abandoned (their workers finish
+    /// against a dropped channel) and reported as lagging.
+    fn gather<T: Send + 'static>(
         &self,
         idxs: &[usize],
-        deadline: Instant,
-        f: ShardProbe<T>,
+        deadline: Option<Instant>,
+        probe: impl Fn(&CqmsService, usize) -> T + Send + Sync + 'static,
     ) -> (Vec<Option<T>>, Vec<usize>) {
+        let mut results: Vec<Option<T>> = (0..self.shards.len()).map(|_| None).collect();
+        let Some(deadline) = deadline else {
+            for &i in idxs {
+                results[i] = Some(probe(&self.shards[i], i));
+            }
+            return (results, Vec::new());
+        };
+        let probe = Arc::new(probe);
         let (tx, rx) = std::sync::mpsc::channel();
         for &i in idxs {
             let tx = tx.clone();
             let svc = self.shards[i].clone();
-            let f = f.clone();
+            let probe = Arc::clone(&probe);
             // Detached on purpose: joining would wait out the very
             // slowness the deadline exists to bound. The worker holds its
             // own service clone; a post-deadline send just fails.
             std::thread::spawn(move || {
-                let out = f(&svc, i);
+                let out = probe(&svc, i);
                 let _ = tx.send((i, out));
             });
         }
         drop(tx);
-        let mut results: Vec<Option<T>> = (0..self.shards.len()).map(|_| None).collect();
         let mut pending = idxs.len();
         while pending > 0 {
             let remaining = deadline.saturating_duration_since(Instant::now());
@@ -744,6 +662,174 @@ impl ShardedCqms {
             .filter(|&i| results[i].is_none())
             .collect();
         (results, lagging)
+    }
+
+    fn all_shards(&self) -> Vec<usize> {
+        (0..self.shards.len()).collect()
+    }
+
+    /// Live queries across all shards.
+    pub fn live_count(&self) -> usize {
+        self.snapshots().iter().map(|s| s.live_count()).sum()
+    }
+
+    /// TF-IDF keyword search, scored with **global** corpus statistics so
+    /// the merged ranking is identical to an unsharded deployment's. Both
+    /// passes run against the same per-shard snapshots, so concurrent
+    /// writers cannot skew the IDF corpus between counting and scoring.
+    pub fn search_keyword(&self, user: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
+        self.search_keyword_until(user, query, k, None).value
+    }
+
+    /// [`ShardedCqms::search_keyword`] under a deadline budget. Both
+    /// passes of the global-stats protocol run under the same deadline:
+    /// corpus statistics are summed over the shards that answered pass 1
+    /// in time, and pass 2 probes only those shards with the remaining
+    /// budget. **Weaker guarantee than kNN/substring**: when shards lag,
+    /// the IDF corpus is the answering shards' corpus, so surviving
+    /// scores can differ from the unsharded run (ranking within the
+    /// answering corpus stays exact, and with no lagging shard the result
+    /// is bit-identical to the undeadlined call).
+    pub fn search_keyword_deadline(
+        &self,
+        user: UserId,
+        query: &str,
+        k: usize,
+        budget: Duration,
+    ) -> PartialResult<Vec<ScoredHit>> {
+        self.search_keyword_until(user, query, k, Some(Instant::now() + budget))
+    }
+
+    fn search_keyword_until(
+        &self,
+        user: UserId,
+        query: &str,
+        k: usize,
+        deadline: Option<Instant>,
+    ) -> PartialResult<Vec<ScoredHit>> {
+        // Pass 1: each probe pins its shard's snapshot (the only moment it
+        // touches the shard at all — the `shard.read` failpoints fire
+        // there) and counts the corpus on it.
+        let q1 = query.to_string();
+        let (stats, mut lagging) = self.gather(&self.all_shards(), deadline, move |svc, _| {
+            let snap = svc.snapshot();
+            let stats = snap.keyword_corpus_stats(&q1);
+            (snap, stats)
+        });
+        let mut total_docs = 0u64;
+        let mut df: HashMap<String, u64> = HashMap::new();
+        let mut answered: Vec<usize> = Vec::new();
+        let mut snaps: Vec<Option<Arc<ReadSnapshot>>> = Vec::with_capacity(stats.len());
+        for (i, s) in stats.into_iter().enumerate() {
+            let Some((snap, (n, local_df))) = s else {
+                snaps.push(None);
+                continue;
+            };
+            answered.push(i);
+            snaps.push(Some(snap));
+            total_docs += n;
+            for (term, d) in local_df {
+                *df.entry(term).or_insert(0) += d;
+            }
+        }
+        // Pass 2: per-shard top-k under the answering corpus (remaining
+        // budget only), scored on the *same* snapshots pass 1 counted —
+        // writer churn between the passes cannot skew the IDF corpus.
+        let q2 = query.to_string();
+        let (results, lagging2) = self.gather(&answered, deadline, move |_, i| {
+            let snap = snaps[i].as_ref().expect("answered shard pinned a snapshot");
+            snap.search_keyword_with_corpus(user, &q2, k, total_docs, &df)
+        });
+        lagging.extend(lagging2);
+        lagging.sort_unstable();
+        lagging.dedup();
+        let per_shard = results
+            .into_iter()
+            .enumerate()
+            .map(|(i, hits)| self.globalize_hits(i, hits.unwrap_or_default()))
+            .collect();
+        PartialResult::new(merge_scored(per_shard, k), lagging)
+    }
+
+    /// Exact substring search; the merged output is ascending by global id.
+    pub fn search_substring(&self, user: UserId, needle: &str) -> Vec<QueryId> {
+        self.search_substring_until(user, needle, None).value
+    }
+
+    /// [`ShardedCqms::search_substring`] under a deadline budget: the
+    /// value is exactly the full answer minus the lagging shards' ids
+    /// (substring matching has no cross-shard scoring), ascending by
+    /// global id.
+    pub fn search_substring_deadline(
+        &self,
+        user: UserId,
+        needle: &str,
+        budget: Duration,
+    ) -> PartialResult<Vec<QueryId>> {
+        self.search_substring_until(user, needle, Some(Instant::now() + budget))
+    }
+
+    fn search_substring_until(
+        &self,
+        user: UserId,
+        needle: &str,
+        deadline: Option<Instant>,
+    ) -> PartialResult<Vec<QueryId>> {
+        let needle = needle.to_string();
+        let (results, lagging) = self.gather(&self.all_shards(), deadline, move |svc, _| {
+            svc.snapshot().search_substring(user, &needle)
+        });
+        let ids = self.merge_ids(results.into_iter().map(Option::unwrap_or_default));
+        PartialResult::new(ids, lagging)
+    }
+
+    /// Structural search by parse-tree pattern (ascending global ids).
+    pub fn search_parse_tree(&self, user: UserId, pattern: &TreePattern) -> Vec<QueryId> {
+        self.merge_ids(
+            self.snapshots()
+                .iter()
+                .map(|snap| snap.search_parse_tree(user, pattern)),
+        )
+    }
+
+    /// Query-by-data across shards (ascending global ids). With
+    /// `reexecute` the sampled candidates need each shard's live data
+    /// engine, so that variant runs under the shards' read locks.
+    pub fn search_by_data(
+        &self,
+        user: UserId,
+        include: &[&str],
+        exclude: &[&str],
+        reexecute: bool,
+    ) -> Vec<QueryId> {
+        if reexecute {
+            self.merge_ids(
+                self.shards
+                    .iter()
+                    .map(|s| s.search_by_data_reexecuting(user, include, exclude)),
+            )
+        } else {
+            self.merge_ids(
+                self.snapshots()
+                    .iter()
+                    .map(|snap| snap.search_by_data(user, include, exclude)),
+            )
+        }
+    }
+
+    /// kNN similarity search: per-shard bound-ordered sweeps, merged by a
+    /// heap over shard cursors — id-and-score equal to an unsharded scan
+    /// (distances depend only on record content).
+    pub fn similar_queries(
+        &self,
+        user: UserId,
+        sql: &str,
+        k: usize,
+        metric: DistanceKind,
+    ) -> Result<Vec<ScoredHit>, CqmsError> {
+        Ok(self
+            .similar_queries_until(user, sql, k, metric, None)?
+            .value)
     }
 
     /// [`ShardedCqms::similar_queries`] under a deadline budget: shards
@@ -767,153 +853,29 @@ impl ShardedCqms {
         metric: DistanceKind,
         budget: Duration,
     ) -> Result<PartialResult<Vec<ScoredHit>>, CqmsError> {
-        let deadline = Instant::now() + budget;
-        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.similar_queries_until(user, sql, k, metric, Some(Instant::now() + budget))
+    }
+
+    fn similar_queries_until(
+        &self,
+        user: UserId,
+        sql: &str,
+        k: usize,
+        metric: DistanceKind,
+        deadline: Option<Instant>,
+    ) -> Result<PartialResult<Vec<ScoredHit>>, CqmsError> {
         let sql = sql.to_string();
-        let (results, lagging) = self.fanout_until(
-            &all,
-            deadline,
-            Arc::new(move |svc: &CqmsService, _| svc.similar_queries(user, &sql, k, metric)),
-        );
+        let (results, lagging) = self.gather(&self.all_shards(), deadline, move |svc, _| {
+            svc.snapshot().similar_queries(user, &sql, k, metric)
+        });
         let mut per_shard = Vec::with_capacity(self.shards.len());
         for (i, res) in results.into_iter().enumerate() {
             let Some(res) = res else { continue };
             // A real per-shard error (e.g. unparsable seed SQL) is the
             // same on every shard — propagate it rather than degrade.
-            let hits: Vec<ScoredHit> = res?
-                .into_iter()
-                .map(|h| ScoredHit {
-                    id: self.globalize(i, h.id),
-                    score: h.score,
-                })
-                .collect();
-            per_shard.push(hits);
+            per_shard.push(self.globalize_hits(i, res?));
         }
-        Ok(PartialResult {
-            value: merge_scored(per_shard, k),
-            partial: !lagging.is_empty(),
-            lagging_shards: lagging,
-        })
-    }
-
-    /// [`ShardedCqms::search_substring`] under a deadline budget: the
-    /// value is exactly the full answer minus the lagging shards' ids
-    /// (substring matching has no cross-shard scoring), ascending by
-    /// global id.
-    pub fn search_substring_deadline(
-        &self,
-        user: UserId,
-        needle: &str,
-        budget: Duration,
-    ) -> PartialResult<Vec<QueryId>> {
-        let deadline = Instant::now() + budget;
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        let needle = needle.to_string();
-        let (results, lagging) = self.fanout_until(
-            &all,
-            deadline,
-            Arc::new(move |svc: &CqmsService, _| svc.search_substring(user, &needle)),
-        );
-        let n = self.shards.len() as u64;
-        let mut out: Vec<QueryId> = results
-            .into_iter()
-            .enumerate()
-            .flat_map(|(i, ids)| {
-                ids.unwrap_or_default()
-                    .into_iter()
-                    .map(move |id| QueryId(id.0 * n + i as u64))
-            })
-            .collect();
-        out.sort();
-        PartialResult {
-            value: out,
-            partial: !lagging.is_empty(),
-            lagging_shards: lagging,
-        }
-    }
-
-    /// [`ShardedCqms::search_keyword`] under a deadline budget. Both
-    /// passes of the global-stats protocol run under the same deadline:
-    /// corpus statistics are summed over the shards that answered pass 1
-    /// in time, and pass 2 probes only those shards with the remaining
-    /// budget. **Weaker guarantee than kNN/substring**: when shards lag,
-    /// the IDF corpus is the answering shards' corpus, so surviving
-    /// scores can differ from the unsharded run (ranking within the
-    /// answering corpus stays exact, and with no lagging shard the result
-    /// is bit-identical to the undeadlined call).
-    pub fn search_keyword_deadline(
-        &self,
-        user: UserId,
-        query: &str,
-        k: usize,
-        budget: Duration,
-    ) -> PartialResult<Vec<ScoredHit>> {
-        let deadline = Instant::now() + budget;
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        // Pass 1: each worker pins its shard's snapshot (the only moment
-        // it touches the shard at all — the `shard.read` failpoints fire
-        // there) and counts the corpus on it.
-        let q1 = query.to_string();
-        let (stats, mut lagging) = self.fanout_until(
-            &all,
-            deadline,
-            Arc::new(move |svc: &CqmsService, _| {
-                let snap = svc.snapshot();
-                let stats = snap.keyword_corpus_stats(&q1);
-                (snap, stats)
-            }),
-        );
-        let mut total_docs = 0u64;
-        let mut df: HashMap<String, u64> = HashMap::new();
-        let mut answered: Vec<usize> = Vec::new();
-        let mut snaps: Vec<Option<Arc<ReadSnapshot>>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        for (i, s) in stats.into_iter().enumerate() {
-            let Some((snap, (n, local_df))) = s else {
-                continue;
-            };
-            answered.push(i);
-            snaps[i] = Some(snap);
-            total_docs += n;
-            for (term, d) in local_df {
-                *df.entry(term).or_insert(0) += d;
-            }
-        }
-        // Pass 2: top-k under the answering corpus, remaining budget only,
-        // scored on the *same* snapshots pass 1 counted — writer churn
-        // between the passes cannot skew the IDF corpus.
-        let q2 = query.to_string();
-        let df = Arc::new(df);
-        let snaps = Arc::new(snaps);
-        let (results, lagging2) = self.fanout_until(
-            &answered,
-            deadline,
-            Arc::new(move |_svc: &CqmsService, i| {
-                let snap = snaps[i].as_ref().expect("answered shard pinned a snapshot");
-                snap.search_keyword_with_corpus(user, &q2, k, total_docs, &df)
-            }),
-        );
-        lagging.extend(lagging2);
-        lagging.sort_unstable();
-        lagging.dedup();
-        let per_shard: Vec<Vec<ScoredHit>> = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, hits)| {
-                hits.unwrap_or_default()
-                    .into_iter()
-                    .map(|h| ScoredHit {
-                        id: self.globalize(i, h.id),
-                        score: h.score,
-                    })
-                    .collect()
-            })
-            .collect();
-        PartialResult {
-            value: merge_scored(per_shard, k),
-            partial: !lagging.is_empty(),
-            lagging_shards: lagging,
-        }
+        Ok(PartialResult::new(merge_scored(per_shard, k), lagging))
     }
 
     /// SQL meta-query over the feature relations, run on every shard with
@@ -939,7 +901,8 @@ impl ShardedCqms {
                 for &ci in &qid_cols {
                     if let relstore::Value::Int(v) = row[ci] {
                         if v >= 0 {
-                            row[ci] = relstore::Value::Int(v * self.shards.len() as i64 + i as i64);
+                            let global = self.globalize(i, QueryId(v as u64));
+                            row[ci] = relstore::Value::Int(global.0 as i64);
                         }
                     }
                 }
@@ -1004,15 +967,7 @@ impl ShardedCqms {
         let m = k * 3;
         let mut per_shard: Vec<Vec<ScoredHit>> = Vec::with_capacity(snaps.len());
         for (i, snap) in snaps.iter().enumerate() {
-            per_shard.push(
-                snap.recommend_candidates(user, seed_sql, m)?
-                    .into_iter()
-                    .map(|h| ScoredHit {
-                        id: self.globalize(i, h.id),
-                        score: h.score,
-                    })
-                    .collect(),
-            );
+            per_shard.push(self.globalize_hits(i, snap.recommend_candidates(user, seed_sql, m)?));
         }
         let pool = merge_scored(per_shard, m);
         // Score each candidate on its home shard (the record lives there)
@@ -1051,9 +1006,9 @@ impl ShardedCqms {
 
     /// Association rules from every shard's miner, concatenated.
     pub fn association_rules(&self) -> Vec<AssocRule> {
-        self.shards
+        self.snapshots()
             .iter()
-            .flat_map(CqmsService::association_rules)
+            .flat_map(|snap| snap.association_rules().iter().cloned())
             .collect()
     }
 

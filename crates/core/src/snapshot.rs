@@ -1,33 +1,37 @@
-//! Lock-free read snapshots: the one-`Arc` immutable view behind
-//! [`crate::service::CqmsService`]'s read path.
+//! Read snapshots: the one place read logic lives.
 //!
 //! A [`ReadSnapshot`] bundles everything a meta-query needs — the COW
 //! [`QueryStorage`] (records, session graph, popularity tables, text
 //! indexes, structural index registry), the user [`Directory`], the rule
 //! miner's transaction log and latest mined rules, a detached
-//! [`CatalogView`] and the trace clock — into a single immutable value.
-//! The write path captures one per mutation ([`crate::server::Cqms::
-//! capture_snapshot`]) and publishes it behind an
-//! `ArcSwap`-style slot; a reader clones **one `Arc` under a momentary
-//! lock** and then runs entirely lock-free, never blocking on (or
-//! being blocked by) writers, miner epochs, index rebuild publishes or
-//! repair promotions.
+//! [`CatalogView`] and the trace clock — into a single immutable value,
+//! and every snapshot-servable read (keyword, substring, parse-tree,
+//! query-by-data over summaries, kNN, completion, recommendation, the
+//! Figure 2/3 renderings) is a method on it. Nothing else re-declares
+//! them: a single-threaded [`crate::server::Cqms`] reads through
+//! [`crate::server::Cqms::capture_snapshot`], a
+//! [`crate::service::CqmsService`] hands out its published snapshot via
+//! [`crate::service::CqmsService::snapshot`], and
+//! [`crate::shard::ShardedCqms`] merges the per-shard answers.
+//!
+//! The write path captures one snapshot per mutation and publishes it
+//! behind an `ArcSwap`-style slot; a reader clones **one `Arc` under a
+//! momentary lock** and then runs with no lock at all, never blocking on
+//! (or being blocked by) writers, miner epochs, index rebuild publishes
+//! or repair promotions. A snapshot holds no handle to the service or its
+//! lock, so "a snapshot read never re-enters the shard lock" is a fact of
+//! the types, not a runtime check.
 //!
 //! Capture cost is O(unsealed COW delta), bounded by
 //! [`crate::config::CqmsConfig::snapshot_head_limit`], never O(log
 //! size): all bulk state is structurally shared (`cqms_cow` containers
 //! and `Arc`s).
 //!
-//! Reads that genuinely need the live `relstore` meta/data engine
-//! (feature-SQL meta-queries, identifier spell-check, empty-result
-//! repair, query-by-data with re-execution) stay on the service's
-//! lock-retained path — a snapshot's storage is *detached* from the
-//! engine by design.
-//!
-//! In debug builds every snapshot read marks the thread, and the
-//! service's lock acquisitions assert the mark is absent, proving no
-//! read path silently re-enters the shard lock after cloning its
-//! snapshot.
+//! Reads that need the live `relstore` meta/data engine (feature-SQL
+//! meta-queries, identifier spell-check, empty-result repair,
+//! query-by-data with re-execution) are the remainder: they stay on
+//! [`crate::server::Cqms`] and, in a service, behind its read lock — a
+//! snapshot's storage is *detached* from the engine by design.
 
 use crate::admin::Directory;
 use crate::assist::completion::{CatalogView, CompletionEngine, CompletionStats, Suggestion};
@@ -41,47 +45,6 @@ use crate::similarity::DistanceKind;
 use crate::storage::QueryStorage;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-#[cfg(debug_assertions)]
-thread_local! {
-    /// Nesting depth of in-flight snapshot reads on this thread.
-    static SNAPSHOT_READ_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// RAII marker: "this thread is inside a snapshot read". Compiled away
-/// in release builds.
-struct ReadScope;
-
-impl ReadScope {
-    fn enter() -> ReadScope {
-        #[cfg(debug_assertions)]
-        SNAPSHOT_READ_DEPTH.with(|d| d.set(d.get() + 1));
-        ReadScope
-    }
-}
-
-impl Drop for ReadScope {
-    fn drop(&mut self) {
-        #[cfg(debug_assertions)]
-        SNAPSHOT_READ_DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
-
-/// Debug-build proof that snapshot reads are lock-free: the service's
-/// lock acquisitions call this, so a read path that re-acquired the
-/// shard lock after cloning its snapshot panics in tests instead of
-/// silently re-serialising.
-pub(crate) fn assert_not_inside_snapshot_read(_what: &str) {
-    #[cfg(debug_assertions)]
-    SNAPSHOT_READ_DEPTH.with(|d| {
-        assert_eq!(
-            d.get(),
-            0,
-            "{_what} acquired the shard lock inside a ReadSnapshot read; \
-             snapshot reads must stay lock-free"
-        );
-    });
-}
 
 /// An immutable, lock-free-readable view of one CQMS instance at a
 /// publication epoch. Cheap to hold: readers pin at most a few sealed
@@ -122,7 +85,6 @@ impl ReadSnapshot {
 
     /// Live (non-tombstoned) logged queries at capture.
     pub fn live_count(&self) -> usize {
-        let _scope = ReadScope::enter();
         self.storage.live_count()
     }
 
@@ -131,7 +93,6 @@ impl ReadSnapshot {
     /// registry's live observability counter, which keeps advancing under
     /// held snapshots as rebuilds publish.
     pub fn index_generation(&self) -> u64 {
-        let _scope = ReadScope::enter();
         self.storage.indexes().sealed().generation
     }
 
@@ -161,19 +122,20 @@ impl ReadSnapshot {
     }
 
     // ------------------------------------------------------------------
-    // Search & Browse (§2.2) — lock-free
+    // Search & Browse (§2.2)
     // ------------------------------------------------------------------
 
     /// TF-IDF keyword search over logged query text.
     pub fn search_keyword(&self, user: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
-        let _scope = ReadScope::enter();
         self.executor().keyword(user, query, k)
     }
 
-    /// This snapshot's corpus statistics for `query` (see
-    /// [`crate::server::Cqms::keyword_corpus_stats`]).
+    /// This snapshot's corpus statistics for `query`: live document
+    /// count and per-term document frequencies. A sharded deployment sums
+    /// these across shards and feeds the totals to
+    /// [`ReadSnapshot::search_keyword_with_corpus`] so keyword scores are
+    /// shard-placement independent.
     pub fn keyword_corpus_stats(&self, query: &str) -> (u64, HashMap<String, u64>) {
-        let _scope = ReadScope::enter();
         let ix = self.storage.text_index();
         (ix.len() as u64, ix.query_term_dfs(query))
     }
@@ -188,34 +150,29 @@ impl ReadSnapshot {
         total_docs: u64,
         df: &HashMap<String, u64>,
     ) -> Vec<ScoredHit> {
-        let _scope = ReadScope::enter();
         self.executor()
             .keyword_with_corpus(user, query, k, total_docs, df)
     }
 
     /// Exact substring search over logged query text.
     pub fn search_substring(&self, user: UserId, needle: &str) -> Vec<QueryId> {
-        let _scope = ReadScope::enter();
         self.executor().substring(user, needle)
     }
 
     /// Structural search by parse-tree pattern.
     pub fn search_parse_tree(&self, user: UserId, pattern: &TreePattern) -> Vec<QueryId> {
-        let _scope = ReadScope::enter();
         self.executor().by_parse_tree(user, pattern)
     }
 
     /// Query-by-data over stored output summaries. Re-execution of
-    /// sampled candidates needs the live engine — that variant stays on
-    /// the service's lock-retained path.
+    /// sampled candidates needs the live data engine — that variant is
+    /// [`crate::server::Cqms::search_by_data_reexecuting`].
     pub fn search_by_data(&self, user: UserId, include: &[&str], exclude: &[&str]) -> Vec<QueryId> {
-        let _scope = ReadScope::enter();
         self.executor().by_data(user, include, exclude, None)
     }
 
     /// §2.2: generate the feature meta-query for a partially typed query.
     pub fn generate_feature_query(&self, partial_sql: &str) -> Result<String, CqmsError> {
-        let _scope = ReadScope::enter();
         self.executor().generate_feature_query(partial_sql)
     }
 
@@ -227,38 +184,29 @@ impl ReadSnapshot {
         k: usize,
         metric: DistanceKind,
     ) -> Result<Vec<ScoredHit>, CqmsError> {
-        let _scope = ReadScope::enter();
         self.executor().knn_sql(user, sql, k, metric)
     }
 
     /// Figure 2 session window.
     pub fn render_session(&self, session: SessionId) -> Result<String, CqmsError> {
-        let _scope = ReadScope::enter();
         crate::viz::render_session(&self.storage, session)
     }
 
     /// Browse view over the whole log.
     pub fn render_log_summary(&self, max_sessions: usize) -> String {
-        let _scope = ReadScope::enter();
         crate::viz::render_log_summary(&self.storage, max_sessions)
     }
 
     // ------------------------------------------------------------------
-    // Assisted mode (§2.3) — lock-free
+    // Assisted mode (§2.3)
     // ------------------------------------------------------------------
 
     fn completion_engine(&self) -> CompletionEngine<'_> {
-        CompletionEngine::with_view(
-            &self.storage,
-            &self.rules,
-            &self.config,
-            self.catalog.clone(),
-        )
+        CompletionEngine::new(&self.storage, &self.rules, &self.config, &self.catalog)
     }
 
     /// Completions for partial SQL (Fig. 3 dropdown).
     pub fn complete(&self, _user: UserId, partial_sql: &str, k: usize) -> Vec<Suggestion> {
-        let _scope = ReadScope::enter();
         self.completion_engine().suggest(partial_sql, k)
     }
 
@@ -266,7 +214,6 @@ impl ReadSnapshot {
     /// exact cross-shard merge currency; see
     /// [`CompletionStats::merge`]).
     pub fn completion_stats(&self, partial_sql: &str) -> CompletionStats {
-        let _scope = ReadScope::enter();
         self.completion_engine().collect_stats(partial_sql)
     }
 
@@ -278,7 +225,6 @@ impl ReadSnapshot {
         k: usize,
         stats: &CompletionStats,
     ) -> Vec<Suggestion> {
-        let _scope = ReadScope::enter();
         self.completion_engine()
             .suggest_with_stats(partial_sql, k, stats)
     }
@@ -290,7 +236,6 @@ impl ReadSnapshot {
         seed_sql: &str,
         k: usize,
     ) -> Result<Vec<PanelRow>, CqmsError> {
-        let _scope = ReadScope::enter();
         recommend::recommend_panel(
             &self.storage,
             &self.directory,
@@ -301,6 +246,18 @@ impl ReadSnapshot {
         )
     }
 
+    /// Render a recommendation panel as text (Fig. 3).
+    pub fn render_recommendations(
+        &self,
+        user: UserId,
+        seed_sql: &str,
+        k: usize,
+    ) -> Result<String, CqmsError> {
+        Ok(crate::viz::render_panel(
+            &self.recommend(user, seed_sql, k)?,
+        ))
+    }
+
     /// This shard's panel candidate pool (top `m` Combined kNN hits).
     pub fn recommend_candidates(
         &self,
@@ -308,7 +265,6 @@ impl ReadSnapshot {
         seed_sql: &str,
         m: usize,
     ) -> Result<Vec<ScoredHit>, CqmsError> {
-        let _scope = ReadScope::enter();
         recommend::knn_candidates(
             &self.storage,
             &self.directory,
@@ -329,7 +285,6 @@ impl ReadSnapshot {
         max_pop: u32,
         popularity_of: &dyn Fn(u64) -> u32,
     ) -> Result<Vec<(f64, PanelRow)>, CqmsError> {
-        let _scope = ReadScope::enter();
         recommend::panel_rows_for(
             &self.storage,
             &self.config,
@@ -343,20 +298,17 @@ impl ReadSnapshot {
 
     /// Newest logged trace timestamp (the panel recency anchor).
     pub fn panel_now_ts(&self) -> u64 {
-        let _scope = ReadScope::enter();
         recommend::panel_now_ts(&self.storage)
     }
 
     /// The template popularity histogram (summable across shards).
     pub fn template_histogram(&self) -> Vec<(u64, u32)> {
-        let _scope = ReadScope::enter();
         self.storage.template_histogram()
     }
 
     /// Sorted live-successful latencies — the quality pass's efficiency
     /// basis (concatenated across shards for merged maintenance).
     pub fn latency_basis(&self) -> Vec<u64> {
-        let _scope = ReadScope::enter();
         crate::maintenance::latency_basis(&self.storage)
     }
 }

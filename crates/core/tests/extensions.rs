@@ -67,7 +67,7 @@ fn investigation_edges_recorded_and_rendered() {
     assert!(kinds.contains(&EdgeKind::Investigation));
     assert!(kinds.contains(&EdgeKind::Evolution));
     let session = c.storage.get(first.id).unwrap().session;
-    let window = c.render_session(session).unwrap();
+    let window = c.capture_snapshot(0).render_session(session).unwrap();
     assert!(window.contains("(investigates q0)"), "{window}");
 }
 
@@ -93,6 +93,7 @@ fn tree_edit_metric_in_knn() {
     c.run_query(u, "SELECT city, COUNT(*) FROM CityLocations GROUP BY city")
         .unwrap();
     let hits = c
+        .capture_snapshot(0)
         .similar_queries(
             u,
             "SELECT * FROM WaterTemp WHERE temp < 99",
@@ -119,9 +120,11 @@ fn tree_edit_and_diff_metrics_agree_on_ordering() {
     c.run_query(u, "SELECT city FROM CityLocations").unwrap();
     let probe = "SELECT * FROM WaterTemp WHERE temp < 5";
     let cheap = c
+        .capture_snapshot(0)
         .similar_queries(u, probe, 3, DistanceKind::ParseTree)
         .unwrap();
     let exact = c
+        .capture_snapshot(0)
         .similar_queries(u, probe, 3, DistanceKind::TreeEdit)
         .unwrap();
     // Both rank the constant-variant first and the unrelated query last.

@@ -118,7 +118,7 @@ fn wal_sync_failure_rejects_batch_and_nothing_rejected_is_promised() {
     // frames: un-acked writes MAY become durable — they're simply never
     // promised. All four records exist both live and durably.
     assert_eq!(recovered.len(), 4);
-    assert_eq!(svc.live_count(), 4);
+    assert_eq!(svc.snapshot().live_count(), 4);
 }
 
 /// **Pins the documented `ingest_batch` partial-failure semantics**: a
@@ -163,7 +163,11 @@ fn overloaded_slot_is_never_durable_admitted_slots_flush() {
         !durable.contains(&"SELECT * FROM CityLocations"),
         "an Overloaded slot must never reach the log"
     );
-    assert_eq!(svc.live_count(), 2, "the shed slot never executed");
+    assert_eq!(
+        svc.snapshot().live_count(),
+        2,
+        "the shed slot never executed"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -305,7 +309,10 @@ fn sharded_fixture() -> (ShardedCqms, CqmsService, HashMap<QueryId, QueryId>, Us
         map.insert(gid, rid);
     }
     for i in 0..3 {
-        assert!(s.shards()[i].live_count() > 0, "shard {i} nonempty");
+        assert!(
+            s.shards()[i].snapshot().live_count() > 0,
+            "shard {i} nonempty"
+        );
     }
     (s, reference, map, users[0])
 }
@@ -326,6 +333,7 @@ fn knn_deadline_partial_is_exact_prefix_of_full_answer() {
         .similar_queries(user, seed, k, DistanceKind::Features)
         .expect("full merge");
     let oracle = reference
+        .snapshot()
         .similar_queries(UserId(0), seed, k, DistanceKind::Features)
         .expect("oracle");
     assert_eq!(full.len(), oracle.len());

@@ -953,7 +953,7 @@ proptest! {
                 .unwrap();
         }
         let partial = format!("SELECT * FROM {prefix}");
-        let suggestions = cqms.complete(u, &partial, 5);
+        let suggestions = cqms.capture_snapshot(0).complete(u, &partial, 5);
         for s in &suggestions {
             prop_assert!(
                 s.text.to_lowercase().starts_with(&prefix.to_lowercase()),

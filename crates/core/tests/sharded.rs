@@ -228,13 +228,14 @@ proptest! {
             apply_sharded(&sharded, &s_users, &mut s_issued, op, ts);
         }
         prop_assert_eq!(u_issued.len(), s_issued.len());
-        prop_assert_eq!(unsharded.live_count(), sharded.live_count());
+        prop_assert_eq!(unsharded.snapshot().live_count(), sharded.live_count());
 
         let knn_probe = "SELECT * FROM WaterTemp WHERE temp < 18";
         for &viewer in &u_users {
             // Keyword TF-IDF, k past every possible hit: the whole visible
             // ranking must agree.
             let uk: Vec<(QueryId, f64)> = unsharded
+                .snapshot()
                 .search_keyword(viewer, "watertemp temp salinity lakes month", 64)
                 .into_iter().map(|h| (h.id, h.score)).collect();
             let sk: Vec<(QueryId, f64)> = sharded
@@ -248,6 +249,7 @@ proptest! {
             // And truncated top-k: the merged score *sequence* is the
             // unsharded one (contents may differ only on ties at the cut).
             let u3: Vec<u64> = unsharded
+                .snapshot()
                 .search_keyword(viewer, "watertemp temp", 3)
                 .iter().map(|h| h.score.to_bits()).collect();
             let s3: Vec<u64> = sharded
@@ -258,6 +260,7 @@ proptest! {
             // kNN over feature and combined metrics.
             for metric in [DistanceKind::Features, DistanceKind::Combined] {
                 let un: Vec<(QueryId, f64)> = unsharded
+                    .snapshot()
                     .similar_queries(viewer, knn_probe, 64, metric)
                     .unwrap().into_iter().map(|h| (h.id, h.score)).collect();
                 let sn: Vec<(QueryId, f64)> = sharded
@@ -269,6 +272,7 @@ proptest! {
                     "{:?} kNN diverged for viewer {}", metric, viewer
                 );
                 let u3: Vec<u64> = unsharded
+                    .snapshot()
                     .similar_queries(viewer, knn_probe, 3, metric)
                     .unwrap().iter().map(|h| h.score.to_bits()).collect();
                 let s3: Vec<u64> = sharded
@@ -279,6 +283,7 @@ proptest! {
 
             // Substring (exact membership; scoreless).
             let us: Vec<(QueryId, f64)> = unsharded
+                .snapshot()
                 .search_substring(viewer, "WaterTemp")
                 .into_iter().map(|id| (id, 0.0)).collect();
             let ss: Vec<(QueryId, f64)> = sharded
@@ -299,6 +304,7 @@ proptest! {
                 "SELECT ",
             ] {
                 let uc: Vec<(String, u64, String)> = unsharded
+                    .snapshot()
                     .complete(viewer, probe, 8)
                     .into_iter().map(|s| (s.text, s.score.to_bits(), s.why)).collect();
                 let sc: Vec<(String, u64, String)> = sharded
@@ -315,7 +321,7 @@ proptest! {
             // two id spaces (exactly the documented top-k tie caveat), but
             // with no cut the panels must agree row for row. Ids differ by
             // striping, so the row multiset is compared sorted.
-            let ur = unsharded.recommend(viewer, knn_probe, 16).expect("seed parses");
+            let ur = unsharded.snapshot().recommend(viewer, knn_probe, 16).expect("seed parses");
             let sr = sharded.recommend(viewer, knn_probe, 16).expect("seed parses");
             let upcts: Vec<u8> = ur.iter().map(|r| r.score_pct).collect();
             let spcts: Vec<u8> = sr.iter().map(|r| r.score_pct).collect();
@@ -327,6 +333,59 @@ proptest! {
             urows.sort();
             srows.sort();
             prop_assert_eq!(urows, srows, "panel rows diverged for viewer {}", viewer);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Each merged read has one body behind its plain and `_deadline`
+    /// entry points: with a budget no shard can miss, the deadlined call
+    /// reports nothing lagging and returns the plain call's value bit for
+    /// bit — whether the probes run inline (plain) or on workers
+    /// (deadline), over 1, 2 and 5 shards.
+    #[test]
+    fn generous_deadline_reads_equal_plain_reads(
+        ops in proptest::collection::vec(op_strategy(), 1..32),
+    ) {
+        let budget = std::time::Duration::from_secs(60);
+        let knn_probe = "SELECT * FROM WaterTemp WHERE temp < 18";
+        for shards in [1usize, 2, 5] {
+            let sharded = ShardedCqms::new(engine, config(shards));
+            let users: Vec<UserId> =
+                (0..USERS).map(|i| sharded.register_user(&format!("user-{i}"))).collect();
+            for (g, u) in [(0u32, users[0]), (1, users[1])] {
+                let group = sharded.create_group(&format!("g{g}"));
+                sharded.join_group(u, group).unwrap();
+            }
+            let mut issued = Issued::new();
+            for (i, op) in ops.iter().enumerate() {
+                apply_sharded(&sharded, &users, &mut issued, op, 1_000 + i as u64 * 60);
+            }
+            for &viewer in &users {
+                let bits = |hits: &[cqms_core::metaquery::ScoredHit]| -> Vec<(QueryId, u64)> {
+                    hits.iter().map(|h| (h.id, h.score.to_bits())).collect()
+                };
+                let plain = sharded.search_keyword(viewer, "watertemp temp salinity", 8);
+                let timed = sharded.search_keyword_deadline(viewer, "watertemp temp salinity", 8, budget);
+                prop_assert!(!timed.partial && timed.lagging_shards.is_empty());
+                prop_assert_eq!(bits(&timed.value), bits(&plain), "keyword, {} shards", shards);
+
+                let plain = sharded.search_substring(viewer, "WaterTemp");
+                let timed = sharded.search_substring_deadline(viewer, "WaterTemp", budget);
+                prop_assert!(!timed.partial && timed.lagging_shards.is_empty());
+                prop_assert_eq!(timed.value, plain, "substring, {} shards", shards);
+
+                for metric in [DistanceKind::Features, DistanceKind::Combined] {
+                    let plain = sharded.similar_queries(viewer, knn_probe, 8, metric).unwrap();
+                    let timed = sharded
+                        .similar_queries_deadline(viewer, knn_probe, 8, metric, budget)
+                        .unwrap();
+                    prop_assert!(!timed.partial && timed.lagging_shards.is_empty());
+                    prop_assert_eq!(bits(&timed.value), bits(&plain), "{:?} kNN, {} shards", metric, shards);
+                }
+            }
         }
     }
 }
@@ -434,7 +493,7 @@ proptest! {
                 prop_assert!(sharded.shard_recovery()[h.shard].is_ok());
             }
         }
-        prop_assert_eq!(unsharded.live_count(), sharded.live_count());
+        prop_assert_eq!(unsharded.snapshot().live_count(), sharded.live_count());
 
         // Writes are un-fenced everywhere: land one per user (covers every
         // formerly broken shard), mirrored into the oracle.
@@ -450,6 +509,7 @@ proptest! {
         // Read convergence, every viewer: keyword / kNN / substring.
         for &viewer in &u_users {
             let uk: Vec<(QueryId, f64)> = unsharded
+                .snapshot()
                 .search_keyword(viewer, "watertemp temp salinity lakes month", 64)
                 .into_iter().map(|h| (h.id, h.score)).collect();
             let sk: Vec<(QueryId, f64)> = sharded
@@ -461,6 +521,7 @@ proptest! {
                 "keyword diverged for viewer {}", viewer
             );
             let un: Vec<(QueryId, f64)> = unsharded
+                .snapshot()
                 .similar_queries(viewer, "SELECT * FROM Lakes", 64, DistanceKind::Features)
                 .unwrap().into_iter().map(|h| (h.id, h.score)).collect();
             let sn: Vec<(QueryId, f64)> = sharded
@@ -472,6 +533,7 @@ proptest! {
                 "kNN diverged for viewer {}", viewer
             );
             let us: Vec<(QueryId, f64)> = unsharded
+                .snapshot()
                 .search_substring(viewer, "WaterTemp")
                 .into_iter().map(|id| (id, 0.0)).collect();
             let ss: Vec<(QueryId, f64)> = sharded

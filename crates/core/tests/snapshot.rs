@@ -14,7 +14,9 @@
 //!   the snapshot epoch so readers can never observe mixed
 //!   promoted-index/stale-popularity state.
 
-use cqms_core::metaquery::ScoredHit;
+use cqms_core::assist::completion::{CatalogView, CompletionEngine};
+use cqms_core::assist::recommend::recommend_panel;
+use cqms_core::metaquery::{MetaQueryExecutor, ScoredHit};
 use cqms_core::model::{GroupId, QueryId, UserId, Visibility};
 use cqms_core::similarity::DistanceKind;
 use cqms_core::{Cqms, CqmsConfig, CqmsService};
@@ -183,30 +185,37 @@ fn snapshot_answers(snap: &cqms_core::ReadSnapshot, viewer: UserId) -> Answers {
     }
 }
 
-/// The same answers computed under the service's live lock — the oracle a
-/// fresh snapshot must match exactly while the store is quiesced.
+/// The same answers computed under the service's read lock, straight off
+/// the **live, un-cloned** `c.storage` through the engine-level entry
+/// points the snapshot methods are built from — the oracle a fresh
+/// snapshot (a COW clone) must match exactly while the store is quiesced.
+/// Going through `capture_snapshot` here would compare a clone with a
+/// clone.
 fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
-    svc.read(|c| Answers {
-        live: c.storage.live_count(),
-        now: c.now(),
-        generation: c.storage.index_generation(),
-        keyword: bits(c.search_keyword(viewer, KEYWORD_PROBE, 64)),
-        substring: c.search_substring(viewer, "WaterTemp"),
-        knn: bits(
-            c.similar_queries(viewer, KNN_PROBE, 64, DistanceKind::Combined)
-                .expect("probe parses"),
-        ),
-        complete: c
-            .complete(viewer, COMPLETE_PROBE, 8)
-            .into_iter()
-            .map(|s| (s.text, s.score.to_bits(), s.why))
-            .collect(),
-        recommend: c
-            .recommend(viewer, SEED_SQL, 5)
-            .expect("seed parses")
-            .into_iter()
-            .map(|r| (r.score_pct, r.sql, r.diff, r.annotation))
-            .collect(),
+    svc.read(|c| {
+        let mq = MetaQueryExecutor::new(&c.storage, &c.directory, &c.config);
+        let catalog = CatalogView::of(&c.data);
+        Answers {
+            live: c.storage.live_count(),
+            now: c.now(),
+            generation: c.storage.index_generation(),
+            keyword: bits(mq.keyword(viewer, KEYWORD_PROBE, 64)),
+            substring: mq.substring(viewer, "WaterTemp"),
+            knn: bits(
+                mq.knn_sql(viewer, KNN_PROBE, 64, DistanceKind::Combined)
+                    .expect("probe parses"),
+            ),
+            complete: CompletionEngine::new(&c.storage, c.rule_miner(), &c.config, &catalog)
+                .suggest(COMPLETE_PROBE, 8)
+                .into_iter()
+                .map(|s| (s.text, s.score.to_bits(), s.why))
+                .collect(),
+            recommend: recommend_panel(&c.storage, &c.directory, &c.config, viewer, SEED_SQL, 5)
+                .expect("seed parses")
+                .into_iter()
+                .map(|r| (r.score_pct, r.sql, r.diff, r.annotation))
+                .collect(),
+        }
     })
 }
 

@@ -352,8 +352,10 @@ fn rewrite_select(
     }
 }
 
-/// Apply `f` to each direct subquery of `s` (WHERE/HAVING/projection).
-fn visit_subqueries_mut(s: &mut SelectStatement, f: &mut impl FnMut(&mut SelectStatement)) {
+/// Apply `f` to each direct subquery of `s`, in whichever clause it sits
+/// (projection, join `ON`, WHERE, GROUP BY, HAVING, ORDER BY). `f` recurses
+/// itself when it wants the nested levels too.
+pub fn visit_subqueries_mut(s: &mut SelectStatement, f: &mut impl FnMut(&mut SelectStatement)) {
     fn in_expr(e: &mut Expr, f: &mut impl FnMut(&mut SelectStatement)) {
         match e {
             Expr::InSubquery { subquery, expr, .. } => {
@@ -413,11 +415,25 @@ fn visit_subqueries_mut(s: &mut SelectStatement, f: &mut impl FnMut(&mut SelectS
             in_expr(expr, f);
         }
     }
+    for on in s
+        .from
+        .iter_mut()
+        .flat_map(|t| &mut t.joins)
+        .filter_map(|j| j.on.as_mut())
+    {
+        in_expr(on, f);
+    }
     if let Some(w) = &mut s.where_clause {
         in_expr(w, f);
     }
+    for e in &mut s.group_by {
+        in_expr(e, f);
+    }
     if let Some(h) = &mut s.having {
         in_expr(h, f);
+    }
+    for o in &mut s.order_by {
+        in_expr(&mut o.expr, f);
     }
 }
 

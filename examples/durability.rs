@@ -56,7 +56,10 @@ fn main() {
         None,
     )
     .expect("annotation acknowledged");
-    println!("  {} live queries, annotation attached", svc.live_count());
+    println!(
+        "  {} live queries, annotation attached",
+        svc.snapshot().live_count()
+    );
 
     // 3. Crash. Dropping the service writes nothing — this is the kill.
     drop(svc);

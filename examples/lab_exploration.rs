@@ -76,11 +76,12 @@ fn main() {
         .into_iter()
         .max_by_key(|s| cqms.storage.queries_in_session(*s).len())
         .unwrap();
-    print!("{}", cqms.render_session(busiest).unwrap());
+    let snap = cqms.capture_snapshot(0);
+    print!("{}", snap.render_session(busiest).unwrap());
 
     // --- §2.2 query-by-data: Lake Washington but not Lake Union -----------
     println!("\n== Query-by-data: output includes Lake Washington, excludes Lake Union ==");
-    let hits = cqms.search_by_data(members[0], &["Lake Washington"], &["Lake Union"], false);
+    let hits = snap.search_by_data(members[0], &["Lake Washington"], &["Lake Union"]);
     println!("{} queries match; first 3:", hits.len());
     for id in hits.iter().take(3) {
         println!("  [q{id}] {}", cqms.storage.get(*id).unwrap().raw_sql);
@@ -88,11 +89,11 @@ fn main() {
 
     // --- Figure 3: assisted composition ------------------------------------
     println!("\n== Figure 3: completions for 'SELECT * FROM WaterSalinity, ' ==");
-    for s in cqms.complete(members[1], "SELECT * FROM WaterSalinity, ", 3) {
+    for s in snap.complete(members[1], "SELECT * FROM WaterSalinity, ", 3) {
         println!("  {:<18} {:.0}%  ({})", s.text, s.score * 100.0, s.why);
     }
     println!("\n== Figure 3: similar-queries panel while composing ==");
-    let panel = cqms
+    let panel = snap
         .render_recommendations(
             members[1],
             "SELECT * FROM WaterSalinity S, WaterTemp T \
@@ -110,5 +111,5 @@ fn main() {
 
     // --- Browse summary ------------------------------------------------------
     println!("\n== Log browser (5 sessions) ==");
-    print!("{}", cqms.render_log_summary(5));
+    print!("{}", snap.render_log_summary(5));
 }

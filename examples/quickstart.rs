@@ -55,9 +55,11 @@ fn main() {
     )
     .unwrap();
 
-    // 4. Search & Browse Interaction Mode.
+    // 4. Search & Browse Interaction Mode. Reads go through an immutable
+    //    snapshot of the instance (a service publishes one per write).
+    let snap = cqms.capture_snapshot(0);
     println!("\n== Search & browse: keyword search for 'salinity' ==");
-    for hit in cqms.search_keyword(alice, "salinity", 5) {
+    for hit in snap.search_keyword(alice, "salinity", 5) {
         let rec = cqms.storage.get(hit.id).unwrap();
         println!("  [{:.2}] {}", hit.score, rec.raw_sql);
     }
@@ -68,11 +70,11 @@ fn main() {
         .get(cqms::engine::model::QueryId(0))
         .unwrap()
         .session;
-    print!("{}", cqms.render_session(session).unwrap());
+    print!("{}", snap.render_session(session).unwrap());
 
     // 5. Assisted Interaction Mode: completions and recommendations.
     println!("\n== Assisted mode: completing 'SELECT * FROM WaterSalinity, ' ==");
-    for s in cqms.complete(alice, "SELECT * FROM WaterSalinity, ", 3) {
+    for s in snap.complete(alice, "SELECT * FROM WaterSalinity, ", 3) {
         println!(
             "  suggest {:<18} ({:.0}%, {})",
             s.text,
@@ -82,7 +84,7 @@ fn main() {
     }
 
     println!("\n== Assisted mode: similar queries panel (Figure 3 style) ==");
-    let panel = cqms
+    let panel = snap
         .render_recommendations(alice, "SELECT temp FROM WaterTemp WHERE temp < 20", 3)
         .unwrap();
     print!("{panel}");
@@ -100,6 +102,7 @@ fn main() {
 
     // 7. kNN similarity meta-query (§4.2).
     let near = cqms
+        .capture_snapshot(0) // a fresh view: the epoch above changed the store
         .similar_queries(
             alice,
             "SELECT lake FROM WaterTemp WHERE temp < 15",

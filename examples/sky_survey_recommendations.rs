@@ -44,6 +44,7 @@ fn main() {
         cqms.run_query_at(user, &q.sql, q.ts).unwrap();
     }
     cqms.run_miner_epoch();
+    let snap = cqms.capture_snapshot(0);
     println!(
         "trained on {} queries; evaluating {} held-out queries\n",
         train.len(),
@@ -62,7 +63,7 @@ fn main() {
     let mut total = 0usize;
     for q in &test {
         let user = users[q.user as usize % users.len()];
-        let Ok(recs) = cqms.similar_queries(user, &q.sql, 1, DistanceKind::Combined) else {
+        let Ok(recs) = snap.similar_queries(user, &q.sql, 1, DistanceKind::Combined) else {
             continue;
         };
         let Some(best) = recs.first() else { continue };
@@ -99,7 +100,7 @@ fn main() {
         cases += 1;
         // Context-aware (rules + popularity fallback).
         let partial = format!("SELECT * FROM {}, ", context.join(", "));
-        let sugg = cqms.complete(users[0], &partial, 1);
+        let sugg = snap.complete(users[0], &partial, 1);
         if sugg
             .first()
             .map(|s| s.text.eq_ignore_ascii_case(&target))
@@ -136,7 +137,7 @@ fn main() {
         .find(|q| q.sql.to_lowercase().contains("specobj"))
     {
         println!("\nsample panel for held-out draft:\n  {}\n", q.sql);
-        let panel = cqms
+        let panel = snap
             .render_recommendations(users[0], &q.sql, 3)
             .unwrap_or_default();
         print!("{panel}");

@@ -39,9 +39,10 @@ fn main() {
     println!("log: {} live queries", cqms.storage.live_count());
 
     // --- Access control -----------------------------------------------------
-    let growth_view = cqms.search_keyword(growth_1, "pageviews", 50).len();
-    let ads_view = cqms.search_keyword(ads_1, "pageviews", 50).len();
-    let admin_view = cqms.search_keyword(admin, "pageviews", 50).len();
+    let snap = cqms.capture_snapshot(0);
+    let growth_view = snap.search_keyword(growth_1, "pageviews", 50).len();
+    let ads_view = snap.search_keyword(ads_1, "pageviews", 50).len();
+    let admin_view = snap.search_keyword(admin, "pageviews", 50).len();
     println!(
         "\nvisibility of 'pageviews' queries — growth: {growth_view}, ads: {ads_view}, dba: {admin_view}"
     );

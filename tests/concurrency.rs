@@ -94,16 +94,16 @@ fn concurrent_digest(trace: &Trace, writers: usize, readers: usize) -> StateDige
                 while !done.load(Ordering::Relaxed) {
                     match i % 4 {
                         0 => {
-                            let hits = svc.search_keyword(user, "watertemp", 5);
+                            let hits = svc.snapshot().search_keyword(user, "watertemp", 5);
                             assert!(hits.len() <= 5);
                         }
                         1 => {
-                            let sugg = svc.complete(user, "SELECT * FROM ", 5);
+                            let sugg = svc.snapshot().complete(user, "SELECT * FROM ", 5);
                             assert!(sugg.len() <= 5);
                         }
                         2 => {
-                            let live_before = svc.live_count();
-                            let live_after = svc.live_count();
+                            let live_before = svc.snapshot().live_count();
+                            let live_after = svc.snapshot().live_count();
                             assert!(live_after >= live_before, "live count went backwards");
                         }
                         _ => {
@@ -221,13 +221,13 @@ fn miner_survives_a_client_panicking_under_the_write_lock() {
     assert!(result.is_err(), "the simulated crash must have panicked");
 
     // Reads, writes and mining all still work on the "poisoned" lock.
-    assert_eq!(svc.live_count(), 6);
+    assert_eq!(svc.snapshot().live_count(), 6);
     svc.run_query(user, "SELECT * FROM Lakes").unwrap();
     assert!(svc.start_miner(std::time::Duration::from_millis(5)));
     std::thread::sleep(std::time::Duration::from_millis(40));
     let epochs = svc.shutdown().expect("miner was running");
     assert!(epochs >= 1, "miner made no progress after the panic");
-    assert!(!svc.association_rules().is_empty());
+    assert!(!svc.snapshot().association_rules().is_empty());
 }
 
 #[test]
@@ -287,7 +287,12 @@ fn dropping_the_miner_handle_joins_and_runs_a_final_epoch() {
     }
     {
         // Interval far beyond the test: only the shutdown epoch can run.
-        let _miner = spawn_background_miner(shared.clone(), std::time::Duration::from_secs(3600));
+        let _miner = spawn_background_miner(
+            shared.clone(),
+            std::time::Duration::from_secs(3600),
+            cqms::engine::faults::global_plan(),
+            None,
+        );
         // Dropping the handle here must join the thread (not detach it)...
     }
     // ...and the final epoch's results must be visible immediately.
@@ -312,7 +317,7 @@ fn background_miner_shutdown_after_concurrent_ingest() {
     let epochs = svc.shutdown().expect("miner was running");
     assert!(epochs >= 1);
     assert!(
-        !svc.association_rules().is_empty(),
+        !svc.snapshot().association_rules().is_empty(),
         "final epoch results not visible"
     );
 }
@@ -341,7 +346,7 @@ fn readers_race_background_rebuilds() {
     }
     svc.write(|c| c.storage.schedule_index_rebuild());
     assert!(svc.rebuild_indexes());
-    let gen0 = svc.index_generation();
+    let gen0 = svc.snapshot().index_generation();
     assert!(gen0 >= 1);
 
     const PROBE: &str = "SELECT * FROM WaterTemp WHERE temp < 18";
@@ -364,6 +369,7 @@ fn readers_race_background_rebuilds() {
                         DistanceKind::ParseTree
                     };
                     let hits = svc
+                        .snapshot()
                         .similar_queries(user, PROBE, 5, metric)
                         .expect("probe failed mid-rebuild");
                     assert!(hits.len() <= 5);
@@ -377,13 +383,13 @@ fn readers_race_background_rebuilds() {
             let svc = svc.clone();
             let (done, rebuilds) = (&done, &rebuilds);
             s.spawn(move || {
-                let mut last = svc.index_generation();
+                let mut last = svc.snapshot().index_generation();
                 while !done.load(Ordering::Relaxed) {
                     svc.write(|c| c.storage.schedule_index_rebuild());
                     if svc.rebuild_indexes() {
                         rebuilds.fetch_add(1, Ordering::Relaxed);
                     }
-                    let now = svc.index_generation();
+                    let now = svc.snapshot().index_generation();
                     assert!(now >= last, "generation went backwards");
                     last = now;
                 }
@@ -409,7 +415,7 @@ fn readers_race_background_rebuilds() {
     });
     assert!(probes.load(Ordering::Relaxed) > 0, "readers never probed");
     assert!(rebuilds.load(Ordering::Relaxed) > 0, "no rebuild raced");
-    assert!(svc.index_generation() > gen0);
+    assert!(svc.snapshot().index_generation() > gen0);
 
     // Steady state: registry-served kNN equals brute force, so every
     // mid-build insert was replayed and every swap was clean.
@@ -431,6 +437,7 @@ fn readers_race_background_rebuilds() {
         let psig = c.storage.probe_signature(&probe);
         for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
             let got = c
+                .capture_snapshot(0)
                 .similar_queries(users[0], PROBE, 5, metric)
                 .expect("probe");
             let mut want: Vec<ScoredHit> = c
@@ -475,15 +482,23 @@ fn miner_epoch_executes_scheduled_rebuild() {
         svc.run_query_at(users[q.user as usize % users.len()], &q.sql, q.ts)
             .expect("profiling never hard-fails");
     }
-    let gen0 = svc.index_generation();
+    let gen0 = svc.snapshot().index_generation();
     svc.write(|c| {
         c.storage.schedule_index_rebuild();
     });
-    assert_eq!(svc.index_generation(), gen0, "scheduling does not rebuild");
+    assert_eq!(
+        svc.snapshot().index_generation(),
+        gen0,
+        "scheduling does not rebuild"
+    );
     // Long interval: the only epoch is the shutdown epoch.
     assert!(svc.start_miner(std::time::Duration::from_secs(3600)));
     svc.shutdown().expect("miner was running");
-    assert_eq!(svc.index_generation(), gen0 + 1, "one swap per rebuild");
+    assert_eq!(
+        svc.snapshot().index_generation(),
+        gen0 + 1,
+        "one swap per rebuild"
+    );
     assert!(!svc.read(|c| c.storage.index_rebuild_pending()));
 }
 

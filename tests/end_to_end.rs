@@ -121,16 +121,19 @@ fn search_modes_agree_on_an_easy_target() {
     let u = users[0];
     // Find queries mentioning WaterSalinity through four different paths.
     let kw: std::collections::HashSet<u64> = cqms
+        .capture_snapshot(0)
         .search_keyword(u, "watersalinity", 500)
         .into_iter()
         .map(|h| h.id.0)
         .collect();
     let sub: std::collections::HashSet<u64> = cqms
+        .capture_snapshot(0)
         .search_substring(u, "WaterSalinity")
         .into_iter()
         .map(|id| id.0)
         .collect();
     let tree: std::collections::HashSet<u64> = cqms
+        .capture_snapshot(0)
         .search_parse_tree(
             u,
             &cqms::engine::metaquery::TreePattern {
@@ -171,7 +174,10 @@ fn knn_metrics_all_return_and_agree_on_self_similarity() {
         DistanceKind::Output,
         DistanceKind::Combined,
     ] {
-        let hits = cqms.similar_queries(u, probe, 5, metric).unwrap();
+        let hits = cqms
+            .capture_snapshot(0)
+            .similar_queries(u, probe, 5, metric)
+            .unwrap();
         assert!(!hits.is_empty(), "{metric:?} returned nothing");
         for w in hits.windows(2) {
             assert!(w[0].score >= w[1].score, "{metric:?} not sorted");
@@ -179,6 +185,7 @@ fn knn_metrics_all_return_and_agree_on_self_similarity() {
     }
     // The identical SQL is a perfect feature/tree match.
     let hits = cqms
+        .capture_snapshot(0)
         .similar_queries(u, probe, 1, DistanceKind::ParseTree)
         .unwrap();
     assert!(hits[0].score > 0.999, "{}", hits[0].score);
@@ -189,7 +196,10 @@ fn recommendation_panel_well_formed_across_domains() {
     for domain in Domain::all() {
         let (cqms, trace, users) = replay(domain, 12);
         let seed_sql = &trace.queries[trace.queries.len() / 2].sql;
-        let rows = cqms.recommend(users[0], seed_sql, 5).unwrap();
+        let rows = cqms
+            .capture_snapshot(0)
+            .recommend(users[0], seed_sql, 5)
+            .unwrap();
         assert!(!rows.is_empty(), "{domain:?}: no recommendations");
         for w in rows.windows(2) {
             assert!(w[0].score_pct >= w[1].score_pct);

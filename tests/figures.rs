@@ -54,6 +54,7 @@ fn figure1_auto_generation_from_partial_query() {
     cqms.run_query(user, "SELECT * FROM Lakes").unwrap();
 
     let meta_sql = cqms
+        .capture_snapshot(0)
         .generate_feature_query("SELECT FROM WaterSalinity, WaterTemp")
         .unwrap();
     // Shape: Queries joined with DataSources per table.
@@ -79,7 +80,7 @@ fn figure2_session_window_full_stack() {
     // All six queries share the session.
     assert_eq!(cqms.storage.queries_in_session(session).len(), 6);
 
-    let window = cqms.render_session(session).unwrap();
+    let window = cqms.capture_snapshot(0).render_session(session).unwrap();
     // Time strip.
     assert!(window.contains("02:30 - 02:35"), "{window}");
     // The figure's signature edge labels.
@@ -138,12 +139,15 @@ fn figure3_assisted_interaction_full_stack() {
     .unwrap();
 
     // Completion: with WaterSalinity in FROM, WaterTemp beats CityLocations.
-    let suggestions = cqms.complete(user, "SELECT * FROM WaterSalinity, ", 3);
+    let suggestions = cqms
+        .capture_snapshot(0)
+        .complete(user, "SELECT * FROM WaterSalinity, ", 3);
     assert_eq!(suggestions[0].text, "WaterTemp", "{suggestions:?}");
 
     // Panel: composing the figure's query surfaces the annotated join as the
     // top recommendation, with diff "none" for the exact-match template.
     let rows = cqms
+        .capture_snapshot(0)
         .recommend(
             user,
             "SELECT * FROM WaterSalinity S, WaterTemp T, CityLocations L \
@@ -176,7 +180,9 @@ fn query_by_data_full_stack() {
     cqms.run_query(user, "SELECT DISTINCT lake FROM WaterTemp WHERE temp > 19")
         .unwrap();
 
-    let hits = cqms.search_by_data(user, &["Lake Washington"], &["Lake Union"], false);
+    let hits = cqms
+        .capture_snapshot(0)
+        .search_by_data(user, &["Lake Washington"], &["Lake Union"]);
     assert!(!hits.is_empty());
     for id in &hits {
         let sql = &cqms.storage.get(*id).unwrap().raw_sql;

@@ -31,18 +31,19 @@ fn group_isolation_spans_every_search_mode() {
     let id = out.id;
 
     // Keyword, substring, tree, feature-SQL, by-data, knn: all empty for eve.
-    assert!(c.search_keyword(eve, "salinity", 10).is_empty());
-    assert!(c.search_substring(eve, "salinity > 0.4").is_empty());
+    let snap = c.capture_snapshot(0);
+    assert!(snap.search_keyword(eve, "salinity", 10).is_empty());
+    assert!(snap.search_substring(eve, "salinity > 0.4").is_empty());
     let tree = cqms::engine::metaquery::TreePattern {
         tables_all: vec!["watersalinity".into()],
         ..Default::default()
     };
-    assert!(c.search_parse_tree(eve, &tree).is_empty());
+    assert!(snap.search_parse_tree(eve, &tree).is_empty());
     let feat = c
         .search_feature_sql(eve, "SELECT qid FROM Queries")
         .unwrap();
     assert!(feat.rows.is_empty());
-    assert!(c
+    assert!(snap
         .similar_queries(
             eve,
             "SELECT salinity FROM WaterSalinity",
@@ -52,7 +53,7 @@ fn group_isolation_spans_every_search_mode() {
         .unwrap()
         .is_empty());
     // But alice sees her query everywhere.
-    assert_eq!(c.search_substring(alice, "salinity > 0.4"), vec![id]);
+    assert_eq!(snap.search_substring(alice, "salinity > 0.4"), vec![id]);
 
     // Eve cannot tamper.
     assert!(matches!(
@@ -72,7 +73,10 @@ fn deletion_is_global_and_idempotent() {
     let u = c.register_user("u");
     let out = c.run_query(u, "SELECT * FROM Lakes").unwrap();
     c.delete_query(u, out.id).unwrap();
-    assert!(c.search_keyword(u, "lakes", 10).is_empty());
+    assert!(c
+        .capture_snapshot(0)
+        .search_keyword(u, "lakes", 10)
+        .is_empty());
     assert_eq!(c.storage.live_count(), 0);
     // Deleting again is fine (tombstone stays).
     c.delete_query(u, out.id).unwrap();
@@ -116,12 +120,16 @@ fn obsolete_queries_leave_search_results() {
     let u = c.register_user("u");
     c.run_query(u, "SELECT * FROM Lakes WHERE area > 100")
         .unwrap();
-    assert_eq!(c.search_keyword(u, "lakes", 10).len(), 1);
+    assert_eq!(
+        c.capture_snapshot(0).search_keyword(u, "lakes", 10).len(),
+        1
+    );
     c.data.execute("DROP TABLE Lakes").unwrap();
     let (schema, _) = c.run_maintenance().unwrap();
     assert_eq!(schema.obsolete.len(), 1);
     // Obsolete queries no longer surface in recommendations or search.
     assert!(c
+        .capture_snapshot(0)
         .similar_queries(
             u,
             "SELECT * FROM Lakes",
@@ -201,15 +209,135 @@ fn refresh_policy_beats_naive_on_cost() {
 fn empty_log_operations_are_safe() {
     let mut c = lakes_cqms();
     let u = c.register_user("u");
-    assert!(c.search_keyword(u, "anything", 5).is_empty());
-    assert!(c.search_substring(u, "anything").is_empty());
-    assert!(c.recommend(u, "SELECT * FROM Lakes", 5).unwrap().is_empty());
+    let snap = c.capture_snapshot(0);
+    assert!(snap.search_keyword(u, "anything", 5).is_empty());
+    assert!(snap.search_substring(u, "anything").is_empty());
+    assert!(snap
+        .recommend(u, "SELECT * FROM Lakes", 5)
+        .unwrap()
+        .is_empty());
     let report = c.run_miner_epoch();
     assert_eq!(report.association_rules, 0);
     let (schema, refresh) = c.run_maintenance().unwrap();
     assert_eq!(schema.examined, 0);
     assert!(refresh.refreshed.is_empty());
     // Completion falls back to the catalog.
-    let sugg = c.complete(u, "SELECT * FROM ", 5);
+    let sugg = c.capture_snapshot(0).complete(u, "SELECT * FROM ", 5);
     assert!(!sugg.is_empty());
+}
+
+/// Feature-SQL meta-queries run against the feature relations *restricted
+/// to what the viewer may see*: whatever the statement projects, aliases,
+/// aggregates, joins or nests, a private query contributes nothing.
+/// `run` is one deployment's `search_feature_sql`; the owner's answers
+/// prove each probe would have shown the leak.
+fn assert_feature_sql_hides_private(
+    run: &dyn Fn(UserId, &str) -> relstore::QueryResult,
+    owner: UserId,
+    viewer: UserId,
+) {
+    const MARKER: &str = "3.14159";
+    let cells = |user: UserId, sql: &str| -> Vec<String> {
+        run(user, sql)
+            .rows
+            .iter()
+            .flat_map(|row| row.iter().map(|v| v.render()))
+            .collect()
+    };
+    // Probes whose output carries the private query's text or constant.
+    for sql in [
+        "SELECT qid, qText FROM Queries",
+        "SELECT qText FROM Queries",
+        "SELECT Q.qid AS id, Q.qText FROM Queries Q",
+        "SELECT MAX(const) FROM Predicates WHERE attrName = 'temp'",
+        "SELECT P.const FROM Queries Q, Predicates P WHERE Q.qid = P.qid",
+        "SELECT P.const FROM Queries Q JOIN Predicates P ON Q.qid = P.qid",
+        "SELECT Q.qText FROM Predicates P LEFT OUTER JOIN Queries Q ON P.qid = Q.qid",
+        "SELECT P.const FROM QueryMeta M RIGHT OUTER JOIN Predicates P \
+         ON M.qid = P.qid AND M.success = FALSE",
+        "SELECT Q.qText, P.const FROM Queries Q FULL OUTER JOIN Predicates P \
+         ON Q.qid = P.qid AND P.op = '='",
+        "SELECT qText FROM Queries WHERE qid IN \
+         (SELECT qid FROM Predicates WHERE attrName = 'temp')",
+        "SELECT D.relName, (SELECT MAX(P.const) FROM Predicates P WHERE P.qid = D.qid) \
+         FROM DataSources D",
+    ] {
+        let seen = cells(viewer, sql);
+        assert!(
+            !seen.iter().any(|c| c.contains(MARKER)),
+            "{sql} leaked to the viewer: {seen:?}"
+        );
+        assert!(
+            cells(owner, sql).iter().any(|c| c.contains(MARKER)),
+            "{sql} does not show the marker even to its owner"
+        );
+    }
+    // Probes that count: the owner counts one query more than the viewer
+    // (sharded deployments answer one row per shard — sum them).
+    for sql in [
+        "SELECT COUNT(*) FROM Queries",
+        "SELECT COUNT(*) FROM DataSources WHERE relName = 'watertemp'",
+        "SELECT COUNT(DISTINCT A.qid) FROM Attributes A WHERE EXISTS \
+         (SELECT 1 FROM Predicates P WHERE P.qid = A.qid AND P.attrName = 'temp')",
+        "SELECT COUNT(DISTINCT M.qid) FROM QueryMeta M JOIN Queries Q ON M.qid = Q.qid",
+    ] {
+        let total = |user: UserId| -> i64 {
+            cells(user, sql)
+                .iter()
+                .map(|c| c.parse::<i64>().unwrap())
+                .sum()
+        };
+        assert_eq!(total(owner), total(viewer) + 1, "{sql}");
+    }
+}
+
+const PRIVATE_SQL: &str = "SELECT lake FROM WaterTemp WHERE temp < 3.14159";
+const PUBLIC_SQL: &str = "SELECT lake FROM WaterTemp WHERE temp < 20";
+
+#[test]
+fn private_queries_do_not_leak_through_feature_sql() {
+    let mut c = lakes_cqms();
+    let _admin = c.register_user("admin");
+    let a = c.register_user("a");
+    let b = c.register_user("b");
+    let id = c.run_query(a, PRIVATE_SQL).unwrap().id;
+    c.set_visibility(a, id, Visibility::Private).unwrap();
+    c.run_query(b, PUBLIC_SQL).unwrap();
+    // The other search modes already hide it.
+    assert!(c
+        .capture_snapshot(0)
+        .search_substring(b, "3.14159")
+        .is_empty());
+    assert_feature_sql_hides_private(&|u, sql| c.search_feature_sql(u, sql).unwrap(), a, b);
+}
+
+#[test]
+fn private_queries_do_not_leak_through_a_service_or_across_shards() {
+    use cqms::engine::{CqmsService, ShardedCqms};
+
+    let svc = CqmsService::new(lakes_cqms());
+    let _admin = svc.register_user("admin");
+    let (a, b) = (svc.register_user("a"), svc.register_user("b"));
+    let id = svc.run_query(a, PRIVATE_SQL).unwrap().id;
+    svc.set_visibility(a, id, Visibility::Private).unwrap();
+    svc.run_query(b, PUBLIC_SQL).unwrap();
+    assert_feature_sql_hides_private(&|u, sql| svc.search_feature_sql(u, sql).unwrap(), a, b);
+
+    let sharded = ShardedCqms::new(
+        || {
+            let mut engine = Engine::new();
+            Domain::Lakes.setup(&mut engine, 100, 11);
+            engine
+        },
+        CqmsConfig {
+            shards: 3,
+            ..CqmsConfig::default()
+        },
+    );
+    let _admin = sharded.register_user("admin");
+    let (a, b) = (sharded.register_user("a"), sharded.register_user("b"));
+    let id = sharded.run_query(a, PRIVATE_SQL).unwrap().id;
+    sharded.set_visibility(a, id, Visibility::Private).unwrap();
+    sharded.run_query(b, PUBLIC_SQL).unwrap();
+    assert_feature_sql_hides_private(&|u, sql| sharded.search_feature_sql(u, sql).unwrap(), a, b);
 }

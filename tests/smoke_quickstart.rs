@@ -50,7 +50,9 @@ fn quickstart_path_end_to_end() {
     .unwrap();
 
     // 4. Search & browse mode: the annotated join queries are findable.
-    let hits = cqms.search_keyword(alice, "salinity", 5);
+    let hits = cqms
+        .capture_snapshot(0)
+        .search_keyword(alice, "salinity", 5);
     assert!(!hits.is_empty(), "keyword search found nothing");
 
     // The Figure 1 meta-query runs over the feature relations.
@@ -62,12 +64,19 @@ fn quickstart_path_end_to_end() {
 
     // Session rendering (Figure 2 style) produces a non-empty window.
     let session = cqms.storage.get(QueryId(0)).unwrap().session;
-    assert!(!cqms.render_session(session).unwrap().is_empty());
+    assert!(!cqms
+        .capture_snapshot(0)
+        .render_session(session)
+        .unwrap()
+        .is_empty());
 
     // 5. Assisted mode: completion respects context, recommendations render.
-    let suggestions = cqms.complete(alice, "SELECT * FROM WaterSalinity, ", 3);
+    let suggestions = cqms
+        .capture_snapshot(0)
+        .complete(alice, "SELECT * FROM WaterSalinity, ", 3);
     assert!(suggestions.len() <= 3);
     let panel = cqms
+        .capture_snapshot(0)
         .render_recommendations(alice, "SELECT temp FROM WaterTemp WHERE temp < 20", 3)
         .unwrap();
     assert!(!panel.is_empty());
@@ -79,6 +88,7 @@ fn quickstart_path_end_to_end() {
 
     // 7. kNN similarity meta-query returns ranked neighbours.
     let near = cqms
+        .capture_snapshot(0)
         .similar_queries(
             alice,
             "SELECT lake FROM WaterTemp WHERE temp < 15",
