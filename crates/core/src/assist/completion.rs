@@ -11,10 +11,11 @@
 //! the tables already present, falling back to global popularity.
 
 use crate::config::CqmsConfig;
-use crate::miner::assoc::{suggest_from_counts, ContextCounts, RuleMiner};
+use crate::miner::assoc::{suggest_from_counts, ContextCounts};
+use crate::model::{QueryId, QueryRecord};
 use crate::storage::QueryStorage;
 use sqlparse::{Keyword, Lexer, TokenKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A predicate shape: (table, column, operator).
 pub type PredicateKey = (String, String, String);
@@ -50,15 +51,16 @@ impl CatalogView {
     }
 }
 
-/// Summable per-shard inputs behind one completion probe. Each shard
-/// computes its own over its live records (and rule-miner transactions);
-/// a sharded deployment [`CompletionStats::merge`]s them and scores the
-/// totals once, which reproduces a single unsharded instance holding
-/// every shard's log bit-for-bit (see [`suggest_from_counts`] for the
-/// rule part of that argument — the popularity parts are plain sums).
+/// Summable inputs behind one completion probe, counted over one Query
+/// Storage's live records. A sharded deployment
+/// [`CompletionStats::merge`]s its shards' stats and scores the totals
+/// once, which reproduces a single instance holding every shard's log
+/// bit-for-bit (see [`suggest_from_counts`] for the rule part of that
+/// argument — the popularity parts are plain sums); one instance is the
+/// one-shard case.
 #[derive(Debug, Clone, Default)]
 pub struct CompletionStats {
-    /// Rule-miner context counts for `table:`-prefixed consequents
+    /// Association context counts for `table:`-prefixed consequents
     /// (filled for FROM-clause probes with at least one table present).
     pub rule_counts: ContextCounts,
     /// table (lower) → live-query use count.
@@ -117,27 +119,22 @@ pub struct Suggestion {
     pub why: String,
 }
 
-/// The completion engine: a view over the storage's feature statistics plus
-/// the miner's association rules.
+/// The completion engine: a view over the storage's feature statistics.
 pub struct CompletionEngine<'a> {
     storage: &'a QueryStorage,
-    rules: &'a RuleMiner,
     config: &'a CqmsConfig,
     catalog: &'a CatalogView,
 }
 
 impl<'a> CompletionEngine<'a> {
-    /// Bind a completion engine over the storage, rule miner and catalog
-    /// names.
+    /// Bind a completion engine over the storage and catalog names.
     pub fn new(
         storage: &'a QueryStorage,
-        rules: &'a RuleMiner,
         config: &'a CqmsConfig,
         catalog: &'a CatalogView,
     ) -> Self {
         CompletionEngine {
             storage,
-            rules,
             config,
             catalog,
         }
@@ -205,30 +202,15 @@ impl<'a> CompletionEngine<'a> {
         (ctx, prefix, tables)
     }
 
-    /// Top-k suggestions for the partial SQL.
-    pub fn suggest(&self, partial: &str, k: usize) -> Vec<Suggestion> {
-        let (ctx, prefix, tables) = Self::detect_context(partial);
-        match ctx {
-            CompletionContext::Table => self.suggest_tables(&tables, &prefix, k),
-            CompletionContext::Attribute => self.suggest_attributes(&tables, &prefix, k),
-            CompletionContext::Predicate => self.suggest_predicates(&tables, &prefix, k),
-            CompletionContext::Statement => Self::statement_start(),
-        }
-    }
-
     /// Collect the summable statistics this probe needs from *this*
-    /// storage/miner (one shard's contribution; only the maps the probe's
+    /// storage (one shard's contribution; only the maps the probe's
     /// context consults are filled).
     pub fn collect_stats(&self, partial: &str) -> CompletionStats {
         let (ctx, _prefix, tables) = Self::detect_context(partial);
         let mut stats = CompletionStats::default();
         match ctx {
             CompletionContext::Table => {
-                if !tables.is_empty() {
-                    let ctx_items: HashSet<String> =
-                        tables.iter().map(|t| format!("table:{t}")).collect();
-                    stats.rule_counts = self.rules.context_counts(&ctx_items, "table:");
-                }
+                stats.rule_counts = self.collect_rule_counts(&tables);
                 stats.table_pop = self.collect_table_pop();
             }
             CompletionContext::Attribute => stats.attr_pop = self.collect_attr_pop(&tables),
@@ -238,10 +220,9 @@ impl<'a> CompletionEngine<'a> {
         stats
     }
 
-    /// Top-k suggestions scored from externally supplied (possibly
-    /// cross-shard merged) statistics. With stats collected from this
-    /// engine's own storage this is bit-identical to
-    /// [`CompletionEngine::suggest`].
+    /// Top-k suggestions for the partial SQL, scored from the (possibly
+    /// cross-shard merged) statistics [`CompletionEngine::collect_stats`]
+    /// gathered for it.
     pub fn suggest_with_stats(
         &self,
         partial: &str,
@@ -251,15 +232,11 @@ impl<'a> CompletionEngine<'a> {
         let (ctx, prefix, tables) = Self::detect_context(partial);
         match ctx {
             CompletionContext::Table => {
-                let rule_hits = if tables.is_empty() {
-                    Vec::new()
-                } else {
-                    suggest_from_counts(
-                        &stats.rule_counts,
-                        self.config.assoc_min_support,
-                        self.config.assoc_min_confidence,
-                    )
-                };
+                let rule_hits = suggest_from_counts(
+                    &stats.rule_counts,
+                    self.config.assoc_min_support,
+                    self.config.assoc_min_confidence,
+                );
                 self.score_tables(&tables, &prefix, k, &rule_hits, &stats.table_pop)
             }
             CompletionContext::Attribute => {
@@ -278,37 +255,64 @@ impl<'a> CompletionEngine<'a> {
         }]
     }
 
-    /// Table suggestions: association rules first (context-aware), then
-    /// global popularity, then catalog order.
-    pub fn suggest_tables(&self, present: &[String], prefix: &str, k: usize) -> Vec<Suggestion> {
-        // Context-aware rule hits. The local path goes through the miner's
-        // cached Apriori run; the stats path reproduces it exactly from raw
-        // counts (see `suggest_from_counts`).
-        let rule_hits = if present.is_empty() {
-            Vec::new()
-        } else {
-            let ctx: HashSet<String> = present.iter().map(|t| format!("table:{t}")).collect();
-            self.rules.suggest(
-                &ctx,
-                self.config.assoc_min_support,
-                self.config.assoc_min_confidence,
-                "table:",
-            )
+    /// Association context counts for the tables already typed. Only the
+    /// records on those tables' posting lists can contain a context item,
+    /// so only they are visited — none when no table is present yet.
+    fn collect_rule_counts(&self, present: &[String]) -> ContextCounts {
+        let context: HashSet<String> = present.iter().map(|t| format!("table:{t}")).collect();
+        let count = |records: &mut dyn Iterator<Item = &QueryRecord>| {
+            let mut counts = ContextCounts::default();
+            for r in records {
+                let items: Vec<String> = r
+                    .features
+                    .tables
+                    .iter()
+                    .map(|t| format!("table:{t}"))
+                    .collect();
+                counts.add(&items, &context, "table:");
+            }
+            counts
         };
-        self.score_tables(present, prefix, k, &rule_hits, &self.collect_table_pop())
+        let posted: BTreeSet<u64> = present
+            .iter()
+            .filter_map(|t| self.storage.interner().lookup(&format!("t:{t}")))
+            .flat_map(|fid| self.storage.live_posting_ids(fid))
+            .collect();
+        let counts = count(
+            &mut posted
+                .iter()
+                .filter_map(|&id| self.storage.get(QueryId(id)).ok()),
+        );
+        debug_assert_eq!(counts, count(&mut self.storage.iter_live()));
+        counts
     }
 
-    /// Global table popularity from this storage's live log.
+    /// Global table popularity: each `t:` feature's live posting count
+    /// (`len − dead` — every live record is on each of its lists, and every
+    /// other entry is counted dead).
     fn collect_table_pop(&self) -> HashMap<String, u32> {
-        let mut pop: HashMap<String, u32> = HashMap::new();
-        for r in self.storage.iter_live() {
-            for t in &r.features.tables {
-                *pop.entry(t.clone()).or_insert(0) += 1;
+        let pop: HashMap<String, u32> = self
+            .storage
+            .postings()
+            .iter()
+            .filter_map(|(&fid, list)| {
+                let table = self.storage.interner().resolve(fid)?.strip_prefix("t:")?;
+                let live = list.len() as u32 - list.dead();
+                (live > 0).then(|| (table.to_string(), live))
+            })
+            .collect();
+        debug_assert_eq!(pop, {
+            let mut scan: HashMap<String, u32> = HashMap::new();
+            for t in self.storage.iter_live().flat_map(|r| &r.features.tables) {
+                *scan.entry(t.clone()).or_insert(0) += 1;
             }
-        }
+            scan
+        });
         pop
     }
 
+    /// Table suggestions: association rules first (context-aware), then
+    /// global popularity, then catalog order.
     fn score_tables(
         &self,
         present: &[String],
@@ -385,16 +389,6 @@ impl<'a> CompletionEngine<'a> {
         out
     }
 
-    /// Attribute suggestions for the in-scope tables, popularity-ranked.
-    pub fn suggest_attributes(
-        &self,
-        present: &[String],
-        prefix: &str,
-        k: usize,
-    ) -> Vec<Suggestion> {
-        self.score_attributes(present, prefix, k, &self.collect_attr_pop(present))
-    }
-
     /// (table, attribute) use counts over in-scope tables.
     fn collect_attr_pop(&self, present: &[String]) -> HashMap<(String, String), u32> {
         let mut pop: HashMap<(String, String), u32> = HashMap::new();
@@ -408,6 +402,7 @@ impl<'a> CompletionEngine<'a> {
         pop
     }
 
+    /// Attribute suggestions for the in-scope tables, popularity-ranked.
     fn score_attributes(
         &self,
         present: &[String],
@@ -458,18 +453,6 @@ impl<'a> CompletionEngine<'a> {
         out
     }
 
-    /// Predicate suggestions: popular predicates on in-scope tables with
-    /// their most common constants (§2.3 "suggest predicates in the WHERE
-    /// clause … and even complete subclauses").
-    pub fn suggest_predicates(
-        &self,
-        present: &[String],
-        prefix: &str,
-        k: usize,
-    ) -> Vec<Suggestion> {
-        self.score_predicates(prefix, k, &self.collect_pred_pop(present))
-    }
-
     /// Predicate-shape stats over in-scope tables.
     fn collect_pred_pop(&self, present: &[String]) -> HashMap<PredicateKey, PredicateStats> {
         let mut pop: HashMap<PredicateKey, PredicateStats> = HashMap::new();
@@ -488,6 +471,9 @@ impl<'a> CompletionEngine<'a> {
         pop
     }
 
+    /// Predicate suggestions: popular predicates on in-scope tables with
+    /// their most common constants (§2.3 "suggest predicates in the WHERE
+    /// clause … and even complete subclauses").
     fn score_predicates(
         &self,
         prefix: &str,
@@ -536,11 +522,15 @@ mod tests {
     use crate::model::*;
     use crate::storage::make_record;
 
-    fn seeded() -> (QueryStorage, RuleMiner, CatalogView) {
+    /// Probe through the engine's one scoring entry, on its own stats.
+    fn complete(ce: &CompletionEngine<'_>, partial: &str, k: usize) -> Vec<Suggestion> {
+        ce.suggest_with_stats(partial, k, &ce.collect_stats(partial))
+    }
+
+    fn seeded() -> (QueryStorage, CatalogView) {
         let mut engine = relstore::Engine::new();
         workload::Domain::Lakes.setup(&mut engine, 10, 1);
         let mut st = QueryStorage::new();
-        let mut rules = RuleMiner::new();
         // The paper's §2.3 scenario: CityLocations is the most popular table
         // overall, but WaterSalinity co-occurs with WaterTemp.
         let mut sqls: Vec<String> = Vec::new();
@@ -558,7 +548,6 @@ mod tests {
         for (i, sql) in sqls.iter().enumerate() {
             let stmt = sqlparse::parse(sql).unwrap();
             let feats = extract(&stmt, None);
-            rules.add_transaction(feats.items());
             st.insert(make_record(
                 QueryId(i as u64),
                 UserId(1),
@@ -575,7 +564,7 @@ mod tests {
                 Visibility::Public,
             ));
         }
-        (st, rules, CatalogView::of(&engine))
+        (st, CatalogView::of(&engine))
     }
 
     #[test]
@@ -599,14 +588,14 @@ mod tests {
 
     #[test]
     fn paper_scenario_watertemp_over_citylocations() {
-        let (st, rules, view) = seeded();
+        let (st, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
+        let ce = CompletionEngine::new(&st, &cfg, &view);
         // No context: CityLocations is most popular.
-        let plain = ce.suggest_tables(&[], "", 3);
+        let plain = complete(&ce, "SELECT * FROM ", 3);
         assert_eq!(plain[0].text, "CityLocations", "{plain:?}");
         // With WaterSalinity present: WaterTemp must win.
-        let ctx = ce.suggest_tables(&["watersalinity".to_string()], "", 3);
+        let ctx = complete(&ce, "SELECT * FROM WaterSalinity, ", 3);
         assert_eq!(ctx[0].text, "WaterTemp", "{ctx:?}");
         assert!(ctx[0].score > 0.5);
         assert!(ctx[0].why.contains("watersalinity"));
@@ -614,29 +603,29 @@ mod tests {
 
     #[test]
     fn prefix_filters_suggestions() {
-        let (st, rules, view) = seeded();
+        let (st, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
-        let hits = ce.suggest_tables(&[], "Water", 5);
+        let ce = CompletionEngine::new(&st, &cfg, &view);
+        let hits = complete(&ce, "SELECT * FROM Water", 5);
         assert!(!hits.is_empty());
         assert!(hits.iter().all(|s| s.text.starts_with("Water")));
     }
 
     #[test]
     fn full_pipeline_from_partial_sql() {
-        let (st, rules, view) = seeded();
+        let (st, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
-        let hits = ce.suggest("SELECT * FROM WaterSalinity, ", 3);
+        let ce = CompletionEngine::new(&st, &cfg, &view);
+        let hits = complete(&ce, "SELECT * FROM WaterSalinity, ", 3);
         assert_eq!(hits[0].text, "WaterTemp");
     }
 
     #[test]
     fn attribute_suggestions_ranked_by_use() {
-        let (st, rules, view) = seeded();
+        let (st, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
-        let hits = ce.suggest_attributes(&["citylocations".to_string()], "", 5);
+        let ce = CompletionEngine::new(&st, &cfg, &view);
+        let hits = complete(&ce, "SELECT * FROM CityLocations ORDER BY ", 5);
         assert!(!hits.is_empty());
         // `pop` and `city` are the logged attributes of CityLocations.
         assert!(hits.iter().any(|s| s.text == "pop"));
@@ -645,10 +634,10 @@ mod tests {
 
     #[test]
     fn predicate_suggestions_include_popular_constant() {
-        let (st, rules, view) = seeded();
+        let (st, view) = seeded();
         let cfg = CqmsConfig::default();
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
-        let hits = ce.suggest_predicates(&["watertemp".to_string()], "", 5);
+        let ce = CompletionEngine::new(&st, &cfg, &view);
+        let hits = complete(&ce, "SELECT * FROM WaterTemp WHERE ", 5);
         assert!(hits.iter().any(|s| s.text == "temp < 18"), "{hits:?}");
     }
 
@@ -657,13 +646,12 @@ mod tests {
         let mut engine = relstore::Engine::new();
         workload::Domain::Lakes.setup(&mut engine, 5, 1);
         let st = QueryStorage::new();
-        let rules = RuleMiner::new();
         let cfg = CqmsConfig::default();
         let view = CatalogView::of(&engine);
-        let ce = CompletionEngine::new(&st, &rules, &cfg, &view);
-        let hits = ce.suggest_tables(&[], "", 10);
+        let ce = CompletionEngine::new(&st, &cfg, &view);
+        let hits = complete(&ce, "SELECT * FROM ", 10);
         assert!(hits.iter().any(|s| s.text == "WaterTemp"));
-        let attrs = ce.suggest_attributes(&["watertemp".to_string()], "", 10);
+        let attrs = complete(&ce, "SELECT * FROM WaterTemp ORDER BY ", 10);
         assert!(attrs.iter().any(|s| s.text == "temp"));
     }
 }

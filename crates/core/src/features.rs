@@ -408,6 +408,15 @@ pub const FEATURE_DDL: [&str; 5] = [
     "CREATE TABLE QueryMeta (qid INT, author INT, ts INT, sessionId INT, elapsedUs INT, cardinality INT, success BOOLEAN)",
 ];
 
+/// The five feature relations, every one keyed by `qid` in column 0.
+const FEATURE_TABLES: [&str; 5] = [
+    "Queries",
+    "DataSources",
+    "Attributes",
+    "Predicates",
+    "QueryMeta",
+];
+
 /// Create the feature relations (and their indexes) on a fresh engine.
 pub fn create_feature_relations(engine: &mut Engine) {
     for ddl in FEATURE_DDL {
@@ -511,30 +520,33 @@ pub fn insert_features(
     // Keep index freshness lazy: relstore invalidates on DML automatically
     // only through Engine::execute; direct table inserts require an explicit
     // invalidation.
-    for t in [
-        "Queries",
-        "DataSources",
-        "Attributes",
-        "Predicates",
-        "QueryMeta",
-    ] {
+    for t in FEATURE_TABLES {
         engine.invalidate_indexes(t);
     }
 }
 
 /// Remove a query's rows from all feature relations (owner deletion, §2.4).
 pub fn delete_features(engine: &mut Engine, qid: u64) {
-    for t in [
-        "Queries",
-        "DataSources",
-        "Attributes",
-        "Predicates",
-        "QueryMeta",
-    ] {
-        engine
-            .execute(&format!("DELETE FROM {t} WHERE qid = {qid}"))
-            .expect("feature delete");
+    let qid = Value::Int(qid as i64);
+    for t in FEATURE_TABLES {
+        let table = engine.catalog.table_mut(t).expect("feature relation");
+        table.delete_where(|row| row[0] == qid);
+        engine.invalidate_indexes(t);
     }
+}
+
+/// Point `QueryMeta.sessionId` of every qid in `sessions` at its new
+/// session (the miner's offline refinement, §4.3), in one pass.
+pub fn set_sessions(engine: &mut Engine, sessions: &HashMap<u64, u64>) {
+    let table = engine.catalog.table_mut("QueryMeta").expect("QueryMeta");
+    let col = table.schema.column_index("sessionId").expect("sessionId");
+    for row in &mut table.rows {
+        let new = row[0].as_i64().and_then(|qid| sessions.get(&(qid as u64)));
+        if let Some(&session) = new {
+            row[col] = Value::Int(session as i64);
+        }
+    }
+    engine.invalidate_indexes("QueryMeta");
 }
 
 #[cfg(test)]

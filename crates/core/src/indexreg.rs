@@ -60,7 +60,7 @@ use cqms_cow::{CowMap, SnapshotVec};
 use sqlparse::{SelectProfile, SelectStatement, TreeNode, TreeShape};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// One ParseTree profile-fingerprint group: every member's diff-folded
 /// SELECT is *identical* (fingerprint bucket + structural equality, so a
@@ -358,10 +358,10 @@ pub struct IndexRegistry {
     /// inline at the transition (a set, so queueing stays O(1) per list
     /// no matter how much churn piles up between epochs).
     compaction_due: HashSet<u32>,
-    /// The published sealed generation. Readers clone the `Arc` (one
-    /// brief read lock); a publish replaces it (one brief write lock) —
-    /// the single atomic swap of the generation lifecycle.
-    sealed: RwLock<Arc<StructuralGen>>,
+    /// The published sealed generation. A publish (`&mut self`) replaces
+    /// the pointer; every reader works on its own registry clone, which
+    /// keeps the generation it was cloned with.
+    sealed: Arc<StructuralGen>,
     /// Mutable head: records at/above the sealed horizon, plus the
     /// override log — `Arc`-bundled so registry clones share it.
     head: Arc<HeadState>,
@@ -389,7 +389,7 @@ impl Clone for IndexRegistry {
         IndexRegistry {
             postings: self.postings.clone(),
             compaction_due: self.compaction_due.clone(),
-            sealed: RwLock::new(self.sealed()),
+            sealed: Arc::clone(&self.sealed),
             head: Arc::clone(&self.head),
             mutations: self.mutations,
             publish_seq: self.publish_seq,
@@ -412,7 +412,7 @@ impl IndexRegistry {
         IndexRegistry {
             postings: CowMap::new(),
             compaction_due: HashSet::new(),
-            sealed: RwLock::new(Arc::new(StructuralGen::empty())),
+            sealed: Arc::new(StructuralGen::empty()),
             head: Arc::new(HeadState::empty()),
             mutations: 0,
             publish_seq: 0,
@@ -426,10 +426,9 @@ impl IndexRegistry {
     // Read side
     // ------------------------------------------------------------------
 
-    /// The published sealed generation (cheap: one `Arc` clone under a
-    /// momentary read lock — probes hold the snapshot, not the lock).
+    /// The published sealed generation (one `Arc` clone).
     pub fn sealed(&self) -> Arc<StructuralGen> {
-        Arc::clone(&self.sealed.read().expect("sealed generation lock"))
+        Arc::clone(&self.sealed)
     }
 
     /// Head VP-tree (records above the sealed horizon).
@@ -523,9 +522,8 @@ impl IndexRegistry {
 
     fn dead_fraction(&self) -> f64 {
         // `tree` + `treeless` covers every indexed record exactly once.
-        let sealed = self.sealed.read().expect("sealed generation lock");
-        let indexed = sealed.tree.len()
-            + sealed.treeless.len()
+        let indexed = self.sealed.tree.len()
+            + self.sealed.treeless.len()
             + self.head.tree.len()
             + self.head.treeless.len();
         self.dead_since_seal as f64 / indexed.max(1) as f64
@@ -668,7 +666,7 @@ impl IndexRegistry {
         // collect phases against the same base generation.
         let generation = self.generation() + 1;
         build.gen.generation = generation;
-        *self.sealed.write().expect("sealed generation lock") = Arc::new(build.gen);
+        self.sealed = Arc::new(build.gen);
         self.stats.generation.store(generation, Ordering::Relaxed);
         self.stats
             .rebuilds_completed

@@ -5,11 +5,9 @@
 //! WaterTemp*. Transactions are per-query item sets from
 //! [`crate::features::SyntacticFeatures::items`] (`table:…`, `attr:…`,
 //! `pred:…`). Classic Apriori with support counting and single-consequent
-//! rule generation; incremental maintenance via monotone transaction
-//! appends.
+//! rule generation. A [`RuleMiner`] is transient: a miner epoch feeds it
+//! the Query Storage's live records and keeps only the mined rules.
 
-use cqms_cow::SnapshotVec;
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -33,47 +31,16 @@ impl AssocRule {
     }
 }
 
-/// Mining-cache key+payload: (transaction count, min support, confidence
-/// key, mined rules). The rules sit behind an `Arc` so cache hits and
-/// miner clones (one per snapshot publish) are pointer bumps, not deep
-/// copies of every mined rule.
-type MineCache = Option<(usize, u32, u64, Arc<Vec<AssocRule>>)>;
-
-/// Incremental Apriori miner. Transactions are appended over time; mining
-/// re-runs over all accumulated transactions (cheap at CQMS scales — the
-/// incremental piece is that accumulated counts are reused between epochs
-/// when no new transactions arrived).
+/// Apriori over an accumulated transaction list.
 #[derive(Debug, Default)]
 pub struct RuleMiner {
-    /// Copy-on-write so cloning the miner into a read snapshot shares
-    /// all accumulated transactions by chunk pointer.
-    transactions: SnapshotVec<Vec<String>>,
-    /// Cache: number of transactions at last mine + its result. Behind a
-    /// mutex so [`RuleMiner::mine`] / [`RuleMiner::suggest`] stay `&self` —
-    /// the completion read path must not need a write lock on the CQMS.
-    cache: Mutex<MineCache>,
-}
-
-impl Clone for RuleMiner {
-    /// O(transactions / CHUNK) pointer bumps; the mine cache is carried
-    /// over so a snapshot's first `suggest` doesn't re-mine.
-    fn clone(&self) -> Self {
-        RuleMiner {
-            transactions: self.transactions.clone(),
-            cache: Mutex::new(self.cache.lock().clone()),
-        }
-    }
+    transactions: Vec<Vec<String>>,
 }
 
 impl RuleMiner {
     /// An empty miner.
     pub fn new() -> Self {
         RuleMiner::default()
-    }
-
-    /// Transactions fed so far.
-    pub fn transaction_count(&self) -> usize {
-        self.transactions.len()
     }
 
     /// Append one transaction (deduplicated, sorted internally).
@@ -86,136 +53,24 @@ impl RuleMiner {
     /// Mine rules at the given thresholds. `min_support` is an absolute
     /// transaction count; confidence is a fraction.
     pub fn mine(&self, min_support: u32, min_confidence: f64) -> Arc<Vec<AssocRule>> {
-        let conf_key = (min_confidence * 1_000_000.0) as u64;
-        if let Some((n, ms, conf, rules)) = self.cache.lock().as_ref() {
-            if *n == self.transactions.len() && *ms == min_support && *conf == conf_key {
-                return Arc::clone(rules);
-            }
-        }
-        // Mine outside the lock: concurrent callers may duplicate the work
-        // but never block each other on it.
-        let rules = Arc::new(mine_apriori_impl(
-            self.transactions.len(),
-            || self.transactions.iter(),
+        Arc::new(mine_apriori(
+            &self.transactions,
             min_support,
             min_confidence,
-        ));
-        *self.cache.lock() = Some((
-            self.transactions.len(),
-            min_support,
-            conf_key,
-            Arc::clone(&rules),
-        ));
-        rules
-    }
-
-    /// Confidence-ranked consequents applicable in `context` (used by the
-    /// completion engine). Already-present items are not suggested.
-    pub fn suggest(
-        &self,
-        context: &HashSet<String>,
-        min_support: u32,
-        min_confidence: f64,
-        prefix: &str,
-    ) -> Vec<(String, f64)> {
-        let rules = self.mine(min_support, min_confidence);
-        let mut best: HashMap<String, f64> = HashMap::new();
-        for r in rules.iter() {
-            if !r.applies_to(context) || context.contains(&r.consequent) {
-                continue;
-            }
-            if !r.consequent.starts_with(prefix) {
-                continue;
-            }
-            let score = best.entry(r.consequent.clone()).or_insert(0.0);
-            // Prefer more specific (longer antecedent) matches at equal
-            // confidence by a small epsilon bonus.
-            let s = r.confidence + r.antecedent.len() as f64 * 1e-6;
-            if s > *score {
-                *score = s;
-            }
-        }
-        let mut out: Vec<(String, f64)> = best.into_iter().collect();
-        out.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        out
-    }
-
-    /// Exact context-conditional support counts: everything
-    /// [`suggest_from_counts`] needs to reproduce [`RuleMiner::suggest`]
-    /// for this `(context, prefix)` bit-for-bit. The point of the raw
-    /// counts is that they are **summable**: each shard computes its own,
-    /// the shard layer merges them, and scoring the merged counts equals
-    /// scoring one miner holding every shard's transactions — Apriori's
-    /// support-monotonicity guarantees the threshold pruning commutes
-    /// with the merge.
-    pub fn context_counts(&self, context: &HashSet<String>, prefix: &str) -> ContextCounts {
-        let mut out = ContextCounts {
-            transactions: self.transactions.len() as u64,
-            ..ContextCounts::default()
-        };
-        for t in self.transactions.iter() {
-            // Transactions are sorted + deduplicated by `add_transaction`,
-            // so these filtered views stay sorted — pair keys come out in
-            // the same (ordered) form `mine_apriori` uses.
-            let ctx_items: Vec<&str> = t
-                .iter()
-                .map(String::as_str)
-                .filter(|i| context.contains(*i))
-                .collect();
-            if ctx_items.is_empty() {
-                continue;
-            }
-            let cons: Vec<&str> = t
-                .iter()
-                .map(String::as_str)
-                .filter(|i| i.starts_with(prefix) && !context.contains(*i))
-                .collect();
-            for &a in &ctx_items {
-                *out.singles.entry(a.to_string()).or_insert(0) += 1;
-            }
-            for i in 0..ctx_items.len() {
-                for j in (i + 1)..ctx_items.len() {
-                    *out.pairs
-                        .entry((ctx_items[i].to_string(), ctx_items[j].to_string()))
-                        .or_insert(0) += 1;
-                }
-            }
-            for &a in &ctx_items {
-                for &b in &cons {
-                    *out.joint_pairs
-                        .entry((a.to_string(), b.to_string()))
-                        .or_insert(0) += 1;
-                }
-            }
-            for i in 0..ctx_items.len() {
-                for j in (i + 1)..ctx_items.len() {
-                    for &z in &cons {
-                        *out.joint_triples
-                            .entry((
-                                ctx_items[i].to_string(),
-                                ctx_items[j].to_string(),
-                                z.to_string(),
-                            ))
-                            .or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        out
+        ))
     }
 }
 
 /// Context-conditional support counts for one `(context, prefix)`
-/// completion probe — the exact cross-shard merge currency of
-/// [`RuleMiner::suggest`]. See [`RuleMiner::context_counts`].
+/// completion probe: everything [`suggest_from_counts`] needs to rank the
+/// consequents exactly as mined rules over the same transactions would.
+/// The point of the raw counts is that they are **summable**: each shard
+/// counts its own transactions, the shard layer merges them, and scoring
+/// the merged counts equals scoring one log holding every shard's
+/// transactions — Apriori's support-monotonicity guarantees the threshold
+/// pruning commutes with the merge.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ContextCounts {
-    /// Transactions scanned (summed across shards on merge).
-    pub transactions: u64,
     /// `count(a)` per context item `a` — pair-rule antecedent supports.
     pub singles: HashMap<String, u64>,
     /// `count({x, y})` per unordered context pair (key sorted) —
@@ -230,9 +85,36 @@ pub struct ContextCounts {
 }
 
 impl ContextCounts {
+    /// Count one transaction. `items` must be sorted and deduplicated, so
+    /// pair keys come out in the same (ordered) form [`mine_apriori`] uses.
+    pub fn add(&mut self, items: &[String], context: &HashSet<String>, prefix: &str) {
+        let ctx_items: Vec<&String> = items.iter().filter(|i| context.contains(*i)).collect();
+        if ctx_items.is_empty() {
+            return;
+        }
+        let cons: Vec<&String> = items
+            .iter()
+            .filter(|i| i.starts_with(prefix) && !context.contains(*i))
+            .collect();
+        for (i, &a) in ctx_items.iter().enumerate() {
+            *self.singles.entry(a.clone()).or_insert(0) += 1;
+            for &z in &cons {
+                *self.joint_pairs.entry((a.clone(), z.clone())).or_insert(0) += 1;
+            }
+            for &b in &ctx_items[i + 1..] {
+                *self.pairs.entry((a.clone(), b.clone())).or_insert(0) += 1;
+                for &z in &cons {
+                    *self
+                        .joint_triples
+                        .entry((a.clone(), b.clone(), z.clone()))
+                        .or_insert(0) += 1;
+                }
+            }
+        }
+    }
+
     /// Sum another shard's counts into this one.
     pub fn merge(&mut self, other: &ContextCounts) {
-        self.transactions += other.transactions;
         for (k, v) in &other.singles {
             *self.singles.entry(k.clone()).or_insert(0) += v;
         }
@@ -249,8 +131,9 @@ impl ContextCounts {
 }
 
 /// Score completion consequents from (possibly merged) context counts —
-/// bit-identical to [`RuleMiner::suggest`] over the same transactions:
-/// a pair rule `{a} ⇒ b` exists iff `count({a,b}) ≥ min_support` with
+/// bit-identical to ranking the applicable [`mine_apriori`] rules over the
+/// same transactions (the test module keeps that reference): a pair rule
+/// `{a} ⇒ b` exists iff `count({a,b}) ≥ min_support` with
 /// `confidence = count({a,b}) / count(a)` (the Apriori f1/f2 filters
 /// prune only itemsets below `min_support`, which the joint-count
 /// threshold already enforces by monotonicity), and likewise for triple
@@ -314,33 +197,14 @@ pub fn mine_apriori(
     min_support: u32,
     min_confidence: f64,
 ) -> Vec<AssocRule> {
-    mine_apriori_impl(
-        transactions.len(),
-        || transactions.iter(),
-        min_support,
-        min_confidence,
-    )
-}
-
-/// [`mine_apriori`] over any re-iterable transaction source (the miner's
-/// copy-on-write log iterates without materialising a slice).
-fn mine_apriori_impl<'a, I, F>(
-    n: usize,
-    transactions: F,
-    min_support: u32,
-    min_confidence: f64,
-) -> Vec<AssocRule>
-where
-    I: Iterator<Item = &'a Vec<String>>,
-    F: Fn() -> I,
-{
+    let n = transactions.len();
     if n == 0 {
         return Vec::new();
     }
 
     // Pass 1: frequent single items.
     let mut c1: HashMap<&str, u32> = HashMap::new();
-    for t in transactions() {
+    for t in transactions {
         for item in t {
             *c1.entry(item.as_str()).or_insert(0) += 1;
         }
@@ -353,7 +217,7 @@ where
 
     // Pass 2: frequent pairs (candidates from f1 × f1).
     let mut c2: HashMap<(&str, &str), u32> = HashMap::new();
-    for t in transactions() {
+    for t in transactions {
         let frequent: Vec<&str> = t
             .iter()
             .map(String::as_str)
@@ -370,7 +234,7 @@ where
 
     // Pass 3: frequent triples (candidates joined from f2, pruned).
     let mut c3: HashMap<(&str, &str, &str), u32> = HashMap::new();
-    for t in transactions() {
+    for t in transactions {
         let frequent: Vec<&str> = t
             .iter()
             .map(String::as_str)
@@ -464,6 +328,50 @@ mod tests {
         items.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The reference [`suggest_from_counts`] is compared against:
+    /// confidence-ranked consequents of the mined rules applicable in
+    /// `context`. Already-present items are not suggested.
+    fn suggest(
+        m: &RuleMiner,
+        context: &HashSet<String>,
+        min_support: u32,
+        min_confidence: f64,
+        prefix: &str,
+    ) -> Vec<(String, f64)> {
+        let rules = m.mine(min_support, min_confidence);
+        let mut best: HashMap<String, f64> = HashMap::new();
+        for r in rules.iter() {
+            if !r.applies_to(context) || context.contains(&r.consequent) {
+                continue;
+            }
+            if !r.consequent.starts_with(prefix) {
+                continue;
+            }
+            let score = best.entry(r.consequent.clone()).or_insert(0.0);
+            // Prefer more specific (longer antecedent) matches at equal
+            // confidence by a small epsilon bonus.
+            let s = r.confidence + r.antecedent.len() as f64 * 1e-6;
+            if s > *score {
+                *score = s;
+            }
+        }
+        let mut out: Vec<(String, f64)> = best.into_iter().collect();
+        out.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| a.0.cmp(&b.0))
+        });
+        out
+    }
+
+    fn context_counts(m: &RuleMiner, context: &HashSet<String>, prefix: &str) -> ContextCounts {
+        let mut counts = ContextCounts::default();
+        for t in &m.transactions {
+            counts.add(t, context, prefix);
+        }
+        counts
+    }
+
     #[test]
     fn finds_planted_pair_rule() {
         let mut m = RuleMiner::new();
@@ -549,7 +457,7 @@ mod tests {
             m.add_transaction(t(&["table:watersalinity", "table:citylocations"]));
         }
         let ctx: HashSet<String> = ["table:watersalinity".to_string()].into_iter().collect();
-        let suggestions = m.suggest(&ctx, 2, 0.1, "table:");
+        let suggestions = suggest(&m, &ctx, 2, 0.1, "table:");
         assert!(!suggestions.is_empty());
         assert_eq!(suggestions[0].0, "table:watertemp", "{suggestions:?}");
     }
@@ -561,11 +469,11 @@ mod tests {
             m.add_transaction(t(&["a", "b"]));
         }
         let ctx: HashSet<String> = ["a".to_string(), "b".to_string()].into_iter().collect();
-        assert!(m.suggest(&ctx, 2, 0.5, "").is_empty());
+        assert!(suggest(&m, &ctx, 2, 0.5, "").is_empty());
     }
 
     #[test]
-    fn cache_reused_until_new_transactions() {
+    fn mining_repeats_until_new_transactions() {
         let mut m = RuleMiner::new();
         for _ in 0..5 {
             m.add_transaction(t(&["a", "b"]));
@@ -586,7 +494,7 @@ mod tests {
     }
 
     /// `suggest_from_counts(context_counts(..))` must equal `suggest(..)`
-    /// bit-for-bit — scores included — on one miner.
+    /// bit-for-bit — scores included — on one transaction list.
     #[test]
     fn counts_protocol_matches_suggest() {
         let mut m = RuleMiner::new();
@@ -611,8 +519,8 @@ mod tests {
         ] {
             let ctx: HashSet<String> = ctx_items.iter().map(|s| s.to_string()).collect();
             for (ms, mc) in [(1, 0.1), (2, 0.5), (3, 0.9), (5, 0.0)] {
-                let live = m.suggest(&ctx, ms, mc, prefix);
-                let counted = suggest_from_counts(&m.context_counts(&ctx, prefix), ms, mc);
+                let live = suggest(&m, &ctx, ms, mc, prefix);
+                let counted = suggest_from_counts(&context_counts(&m, &ctx, prefix), ms, mc);
                 assert_eq!(live, counted, "ctx={ctx_items:?} ms={ms} mc={mc}");
             }
         }
@@ -644,10 +552,10 @@ mod tests {
         }
         let ctx: HashSet<String> = ["a".to_string(), "b".to_string()].into_iter().collect();
         for (ms, mc) in [(1, 0.1), (2, 0.4), (3, 0.6)] {
-            let mut merged = shard0.context_counts(&ctx, "");
-            merged.merge(&shard1.context_counts(&ctx, ""));
+            let mut merged = context_counts(&shard0, &ctx, "");
+            merged.merge(&context_counts(&shard1, &ctx, ""));
             assert_eq!(
-                combined.suggest(&ctx, ms, mc, ""),
+                suggest(&combined, &ctx, ms, mc, ""),
                 suggest_from_counts(&merged, ms, mc),
                 "ms={ms} mc={mc}"
             );

@@ -14,7 +14,6 @@ use crate::model::*;
 use crate::storage::{make_record, QueryStorage};
 use relstore::stats::Reservoir;
 use relstore::{Engine, QueryResult, Value};
-use std::collections::HashMap;
 
 /// Outcome of profiling one statement.
 #[derive(Debug)]
@@ -33,31 +32,17 @@ pub struct ProfiledQuery {
     pub new_session: bool,
 }
 
-/// Per-user online session state.
-struct UserSessionState {
-    session: SessionId,
-    last_ts: u64,
-    last_query: QueryId,
-}
-
-/// The profiler. Owns only light state (per-user session cursor); storage
-/// and engine are passed per call so the server can coordinate borrows.
-pub struct Profiler {
-    user_state: HashMap<UserId, UserSessionState>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// The profiler. Stateless: each user's session cursor is the user's
+/// latest record in the Query Storage, so it survives restarts and follows
+/// the miner's session renumbering; storage and engine are passed per call
+/// so the server can coordinate borrows.
+#[derive(Default)]
+pub struct Profiler;
 
 impl Profiler {
-    /// A profiler with no per-user session state yet.
+    /// A profiler.
     pub fn new() -> Self {
-        Profiler {
-            user_state: HashMap::new(),
-        }
+        Profiler
     }
 
     /// Profile and execute one statement on behalf of `user` at trace time
@@ -159,14 +144,6 @@ impl Profiler {
                 }
             }
         }
-        self.user_state.insert(
-            user,
-            UserSessionState {
-                session,
-                last_ts: ts,
-                last_query: id,
-            },
-        );
 
         Ok(ProfiledQuery {
             id,
@@ -177,40 +154,30 @@ impl Profiler {
         })
     }
 
-    /// Online session heuristic: continue the user's current session when
-    /// the idle gap is small; beyond the gap, only a strong feature overlap
-    /// (same analysis resumed) keeps the session alive.
+    /// Online session heuristic: continue the session of the user's latest
+    /// logged query when the idle gap is small; beyond the gap, only a
+    /// strong feature overlap (same analysis resumed) keeps it alive.
     fn assign_session(
-        &mut self,
+        &self,
         config: &CqmsConfig,
         storage: &mut QueryStorage,
         user: UserId,
         ts: u64,
         feats: &SyntacticFeatures,
     ) -> (SessionId, bool, Option<QueryId>) {
-        match self.user_state.get(&user) {
-            Some(state) if ts >= state.last_ts => {
-                let gap = ts - state.last_ts;
-                if gap <= config.session_idle_gap_secs {
-                    (state.session, false, Some(state.last_query))
-                } else {
-                    // Gap exceeded: check similarity against the previous
-                    // query before breaking the session.
-                    let similar = storage
-                        .get(state.last_query)
-                        .ok()
-                        .map(|prev| table_overlap(&prev.features, feats))
-                        .unwrap_or(0.0);
-                    if gap <= 3 * config.session_idle_gap_secs
-                        && similar >= 1.0 - config.session_similarity_threshold
-                    {
-                        (state.session, false, Some(state.last_query))
-                    } else {
-                        (storage.new_session(), true, None)
-                    }
-                }
-            }
-            _ => (storage.new_session(), true, None),
+        let continued = storage.latest_of(user).and_then(|prev| {
+            let gap = ts.checked_sub(prev.ts)?;
+            // Gap exceeded: check similarity against the previous query
+            // before breaking the session.
+            let resumed = gap <= config.session_idle_gap_secs
+                || (gap <= 3 * config.session_idle_gap_secs
+                    && table_overlap(&prev.features, feats)
+                        >= 1.0 - config.session_similarity_threshold);
+            resumed.then_some((prev.session, prev.id))
+        });
+        match continued {
+            Some((session, prev)) => (session, false, Some(prev)),
+            None => (storage.new_session(), true, None),
         }
     }
 }

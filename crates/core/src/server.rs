@@ -74,11 +74,13 @@ pub struct Cqms {
     pub storage: QueryStorage,
     /// Users, groups and ACL checks (§2.4).
     pub directory: Directory,
-    profiler: Profiler,
-    rules: RuleMiner,
     /// Latest mined state consumed by the assisted mode. Behind an `Arc`
     /// so a [`crate::snapshot::ReadSnapshot`] shares it for free.
     last_rules: Arc<Vec<AssocRule>>,
+    /// What `last_rules` was mined from: `(storage.len(), live_count())`
+    /// and the two thresholds. An epoch that finds them unchanged keeps the
+    /// rules instead of re-mining.
+    rules_mined_at: (usize, usize, u32, u64),
     last_clustering: Option<(Vec<QueryId>, ClusteringResult)>,
     baseline_stats: HashMap<String, TableStats>,
     /// Internal trace clock (seconds); advances when callers do not supply
@@ -99,9 +101,8 @@ impl Cqms {
             data,
             storage,
             directory: Directory::new(),
-            profiler: Profiler::new(),
-            rules: RuleMiner::new(),
             last_rules: Arc::new(Vec::new()),
+            rules_mined_at: (0, 0, 0, 0),
             last_clustering: None,
             baseline_stats: HashMap::new(),
             clock: 0,
@@ -118,7 +119,9 @@ impl Cqms {
     /// user/group [`Directory`] — deployments re-register principals at
     /// startup in the same order, which reproduces the same dense ids —
     /// plus output summaries and mined state, which the maintenance and
-    /// miner passes re-derive.
+    /// miner passes re-derive. Everything else derived from the log —
+    /// indexes, popularity, each analyst's session cursor — is rebuilt by
+    /// replay, so the first query after a restart continues its session.
     ///
     /// ```
     /// use cqms_core::{Cqms, CqmsConfig};
@@ -154,14 +157,6 @@ impl Cqms {
             })
             .max()
             .unwrap_or(0);
-        // Re-feed the rule miner's transaction log from the recovered
-        // live records (mined state is derived, not persisted).
-        for rec in storage.iter_live() {
-            let items = rec.features.items();
-            if !items.is_empty() {
-                cqms.rules.add_transaction(items);
-            }
-        }
         cqms.storage = storage;
         cqms.storage
             .set_override_publish_threshold(cqms.config.override_publish_threshold);
@@ -235,7 +230,7 @@ impl Cqms {
         // paths observe the same monotonic trace time as successes.
         self.clock = self.clock.max(ts);
         let visibility = self.default_visibility(user);
-        let out = self.profiler.profile(
+        let out = Profiler::new().profile(
             &self.config,
             &mut self.storage,
             &mut self.data,
@@ -244,13 +239,6 @@ impl Cqms {
             sql,
             ts,
         )?;
-        // Feed the miner's transaction log.
-        if let Ok(rec) = self.storage.get(out.id) {
-            let items = rec.features.items();
-            if !items.is_empty() {
-                self.rules.add_transaction(items);
-            }
-        }
         // Keep snapshot publication cheap: once enough per-write COW
         // deltas pile up, fold them into the sealed (structurally shared)
         // layers. See `CqmsConfig::snapshot_head_limit`.
@@ -383,11 +371,29 @@ impl Cqms {
             ..MinerReport::default()
         };
 
-        // Association rules.
-        self.last_rules = self.rules.mine(
+        // Association rules, mined from the live log unless it (and the
+        // thresholds) stand where the last epoch left them.
+        let (min_support, min_confidence) = (
             self.config.assoc_min_support,
             self.config.assoc_min_confidence,
         );
+        let mined_at = (
+            self.storage.len(),
+            self.storage.live_count(),
+            min_support,
+            min_confidence.to_bits(),
+        );
+        if mined_at != self.rules_mined_at {
+            let mut miner = RuleMiner::new();
+            for rec in self.storage.iter_live() {
+                let items = rec.features.items();
+                if !items.is_empty() {
+                    miner.add_transaction(items);
+                }
+            }
+            self.last_rules = miner.mine(min_support, min_confidence);
+            self.rules_mined_at = mined_at;
+        }
         // Epochs are the natural seal point for the storage's COW heads:
         // collapse accumulated per-write deltas so the next snapshot
         // publish is O(1) clones again.
@@ -465,11 +471,6 @@ impl Cqms {
     /// The latest mined association rules.
     pub fn association_rules(&self) -> &[AssocRule] {
         &self.last_rules
-    }
-
-    /// The rule miner's transaction log (what completion scores against).
-    pub fn rule_miner(&self) -> &RuleMiner {
-        &self.rules
     }
 
     /// The latest clustering (query ids + assignment), if any.
@@ -624,7 +625,6 @@ impl Cqms {
             config: self.config.clone(),
             storage: self.storage.clone(),
             directory: self.directory.clone(),
-            rules: self.rules.clone(),
             last_rules: Arc::clone(&self.last_rules),
             catalog: crate::assist::completion::CatalogView::of(&self.data),
             clock: self.clock,

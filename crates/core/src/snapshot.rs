@@ -2,9 +2,9 @@
 //!
 //! A [`ReadSnapshot`] bundles everything a meta-query needs — the COW
 //! [`QueryStorage`] (records, session graph, popularity tables, text
-//! indexes, structural index registry), the user [`Directory`], the rule
-//! miner's transaction log and latest mined rules, a detached
-//! [`CatalogView`] and the trace clock — into a single immutable value,
+//! indexes, structural index registry), the user [`Directory`], the latest
+//! mined rules, a detached [`CatalogView`] and the trace clock — into a
+//! single immutable value,
 //! and every snapshot-servable read (keyword, substring, parse-tree,
 //! query-by-data over summaries, kNN, completion, recommendation, the
 //! Figure 2/3 renderings) is a method on it. Nothing else re-declares
@@ -39,7 +39,7 @@ use crate::assist::recommend::{self, PanelRow};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::metaquery::{MetaQueryExecutor, ScoredHit, TreePattern};
-use crate::miner::assoc::{AssocRule, RuleMiner};
+use crate::miner::assoc::AssocRule;
 use crate::model::{QueryId, SessionId, UserId};
 use crate::similarity::DistanceKind;
 use crate::storage::QueryStorage;
@@ -56,7 +56,6 @@ pub struct ReadSnapshot {
     pub(crate) config: CqmsConfig,
     pub(crate) storage: QueryStorage,
     pub(crate) directory: Directory,
-    pub(crate) rules: RuleMiner,
     pub(crate) last_rules: Arc<Vec<AssocRule>>,
     pub(crate) catalog: CatalogView,
     pub(crate) clock: u64,
@@ -202,12 +201,13 @@ impl ReadSnapshot {
     // ------------------------------------------------------------------
 
     fn completion_engine(&self) -> CompletionEngine<'_> {
-        CompletionEngine::new(&self.storage, &self.rules, &self.config, &self.catalog)
+        CompletionEngine::new(&self.storage, &self.config, &self.catalog)
     }
 
-    /// Completions for partial SQL (Fig. 3 dropdown).
+    /// Completions for partial SQL (Fig. 3 dropdown): this snapshot's own
+    /// statistics, scored — the one-shard case of the sharded merge.
     pub fn complete(&self, _user: UserId, partial_sql: &str, k: usize) -> Vec<Suggestion> {
-        self.completion_engine().suggest(partial_sql, k)
+        self.complete_with_stats(partial_sql, k, &self.completion_stats(partial_sql))
     }
 
     /// This shard's summable completion statistics for the probe (the
@@ -217,8 +217,7 @@ impl ReadSnapshot {
         self.completion_engine().collect_stats(partial_sql)
     }
 
-    /// Completions scored from merged statistics — with this snapshot's
-    /// own stats it equals [`ReadSnapshot::complete`] bit-for-bit.
+    /// Completions scored from (possibly cross-shard merged) statistics.
     pub fn complete_with_stats(
         &self,
         partial_sql: &str,

@@ -55,6 +55,10 @@ pub struct QueryStorage {
     sessions: CowMap<SessionId, Vec<QueryId>>,
     /// Popularity: template fingerprint → number of live queries.
     template_counts: CowMap<u64, u32>,
+    /// Each user's most recent query (tombstoned ones included) — where the
+    /// Profiler's online session assignment resumes. Maintained by `insert`
+    /// alone, so log replay and snapshot load rebuild it.
+    last_by_user: CowMap<UserId, QueryId>,
     next_session: u64,
     /// Feature-key interner backing the similarity signatures.
     interner: FeatureInterner,
@@ -103,6 +107,7 @@ impl Clone for QueryStorage {
             edges: self.edges.clone(),
             sessions: self.sessions.clone(),
             template_counts: self.template_counts.clone(),
+            last_by_user: self.last_by_user.clone(),
             next_session: self.next_session,
             interner: self.interner.clone(),
             signatures: self.signatures.clone(),
@@ -134,6 +139,7 @@ impl QueryStorage {
             edges: SegVec::new(),
             sessions: CowMap::new(),
             template_counts: CowMap::new(),
+            last_by_user: CowMap::new(),
             next_session: 0,
             interner: FeatureInterner::new(),
             signatures: SnapshotVec::new(),
@@ -213,6 +219,7 @@ impl QueryStorage {
             *self.template_counts.entry_or_default(record.template_fp) += 1;
         }
         self.sessions.entry_or_default(record.session).push(id);
+        self.last_by_user.insert(record.user, id);
         if record.session.0 >= self.next_session {
             self.next_session = record.session.0 + 1;
         }
@@ -363,12 +370,10 @@ impl QueryStorage {
         ids
     }
 
-    /// The most recent query of `user`, if any.
-    pub fn last_query_of(&self, user: UserId) -> Option<&QueryRecord> {
-        (0..self.records.len()).rev().find_map(|i| {
-            let r = self.records.get(i).map(Arc::as_ref)?;
-            (r.user == user).then_some(r)
-        })
+    /// The most recently logged query of `user` (tombstoned or not), with
+    /// its *current* session — miner epochs renumber sessions in place.
+    pub fn latest_of(&self, user: UserId) -> Option<&QueryRecord> {
+        self.get(*self.last_by_user.get(&user)?).ok()
     }
 
     /// Attach an annotation (§2.1).
@@ -805,6 +810,7 @@ impl QueryStorage {
             + self.indexes.postings_head_len()
             + self.sessions.head_len()
             + self.template_counts.head_len()
+            + self.last_by_user.head_len()
             + self.interner.head_len()
     }
 
@@ -830,6 +836,7 @@ impl QueryStorage {
         self.indexes.seal_postings();
         self.sessions.seal();
         self.template_counts.seal();
+        self.last_by_user.seal();
         self.interner.seal();
     }
 
@@ -839,6 +846,7 @@ impl QueryStorage {
     pub fn adopt_sessions(&mut self, assignment: &HashMap<QueryId, SessionId>) {
         self.sessions.clear();
         let mut max_session = 0u64;
+        let mut changed: HashMap<u64, u64> = HashMap::new();
         for i in 0..self.records.len() {
             let (id, cur_session) = {
                 let r = self.records.get(i).expect("dense ids");
@@ -848,6 +856,7 @@ impl QueryStorage {
                 Some(&s) => {
                     if s != cur_session {
                         Arc::make_mut(self.records.get_mut(i).expect("dense ids")).session = s;
+                        changed.insert(id.0, s.0);
                     }
                     s
                 }
@@ -857,18 +866,7 @@ impl QueryStorage {
             max_session = max_session.max(session.0);
         }
         self.next_session = max_session + 1;
-        // Refresh QueryMeta.sessionId (one UPDATE per record keeps the
-        // feature relations the single SQL-visible source of truth).
-        for (id, session) in self
-            .records
-            .iter()
-            .map(|r| (r.id.0, r.session.0))
-            .collect::<Vec<_>>()
-        {
-            let _ = self.meta.execute(&format!(
-                "UPDATE QueryMeta SET sessionId = {session} WHERE qid = {id}"
-            ));
-        }
+        features::set_sessions(&mut self.meta, &changed);
     }
 
     // ------------------------------------------------------------------
@@ -1197,6 +1195,33 @@ mod tests {
     }
 
     #[test]
+    fn adopted_sessions_reach_records_map_and_query_meta() {
+        let mut s = populated();
+        // Split session 0: query 1 moves to a fresh session 5.
+        s.adopt_sessions(&HashMap::from([(QueryId(1), SessionId(5))]));
+        assert_eq!(s.get(QueryId(1)).unwrap().session, SessionId(5));
+        assert_eq!(s.queries_in_session(SessionId(0)), vec![QueryId(0)]);
+        assert_eq!(s.queries_in_session(SessionId(5)), vec![QueryId(1)]);
+        assert_eq!(s.new_session(), SessionId(6));
+        let r = s
+            .meta_engine()
+            .query("SELECT qid, sessionId FROM QueryMeta ORDER BY qid")
+            .unwrap();
+        let rows: Vec<Vec<String>> = r
+            .rows
+            .iter()
+            .map(|row| row.iter().map(relstore::Value::render).collect())
+            .collect();
+        assert_eq!(rows, [["0", "0"], ["1", "5"], ["2", "1"]]);
+        // The qid index was invalidated with the rewrite.
+        let r = s
+            .meta_engine()
+            .query("SELECT qid FROM QueryMeta WHERE sessionId = 5")
+            .unwrap();
+        assert_eq!(r.rows.len(), 1);
+    }
+
+    #[test]
     fn delete_tombstones_everywhere() {
         let mut s = populated();
         let fp = s.get(QueryId(0)).unwrap().template_fp;
@@ -1451,10 +1476,19 @@ mod tests {
     }
 
     #[test]
-    fn last_query_of_user() {
-        let s = populated();
-        assert_eq!(s.last_query_of(UserId(1)).unwrap().id, QueryId(1));
-        assert!(s.last_query_of(UserId(9)).is_none());
+    fn latest_query_of_user() {
+        let mut s = populated();
+        assert_eq!(s.latest_of(UserId(1)).unwrap().id, QueryId(1));
+        assert!(s.latest_of(UserId(9)).is_none());
+        // A tombstone is still the user's latest query, and a reloaded
+        // store answers the same.
+        s.delete(QueryId(1)).unwrap();
+        assert_eq!(s.latest_of(UserId(1)).unwrap().id, QueryId(1));
+        let mut buf = Vec::new();
+        s.snapshot(&mut buf).unwrap();
+        let restored = QueryStorage::load(&buf[..]).unwrap();
+        assert_eq!(restored.latest_of(UserId(1)).unwrap().id, QueryId(1));
+        assert_eq!(restored.latest_of(UserId(2)).unwrap().id, QueryId(2));
     }
 
     /// Regression for the stale-posting leak: hammering insert/delete

@@ -284,6 +284,98 @@ fn snapshot_plus_log_tail_recovers_everything() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Each analyst's session cursor is read from the log, so it survives a
+/// restart: the first in-gap query after `Cqms::open` continues the
+/// pre-crash session and gets its Evolution edge, and a run interrupted by
+/// a crash ends in the same store as an uninterrupted one.
+#[test]
+fn first_query_after_reopen_continues_the_session() {
+    let dir = temp_dir("continuity");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut reference = Cqms::new(engine(), CqmsConfig::default());
+    let user = reference.register_user("alice");
+    let batches = crash_batches(user);
+    {
+        let mut cqms = Cqms::open(engine(), CqmsConfig::default(), &dir).unwrap();
+        assert_eq!(cqms.register_user("alice"), user);
+        for item in batches[..2].iter().flatten() {
+            let _ = cqms.run_query_at(item.user, &item.sql, item.ts.unwrap());
+        }
+        cqms.wal_flush().unwrap();
+    }
+    let mut reopened = Cqms::open(engine(), CqmsConfig::default(), &dir).unwrap();
+    assert_eq!(reopened.register_user("alice"), user);
+    let edges_before = reopened.storage.edges().len();
+    let resumed = &batches[2][0];
+    let out = reopened
+        .run_query_at(resumed.user, &resumed.sql, resumed.ts.unwrap())
+        .unwrap();
+    assert!(!out.new_session, "an in-gap query continues the session");
+    let previous = QueryId(out.id.0 - 1);
+    assert_eq!(
+        reopened.storage.get(out.id).unwrap().session,
+        reopened.storage.get(previous).unwrap().session
+    );
+    let edge = reopened.storage.edges().last().expect("an edge");
+    assert_eq!(reopened.storage.edges().len(), edges_before + 1);
+    assert_eq!(
+        (edge.from, edge.to, edge.kind),
+        (previous, out.id, EdgeKind::Evolution)
+    );
+
+    for item in batches[2..].iter().flatten().skip(1) {
+        let _ = reopened.run_query_at(item.user, &item.sql, item.ts.unwrap());
+    }
+    for item in batches.iter().flatten() {
+        let _ = reference.run_query_at(item.user, &item.sql, item.ts.unwrap());
+    }
+    assert_storage_equiv(&reopened.storage, &reference.storage);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Completion and mined rules count the live log only, so a running
+/// instance that tombstoned a third of its log answers exactly like the
+/// same directory reopened.
+#[test]
+fn deleted_queries_leave_rules_and_completion_like_a_reopen() {
+    const PROBE: &str = "SELECT * FROM WaterSalinity, ";
+    let dir = temp_dir("live-rules");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cqms = Cqms::open(engine(), CqmsConfig::default(), &dir).unwrap();
+    let user = cqms.register_user("alice");
+    let mut ids = Vec::new();
+    for i in 0..30u64 {
+        let sql = match i % 3 {
+            0 => "SELECT * FROM WaterSalinity S, WaterTemp T WHERE S.loc_x = T.loc_x",
+            1 => "SELECT * FROM WaterSalinity S, CityLocations C WHERE S.loc_x = C.loc_x",
+            _ => "SELECT * FROM Lakes",
+        };
+        ids.push(cqms.run_query_at(user, sql, 1_000 + i * 60).unwrap().id);
+    }
+    // The deleted third is every WaterSalinity ⋈ WaterTemp query.
+    for id in ids.iter().step_by(3) {
+        cqms.delete_query(user, *id).unwrap();
+    }
+    cqms.run_miner_epoch();
+    cqms.wal_flush().unwrap();
+    let running = (
+        cqms.capture_snapshot(0).complete(user, PROBE, 8),
+        cqms.association_rules().to_vec(),
+    );
+    assert_eq!(running.0[0].text, "CityLocations", "{:?}", running.0);
+    assert!(!running.1.is_empty());
+    drop(cqms);
+
+    let mut reopened = Cqms::open(engine(), CqmsConfig::default(), &dir).unwrap();
+    reopened.run_miner_epoch();
+    assert_eq!(
+        reopened.capture_snapshot(0).complete(user, PROBE, 8),
+        running.0
+    );
+    assert_eq!(reopened.association_rules(), running.1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Mid-batch crash via the in-memory sink: storage-level equivalence.
 // ---------------------------------------------------------------------

@@ -40,6 +40,8 @@ fn config(shards: usize) -> CqmsConfig {
         // deterministic terms: similarity, global popularity, recency.
         rank_recency: CqmsConfig::default().rank_recency + CqmsConfig::default().rank_quality,
         rank_quality: 0.0,
+        // Low enough that a 40-op trace mines table rules for completion.
+        assoc_min_support: 2,
         ..CqmsConfig::default()
     }
 }
@@ -63,6 +65,9 @@ fn sql_strategy() -> impl Strategy<Value = String> {
         Just("WaterSalinity"),
         Just("CityLocations"),
         Just("Lakes"),
+        // Joins give table-context completion co-occurrences to count.
+        Just("WaterSalinity, WaterTemp"),
+        Just("WaterTemp, Lakes"),
     ];
     let col = prop_oneof![
         Just("temp"),
@@ -388,6 +393,93 @@ proptest! {
             }
         }
     }
+}
+
+/// Two analysts, `lo < hi` by id, interleave in-gap queries with `hi`
+/// going first — so the profiler numbers `hi`'s session before `lo`'s and
+/// the miner epoch, which segments user by user, swaps the two numbers.
+/// `hi`'s next in-gap query must follow `hi`'s own queries to their new
+/// session number: everyone in its session is `hi`.
+fn session_after_epoch(
+    (lo, hi): (UserId, UserId),
+    run: &dyn Fn(UserId, &str, u64) -> QueryId,
+    epoch: &dyn Fn(),
+    session_users: &dyn Fn(QueryId) -> Vec<UserId>,
+) {
+    assert!(lo < hi);
+    for i in 0..6u64 {
+        run(
+            hi,
+            &format!("SELECT * FROM WaterTemp WHERE temp < {i}"),
+            1_000 + i * 20,
+        );
+        run(
+            lo,
+            &format!("SELECT * FROM Lakes WHERE area > {i}"),
+            1_010 + i * 20,
+        );
+    }
+    epoch();
+    let next = run(hi, "SELECT * FROM WaterTemp WHERE temp < 99", 1_130);
+    assert_eq!(
+        session_users(next),
+        vec![hi; 7],
+        "session of {hi}'s next query"
+    );
+}
+
+fn users_in_session_of(c: &Cqms, id: QueryId) -> Vec<UserId> {
+    let session = c.storage.get(id).expect("issued").session;
+    let members = c.storage.queries_in_session(session);
+    members
+        .iter()
+        .map(|m| c.storage.get(*m).unwrap().user)
+        .collect()
+}
+
+/// The session cursor is read from the log, so it follows the miner's
+/// renumbering — on a bare `Cqms`, a service and a sharded deployment.
+#[test]
+fn next_query_after_an_epoch_joins_its_own_users_session() {
+    let cqms = std::cell::RefCell::new(Cqms::new(engine(), config(1)));
+    let pair = {
+        let mut c = cqms.borrow_mut();
+        (c.register_user("lo"), c.register_user("hi"))
+    };
+    session_after_epoch(
+        pair,
+        &|u, sql, ts| cqms.borrow_mut().run_query_at(u, sql, ts).unwrap().id,
+        &|| drop(cqms.borrow_mut().run_miner_epoch()),
+        &|id| users_in_session_of(&cqms.borrow(), id),
+    );
+
+    let svc = CqmsService::new(Cqms::new(engine(), config(1)));
+    session_after_epoch(
+        (svc.register_user("lo"), svc.register_user("hi")),
+        &|u, sql, ts| svc.run_query_at(u, sql, ts).unwrap().id,
+        &|| drop(svc.run_miner_epoch()),
+        &|id| svc.read(|c| users_in_session_of(c, id)),
+    );
+
+    // Sessions are shard-local: take two of four users that share a shard.
+    let sharded = ShardedCqms::new(engine, config(3));
+    let users: Vec<UserId> = (0..4)
+        .map(|i| sharded.register_user(&format!("user-{i}")))
+        .collect();
+    let pair = users
+        .iter()
+        .flat_map(|&lo| users.iter().map(move |&hi| (lo, hi)))
+        .find(|&(lo, hi)| lo < hi && sharded.shard_of(lo) == sharded.shard_of(hi))
+        .expect("four users over three shards");
+    session_after_epoch(
+        pair,
+        &|u, sql, ts| sharded.run_query_at(u, sql, ts).unwrap().id,
+        &|| drop(sharded.run_miner_epoch()),
+        &|id| {
+            let (shard, local) = sharded.locate(id);
+            sharded.shards()[shard].read(|c| users_in_session_of(c, local))
+        },
+    );
 }
 
 /// Unique scratch directory per proptest case (cases share one process).

@@ -41,6 +41,8 @@ fn engine() -> Engine {
 fn service() -> (CqmsService, Vec<UserId>) {
     let config = CqmsConfig {
         wal_fsync: false,
+        // Low enough that a 24-op trace mines table rules for completion.
+        assoc_min_support: 2,
         ..CqmsConfig::default()
     };
     let svc = CqmsService::new(Cqms::new(engine(), config));
@@ -67,6 +69,9 @@ fn sql_strategy() -> impl Strategy<Value = String> {
         Just("WaterSalinity"),
         Just("CityLocations"),
         Just("Lakes"),
+        // Joins give table-context completion co-occurrences to count.
+        Just("WaterSalinity, WaterTemp"),
+        Just("WaterTemp, Lakes"),
     ];
     let col = prop_oneof![
         Just("temp"),
@@ -195,6 +200,7 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
     svc.read(|c| {
         let mq = MetaQueryExecutor::new(&c.storage, &c.directory, &c.config);
         let catalog = CatalogView::of(&c.data);
+        let completion = CompletionEngine::new(&c.storage, &c.config, &catalog);
         Answers {
             live: c.storage.live_count(),
             now: c.now(),
@@ -205,8 +211,8 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
                 mq.knn_sql(viewer, KNN_PROBE, 64, DistanceKind::Combined)
                     .expect("probe parses"),
             ),
-            complete: CompletionEngine::new(&c.storage, c.rule_miner(), &c.config, &catalog)
-                .suggest(COMPLETE_PROBE, 8)
+            complete: completion
+                .suggest_with_stats(COMPLETE_PROBE, 8, &completion.collect_stats(COMPLETE_PROBE))
                 .into_iter()
                 .map(|s| (s.text, s.score.to_bits(), s.why))
                 .collect(),
