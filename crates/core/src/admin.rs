@@ -8,6 +8,7 @@
 use crate::error::CqmsError;
 use crate::model::{GroupId, QueryRecord, UserId, Visibility};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A registered user.
 #[derive(Debug, Clone)]
@@ -22,9 +23,17 @@ pub struct UserInfo {
     pub is_admin: bool,
 }
 
-/// Users and groups.
+/// Users and groups. The state sits behind one `Arc`, so the clone every
+/// published [`crate::snapshot::ReadSnapshot`] takes is a pointer copy; a
+/// mutator copies the state once if a snapshot still shares it (admin
+/// writes are rare next to query writes).
 #[derive(Debug, Default, Clone)]
 pub struct Directory {
+    state: Arc<State>,
+}
+
+#[derive(Debug, Default, Clone)]
+struct State {
     users: HashMap<UserId, UserInfo>,
     groups: HashMap<GroupId, String>,
     next_user: u32,
@@ -39,9 +48,10 @@ impl Directory {
 
     /// Register a user; the first registered user becomes an administrator.
     pub fn create_user(&mut self, name: &str) -> UserId {
-        let id = UserId(self.next_user);
-        self.next_user += 1;
-        self.users.insert(
+        let state = Arc::make_mut(&mut self.state);
+        let id = UserId(state.next_user);
+        state.next_user += 1;
+        state.users.insert(
             id,
             UserInfo {
                 id,
@@ -55,18 +65,19 @@ impl Directory {
 
     /// Create a collaboration group.
     pub fn create_group(&mut self, name: &str) -> GroupId {
-        let id = GroupId(self.next_group);
-        self.next_group += 1;
-        self.groups.insert(id, name.to_string());
+        let state = Arc::make_mut(&mut self.state);
+        let id = GroupId(state.next_group);
+        state.next_group += 1;
+        state.groups.insert(id, name.to_string());
         id
     }
 
     /// Add a user to a group (idempotent).
     pub fn join_group(&mut self, user: UserId, group: GroupId) -> Result<(), CqmsError> {
-        if !self.groups.contains_key(&group) {
+        if !self.state.groups.contains_key(&group) {
             return Err(CqmsError::Admin(format!("unknown group {group}")));
         }
-        let u = self
+        let u = Arc::make_mut(&mut self.state)
             .users
             .get_mut(&user)
             .ok_or_else(|| CqmsError::Admin(format!("unknown user {user}")))?;
@@ -78,7 +89,7 @@ impl Directory {
 
     /// Remove a user from a group.
     pub fn leave_group(&mut self, user: UserId, group: GroupId) -> Result<(), CqmsError> {
-        let u = self
+        let u = Arc::make_mut(&mut self.state)
             .users
             .get_mut(&user)
             .ok_or_else(|| CqmsError::Admin(format!("unknown user {user}")))?;
@@ -88,28 +99,27 @@ impl Directory {
 
     /// Look up a user.
     pub fn user(&self, id: UserId) -> Option<&UserInfo> {
-        self.users.get(&id)
+        self.state.users.get(&id)
     }
 
     /// A group's display name.
     pub fn group_name(&self, id: GroupId) -> Option<&str> {
-        self.groups.get(&id).map(String::as_str)
+        self.state.groups.get(&id).map(String::as_str)
     }
 
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
-        self.users.len()
+        self.state.users.len()
     }
 
     /// Is this user an administrator?
     pub fn is_admin(&self, user: UserId) -> bool {
-        self.users.get(&user).map(|u| u.is_admin).unwrap_or(false)
+        self.user(user).map(|u| u.is_admin).unwrap_or(false)
     }
 
     /// Is this user a member of the group?
     pub fn in_group(&self, user: UserId, group: GroupId) -> bool {
-        self.users
-            .get(&user)
+        self.user(user)
             .map(|u| u.groups.contains(&group))
             .unwrap_or(false)
     }

@@ -294,9 +294,13 @@ impl<'a> CompletionEngine<'a> {
         let pop: HashMap<String, u32> = self
             .storage
             .postings()
-            .iter()
-            .filter_map(|(&fid, list)| {
-                let table = self.storage.interner().resolve(fid)?.strip_prefix("t:")?;
+            .iter_enumerated()
+            .filter_map(|(fid, list)| {
+                let table = self
+                    .storage
+                    .interner()
+                    .resolve(fid as u32)?
+                    .strip_prefix("t:")?;
                 let live = list.len() as u32 - list.dead();
                 (live > 0).then(|| (table.to_string(), live))
             })

@@ -110,15 +110,6 @@ pub struct CqmsConfig {
     /// a linear scan — a repair storm would otherwise degrade reads until
     /// the next scheduled rebuild). `0` disables the forced publish.
     pub override_publish_threshold: usize,
-    /// Seal the storage's COW delta heads (text/trigram/posting maps,
-    /// session + popularity tables, interner) into fresh sealed
-    /// generations once their combined size passes this many entries.
-    /// The heads are what each published [`crate::snapshot::ReadSnapshot`]
-    /// copies, so this bounds the per-publish copy cost; sealing itself
-    /// is O(total keys) of cheap shared-structure clones, amortised over
-    /// at least this many writes. `0` disables sealing. Honours
-    /// `CQMS_SNAPSHOT_HEAD_LIMIT`.
-    pub snapshot_head_limit: usize,
 
     // --- Sharding ---
     /// Number of independently write-locked shards a
@@ -238,7 +229,6 @@ impl Default for CqmsConfig {
             user_rate_burst: default_user_rate_burst(),
             open_degraded: default_open_degraded(),
             override_publish_threshold: 64,
-            snapshot_head_limit: env_or("CQMS_SNAPSHOT_HEAD_LIMIT", 4096),
             shards: default_shards(),
             repair_interval_ms: default_repair_interval_ms(),
             repair_max_attempts: default_repair_max_attempts(),

@@ -18,7 +18,10 @@
 //!   incrementally by the write paths for records at or above the
 //!   horizon. The head is the delta log made queryable: probes merge
 //!   sealed and head results, so a record is visible the moment its
-//!   insert returns, no matter how stale the sealed generation is.
+//!   insert returns, no matter how stale the sealed generation is. Every
+//!   head structure is *persistent* (path-copying VP-tree, `cqms_cow`
+//!   containers), so the registry clone a read snapshot holds shares the
+//!   head with the writer and the next insert copies only what it touches.
 //!
 //! Rebuilds are **scheduled**, never executed on a probe:
 //! [`IndexRegistry::schedule_rebuild`] just sets a flag (tombstone
@@ -45,10 +48,10 @@
 //! the finished build actually observed.
 //!
 //! The feature-posting lists are the registry's permanently-mutable
-//! head: appends are O(1) and coherent by construction, so they never
-//! need sealing. Their lazy compaction, however, used to run inline the
-//! moment a list crossed its stale threshold; the registry instead
-//! queues the list and compacts it in the background maintenance pass
+//! head, one list per interned feature id in a chunked vector: appends
+//! are O(1) and coherent by construction. Their lazy compaction used to
+//! run inline the moment a list crossed its stale threshold; the registry
+//! instead queues the list and compacts it in the background maintenance pass
 //! (`IndexRegistry::maintain_postings`), keeping every maintenance
 //! transition O(1) per list and the read path allocation-free.
 
@@ -56,11 +59,20 @@ use crate::metricindex::{MetricIndexStats, TreeEntry, VpTree, REBUILD_DEAD_FRACT
 use crate::model::{QueryRecord, Validity};
 use crate::postings::{self, PostingCursor, PostingList};
 use crate::signature::SimSignature;
-use cqms_cow::{CowMap, SnapshotVec};
+use cqms_cow::{CowMap, SegVec, SnapshotVec};
 use sqlparse::{SelectProfile, SelectStatement, TreeNode, TreeShape};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Chunk size of the registry's slot vectors — one slot per interned
+/// feature, one per profile group. They stay short (hundreds of slots),
+/// each slot is several `Arc`s wide, and a write lands on slots scattered
+/// all over them, so the chunk a write copies is kept small.
+pub const SLOT_CHUNK: usize = 32;
+
+/// The feature-posting lists, indexed by interned feature id.
+pub type PostingLists = SnapshotVec<PostingList, SLOT_CHUNK>;
 
 /// One ParseTree profile-fingerprint group: every member's diff-folded
 /// SELECT is *identical* (fingerprint bucket + structural equality, so a
@@ -78,18 +90,23 @@ pub struct ProfileGroup {
     /// Its clause profile, feeding [`sqlparse::edit_distance_lower_bound`].
     pub profile: Arc<SelectProfile>,
     /// Member qids, ascending. Built from non-tombstoned records;
-    /// liveness/ACL/overrides are filtered at query time.
-    pub members: Vec<u64>,
+    /// liveness/ACL/overrides are filtered at query time. A [`SegVec`], so
+    /// a popular template's list is shared with read snapshots however
+    /// long it grows.
+    pub members: SegVec<u64>,
 }
 
 /// Profile-fingerprint grouping of every indexed record that has a
 /// diff-folded SELECT (the ROADMAP's "identical folded SELECTs share one
 /// bound/exact evaluation").
+///
+/// Persistent: a clone is pointer copies, and adding a member to a cloned
+/// grouping copies one chunk of group headers and one member-list tail.
 #[derive(Debug, Default, Clone)]
 pub struct ProfileGroups {
-    groups: Vec<ProfileGroup>,
+    groups: SnapshotVec<ProfileGroup, SLOT_CHUNK>,
     /// Folded-statement fingerprint → group indices (collision bucket).
-    by_fp: HashMap<u64, Vec<u32>>,
+    by_fp: CowMap<u64, Vec<u32>>,
 }
 
 impl ProfileGroups {
@@ -115,39 +132,47 @@ impl ProfileGroups {
         folded: &Arc<SelectStatement>,
         profile: &Arc<SelectProfile>,
     ) {
-        let bucket = self.by_fp.entry(fp).or_default();
-        for &gi in bucket.iter() {
-            let g = &mut self.groups[gi as usize];
-            if Arc::ptr_eq(&g.folded, folded) || g.folded == *folded {
-                // Members arrive in ascending qid order on every path
-                // (build scan, head inserts, publish replay), but a
-                // sorted insert keeps the invariant unconditional.
-                match g.members.last() {
-                    Some(&last) if last >= qid => {
-                        if let Err(pos) = g.members.binary_search(&qid) {
-                            g.members.insert(pos, qid);
-                        }
-                    }
-                    _ => g.members.push(qid),
-                }
-                return;
-            }
-        }
-        let gi = self.groups.len() as u32;
-        self.groups.push(ProfileGroup {
-            fp,
-            folded: Arc::clone(folded),
-            profile: Arc::clone(profile),
-            members: vec![qid],
+        let existing = self.bucket(fp).iter().copied().find(|&gi| {
+            let g = &self.groups[gi as usize];
+            Arc::ptr_eq(&g.folded, folded) || g.folded == *folded
         });
-        bucket.push(gi);
+        let Some(gi) = existing else {
+            self.by_fp
+                .entry_or_default(fp)
+                .push(self.groups.len() as u32);
+            self.groups.push(ProfileGroup {
+                fp,
+                folded: Arc::clone(folded),
+                profile: Arc::clone(profile),
+                members: [qid].into_iter().collect(),
+            });
+            return;
+        };
+        let members = &mut self
+            .groups
+            .get_mut(gi as usize)
+            .expect("bucket indices address groups")
+            .members;
+        // Members arrive in ascending qid order on every path (build
+        // scan, head inserts, publish replay), so this is an append; a
+        // re-sort keeps the invariant unconditional.
+        match members.last() {
+            Some(&last) if last >= qid => {
+                let mut ids: Vec<u64> = members.iter().copied().collect();
+                if let Err(pos) = ids.binary_search(&qid) {
+                    ids.insert(pos, qid);
+                    *members = ids.into_iter().collect();
+                }
+            }
+            _ => members.push(qid),
+        }
     }
 
     /// Indices (into iteration order) of the groups bucketed under a
     /// folded-statement fingerprint — the executor uses this to find a
     /// head group's sealed twin without building any per-probe map.
     pub fn bucket(&self, fp: u64) -> &[u32] {
-        self.by_fp.get(&fp).map(Vec::as_slice).unwrap_or(&[])
+        self.by_fp.get(&fp).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct folded-SELECT groups.
@@ -312,29 +337,31 @@ struct Override {
     epoch: u64,
 }
 
-/// The registry's mutable head structures, bundled behind one `Arc` so a
-/// registry clone (one per published read snapshot) shares them by
-/// pointer. The first head mutation after a publish detaches the bundle
-/// with one `Arc::make_mut` copy — O(head), which stays bounded because
-/// every publish resets the head and churn schedules rebuilds.
+/// The registry's mutable head structures. Each one is persistent, so a
+/// registry clone (one per published read snapshot) is pointer copies and
+/// the first head insert after a publish copies what it touches — a
+/// root-to-leaf path of the VP-tree, one chunk of entries or group
+/// headers, one list tail — never a structure that grows with the head.
 #[derive(Debug, Clone)]
 struct HeadState {
     tree: VpTree,
-    treeless: Vec<u64>,
+    treeless: SegVec<u64>,
     groups: ProfileGroups,
-    ungrouped: Vec<u64>,
-    /// Override log, sorted by qid.
-    overrides: Vec<Override>,
+    ungrouped: SegVec<u64>,
+    /// Override log, sorted by qid. Bounded by the storage's forced
+    /// publish threshold and changed by repairs only, so one shared
+    /// vector, copied whole by the rare repair that follows a clone.
+    overrides: Arc<Vec<Override>>,
 }
 
 impl HeadState {
     fn empty() -> HeadState {
         HeadState {
             tree: VpTree::build(Vec::new()),
-            treeless: Vec::new(),
+            treeless: SegVec::new(),
             groups: ProfileGroups::default(),
-            ungrouped: Vec::new(),
-            overrides: Vec::new(),
+            ungrouped: SegVec::new(),
+            overrides: Arc::new(Vec::new()),
         }
     }
 }
@@ -346,13 +373,15 @@ impl HeadState {
 /// own exclusive borrow, every probe reads through `&self`.
 #[derive(Debug)]
 pub struct IndexRegistry {
-    /// Inverted feature-posting index: interned feature id → sorted qids.
+    /// Inverted feature-posting index: interned feature id → sorted qids
+    /// (ids are dense, so the id indexes a vector — the lookup every probe
+    /// feature makes; a feature nothing posts to has an empty list).
     /// Every *live* record is present in each of its lists; non-live
     /// records linger as stale entries until the background compaction
     /// pass. Consumers filter candidates by liveness anyway, and the kNN
     /// pruning argument only needs live non-candidates to be provably
     /// feature-disjoint.
-    postings: CowMap<u32, PostingList>,
+    postings: PostingLists,
     /// Feature ids whose lists crossed the stale threshold — compacted
     /// by the next [`IndexRegistry::maintain_postings`] pass instead of
     /// inline at the transition (a set, so queueing stays O(1) per list
@@ -363,8 +392,8 @@ pub struct IndexRegistry {
     /// keeps the generation it was cloned with.
     sealed: Arc<StructuralGen>,
     /// Mutable head: records at/above the sealed horizon, plus the
-    /// override log — `Arc`-bundled so registry clones share it.
-    head: Arc<HeadState>,
+    /// override log — persistent, so registry clones share it.
+    head: HeadState,
     /// Monotonic counter of in-place record mutations (override epochs).
     mutations: u64,
     /// Monotonic publish counter: a racing build that collected before
@@ -382,15 +411,15 @@ pub struct IndexRegistry {
 }
 
 impl Clone for IndexRegistry {
-    /// O(postings head + compaction queue): the sealed generation, the
-    /// head bundle and the stats block are shared by pointer; the sealed
-    /// posting generation is one `Arc` bump.
+    /// O(pointer copies + compaction queue): the sealed generation and
+    /// the stats block are shared by pointer, the head and the posting
+    /// vector chunk by chunk.
     fn clone(&self) -> Self {
         IndexRegistry {
             postings: self.postings.clone(),
             compaction_due: self.compaction_due.clone(),
             sealed: Arc::clone(&self.sealed),
-            head: Arc::clone(&self.head),
+            head: self.head.clone(),
             mutations: self.mutations,
             publish_seq: self.publish_seq,
             dead_since_seal: self.dead_since_seal,
@@ -410,10 +439,10 @@ impl IndexRegistry {
     /// An empty registry (generation 0, nothing scheduled).
     pub fn new() -> IndexRegistry {
         IndexRegistry {
-            postings: CowMap::new(),
+            postings: SnapshotVec::new(),
             compaction_due: HashSet::new(),
             sealed: Arc::new(StructuralGen::empty()),
-            head: Arc::new(HeadState::empty()),
+            head: HeadState::empty(),
             mutations: 0,
             publish_seq: 0,
             dead_since_seal: 0,
@@ -438,7 +467,7 @@ impl IndexRegistry {
 
     /// Head tree-less side list, ascending (all qids above the sealed
     /// horizon, so chaining after the sealed list stays sorted).
-    pub fn head_treeless(&self) -> &[u64] {
+    pub fn head_treeless(&self) -> &SegVec<u64> {
         &self.head.treeless
     }
 
@@ -448,7 +477,7 @@ impl IndexRegistry {
     }
 
     /// Head ungrouped side list, ascending.
-    pub fn head_ungrouped(&self) -> &[u64] {
+    pub fn head_ungrouped(&self) -> &SegVec<u64> {
         &self.head.ungrouped
     }
 
@@ -492,7 +521,7 @@ impl IndexRegistry {
     /// A non-tombstoned record was inserted: index it into the head.
     pub(crate) fn note_insert(&mut self, record: &QueryRecord, sig: &SimSignature) {
         let qid = record.id.0;
-        let head = Arc::make_mut(&mut self.head);
+        let head = &mut self.head;
         if let (Some(tree), Some(shape)) = (&sig.tree, &sig.tree_shape) {
             head.tree.insert(TreeEntry {
                 qid,
@@ -536,7 +565,7 @@ impl IndexRegistry {
     pub(crate) fn note_reindex(&mut self, qid: u64) {
         self.mutations += 1;
         let epoch = self.mutations;
-        let overrides = &mut Arc::make_mut(&mut self.head).overrides;
+        let overrides = Arc::make_mut(&mut self.head.overrides);
         match overrides.binary_search_by_key(&qid, |o| o.qid) {
             Ok(pos) => overrides[pos].epoch = epoch,
             Err(pos) => overrides.insert(pos, Override { qid, epoch }),
@@ -654,9 +683,8 @@ impl IndexRegistry {
             .filter(|o| o.epoch > build.collect_epoch)
             .copied()
             .collect();
-        let mut head = HeadState::empty();
-        head.overrides = surviving;
-        self.head = Arc::new(head);
+        self.head = HeadState::empty();
+        self.head.overrides = Arc::new(surviving);
         self.publish_seq += 1;
         // Tombstones the build dropped stop counting as dead weight.
         self.dead_since_seal -= build.dead_at_collect.min(self.dead_since_seal);
@@ -681,29 +709,31 @@ impl IndexRegistry {
     // Feature postings (permanently-mutable head)
     // ------------------------------------------------------------------
 
-    /// The raw posting map (lists may carry stale entries pending the
-    /// background compaction pass).
-    pub fn postings(&self) -> &CowMap<u32, PostingList> {
+    /// Pointers (and queue entries) a `clone()` copies: one per chunk of
+    /// posting lists, head tree entries and head groups.
+    pub fn clone_len(&self) -> usize {
+        self.postings.chunk_count()
+            + self.head.tree.clone_len()
+            + self.head.groups.groups.chunk_count()
+            + self.compaction_due.len()
+    }
+
+    /// The raw posting lists, indexed by interned feature id (lists may
+    /// carry stale entries pending the background compaction pass).
+    pub fn postings(&self) -> &PostingLists {
         &self.postings
     }
 
-    /// Delta entries in the posting map's head — the per-snapshot copy
-    /// cost the storage bounds via its `snapshot_head_limit`.
-    pub fn postings_head_len(&self) -> usize {
-        self.postings.head_len()
-    }
-
-    /// Fold the posting map's delta head into a fresh sealed generation
-    /// (cheap per entry: a [`PostingList`] clone is two `Arc` bumps).
-    pub(crate) fn seal_postings(&mut self) {
-        self.postings.seal();
+    /// One feature's posting list (`None` for a probe's sentinel id).
+    pub fn posting(&self, fid: u32) -> Option<&PostingList> {
+        self.postings.get(fid as usize)
     }
 
     /// Append a freshly-inserted live record to its feature lists (ids
     /// are dense and ascending, so appends keep every list sorted).
     pub(crate) fn post(&mut self, sig: &SimSignature, qid: u64) {
         for fid in sig.feature_ids() {
-            self.postings.entry_or_default(fid).append(qid);
+            self.postings.entry_or_default(fid as usize).append(qid);
         }
     }
 
@@ -711,7 +741,7 @@ impl IndexRegistry {
     /// stale leftovers flip back to alive instead of duplicating.
     pub(crate) fn repost(&mut self, sig: &SimSignature, qid: u64) {
         for fid in sig.feature_ids() {
-            let list = self.postings.entry_or_default(fid);
+            let list = self.postings.entry_or_default(fid as usize);
             if !list.insert(qid) {
                 list.mark_alive();
             }
@@ -724,7 +754,7 @@ impl IndexRegistry {
     /// here — the maintenance transition stays allocation-free.
     pub(crate) fn mark_stale(&mut self, sig: &SimSignature, qid: u64) {
         for fid in sig.feature_ids() {
-            if let Some(list) = self.postings.get_mut(&fid) {
+            if let Some(list) = self.postings.get_mut(fid as usize) {
                 debug_assert!(list.contains(qid), "live record missing from posting");
                 list.mark_dead();
                 if list.needs_compaction() {
@@ -738,36 +768,30 @@ impl IndexRegistry {
     /// set itself changes, so stale-entry bookkeeping does not apply).
     pub(crate) fn remove_posted(&mut self, sig: &SimSignature, qid: u64, non_live: bool) {
         for fid in sig.feature_ids() {
-            if let Some(list) = self.postings.get_mut(&fid) {
+            if let Some(list) = self.postings.get_mut(fid as usize) {
                 if list.remove(qid) && non_live {
                     // The entry was counted stale; the counter follows it.
                     list.mark_alive();
-                }
-                if list.is_empty() {
-                    self.postings.remove(&fid);
                 }
             }
         }
     }
 
     /// Background compaction pass: rebuild every queued list down to the
-    /// ids `keep` accepts (its currently-live members), dropping lists
-    /// left empty. Runs in the miner epoch / maintenance, never on a
+    /// ids `keep` accepts (its currently-live members). Runs in the miner
+    /// epoch / maintenance, never on a
     /// read or maintenance-transition path.
     pub(crate) fn maintain_postings(&mut self, keep: impl Fn(u64) -> bool) -> usize {
         let mut compacted = 0;
         for fid in std::mem::take(&mut self.compaction_due) {
-            let Some(list) = self.postings.get_mut(&fid) else {
-                continue;
-            };
-            if !list.needs_compaction() {
+            // Peek before `get_mut`: that would detach the list's chunk
+            // from the read snapshots sharing it.
+            if !self.posting(fid).is_some_and(PostingList::needs_compaction) {
                 continue; // revivals brought it back under the threshold
             }
+            let list = self.postings.get_mut(fid as usize).expect("peeked");
             list.retain(&keep);
             compacted += 1;
-            if list.is_empty() {
-                self.postings.remove(&fid);
-            }
         }
         compacted
     }
@@ -778,7 +802,7 @@ impl IndexRegistry {
     pub fn candidate_ids(&self, sig: &SimSignature) -> Vec<u64> {
         let cursors: Vec<PostingCursor<'_>> = sig
             .feature_ids()
-            .filter_map(|fid| self.postings.get(&fid))
+            .filter_map(|fid| self.posting(fid))
             .filter(|l| !l.is_empty())
             .map(PostingList::cursor)
             .collect();

@@ -22,6 +22,7 @@ use crate::error::CqmsError;
 use crate::model::{QueryId, QueryRecord, UserId, Validity};
 use crate::similarity::{self, DistanceKind};
 use crate::storage::QueryStorage;
+use cqms_cow::SegVec;
 use sqlparse::ast::*;
 
 /// A scored search hit.
@@ -590,7 +591,7 @@ impl<'a> MetaQueryExecutor<'a> {
         // sealed horizon, so the chain stays ascending); they all tie at
         // score 0.0, so the first k accepted suffice.
         let mut merged = 0usize;
-        for &qid in sealed.treeless.iter().chain(reg.head_treeless()) {
+        for &qid in sealed.treeless.iter().chain(reg.head_treeless().iter()) {
             if !accept(qid) {
                 continue;
             }
@@ -671,7 +672,7 @@ impl<'a> MetaQueryExecutor<'a> {
         for qid in reg.override_qids() {
             exact(qid, &mut top);
         }
-        for &qid in sealed.ungrouped.iter().chain(reg.head_ungrouped()) {
+        for &qid in sealed.ungrouped.iter().chain(reg.head_ungrouped().iter()) {
             if !reg.overridden(qid) {
                 exact(qid, &mut top);
             }
@@ -686,15 +687,16 @@ impl<'a> MetaQueryExecutor<'a> {
         struct SweepGroup<'g> {
             folded: &'g std::sync::Arc<sqlparse::SelectStatement>,
             profile: &'g sqlparse::SelectProfile,
-            parts: [&'g [u64]; 2],
+            parts: [&'g SegVec<u64>; 2],
         }
+        let no_members = SegVec::new();
         let mut groups: Vec<SweepGroup<'_>> = sealed
             .groups
             .iter()
             .map(|g| SweepGroup {
                 folded: &g.folded,
                 profile: &g.profile,
-                parts: [&g.members, &[]],
+                parts: [&g.members, &no_members],
             })
             .collect();
         for hg in reg.head_groups().iter() {
@@ -709,7 +711,7 @@ impl<'a> MetaQueryExecutor<'a> {
                 None => groups.push(SweepGroup {
                     folded: &hg.folded,
                     profile: &hg.profile,
-                    parts: [&hg.members, &[]],
+                    parts: [&hg.members, &no_members],
                 }),
             }
         }
@@ -766,7 +768,7 @@ impl<'a> MetaQueryExecutor<'a> {
             // first k accepted can matter.
             let mut pushed = 0usize;
             'members: for part in g.parts {
-                for &qid in part {
+                for &qid in part.iter() {
                     if qid == target.id.0 || reg.overridden(qid) {
                         continue;
                     }

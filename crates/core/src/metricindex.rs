@@ -29,9 +29,17 @@
 //! [`crate::indexreg::IndexRegistry`] counts them and *schedules* a
 //! background rebuild once they exceed [`REBUILD_DEAD_FRACTION`] — the
 //! probe path itself never rebuilds.
+//!
+//! The tree is *persistent*: children hang off `Arc`s, entries live in a
+//! chunked [`SnapshotVec`] and leaf buckets in [`SegVec`]s, so `clone()` is
+//! pointer copies and an insert into a cloned tree copies the nodes on its
+//! root-to-leaf path, one entry chunk and one bucket tail — the read
+//! snapshot the service publishes per write shares everything else. An
+//! insert into an unshared tree copies nothing.
 
 use crate::metaquery::{ScoredHit, TopK};
 use crate::model::QueryId;
+use cqms_cow::{SegVec, SnapshotVec};
 use sqlparse::{normalized_from_ted, tree_edit_distance, TreeNode, TreeShape};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -183,7 +191,10 @@ impl Band {
 enum Node {
     Leaf {
         /// `(entry index, TED to the parent pivot; NO_PARENT at the root)`.
-        items: Vec<(u32, u32)>,
+        /// A bucket of pairwise-equidistant trees never splits, so it is a
+        /// [`SegVec`]: an append after a clone copies its open tail, not
+        /// the bucket.
+        items: SegVec<(u32, u32)>,
     },
     Inner {
         /// Entry index of the pivot (the pivot is itself a data point).
@@ -192,7 +203,7 @@ enum Node {
         radius: u32,
         /// `[inside, outside]` subtree descriptions.
         bands: [Band; 2],
-        children: [Box<Node>; 2],
+        children: [Arc<Node>; 2],
     },
 }
 
@@ -208,8 +219,8 @@ impl Node {
 /// Vantage-point tree over the normalised Zhang–Shasha tree edit metric.
 #[derive(Debug, Clone)]
 pub struct VpTree {
-    entries: Vec<TreeEntry>,
-    root: Option<Node>,
+    entries: SnapshotVec<TreeEntry>,
+    root: Option<Arc<Node>>,
     leaf_cap: usize,
 }
 
@@ -224,11 +235,12 @@ impl VpTree {
     /// force deep trees out of small stores).
     pub fn with_leaf_cap(entries: Vec<TreeEntry>, leaf_cap: usize) -> VpTree {
         let leaf_cap = leaf_cap.max(1);
+        let entries: SnapshotVec<TreeEntry> = entries.into_iter().collect();
         let items: Vec<(u32, u32)> = (0..entries.len() as u32).map(|i| (i, NO_PARENT)).collect();
         let root = if items.is_empty() {
             None
         } else {
-            Some(build_node(&entries, items, leaf_cap))
+            Some(Arc::new(build_node(&entries, items, leaf_cap)))
         };
         VpTree {
             entries,
@@ -247,23 +259,30 @@ impl VpTree {
         self.entries.is_empty()
     }
 
+    /// Pointers a `clone()` copies (one per chunk of entries; the node
+    /// tree is one more).
+    pub fn clone_len(&self) -> usize {
+        self.entries.chunk_count()
+    }
+
     /// Incrementally insert a new record: descend by pivot distance,
     /// widening every band passed, and split the target leaf when it
     /// overflows. Bands only ever widen, so every bound that held before
-    /// still holds.
+    /// still holds. Every node on the way down is detached from any clone
+    /// sharing it (`Arc::make_mut`: a refcount check when unshared).
     pub fn insert(&mut self, entry: TreeEntry) {
         let idx = self.entries.len() as u32;
         self.entries.push(entry);
-        if self.root.is_none() {
-            self.root = Some(Node::Leaf {
-                items: vec![(idx, NO_PARENT)],
-            });
-            return;
-        }
         let entries = &self.entries;
         let new = &entries[idx as usize];
         let leaf_cap = self.leaf_cap;
-        let mut node = self.root.as_mut().expect("checked above");
+        let Some(root) = self.root.as_mut() else {
+            self.root = Some(Arc::new(Node::Leaf {
+                items: [(idx, NO_PARENT)].into_iter().collect(),
+            }));
+            return;
+        };
+        let mut node = Arc::make_mut(root);
         let mut parent_dist = NO_PARENT;
         loop {
             match node {
@@ -277,7 +296,7 @@ impl VpTree {
                     // time. Doubling amortises that to O(1) per insert
                     // while a splittable bucket still splits promptly.
                     if items.len() > leaf_cap && items.len().is_power_of_two() {
-                        let taken = std::mem::take(items);
+                        let taken = items.iter().copied().collect();
                         *node = build_node(entries, taken, leaf_cap);
                     }
                     break;
@@ -293,7 +312,7 @@ impl VpTree {
                     let side = usize::from(d > *radius);
                     bands[side].widen(d, new.shape.size, new.qid);
                     parent_dist = d;
-                    node = &mut children[side];
+                    node = Arc::make_mut(&mut children[side]);
                 }
             }
         }
@@ -361,7 +380,7 @@ impl VpTree {
             }
             match node {
                 Node::Leaf { items } => {
-                    for &(eidx, d_pp) in items {
+                    for &(eidx, d_pp) in items.iter() {
                         let e = &self.entries[eidx as usize];
                         if !accept(e.qid) {
                             continue;
@@ -431,9 +450,12 @@ impl VpTree {
 }
 
 /// Build a subtree from `(entry index, distance-to-parent-pivot)` pairs.
-fn build_node(entries: &[TreeEntry], items: Vec<(u32, u32)>, leaf_cap: usize) -> Node {
+fn build_node(entries: &SnapshotVec<TreeEntry>, items: Vec<(u32, u32)>, leaf_cap: usize) -> Node {
+    let leaf = |items: Vec<(u32, u32)>| Node::Leaf {
+        items: items.into_iter().collect(),
+    };
     if items.len() <= leaf_cap {
-        return Node::Leaf { items };
+        return leaf(items);
     }
     let (pivot, _) = items[0];
     let pt = &entries[pivot as usize];
@@ -452,7 +474,7 @@ fn build_node(entries: &[TreeEntry], items: Vec<(u32, u32)>, leaf_cap: usize) ->
     // flat bucket instead of recursing one-pivot-at-a-time (which would
     // cost O(bucket²) DP calls and O(bucket) recursion depth).
     if sorted[0] == sorted[sorted.len() - 1] {
-        return Node::Leaf { items };
+        return leaf(items);
     }
     // Median radius, pulled below the maximum when the upper half is one
     // value (e.g. [1, 5, 5]) so both sides are always non-empty and every
@@ -479,8 +501,8 @@ fn build_node(entries: &[TreeEntry], items: Vec<(u32, u32)>, leaf_cap: usize) ->
         radius,
         bands,
         children: [
-            Box::new(build_node(entries, inside, leaf_cap)),
-            Box::new(build_node(entries, outside, leaf_cap)),
+            Arc::new(build_node(entries, inside, leaf_cap)),
+            Arc::new(build_node(entries, outside, leaf_cap)),
         ],
     }
 }
@@ -706,6 +728,72 @@ mod tests {
         for probe in entries.iter().step_by(11) {
             let got = vp.knn(&probe.tree, &probe.shape, 4, |_| true, &stats);
             assert_eq!(got, brute(&entries, probe, 4), "probe {}", probe.qid);
+        }
+    }
+
+    /// The sharing contract: a clone owns no copy of the entries. With a
+    /// clone held after *every* insert, the first entry's tree is referenced
+    /// once per copy of its chunk — and the chunk stops being copied once a
+    /// later chunk takes the appends — not once per held clone.
+    #[test]
+    fn held_clones_share_entries_by_chunk() {
+        let tables = ["WaterTemp", "WaterSalinity", "CityLocations", "Lakes"];
+        let mut vp = VpTree::with_leaf_cap(Vec::new(), 8);
+        let mut held = Vec::new();
+        for i in 0..1_000u64 {
+            // Every entry parses its own tree: no `Arc` is in two entries.
+            let (t, extra) = (tables[i as usize % 4], if i % 3 == 0 { ", 1" } else { "" });
+            vp.insert(entry(i, &format!("SELECT *{extra} FROM {t} WHERE x < {i}")));
+            held.push(vp.clone());
+        }
+        // One reference per copy of the first chunk: at most one copy per
+        // insert that found it shared, while it was the chunk appended to.
+        let first = &held[0].entries[0].tree;
+        assert!(
+            Arc::strong_count(first) <= cqms_cow::CHUNK + 2,
+            "{} references for {} held clones",
+            Arc::strong_count(first),
+            held.len()
+        );
+        assert_eq!(held[499].len(), 500);
+    }
+
+    /// Path copying changes nothing observable: a tree grown with a clone
+    /// held after every insert answers — hits *and* bound/exact counters —
+    /// exactly like one grown alone, and every held clone still answers as
+    /// of its clone time.
+    #[test]
+    fn inserts_under_held_clones_match_unshared_growth() {
+        let entries = big_pool();
+        let mut alone = VpTree::with_leaf_cap(Vec::new(), 4);
+        let mut shared = VpTree::with_leaf_cap(Vec::new(), 4);
+        let mut held = Vec::new();
+        for e in &entries {
+            alone.insert(e.clone());
+            shared.insert(e.clone());
+            held.push(shared.clone());
+        }
+        let counters = |s: &MetricStats| {
+            (
+                s.bound_hits.load(Ordering::Relaxed),
+                s.exact_evals.load(Ordering::Relaxed),
+            )
+        };
+        for probe in entries.iter().step_by(5) {
+            for k in [1, 4, 9] {
+                let (sa, ss) = (MetricStats::default(), MetricStats::default());
+                let want = alone.knn(&probe.tree, &probe.shape, k, |_| true, &sa);
+                let got = shared.knn(&probe.tree, &probe.shape, k, |_| true, &ss);
+                assert_eq!(got, want, "probe {} k {k}", probe.qid);
+                assert_eq!(counters(&ss), counters(&sa), "probe {} k {k}", probe.qid);
+            }
+        }
+        let stats = MetricStats::default();
+        for (n, snap) in held.iter().enumerate().step_by(13) {
+            assert_eq!(snap.len(), n + 1);
+            let probe = &entries[n / 2];
+            let got = snap.knn(&probe.tree, &probe.shape, 3, |_| true, &stats);
+            assert_eq!(got, brute(&entries[..=n], probe, 3), "clone {n}");
         }
     }
 

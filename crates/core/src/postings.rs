@@ -170,7 +170,7 @@ impl PostingList {
     /// assigns dense ascending ids at insert).
     pub fn append(&mut self, qid: u64) {
         debug_assert!(self.is_empty() || qid > self.last);
-        let open = Arc::make_mut(&mut self.open);
+        let open = cqms_cow::unshared_with_room(&mut self.open, SEG_LEN);
         open.push(qid);
         self.last = qid;
         self.len += 1;

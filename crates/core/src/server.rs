@@ -15,6 +15,7 @@
 //! thread via [`spawn_background_miner`].
 
 use crate::admin::Directory;
+use crate::assist::completion::CatalogView;
 use crate::assist::correction::{Correction, CorrectionEngine, RepairSuggestion};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
@@ -28,7 +29,7 @@ use crate::model::*;
 use crate::profiler::{ProfiledQuery, Profiler};
 use crate::storage::QueryStorage;
 use crate::wal::{self, RecoveryReport};
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use relstore::{Engine, TableStats};
 use std::collections::HashMap;
 use std::path::Path;
@@ -89,6 +90,11 @@ pub struct Cqms {
     /// What crash recovery found and did, when this CQMS was built by
     /// [`Cqms::open`] (None for pure-RAM instances).
     recovery: Option<RecoveryReport>,
+    /// The catalog names [`Cqms::capture_snapshot`] last handed out, with
+    /// the [`relstore::Catalog::schema_version`] they were read at. `data`
+    /// is a public field, so the engine's own stamp — not a hook on this
+    /// type's methods — says when the view went stale.
+    catalog_view: Mutex<(u64, Arc<CatalogView>)>,
 }
 
 impl Cqms {
@@ -107,6 +113,8 @@ impl Cqms {
             baseline_stats: HashMap::new(),
             clock: 0,
             recovery: None,
+            // Stamp 0 is every empty catalog's, and so is the empty view.
+            catalog_view: Mutex::new((0, Arc::default())),
         }
     }
 
@@ -230,7 +238,7 @@ impl Cqms {
         // paths observe the same monotonic trace time as successes.
         self.clock = self.clock.max(ts);
         let visibility = self.default_visibility(user);
-        let out = Profiler::new().profile(
+        Profiler::new().profile(
             &self.config,
             &mut self.storage,
             &mut self.data,
@@ -238,13 +246,7 @@ impl Cqms {
             visibility,
             sql,
             ts,
-        )?;
-        // Keep snapshot publication cheap: once enough per-write COW
-        // deltas pile up, fold them into the sealed (structurally shared)
-        // layers. See `CqmsConfig::snapshot_head_limit`.
-        self.storage
-            .maybe_seal_cow_heads(self.config.snapshot_head_limit);
-        Ok(out)
+        )
     }
 
     /// Default visibility for a user's queries: their first group when they
@@ -394,10 +396,6 @@ impl Cqms {
             self.last_rules = miner.mine(min_support, min_confidence);
             self.rules_mined_at = mined_at;
         }
-        // Epochs are the natural seal point for the storage's COW heads:
-        // collapse accumulated per-write deltas so the next snapshot
-        // publish is O(1) clones again.
-        self.storage.seal_cow_heads();
         report.association_rules = self.last_rules.len();
 
         // Clustering over live queries. The O(n²) distance matrix runs on
@@ -613,20 +611,28 @@ impl Cqms {
         self.clock
     }
 
-    /// Capture an immutable, lock-free-readable view of this instance.
-    /// All bulk state is structurally shared (COW containers and `Arc`s),
-    /// so the cost is O(unsealed delta) — bounded by
-    /// [`CqmsConfig::snapshot_head_limit`] — never O(log size). The
-    /// service layer publishes one per write; see
-    /// [`crate::snapshot::ReadSnapshot`].
+    /// Capture an immutable, lock-free-readable view of this instance:
+    /// pointer copies only (the storage's persistent containers chunk by
+    /// chunk, directory, rules and catalog names one `Arc` each) plus the
+    /// flat config. The catalog names are re-read only when the data
+    /// engine's schema stamp moved. The service layer publishes one
+    /// snapshot per write; see [`crate::snapshot::ReadSnapshot`].
     pub fn capture_snapshot(&self, epoch: u64) -> crate::snapshot::ReadSnapshot {
+        let catalog = {
+            let mut cached = self.catalog_view.lock();
+            let version = self.data.catalog.schema_version();
+            if cached.0 != version {
+                *cached = (version, Arc::new(CatalogView::of(&self.data)));
+            }
+            Arc::clone(&cached.1)
+        };
         crate::snapshot::ReadSnapshot {
             epoch,
             config: self.config.clone(),
             storage: self.storage.clone(),
             directory: self.directory.clone(),
             last_rules: Arc::clone(&self.last_rules),
-            catalog: crate::assist::completion::CatalogView::of(&self.data),
+            catalog,
             clock: self.clock,
         }
     }

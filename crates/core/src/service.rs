@@ -49,7 +49,7 @@ use crate::server::{
     MINER_GRACE_ATTEMPTS,
 };
 use crate::snapshot::ReadSnapshot;
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -101,12 +101,20 @@ impl Published {
     /// Capture + publish a fresh snapshot of `cqms`. Callers hold the CQMS
     /// write lock, so epochs are allocated in lock order; the epoch
     /// comparison below makes out-of-order slot writes harmless anyway.
-    fn publish(&self, cqms: &Cqms) {
+    ///
+    /// Returns the snapshot that lost its place (the one displaced, or the
+    /// new one if it arrived stale). Dropping it may free every node and
+    /// chunk the writer has copied since it was captured, so callers on
+    /// the client path do that after releasing their locks.
+    #[must_use = "drop the displaced snapshot outside the locks"]
+    fn publish(&self, cqms: &Cqms) -> Arc<ReadSnapshot> {
         let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let snap = Arc::new(cqms.capture_snapshot(epoch));
         let mut slot = self.slot.write();
         if snap.epoch() >= slot.epoch() {
-            *slot = snap;
+            std::mem::replace(&mut *slot, snap)
+        } else {
+            snap
         }
     }
 }
@@ -241,10 +249,25 @@ impl CqmsService {
     /// Run `f` under the write lock (escape hatch for compound writes).
     /// A fresh snapshot is published before the lock is released.
     pub fn write<R>(&self, f: impl FnOnce(&mut Cqms) -> R) -> R {
-        let mut guard = self.cqms.write();
+        self.commit(self.cqms.write(), f, |_| ()).0
+    }
+
+    /// The one publish site of the client path: run `f` under the write
+    /// lock the caller took, then `flush` (the durability point — what it
+    /// returns is handed back untouched), publish a fresh snapshot, release
+    /// the lock, and only then drop the snapshot that was displaced.
+    fn commit<R, F>(
+        &self,
+        mut guard: RwLockWriteGuard<'_, Cqms>,
+        f: impl FnOnce(&mut Cqms) -> R,
+        flush: impl FnOnce(&mut Cqms) -> F,
+    ) -> (R, F) {
         let out = f(&mut guard);
-        self.published.publish(&guard);
-        out
+        let flushed = flush(&mut guard);
+        let displaced = self.published.publish(&guard);
+        drop(guard);
+        drop(displaced);
+        (out, flushed)
     }
 
     /// Atomically swap the shared CQMS instance for `cqms`, returning the
@@ -269,11 +292,9 @@ impl CqmsService {
     // the recovered state on the floor.
     #[allow(clippy::result_large_err)]
     pub fn try_replace(&self, mut cqms: Cqms) -> Result<Cqms, Cqms> {
-        let Some(mut guard) = try_write_within(&self.cqms, MINER_GRACE_ATTEMPTS) else {
+        let Some(guard) = try_write_within(&self.cqms, MINER_GRACE_ATTEMPTS) else {
             return Err(cqms);
         };
-        cqms.directory = std::mem::take(&mut guard.directory);
-        let outgoing = std::mem::replace(&mut *guard, cqms);
         // One atomic epoch bump covering the whole promotion: the
         // placeholder's snapshot is invalidated and the recovered
         // instance's published in a single slot swap, so no reader can ever
@@ -281,8 +302,11 @@ impl CqmsService {
         // popularity tables (or vice versa). Readers pinned to the old
         // snapshot keep a fully coherent placeholder view until they
         // re-clone.
-        self.published.publish(&guard);
-        Ok(outgoing)
+        let swap = |live: &mut Cqms| {
+            cqms.directory = std::mem::take(&mut live.directory);
+            std::mem::replace(live, cqms)
+        };
+        Ok(self.commit(guard, swap, |_| ()).0)
     }
 
     /// Run + profile one query (WAL flushed before returning).
@@ -304,11 +328,7 @@ impl CqmsService {
         &self,
         f: impl FnOnce(&mut Cqms) -> Result<R, CqmsError>,
     ) -> Result<R, CqmsError> {
-        let mut guard = self.cqms.write();
-        let out = f(&mut guard);
-        let flushed = guard.wal_flush();
-        self.published.publish(&guard);
-        drop(guard);
+        let (out, flushed) = self.commit(self.cqms.write(), f, Cqms::wal_flush);
         let out = out?;
         flushed?;
         Ok(out)
@@ -368,22 +388,21 @@ impl CqmsService {
             Ok(p) => p,
             Err(e) => return items.iter().map(|_| Err(e.clone())).collect(),
         };
-        let mut guard = self.cqms.write();
-        for (slot, item) in results.iter_mut().zip(items) {
-            if slot.is_err() {
-                continue; // rate-shed: never executed, never acknowledged
-            }
-            *slot = match item.ts {
-                Some(ts) => guard.run_query_at(item.user, &item.sql, ts),
-                None => guard.run_query(item.user, &item.sql),
-            }
-            .map(|p| p.id);
-        }
-        let flushed = guard.wal_flush();
         // One publication per batch: batching is the unit of lock
         // amortisation, so it is also the unit of snapshot capture.
-        self.published.publish(&guard);
-        drop(guard);
+        let run_all = |cqms: &mut Cqms| {
+            for (slot, item) in results.iter_mut().zip(items) {
+                if slot.is_err() {
+                    continue; // rate-shed: never executed, never acknowledged
+                }
+                *slot = match item.ts {
+                    Some(ts) => cqms.run_query_at(item.user, &item.sql, ts),
+                    None => cqms.run_query(item.user, &item.sql),
+                }
+                .map(|p| p.id);
+            }
+        };
+        let ((), flushed) = self.commit(self.cqms.write(), run_all, Cqms::wal_flush);
         drop(permit);
         match flushed {
             Ok(()) => results,
@@ -416,11 +435,7 @@ impl CqmsService {
         text: &str,
         fragment: Option<&str>,
     ) -> Result<(), CqmsError> {
-        let mut guard = self.cqms.write();
-        guard.annotate(actor, id, text, fragment)?;
-        let flushed = guard.wal_flush();
-        self.published.publish(&guard);
-        flushed
+        self.acked_write(|c| c.annotate(actor, id, text, fragment))
     }
 
     /// Change a query's ACL (durably acknowledged).
@@ -430,20 +445,12 @@ impl CqmsService {
         id: QueryId,
         visibility: Visibility,
     ) -> Result<(), CqmsError> {
-        let mut guard = self.cqms.write();
-        guard.set_visibility(actor, id, visibility)?;
-        let flushed = guard.wal_flush();
-        self.published.publish(&guard);
-        flushed
+        self.acked_write(|c| c.set_visibility(actor, id, visibility))
     }
 
     /// Tombstone a query (durably acknowledged).
     pub fn delete_query(&self, actor: UserId, id: QueryId) -> Result<(), CqmsError> {
-        let mut guard = self.cqms.write();
-        guard.delete_query(actor, id)?;
-        let flushed = guard.wal_flush();
-        self.published.publish(&guard);
-        flushed
+        self.acked_write(|c| c.delete_query(actor, id))
     }
 
     /// Run one synchronous miner epoch on the caller's thread. A failure
@@ -455,14 +462,12 @@ impl CqmsService {
     /// capped exponential backoff first; recovered retries are counted in
     /// [`MinerReport::wal_flush_retries`].
     pub fn run_miner_epoch(&self) -> MinerReport {
-        let mut guard = self.cqms.write();
-        let mut report = guard.run_miner_epoch();
-        let (flushed, retries) = crate::wal::retry_write(|| guard.wal_flush());
+        let (mut report, (flushed, retries)) =
+            self.commit(self.cqms.write(), Cqms::run_miner_epoch, |c| {
+                crate::wal::retry_write(|| c.wal_flush())
+            });
         report.wal_flush_retries = retries;
-        if let Err(e) = flushed {
-            report.wal_flush_error = Some(e);
-        }
-        self.published.publish(&guard);
+        report.wal_flush_error = flushed.err();
         report
     }
 
@@ -500,14 +505,12 @@ impl CqmsService {
             guard.storage.collect_index_rebuild()
         };
         let build = snapshot.build(); // off-lock
-        let mut guard = self.cqms.write();
-        let swapped = guard.storage.publish_index_rebuild(build);
-        // One epoch bump covering the generation swap: a reader either
-        // keeps the whole pre-rebuild snapshot or clones the whole
-        // post-rebuild one — never generation N+1 indexes with
-        // generation N popularity/session state.
-        self.published.publish(&guard);
-        swapped
+                                      // One epoch bump covering the generation swap: a reader either
+                                      // keeps the whole pre-rebuild snapshot or clones the whole
+                                      // post-rebuild one — never generation N+1 indexes with
+                                      // generation N popularity/session state.
+        let swap = |c: &mut Cqms| c.storage.publish_index_rebuild(build);
+        self.commit(self.cqms.write(), swap, |_| ()).0
     }
 
     // ------------------------------------------------------------------
@@ -521,14 +524,15 @@ impl CqmsService {
         if slot.is_some() {
             return false;
         }
-        // Invoked while the miner thread still holds the write guard, like
-        // every other `publish` call.
+        // Invoked while the miner thread still holds the write guard. It
+        // is off the client path, so the displaced snapshot just drops
+        // there.
         let published = self.published.clone();
         *slot = Some(spawn_background_miner(
             self.cqms.clone(),
             interval,
             self.faults.clone(),
-            Some(Arc::new(move |cqms: &Cqms| published.publish(cqms))),
+            Some(Arc::new(move |cqms: &Cqms| drop(published.publish(cqms)))),
         ));
         true
     }

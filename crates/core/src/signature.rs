@@ -50,13 +50,14 @@ pub use sqlparse::fingerprint::fnv1a;
 /// templates) so ids never collide across feature kinds and one posting
 /// index can cover all three.
 ///
-/// Internally copy-on-write ([`cqms_cow`] containers) so cloning the
-/// storage into a read snapshot shares the whole vocabulary by pointer
-/// instead of copying O(vocab) strings per publish.
+/// Internally persistent ([`cqms_cow`] containers, each key one `Arc<str>`
+/// shared by both directions) so cloning the storage into a read snapshot
+/// shares the whole vocabulary by pointer, and interning a new feature
+/// afterwards copies one trie path and one chunk of pointers.
 #[derive(Debug, Clone, Default)]
 pub struct FeatureInterner {
-    map: CowMap<String, u32>,
-    names: SnapshotVec<String>,
+    map: CowMap<Arc<str>, u32>,
+    names: SnapshotVec<Arc<str>>,
 }
 
 impl PartialEq for FeatureInterner {
@@ -79,8 +80,9 @@ impl FeatureInterner {
             return id;
         }
         let id = self.names.len() as u32;
-        self.map.insert(key.to_string(), id);
-        self.names.push(key.to_string());
+        let key: Arc<str> = Arc::from(key);
+        self.map.insert(Arc::clone(&key), id);
+        self.names.push(key);
         id
     }
 
@@ -92,7 +94,7 @@ impl FeatureInterner {
 
     /// The key behind an id.
     pub fn resolve(&self, id: u32) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
+        self.names.get(id as usize).map(|name| &**name)
     }
 
     /// Number of distinct interned features.
@@ -103,18 +105,6 @@ impl FeatureInterner {
     /// Is the interner empty?
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Delta entries in the key map since its last seal — the marginal
-    /// copy cost a snapshot clone pays for the interner.
-    pub fn head_len(&self) -> usize {
-        self.map.head_len()
-    }
-
-    /// Fold the key map's delta head into a fresh sealed generation so
-    /// subsequent clones are pure `Arc` bumps.
-    pub fn seal(&mut self) {
-        self.map.seal();
     }
 }
 

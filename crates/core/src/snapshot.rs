@@ -22,10 +22,15 @@
 //! lock, so "a snapshot read never re-enters the shard lock" is a fact of
 //! the types, not a runtime check.
 //!
-//! Capture cost is O(unsealed COW delta), bounded by
-//! [`crate::config::CqmsConfig::snapshot_head_limit`], never O(log
-//! size): all bulk state is structurally shared (`cqms_cow` containers
-//! and `Arc`s).
+//! Capture copies pointers and nothing else: one `Arc` per chunk of each
+//! id-indexed vector ([`QueryStorage::cow_head_len`] counts them), one per
+//! hash trie, VP-tree, directory, rule set and catalog view, plus the flat
+//! config. What a publish really costs is paid by the *next* write, which
+//! copies the nodes and chunks it touches out of the structures the
+//! snapshot now shares — a root-to-leaf path per touched key, one chunk
+//! per touched vector, never a structure that grows with the log or with
+//! the writes since some earlier event — and by the drop of the snapshot
+//! it displaced, which frees exactly those copies' predecessors.
 //!
 //! Reads that need the live `relstore` meta/data engine (feature-SQL
 //! meta-queries, identifier spell-check, empty-result repair,
@@ -57,7 +62,7 @@ pub struct ReadSnapshot {
     pub(crate) storage: QueryStorage,
     pub(crate) directory: Directory,
     pub(crate) last_rules: Arc<Vec<AssocRule>>,
-    pub(crate) catalog: CatalogView,
+    pub(crate) catalog: Arc<CatalogView>,
     pub(crate) clock: u64,
 }
 

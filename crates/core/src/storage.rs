@@ -22,10 +22,9 @@
 
 use crate::error::CqmsError;
 use crate::features::{self, SyntacticFeatures};
-use crate::indexreg::{IndexBuild, IndexRegistry, RebuildSnapshot};
+use crate::indexreg::{IndexBuild, IndexRegistry, PostingLists, RebuildSnapshot};
 use crate::metricindex::MetricIndexStats;
 use crate::model::*;
-use crate::postings::PostingList;
 use crate::signature::{FeatureInterner, SimSignature};
 use crate::wal::{self, InsertFrame, WalOp, WalWriter};
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
@@ -37,11 +36,11 @@ use textindex::{InvertedIndex, TrigramIndex};
 
 /// The CQMS query store.
 ///
-/// Every container is copy-on-write ([`cqms_cow`], the text indexes'
-/// persistent heads, the registry's `Arc`-bundled head), so `clone()`
-/// produces an immutable snapshot in O(delta-head + len/CHUNK pointer
-/// bumps) — the basis of the service layer's lock-free
-/// [`crate::snapshot::ReadSnapshot`]. The embedded feature-relation
+/// Every container is persistent ([`cqms_cow`], the text indexes, the
+/// registry's path-copying head), so `clone()` produces an immutable
+/// snapshot in O(len/CHUNK) pointer bumps and the writer's next mutation
+/// copies only the nodes and chunks it touches — the basis of the service
+/// layer's lock-free [`crate::snapshot::ReadSnapshot`]. The embedded feature-relation
 /// engine and the WAL are the two exceptions: a clone gets a fresh empty
 /// engine and no WAL (it is `detached`), and the reads that need live
 /// SQL stay on the service's lock-retained path.
@@ -51,13 +50,18 @@ pub struct QueryStorage {
     meta: relstore::Engine,
     text: InvertedIndex,
     trigram: TrigramIndex,
-    edges: SegVec<SessionEdge>,
+    /// Each edge behind its own `Arc`: an edge owns its edit script, and
+    /// the tail copy the first append after a snapshot makes should bump
+    /// counts, not duplicate scripts.
+    edges: SegVec<Arc<SessionEdge>>,
     sessions: CowMap<SessionId, Vec<QueryId>>,
     /// Popularity: template fingerprint → number of live queries.
     template_counts: CowMap<u64, u32>,
     /// Each user's most recent query (tombstoned ones included) — where the
     /// Profiler's online session assignment resumes. Maintained by `insert`
-    /// alone, so log replay and snapshot load rebuild it.
+    /// alone, so log replay and snapshot load rebuild it. A hashed map, not
+    /// a vector indexed by user: user ids are the caller's (registration is
+    /// optional), so nothing bounds the largest one.
     last_by_user: CowMap<UserId, QueryId>,
     next_session: u64,
     /// Feature-key interner backing the similarity signatures.
@@ -93,8 +97,9 @@ pub struct QueryStorage {
 }
 
 impl Clone for QueryStorage {
-    /// Cheap snapshot clone: O(COW delta heads + record-chunk pointer
-    /// bumps), never O(store). The clone is `detached` — it shares every
+    /// Cheap snapshot clone: pointer bumps only
+    /// ([`QueryStorage::cow_head_len`] of them), never O(store) and never
+    /// O(writes since anything). The clone is `detached` — it shares every
     /// index and record by pointer but carries a fresh empty
     /// feature-relation engine and no WAL, so it must only serve reads
     /// that don't need live SQL over the feature relations.
@@ -341,11 +346,11 @@ impl QueryStorage {
             to: edge.to,
             kind: edge.kind,
         });
-        self.edges.push(edge);
+        self.edges.push(Arc::new(edge));
     }
 
     /// The session graph's edges, in insertion order.
-    pub fn edges(&self) -> &SegVec<SessionEdge> {
+    pub fn edges(&self) -> &SegVec<Arc<SessionEdge>> {
         &self.edges
     }
 
@@ -355,6 +360,7 @@ impl QueryStorage {
         self.edges
             .iter()
             .filter(|e| members.contains(&e.from) && members.contains(&e.to))
+            .map(Arc::as_ref)
             .collect()
     }
 
@@ -669,7 +675,7 @@ impl QueryStorage {
     /// The inverted feature-posting index (feature id → posting list;
     /// lists may carry stale non-live entries pending the background
     /// compaction pass).
-    pub fn postings(&self) -> &CowMap<u32, PostingList> {
+    pub fn postings(&self) -> &PostingLists {
         self.indexes.postings()
     }
 
@@ -678,8 +684,7 @@ impl QueryStorage {
     /// compaction timing (tests compare storages through this).
     pub fn live_posting_ids(&self, fid: u32) -> Vec<u64> {
         self.indexes
-            .postings()
-            .get(&fid)
+            .posting(fid)
             .map(|l| {
                 l.iter()
                     .filter(|&q| {
@@ -801,43 +806,17 @@ impl QueryStorage {
         })
     }
 
-    /// Total delta-head entries across the COW containers — the marginal
-    /// copy cost the *next* snapshot clone pays (sealed state is shared
-    /// by pointer; only heads are copied per clone).
+    /// Pointers a snapshot clone copies eagerly: one per chunk of each
+    /// id-indexed vector (records, signatures, document and posting slots,
+    /// head entries and groups) plus the queued compactions. Everything
+    /// else a clone shares costs O(1) per structure; nothing is copied by
+    /// value.
     pub fn cow_head_len(&self) -> usize {
-        self.text.head_len()
-            + self.trigram.head_len()
-            + self.indexes.postings_head_len()
-            + self.sessions.head_len()
-            + self.template_counts.head_len()
-            + self.last_by_user.head_len()
-            + self.interner.head_len()
-    }
-
-    /// Fold every COW delta head into a fresh sealed generation once the
-    /// total passes `limit` (0 disables). Called by the write path before
-    /// publishing a read snapshot — sealing is O(total keys) but each
-    /// value moves by a cheap shared-structure clone, and it resets the
-    /// per-publish copy cost back to ~zero. Returns whether it sealed.
-    pub fn maybe_seal_cow_heads(&mut self, limit: usize) -> bool {
-        if limit == 0 || self.cow_head_len() < limit {
-            return false;
-        }
-        self.seal_cow_heads();
-        true
-    }
-
-    /// Unconditionally fold the COW delta heads (the maintenance pass and
-    /// tests use this; the write path goes through
-    /// [`QueryStorage::maybe_seal_cow_heads`]).
-    pub fn seal_cow_heads(&mut self) {
-        self.text.seal();
-        self.trigram.seal();
-        self.indexes.seal_postings();
-        self.sessions.seal();
-        self.template_counts.seal();
-        self.last_by_user.seal();
-        self.interner.seal();
+        self.records.chunk_count()
+            + self.signatures.chunk_count()
+            + self.text.clone_len()
+            + self.trigram.clone_len()
+            + self.indexes.clone_len()
     }
 
     /// Adopt a refined session assignment from the Query Miner (§4.3: the
@@ -1421,7 +1400,7 @@ mod tests {
         let sig = s.signature(QueryId(2)).unwrap().clone();
         // Every feature of a live record posts to its qid.
         for fid in sig.feature_ids() {
-            assert!(s.postings().get(&fid).unwrap().contains(2));
+            assert!(s.indexes().posting(fid).unwrap().contains(2));
         }
         // Candidate generation sees records sharing the probe's features.
         let probe = s.probe_signature(s.get(QueryId(0)).unwrap());
@@ -1438,8 +1417,8 @@ mod tests {
         s.compact_postings();
         for fid in sig.feature_ids() {
             assert!(!s
-                .postings()
-                .get(&fid)
+                .indexes()
+                .posting(fid)
                 .map(|l| l.contains(2))
                 .unwrap_or(false));
         }
@@ -1457,8 +1436,8 @@ mod tests {
         s.compact_postings();
         for fid in sig0.feature_ids() {
             assert!(!s
-                .postings()
-                .get(&fid)
+                .indexes()
+                .posting(fid)
                 .map(|l| l.contains(0))
                 .unwrap_or(false));
         }
@@ -1471,7 +1450,7 @@ mod tests {
         )
         .unwrap();
         for fid in sig0.feature_ids() {
-            assert!(s.postings().get(&fid).unwrap().contains(0));
+            assert!(s.indexes().posting(fid).unwrap().contains(0));
         }
     }
 
@@ -1541,7 +1520,8 @@ mod tests {
         }
         let live = s.live_count();
         assert_eq!(live, 12 * 5);
-        for (fid, list) in s.postings() {
+        for (fid, list) in s.postings().iter_enumerated() {
+            let fid = fid as u32;
             // Invariant maintained by the background compaction pass:
             // stale entries are at most a quarter of any list…
             assert!(
@@ -1552,7 +1532,7 @@ mod tests {
             );
             // …and every live id with this feature is present, while the
             // list never exceeds live + tolerated-stale.
-            let live_ids = s.live_posting_ids(*fid);
+            let live_ids = s.live_posting_ids(fid);
             assert!(list.len() <= live_ids.len() + live_ids.len() / 3 + 1);
             for q in live_ids {
                 assert!(list.contains(q));

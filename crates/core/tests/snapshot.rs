@@ -446,3 +446,60 @@ fn lock_retained_reads_still_serve() {
         .check_identifiers("SELECT temp FROM WatrTemp")
         .is_empty());
 }
+
+/// A publish copies what the write touched, never the index head: with a
+/// snapshot held after *every* write, the first record's parse tree is
+/// referenced by its signature and once per copy of the head entry chunk
+/// it sits in — copies that stop once a later chunk takes the appends —
+/// not once per held snapshot.
+#[test]
+fn held_snapshots_share_the_index_head() {
+    let mut c = Cqms::new(engine(), CqmsConfig::default());
+    let u = c.register_user("user-0");
+    let tables = ["WaterTemp", "WaterSalinity", "CityLocations", "Lakes"];
+    let mut held = Vec::new();
+    for i in 0..1_000u64 {
+        let sql = format!("SELECT * FROM {} WHERE 1 < {i}", tables[i as usize % 4]);
+        c.run_query_at(u, &sql, 1_000 + i * 30).expect("write");
+        held.push(c.capture_snapshot(i));
+    }
+    let first = held[0]
+        .storage()
+        .signature(QueryId(0))
+        .and_then(|sig| sig.tree.as_ref())
+        .expect("record 0 parsed");
+    assert!(
+        Arc::strong_count(first) <= cqms_cow::CHUNK + 3,
+        "{} references for {} held snapshots",
+        Arc::strong_count(first),
+        held.len()
+    );
+    // Each one still serves its own capture-time state.
+    assert_eq!(held[0].live_count(), 1);
+    assert_eq!(held[499].live_count(), 500);
+    assert_eq!(held[499].search_substring(u, "1 < 499").len(), 1);
+    assert!(held[499].search_substring(u, "1 < 500").is_empty());
+}
+
+/// The cached catalog names follow the data engine, which callers change
+/// directly through the public `data` field — DDL, or a wholesale swap.
+#[test]
+fn snapshot_catalog_follows_the_data_engine() {
+    let mut c = Cqms::new(engine(), CqmsConfig::default());
+    let u = c.register_user("user-0");
+    let offers = |c: &Cqms, table: &str| {
+        c.capture_snapshot(0)
+            .complete(u, "SELECT * FROM ", 50)
+            .iter()
+            .any(|s| s.text.eq_ignore_ascii_case(table))
+    };
+    assert!(offers(&c, "Lakes") && !offers(&c, "Glaciers"));
+    c.data
+        .execute("CREATE TABLE Glaciers (name TEXT, area FLOAT)")
+        .expect("ddl");
+    assert!(offers(&c, "Glaciers"), "DDL through `data` invalidates");
+    c.data.execute("DROP TABLE Glaciers").expect("ddl");
+    assert!(!offers(&c, "Glaciers"));
+    c.data = Engine::new();
+    assert!(!offers(&c, "Lakes"), "a swapped-in engine invalidates");
+}

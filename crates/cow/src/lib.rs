@@ -12,28 +12,38 @@
 //! * [`SnapshotVec<T>`] — a chunked vector (`Vec<Arc<Vec<T>>>`). Cloning
 //!   copies one `Arc` per chunk; mutating copies one chunk (at most
 //!   [`CHUNK`] elements) the first time it diverges from a snapshot.
-//!   Used for dense, id-indexed state: records, signatures, session edges.
-//! * [`CowMap<K, V>`] / [`CowSet<T>`] — a sealed generation behind an
-//!   `Arc` plus a mutable delta head (inserts/overrides) and a dead set
-//!   (removals), exactly the indexreg sealed/head split. Cloning copies
-//!   the head only; [`CowMap::seal`] folds the head into a fresh sealed
-//!   generation so the head stays bounded by churn, not store size.
+//!   Used for dense, id-indexed state: records, signatures, per-document
+//!   and per-feature slots, VP-tree entries.
+//! * [`CowMap<K, V>`] / [`CowSet<T>`] — a persistent 32-way hash trie of
+//!   `Arc` nodes with small leaf buckets. Cloning is one `Arc` bump; the
+//!   first mutation of a key after a clone copies that key's root-to-leaf
+//!   path (O(log₃₂ n) pointer tables) and its bucket, nothing else. Used
+//!   where keys are really hashed: terms, trigrams, interned strings,
+//!   template fingerprints, session ids.
 //! * [`SegVec<T>`] — an append-only list of sealed segments
 //!   (`Arc<Vec<Arc<Vec<T>>>>`) plus an `Arc`'d open tail. Cloning is two
 //!   `Arc` bumps regardless of length; an append after a clone re-copies
 //!   only the open tail (at most one segment). Used for posting lists,
-//!   where a hot term keeps growing for the lifetime of the store.
+//!   group member lists and VP-tree leaf buckets, where a hot entry keeps
+//!   growing for the lifetime of the store.
+//!
+//! None of them has a sealing step or a delta head: what a clone shares
+//! and what the next mutation copies are fixed by the shapes above, and a
+//! mutation of an unshared container copies nothing (`Arc::make_mut` on a
+//! uniquely-owned node is a refcount check).
 //!
 //! All three preserve ordering semantics exactly (`SnapshotVec` and
 //! `SegVec` are positional; `CowMap` iteration is order-free like the
 //! `HashMap` it replaces), so index code swapping them in produces
 //! bit-identical results.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::borrow::Borrow;
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
-/// Elements per [`SnapshotVec`] chunk. Small enough that the first
+/// Default elements per [`SnapshotVec`] chunk. Small enough that the first
 /// mutation of a chunk after a snapshot copies little; large enough that
 /// cloning a million-element vector is ~4k pointer bumps.
 pub const CHUNK: usize = 256;
@@ -41,15 +51,19 @@ pub const CHUNK: usize = 256;
 /// A chunked copy-on-write vector.
 ///
 /// Positional semantics are identical to `Vec<T>`; the difference is the
-/// cost model. `clone()` is O(len / CHUNK) `Arc` bumps. `get_mut` / `push`
-/// detach (copy) at most one chunk when it is shared with a snapshot.
+/// cost model. `clone()` is O(len / N) `Arc` bumps. `get_mut` / `push`
+/// detach (copy) at most one chunk of `N` elements when it is shared with
+/// a snapshot. The default `N` suits a log that grows without bound and is
+/// mutated at its end; a short vector whose writes land anywhere (one slot
+/// per interned feature, say) wants a smaller one, or every write copies
+/// most of it.
 #[derive(Debug)]
-pub struct SnapshotVec<T> {
+pub struct SnapshotVec<T, const N: usize = CHUNK> {
     chunks: Vec<Arc<Vec<T>>>,
     len: usize,
 }
 
-impl<T> Default for SnapshotVec<T> {
+impl<T, const N: usize> Default for SnapshotVec<T, N> {
     fn default() -> Self {
         SnapshotVec {
             chunks: Vec::new(),
@@ -58,7 +72,7 @@ impl<T> Default for SnapshotVec<T> {
     }
 }
 
-impl<T> Clone for SnapshotVec<T> {
+impl<T, const N: usize> Clone for SnapshotVec<T, N> {
     fn clone(&self) -> Self {
         SnapshotVec {
             chunks: self.chunks.clone(),
@@ -67,10 +81,10 @@ impl<T> Clone for SnapshotVec<T> {
     }
 }
 
-impl<T: Clone> SnapshotVec<T> {
+impl<T: Clone, const N: usize> SnapshotVec<T, N> {
     /// An empty vector.
     pub fn new() -> Self {
-        SnapshotVec::default()
+        Self::default()
     }
 
     /// Number of elements.
@@ -83,13 +97,18 @@ impl<T: Clone> SnapshotVec<T> {
         self.len == 0
     }
 
+    /// Number of chunks — the `Arc` bumps a `clone()` costs.
+    pub fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
     /// Append an element.
     pub fn push(&mut self, value: T) {
-        if self.len.is_multiple_of(CHUNK) {
-            self.chunks.push(Arc::new(Vec::with_capacity(CHUNK)));
+        if self.len.is_multiple_of(N) {
+            self.chunks.push(Arc::new(Vec::with_capacity(N)));
         }
         let chunk = self.chunks.last_mut().expect("chunk just ensured");
-        Arc::make_mut(chunk).push(value);
+        unshared_with_room(chunk, N).push(value);
         self.len += 1;
     }
 
@@ -98,7 +117,7 @@ impl<T: Clone> SnapshotVec<T> {
         if index >= self.len {
             return None;
         }
-        self.chunks[index / CHUNK].get(index % CHUNK)
+        self.chunks[index / N].get(index % N)
     }
 
     /// Mutable reference to the element at `index`, detaching its chunk
@@ -107,7 +126,20 @@ impl<T: Clone> SnapshotVec<T> {
         if index >= self.len {
             return None;
         }
-        Arc::make_mut(&mut self.chunks[index / CHUNK]).get_mut(index % CHUNK)
+        unshared_with_room(&mut self.chunks[index / N], N).get_mut(index % N)
+    }
+
+    /// Mutable reference to the slot at `index`, growing the vector with
+    /// `T::default()` up to it first — for vectors used as maps from dense
+    /// ids (memory is O(largest id), so only for ids the owner assigns).
+    pub fn entry_or_default(&mut self, index: usize) -> &mut T
+    where
+        T: Default,
+    {
+        while self.len <= index {
+            self.push(T::default());
+        }
+        self.get_mut(index).expect("grown to cover index")
     }
 
     /// The last element, if any.
@@ -132,9 +164,9 @@ impl<T: Clone> SnapshotVec<T> {
     }
 }
 
-impl<T: Clone> FromIterator<T> for SnapshotVec<T> {
+impl<T: Clone, const N: usize> FromIterator<T> for SnapshotVec<T, N> {
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut v = SnapshotVec::new();
+        let mut v = Self::new();
         for item in iter {
             v.push(item);
         }
@@ -142,7 +174,7 @@ impl<T: Clone> FromIterator<T> for SnapshotVec<T> {
     }
 }
 
-impl<'a, T: Clone> IntoIterator for &'a SnapshotVec<T> {
+impl<'a, T: Clone, const N: usize> IntoIterator for &'a SnapshotVec<T, N> {
     type Item = &'a T;
     type IntoIter = Box<dyn Iterator<Item = &'a T> + 'a>;
     fn into_iter(self) -> Self::IntoIter {
@@ -150,48 +182,182 @@ impl<'a, T: Clone> IntoIterator for &'a SnapshotVec<T> {
     }
 }
 
-impl<T: Clone + PartialEq> PartialEq for SnapshotVec<T> {
+impl<T: Clone, const N: usize> std::ops::Index<usize> for SnapshotVec<T, N> {
+    type Output = T;
+    fn index(&self, index: usize) -> &T {
+        self.get(index).expect("SnapshotVec index out of bounds")
+    }
+}
+
+impl<T: Clone + PartialEq, const N: usize> PartialEq for SnapshotVec<T, N> {
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
-impl<T: Clone + Eq> Eq for SnapshotVec<T> {}
+impl<T: Clone + Eq, const N: usize> Eq for SnapshotVec<T, N> {}
 
-/// A sealed/head copy-on-write hash map.
+/// Hash bits consumed per trie level (32-way branching).
+const BITS: u32 = 5;
+
+/// Entries a leaf bucket holds before it splits into a branch: the most a
+/// single mutation after a clone ever copies by value.
+const LEAF_CAP: usize = 8;
+
+/// One stored entry, with its full hash so splits and probes never rehash.
+#[derive(Debug, Clone)]
+struct Entry<K, V> {
+    hash: u64,
+    key: K,
+    value: V,
+}
+
+/// A trie node: a small bucket of entries, or a bitmap-compressed table of
+/// up to 32 children indexed by the next [`BITS`] bits of the hash.
+#[derive(Debug, Clone)]
+enum Node<K, V> {
+    Leaf(Vec<Entry<K, V>>),
+    Branch {
+        bitmap: u32,
+        children: Vec<Arc<Node<K, V>>>,
+    },
+}
+
+/// The child slot `hash` selects at `depth`.
+fn slot(hash: u64, depth: u32) -> u32 {
+    ((hash >> (depth * BITS)) & ((1 << BITS) - 1)) as u32
+}
+
+/// Are there hash bits left to split a bucket at `depth` on? A bucket
+/// below the last level just grows (full 64-bit collisions only).
+fn can_split(depth: u32) -> bool {
+    depth * BITS < u64::BITS
+}
+
+impl<K, V> Node<K, V> {
+    /// Position of `bit`'s child in the compressed child table.
+    fn child_index(bitmap: u32, bit: u32) -> usize {
+        (bitmap & (bit - 1)).count_ones() as usize
+    }
+
+    /// Distribute an overflowing bucket over the children its entries
+    /// select at `depth` (recursively, should they all select the same).
+    fn split(entries: Vec<Entry<K, V>>, depth: u32) -> Node<K, V> {
+        let mut buckets: Vec<Vec<Entry<K, V>>> = (0..1 << BITS).map(|_| Vec::new()).collect();
+        for e in entries {
+            buckets[slot(e.hash, depth) as usize].push(e);
+        }
+        let mut bitmap = 0u32;
+        let mut children = Vec::new();
+        for (i, bucket) in buckets.into_iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            bitmap |= 1 << i;
+            children.push(Arc::new(
+                if bucket.len() > LEAF_CAP && can_split(depth + 1) {
+                    Node::split(bucket, depth + 1)
+                } else {
+                    Node::Leaf(bucket)
+                },
+            ));
+        }
+        Node::Branch { bitmap, children }
+    }
+}
+
+impl<K: Clone, V: Clone> Node<K, V> {
+    /// Path-copying descent to the bucket `hash` belongs in, creating an
+    /// empty one where the trie has none yet. Every node on the way is
+    /// detached from any clone sharing it (`Arc::make_mut`: a refcount
+    /// check when unshared). Returns the bucket and its depth.
+    fn bucket_mut(mut node: &mut Arc<Node<K, V>>, hash: u64) -> (&mut Node<K, V>, u32) {
+        let mut depth = 0;
+        loop {
+            // Peek first: the borrow checker cannot see that the `Leaf`
+            // arm of a match on `make_mut`'s result ends the loop.
+            if matches!(**node, Node::Leaf(_)) {
+                return (Arc::make_mut(node), depth);
+            }
+            let Node::Branch { bitmap, children } = Arc::make_mut(node) else {
+                unreachable!("peeked a branch");
+            };
+            let bit = 1u32 << slot(hash, depth);
+            let index = Node::<K, V>::child_index(*bitmap, bit);
+            if *bitmap & bit == 0 {
+                *bitmap |= bit;
+                children.insert(index, Arc::new(Node::Leaf(Vec::new())));
+            }
+            node = &mut children[index];
+            depth += 1;
+        }
+    }
+
+    /// Remove `key`'s entry below `node`, pruning nodes the removal
+    /// empties. Returns the value and whether `node` itself is now empty.
+    fn remove_at(node: &mut Arc<Node<K, V>>, hash: u64, depth: u32, key: &K) -> (Option<V>, bool)
+    where
+        K: Eq,
+    {
+        match Arc::make_mut(node) {
+            Node::Leaf(entries) => {
+                let removed = entries
+                    .iter()
+                    .position(|e| e.hash == hash && e.key == *key)
+                    .map(|pos| entries.swap_remove(pos).value);
+                (removed, entries.is_empty())
+            }
+            Node::Branch { bitmap, children } => {
+                let bit = 1u32 << slot(hash, depth);
+                if *bitmap & bit == 0 {
+                    return (None, false);
+                }
+                let index = Node::<K, V>::child_index(*bitmap, bit);
+                let (removed, emptied) =
+                    Node::remove_at(&mut children[index], hash, depth + 1, key);
+                if emptied {
+                    children.remove(index);
+                    *bitmap &= !bit;
+                }
+                (removed, children.is_empty())
+            }
+        }
+    }
+}
+
+/// A persistent hash map: a 32-way hash trie of `Arc` nodes with small
+/// leaf buckets.
 ///
-/// Reads see `head` entries first (overrides and inserts since the last
-/// seal), then the sealed generation minus the `dead` keys. `clone()`
-/// bumps the sealed `Arc` and copies the head + dead sets — O(churn since
-/// seal), never O(total). [`CowMap::seal`] folds the deltas into a fresh
-/// sealed generation; call it from a background epoch (or when
-/// [`CowMap::head_len`] passes a budget) to keep clones cheap.
+/// `clone()` is one `Arc` bump. The first mutation of a key after a clone
+/// copies the nodes on that key's root-to-leaf path (O(log₃₂ n) pointer
+/// tables) plus its bucket (at most eight entries by value);
+/// everything off the path stays shared with the clone. A mutation of an
+/// unshared map copies and allocates nothing beyond the entry itself.
+/// Keys are hashed with a per-map [`RandomState`], like the `HashMap` this
+/// replaces, so iteration order is unspecified and differs between runs.
 #[derive(Debug)]
 pub struct CowMap<K, V> {
-    sealed: Arc<HashMap<K, V>>,
-    head: HashMap<K, V>,
-    dead: HashSet<K>,
+    root: Arc<Node<K, V>>,
     len: usize,
+    hasher: RandomState,
 }
 
 impl<K, V> Default for CowMap<K, V> {
     fn default() -> Self {
         CowMap {
-            sealed: Arc::new(HashMap::new()),
-            head: HashMap::new(),
-            dead: HashSet::new(),
+            root: Arc::new(Node::Leaf(Vec::new())),
             len: 0,
+            hasher: RandomState::new(),
         }
     }
 }
 
-impl<K: Clone, V: Clone> Clone for CowMap<K, V> {
+impl<K, V> Clone for CowMap<K, V> {
     fn clone(&self) -> Self {
         CowMap {
-            sealed: self.sealed.clone(),
-            head: self.head.clone(),
-            dead: self.dead.clone(),
+            root: Arc::clone(&self.root),
             len: self.len,
+            hasher: self.hasher.clone(),
         }
     }
 }
@@ -202,7 +368,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CowMap<K, V> {
         CowMap::default()
     }
 
-    /// Number of live entries.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -212,21 +378,9 @@ impl<K: Eq + Hash + Clone, V: Clone> CowMap<K, V> {
         self.len == 0
     }
 
-    /// Entries currently in the delta head (inserts + removals since the
-    /// last seal) — the per-clone copy cost.
-    pub fn head_len(&self) -> usize {
-        self.head.len() + self.dead.len()
-    }
-
     /// Look up a key.
     pub fn get(&self, key: &K) -> Option<&V> {
-        if let Some(v) = self.head.get(key) {
-            return Some(v);
-        }
-        if self.dead.contains(key) {
-            return None;
-        }
-        self.sealed.get(key)
+        self.get_by(key)
     }
 
     /// Does the map contain `key`?
@@ -238,65 +392,124 @@ impl<K: Eq + Hash + Clone, V: Clone> CowMap<K, V> {
     /// keys) without allocating an owned key.
     pub fn get_by<Q>(&self, key: &Q) -> Option<&V>
     where
-        K: std::borrow::Borrow<Q>,
+        K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        if let Some(v) = self.head.get(key) {
-            return Some(v);
+        self.lookup(self.hasher.hash_one(key), key)
+    }
+
+    /// [`CowMap::get_by`] with the key's hash in hand.
+    fn lookup<Q>(&self, hash: u64, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let mut node = &*self.root;
+        let mut depth = 0;
+        loop {
+            match node {
+                Node::Leaf(entries) => {
+                    return entries
+                        .iter()
+                        .find(|e| e.hash == hash && e.key.borrow() == key)
+                        .map(|e| &e.value);
+                }
+                Node::Branch { bitmap, children } => {
+                    let bit = 1u32 << slot(hash, depth);
+                    if bitmap & bit == 0 {
+                        return None;
+                    }
+                    node = &children[Node::<K, V>::child_index(*bitmap, bit)];
+                    depth += 1;
+                }
+            }
         }
-        if self.dead.contains(key) {
-            return None;
+    }
+
+    /// Mutable access to `key`'s value, inserting `default()` when absent:
+    /// one path-copying descent to the key's bucket.
+    fn value_mut(&mut self, key: K, default: impl FnOnce() -> V) -> &mut V {
+        let hash = self.hasher.hash_one(&key);
+        let (bucket, depth) = Node::bucket_mut(&mut self.root, hash);
+        let Node::Leaf(entries) = &mut *bucket else {
+            unreachable!("bucket_mut returns a leaf");
+        };
+        if !entries.iter().any(|e| e.hash == hash && e.key == key) {
+            self.len += 1;
+            entries.push(Entry {
+                hash,
+                key: key.clone(),
+                value: default(),
+            });
+            if entries.len() > LEAF_CAP && can_split(depth) {
+                *bucket = Node::split(std::mem::take(entries), depth);
+            }
         }
-        self.sealed.get(key)
+        Self::find_mut(bucket, hash, depth, &key)
+    }
+
+    /// Mutable reference to a present entry's value at or below `node`
+    /// (at `depth`), detaching the nodes on the way from any clone.
+    fn find_mut<'a, Q>(
+        mut node: &'a mut Node<K, V>,
+        hash: u64,
+        mut depth: u32,
+        key: &Q,
+    ) -> &'a mut V
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        loop {
+            match node {
+                Node::Leaf(entries) => {
+                    return entries
+                        .iter_mut()
+                        .find(|e| e.hash == hash && e.key.borrow() == key)
+                        .map(|e| &mut e.value)
+                        .expect("entry present below this node");
+                }
+                Node::Branch { bitmap, children } => {
+                    let bit = 1u32 << slot(hash, depth);
+                    node = Arc::make_mut(&mut children[Node::<K, V>::child_index(*bitmap, bit)]);
+                    depth += 1;
+                }
+            }
+        }
     }
 
     /// Insert (or replace) an entry.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let prior_sealed = if self.dead.remove(&key) {
-            None // already overridden dead: sealed value long superseded
-        } else {
-            self.sealed.get(&key).cloned()
-        };
-        let prior = self.head.insert(key, value).or(prior_sealed);
-        if prior.is_none() {
-            self.len += 1;
-        }
-        prior
+        // `value_mut` consumes the value only if the key is new.
+        let mut value = Some(value);
+        let slot = self.value_mut(key, || value.take().expect("default runs at most once"));
+        value.map(|v| std::mem::replace(slot, v))
     }
 
-    /// Remove an entry, returning its value.
+    /// Remove an entry, returning its value. A miss copies nothing.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let from_head = self.head.remove(key);
-        if from_head.is_some() {
-            // A sealed twin (if any) must stay masked.
-            if self.sealed.contains_key(key) {
-                self.dead.insert(key.clone());
-            }
-            self.len -= 1;
-            return from_head;
-        }
-        if self.dead.contains(key) {
-            return None;
-        }
-        if let Some(v) = self.sealed.get(key) {
-            self.dead.insert(key.clone());
-            self.len -= 1;
-            return Some(v.clone());
-        }
-        None
+        let hash = self.hasher.hash_one(key);
+        self.lookup(hash, key)?;
+        let (removed, _) = Node::remove_at(&mut self.root, hash, 0, key);
+        self.len -= 1;
+        removed
     }
 
-    /// Mutable access to an entry, promoting a sealed value into the head
-    /// first (one `V::clone`). Returns `None` for absent keys.
+    /// Mutable access to an entry. Returns `None` — and copies nothing —
+    /// for absent keys.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if !self.head.contains_key(key) {
-            if self.dead.contains(key) {
-                return None;
-            }
-            let promoted = self.sealed.get(key)?.clone();
-            self.head.insert(key.clone(), promoted);
-        }
-        self.head.get_mut(key)
+        self.get_mut_by(key)
+    }
+
+    /// [`CowMap::get_mut`] by a borrowed form of the key.
+    pub fn get_mut_by<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let hash = self.hasher.hash_one(key);
+        self.lookup(hash, key)?;
+        Some(Self::find_mut(Arc::make_mut(&mut self.root), hash, 0, key))
     }
 
     /// Mutable access to an entry, inserting `V::default()` when absent.
@@ -304,73 +517,86 @@ impl<K: Eq + Hash + Clone, V: Clone> CowMap<K, V> {
     where
         V: Default,
     {
-        if self.get_mut(&key).is_none() {
-            self.insert(key.clone(), V::default());
-        }
-        self.head.get_mut(&key).expect("entry just ensured")
+        self.value_mut(key, V::default)
     }
 
-    /// Iterate live entries (order unspecified, like `HashMap`).
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.head.iter().chain(
-            self.sealed
-                .iter()
-                .filter(|(k, _)| !self.head.contains_key(*k) && !self.dead.contains(*k)),
-        )
+    /// Iterate the entries (order unspecified, like `HashMap`).
+    pub fn iter(&self) -> Iter<'_, K, V> {
+        let mut iter = Iter {
+            stack: Vec::new(),
+            bucket: [].iter(),
+        };
+        iter.enter(&self.root);
+        iter
     }
 
-    /// Iterate live values.
+    /// Iterate the values.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, v)| v)
     }
 
-    /// Iterate live keys.
+    /// Iterate the keys.
     pub fn keys(&self) -> impl Iterator<Item = &K> {
         self.iter().map(|(k, _)| k)
     }
 
-    /// Fold the delta head into a fresh sealed generation. O(total) in
-    /// key count, but each value moves by `V::clone` — cheap when `V` is
-    /// itself a shared structure ([`SegVec`], `Arc`).
-    pub fn seal(&mut self) {
-        if self.head.is_empty() && self.dead.is_empty() {
-            return;
-        }
-        let mut folded: HashMap<K, V> = HashMap::with_capacity(self.len);
-        for (k, v) in self.sealed.iter() {
-            if !self.dead.contains(k) && !self.head.contains_key(k) {
-                folded.insert(k.clone(), v.clone());
-            }
-        }
-        folded.extend(self.head.drain());
-        self.dead.clear();
-        self.sealed = Arc::new(folded);
-    }
-
-    /// Replace the whole map with `entries` as a fresh sealed generation.
+    /// Replace the whole map with `entries` (clones of the old map keep
+    /// the old contents).
     pub fn reseal_from(&mut self, entries: HashMap<K, V>) {
-        self.len = entries.len();
-        self.sealed = Arc::new(entries);
-        self.head.clear();
-        self.dead.clear();
+        *self = entries.into_iter().collect();
     }
 
     /// Drop every entry.
     pub fn clear(&mut self) {
-        self.reseal_from(HashMap::new());
+        *self = CowMap::new();
+    }
+}
+
+/// Depth-first iterator over a [`CowMap`]'s entries.
+#[derive(Debug)]
+pub struct Iter<'a, K, V> {
+    stack: Vec<std::slice::Iter<'a, Arc<Node<K, V>>>>,
+    bucket: std::slice::Iter<'a, Entry<K, V>>,
+}
+
+impl<'a, K, V> Iter<'a, K, V> {
+    fn enter(&mut self, node: &'a Node<K, V>) {
+        match node {
+            Node::Leaf(entries) => self.bucket = entries.iter(),
+            Node::Branch { children, .. } => self.stack.push(children.iter()),
+        }
+    }
+}
+
+impl<'a, K, V> Iterator for Iter<'a, K, V> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(e) = self.bucket.next() {
+                return Some((&e.key, &e.value));
+            }
+            match self.stack.last_mut()?.next() {
+                Some(child) => self.enter(child),
+                None => {
+                    self.stack.pop();
+                }
+            }
+        }
     }
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> FromIterator<(K, V)> for CowMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut m = CowMap::new();
-        m.reseal_from(iter.into_iter().collect());
+        for (k, v) in iter {
+            m.insert(k, v);
+        }
         m
     }
 }
 
-/// A sealed/head copy-on-write hash set: [`CowMap`] semantics without
-/// values.
+/// A persistent hash set: [`CowMap`] without values.
 #[derive(Debug)]
 pub struct CowSet<T> {
     inner: CowMap<T, ()>,
@@ -384,7 +610,7 @@ impl<T> Default for CowSet<T> {
     }
 }
 
-impl<T: Clone> Clone for CowSet<T> {
+impl<T> Clone for CowSet<T> {
     fn clone(&self) -> Self {
         CowSet {
             inner: self.inner.clone(),
@@ -408,11 +634,6 @@ impl<T: Eq + Hash + Clone> CowSet<T> {
         self.inner.is_empty()
     }
 
-    /// Delta entries since the last seal.
-    pub fn head_len(&self) -> usize {
-        self.inner.head_len()
-    }
-
     /// Add a member; `true` when newly inserted.
     pub fn insert(&mut self, value: T) -> bool {
         self.inner.insert(value, ()).is_none()
@@ -433,19 +654,31 @@ impl<T: Eq + Hash + Clone> CowSet<T> {
         self.inner.keys()
     }
 
-    /// Fold deltas into a fresh sealed generation.
-    pub fn seal(&mut self) {
-        self.inner.seal();
-    }
-
     /// Drop every member.
     pub fn clear(&mut self) {
         self.inner.clear();
     }
 }
 
-/// Elements per sealed [`SegVec`] segment.
-pub const SEG: usize = 256;
+/// The vector behind `arc`, detached from any clone sharing it. Unlike
+/// `Arc::make_mut`, whose copy has no spare capacity (so the push that
+/// follows would reallocate and copy a second time), the copy has room to
+/// grow — doubling, up to `cap`.
+pub fn unshared_with_room<T: Clone>(arc: &mut Arc<Vec<T>>, cap: usize) -> &mut Vec<T> {
+    // These `Arc`s never have `Weak`s, so one owner means unshared.
+    if Arc::strong_count(arc) > 1 {
+        let room = (arc.len() + 1).next_power_of_two().min(cap);
+        let mut copy = Vec::with_capacity(room.max(arc.len()));
+        copy.extend_from_slice(arc);
+        *arc = Arc::new(copy);
+    }
+    Arc::get_mut(arc).expect("just detached")
+}
+
+/// Elements per sealed [`SegVec`] segment — and the most an append after a
+/// clone copies. Small: a write touches dozens of lists (one per trigram
+/// of its text), each paying this copy once per publish.
+pub const SEG: usize = 64;
 
 /// An append-only segmented vector with O(1) clone.
 ///
@@ -499,11 +732,13 @@ impl<T: Clone> SegVec<T> {
 
     /// Append an element.
     pub fn push(&mut self, value: T) {
-        let open = Arc::make_mut(&mut self.open);
+        let open = unshared_with_room(&mut self.open, SEG);
         open.push(value);
         self.len += 1;
         if open.len() >= SEG {
-            let full = std::mem::take(open);
+            // A list that filled one segment will fill the next: give the
+            // new tail its full size up front instead of regrowing it.
+            let full = std::mem::replace(open, Vec::with_capacity(SEG));
             Arc::make_mut(&mut self.segs).push(Arc::new(full));
         }
     }
@@ -571,9 +806,9 @@ impl<'a, T: Clone> IntoIterator for &'a SegVec<T> {
 
 impl<'a, K: Eq + Hash + Clone, V: Clone> IntoIterator for &'a CowMap<K, V> {
     type Item = (&'a K, &'a V);
-    type IntoIter = Box<dyn Iterator<Item = (&'a K, &'a V)> + 'a>;
+    type IntoIter = Iter<'a, K, V>;
     fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+        self.iter()
     }
 }
 
@@ -627,25 +862,32 @@ mod tests {
     }
 
     #[test]
-    fn cow_map_seal_roundtrips_through_deltas() {
+    fn cow_map_removed_keys_resurrect_cleanly() {
         let mut m: CowMap<u64, u32> = (0..100u64).map(|k| (k, k as u32)).collect();
         m.remove(&5);
         m.insert(7, 700);
         m.insert(200, 200);
-        m.seal();
-        assert_eq!(m.head_len(), 0);
         assert_eq!(m.len(), 100); // 100 - 1 removed + 1 new
         assert_eq!(m.get(&5), None);
         assert_eq!(m.get(&7), Some(&700));
         assert_eq!(m.get(&200), Some(&200));
-        // Post-seal mutations still behave.
         m.remove(&7);
         assert_eq!(m.get(&7), None);
         assert_eq!(m.len(), 99);
-        // Reinsert of a dead sealed key resurrects cleanly.
         m.insert(5, 55);
         assert_eq!(m.get(&5), Some(&55));
         assert_eq!(m.len(), 100);
+    }
+
+    /// Children of the two roots that are one shared allocation.
+    fn shared_root_children<K, V>(a: &CowMap<K, V>, b: &CowMap<K, V>) -> usize {
+        match (&*a.root, &*b.root) {
+            (Node::Branch { children: ca, .. }, Node::Branch { children: cb, .. }) => ca
+                .iter()
+                .filter(|x| cb.iter().any(|y| Arc::ptr_eq(x, y)))
+                .count(),
+            _ => 0,
+        }
     }
 
     #[test]
@@ -662,7 +904,154 @@ mod tests {
         assert_eq!(snap.get(&99), None);
         assert_eq!(snap.len(), 50);
         assert_eq!(m.len(), 50); // -1 removed, +1 inserted
-        assert!(Arc::ptr_eq(&m.sealed, &snap.sealed));
+                                 // Four touched keys detach at most four of the root's subtrees.
+        let Node::Branch { children, .. } = &*snap.root else {
+            panic!("50 keys overflow one bucket");
+        };
+        assert!(shared_root_children(&m, &snap) >= children.len() - 4);
+    }
+
+    /// A value that counts its clones (per thread, so parallel tests do
+    /// not see each other's).
+    #[derive(Debug, Default, PartialEq)]
+    struct Counted(u64);
+
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0)
+        }
+    }
+
+    fn clones_during(f: impl FnOnce()) -> usize {
+        let before = CLONES.with(std::cell::Cell::get);
+        f();
+        CLONES.with(std::cell::Cell::get) - before
+    }
+
+    /// The sharing contract: after a clone, one mutation copies at most one
+    /// leaf bucket of values whatever the map's size, and a mutation of an
+    /// unshared map copies none.
+    #[test]
+    fn cow_map_mutation_after_clone_copies_one_bucket() {
+        for size in [10u64, 1_000, 100_000] {
+            let mut m: CowMap<u64, Counted> = CowMap::new();
+            let built = clones_during(|| {
+                for k in 0..size {
+                    m.insert(k, Counted(k));
+                }
+            });
+            assert_eq!(built, 0, "unshared inserts clone nothing (size {size})");
+            let mut held = Vec::new();
+            let fresh_insert = clones_during(|| {
+                held.push(m.clone());
+                m.insert(size, Counted(size));
+            });
+            assert!(fresh_insert <= LEAF_CAP, "size {size}: {fresh_insert}");
+            let in_place = clones_during(|| {
+                held.push(m.clone());
+                m.get_mut(&(size / 2)).unwrap().0 += 1;
+            });
+            assert!(in_place <= LEAF_CAP, "size {size}: {in_place}");
+            let miss = clones_during(|| {
+                held.push(m.clone());
+                assert!(m.get_mut(&(size + 7)).is_none());
+                assert!(m.remove(&(size + 7)).is_none());
+            });
+            assert_eq!(miss, 0, "a miss copies nothing (size {size})");
+            assert_eq!(held[0].len() as u64, size);
+            assert_eq!(held[1].get(&(size / 2)), Some(&Counted(size / 2)));
+            assert_eq!(m.get(&(size / 2)), Some(&Counted(size / 2 + 1)));
+        }
+    }
+
+    /// Model-based equivalence: a random trace of every mutator, with a
+    /// clone taken now and then, against `std::HashMap`. The live map and
+    /// every held clone must equal the model as of their clone time.
+    #[test]
+    fn cow_map_matches_hashmap_model_under_clones() {
+        type Map = CowMap<u16, Vec<u32>>;
+        type Model = HashMap<u16, Vec<u32>>;
+        fn same(m: &Map, model: &Model) {
+            assert_eq!(m.len(), model.len());
+            assert_eq!(m.is_empty(), model.is_empty());
+            let mut got: Vec<(u16, Vec<u32>)> = m.iter().map(|(k, v)| (*k, v.clone())).collect();
+            let mut want: Vec<(u16, Vec<u32>)> =
+                model.iter().map(|(k, v)| (*k, v.clone())).collect();
+            got.sort();
+            want.sort();
+            assert_eq!(got, want);
+            assert_eq!(m.keys().count(), model.len());
+            assert_eq!(m.values().count(), model.len());
+            for k in 0..64u16 {
+                assert_eq!(m.get(&k), model.get(&k));
+                assert_eq!(m.contains_key(&k), model.contains_key(&k));
+            }
+        }
+        for seed in 1..=8u64 {
+            // xorshift64*: the crate has no dependencies, test ones included.
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut next = move || {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+            };
+            // Small seeds keep keys colliding in buckets; large ones force
+            // splits several levels deep.
+            let key_space = if seed % 2 == 0 { 48 } else { 4_000 };
+            let mut m = Map::new();
+            let mut model = Model::new();
+            let mut held: Vec<(Map, Model)> = Vec::new();
+            for step in 0..3_000u32 {
+                let key = (next() % key_space) as u16;
+                match next() % 100 {
+                    0..=29 => assert_eq!(m.insert(key, vec![step]), model.insert(key, vec![step])),
+                    30..=49 => assert_eq!(m.remove(&key), model.remove(&key)),
+                    50..=64 => {
+                        let (a, b) = (m.get_mut(&key), model.get_mut(&key));
+                        assert_eq!(a.is_some(), b.is_some());
+                        if let (Some(a), Some(b)) = (a, b) {
+                            a.push(step);
+                            b.push(step);
+                        }
+                    }
+                    65..=89 => {
+                        m.entry_or_default(key).push(step);
+                        model.entry(key).or_default().push(step);
+                    }
+                    90..=96 => held.push((m.clone(), model.clone())),
+                    97 => {
+                        let kept: Model = model
+                            .iter()
+                            .filter(|(k, _)| *k % 3 != 0)
+                            .map(|(k, v)| (*k, v.clone()))
+                            .collect();
+                        m.reseal_from(kept.clone());
+                        model = kept;
+                    }
+                    98 => {
+                        m.clear();
+                        model.clear();
+                    }
+                    _ => {
+                        let rebuilt: Map = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+                        same(&rebuilt, &model);
+                    }
+                }
+                if step % 500 == 0 {
+                    same(&m, &model);
+                }
+            }
+            same(&m, &model);
+            for (snap, at_clone) in &held {
+                same(snap, at_clone);
+            }
+        }
     }
 
     #[test]
@@ -685,7 +1074,7 @@ mod tests {
     #[test]
     fn cow_map_entry_or_default_counts() {
         let mut m: CowMap<u64, u32> = (0..3u64).map(|k| (k, 10)).collect();
-        *m.entry_or_default(0) += 1; // promoted from sealed
+        *m.entry_or_default(0) += 1; // present
         *m.entry_or_default(9) += 1; // fresh default
         assert_eq!(m.get(&0), Some(&11));
         assert_eq!(m.get(&9), Some(&1));
@@ -704,10 +1093,11 @@ mod tests {
         assert!(snap.contains(&1));
         assert!(!s.contains(&1));
         s.insert(2);
-        s.seal();
-        assert_eq!(s.head_len(), 0);
         assert!(s.contains(&2));
         assert_eq!(s.iter().count(), 1);
+        assert_eq!(snap.len(), 1);
+        s.clear();
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -11,6 +11,7 @@ use crate::schema::TableSchema;
 use crate::table::Table;
 use sqlparse::ast::DataType;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Kinds of schema change the maintenance engine can react to.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,7 +42,13 @@ pub struct Catalog {
     /// timestamps and schema-change timestamps are comparable.
     clock: u64,
     changes: Vec<SchemaChange>,
+    /// See [`Catalog::schema_version`].
+    schema_version: u64,
 }
+
+/// Source of [`Catalog::schema_version`] stamps, shared by every catalog in
+/// the process so no two diverged catalogs ever carry the same one.
+static NEXT_SCHEMA_VERSION: AtomicU64 = AtomicU64::new(1);
 
 impl Catalog {
     pub fn new() -> Self {
@@ -51,6 +58,23 @@ impl Catalog {
     /// Current logical time.
     pub fn now(&self) -> u64 {
         self.clock
+    }
+
+    /// A stamp of the schema (table names and columns) this catalog holds:
+    /// it rises on every create / drop / rename / alter and never otherwise,
+    /// and it is drawn from a process-wide counter, so equal stamps mean
+    /// equal schemas even across catalogs (an unmodified clone keeps its
+    /// source's stamp; every fresh catalog starts at 0, empty). Callers
+    /// key caches of schema-derived views by it.
+    pub fn schema_version(&self) -> u64 {
+        self.schema_version
+    }
+
+    /// Log one applied schema change at a fresh timestamp and restamp.
+    fn log_change(&mut self, table: String, kind: SchemaChangeKind) {
+        let at = self.tick();
+        self.changes.push(SchemaChange { at, table, kind });
+        self.schema_version = NEXT_SCHEMA_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Advance and return the logical clock (each statement gets a fresh
@@ -117,12 +141,7 @@ impl Catalog {
         if self.tables.contains_key(&key) {
             return Err(EngineError::AlreadyExists(schema.name));
         }
-        let at = self.tick();
-        self.changes.push(SchemaChange {
-            at,
-            table: schema.name.clone(),
-            kind: SchemaChangeKind::CreatedTable,
-        });
+        self.log_change(schema.name.clone(), SchemaChangeKind::CreatedTable);
         self.tables.insert(key, Table::new(schema));
         Ok(())
     }
@@ -133,12 +152,7 @@ impl Catalog {
             .tables
             .remove(&key)
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
-        let at = self.tick();
-        self.changes.push(SchemaChange {
-            at,
-            table: t.schema.name,
-            kind: SchemaChangeKind::DroppedTable,
-        });
+        self.log_change(t.schema.name, SchemaChangeKind::DroppedTable);
         Ok(())
     }
 
@@ -155,12 +169,10 @@ impl Catalog {
         t.schema.name = to.to_string();
         t.schema.version += 1;
         self.tables.insert(Self::key(to), t);
-        let at = self.tick();
-        self.changes.push(SchemaChange {
-            at,
-            table: old_name,
-            kind: SchemaChangeKind::RenamedTable { to: to.to_string() },
-        });
+        self.log_change(
+            old_name,
+            SchemaChangeKind::RenamedTable { to: to.to_string() },
+        );
         Ok(())
     }
 
@@ -168,15 +180,13 @@ impl Catalog {
         let t = self.table_mut(table)?;
         t.schema.rename_column(from, to)?;
         let name = t.schema.name.clone();
-        let at = self.tick();
-        self.changes.push(SchemaChange {
-            at,
-            table: name,
-            kind: SchemaChangeKind::RenamedColumn {
+        self.log_change(
+            name,
+            SchemaChangeKind::RenamedColumn {
                 from: from.to_string(),
                 to: to.to_string(),
             },
-        });
+        );
         Ok(())
     }
 
@@ -185,14 +195,12 @@ impl Catalog {
         let idx = t.schema.drop_column(column)?;
         t.drop_column_data(idx);
         let name = t.schema.name.clone();
-        let at = self.tick();
-        self.changes.push(SchemaChange {
-            at,
-            table: name,
-            kind: SchemaChangeKind::DroppedColumn {
+        self.log_change(
+            name,
+            SchemaChangeKind::DroppedColumn {
                 column: column.to_string(),
             },
-        });
+        );
         Ok(())
     }
 
@@ -206,14 +214,12 @@ impl Catalog {
         t.schema.add_column(column, ty)?;
         t.add_column_data();
         let name = t.schema.name.clone();
-        let at = self.tick();
-        self.changes.push(SchemaChange {
-            at,
-            table: name,
-            kind: SchemaChangeKind::AddedColumn {
+        self.log_change(
+            name,
+            SchemaChangeKind::AddedColumn {
                 column: column.to_string(),
             },
-        });
+        );
         Ok(())
     }
 }
@@ -267,6 +273,29 @@ mod tests {
         assert!(changes[0].at < changes[1].at && changes[1].at < changes[2].at);
         // Queries logged *after* the change see nothing new.
         assert!(c.changes_since("WaterTemp", c.now()).is_empty());
+    }
+
+    #[test]
+    fn schema_version_moves_with_ddl_only() {
+        let mut c = cat();
+        let v0 = c.schema_version();
+        assert_ne!(v0, Catalog::new().schema_version());
+        c.table_mut("WaterTemp")
+            .unwrap()
+            .insert(vec![Value::Float(1.0), "a".into()])
+            .unwrap();
+        c.tick();
+        assert_eq!(c.schema_version(), v0, "rows and time are not schema");
+        let twin = c.clone();
+        assert_eq!(twin.schema_version(), v0);
+        c.add_column("WaterTemp", "depth", DataType::Float).unwrap();
+        let v1 = c.schema_version();
+        assert!(v1 > v0);
+        // Same DDL count, different schemas: the stamps still differ.
+        let mut other = cat();
+        other.drop_column("WaterTemp", "lake").unwrap();
+        assert_ne!(other.schema_version(), v1);
+        assert_eq!(twin.schema_version(), v0);
     }
 
     #[test]

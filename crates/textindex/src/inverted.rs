@@ -1,16 +1,20 @@
 //! TF-IDF inverted index with top-k retrieval.
 //!
-//! The index is built on the copy-on-write collections from `cqms-cow` so
-//! a [`Clone`] is a handful of `Arc` bumps plus the delta head — cheap
-//! enough for the CQMS write path to publish a fresh `ReadSnapshot` per
-//! logged query. Postings are **generation-stamped**: re-adding a document
+//! The index is built on the persistent collections from `cqms-cow` so a
+//! [`Clone`] is a handful of `Arc` bumps, and adding a document to a
+//! cloned index copies only the trie paths of its terms and one chunk of
+//! document slots — cheap enough for the CQMS write path to publish a
+//! fresh `ReadSnapshot` per logged query. Document ids index a vector, so
+//! they must be small dense integers (the Query Storage's record ids).
+//! Postings are **generation-stamped**: re-adding a document
 //! bumps its generation instead of purging old postings, and an entry only
 //! counts when its stamp matches the document's current generation and the
 //! document is live. Stale entries are reclaimed by [`InvertedIndex::compact`].
 
 use crate::tokenize::tokenize;
-use cqms_cow::{CowMap, SegVec};
+use cqms_cow::{CowMap, SegVec, SnapshotVec};
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// One search result.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,13 +45,16 @@ struct DocInfo {
 
 /// Inverted index mapping terms to generation-stamped postings, with
 /// document lengths for cosine-style normalisation and tombstoned
-/// deletion. Cloning shares all sealed state by pointer.
+/// deletion. Cloning shares all state by pointer.
 #[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
-    /// term → (doc, tf, gen) postings, in insertion order.
-    postings: CowMap<String, SegVec<Posting>>,
-    /// doc → generation / length / liveness.
-    docs: CowMap<u64, DocInfo>,
+    /// term → (doc, tf, gen) postings, in insertion order. Keys are
+    /// `Arc<str>` so a copied trie bucket bumps refcounts instead of
+    /// reallocating its neighbours' strings.
+    postings: CowMap<Arc<str>, SegVec<Posting>>,
+    /// doc → generation / length / liveness, indexed by doc id: the lookup
+    /// every scored posting makes.
+    docs: SnapshotVec<Option<DocInfo>>,
     /// Live (non-tombstoned) document count.
     live: usize,
     /// Posting entries masked by re-adds or tombstones since the last
@@ -71,17 +78,19 @@ impl InvertedIndex {
         self.live == 0
     }
 
+    fn doc(&self, doc: u64) -> Option<&DocInfo> {
+        self.docs.get(usize::try_from(doc).ok()?)?.as_ref()
+    }
+
     /// Does `p` count under the current document state?
     fn is_current(&self, p: &Posting) -> bool {
-        self.docs
-            .get(&p.doc)
-            .is_some_and(|i| i.live && i.gen == p.gen)
+        self.doc(p.doc).is_some_and(|i| i.live && i.gen == p.gen)
     }
 
     /// Add a document. Re-adding an id replaces the old content (the old
     /// postings are masked by the generation bump, not purged).
     pub fn add(&mut self, doc: u64, text: &str) {
-        let prev = self.docs.get(&doc).copied();
+        let prev = self.doc(doc).copied();
         let gen = prev.map(|p| p.gen.wrapping_add(1)).unwrap_or(0);
         match prev {
             Some(p) => {
@@ -101,29 +110,32 @@ impl InvertedIndex {
         }
         let distinct = tf.len() as u32;
         for (term, f) in tf {
-            self.postings
-                .entry_or_default(term)
-                .push(Posting { doc, tf: f, gen });
+            let posting = Posting { doc, tf: f, gen };
+            // Allocate the shared key only for a term not seen before.
+            match self.postings.get_mut_by(term.as_str()) {
+                Some(posts) => posts.push(posting),
+                None => self
+                    .postings
+                    .entry_or_default(Arc::from(term))
+                    .push(posting),
+            }
             self.entries += 1;
         }
-        self.docs.insert(
-            doc,
-            DocInfo {
-                gen,
-                len: tokens.len().max(1) as u32,
-                live: true,
-                terms: distinct,
-            },
-        );
+        *self.docs.entry_or_default(doc as usize) = Some(DocInfo {
+            gen,
+            len: tokens.len().max(1) as u32,
+            live: true,
+            terms: distinct,
+        });
     }
 
     /// Tombstone a document.
     pub fn remove(&mut self, doc: u64) {
-        let Some(info) = self.docs.get(&doc).copied() else {
+        let Some(info) = self.doc(doc).copied() else {
             return;
         };
         if info.live {
-            if let Some(m) = self.docs.get_mut(&doc) {
+            if let Some(Some(m)) = self.docs.get_mut(doc as usize) {
                 m.live = false;
             }
             self.live -= 1;
@@ -132,7 +144,7 @@ impl InvertedIndex {
     }
 
     pub fn contains(&self, doc: u64) -> bool {
-        self.docs.get(&doc).is_some_and(|i| i.live)
+        self.doc(doc).is_some_and(|i| i.live)
     }
 
     /// TF-IDF search returning the top `k` documents.
@@ -155,7 +167,7 @@ impl InvertedIndex {
         for term in qterms {
             let df = self
                 .postings
-                .get(&term)
+                .get_by(term.as_str())
                 .map(|posts| posts.iter().filter(|p| self.is_current(p)).count() as u64)
                 .unwrap_or(0);
             out.insert(term, df);
@@ -184,13 +196,13 @@ impl InvertedIndex {
         qterms.sort();
         qterms.dedup();
         for term in &qterms {
-            let Some(posts) = self.postings.get(term) else {
+            let Some(posts) = self.postings.get_by(term.as_str()) else {
                 continue;
             };
             let dfv = df.get(term).copied().unwrap_or(0).max(1) as f64;
             let idf = (1.0 + n / dfv).ln();
             for p in posts.iter() {
-                let Some(info) = self.docs.get(&p.doc) else {
+                let Some(info) = self.doc(p.doc) else {
                     continue;
                 };
                 if !info.live || info.gen != p.gen {
@@ -215,7 +227,7 @@ impl InvertedIndex {
         for term in &qterms {
             let set: HashSet<u64> = self
                 .postings
-                .get(term)
+                .get_by(term.as_str())
                 .map(|posts| {
                     posts
                         .iter()
@@ -241,17 +253,10 @@ impl InvertedIndex {
         out
     }
 
-    /// Delta entries accumulated since the last [`InvertedIndex::seal`] —
-    /// the per-clone copy cost.
-    pub fn head_len(&self) -> usize {
-        self.postings.head_len() + self.docs.head_len()
-    }
-
-    /// Fold the delta heads into fresh sealed generations so subsequent
-    /// clones are pure `Arc` bumps.
-    pub fn seal(&mut self) {
-        self.postings.seal();
-        self.docs.seal();
+    /// Pointers a `clone()` copies (one per chunk of document slots; the
+    /// term trie is one more).
+    pub fn clone_len(&self) -> usize {
+        self.docs.chunk_count()
     }
 
     /// Are ≥¼ of the stored posting entries masked (stale generation or
@@ -264,7 +269,7 @@ impl InvertedIndex {
     /// tombstoned documents entirely.
     pub fn compact(&mut self) {
         let mut entries = 0usize;
-        let mut new_posts: HashMap<String, SegVec<Posting>> = HashMap::new();
+        let mut new_posts: HashMap<Arc<str>, SegVec<Posting>> = HashMap::new();
         for (term, posts) in self.postings.iter() {
             let kept: SegVec<Posting> = posts
                 .iter()
@@ -276,14 +281,9 @@ impl InvertedIndex {
                 new_posts.insert(term.clone(), kept);
             }
         }
-        let new_docs: HashMap<u64, DocInfo> = self
-            .docs
-            .iter()
-            .filter(|(_, i)| i.live)
-            .map(|(d, i)| (*d, *i))
-            .collect();
+        let new_docs = self.docs.iter().map(|i| i.filter(|i| i.live)).collect();
         self.postings.reseal_from(new_posts);
-        self.docs.reseal_from(new_docs);
+        self.docs = new_docs;
         self.entries = entries;
         self.stale = 0;
     }
@@ -465,15 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn seal_and_compact_preserve_results() {
+    fn compact_preserves_results() {
         let mut ix = index();
         ix.add(2, "SELECT lake FROM Lakes"); // replacement → stale postings
         ix.remove(4);
         let want_salinity = ix.search("salinity water", 10);
         let want_dfs = ix.query_term_dfs("select water temp");
-        ix.seal();
-        assert_eq!(ix.head_len(), 0);
-        assert_eq!(ix.search("salinity water", 10), want_salinity);
         ix.compact();
         assert_eq!(ix.search("salinity water", 10), want_salinity);
         assert_eq!(ix.query_term_dfs("select water temp"), want_dfs);

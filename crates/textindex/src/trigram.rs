@@ -5,19 +5,29 @@
 //! check (trigram intersection over-approximates). Shorter queries fall back
 //! to a scan over the stored texts, which is still bounded by the log size.
 //!
-//! Built on the `cqms-cow` collections so a [`Clone`] shares all sealed
-//! state by pointer — the CQMS read path snapshots this index per request.
+//! Built on the persistent `cqms-cow` collections so a [`Clone`] shares
+//! all state by pointer — the CQMS write path publishes a clone per
+//! logged query. Document ids index a vector, so they must be small dense
+//! integers (the Query Storage's record ids).
 
-use cqms_cow::{CowMap, CowSet, SegVec};
+use cqms_cow::{CowMap, SegVec, SnapshotVec};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// One document slot: its current text (none for an id never added, or
+/// dropped by compaction) and its tombstone.
+#[derive(Debug, Default, Clone)]
+struct Doc {
+    text: Option<Arc<str>>,
+    deleted: bool,
+}
 
 /// Case-insensitive trigram index over document texts.
 #[derive(Debug, Default, Clone)]
 pub struct TrigramIndex {
     grams: CowMap<[u8; 3], SegVec<u64>>,
-    texts: CowMap<u64, Arc<str>>,
-    deleted: CowSet<u64>,
+    /// Indexed by doc id: the lookup every candidate's verification makes.
+    docs: SnapshotVec<Doc>,
     live: usize,
 }
 
@@ -48,28 +58,32 @@ impl TrigramIndex {
 
     /// Add (or replace) a document.
     pub fn add(&mut self, doc: u64, text: &str) {
-        if self.texts.contains_key(&doc) {
-            // Replacement: old postings are purged lazily — candidates are
-            // re-verified against the stored text at query time, so leftover
-            // grams only cost a failed verify until the next compaction.
-            if self.deleted.remove(&doc) {
-                self.live += 1;
-            }
-        } else {
+        // Replacement: old postings are purged lazily — candidates are
+        // re-verified against the stored text at query time, so leftover
+        // grams only cost a failed verify until the next compaction.
+        let slot = self.docs.entry_or_default(doc as usize);
+        if slot.text.is_none() || slot.deleted {
             self.live += 1;
         }
+        *slot = Doc {
+            text: Some(Arc::from(text)),
+            deleted: false,
+        };
         for g in Self::trigrams(text) {
             let posts = self.grams.entry_or_default(g);
             if posts.last() != Some(&doc) {
                 posts.push(doc);
             }
         }
-        self.texts.insert(doc, Arc::from(text));
-        self.deleted.remove(&doc);
     }
 
     pub fn remove(&mut self, doc: u64) {
-        if self.texts.contains_key(&doc) && self.deleted.insert(doc) {
+        // Peek first: `get_mut` detaches the slot's chunk from clones.
+        let present = |d: &Doc| d.text.is_some() && !d.deleted;
+        if self.docs.get(doc as usize).is_some_and(present) {
+            if let Some(slot) = self.docs.get_mut(doc as usize) {
+                slot.deleted = true;
+            }
             self.live -= 1;
         }
     }
@@ -99,15 +113,18 @@ impl TrigramIndex {
                 .copied()
                 .collect()
         } else {
-            self.texts.keys().copied().collect()
+            (0..self.docs.len() as u64).collect()
         };
         let mut out: Vec<u64> = candidates
             .into_iter()
-            .filter(|d| !self.deleted.contains(d))
             .filter(|d| {
-                self.texts
-                    .get(d)
-                    .is_some_and(|t| t.to_lowercase().contains(&lower))
+                self.docs.get(*d as usize).is_some_and(|doc| {
+                    !doc.deleted
+                        && doc
+                            .text
+                            .as_ref()
+                            .is_some_and(|t| t.to_lowercase().contains(&lower))
+                })
             })
             .collect();
         out.sort();
@@ -115,39 +132,28 @@ impl TrigramIndex {
         out
     }
 
-    /// Delta entries accumulated since the last [`TrigramIndex::seal`] —
-    /// the per-clone copy cost.
-    pub fn head_len(&self) -> usize {
-        self.grams.head_len() + self.texts.head_len() + self.deleted.head_len()
-    }
-
-    /// Fold the delta heads into fresh sealed generations so subsequent
-    /// clones are pure `Arc` bumps.
-    pub fn seal(&mut self) {
-        self.grams.seal();
-        self.texts.seal();
-        self.deleted.seal();
+    /// Pointers a `clone()` copies (one per chunk of document slots; the
+    /// gram trie is one more).
+    pub fn clone_len(&self) -> usize {
+        self.docs.chunk_count()
     }
 
     /// Rebuild the gram postings from the live texts, dropping tombstoned
     /// documents and replacement leftovers.
     pub fn compact(&mut self) {
-        let mut live_docs: Vec<(u64, Arc<str>)> = self
-            .texts
+        let live_docs: SnapshotVec<Doc> = self
+            .docs
             .iter()
-            .filter(|(d, _)| !self.deleted.contains(d))
-            .map(|(d, t)| (*d, t.clone()))
+            .map(|d| if d.deleted { Doc::default() } else { d.clone() })
             .collect();
-        live_docs.sort_by_key(|(d, _)| *d);
         let mut new_grams: HashMap<[u8; 3], SegVec<u64>> = HashMap::new();
-        for (doc, text) in &live_docs {
-            for g in Self::trigrams(text) {
-                new_grams.entry(g).or_default().push(*doc);
+        for (doc, slot) in live_docs.iter_enumerated() {
+            for g in slot.text.iter().flat_map(|t| Self::trigrams(t)) {
+                new_grams.entry(g).or_default().push(doc as u64);
             }
         }
         self.grams.reseal_from(new_grams);
-        self.texts.reseal_from(live_docs.into_iter().collect());
-        self.deleted.clear();
+        self.docs = live_docs;
     }
 }
 
@@ -225,14 +231,11 @@ mod tests {
     }
 
     #[test]
-    fn seal_and_compact_preserve_results() {
+    fn compact_preserves_results() {
         let mut ix = index();
         ix.add(2, "replaced entirely");
         ix.remove(3);
         let want = ix.search("e");
-        ix.seal();
-        assert_eq!(ix.head_len(), 0);
-        assert_eq!(ix.search("e"), want);
         ix.compact();
         assert_eq!(ix.search("e"), want);
         assert_eq!(ix.search("replaced"), vec![2]);
