@@ -105,11 +105,6 @@ pub struct CqmsConfig {
     /// [`crate::error::CqmsError::ShardUnavailable`]) instead of failing
     /// the whole open. Honours `CQMS_OPEN_DEGRADED`.
     pub open_degraded: bool,
-    /// Force an index-generation publish once this many overrides are
-    /// outstanding in the registry head (each override costs every probe
-    /// a linear scan — a repair storm would otherwise degrade reads until
-    /// the next scheduled rebuild). `0` disables the forced publish.
-    pub override_publish_threshold: usize,
 
     // --- Sharding ---
     /// Number of independently write-locked shards a
@@ -228,7 +223,6 @@ impl Default for CqmsConfig {
             user_rate_limit: default_user_rate_limit(),
             user_rate_burst: default_user_rate_burst(),
             open_degraded: default_open_degraded(),
-            override_publish_threshold: 64,
             shards: default_shards(),
             repair_interval_ms: default_repair_interval_ms(),
             repair_max_attempts: default_repair_max_attempts(),

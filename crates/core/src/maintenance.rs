@@ -236,7 +236,7 @@ pub fn refresh_statistics(
                 r.runtime.logical_time = res.metrics.logical_time;
             }
             // The drifted data also drifted the stored output: refresh
-            // the summary through the sealed setter (→ reindex → the
+            // the summary through `refresh_summary` (→ reindex → the
             // registry schedules a background rebuild), never in place —
             // the signature's output row/cell hashes must follow it.
             let summary = match config.profiling_depth {

@@ -22,7 +22,6 @@ use crate::error::CqmsError;
 use crate::model::{QueryId, QueryRecord, UserId, Validity};
 use crate::similarity::{self, DistanceKind};
 use crate::storage::QueryStorage;
-use cqms_cow::SegVec;
 use sqlparse::ast::*;
 
 /// A scored search hit.
@@ -518,15 +517,11 @@ impl<'a> MetaQueryExecutor<'a> {
         top.into_vec()
     }
 
-    /// TreeEdit kNN over the registry's published generation and mutable
-    /// head (§4.3's exact Zhang–Shasha metric, sublinear). The sealed
-    /// VP-tree snapshot is taken once per probe (one `Arc` clone — no
-    /// lock is held while searching, and a concurrent background rebuild
-    /// swaps generations without ever blocking this path); records that
-    /// arrived after the seal are served from the head VP-tree, tree-less
-    /// records (exact distance 1.0) from the two side lists, and
-    /// overridden records (reindexed since the covering structure was
-    /// built) are re-evaluated from their live signatures. Liveness,
+    /// TreeEdit kNN over the registry's structural index (§4.3's exact
+    /// Zhang–Shasha metric, sublinear): records with a parse tree are
+    /// served from the VP-tree, tree-less records (exact distance 1.0)
+    /// from the side list, and overridden records (reindexed since they
+    /// were indexed) are re-evaluated from their live signatures. Liveness,
     /// visibility and the self-match are filtered per query through the
     /// accept closure. Exact: ids and scores match the brute-force scan
     /// (`vp_tree_knn_matches_brute_force`).
@@ -556,7 +551,7 @@ impl<'a> MetaQueryExecutor<'a> {
             return top.into_vec();
         };
         let reg = self.storage.indexes();
-        let sealed = reg.sealed();
+        let index = reg.structural();
         let stats = &reg.stats().tree_edit;
         let mut accept = |qid: u64| {
             qid != target.id.0
@@ -567,8 +562,8 @@ impl<'a> MetaQueryExecutor<'a> {
                     .map(|r| self.visible(viewer, r))
                     .unwrap_or(false)
         };
-        // Overridden records: their sealed/head entries are stale, so
-        // they are masked above and evaluated from the live signature.
+        // Overridden records: their index entries are stale, so they
+        // are masked above and evaluated from the live signature.
         for qid in reg.override_qids() {
             if qid == target.id.0 {
                 continue;
@@ -586,12 +581,10 @@ impl<'a> MetaQueryExecutor<'a> {
                 score: 1.0 - similarity::tree_edit_distance_sig(psig, sig),
             });
         }
-        // Tree-less records (exact distance 1.0, no DP) — merged from
-        // the sealed and head side lists (head qids all sit above the
-        // sealed horizon, so the chain stays ascending); they all tie at
-        // score 0.0, so the first k accepted suffice.
+        // Tree-less records (exact distance 1.0, no DP), ascending: they
+        // all tie at score 0.0, so the first k accepted suffice.
         let mut merged = 0usize;
-        for &qid in sealed.treeless.iter().chain(reg.head_treeless().iter()) {
+        for &qid in index.treeless.iter() {
             if !accept(qid) {
                 continue;
             }
@@ -604,17 +597,11 @@ impl<'a> MetaQueryExecutor<'a> {
                 break;
             }
         }
-        // Sealed generation, then the head over post-seal arrivals.
-        for hits in [
-            sealed
-                .tree
-                .knn(probe_tree, probe_shape, k, &mut accept, stats),
-            reg.head_tree()
-                .knn(probe_tree, probe_shape, k, &mut accept, stats),
-        ] {
-            for hit in hits {
-                top.push(hit);
-            }
+        for hit in index
+            .tree
+            .knn(probe_tree, probe_shape, k, &mut accept, stats)
+        {
+            top.push(hit);
         }
         top.into_vec()
     }
@@ -625,12 +612,11 @@ impl<'a> MetaQueryExecutor<'a> {
     /// per-probe bound work scales with the number of distinct folded
     /// SELECTs, not with the number of logged queries (a duplicate-heavy
     /// log of one template costs one evaluation, however large). Groups
-    /// from the sealed generation and the mutable head are swept together
-    /// in bound order, the exact diff runs once per admissible group, and
-    /// its distance fans out to the group's visible members. Records
-    /// without a folded SELECT (non-SELECT or unparseable statements) are
-    /// evaluated per record from the side lists, and overridden records
-    /// from their live signatures. Exact:
+    /// are swept in bound order, the exact diff runs once per admissible
+    /// group, and its distance fans out to the group's visible members.
+    /// Records without a folded SELECT (non-SELECT or unparseable
+    /// statements) are evaluated per record from the side list, and
+    /// overridden records from their live signatures. Exact:
     /// `parsetree_bounded_knn_matches_brute_force`.
     fn knn_parse_tree(
         &self,
@@ -666,126 +652,75 @@ impl<'a> MetaQueryExecutor<'a> {
             }
             return top.into_vec();
         };
-        let sealed = reg.sealed();
+        let index = reg.structural();
         // Overridden records (stale group membership) and the ungrouped
         // complement: exact per record, masked out of the group sweep.
         for qid in reg.override_qids() {
             exact(qid, &mut top);
         }
-        for &qid in sealed.ungrouped.iter().chain(reg.head_ungrouped().iter()) {
+        for &qid in index.ungrouped.iter() {
             if !reg.overridden(qid) {
                 exact(qid, &mut top);
             }
         }
-        // Sweep unit: a template's member lists from the sealed
-        // generation and (when the template straddles the horizon) the
-        // head, merged so one bound + one exact diff covers both —
-        // without the merge, every popular template re-logged after a
-        // publish would be evaluated twice per probe until the next
-        // rebuild. Sealed qids all sit below head qids, so chaining the
-        // two parts keeps member order ascending.
-        struct SweepGroup<'g> {
-            folded: &'g std::sync::Arc<sqlparse::SelectStatement>,
-            profile: &'g sqlparse::SelectProfile,
-            parts: [&'g SegVec<u64>; 2],
-        }
-        let no_members = SegVec::new();
-        let mut groups: Vec<SweepGroup<'_>> = sealed
-            .groups
-            .iter()
-            .map(|g| SweepGroup {
-                folded: &g.folded,
-                profile: &g.profile,
-                parts: [&g.members, &no_members],
-            })
-            .collect();
-        for hg in reg.head_groups().iter() {
-            // Sealed indices come first in `groups`, in iteration order,
-            // so the sealed bucket's indices address it directly.
-            let twin = sealed.groups.bucket(hg.fp).iter().copied().find(|&i| {
-                let sg = &groups[i as usize];
-                std::sync::Arc::ptr_eq(sg.folded, &hg.folded) || *sg.folded == hg.folded
-            });
-            match twin {
-                Some(i) => groups[i as usize].parts[1] = &hg.members,
-                None => groups.push(SweepGroup {
-                    folded: &hg.folded,
-                    profile: &hg.profile,
-                    parts: [&hg.members, &no_members],
-                }),
-            }
-        }
         // Bound ascending (ties by smallest member qid so the plateau
         // shortcut below stays exact).
-        let mut order: Vec<(f64, u32)> = groups
+        let mut order: Vec<_> = index
+            .groups
             .iter()
-            .enumerate()
-            .map(|(gi, g)| {
-                (
-                    sqlparse::edit_distance_lower_bound(pa, g.profile),
-                    gi as u32,
-                )
-            })
+            .map(|g| (sqlparse::edit_distance_lower_bound(pa, &g.profile), g))
             .collect();
         order.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    groups[a.1 as usize].parts[0][0].cmp(&groups[b.1 as usize].parts[0][0])
-                })
+                .then_with(|| a.1.members[0].cmp(&b.1.members[0]))
         });
-        let member_count = |g: &SweepGroup<'_>| (g.parts[0].len() + g.parts[1].len()) as u64;
         let mut next = 0usize;
         while next < order.len() {
-            let (lb, gi) = order[next];
+            let (lb, g) = order[next];
             next += 1;
-            let g = &groups[gi as usize];
             if let Some(w) = top.worst() {
                 let bound_score = 1.0 - lb;
                 if bound_score < w.score {
                     // Bound-ordered: no remaining group can enter the top k.
-                    let skipped: u64 = order[next - 1..]
-                        .iter()
-                        .map(|&(_, i)| member_count(&groups[i as usize]))
-                        .sum();
-                    stats.add_hits(skipped);
+                    let skipped: usize =
+                        order[next - 1..].iter().map(|(_, g)| g.members.len()).sum();
+                    stats.add_hits(skipped as u64);
                     break;
                 }
                 // Tie plateau: a group whose *bound* only ties the k-th
                 // score can at best tie it exactly (exact ≥ bound), and
                 // members are ascending — if even the smallest cannot win
                 // the id tie-break, no member can.
-                if bound_score == w.score && g.parts[0][0] > w.id.0 {
-                    stats.add_hits(member_count(g));
+                if bound_score == w.score && g.members[0] > w.id.0 {
+                    stats.add_hits(g.members.len() as u64);
                     continue;
                 }
             }
             // One exact diff for the whole template.
-            let d = sqlparse::diff::edit_distance_normalized_folded(probe_folded, g.folded);
+            let d = sqlparse::diff::edit_distance_normalized_folded(probe_folded, &g.folded);
             stats.add_exact(1);
-            stats.add_hits(member_count(g) - 1);
+            stats.add_hits(g.members.len() as u64 - 1);
             // Members tie at the same score, ascending ids: only the
             // first k accepted can matter.
             let mut pushed = 0usize;
-            'members: for part in g.parts {
-                for &qid in part.iter() {
-                    if qid == target.id.0 || reg.overridden(qid) {
-                        continue;
-                    }
-                    let Ok(r) = self.storage.get(QueryId(qid)) else {
-                        continue;
-                    };
-                    if !self.visible(viewer, r) {
-                        continue;
-                    }
-                    top.push(ScoredHit {
-                        id: r.id,
-                        score: 1.0 - d,
-                    });
-                    pushed += 1;
-                    if pushed >= k {
-                        break 'members;
-                    }
+            for &qid in g.members.iter() {
+                if qid == target.id.0 || reg.overridden(qid) {
+                    continue;
+                }
+                let Ok(r) = self.storage.get(QueryId(qid)) else {
+                    continue;
+                };
+                if !self.visible(viewer, r) {
+                    continue;
+                }
+                top.push(ScoredHit {
+                    id: r.id,
+                    score: 1.0 - d,
+                });
+                pushed += 1;
+                if pushed >= k {
+                    break;
                 }
             }
         }
@@ -1253,11 +1188,10 @@ mod tests {
 
     /// Acceptance: no TreeEdit/ParseTree probe ever executes an inline
     /// full index rebuild. Forcing the tombstone threshold only
-    /// *schedules* a rebuild; probes keep reading the published
-    /// generation (the `MetricIndexStats` generation counter is
-    /// untouched by any number of probes) and stay exact; the rebuild
-    /// runs in the miner-epoch maintenance pass and becomes visible
-    /// after exactly one atomic swap (+1 on the counter).
+    /// *schedules* a rebuild; probes keep reading the standing index
+    /// (its generation number is untouched by any number of probes) and
+    /// stay exact; the rebuild runs in the miner-epoch maintenance pass
+    /// and becomes visible after exactly one swap (+1 on the number).
     #[test]
     fn probes_never_rebuild_inline() {
         use std::sync::atomic::Ordering;
@@ -1278,7 +1212,7 @@ mod tests {
             "SELECT city FROM CityLocations",
             Visibility::Public,
         );
-        // Seal the log into generation 1 (the steady state a running
+        // Rebuild the log into generation 1 (the steady state a running
         // miner maintains).
         st.schedule_index_rebuild();
         st.run_index_maintenance();
@@ -1364,7 +1298,7 @@ mod tests {
         }
         st.schedule_index_rebuild();
         st.run_index_maintenance();
-        assert_eq!(st.indexes().sealed().groups.len(), 3);
+        assert_eq!(st.indexes().structural().groups.len(), 3);
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
         let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
         let probe = st.get(QueryId(0)).unwrap().clone();
@@ -1377,6 +1311,38 @@ mod tests {
             .exact_evals
             .load(Ordering::Relaxed);
         assert!(exact <= 3, "one diff per group, got {exact}");
+    }
+
+    /// A template re-logged after a rebuild joins the group the rebuild
+    /// built for it: the index holds one group per template whatever the
+    /// rebuild/insert interleaving, so a probe pays one exact diff for it
+    /// — with no per-probe merging of twins.
+    #[test]
+    fn relogged_template_joins_its_group_after_a_rebuild() {
+        use std::sync::atomic::Ordering;
+        let lakes = "SELECT * FROM Lakes WHERE area > 50";
+        let cities = "SELECT city FROM CityLocations WHERE pop > 1000";
+        let mut st = QueryStorage::new();
+        for i in 0..6u64 {
+            let sql = if i % 2 == 0 { lakes } else { cities };
+            add(&mut st, i, 1, sql, Visibility::Public);
+        }
+        st.schedule_index_rebuild();
+        assert!(st.run_index_maintenance());
+        assert_eq!(st.indexes().structural().groups.len(), 2);
+        add(&mut st, 6, 1, lakes, Visibility::Public);
+        assert_eq!(st.indexes().structural().groups.len(), 2);
+        // k exceeds the store, so nothing is pruned: every template is
+        // diffed — exactly once.
+        let (dir, cfg) = (Directory::new(), CqmsConfig::default());
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let probe = st.get(QueryId(1)).unwrap().clone();
+        st.metric_stats().parse_tree.reset();
+        let hits = mq.knn(UserId(1), &probe, 10, DistanceKind::ParseTree);
+        let ids: Vec<u64> = hits.iter().map(|h| h.id.0).collect();
+        assert_eq!(ids, [3, 5, 0, 2, 4, 6], "own template first, then by id");
+        let stats = &st.metric_stats().parse_tree;
+        assert_eq!(stats.exact_evals.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl MetricStats {
     }
 }
 
-/// Per-metric stats plus generation observability, owned by the index
+/// Per-metric stats plus rebuild observability, owned by the index
 /// registry (reachable through `QueryStorage::metric_stats`).
 #[derive(Debug, Default)]
 pub struct MetricIndexStats {
@@ -107,10 +107,6 @@ pub struct MetricIndexStats {
     pub tree_edit: MetricStats,
     /// Bound/exact counters of the ParseTree sweeps.
     pub parse_tree: MetricStats,
-    /// The published structural-index generation (0 until the first
-    /// background rebuild publishes). Bumped by exactly 1 per atomic
-    /// swap — tests assert probes never advance it.
-    pub generation: AtomicU64,
     /// Rebuilds requested (tombstone threshold, reindex, summary
     /// refresh) since process start.
     pub rebuilds_scheduled: AtomicU64,

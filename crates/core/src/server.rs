@@ -19,6 +19,7 @@ use crate::assist::completion::CatalogView;
 use crate::assist::correction::{Correction, CorrectionEngine, RepairSuggestion};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
+use crate::indexreg::IndexBuild;
 use crate::maintenance::{self, MaintenanceReport, RefreshReport};
 use crate::metaquery::MetaQueryExecutor;
 use crate::miner::assoc::{AssocRule, RuleMiner};
@@ -29,7 +30,7 @@ use crate::model::*;
 use crate::profiler::{ProfiledQuery, Profiler};
 use crate::storage::QueryStorage;
 use crate::wal::{self, RecoveryReport};
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use relstore::{Engine, TableStats};
 use std::collections::HashMap;
 use std::path::Path;
@@ -100,12 +101,10 @@ pub struct Cqms {
 impl Cqms {
     /// Wrap an existing data engine in a CQMS.
     pub fn new(data: Engine, config: CqmsConfig) -> Self {
-        let mut storage = QueryStorage::new();
-        storage.set_override_publish_threshold(config.override_publish_threshold);
         Cqms {
             config,
             data,
-            storage,
+            storage: QueryStorage::new(),
             directory: Directory::new(),
             last_rules: Arc::new(Vec::new()),
             rules_mined_at: (0, 0, 0, 0),
@@ -166,8 +165,6 @@ impl Cqms {
             .max()
             .unwrap_or(0);
         cqms.storage = storage;
-        cqms.storage
-            .set_override_publish_threshold(cqms.config.override_publish_threshold);
         cqms.recovery = Some(report);
         Ok(cqms)
     }
@@ -716,15 +713,31 @@ pub(crate) fn try_write_within(
     None
 }
 
+/// The off-lock half of a scheduled index rebuild, shared by the
+/// background miner and [`crate::service::CqmsService::rebuild_indexes`]:
+/// `guard` is the caller's *momentary* read lock (`None`: it was busy, try
+/// next cycle). If a rebuild is scheduled the storage is pinned — a clone,
+/// O(records / 256) pointer bumps — the lock is released, and the
+/// O(n log n) build reads the pin in place with **no lock held**: readers
+/// *and* writers keep working against the standing index the whole time.
+/// The caller publishes the result under its write lock
+/// ([`QueryStorage::publish_index_rebuild`]: delta replay + one swap).
+pub(crate) fn build_scheduled_rebuild(
+    guard: Option<RwLockReadGuard<'_, Cqms>>,
+) -> Option<IndexBuild> {
+    let pinned = guard.and_then(|guard| {
+        let storage = &guard.storage;
+        storage.index_rebuild_pending().then(|| storage.clone())
+    });
+    pinned.map(|storage| storage.begin_index_rebuild())
+}
+
 /// One miner epoch under [`try_write_within`]`(attempts)`. Returns the
 /// epoch's report, or `None` when the epoch was skipped.
 ///
-/// A scheduled index rebuild is double-buffered here: the snapshot is
-/// collected under a momentary read lock (cheap `Arc` clones), the
-/// O(n log n) build of generation N+1 then runs with no lock held —
-/// readers *and* writers keep working against generation N the whole
-/// time — and the publish under the write lock only replays the
-/// mid-build delta and performs the single atomic swap.
+/// A scheduled index rebuild is double-buffered here
+/// ([`build_scheduled_rebuild`]); the publish under the epoch's write lock
+/// only replays the mid-build delta and performs the single swap.
 fn try_miner_epoch(
     cqms: &RwLock<Cqms>,
     attempts: usize,
@@ -738,13 +751,7 @@ fn try_miner_epoch(
     if faults.hit(crate::faults::MINER_EPOCH).is_err() {
         return None;
     }
-    let snapshot = cqms.try_read().and_then(|guard| {
-        guard
-            .storage
-            .index_rebuild_pending()
-            .then(|| guard.storage.collect_index_rebuild())
-    });
-    let build = snapshot.map(crate::indexreg::RebuildSnapshot::build); // off-lock
+    let build = build_scheduled_rebuild(cqms.try_read());
     let mut guard = try_write_within(cqms, attempts)?;
     if let Some(b) = build {
         // A racing explicit rebuild may have published newer content
@@ -753,8 +760,8 @@ fn try_miner_epoch(
         let _ = guard.storage.publish_index_rebuild(b);
     }
     // A rebuild that became pending after (or was invisible to) the
-    // off-lock collect is *deferred* to the next cycle's collect/build —
-    // never built inline under the write lock.
+    // off-lock build is *deferred* to the next cycle's — never built
+    // inline under the write lock.
     let mut report = guard.miner_epoch(false);
     // The epoch may have re-logged state (session refinement); flush so it
     // is durable — retrying transient sink faults with capped backoff

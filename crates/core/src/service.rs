@@ -45,8 +45,8 @@ use crate::maintenance::{MaintenanceReport, RefreshReport};
 use crate::model::*;
 use crate::profiler::ProfiledQuery;
 use crate::server::{
-    spawn_background_miner, try_write_within, BackgroundMiner, Cqms, MinerReport,
-    MINER_GRACE_ATTEMPTS,
+    build_scheduled_rebuild, spawn_background_miner, try_write_within, BackgroundMiner, Cqms,
+    MinerReport, MINER_GRACE_ATTEMPTS,
 };
 use crate::snapshot::ReadSnapshot;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -486,29 +486,22 @@ impl CqmsService {
         self.acked_write(|c| c.run_maintenance_with_basis(basis))
     }
 
-    /// Execute a scheduled index rebuild, double-buffered: the snapshot
-    /// is collected under a *momentary* read lock (per-record `Arc`
-    /// clones only), the O(n log n) build of generation N+1 then runs
-    /// with **no lock held** — concurrent searches *and* writers proceed
-    /// against generation N the whole time — and the write lock is taken
-    /// only for the delta replay of whatever landed mid-build plus the
-    /// single atomic swap. Returns `false` when no rebuild was
-    /// scheduled. (The background miner does the same dance on its own
-    /// thread; this entry point is for explicit maintenance and the
-    /// rebuild-race benches/tests.)
+    /// Execute a scheduled index rebuild, double-buffered
+    /// (`server::build_scheduled_rebuild`: pinned under a *momentary* read
+    /// lock, built with **no lock held**); the write lock is taken only
+    /// for the delta replay of whatever landed mid-build plus the single
+    /// swap. Returns `false` when no rebuild was scheduled. (The
+    /// background miner runs the same routine on its own thread; this
+    /// entry point is for explicit maintenance and the rebuild-race
+    /// benches/tests.)
     pub fn rebuild_indexes(&self) -> bool {
-        let snapshot = {
-            let guard = self.read_guard();
-            if !guard.storage.index_rebuild_pending() {
-                return false;
-            }
-            guard.storage.collect_index_rebuild()
+        let Some(build) = build_scheduled_rebuild(Some(self.read_guard())) else {
+            return false;
         };
-        let build = snapshot.build(); // off-lock
-                                      // One epoch bump covering the generation swap: a reader either
-                                      // keeps the whole pre-rebuild snapshot or clones the whole
-                                      // post-rebuild one — never generation N+1 indexes with
-                                      // generation N popularity/session state.
+        // One epoch bump covering the generation swap: a reader either
+        // keeps the whole pre-rebuild snapshot or clones the whole
+        // post-rebuild one — never generation N+1 indexes with
+        // generation N popularity/session state.
         let swap = |c: &mut Cqms| c.storage.publish_index_rebuild(build);
         self.commit(self.cqms.write(), swap, |_| ()).0
     }

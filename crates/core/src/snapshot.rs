@@ -52,8 +52,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// An immutable, lock-free-readable view of one CQMS instance at a
-/// publication epoch. Cheap to hold: readers pin at most a few sealed
-/// `Arc` layers, so writer churn after capture costs them nothing.
+/// publication epoch. Cheap to hold: everything in it is shared with the
+/// writer by pointer, and writer churn after capture never reaches it.
 pub struct ReadSnapshot {
     /// Publication epoch (monotonic per service; bumped on every write,
     /// index-rebuild publish and repair promotion).
@@ -92,12 +92,10 @@ impl ReadSnapshot {
         self.storage.live_count()
     }
 
-    /// The structural-index generation the snapshot serves from. Read
-    /// from the snapshot's own pinned sealed generation — *not* the
-    /// registry's live observability counter, which keeps advancing under
-    /// held snapshots as rebuilds publish.
+    /// The structural-index generation the snapshot serves from — its
+    /// own pinned index's, however many rebuilds publish while it is held.
     pub fn index_generation(&self) -> u64 {
-        self.storage.indexes().sealed().generation
+        self.storage.index_generation()
     }
 
     /// The captured storage (for oracles and diagnostics; all methods on

@@ -22,7 +22,7 @@
 
 use crate::error::CqmsError;
 use crate::features::{self, SyntacticFeatures};
-use crate::indexreg::{IndexBuild, IndexRegistry, PostingLists, RebuildSnapshot};
+use crate::indexreg::{IndexBuild, IndexRegistry, PostingLists, OVERRIDE_PUBLISH_THRESHOLD};
 use crate::metricindex::MetricIndexStats;
 use crate::model::*;
 use crate::signature::{FeatureInterner, SimSignature};
@@ -37,9 +37,9 @@ use textindex::{InvertedIndex, TrigramIndex};
 /// The CQMS query store.
 ///
 /// Every container is persistent ([`cqms_cow`], the text indexes, the
-/// registry's path-copying head), so `clone()` produces an immutable
-/// snapshot in O(len/CHUNK) pointer bumps and the writer's next mutation
-/// copies only the nodes and chunks it touches — the basis of the service
+/// registry's path-copying structural index), so `clone()` produces an
+/// immutable snapshot in O(len/CHUNK) pointer bumps and the writer's next
+/// mutation copies only the nodes and chunks it touches — the basis of the service
 /// layer's lock-free [`crate::snapshot::ReadSnapshot`]. The embedded feature-relation
 /// engine and the WAL are the two exceptions: a clone gets a fresh empty
 /// engine and no WAL (it is `detached`), and the reads that need live
@@ -68,12 +68,12 @@ pub struct QueryStorage {
     interner: FeatureInterner,
     /// Per-record similarity signatures, parallel to `records`.
     signatures: SnapshotVec<Arc<SimSignature>>,
-    /// All derived index state — feature postings, the sealed structural
-    /// generation (VP-tree, tree-less list, ParseTree profile groups),
-    /// the mutable head, the override log and the rebuild schedule. See
-    /// [`crate::indexreg`] for the generation lifecycle; probes read it
-    /// through [`QueryStorage::indexes`], rebuilds run in the background
-    /// miner epoch.
+    /// All derived index state — feature postings, the structural index
+    /// (VP-tree, tree-less list, ParseTree profile groups), the override
+    /// log and the rebuild schedule. See [`crate::indexreg`] for the
+    /// rebuild lifecycle; probes read it through
+    /// [`QueryStorage::indexes`], rebuilds run in the background miner
+    /// epoch.
     indexes: IndexRegistry,
     /// Incrementally maintained count of live records (kept coherent by
     /// `insert`/`delete`/`set_validity`; validity must never be flipped
@@ -83,13 +83,6 @@ pub struct QueryStorage {
     /// sanctioned mutator logs its operation here; durability happens at
     /// the service layer's per-batch [`QueryStorage::wal_flush`].
     wal: Option<WalWriter>,
-    /// Force an inline index publish once this many overrides are
-    /// outstanding (0 = never). Each override costs every structural
-    /// probe a scan entry until a publish retires it; under a repair
-    /// storm the scheduled background rebuild may lag arbitrarily, so
-    /// the storm itself amortises the publish instead. Wired from
-    /// [`crate::config::CqmsConfig::override_publish_threshold`].
-    override_publish_threshold: usize,
     /// `true` on snapshot clones: the feature-relation engine is a fresh
     /// empty stand-in there, and touching it is a logic error (guarded by
     /// `debug_assert` in the engine accessors).
@@ -119,7 +112,6 @@ impl Clone for QueryStorage {
             indexes: self.indexes.clone(),
             live: self.live,
             wal: None,
-            override_publish_threshold: self.override_publish_threshold,
             detached: true,
         }
     }
@@ -151,15 +143,8 @@ impl QueryStorage {
             indexes: IndexRegistry::new(),
             live: 0,
             wal: None,
-            override_publish_threshold: 64,
             detached: false,
         }
-    }
-
-    /// Set the forced-publish threshold for outstanding overrides
-    /// (0 disables; see the field docs).
-    pub fn set_override_publish_threshold(&mut self, threshold: usize) {
-        self.override_publish_threshold = threshold;
     }
 
     /// Number of logged queries (including tombstoned ones).
@@ -238,10 +223,9 @@ impl QueryStorage {
             self.indexes.post(&sig, id.0);
             self.live += 1;
         }
-        // Index the record into the registry's mutable head: every
+        // Index the record into the registry's structural index: every
         // non-tombstoned record is indexed (flagged records may be
-        // repaired later; tombstones never come back), and the sealed
-        // generation stays untouched until the next background rebuild.
+        // repaired later; tombstones never come back).
         if !tombstoned {
             self.indexes.note_insert(&record, &sig);
         }
@@ -429,7 +413,7 @@ impl QueryStorage {
         // (probes filter them by liveness — VP-tree entries and side-list
         // ids alike): the registry counts them and schedules a background
         // rebuild past the threshold — the probe path keeps serving the
-        // published generation either way.
+        // index as it stands either way.
         self.indexes.note_tombstone();
         self.wal_log(WalOp::Tombstone { id });
         Ok(())
@@ -621,11 +605,8 @@ impl QueryStorage {
         // retires it. Once the log crosses the threshold, publish a
         // generation inline — the storm pays for its own cleanup, and
         // probes never scan more than `threshold` overrides.
-        if self.override_publish_threshold > 0
-            && self.indexes.override_count() >= self.override_publish_threshold
-        {
-            let build = self.begin_index_rebuild();
-            self.publish_index_rebuild(build);
+        if self.indexes.override_count() >= OVERRIDE_PUBLISH_THRESHOLD {
+            self.run_index_maintenance();
         }
         Ok(())
     }
@@ -633,7 +614,7 @@ impl QueryStorage {
     /// Refresh a record's output summary (§4.4 statistics refresh). The
     /// summary feeds the signature's hashed output row/cell sets — the
     /// query-by-data screens and the Output/Combined distances — so the
-    /// *only* sanctioned route is this sealed setter, which routes
+    /// *only* sanctioned route is this setter, which routes
     /// through [`QueryStorage::reindex`] (now a registry rebuild
     /// request). Mutating `record.summary` through `get_mut` instead
     /// trips the coherence `debug_assert` on the query-by-data path.
@@ -665,9 +646,9 @@ impl QueryStorage {
         &self.interner
     }
 
-    /// The index registry: feature postings, the published structural
-    /// generation, the mutable head and the override log. Probes read
-    /// indexes through here ([`IndexRegistry::sealed`] + head accessors).
+    /// The index registry: feature postings, the structural index and
+    /// the override log. Probes read indexes through here
+    /// ([`IndexRegistry::structural`]).
     pub fn indexes(&self) -> &IndexRegistry {
         &self.indexes
     }
@@ -716,7 +697,7 @@ impl QueryStorage {
         self.indexes.candidate_ids(sig)
     }
 
-    /// Cheap-bound effectiveness counters + generation counters for the
+    /// Cheap-bound effectiveness counters + rebuild counters for the
     /// tree metrics.
     pub fn metric_stats(&self) -> &MetricIndexStats {
         self.indexes.stats()
@@ -726,7 +707,8 @@ impl QueryStorage {
     // Index rebuild lifecycle (background; see `crate::indexreg`)
     // ------------------------------------------------------------------
 
-    /// The published structural-index generation number.
+    /// The generation of this storage's structural index (on a clone:
+    /// the one it was cloned with).
     pub fn index_generation(&self) -> u64 {
         self.indexes.generation()
     }
@@ -743,28 +725,22 @@ impl QueryStorage {
         self.indexes.rebuild_pending()
     }
 
-    /// Phase 1a of the double-buffered rebuild: capture a cheap,
-    /// self-contained snapshot of the build inputs (per-record `Arc`
-    /// clones only). The service layer and background miner grab this
-    /// under a read lock, drop the lock, and run the O(n log n)
-    /// [`RebuildSnapshot::build`] with no lock held — readers *and*
-    /// writers proceed against generation N for the entire build.
-    pub fn collect_index_rebuild(&self) -> RebuildSnapshot {
-        self.indexes
-            .collect_rebuild(&self.records, &self.signatures)
-    }
-
-    /// Phases 1a + 1b in one call (collect + build) for synchronous
-    /// callers that already hold exclusive access.
+    /// Phase 1 of the double-buffered rebuild: build the next generation
+    /// from this storage's records, read in place. The service layer and
+    /// the background miner call it on a *pinned clone* of the live
+    /// storage (taken under a momentary read lock) with no lock held —
+    /// readers *and* writers proceed against the standing index for the
+    /// entire O(n log n) build; synchronous callers that hold exclusive
+    /// access call it on the live storage.
     pub fn begin_index_rebuild(&self) -> IndexBuild {
         self.indexes.begin_rebuild(&self.records, &self.signatures)
     }
 
     /// Phase 2: replay the delta that landed mid-build (inserts past the
-    /// collected horizon, overrides the build missed), publish with one
-    /// atomic swap, and run the queued posting compactions. Returns
-    /// `false` when the build was discarded as stale (a racing rebuild
-    /// that collected against a newer mutation epoch published first).
+    /// build's length, overrides the build missed), publish with one
+    /// swap, and run the queued posting compactions. Returns `false` when
+    /// the build was discarded as stale (a racing rebuild published
+    /// first).
     pub fn publish_index_rebuild(&mut self, build: IndexBuild) -> bool {
         let published = {
             let QueryStorage {
@@ -808,9 +784,8 @@ impl QueryStorage {
 
     /// Pointers a snapshot clone copies eagerly: one per chunk of each
     /// id-indexed vector (records, signatures, document and posting slots,
-    /// head entries and groups) plus the queued compactions. Everything
-    /// else a clone shares costs O(1) per structure; nothing is copied by
-    /// value.
+    /// VP-tree entries and profile groups). Everything else a clone shares
+    /// costs O(1) per structure; nothing is copied by value.
     pub fn cow_head_len(&self) -> usize {
         self.records.chunk_count()
             + self.signatures.chunk_count()
@@ -1546,30 +1521,29 @@ mod tests {
         }
     }
 
-    /// The registry generation lifecycle: inserts land in the mutable
-    /// head, a rebuild seals them into a published generation with one
-    /// atomic swap, reindex logs an override + schedules, and crossing
-    /// the tombstone threshold schedules — probes never rebuild inline.
+    /// The registry lifecycle: inserts are indexed at once into the one
+    /// structural index, a rebuild swaps in a rebalanced generation of
+    /// it, later inserts grow that same tree, reindex logs an override +
+    /// schedules, and crossing the tombstone threshold schedules — probes
+    /// never rebuild inline.
     #[test]
     fn index_registry_lifecycle() {
         use std::sync::atomic::Ordering;
         let mut s = populated();
-        // Fresh store: generation 0 (empty sealed), everything in the head.
+        // Fresh store: generation 0, every insert already indexed.
         assert_eq!(s.index_generation(), 0);
         assert!(!s.index_rebuild_pending());
-        assert_eq!(s.indexes().sealed().tree.len(), 0);
-        assert_eq!(s.indexes().head_tree().len(), 3);
-        // Seal: one rebuild publishes generation 1 and empties the head.
+        assert_eq!(s.indexes().structural().tree.len(), 3);
+        // One rebuild publishes generation 1 over the same records.
         s.schedule_index_rebuild();
         assert!(s.run_index_maintenance());
         assert_eq!(s.index_generation(), 1);
-        assert_eq!(s.indexes().sealed().tree.len(), 3);
-        assert_eq!(s.indexes().head_tree().len(), 0);
-        assert!(s.indexes().sealed().groups.len() >= 2);
-        // Inserts go to the head; the sealed generation is untouched.
+        assert_eq!(s.indexes().structural().tree.len(), 3);
+        assert!(s.indexes().structural().groups.len() >= 2);
+        // An insert grows the rebuilt tree — there is no second one.
         s.insert(record(3, 1, 60, "SELECT * FROM Lakes", 2));
-        assert_eq!(s.indexes().sealed().tree.len(), 3);
-        assert_eq!(s.indexes().head_tree().len(), 1);
+        assert_eq!(s.indexes().structural().tree.len(), 4);
+        assert_eq!(s.index_generation(), 1);
         // Flagging is query-time filtering only — no index change.
         s.set_validity(
             QueryId(0),
@@ -1586,12 +1560,11 @@ mod tests {
         assert!(s.indexes().overridden(1));
         assert_eq!(s.index_generation(), 1, "no inline rebuild");
         // The miner-epoch pass publishes generation 2 and retires the
-        // override; the mid-head insert was replayed in.
+        // override.
         assert!(s.run_index_maintenance());
         assert_eq!(s.index_generation(), 2);
         assert!(!s.indexes().overridden(1));
-        assert_eq!(s.indexes().sealed().tree.len(), 4);
-        assert_eq!(s.indexes().head_tree().len(), 0);
+        assert_eq!(s.indexes().structural().tree.len(), 4);
         // Tombstones only *schedule* past the 25% threshold.
         s.delete(QueryId(0)).unwrap();
         assert!(!s.index_rebuild_pending()); // 1/4 ≤ threshold
@@ -1600,14 +1573,14 @@ mod tests {
         assert_eq!(s.index_generation(), 2, "rebuild deferred to the epoch");
         assert!(s.run_index_maintenance());
         assert_eq!(s.index_generation(), 3);
-        assert_eq!(s.indexes().sealed().tree.len(), 2);
+        assert_eq!(s.indexes().structural().tree.len(), 2);
         assert_eq!(
             s.metric_stats().rebuilds_completed.load(Ordering::Relaxed),
             3
         );
     }
 
-    /// A refreshed summary must flow through the sealed setter, which
+    /// A refreshed summary must flow through `refresh_summary`, which
     /// rebuilds the signature's output hashes (so the query-by-data
     /// screens stay coherent) and schedules a registry rebuild.
     #[test]

@@ -659,18 +659,16 @@ fn degraded_open_isolates_corrupt_shard() {
 // ---------------------------------------------------------------------
 
 /// A reindex storm (bulk `REINDEX` repair, §2.4) may not let the override
-/// log grow without bound: at the configured threshold the storm pays for
-/// an inline rebuild + publish, so outstanding overrides stay below the
-/// bound no matter how many repairs arrive.
+/// log grow without bound: at `OVERRIDE_PUBLISH_THRESHOLD` the storm pays
+/// for an inline rebuild + publish, so outstanding overrides stay below
+/// the bound no matter how many repairs arrive.
 #[test]
 fn override_storm_forces_inline_publish() {
-    let config = CqmsConfig {
-        override_publish_threshold: 8,
-        ..ram_config()
-    };
-    let mut cqms = Cqms::new(engine(), config);
+    const BOUND: usize = cqms_core::indexreg::OVERRIDE_PUBLISH_THRESHOLD;
+    let storm = 2 * BOUND as u64 + 32;
+    let mut cqms = Cqms::new(engine(), ram_config());
     let user = cqms.register_user("alice");
-    for i in 0..20u64 {
+    for i in 0..storm {
         cqms.run_query_at(
             user,
             &format!("SELECT * FROM WaterTemp WHERE temp < {i}"),
@@ -679,15 +677,15 @@ fn override_storm_forces_inline_publish() {
         .expect("ingest");
     }
     let gen0 = cqms.storage.index_generation();
-    for i in 0..20u64 {
+    for i in 0..storm {
         cqms.storage.reindex(QueryId(i)).expect("repair");
         assert!(
-            cqms.storage.indexes().override_count() < 8,
+            cqms.storage.indexes().override_count() < BOUND,
             "override log bounded at the threshold (repair {i})"
         );
     }
-    // 20 repairs at threshold 8 ⇒ two forced publishes, 4 left over.
-    assert_eq!(cqms.storage.indexes().override_count(), 4);
+    // 2·BOUND + 32 repairs ⇒ two forced publishes, 32 left over.
+    assert_eq!(cqms.storage.indexes().override_count(), 32);
     assert!(
         cqms.storage.index_generation() >= gen0 + 2,
         "each forced publish advanced the generation"

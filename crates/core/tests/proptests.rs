@@ -533,7 +533,10 @@ proptest! {
     /// masked by the override log) when the build publishes, so
     /// registry-served kNN (ids and scores, TreeEdit and ParseTree)
     /// equals brute force on the post-publish state. No probe ever sees
-    /// a missing record, before or after the swap.
+    /// a missing record, before or after the swap. And a storage clone
+    /// pinned before the build or just before the publish keeps answering
+    /// from its own records: neither the swap nor later inserts into the
+    /// new generation reach an index already pinned.
     #[test]
     fn index_rebuild_delta_replay_matches_brute_force(
         records in proptest::collection::vec(0u64..1, 2..12).prop_flat_map(|seeds| {
@@ -553,6 +556,8 @@ proptest! {
         viewer in 0u32..4,
         k in 1usize..6,
     ) {
+        let later: Vec<QueryRecord> =
+            records.iter().chain(&mid_inserts).cycle().take(10).cloned().collect();
         let mut st = QueryStorage::new();
         for (i, mut r) in records.into_iter().enumerate() {
             r.id = QueryId(i as u64);
@@ -564,15 +569,16 @@ proptest! {
                 st.delete(QueryId(i as u64)).unwrap();
             }
         }
-        // Seal once so the mid-build window below runs against a real
-        // published generation, not just the head.
+        // Rebuild once so the mid-build window below runs against a
+        // bulk-built generation, not just a tree grown from empty.
         st.schedule_index_rebuild();
         st.run_index_maintenance();
-        let sealed_gen = st.index_generation();
+        let base_gen = st.index_generation();
 
         // Open the mid-build window: generation N+1 is built from the
-        // current snapshot…
+        // current records…
         st.schedule_index_rebuild();
+        let pinned_before = st.clone();
         let build = st.begin_index_rebuild();
         // …while inserts, tombstones, flag/repair transitions and a
         // reindex land before it publishes.
@@ -602,9 +608,10 @@ proptest! {
         if st.get(reindexed).unwrap().validity != Validity::Deleted {
             st.reindex(reindexed).unwrap();
         }
-        // Publish: delta replay + one atomic swap.
+        // Publish: delta replay + one swap.
+        let pinned_mid = st.clone();
         st.publish_index_rebuild(build);
-        prop_assert_eq!(st.index_generation(), sealed_gen + 1);
+        prop_assert_eq!(st.index_generation(), base_gen + 1);
 
         let dir = Directory::new();
         let cfg = CqmsConfig::default();
@@ -616,12 +623,28 @@ proptest! {
             RuntimeFeatures::default(), OutputSummary::None,
             SessionId(u64::MAX), Visibility::Private,
         );
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
-        for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
-            let got = mq.knn(viewer, &probe, k, metric);
-            let want = brute_knn(&st, &dir, &cfg, viewer, &probe, metric, k);
-            prop_assert_eq!(&got, &want, "{:?} diverged after delta replay", metric);
+        let check = |st: &QueryStorage, what: &str| -> Result<(), TestCaseError> {
+            let mq = MetaQueryExecutor::new(st, &dir, &cfg);
+            for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
+                let got = mq.knn(viewer, &probe, k, metric);
+                let want = brute_knn(st, &dir, &cfg, viewer, &probe, metric, k);
+                prop_assert_eq!(&got, &want, "{:?} diverged {}", metric, what);
+            }
+            Ok(())
+        };
+        check(&st, "after delta replay")?;
+        // Ten more inserts grow the generation just published.
+        for (i, mut r) in later.into_iter().enumerate() {
+            r.id = QueryId((total + i) as u64);
+            st.insert(r);
         }
+        check(&st, "after inserts into the new generation")?;
+        prop_assert_eq!(pinned_before.len(), n);
+        prop_assert_eq!(pinned_before.index_generation(), base_gen);
+        check(&pinned_before, "on the clone pinned before the build")?;
+        prop_assert_eq!(pinned_mid.len(), total);
+        prop_assert_eq!(pinned_mid.index_generation(), base_gen);
+        check(&pinned_mid, "on the clone pinned before the publish")?;
     }
 
     /// Bounded ParseTree kNN (diff-profile lower-bound sweep) returns

@@ -39,7 +39,6 @@
 
 use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
@@ -540,12 +539,6 @@ impl<K: Eq + Hash + Clone, V: Clone> CowMap<K, V> {
         self.iter().map(|(k, _)| k)
     }
 
-    /// Replace the whole map with `entries` (clones of the old map keep
-    /// the old contents).
-    pub fn reseal_from(&mut self, entries: HashMap<K, V>) {
-        *self = entries.into_iter().collect();
-    }
-
     /// Drop every entry.
     pub fn clear(&mut self) {
         *self = CowMap::new();
@@ -815,6 +808,7 @@ impl<'a, K: Eq + Hash + Clone, V: Clone> IntoIterator for &'a CowMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn snapshot_vec_positional_semantics() {
@@ -1024,16 +1018,7 @@ mod tests {
                         m.entry_or_default(key).push(step);
                         model.entry(key).or_default().push(step);
                     }
-                    90..=96 => held.push((m.clone(), model.clone())),
-                    97 => {
-                        let kept: Model = model
-                            .iter()
-                            .filter(|(k, _)| *k % 3 != 0)
-                            .map(|(k, v)| (*k, v.clone()))
-                            .collect();
-                        m.reseal_from(kept.clone());
-                        model = kept;
-                    }
+                    90..=97 => held.push((m.clone(), model.clone())),
                     98 => {
                         m.clear();
                         model.clear();

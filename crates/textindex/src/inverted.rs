@@ -269,7 +269,7 @@ impl InvertedIndex {
     /// tombstoned documents entirely.
     pub fn compact(&mut self) {
         let mut entries = 0usize;
-        let mut new_posts: HashMap<Arc<str>, SegVec<Posting>> = HashMap::new();
+        let mut new_posts = CowMap::new();
         for (term, posts) in self.postings.iter() {
             let kept: SegVec<Posting> = posts
                 .iter()
@@ -282,7 +282,7 @@ impl InvertedIndex {
             }
         }
         let new_docs = self.docs.iter().map(|i| i.filter(|i| i.live)).collect();
-        self.postings.reseal_from(new_posts);
+        self.postings = new_posts;
         self.docs = new_docs;
         self.entries = entries;
         self.stale = 0;

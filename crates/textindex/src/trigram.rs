@@ -11,7 +11,7 @@
 //! integers (the Query Storage's record ids).
 
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One document slot: its current text (none for an id never added, or
@@ -146,13 +146,13 @@ impl TrigramIndex {
             .iter()
             .map(|d| if d.deleted { Doc::default() } else { d.clone() })
             .collect();
-        let mut new_grams: HashMap<[u8; 3], SegVec<u64>> = HashMap::new();
+        let mut new_grams: CowMap<[u8; 3], SegVec<u64>> = CowMap::new();
         for (doc, slot) in live_docs.iter_enumerated() {
             for g in slot.text.iter().flat_map(|t| Self::trigrams(t)) {
-                new_grams.entry(g).or_default().push(doc as u64);
+                new_grams.entry_or_default(g).push(doc as u64);
             }
         }
-        self.grams.reseal_from(new_grams);
+        self.grams = new_grams;
         self.docs = live_docs;
     }
 }
