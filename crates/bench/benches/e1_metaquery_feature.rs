@@ -17,10 +17,10 @@ fn bench(c: &mut Criterion) {
     for &size in &[500usize, 2000] {
         let lc = logged_cqms(Domain::Lakes, size, 0xE1);
         let user = lc.users[0];
+        let snap = lc.cqms.capture_snapshot(0);
         group.bench_with_input(BenchmarkId::new("feature_sql", size), &size, |b, _| {
             b.iter(|| {
-                lc.cqms
-                    .search_feature_sql(user, FIGURE1_META_QUERY)
+                snap.search_feature_sql(user, FIGURE1_META_QUERY)
                     .unwrap()
                     .rows
                     .len()

@@ -30,8 +30,7 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("feature_sql", |b| {
         b.iter(|| {
-            lc.cqms
-                .search_feature_sql(user, FIGURE1_META_QUERY)
+            snap.search_feature_sql(user, FIGURE1_META_QUERY)
                 .unwrap()
                 .rows
                 .len()

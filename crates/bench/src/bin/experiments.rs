@@ -71,16 +71,12 @@ fn e1_figure1_metaquery() {
     for &size in &[500usize, 2000, 8000] {
         let lc = logged_cqms(Domain::Lakes, size, 0xE1);
         let user = lc.users[0];
-        let result = lc
-            .cqms
-            .search_feature_sql(user, FIGURE1_META_QUERY)
-            .unwrap();
+        let snap = lc.cqms.capture_snapshot(0);
+        let result = snap.search_feature_sql(user, FIGURE1_META_QUERY).unwrap();
         let matches = result.rows.len();
 
         let t_feature = time_mean(5, || {
-            lc.cqms
-                .search_feature_sql(user, FIGURE1_META_QUERY)
-                .unwrap()
+            snap.search_feature_sql(user, FIGURE1_META_QUERY).unwrap()
         });
 
         // Ablation A1: the "raw text" data model — parse + extract features
@@ -406,15 +402,13 @@ fn e6_search_modes() {
     let n_tree = snap.search_parse_tree(user, &tree).len();
     let t_tree = time_mean(20, || snap.search_parse_tree(user, &tree).len());
     println!("| parse-tree pattern | {n_tree} | {} |", us(t_tree));
-    let n_feat = lc
-        .cqms
+    let n_feat = snap
         .search_feature_sql(user, FIGURE1_META_QUERY)
         .unwrap()
         .rows
         .len();
     let t_feat = time_mean(10, || {
-        lc.cqms
-            .search_feature_sql(user, FIGURE1_META_QUERY)
+        snap.search_feature_sql(user, FIGURE1_META_QUERY)
             .unwrap()
             .rows
             .len()

@@ -5,14 +5,17 @@
 //! `Attributes(qid, attrName, relName)` and
 //! `Predicates(qid, attrName, relName, op, const)`. This module extracts
 //! those features from a parsed statement (resolving aliases and, when a
-//! catalog is available, unqualified column names) and materialises them into
-//! real `relstore` tables that the Meta-query Executor runs SQL against.
+//! catalog is available, unqualified column names) and builds each query's
+//! rows of those relations ([`FeatureRows`]), which the Meta-query Executor
+//! assembles into `relstore` tables to run SQL against.
 
-use relstore::{Catalog, Engine, Value};
+use crate::model::{QueryRecord, SessionId};
+use relstore::{Catalog, Row, Value};
 use sqlparse::ast::*;
 use sqlparse::printer::expr_to_sql;
 use sqlparse::visit::{self, Visitor};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One extracted comparison predicate (`relName.attrName op const`).
 #[derive(Debug, Clone, PartialEq)]
@@ -399,154 +402,112 @@ fn has_aggregate(s: &SelectStatement) -> bool {
 // Feature relations (Figure 1)
 // ---------------------------------------------------------------------
 
-/// DDL for the Figure 1 feature relations plus the runtime-metadata relation.
-pub const FEATURE_DDL: [&str; 5] = [
-    "CREATE TABLE Queries (qid INT, qText TEXT)",
-    "CREATE TABLE DataSources (qid INT, relName TEXT)",
-    "CREATE TABLE Attributes (qid INT, attrName TEXT, relName TEXT)",
-    "CREATE TABLE Predicates (qid INT, attrName TEXT, relName TEXT, op TEXT, const TEXT)",
-    "CREATE TABLE QueryMeta (qid INT, author INT, ts INT, sessionId INT, elapsedUs INT, cardinality INT, success BOOLEAN)",
+/// The Figure 1 feature relations plus the runtime-metadata relation, each
+/// with its typed columns; every one is keyed by `qid` in column 0.
+pub const FEATURE_RELATIONS: [(&str, &[(&str, DataType)]); 5] = [
+    (
+        "Queries",
+        &[("qid", DataType::Int), ("qText", DataType::Text)],
+    ),
+    (
+        "DataSources",
+        &[("qid", DataType::Int), ("relName", DataType::Text)],
+    ),
+    (
+        "Attributes",
+        &[
+            ("qid", DataType::Int),
+            ("attrName", DataType::Text),
+            ("relName", DataType::Text),
+        ],
+    ),
+    (
+        "Predicates",
+        &[
+            ("qid", DataType::Int),
+            ("attrName", DataType::Text),
+            ("relName", DataType::Text),
+            ("op", DataType::Text),
+            ("const", DataType::Text),
+        ],
+    ),
+    (
+        "QueryMeta",
+        &[
+            ("qid", DataType::Int),
+            ("author", DataType::Int),
+            ("ts", DataType::Int),
+            ("sessionId", DataType::Int),
+            ("elapsedUs", DataType::Int),
+            ("cardinality", DataType::Int),
+            ("success", DataType::Bool),
+        ],
+    ),
 ];
 
-/// The five feature relations, every one keyed by `qid` in column 0.
-const FEATURE_TABLES: [&str; 5] = [
-    "Queries",
-    "DataSources",
-    "Attributes",
-    "Predicates",
-    "QueryMeta",
-];
+/// Positions of `QueryMeta` in [`FEATURE_RELATIONS`] and of `sessionId`
+/// in it.
+const QUERY_META: usize = 4;
+const SESSION_ID: usize = 3;
 
-/// Create the feature relations (and their indexes) on a fresh engine.
-pub fn create_feature_relations(engine: &mut Engine) {
-    for ddl in FEATURE_DDL {
-        engine.execute(ddl).expect("feature relation DDL");
-    }
-    for (t, c) in [
-        ("Queries", "qid"),
-        ("DataSources", "qid"),
-        ("DataSources", "relName"),
-        ("Attributes", "qid"),
-        ("Attributes", "attrName"),
-        ("Attributes", "relName"),
-        ("Predicates", "qid"),
-        ("Predicates", "attrName"),
-        ("QueryMeta", "qid"),
-    ] {
-        engine.create_index(t, c).expect("feature index");
-    }
-}
+/// One logged query's rows in the feature relations, indexed like
+/// [`FEATURE_RELATIONS`]. Rows sit behind `Arc`, so showing them to a SQL
+/// meta-query copies pointers, never cells.
+#[derive(Debug, Clone)]
+pub struct FeatureRows([Vec<Arc<Row>>; 5]);
 
-/// Context rows for [`insert_features`].
-pub struct FeatureRowMeta {
-    /// Query id the rows describe.
-    pub qid: u64,
-    /// Issuing user id.
-    pub author: u32,
-    /// Trace-time seconds.
-    pub ts: u64,
-    /// Session id.
-    pub session: u64,
-    /// Execution time in microseconds.
-    pub elapsed_us: u64,
-    /// Result row count.
-    pub cardinality: u64,
-    /// Whether execution succeeded.
-    pub success: bool,
-}
-
-/// Insert one query's features into the feature relations.
-pub fn insert_features(
-    engine: &mut Engine,
-    meta: &FeatureRowMeta,
-    text: &str,
-    f: &SyntacticFeatures,
-) {
-    let qid = Value::Int(meta.qid as i64);
-    engine
-        .catalog
-        .table_mut("Queries")
-        .unwrap()
-        .insert(vec![qid.clone(), Value::from(text)])
-        .unwrap();
-    for t in &f.tables {
-        engine
-            .catalog
-            .table_mut("DataSources")
-            .unwrap()
-            .insert(vec![qid.clone(), Value::from(t.as_str())])
-            .unwrap();
-    }
-    for (t, a) in &f.attributes {
-        engine
-            .catalog
-            .table_mut("Attributes")
-            .unwrap()
-            .insert(vec![
-                qid.clone(),
-                Value::from(a.as_str()),
-                Value::from(t.as_str()),
-            ])
-            .unwrap();
-    }
-    for p in &f.predicates {
-        engine
-            .catalog
-            .table_mut("Predicates")
-            .unwrap()
-            .insert(vec![
-                qid.clone(),
-                Value::from(p.column.as_str()),
-                Value::from(p.table.as_str()),
-                Value::from(p.op.as_str()),
-                Value::from(p.constant.as_str()),
-            ])
-            .unwrap();
-    }
-    engine
-        .catalog
-        .table_mut("QueryMeta")
-        .unwrap()
-        .insert(vec![
-            qid,
-            Value::Int(meta.author as i64),
-            Value::Int(meta.ts as i64),
-            Value::Int(meta.session as i64),
-            Value::Int(meta.elapsed_us as i64),
-            Value::Int(meta.cardinality as i64),
-            Value::Bool(meta.success),
+impl FeatureRows {
+    /// Build the rows of `record`.
+    pub fn of(record: &QueryRecord) -> FeatureRows {
+        let qid = || Value::Int(record.id.0 as i64);
+        let text = |s: &str| Value::from(s);
+        let f = &record.features;
+        let row = |cells: Vec<Value>| Arc::new(cells);
+        FeatureRows([
+            vec![row(vec![qid(), text(&record.raw_sql)])],
+            f.tables.iter().map(|t| row(vec![qid(), text(t)])).collect(),
+            f.attributes
+                .iter()
+                .map(|(t, a)| row(vec![qid(), text(a), text(t)]))
+                .collect(),
+            f.predicates
+                .iter()
+                .map(|p| {
+                    row(vec![
+                        qid(),
+                        text(&p.column),
+                        text(&p.table),
+                        text(&p.op),
+                        text(&p.constant),
+                    ])
+                })
+                .collect(),
+            vec![row(vec![
+                qid(),
+                Value::Int(record.user.0 as i64),
+                Value::Int(record.ts as i64),
+                Value::Int(record.session.0 as i64),
+                Value::Int(record.runtime.elapsed_us as i64),
+                Value::Int(record.runtime.cardinality as i64),
+                Value::Bool(record.runtime.success),
+            ])],
         ])
-        .unwrap();
-    // Keep index freshness lazy: relstore invalidates on DML automatically
-    // only through Engine::execute; direct table inserts require an explicit
-    // invalidation.
-    for t in FEATURE_TABLES {
-        engine.invalidate_indexes(t);
     }
-}
 
-/// Remove a query's rows from all feature relations (owner deletion, §2.4).
-pub fn delete_features(engine: &mut Engine, qid: u64) {
-    let qid = Value::Int(qid as i64);
-    for t in FEATURE_TABLES {
-        let table = engine.catalog.table_mut(t).expect("feature relation");
-        table.delete_where(|row| row[0] == qid);
-        engine.invalidate_indexes(t);
+    /// The query's rows in relation `i` of [`FEATURE_RELATIONS`].
+    pub fn relation(&self, i: usize) -> &[Arc<Row>] {
+        &self.0[i]
     }
-}
 
-/// Point `QueryMeta.sessionId` of every qid in `sessions` at its new
-/// session (the miner's offline refinement, §4.3), in one pass.
-pub fn set_sessions(engine: &mut Engine, sessions: &HashMap<u64, u64>) {
-    let table = engine.catalog.table_mut("QueryMeta").expect("QueryMeta");
-    let col = table.schema.column_index("sessionId").expect("sessionId");
-    for row in &mut table.rows {
-        let new = row[0].as_i64().and_then(|qid| sessions.get(&(qid as u64)));
-        if let Some(&session) = new {
-            row[col] = Value::Int(session as i64);
+    /// These rows with `QueryMeta.sessionId` pointing at `session` (the
+    /// miner's offline refinement, §4.3); every other row stays shared.
+    pub fn with_session(&self, session: SessionId) -> FeatureRows {
+        let mut out = self.clone();
+        for row in &mut out.0[QUERY_META] {
+            Arc::make_mut(row)[SESSION_ID] = Value::Int(session.0 as i64);
         }
+        out
     }
-    engine.invalidate_indexes("QueryMeta");
 }
 
 #[cfg(test)]
@@ -638,34 +599,53 @@ mod tests {
     }
 
     #[test]
-    fn feature_relations_roundtrip() {
-        let mut e = Engine::new();
-        create_feature_relations(&mut e);
-        let f = features("SELECT * FROM WaterSalinity WHERE salinity > 0.2");
-        insert_features(
-            &mut e,
-            &FeatureRowMeta {
-                qid: 1,
-                author: 42,
-                ts: 100,
-                session: 7,
+    fn feature_rows_carry_every_relation() {
+        let sql = "SELECT * FROM WaterSalinity WHERE salinity > 0.2";
+        let record = crate::storage::make_record(
+            crate::model::QueryId(1),
+            crate::model::UserId(42),
+            100,
+            sql,
+            sqlparse::parse(sql).ok(),
+            features(sql),
+            crate::model::RuntimeFeatures {
                 elapsed_us: 1234,
                 cardinality: 10,
                 success: true,
+                ..Default::default()
             },
-            "SELECT * FROM WaterSalinity WHERE salinity > 0.2",
-            &f,
+            crate::model::OutputSummary::None,
+            SessionId(7),
+            crate::model::Visibility::Public,
         );
-        let r = e
-            .execute("SELECT qid FROM DataSources WHERE relName = 'watersalinity'")
-            .unwrap();
-        assert_eq!(r.rows.len(), 1);
-        let r = e
-            .execute("SELECT const FROM Predicates WHERE attrName = 'salinity'")
-            .unwrap();
-        assert_eq!(r.rows[0][0].render(), "0.2");
-        delete_features(&mut e, 1);
-        let r = e.execute("SELECT * FROM Queries").unwrap();
-        assert!(r.rows.is_empty());
+        let rows = FeatureRows::of(&record);
+        let rendered = |i: usize| -> Vec<Vec<String>> {
+            rows.relation(i)
+                .iter()
+                .map(|r| r.iter().map(Value::render).collect())
+                .collect()
+        };
+        assert_eq!(rendered(0), [["1", sql]]);
+        assert_eq!(rendered(1), [["1", "watersalinity"]]);
+        assert_eq!(rendered(2), [["1", "salinity", "watersalinity"]]);
+        assert_eq!(
+            rendered(3),
+            [["1", "salinity", "watersalinity", ">", "0.2"]]
+        );
+        assert_eq!(rendered(4), [["1", "42", "100", "7", "1234", "10", "TRUE"]]);
+        // Every row fits its relation's schema as built.
+        for (i, (name, cols)) in FEATURE_RELATIONS.iter().enumerate() {
+            let mut t = relstore::Table::new(relstore::TableSchema::build(name, cols));
+            for r in rows.relation(i) {
+                t.insert(Row::clone(r)).unwrap();
+                assert_eq!(t.rows.last().unwrap(), r, "{name} row coerced on insert");
+            }
+        }
+        // A session move rewrites QueryMeta.sessionId alone.
+        assert_eq!(FEATURE_RELATIONS[QUERY_META].1[SESSION_ID].0, "sessionId");
+        let moved = rows.with_session(SessionId(9));
+        assert_eq!(moved.relation(4)[0][3], Value::Int(9));
+        assert_eq!(rows.relation(4)[0][3], Value::Int(7));
+        assert!(Arc::ptr_eq(&moved.relation(0)[0], &rows.relation(0)[0]));
     }
 }

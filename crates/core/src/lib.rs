@@ -8,7 +8,7 @@
 //! | Paper component | Module |
 //! |---|---|
 //! | Query Profiler (§4.1) | [`profiler`], [`features`] |
-//! | Query Storage (§4.1) | [`storage`] (incl. the Figure 1 feature relations) |
+//! | Query Storage (§4.1) | [`storage`] (incl. each query's rows of the Figure 1 feature relations) |
 //! | Meta-query Executor (§4.2) | [`metaquery`], [`similarity`] |
 //! | Query Miner (§4.3) | [`miner`] (sessions, clustering, association rules, edit patterns, tutorials) |
 //! | Query Maintenance (§4.4) | [`maintenance`] |
@@ -17,9 +17,10 @@
 //! | Client rendering (Figs. 2–3) | [`viz`] |
 //!
 //! Three types carry the public surface. [`server::Cqms`] owns one
-//! embedded [`relstore::Engine`] and the `&mut` write logic (run + profile
-//! a query, annotate, ACLs, miner epochs, maintenance). Every read that
-//! does not need the live engines is declared once, on the immutable
+//! embedded [`relstore::Engine`] — the data tier — and the `&mut` write
+//! logic (run + profile a query, annotate, ACLs, miner epochs,
+//! maintenance). Every read that does not need that live engine is
+//! declared once, on the immutable
 //! [`snapshot::ReadSnapshot`] that [`server::Cqms::capture_snapshot`]
 //! returns:
 //!

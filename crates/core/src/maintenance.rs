@@ -376,11 +376,17 @@ mod tests {
         assert!(r.raw_sql.contains("temperature"), "{}", r.raw_sql);
         // Repaired query actually runs.
         assert!(en.execute(&r.raw_sql).is_ok());
-        // The feature relations were re-indexed.
-        let hits = st
-            .meta_engine()
-            .query("SELECT qid FROM Attributes WHERE attrName = 'temperature'")
-            .unwrap();
+        // The feature rows were rebuilt.
+        let hits = crate::metaquery::MetaQueryExecutor::new(
+            &st,
+            &crate::admin::Directory::new(),
+            &crate::config::CqmsConfig::default(),
+        )
+        .by_feature_sql(
+            UserId(1),
+            "SELECT qid FROM Attributes WHERE attrName = 'temperature'",
+        )
+        .unwrap();
         assert_eq!(hits.rows.len(), 1);
     }
 

@@ -19,10 +19,13 @@
 use crate::admin::Directory;
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
-use crate::model::{QueryId, QueryRecord, UserId, Validity};
+use crate::features::{self, FEATURE_RELATIONS};
+use crate::model::{QueryId, QueryRecord, UserId};
 use crate::similarity::{self, DistanceKind};
 use crate::storage::QueryStorage;
+use relstore::TableSchema;
 use sqlparse::ast::*;
+use std::sync::Arc;
 
 /// A scored search hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,9 +115,7 @@ impl TreePattern {
 
 /// The Meta-query Executor. Every search paradigm is a pure read: the
 /// executor borrows the storage *shared*, so any number of concurrent
-/// searches can run against one storage (SQL meta-queries go through
-/// [`relstore::Engine::query_statement`], whose lazy index maintenance sits
-/// behind interior mutability).
+/// searches can run against one storage.
 pub struct MetaQueryExecutor<'a> {
     /// The query log being searched.
     pub storage: &'a QueryStorage,
@@ -209,13 +210,13 @@ impl<'a> MetaQueryExecutor<'a> {
     /// literals compared against the `relName`/`attrName` columns are folded
     /// to match, so the paper's Figure 1 example runs verbatim.
     ///
-    /// Access control is enforced at the source: the statement runs against
-    /// the feature relations *restricted to the queries `viewer` may see*
-    /// (the statement is rewritten so every relation reference excludes
-    /// the hidden `qid`s), so no projection, alias, aggregate, join or
-    /// subquery can return or count a hidden query. With nothing hidden the
-    /// statement runs as written; otherwise each relation reference pays
-    /// one `NOT IN` over the hidden ids per scanned row.
+    /// Access control is which rows the executor is shown: the statement
+    /// runs against a throw-away catalog holding, for each feature relation
+    /// it references at any depth, exactly the rows of the queries `viewer`
+    /// may see (tombstoned and flagged queries have none to show), in
+    /// ascending `qid`. No projection, alias, aggregate, join or subquery
+    /// can return or count a row that is not there. Assembly is one pass
+    /// over the log cloning row pointers; nothing is kept between calls.
     pub fn by_feature_sql(
         &self,
         viewer: UserId,
@@ -224,18 +225,32 @@ impl<'a> MetaQueryExecutor<'a> {
         let mut stmt = sqlparse::parse(sql)?;
         if let Statement::Select(s) = &mut stmt {
             fold_name_literals(s);
-            // Tombstoned records have no rows in the relations.
-            let hidden: Vec<Expr> = self
-                .storage
-                .iter()
-                .filter(|r| r.validity != Validity::Deleted && !self.visible(viewer, r))
-                .map(|r| Expr::int(r.id.0 as i64))
-                .collect();
-            if !hidden.is_empty() {
-                restrict_to_visible(s, &hidden);
+        }
+        let referenced = features::extract(&stmt, None).tables;
+        let mut shown: Vec<(usize, Vec<Arc<relstore::Row>>)> = (0..FEATURE_RELATIONS.len())
+            .filter(|&i| {
+                referenced
+                    .iter()
+                    .any(|t| t.eq_ignore_ascii_case(FEATURE_RELATIONS[i].0))
+            })
+            .map(|i| (i, Vec::new()))
+            .collect();
+        for (record, rows) in self.storage.iter().zip(self.storage.feature_rows()) {
+            if let (true, Some(rows)) = (self.visible(viewer, record), rows) {
+                for (i, shown) in &mut shown {
+                    shown.extend_from_slice(rows.relation(*i));
+                }
             }
         }
-        Ok(self.storage.meta_engine().query_statement(&stmt)?)
+        let mut engine = relstore::Engine::new();
+        for (i, rows) in shown {
+            let (name, columns) = FEATURE_RELATIONS[i];
+            engine
+                .catalog
+                .create_table(TableSchema::build(name, columns))?;
+            engine.catalog.table_mut(name)?.rows = rows;
+        }
+        Ok(engine.query_statement(&stmt)?)
     }
 
     /// §2.2: "the CQMS could automatically generate these statements from
@@ -851,52 +866,6 @@ impl TopK {
     pub(crate) fn into_vec(self) -> Vec<ScoredHit> {
         self.items
     }
-}
-
-/// Restrict every feature-relation reference of `s` — top-level FROM,
-/// explicit joins and subqueries at any depth — to rows whose `qid` is not
-/// in `hidden` (all five Figure 1 relations carry `qid`).
-///
-/// Each FROM factor `b` gains the WHERE conjunct
-/// `b.qid IS NULL OR b.qid NOT IN (hidden)`; the `IS NULL` arm keeps the
-/// NULL-extended rows of outer joins. An outer-joined factor also gains
-/// `b.qid NOT IN (hidden)` in its `ON`, so a hidden row cannot match and
-/// thereby suppress the other side's NULL-extension. Together the two are
-/// exactly "the relation without its hidden rows" for every join kind.
-fn restrict_to_visible(s: &mut SelectStatement, hidden: &[Expr]) {
-    let not_hidden = |binding: &str| Expr::InList {
-        expr: Box::new(Expr::qcol(binding, "qid")),
-        list: hidden.to_vec(),
-        negated: true,
-    };
-    let mut conjuncts: Vec<Expr> = s.where_clause.take().into_iter().collect();
-    let mut restrict = |binding: &str| {
-        conjuncts.push(Expr::or(
-            Expr::IsNull {
-                expr: Box::new(Expr::qcol(binding, "qid")),
-                negated: false,
-            },
-            not_hidden(binding),
-        ));
-    };
-    for t in &mut s.from {
-        restrict(t.binding_name());
-        for j in &mut t.joins {
-            restrict(j.binding_name());
-            if matches!(
-                j.kind,
-                JoinKind::LeftOuter | JoinKind::RightOuter | JoinKind::FullOuter
-            ) {
-                let on =
-                    j.on.take()
-                        .into_iter()
-                        .chain([not_hidden(j.binding_name())]);
-                j.on = Expr::from_conjuncts(on.collect());
-            }
-        }
-    }
-    s.where_clause = Expr::from_conjuncts(conjuncts);
-    sqlparse::visit::visit_subqueries_mut(s, &mut |sub| restrict_to_visible(sub, hidden));
 }
 
 /// Fold string literals compared against name-carrying feature columns

@@ -290,18 +290,8 @@ impl Cqms {
     }
 
     // ------------------------------------------------------------------
-    // Engine-bound reads (everything else reads a `capture_snapshot`)
+    // Data-tier reads (everything else reads a `capture_snapshot`)
     // ------------------------------------------------------------------
-
-    /// Run a SQL meta-query over the Figure 1 feature relations.
-    pub fn search_feature_sql(
-        &self,
-        user: UserId,
-        sql: &str,
-    ) -> Result<relstore::QueryResult, CqmsError> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config)
-            .by_feature_sql(user, sql)
-    }
 
     /// Query-by-data with re-execution of sampled candidates on the data
     /// engine's read-only path. The summary-only variant is

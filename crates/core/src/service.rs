@@ -10,11 +10,11 @@
 //! * **Reads** — [`CqmsService::snapshot`] hands out the published
 //!   snapshot (one `Arc` clone under a momentary slot lock) and every
 //!   snapshot-servable read is a method on *that*; the service re-declares
-//!   none of them. The only reads defined here are the engine-bound ones
-//!   (`search_feature_sql`, `check_identifiers`, `repair_empty_result`,
+//!   none of them. The only reads defined here are the three data-tier
+//!   ones (`check_identifiers`, `repair_empty_result`,
 //!   `search_by_data_reexecuting`, plus the [`CqmsService::read`] escape
-//!   hatch): they need the live `relstore` engines and run under the
-//!   *read* side of the lock.
+//!   hatch): they need the live data engine and run under the *read* side
+//!   of the lock.
 //! * **Writes** — query ingestion, annotations, ACL changes, deletes,
 //!   miner epochs, maintenance passes. These take the write side,
 //!   serialise as a group exactly like the single-user [`Cqms`], and
@@ -174,7 +174,7 @@ impl CqmsService {
     /// the ambient (`CQMS_FAULTS`) plan and this service's own plan (a
     /// delay here simulates a slow/overloaded shard for deadline tests;
     /// other actions are meaningless for reads and ignored). Only the
-    /// engine-bound reads come through here — everything else is served
+    /// data-tier reads come through here — everything else is served
     /// off the published [`ReadSnapshot`].
     fn read_guard(&self) -> RwLockReadGuard<'_, Cqms> {
         let _ = faults::global_plan().hit(faults::SHARD_READ);
@@ -201,24 +201,23 @@ impl CqmsService {
     }
 
     /// Run `f` under the read lock (escape hatch for compound reads that
-    /// must see the *live* instance — e.g. engine-bound reads; snapshot
+    /// must see the *live* instance — e.g. data-tier reads; snapshot
     /// readers use [`CqmsService::snapshot`] instead).
     pub fn read<R>(&self, f: impl FnOnce(&Cqms) -> R) -> R {
         f(&self.read_guard())
     }
 
-    /// SQL meta-query over the Figure 1 feature relations (engine-bound:
-    /// runs on the live instance under the read lock).
+    /// [`ReadSnapshot::search_feature_sql`] on the published snapshot.
     pub fn search_feature_sql(
         &self,
         user: UserId,
         sql: &str,
     ) -> Result<relstore::QueryResult, CqmsError> {
-        self.read_guard().search_feature_sql(user, sql)
+        self.snapshot().search_feature_sql(user, sql)
     }
 
     /// Query-by-data with re-execution of sampled candidates
-    /// (engine-bound: needs the live data engine). The summary-only
+    /// (data-tier: needs the live data engine). The summary-only
     /// variant is [`ReadSnapshot::search_by_data`].
     pub fn search_by_data_reexecuting(
         &self,
@@ -231,13 +230,13 @@ impl CqmsService {
     }
 
     /// Misspelled table/column detection with suggested fixes
-    /// (engine-bound: needs the live catalog).
+    /// (data-tier: needs the live catalog).
     pub fn check_identifiers(&self, sql: &str) -> Vec<Correction> {
         self.read_guard().check_identifiers(sql)
     }
 
     /// Predicate relaxations for a query that returned nothing
-    /// (engine-bound: re-executes relaxations on the live data).
+    /// (data-tier: re-executes relaxations on the live data).
     pub fn repair_empty_result(&self, sql: &str, k: usize) -> Vec<RepairSuggestion> {
         self.read_guard().repair_empty_result(sql, k)
     }

@@ -2,17 +2,16 @@
 //!
 //! [`ShardedCqms`] splits the query log into N **independently
 //! write-locked shards** — a full [`Cqms`] each, behind its own
-//! [`CqmsService`] cell, with its own storage, feature engine, text
+//! [`CqmsService`] cell, with its own storage, text
 //! indexes, WAL directory and background miner — and routes every query to
 //! the shard owning its user. Writers on different shards never contend,
 //! and readers take no shard lock at all: a merged read pins each shard's
 //! published [`ReadSnapshot`] (one `Arc` clone under a momentary slot
 //! lock), asks the snapshot — the one place read logic lives — for that
 //! shard's answer, and merges. This module declares only the merges. The
-//! engine-bound reads ([`ShardedCqms::search_feature_sql`],
-//! `check_identifiers`, `repair_empty_result`, query-by-data with
-//! re-execution) are the exception: they need a shard's live `relstore`
-//! engines and run under that shard's read lock.
+//! three data-tier reads (`check_identifiers`, `repair_empty_result`,
+//! query-by-data with re-execution) are the exception: they need a shard's
+//! live data engine and run under that shard's read lock.
 //!
 //! ## Shard map
 //!
@@ -878,17 +877,17 @@ impl ShardedCqms {
         Ok(PartialResult::new(merge_scored(per_shard, k), lagging))
     }
 
-    /// SQL meta-query over the feature relations, run on every shard with
-    /// rows concatenated in shard order. A projected `qid` column is
-    /// remapped to global ids; SQL aggregates are per-shard (see module
-    /// docs).
+    /// SQL meta-query over the feature relations, run on every shard's
+    /// pinned snapshot with rows concatenated in shard order. A projected
+    /// `qid` column is remapped to global ids; SQL aggregates are per-shard
+    /// (see module docs).
     pub fn search_feature_sql(
         &self,
         user: UserId,
         sql: &str,
     ) -> Result<relstore::QueryResult, CqmsError> {
         let mut merged: Option<relstore::QueryResult> = None;
-        for (i, s) in self.shards.iter().enumerate() {
+        for (i, s) in self.snapshots().iter().enumerate() {
             let mut r = s.search_feature_sql(user, sql)?;
             let qid_cols: Vec<usize> = r
                 .columns

@@ -5,9 +5,10 @@
 //! indexes, structural index registry), the user [`Directory`], the latest
 //! mined rules, a detached [`CatalogView`] and the trace clock — into a
 //! single immutable value,
-//! and every snapshot-servable read (keyword, substring, parse-tree,
-//! query-by-data over summaries, kNN, completion, recommendation, the
-//! Figure 2/3 renderings) is a method on it. Nothing else re-declares
+//! and every snapshot-servable read (keyword, substring, SQL over the
+//! Figure 1 feature relations, parse-tree, query-by-data over summaries,
+//! kNN, completion, recommendation, the Figure 2/3 renderings) is a method
+//! on it. Nothing else re-declares
 //! them: a single-threaded [`crate::server::Cqms`] reads through
 //! [`crate::server::Cqms::capture_snapshot`], a
 //! [`crate::service::CqmsService`] hands out its published snapshot via
@@ -32,11 +33,10 @@
 //! the writes since some earlier event — and by the drop of the snapshot
 //! it displaced, which frees exactly those copies' predecessors.
 //!
-//! Reads that need the live `relstore` meta/data engine (feature-SQL
-//! meta-queries, identifier spell-check, empty-result repair,
-//! query-by-data with re-execution) are the remainder: they stay on
-//! [`crate::server::Cqms`] and, in a service, behind its read lock — a
-//! snapshot's storage is *detached* from the engine by design.
+//! The three reads that need the live *data* engine (identifier
+//! spell-check, empty-result repair, query-by-data with re-execution) are
+//! the remainder: they stay on [`crate::server::Cqms`] and, in a service,
+//! behind its read lock.
 
 use crate::admin::Directory;
 use crate::assist::completion::{CatalogView, CompletionEngine, CompletionStats, Suggestion};
@@ -159,6 +159,16 @@ impl ReadSnapshot {
     /// Exact substring search over logged query text.
     pub fn search_substring(&self, user: UserId, needle: &str) -> Vec<QueryId> {
         self.executor().substring(user, needle)
+    }
+
+    /// SQL meta-query over the Figure 1 feature relations, restricted to
+    /// the queries `user` may see.
+    pub fn search_feature_sql(
+        &self,
+        user: UserId,
+        sql: &str,
+    ) -> Result<relstore::QueryResult, CqmsError> {
+        self.executor().by_feature_sql(user, sql)
     }
 
     /// Structural search by parse-tree pattern.

@@ -1,16 +1,19 @@
-//! The Query Storage (Figure 4): records, feature relations, text indexes,
+//! The Query Storage (Figure 4): records, feature rows, text indexes,
 //! session graph, annotations, popularity — plus snapshot/restore, where
 //! a snapshot is the log compacted into the log's own frames (one durable
 //! format, see [`crate::wal`]) and restore is replay.
 //!
 //! Queries are stored redundantly in three coordinated representations,
-//! exactly the §4.1 "data model" discussion:
+//! exactly the §4.1 "data model" discussion — none of them a database
+//! engine of its own:
 //!
 //! * **raw text** indexed for keyword ([`textindex::InvertedIndex`]) and
 //!   substring ([`textindex::TrigramIndex`]) meta-queries;
-//! * **feature relations** (`Queries`, `DataSources`, `Attributes`,
-//!   `Predicates`, `QueryMeta`) inside an embedded `relstore` engine, the
-//!   target of SQL meta-queries (Figure 1);
+//! * **feature rows** — each query's rows of the Figure 1 relations
+//!   (`Queries`, `DataSources`, `Attributes`, `Predicates`, `QueryMeta`),
+//!   kept beside its record ([`FeatureRows`]); a SQL meta-query is shown
+//!   the rows of the queries its viewer may see
+//!   ([`crate::metaquery::MetaQueryExecutor::by_feature_sql`]);
 //! * **typed records** ([`QueryRecord`]) carrying the parse tree, runtime
 //!   features, output summary, annotations, ACLs and maintenance state.
 //!
@@ -21,7 +24,7 @@
 //! space by the shard layer.
 
 use crate::error::CqmsError;
-use crate::features::{self, SyntacticFeatures};
+use crate::features::{FeatureRows, SyntacticFeatures};
 use crate::indexreg::{IndexBuild, IndexRegistry, PostingLists, OVERRIDE_PUBLISH_THRESHOLD};
 use crate::metricindex::MetricIndexStats;
 use crate::model::*;
@@ -40,14 +43,13 @@ use textindex::{InvertedIndex, TrigramIndex};
 /// registry's path-copying structural index), so `clone()` produces an
 /// immutable snapshot in O(len/CHUNK) pointer bumps and the writer's next
 /// mutation copies only the nodes and chunks it touches — the basis of the service
-/// layer's lock-free [`crate::snapshot::ReadSnapshot`]. The embedded feature-relation
-/// engine and the WAL are the two exceptions: a clone gets a fresh empty
-/// engine and no WAL (it is `detached`), and the reads that need live
-/// SQL stay on the service's lock-retained path.
+/// layer's lock-free [`crate::snapshot::ReadSnapshot`]. The WAL is the one
+/// thing a clone does not carry: a clone serves every read and logs nothing.
 pub struct QueryStorage {
     records: SnapshotVec<Arc<QueryRecord>>,
-    /// Embedded engine holding the Figure 1 feature relations.
-    meta: relstore::Engine,
+    /// Per-record Figure 1 rows, parallel to `records`; `None` once the
+    /// record is tombstoned.
+    feature_rows: SnapshotVec<Option<Arc<FeatureRows>>>,
     text: InvertedIndex,
     trigram: TrigramIndex,
     /// Each edge behind its own `Arc`: an edge owns its edit script, and
@@ -83,23 +85,17 @@ pub struct QueryStorage {
     /// sanctioned mutator logs its operation here; durability happens at
     /// the service layer's per-batch [`QueryStorage::wal_flush`].
     wal: Option<WalWriter>,
-    /// `true` on snapshot clones: the feature-relation engine is a fresh
-    /// empty stand-in there, and touching it is a logic error (guarded by
-    /// `debug_assert` in the engine accessors).
-    detached: bool,
 }
 
 impl Clone for QueryStorage {
     /// Cheap snapshot clone: pointer bumps only
     /// ([`QueryStorage::cow_head_len`] of them), never O(store) and never
-    /// O(writes since anything). The clone is `detached` — it shares every
-    /// index and record by pointer but carries a fresh empty
-    /// feature-relation engine and no WAL, so it must only serve reads
-    /// that don't need live SQL over the feature relations.
+    /// O(writes since anything). The clone shares every index, record and
+    /// feature row by pointer and carries no WAL.
     fn clone(&self) -> Self {
         QueryStorage {
             records: self.records.clone(),
-            meta: relstore::Engine::new(),
+            feature_rows: self.feature_rows.clone(),
             text: self.text.clone(),
             trigram: self.trigram.clone(),
             edges: self.edges.clone(),
@@ -112,7 +108,6 @@ impl Clone for QueryStorage {
             indexes: self.indexes.clone(),
             live: self.live,
             wal: None,
-            detached: true,
         }
     }
 }
@@ -124,13 +119,11 @@ impl Default for QueryStorage {
 }
 
 impl QueryStorage {
-    /// An empty storage with freshly created feature relations.
+    /// An empty storage.
     pub fn new() -> Self {
-        let mut meta = relstore::Engine::new();
-        features::create_feature_relations(&mut meta);
         QueryStorage {
             records: SnapshotVec::new(),
-            meta,
+            feature_rows: SnapshotVec::new(),
             text: InvertedIndex::new(),
             trigram: TrigramIndex::new(),
             edges: SegVec::new(),
@@ -143,7 +136,6 @@ impl QueryStorage {
             indexes: IndexRegistry::new(),
             live: 0,
             wal: None,
-            detached: false,
         }
     }
 
@@ -192,20 +184,6 @@ impl QueryStorage {
         if !tombstoned {
             self.text.add(id.0, &record.raw_sql);
             self.trigram.add(id.0, &record.raw_sql);
-            features::insert_features(
-                &mut self.meta,
-                &features::FeatureRowMeta {
-                    qid: id.0,
-                    author: record.user.0,
-                    ts: record.ts,
-                    session: record.session.0,
-                    elapsed_us: record.runtime.elapsed_us,
-                    cardinality: record.runtime.cardinality,
-                    success: record.runtime.success,
-                },
-                &record.raw_sql,
-                &record.features,
-            );
             *self.template_counts.entry_or_default(record.template_fp) += 1;
         }
         self.sessions.entry_or_default(record.session).push(id);
@@ -234,6 +212,8 @@ impl QueryStorage {
             self.wal_log(op);
         }
         self.signatures.push(Arc::new(sig));
+        self.feature_rows
+            .push((!tombstoned).then(|| Arc::new(FeatureRows::of(&record))));
         self.records.push(Arc::new(record));
         id
     }
@@ -266,27 +246,11 @@ impl QueryStorage {
         self.records.iter().map(Arc::as_ref).filter(|r| r.is_live())
     }
 
-    /// The embedded feature-relation engine (Meta-query Executor entry).
-    ///
-    /// Shared access suffices for meta-queries: SQL reads go through
-    /// [`relstore::Engine::query`] / `query_statement`, which take `&self`
-    /// (lazy index maintenance lives behind interior mutability). Writers
-    /// (the Profiler, deletes, maintenance) use [`QueryStorage::meta_engine_mut`].
-    pub fn meta_engine(&self) -> &relstore::Engine {
-        debug_assert!(
-            !self.detached,
-            "feature-relation reads must not run on a detached snapshot clone"
-        );
-        &self.meta
-    }
-
-    /// Mutable access to the feature-relation engine (write paths only).
-    pub fn meta_engine_mut(&mut self) -> &mut relstore::Engine {
-        debug_assert!(
-            !self.detached,
-            "feature-relation writes must not run on a detached snapshot clone"
-        );
-        &mut self.meta
+    /// Each record's Figure 1 rows, parallel to the record vector (`None`
+    /// for tombstones) — what a SQL meta-query's relations are assembled
+    /// from.
+    pub fn feature_rows(&self) -> &SnapshotVec<Option<Arc<FeatureRows>>> {
+        &self.feature_rows
     }
 
     /// Keyword index.
@@ -383,8 +347,8 @@ impl QueryStorage {
     }
 
     /// Tombstone a query: drop it from every index (text, trigram,
-    /// feature relations, feature postings); the record itself remains
-    /// for audit (§2.4 delete).
+    /// feature postings) and drop its feature rows; the record itself
+    /// remains for audit (§2.4 delete).
     pub fn delete(&mut self, id: QueryId) -> Result<(), CqmsError> {
         let (tfp, was_live) = {
             let r = self.get_mut(id)?;
@@ -405,7 +369,7 @@ impl QueryStorage {
         }
         self.text.remove(id.0);
         self.trigram.remove(id.0);
-        features::delete_features(&mut self.meta, id.0);
+        *self.feature_rows_mut(id) = None;
         if let Some(c) = self.template_counts.get_mut(&tfp) {
             *c = c.saturating_sub(1);
         }
@@ -426,7 +390,7 @@ impl QueryStorage {
     ///
     /// Tombstoning is *not* a validity edit: transitions into
     /// `Validity::Deleted` must use [`QueryStorage::delete`] (which also
-    /// drops the text indexes, feature relations and popularity count),
+    /// drops the text indexes, feature rows and popularity count),
     /// and tombstoned records cannot be resurrected — both directions
     /// are rejected here.
     pub fn set_validity(&mut self, id: QueryId, validity: Validity) -> Result<(), CqmsError> {
@@ -524,6 +488,13 @@ impl QueryStorage {
         }
     }
 
+    /// The feature-row slot of a record known to exist.
+    fn feature_rows_mut(&mut self, id: QueryId) -> &mut Option<Arc<FeatureRows>> {
+        self.feature_rows
+            .get_mut(id.0 as usize)
+            .expect("feature rows parallel records")
+    }
+
     /// Hard-remove a record's posting entries (reindex path: the feature
     /// set itself is changing, so stale-entry bookkeeping does not apply).
     fn remove_postings(&mut self, id: QueryId) {
@@ -547,33 +518,20 @@ impl QueryStorage {
     /// the maintenance repair path, and the only sanctioned route for
     /// any in-place record mutation that derived state depends on.
     ///
-    /// Text indexes, feature relations, the similarity signature and the
+    /// Text indexes, feature rows, the similarity signature and the
     /// posting entries are rebuilt immediately; the structural indexes
     /// (VP-tree, ParseTree profile groups) are *not* rebuilt inline —
     /// the registry logs an override (probes mask the stale entries and
     /// re-evaluate this record from its fresh signature) and schedules a
     /// background rebuild into the next miner epoch.
     pub fn reindex(&mut self, id: QueryId) -> Result<(), CqmsError> {
-        let (sql, meta_row, feats) = {
+        let (sql, rows) = {
             let r = self.get(id)?;
-            (
-                r.raw_sql.clone(),
-                features::FeatureRowMeta {
-                    qid: id.0,
-                    author: r.user.0,
-                    ts: r.ts,
-                    session: r.session.0,
-                    elapsed_us: r.runtime.elapsed_us,
-                    cardinality: r.runtime.cardinality,
-                    success: r.runtime.success,
-                },
-                r.features.clone(),
-            )
+            (r.raw_sql.clone(), Arc::new(FeatureRows::of(r)))
         };
         self.text.add(id.0, &sql);
         self.trigram.add(id.0, &sql);
-        features::delete_features(&mut self.meta, id.0);
-        features::insert_features(&mut self.meta, &meta_row, &sql, &feats);
+        *self.feature_rows_mut(id) = Some(rows);
         // Rebuild the similarity signature and its posting entries (the
         // statement, features and possibly the summary changed).
         self.remove_postings(id);
@@ -783,11 +741,12 @@ impl QueryStorage {
     }
 
     /// Pointers a snapshot clone copies eagerly: one per chunk of each
-    /// id-indexed vector (records, signatures, document and posting slots,
-    /// VP-tree entries and profile groups). Everything else a clone shares
+    /// id-indexed vector (records, feature rows, signatures, document and
+    /// posting slots, VP-tree entries and profile groups). Everything else a clone shares
     /// costs O(1) per structure; nothing is copied by value.
     pub fn cow_head_len(&self) -> usize {
         self.records.chunk_count()
+            + self.feature_rows.chunk_count()
             + self.signatures.chunk_count()
             + self.text.clone_len()
             + self.trigram.clone_len()
@@ -796,11 +755,10 @@ impl QueryStorage {
 
     /// Adopt a refined session assignment from the Query Miner (§4.3: the
     /// miner periodically recomputes sessions offline). Rewrites record
-    /// session ids, the session map and the `QueryMeta` feature relation.
+    /// session ids, the session map and the moved queries' `QueryMeta` rows.
     pub fn adopt_sessions(&mut self, assignment: &HashMap<QueryId, SessionId>) {
         self.sessions.clear();
         let mut max_session = 0u64;
-        let mut changed: HashMap<u64, u64> = HashMap::new();
         for i in 0..self.records.len() {
             let (id, cur_session) = {
                 let r = self.records.get(i).expect("dense ids");
@@ -810,7 +768,9 @@ impl QueryStorage {
                 Some(&s) => {
                     if s != cur_session {
                         Arc::make_mut(self.records.get_mut(i).expect("dense ids")).session = s;
-                        changed.insert(id.0, s.0);
+                        if let Some(rows) = self.feature_rows_mut(id) {
+                            *rows = Arc::new(rows.with_session(s));
+                        }
                     }
                     s
                 }
@@ -820,7 +780,6 @@ impl QueryStorage {
             max_session = max_session.max(session.0);
         }
         self.next_session = max_session + 1;
-        features::set_sessions(&mut self.meta, &changed);
     }
 
     // ------------------------------------------------------------------
@@ -903,7 +862,7 @@ impl QueryStorage {
     /// `Insert` per record in id order carrying its current SQL, session,
     /// visibility, validity (tombstones included), runtime and quality,
     /// then every `Annotate`, then every `Edge`. Frame LSNs just number
-    /// the frames from 1. Indexes, feature relations and everything
+    /// the frames from 1. Indexes, feature rows and everything
     /// derived from the SQL are rebuilt on load.
     ///
     /// ```
@@ -1073,6 +1032,21 @@ mod tests {
         )
     }
 
+    /// A SQL meta-query over `s` as an administrator (who sees every
+    /// query), cells rendered.
+    fn feature_sql(s: &QueryStorage, sql: &str) -> Vec<Vec<String>> {
+        let mut directory = crate::admin::Directory::new();
+        let admin = directory.create_user("admin");
+        let config = crate::config::CqmsConfig::default();
+        crate::metaquery::MetaQueryExecutor::new(s, &directory, &config)
+            .by_feature_sql(admin, sql)
+            .unwrap()
+            .rows
+            .iter()
+            .map(|row| row.iter().map(relstore::Value::render).collect())
+            .collect()
+    }
+
     fn populated() -> QueryStorage {
         let mut s = QueryStorage::new();
         s.insert(record(
@@ -1111,12 +1085,11 @@ mod tests {
     #[test]
     fn feature_relations_queryable() {
         let s = populated();
-        let r = s
-            .meta_engine()
-            .query("SELECT qid FROM DataSources WHERE relName = 'watersalinity'")
-            .unwrap();
-        assert_eq!(r.rows.len(), 1);
-        assert_eq!(r.rows[0][0].render(), "2");
+        let rows = feature_sql(
+            &s,
+            "SELECT qid FROM DataSources WHERE relName = 'watersalinity'",
+        );
+        assert_eq!(rows, [["2"]]);
     }
 
     #[test]
@@ -1157,22 +1130,10 @@ mod tests {
         assert_eq!(s.queries_in_session(SessionId(0)), vec![QueryId(0)]);
         assert_eq!(s.queries_in_session(SessionId(5)), vec![QueryId(1)]);
         assert_eq!(s.new_session(), SessionId(6));
-        let r = s
-            .meta_engine()
-            .query("SELECT qid, sessionId FROM QueryMeta ORDER BY qid")
-            .unwrap();
-        let rows: Vec<Vec<String>> = r
-            .rows
-            .iter()
-            .map(|row| row.iter().map(relstore::Value::render).collect())
-            .collect();
+        let rows = feature_sql(&s, "SELECT qid, sessionId FROM QueryMeta ORDER BY qid");
         assert_eq!(rows, [["0", "0"], ["1", "5"], ["2", "1"]]);
-        // The qid index was invalidated with the rewrite.
-        let r = s
-            .meta_engine()
-            .query("SELECT qid FROM QueryMeta WHERE sessionId = 5")
-            .unwrap();
-        assert_eq!(r.rows.len(), 1);
+        let rows = feature_sql(&s, "SELECT qid FROM QueryMeta WHERE sessionId = 5");
+        assert_eq!(rows, [["1"]]);
     }
 
     #[test]
@@ -1183,11 +1144,8 @@ mod tests {
         assert_eq!(s.live_count(), 2);
         assert!(!s.text_index().contains(0));
         assert_eq!(s.popularity(fp), 1);
-        let r = s
-            .meta_engine()
-            .query("SELECT * FROM Queries WHERE qid = 0")
-            .unwrap();
-        assert!(r.rows.is_empty());
+        assert!(feature_sql(&s, "SELECT * FROM Queries WHERE qid = 0").is_empty());
+        assert!(s.feature_rows()[0].is_none());
         // Record is retained for audit.
         assert_eq!(s.get(QueryId(0)).unwrap().validity, Validity::Deleted);
     }
@@ -1427,6 +1385,42 @@ mod tests {
         for fid in sig0.feature_ids() {
             assert!(s.indexes().posting(fid).unwrap().contains(0));
         }
+        // Reindex after a rewrite (the maintenance repair path): the
+        // query's rows in all five relations are replaced in place — none
+        // duplicated, none left behind — so it keeps its place ahead of
+        // query 1 in every relation.
+        let rewritten = "SELECT salinity FROM WaterSalinity WHERE salinity > 0.2";
+        let r = s.get_mut(QueryId(0)).unwrap();
+        r.raw_sql = rewritten.into();
+        r.derive(sqlparse::parse(rewritten).ok(), None);
+        s.reindex(QueryId(0)).unwrap();
+        let temp18 = "SELECT * FROM WaterTemp WHERE temp < 18";
+        assert_eq!(
+            feature_sql(&s, "SELECT * FROM Queries"),
+            [["0", rewritten], ["1", temp18]]
+        );
+        assert_eq!(
+            feature_sql(&s, "SELECT * FROM DataSources"),
+            [["0", "watersalinity"], ["1", "watertemp"]]
+        );
+        assert_eq!(
+            feature_sql(&s, "SELECT * FROM Attributes"),
+            [
+                ["0", "salinity", "watersalinity"],
+                ["1", "temp", "watertemp"]
+            ]
+        );
+        assert_eq!(
+            feature_sql(&s, "SELECT * FROM Predicates"),
+            [
+                ["0", "salinity", "watersalinity", ">", "0.2"],
+                ["1", "temp", "watertemp", "<", "18"]
+            ]
+        );
+        assert_eq!(
+            feature_sql(&s, "SELECT qid, author FROM QueryMeta"),
+            [["0", "1"], ["1", "1"]]
+        );
     }
 
     #[test]

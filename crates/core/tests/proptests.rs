@@ -349,10 +349,12 @@ proptest! {
         // Popularity table rebuilt identically (deletes included).
         prop_assert_eq!(restored.template_histogram(), st.template_histogram());
         // Feature relations: SQL meta-queries see the same live qids.
+        let mut directory = Directory::new();
+        let admin = directory.create_user("admin");
+        let config = CqmsConfig::default();
         let visible_qids = |s: &QueryStorage| -> Vec<String> {
-            let mut v: Vec<String> = s
-                .meta_engine()
-                .query("SELECT qid FROM Queries")
+            let mut v: Vec<String> = MetaQueryExecutor::new(s, &directory, &config)
+                .by_feature_sql(admin, "SELECT qid FROM Queries")
                 .unwrap()
                 .rows
                 .iter()

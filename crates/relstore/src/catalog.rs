@@ -323,7 +323,7 @@ mod tests {
         c.drop_column("WaterTemp", "temp").unwrap();
         let t = c.table("WaterTemp").unwrap();
         assert_eq!(t.schema.arity(), 1);
-        assert_eq!(t.rows[0], vec![Value::Text("a".into())]);
+        assert_eq!(*t.rows[0], vec![Value::Text("a".into())]);
     }
 
     use crate::value::Value;

@@ -70,7 +70,7 @@ fn parse_value(s: &str, ty: DataType) -> Result<Value, EngineError> {
             "FALSE" | "F" | "0" => Value::Bool(false),
             _ => return Err(EngineError::TypeError(format!("bad bool `{s}`"))),
         },
-        DataType::Text => Value::Text(s.to_string()),
+        DataType::Text => Value::from(s),
     })
 }
 

@@ -352,7 +352,7 @@ impl Engine {
                         table.schema.columns[idx].name
                     )));
                 }
-                table.rows[ri][idx] = v.coerce(ty);
+                Arc::make_mut(&mut table.rows[ri])[idx] = v.coerce(ty);
             }
         }
         self.indexes_mut().invalidate_table(&u.table);
@@ -423,12 +423,6 @@ impl Engine {
 
     pub fn has_index(&self, table: &str, column: &str) -> bool {
         self.indexes.read().has(table, column)
-    }
-
-    /// Mark all indexes on `table` stale. Required after mutating a table's
-    /// rows directly through `catalog.table_mut` (bulk loads) instead of SQL.
-    pub fn invalidate_indexes(&mut self, table: &str) {
-        self.indexes_mut().invalidate_table(table);
     }
 
     /// Compute statistics for a table (paper §4.1/§4.4 building block).
@@ -787,6 +781,42 @@ mod tests {
         let r = e.execute("DELETE FROM WaterTemp WHERE temp > 20").unwrap();
         assert_eq!(r.metrics.cardinality, 1);
         assert_eq!(e.catalog.table("WaterTemp").unwrap().len(), 3);
+    }
+
+    /// A table assembled from another table's rows shares them by pointer,
+    /// and DML on either side never reaches the other.
+    #[test]
+    fn tables_sharing_rows_are_isolated_under_dml() {
+        let mut donor = lakes_engine();
+        let shared = donor.catalog.table("WaterTemp").unwrap().clone();
+        let mut taker = Engine::new();
+        taker
+            .execute("CREATE TABLE WaterTemp (loc_x FLOAT, loc_y FLOAT, temp FLOAT, lake TEXT)")
+            .unwrap();
+        taker.catalog.table_mut("WaterTemp").unwrap().rows = shared.rows.clone();
+        let temps = |e: &Engine| {
+            e.query("SELECT temp FROM WaterTemp ORDER BY temp")
+                .unwrap()
+                .rows
+        };
+        let before = temps(&donor);
+        assert_eq!(temps(&taker), before);
+
+        donor.execute("UPDATE WaterTemp SET temp = 0").unwrap();
+        donor
+            .execute("DELETE FROM WaterTemp WHERE lake = 'Lake Union'")
+            .unwrap();
+        assert_eq!(temps(&taker), before);
+        assert!(shared
+            .rows
+            .iter()
+            .zip(&taker.catalog.table("WaterTemp").unwrap().rows)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+
+        taker.execute("UPDATE WaterTemp SET temp = 99").unwrap();
+        taker.execute("DELETE FROM WaterTemp").unwrap();
+        assert_eq!(temps(&donor), vec![vec![Value::Float(0.0)]; 3]);
+        assert_eq!(shared.rows[0][2], Value::Float(15.5));
     }
 
     #[test]

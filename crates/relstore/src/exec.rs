@@ -182,29 +182,35 @@ fn run_select_inner(
             }
         }
 
-        // Try an index for an `col = literal` pushdown conjunct.
+        // The `col = literal` pushdown conjuncts narrow the scan: through a
+        // declared index on one of them, else by checking them against the
+        // table's rows in place — either way only the rows they admit are
+        // copied out.
+        let probes: Vec<(usize, String, Value)> = pushed
+            .iter()
+            .filter_map(|&ci| as_col_eq_literal(conjuncts[ci], b))
+            .map(|(col_name, lit)| {
+                let col_idx = b.columns.iter().position(|c| c == &col_name).unwrap();
+                (col_idx, col_name, literal_value(&lit))
+            })
+            .collect();
         let mut index_note = String::new();
-        let mut base_rows: Vec<Row> = Vec::new();
-        let mut used_index = false;
+        let mut indexed: Option<Vec<Row>> = None;
         if let Some(idxs) = indexes.as_mut() {
-            for &ci in &pushed {
-                if let Some((col_name, lit)) = as_col_eq_literal(conjuncts[ci], b) {
-                    let col_idx = b.columns.iter().position(|c| c == &col_name).unwrap();
-                    if let Some(idx) = idxs.prepared(&b.table, &col_name, table, col_idx) {
-                        let val = literal_value(&lit);
-                        for &pos in idx.lookup(&val) {
-                            base_rows.push(table.rows[pos].clone());
-                        }
-                        used_index = true;
-                        index_note = format!(" idx[{col_name}]");
-                        break;
-                    }
+            for (col_idx, col_name, val) in &probes {
+                if let Some(idx) = idxs.prepared(&b.table, col_name, table, *col_idx) {
+                    let hits = idx.lookup(val).iter();
+                    indexed = Some(hits.map(|&pos| Row::clone(&table.rows[pos])).collect());
+                    index_note = format!(" idx[{col_name}]");
+                    break;
                 }
             }
         }
-        if !used_index {
-            base_rows = table.rows.clone();
-        }
+        let base_rows: Vec<Row> = indexed.unwrap_or_else(|| {
+            let admits = |r: &Row| probes.iter().all(|(i, _, v)| r[*i].sql_eq(v) == Some(true));
+            let admitted = table.rows.iter().filter(|r| admits(r));
+            admitted.map(|r| Row::clone(r)).collect()
+        });
 
         // Apply remaining pushdown filters on the factor alone.
         let filtered: Vec<Row> = if pushed.is_empty() {
@@ -1306,7 +1312,7 @@ fn literal_value(l: &Literal) -> Value {
     match l {
         Literal::Int(i) => Value::Int(*i),
         Literal::Float(f) => Value::Float(*f),
-        Literal::Str(s) => Value::Text(s.clone()),
+        Literal::Str(s) => Value::from(s.as_str()),
         Literal::Bool(b) => Value::Bool(*b),
         Literal::Null | Literal::Placeholder => Value::Null,
     }

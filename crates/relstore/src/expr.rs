@@ -295,7 +295,7 @@ impl<'a, 'b> Compiler<'a, 'b> {
             Expr::Literal(l) => CompiledExpr::Lit(match l {
                 Literal::Int(i) => Value::Int(*i),
                 Literal::Float(f) => Value::Float(*f),
-                Literal::Str(s) => Value::Text(s.clone()),
+                Literal::Str(s) => Value::from(s.as_str()),
                 Literal::Bool(b) => Value::Bool(*b),
                 Literal::Null => Value::Null,
                 Literal::Placeholder => {
@@ -879,7 +879,7 @@ fn eval_binary(
         BinaryOp::Concat => {
             let ls = l.render();
             let rs = r.render();
-            Ok(Value::Text(format!("{ls}{rs}")))
+            Ok(Value::from(format!("{ls}{rs}")))
         }
         BinaryOp::Plus | BinaryOp::Minus | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
             match (&l, &r) {
@@ -958,8 +958,8 @@ fn eval_scalar(
         return Ok(Value::Null);
     }
     Ok(match f {
-        ScalarFn::Lower => Value::Text(text_arg(&vals[0], "LOWER")?.to_lowercase()),
-        ScalarFn::Upper => Value::Text(text_arg(&vals[0], "UPPER")?.to_uppercase()),
+        ScalarFn::Lower => Value::from(text_arg(&vals[0], "LOWER")?.to_lowercase()),
+        ScalarFn::Upper => Value::from(text_arg(&vals[0], "UPPER")?.to_uppercase()),
         ScalarFn::Length => Value::Int(text_arg(&vals[0], "LENGTH")?.chars().count() as i64),
         ScalarFn::Abs => match &vals[0] {
             Value::Int(i) => Value::Int(i.wrapping_abs()),
@@ -1000,7 +1000,11 @@ fn eval_scalar(
             } else {
                 chars.len() - from
             };
-            Value::Text(chars[from..(from + len).min(chars.len())].iter().collect())
+            Value::from(
+                chars[from..(from + len).min(chars.len())]
+                    .iter()
+                    .collect::<String>(),
+            )
         }
     })
 }

@@ -1,9 +1,10 @@
 //! Hash indexes for point lookups, published as epoch snapshots.
 //!
-//! The CQMS's feature relations (paper Fig. 1) are hit with highly selective
-//! equality meta-queries (`attrName = 'salinity'`), so the engine supports
-//! per-column hash indexes. Indexes are maintained lazily: DML marks them
-//! dirty and the next lookup rebuilds.
+//! Tables hit with highly selective equality queries can declare per-column
+//! hash indexes. Indexes are maintained lazily: DML marks them dirty and
+//! the next lookup rebuilds. (The CQMS's feature relations, paper Fig. 1,
+//! declare none: they are assembled per meta-query, and an undeclared
+//! `col = literal` filter is checked against the rows in place.)
 //!
 //! Concurrency follows the epoch-publication discipline used by the CQMS
 //! index registry rather than a lock around mutable state: the engine holds
@@ -123,14 +124,20 @@ impl Indexes {
         }
     }
 
-    /// Mark all indexes of `table` dirty (after DML/DDL). Copy-on-write:
-    /// an index still referenced by a published snapshot is cloned before
-    /// the mark, so readers of that snapshot keep their frozen view.
+    /// Mark all indexes of `table` dirty (after DML/DDL). An index still
+    /// referenced by a published snapshot is left to that snapshot's
+    /// readers, frozen, and replaced here by an empty dirty one — the
+    /// rebuild clears the postings before use, so copying them would buy
+    /// nothing.
     pub fn invalidate_table(&mut self, table: &str) {
         let t = table.to_ascii_lowercase();
         for ((it, _), idx) in self.map.iter_mut() {
-            if *it == t {
-                Arc::make_mut(idx).mark_dirty();
+            if *it != t || idx.dirty {
+                continue;
+            }
+            match Arc::get_mut(idx) {
+                Some(owned) => owned.mark_dirty(),
+                None => *idx = Arc::new(HashIndex::new()),
             }
         }
     }
@@ -193,7 +200,7 @@ mod tests {
             &[("id", DataType::Int), ("name", DataType::Text)],
         ));
         for i in 0..100 {
-            t.insert(vec![Value::Int(i % 10), Value::Text(format!("n{i}"))])
+            t.insert(vec![Value::Int(i % 10), Value::from(format!("n{i}"))])
                 .unwrap();
         }
         t
@@ -258,13 +265,24 @@ mod tests {
         let t = table();
         let mut idxs = Indexes::new();
         idxs.create("t", "id");
-        idxs.prepared("t", "id", &t, 0).unwrap();
+        let built = idxs.prepared("t", "id", &t, 0).unwrap();
         // A published snapshot keeps its frozen (fresh) view even after
-        // the successor marks the index dirty.
+        // the successor marks the index dirty — the very index it was
+        // published with, not a copy.
         let snapshot = idxs.clone();
         idxs.invalidate_table("t");
-        assert!(snapshot.get("t", "id").unwrap().is_fresh(&t));
-        assert!(!idxs.get("t", "id").unwrap().is_fresh(&t));
+        let readers = snapshot.get("t", "id").unwrap();
+        assert!(readers.is_fresh(&t));
+        assert!(Arc::ptr_eq(readers, &built));
+        // The writer's side is dirty and carries no copy of the postings.
+        let writers = idxs.get("t", "id").unwrap().clone();
+        assert!(!writers.is_fresh(&t));
+        assert_eq!(writers.distinct_keys(), 0);
+        // Invalidating again touches nothing, and the rebuild is whole.
+        idxs.invalidate_table("t");
+        assert!(Arc::ptr_eq(idxs.get("t", "id").unwrap(), &writers));
+        let rebuilt = idxs.prepared("t", "id", &t, 0).unwrap();
+        assert_eq!(rebuilt.lookup(&Value::Int(3)).len(), 10);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::table::{Row, Table};
 #[cfg(test)]
 use crate::value::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Number of equi-width histogram buckets.
 pub const HISTOGRAM_BUCKETS: usize = 16;
@@ -43,7 +44,7 @@ pub struct ColumnStats {
 
 impl ColumnStats {
     /// Compute stats for column `col` over `rows`.
-    pub fn compute(name: &str, rows: &[Row], col: usize) -> ColumnStats {
+    pub fn compute(name: &str, rows: &[Arc<Row>], col: usize) -> ColumnStats {
         let mut count = 0u64;
         let mut nulls = 0u64;
         let mut freqs: HashMap<String, u64> = HashMap::new();

@@ -3,15 +3,20 @@
 use crate::error::EngineError;
 use crate::schema::TableSchema;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// A row is a boxed slice of values matching the table schema's arity.
 pub type Row = Vec<Value>;
 
 /// An in-memory row-store table.
+///
+/// Rows sit behind `Arc`, so a table can be assembled from rows another
+/// owner keeps (cloning pointers, not cells); every in-place edit goes
+/// through `Arc::make_mut` and so never reaches a row someone else holds.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
-    pub rows: Vec<Row>,
+    pub rows: Vec<Arc<Row>>,
 }
 
 impl Table {
@@ -49,7 +54,7 @@ impl Table {
             }
             coerced.push(v.coerce(col.data_type));
         }
-        self.rows.push(coerced);
+        self.rows.push(Arc::new(coerced));
         Ok(())
     }
 
@@ -63,14 +68,14 @@ impl Table {
     /// Drop the column at `idx` from every row (schema already updated).
     pub fn drop_column_data(&mut self, idx: usize) {
         for row in &mut self.rows {
-            row.remove(idx);
+            Arc::make_mut(row).remove(idx);
         }
     }
 
     /// Append a NULL cell to every row (schema already updated).
     pub fn add_column_data(&mut self) {
         for row in &mut self.rows {
-            row.push(Value::Null);
+            Arc::make_mut(row).push(Value::Null);
         }
     }
 }

@@ -3,6 +3,7 @@
 use sqlparse::ast::DataType;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single cell value.
 #[derive(Debug, Clone, PartialEq)]
@@ -11,7 +12,9 @@ pub enum Value {
     Bool(bool),
     Int(i64),
     Float(f64),
-    Text(String),
+    /// Shared text: copying a cell through the executor's row pipeline
+    /// bumps a count instead of allocating.
+    Text(Arc<str>),
 }
 
 impl Value {
@@ -135,7 +138,7 @@ impl Value {
             Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => format!("{f}"),
-            Value::Text(s) => s.clone(),
+            Value::Text(s) => s.to_string(),
         }
     }
 
@@ -181,13 +184,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Text(v.to_string())
+        Value::Text(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Text(v)
+        Value::Text(v.into())
     }
 }
 
@@ -205,7 +208,7 @@ pub enum Key {
     Bool(bool),
     /// Bit pattern of the numeric value as f64 (Int coerced).
     Num(u64),
-    Text(String),
+    Text(Arc<str>),
 }
 
 /// Hash a full row into a composite key.

@@ -366,14 +366,6 @@ impl Expr {
         Expr::Column(ColumnRef::bare(name))
     }
 
-    pub fn qcol(q: impl Into<String>, name: impl Into<String>) -> Expr {
-        Expr::Column(ColumnRef::qualified(q, name))
-    }
-
-    pub fn int(v: i64) -> Expr {
-        Expr::Literal(Literal::Int(v))
-    }
-
     pub fn float(v: f64) -> Expr {
         Expr::Literal(Literal::Float(v))
     }

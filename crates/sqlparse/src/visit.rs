@@ -355,7 +355,7 @@ fn rewrite_select(
 /// Apply `f` to each direct subquery of `s`, in whichever clause it sits
 /// (projection, join `ON`, WHERE, GROUP BY, HAVING, ORDER BY). `f` recurses
 /// itself when it wants the nested levels too.
-pub fn visit_subqueries_mut(s: &mut SelectStatement, f: &mut impl FnMut(&mut SelectStatement)) {
+fn visit_subqueries_mut(s: &mut SelectStatement, f: &mut impl FnMut(&mut SelectStatement)) {
     fn in_expr(e: &mut Expr, f: &mut impl FnMut(&mut SelectStatement)) {
         match e {
             Expr::InSubquery { subquery, expr, .. } => {

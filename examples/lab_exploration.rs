@@ -61,6 +61,7 @@ fn main() {
     // --- Figure 1: the verbatim meta-query --------------------------------
     println!("== Figure 1: find all queries that correlate salinity with temperature ==");
     let result = cqms
+        .capture_snapshot(0)
         .search_feature_sql(members[0], FIGURE1_META_QUERY)
         .unwrap();
     println!("{} matching queries; first 3:", result.rows.len());

@@ -145,6 +145,7 @@ fn search_modes_agree_on_an_easy_target() {
         .map(|id| id.0)
         .collect();
     let feat: std::collections::HashSet<u64> = cqms
+        .capture_snapshot(0)
         .search_feature_sql(
             u,
             "SELECT qid FROM DataSources WHERE relName = 'WaterSalinity'",

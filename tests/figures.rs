@@ -34,7 +34,10 @@ fn figure1_meta_query_full_stack() {
     cqms.run_query(user, "SELECT salinity FROM WaterSalinity")
         .unwrap();
 
-    let result = cqms.search_feature_sql(user, FIGURE1_META_QUERY).unwrap();
+    let result = cqms
+        .capture_snapshot(0)
+        .search_feature_sql(user, FIGURE1_META_QUERY)
+        .unwrap();
     assert_eq!(result.rows.len(), 1, "{:?}", result.rows);
     assert_eq!(result.rows[0][0].as_i64().unwrap() as u64, correlating.id.0);
     // The qText column carries the original SQL.
@@ -61,7 +64,10 @@ fn figure1_auto_generation_from_partial_query() {
     assert!(meta_sql.contains("Queries Q"));
     assert!(meta_sql.contains("DataSources"));
     assert!(meta_sql.contains("'watersalinity'"));
-    let result = cqms.search_feature_sql(user, &meta_sql).unwrap();
+    let result = cqms
+        .capture_snapshot(0)
+        .search_feature_sql(user, &meta_sql)
+        .unwrap();
     assert_eq!(result.rows.len(), 1);
 }
 

@@ -39,7 +39,7 @@ fn group_isolation_spans_every_search_mode() {
         ..Default::default()
     };
     assert!(snap.search_parse_tree(eve, &tree).is_empty());
-    let feat = c
+    let feat = snap
         .search_feature_sql(eve, "SELECT qid FROM Queries")
         .unwrap();
     assert!(feat.rows.is_empty());
@@ -226,7 +226,7 @@ fn empty_log_operations_are_safe() {
     assert!(!sugg.is_empty());
 }
 
-/// Feature-SQL meta-queries run against the feature relations *restricted
+/// Feature-SQL meta-queries are shown the feature relations *restricted
 /// to what the viewer may see*: whatever the statement projects, aliases,
 /// aggregates, joins or nests, a private query contributes nothing.
 /// `run` is one deployment's `search_feature_sql`; the owner's answers
@@ -308,7 +308,8 @@ fn private_queries_do_not_leak_through_feature_sql() {
         .capture_snapshot(0)
         .search_substring(b, "3.14159")
         .is_empty());
-    assert_feature_sql_hides_private(&|u, sql| c.search_feature_sql(u, sql).unwrap(), a, b);
+    let snap = c.capture_snapshot(0);
+    assert_feature_sql_hides_private(&|u, sql| snap.search_feature_sql(u, sql).unwrap(), a, b);
 }
 
 #[test]

@@ -56,7 +56,10 @@ fn quickstart_path_end_to_end() {
     assert!(!hits.is_empty(), "keyword search found nothing");
 
     // The Figure 1 meta-query runs over the feature relations.
-    let meta = cqms.search_feature_sql(alice, FIGURE1_META_QUERY).unwrap();
+    let meta = cqms
+        .capture_snapshot(0)
+        .search_feature_sql(alice, FIGURE1_META_QUERY)
+        .unwrap();
     assert!(
         !meta.columns.is_empty(),
         "meta-query returned no result shape"
