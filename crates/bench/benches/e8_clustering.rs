@@ -1,6 +1,7 @@
-//! E8 — query clustering throughput (§4.3): one full miner epoch including
-//! the O(n²) distance matrix and k-medoids, plus a signature-vs-legacy
-//! comparison of the distance-matrix inner loop itself (the epoch's hot
+//! E8 — query clustering throughput (§4.3): one clustering read
+//! (`ReadSnapshot::cluster_queries`: the O(n²) distance matrix and
+//! k-medoids) on a captured snapshot, plus a signature-vs-legacy
+//! comparison of the distance-matrix inner loop itself (the read's hot
 //! path): interned-id merges over precomputed signatures against the
 //! seed's per-pair `HashSet`-materialising feature distance.
 
@@ -18,9 +19,10 @@ fn bench(c: &mut Criterion) {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(3));
     for &size in &[200usize, 500] {
-        let mut lc = logged_cqms(Domain::Lakes, size, 0xE8);
-        group.bench_with_input(BenchmarkId::new("miner_epoch", size), &size, |b, _| {
-            b.iter(|| lc.cqms.run_miner_epoch().clusters)
+        let lc = logged_cqms(Domain::Lakes, size, 0xE8);
+        let snap = lc.cqms.capture_snapshot(0);
+        group.bench_with_input(BenchmarkId::new("cluster_queries", size), &size, |b, _| {
+            b.iter(|| snap.cluster_queries(lc.users[0], 0).1.medoids.len())
         });
     }
 

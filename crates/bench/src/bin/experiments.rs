@@ -154,7 +154,7 @@ fn e2_sessions() {
     println!("```text");
     print!(
         "{}",
-        cqms.capture_snapshot(0).render_session(session).unwrap()
+        cqms.capture_snapshot(0).render_session(u, session).unwrap()
     );
     println!("```\n");
 }
@@ -472,16 +472,15 @@ fn e7_knn() {
 // ---------------------------------------------------------------------
 fn e8_clustering() {
     println!("## E8 — query clustering vs planted topics\n");
-    println!("| log size | k | purity | ARI | epoch time (ms) |");
+    println!("| log size | k | purity | ARI | cluster read (ms) |");
     println!("|---|---|---|---|---|");
     for &size in &[300usize, 1000] {
+        let lc = logged_cqms(Domain::Lakes, size, 0xE8);
+        let snap = lc.cqms.capture_snapshot(0);
         for &k in &[2usize, 3, 5] {
-            let mut lc = logged_cqms(Domain::Lakes, size, 0xE8);
-            lc.cqms.config.cluster_k = k;
             let start = std::time::Instant::now();
-            lc.cqms.run_miner_epoch();
-            let epoch_ms = start.elapsed().as_secs_f64() * 1e3;
-            let (ids, clustering) = lc.cqms.clustering().unwrap();
+            let (ids, clustering) = snap.cluster_queries(lc.users[0], k);
+            let read_ms = start.elapsed().as_secs_f64() * 1e3;
             let truth: Vec<u64> = ids
                 .iter()
                 .map(|id| lc.trace.queries[id.0 as usize].topic as u64)
@@ -490,7 +489,7 @@ fn e8_clustering() {
                 "| {size} | {k} | {:.3} | {:.3} | {:.1} |",
                 purity(&clustering.assignment, &truth),
                 adjusted_rand_index(&clustering.assignment, &truth),
-                epoch_ms
+                read_ms
             );
         }
     }
@@ -509,10 +508,11 @@ fn e9_assoc_rules() {
         let start = std::time::Instant::now();
         lc.cqms.run_miner_epoch();
         let ms = start.elapsed().as_secs_f64() * 1e3;
+        let snap = lc.cqms.capture_snapshot(0);
         let mut recovered = 0usize;
         let mut confs = Vec::new();
         for planted in &lc.trace.rules {
-            if let Some(rule) = lc.cqms.association_rules().iter().find(|r| {
+            if let Some(rule) = snap.association_rules().iter().find(|r| {
                 r.antecedent == vec![planted.antecedent.clone()]
                     && r.consequent == planted.consequent
             }) {

@@ -49,8 +49,6 @@ pub struct CqmsConfig {
     pub assoc_min_support: u32,
     /// Minimum confidence for published association rules.
     pub assoc_min_confidence: f64,
-    /// k for query clustering (0 = auto: √(n/2)).
-    pub cluster_k: usize,
     /// Iteration cap for the k-medoids refinement loop.
     pub cluster_max_iters: usize,
 
@@ -206,7 +204,6 @@ impl Default for CqmsConfig {
             annotate_on_subquery: true,
             assoc_min_support: 5,
             assoc_min_confidence: 0.5,
-            cluster_k: 0,
             cluster_max_iters: 20,
             refresh_drift_threshold: 0.3,
             refresh_budget: 50,

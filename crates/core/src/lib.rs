@@ -10,11 +10,11 @@
 //! | Query Profiler (§4.1) | [`profiler`], [`features`] |
 //! | Query Storage (§4.1) | [`storage`] (incl. each query's rows of the Figure 1 feature relations) |
 //! | Meta-query Executor (§4.2) | [`metaquery`], [`similarity`] |
-//! | Query Miner (§4.3) | [`miner`] (sessions, clustering, association rules, edit patterns, tutorials) |
+//! | Query Miner (§4.3) | [`miner`] (sessions, association rules, edit patterns, tutorials; clustering, served as a snapshot read) |
 //! | Query Maintenance (§4.4) | [`maintenance`] |
 //! | Assisted Interaction (§2.3) | [`assist`] (completion, correction, recommendation) |
 //! | Administrative Interaction (§2.4) | [`admin`] |
-//! | Client rendering (Figs. 2–3) | [`viz`] |
+//! | Client rendering (Figs. 2–3) | [`viz`] (served viewer-scoped by the snapshot) |
 //!
 //! Three types carry the public surface. [`server::Cqms`] owns one
 //! embedded [`relstore::Engine`] — the data tier — and the `&mut` write

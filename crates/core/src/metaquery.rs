@@ -139,7 +139,8 @@ impl<'a> MetaQueryExecutor<'a> {
         }
     }
 
-    fn visible(&self, viewer: UserId, record: &QueryRecord) -> bool {
+    /// The one ACL + tombstone predicate every read applies.
+    pub(crate) fn visible(&self, viewer: UserId, record: &QueryRecord) -> bool {
         record.is_live() && self.directory.can_see(viewer, record)
     }
 

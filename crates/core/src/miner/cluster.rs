@@ -4,8 +4,14 @@
 //! and similarity searching." k-medoids is chosen over k-means because the
 //! only structure available is a pairwise distance (no vector-space mean of
 //! parse trees exists). Deterministic: seeded farthest-first initialisation
-//! plus bounded swap iterations.
+//! plus bounded swap iterations. Served per call, viewer-scoped, by
+//! [`crate::snapshot::ReadSnapshot::cluster_queries`] / `cluster_sessions`.
 
+use crate::config::CqmsConfig;
+use crate::model::{QueryId, QueryRecord, SessionId};
+use crate::signature::SimSignature;
+use crate::similarity::{feature_distance_disjoint, feature_distance_sig};
+use crate::storage::QueryStorage;
 use std::collections::HashMap;
 
 /// A clustering of n items into k clusters.
@@ -17,8 +23,6 @@ pub struct ClusteringResult {
     pub medoids: Vec<usize>,
     /// Sum of distances of items to their medoid.
     pub cost: f64,
-    /// Refinement iterations performed.
-    pub iterations: usize,
 }
 
 /// k-medoids over a symmetric distance matrix (dense, row-major `n × n`).
@@ -29,7 +33,6 @@ pub fn kmedoids(dist: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Clu
             assignment: Vec::new(),
             medoids: Vec::new(),
             cost: 0.0,
-            iterations: 0,
         };
     }
     let k = k.min(n);
@@ -66,9 +69,7 @@ pub fn kmedoids(dist: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Clu
     };
 
     let (mut assignment, mut cost) = assign(&medoids);
-    let mut iterations = 0;
     for _ in 0..max_iters {
-        iterations += 1;
         let mut improved = false;
         // For each cluster, try moving the medoid to the member minimising
         // intra-cluster distance (the "alternate" k-medoids step).
@@ -103,39 +104,93 @@ pub fn kmedoids(dist: &[Vec<f64>], k: usize, max_iters: usize, seed: u64) -> Clu
         assignment,
         medoids,
         cost,
-        iterations,
     }
+}
+
+/// `k`, or √(n/2) (at least 2) clusters of `n` items when `k = 0`.
+pub fn auto_k(k: usize, n: usize) -> usize {
+    if k > 0 {
+        k
+    } else {
+        (((n as f64) / 2.0).sqrt().round() as usize).max(2)
+    }
+}
+
+/// k-medoids over the symmetric `n × n` matrix of `d(i, j)` (one call per
+/// pair), `k = 0` picking [`auto_k`].
+#[allow(clippy::needless_range_loop)] // each pair fills both triangles
+fn cluster(
+    n: usize,
+    k: usize,
+    config: &CqmsConfig,
+    d: impl Fn(usize, usize) -> f64,
+) -> ClusteringResult {
+    let mut dist = vec![vec![0.0f64; n]; n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = d(i, j);
+            dist[i][j] = d;
+            dist[j][i] = d;
+        }
+    }
+    kmedoids(&dist, auto_k(k, n), config.cluster_max_iters, config.seed)
+}
+
+/// Cluster the queries `shown` admits by feature distance over their
+/// signatures. Returns the ids in id order plus the clustering.
+pub fn cluster_queries(
+    storage: &QueryStorage,
+    shown: impl Fn(&QueryRecord) -> bool,
+    k: usize,
+    config: &CqmsConfig,
+) -> (Vec<QueryId>, ClusteringResult) {
+    let (ids, sigs): (Vec<QueryId>, Vec<&SimSignature>) = (storage.iter())
+        .zip(storage.signatures())
+        .filter(|(r, _)| shown(r))
+        .map(|(r, sig)| (r.id, sig.as_ref()))
+        .unzip();
+    let clustering = cluster(sigs.len(), k, config, |i, j| {
+        // Bloom screen: disjoint blooms prove the feature sets disjoint,
+        // collapsing the merge to the O(1) emptiness pattern
+        // (bit-identical to the full merge).
+        if sigs[i].feature_bloom & sigs[j].feature_bloom == 0 {
+            feature_distance_disjoint(sigs[i], sigs[j], config)
+        } else {
+            feature_distance_sig(sigs[i], sigs[j], config)
+        }
+    });
+    (ids, clustering)
 }
 
 /// Cluster whole *sessions* (§4.3: "if the CQMS clusters entire query
 /// sessions, it can provide better services"). Each session is represented
-/// by the union of its queries' feature items; the distance is Jaccard.
-/// Returns the session ids in matrix order plus the clustering.
+/// by the union of the feature items of its queries `shown` admits (a
+/// session with none is skipped); the distance is Jaccard. Returns the
+/// session ids in matrix order plus the clustering.
 pub fn cluster_sessions(
-    storage: &crate::storage::QueryStorage,
+    storage: &QueryStorage,
+    shown: impl Fn(&QueryRecord) -> bool,
     k: usize,
-    max_iters: usize,
-    seed: u64,
-) -> (Vec<crate::model::SessionId>, ClusteringResult) {
-    let sessions = storage.session_ids();
+    config: &CqmsConfig,
+) -> (Vec<SessionId>, ClusteringResult) {
     // Each session's item set is the union of its queries' interned
     // feature ids (signatures precompute these; the namespaced interner
     // keys are in bijection with the old `items()` string vocabulary, so
     // the Jaccard values are unchanged).
-    let item_sets: Vec<Vec<u32>> = sessions
-        .iter()
-        .map(|s| {
-            let mut ids: Vec<u32> = storage
-                .queries_in_session(*s)
-                .iter()
-                .filter_map(|id| storage.signature(*id))
+    let (sessions, item_sets): (Vec<SessionId>, Vec<Vec<u32>>) = storage
+        .session_ids()
+        .into_iter()
+        .filter_map(|s| {
+            let members = storage.session_members(s, &shown);
+            let mut ids: Vec<u32> = (members.iter())
+                .filter_map(|r| storage.signature(r.id))
                 .flat_map(|sig| sig.feature_ids())
                 .collect();
             ids.sort_unstable();
             ids.dedup();
-            ids
+            (!members.is_empty()).then_some((s, ids))
         })
-        .collect();
+        .unzip();
     // Session bloom = OR of the member blooms (bloom of a union is the OR
     // of the blooms): disjoint blooms prove disjoint item sets, so the
     // pair's Jaccard is exactly 1.0 (0.0 when both sets are empty) with
@@ -144,24 +199,15 @@ pub fn cluster_sessions(
         .iter()
         .map(|ids| crate::signature::bloom64(ids.iter().copied()))
         .collect();
-    let n = sessions.len();
-    let mut dist = vec![vec![0.0f64; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = if blooms[i] & blooms[j] == 0 {
-                if item_sets[i].is_empty() && item_sets[j].is_empty() {
-                    0.0
-                } else {
-                    1.0
-                }
-            } else {
-                crate::signature::jaccard_ids(&item_sets[i], &item_sets[j])
-            };
-            dist[i][j] = d;
-            dist[j][i] = d;
+    let clustering = cluster(sessions.len(), k, config, |i, j| {
+        if blooms[i] & blooms[j] != 0 {
+            crate::signature::jaccard_ids(&item_sets[i], &item_sets[j])
+        } else if item_sets[i].is_empty() && item_sets[j].is_empty() {
+            0.0
+        } else {
+            1.0
         }
-    }
-    let clustering = kmedoids(&dist, k, max_iters, seed);
+    });
     (sessions, clustering)
 }
 

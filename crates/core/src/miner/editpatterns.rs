@@ -13,22 +13,15 @@ pub struct EditPatternMiner {
     unigrams: HashMap<&'static str, u32>,
     /// (previous edge's kind, next edge's kind) → count.
     bigrams: HashMap<(&'static str, &'static str), u32>,
-    edges_seen: usize,
 }
 
 impl EditPatternMiner {
-    /// An empty miner.
-    pub fn new() -> Self {
-        EditPatternMiner::default()
-    }
-
     /// Mine the storage's session graph from scratch.
     pub fn mine(storage: &QueryStorage) -> EditPatternMiner {
-        let mut m = EditPatternMiner::new();
+        let mut m = EditPatternMiner::default();
         for session in storage.session_ids() {
             let edges = storage.session_edges(session);
             for e in &edges {
-                m.edges_seen += 1;
                 for op in &e.edits {
                     *m.unigrams.entry(op.kind()).or_insert(0) += 1;
                 }
@@ -42,11 +35,6 @@ impl EditPatternMiner {
             }
         }
         m
-    }
-
-    /// Session-graph edges consumed so far.
-    pub fn edges_seen(&self) -> usize {
-        self.edges_seen
     }
 
     /// Most common single edits, descending.
@@ -136,7 +124,10 @@ mod tests {
     fn mines_figure2_patterns() {
         let st = storage_with_session(&workload::querygen::figure2_session());
         let m = EditPatternMiner::mine(&st);
-        assert_eq!(m.edges_seen(), 5);
+        // Every edit of the five edges is counted once.
+        let edits: usize = st.edges().iter().map(|e| e.edits.len()).sum();
+        let counted: u32 = m.top_edits(usize::MAX).iter().map(|(_, c)| c).sum();
+        assert_eq!((st.edges().len(), counted as usize), (5, edits));
         let top = m.top_edits(3);
         // Figure 2's dominant move is constant tweaking.
         assert!(top.iter().any(|(k, _)| *k == "change_constant"));
@@ -162,7 +153,7 @@ mod tests {
     fn empty_storage_no_patterns() {
         let st = QueryStorage::new();
         let m = EditPatternMiner::mine(&st);
-        assert_eq!(m.edges_seen(), 0);
+        assert!(m.top_bigrams(5).is_empty());
         assert!(m.top_edits(5).is_empty());
         assert!(m.next_edit_distribution("add_table").is_empty());
     }

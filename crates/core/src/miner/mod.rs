@@ -1,8 +1,8 @@
-//! The Query Miner (Figure 4, §4.3): background analysis of the query log.
+//! The Query Miner (Figure 4, §4.3): analysis of the query log.
 //!
 //! * [`sessions`] — offline session segmentation + quality metrics;
 //! * [`cluster`] — k-medoids query/session clustering with purity and
-//!   adjusted-Rand-index scoring against planted truth;
+//!   adjusted-Rand-index scoring (served as a snapshot read);
 //! * [`assoc`] — Apriori association-rule mining over query feature
 //!   itemsets (powers context-aware completion, §2.3);
 //! * [`editpatterns`] — frequent edit-sequence mining over session edges;
@@ -10,7 +10,8 @@
 //!   relation … by showing the user the most popular queries that include
 //!   the relation").
 //!
-//! The miner epoch is also where *scheduled index rebuilds* execute: the
+//! The miner *epoch* computes only what a read consumes (rules, refined
+//! sessions) and is also where *scheduled index rebuilds* execute: the
 //! Query Storage's [`crate::indexreg::IndexRegistry`] only ever flags
 //! that a structural rebuild is wanted (tombstone threshold, maintenance
 //! reindex, summary refresh), and [`crate::server::Cqms::run_miner_epoch`]

@@ -2,12 +2,13 @@
 //! Profiler, Query Storage, Query Miner and Query Maintenance, wired to one
 //! embedded DBMS.
 //!
-//! [`Cqms`] owns the write logic and the few reads that need the live
-//! `relstore` engines (feature-SQL meta-queries, identifier checks,
-//! empty-result repair, query-by-data with re-execution, the tutorial).
-//! Every other read — the Meta-query Executor's search modes and the
-//! assisted mode — is declared once, on [`crate::snapshot::ReadSnapshot`]:
-//! single-threaded callers read through `cqms.capture_snapshot(0)`.
+//! [`Cqms`] owns the write logic, the three data-tier reads that need the
+//! live `relstore` engine (identifier checks, empty-result repair,
+//! query-by-data with re-execution) and the tutorial. Every other read —
+//! the Meta-query Executor's search modes, browsing and clustering, and
+//! the assisted mode — is declared once, on
+//! [`crate::snapshot::ReadSnapshot`]: single-threaded callers read through
+//! `cqms.capture_snapshot(0)`.
 //!
 //! The Profiler runs on the caller's thread. The two *background*
 //! components (Miner, Maintenance) run either synchronously via
@@ -23,8 +24,6 @@ use crate::indexreg::IndexBuild;
 use crate::maintenance::{self, MaintenanceReport, RefreshReport};
 use crate::metaquery::MetaQueryExecutor;
 use crate::miner::assoc::{AssocRule, RuleMiner};
-use crate::miner::cluster::{self, ClusteringResult};
-use crate::miner::editpatterns::EditPatternMiner;
 use crate::miner::sessions;
 use crate::model::*;
 use crate::profiler::{ProfiledQuery, Profiler};
@@ -42,14 +41,11 @@ use std::time::Duration;
 pub struct MinerReport {
     /// Association rules in the published rule set.
     pub association_rules: usize,
-    /// Clusters produced by the epoch's k-medoids run.
+    /// Always 0 — clustering is a read; kept because
+    /// `ledger/src/main.rs:351` reads it for `miner.clusters`.
     pub clusters: usize,
-    /// Final clustering cost (sum of distances to medoids).
-    pub clustering_cost: f64,
     /// Queries whose predicted session changed this epoch.
     pub sessions_refined: usize,
-    /// Edit-pattern edges mined this epoch.
-    pub edit_edges_mined: usize,
     /// Did this epoch build + publish a scheduled index generation?
     pub index_rebuilt: bool,
     /// The structural-index generation published after this epoch.
@@ -83,7 +79,6 @@ pub struct Cqms {
     /// and the two thresholds. An epoch that finds them unchanged keeps the
     /// rules instead of re-mining.
     rules_mined_at: (usize, usize, u32, u64),
-    last_clustering: Option<(Vec<QueryId>, ClusteringResult)>,
     baseline_stats: HashMap<String, TableStats>,
     /// Internal trace clock (seconds); advances when callers do not supply
     /// explicit timestamps.
@@ -108,7 +103,6 @@ impl Cqms {
             directory: Directory::new(),
             last_rules: Arc::new(Vec::new()),
             rules_mined_at: (0, 0, 0, 0),
-            last_clustering: None,
             baseline_stats: HashMap::new(),
             clock: 0,
             recovery: None,
@@ -330,8 +324,7 @@ impl Cqms {
     // ------------------------------------------------------------------
 
     /// Run one miner epoch: execute any scheduled index rebuild, refresh
-    /// association rules, re-cluster the log, refine session boundaries,
-    /// mine edit patterns.
+    /// association rules, refine session boundaries, write a due snapshot.
     pub fn run_miner_epoch(&mut self) -> MinerReport {
         self.miner_epoch(true)
     }
@@ -385,43 +378,6 @@ impl Cqms {
         }
         report.association_rules = self.last_rules.len();
 
-        // Clustering over live queries. The O(n²) distance matrix runs on
-        // precomputed similarity signatures (sorted-id merges), not on the
-        // records — this is the §4.3 hot loop the signatures exist for.
-        let ids: Vec<QueryId> = self.storage.iter_live().map(|r| r.id).collect();
-        if ids.len() >= 4 {
-            let sigs: Vec<&crate::signature::SimSignature> = ids
-                .iter()
-                .map(|id| self.storage.signature(*id).expect("signature per record"))
-                .collect();
-            let n = sigs.len();
-            let mut dist = vec![vec![0.0f64; n]; n];
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    // Bloom screen: disjoint blooms prove the feature sets
-                    // disjoint, collapsing the merge to the O(1) emptiness
-                    // pattern (bit-identical to the full merge).
-                    let d = if sigs[i].feature_bloom & sigs[j].feature_bloom == 0 {
-                        crate::similarity::feature_distance_disjoint(sigs[i], sigs[j], &self.config)
-                    } else {
-                        crate::similarity::feature_distance_sig(sigs[i], sigs[j], &self.config)
-                    };
-                    dist[i][j] = d;
-                    dist[j][i] = d;
-                }
-            }
-            let k = if self.config.cluster_k > 0 {
-                self.config.cluster_k
-            } else {
-                (((n as f64) / 2.0).sqrt().round() as usize).max(2)
-            };
-            let clustering =
-                cluster::kmedoids(&dist, k, self.config.cluster_max_iters, self.config.seed);
-            report.clusters = clustering.medoids.len();
-            report.clustering_cost = clustering.cost;
-            self.last_clustering = Some((ids, clustering));
-        }
-
         // Offline session refinement.
         let refined = sessions::segment_log(&self.storage, &self.config);
         let changed = refined
@@ -438,10 +394,6 @@ impl Cqms {
         }
         report.sessions_refined = changed;
 
-        // Edit patterns.
-        let patterns = EditPatternMiner::mine(&self.storage);
-        report.edit_edges_mined = patterns.edges_seen();
-
         // Periodic durability: synchronous epochs write due snapshots
         // inline (the caller holds exclusive access anyway); the
         // background thread skips this and uses the off-lock
@@ -451,32 +403,6 @@ impl Cqms {
         }
 
         report
-    }
-
-    /// The latest mined association rules.
-    pub fn association_rules(&self) -> &[AssocRule] {
-        &self.last_rules
-    }
-
-    /// The latest clustering (query ids + assignment), if any.
-    pub fn clustering(&self) -> Option<&(Vec<QueryId>, ClusteringResult)> {
-        self.last_clustering.as_ref()
-    }
-
-    /// Cluster whole sessions (§4.3). `k = 0` picks √(n/2).
-    pub fn cluster_sessions(&self, k: usize) -> (Vec<SessionId>, ClusteringResult) {
-        let n = self.storage.session_ids().len();
-        let k = if k > 0 {
-            k
-        } else {
-            (((n as f64) / 2.0).sqrt().round() as usize).max(2)
-        };
-        cluster::cluster_sessions(
-            &self.storage,
-            k,
-            self.config.cluster_max_iters,
-            self.config.seed,
-        )
     }
 
     /// Record an *investigation* relation between two queries (§4.1: "the
@@ -972,7 +898,7 @@ mod tests {
     }
 
     #[test]
-    fn miner_epoch_produces_rules_and_clusters() {
+    fn miner_epoch_produces_rules() {
         let mut c = cqms();
         let u = c.register_user("u");
         for i in 0..8 {
@@ -995,13 +921,42 @@ mod tests {
         }
         let report = c.run_miner_epoch();
         assert!(report.association_rules > 0);
-        assert!(report.clusters >= 2);
-        assert!(report.edit_edges_mined > 0);
         // The planted-style rule is discoverable.
         assert!(c
+            .capture_snapshot(0)
             .association_rules()
             .iter()
             .any(|r| r.consequent == "table:watertemp"));
+        // Clusters are a read, with or without an epoch.
+        let (ids, clustering) = c.capture_snapshot(0).cluster_queries(u, 0);
+        assert_eq!(ids.len(), 14);
+        assert!(clustering.medoids.len() >= 2);
+    }
+
+    #[test]
+    fn clustering_reads_survive_degenerate_logs() {
+        let check = |c: &Cqms, user: UserId, k: usize, want: usize| {
+            let snap = c.capture_snapshot(0);
+            let (ids, clustering) = snap.cluster_queries(user, k);
+            assert_eq!((ids.len(), clustering.assignment.len()), (want, want));
+            let (sessions, clustering) = snap.cluster_sessions(user, k);
+            assert_eq!(clustering.assignment.len(), sessions.len());
+            assert!(sessions.len() <= want && sessions.is_empty() == (want == 0));
+        };
+        let mut c = cqms();
+        let alice = c.register_user("alice");
+        let eve = c.register_user("eve");
+        for k in [0, 1, usize::MAX] {
+            check(&c, alice, k, 0);
+        }
+        let hidden = c.run_query(alice, "SELECT * FROM Lakes").unwrap().id;
+        c.set_visibility(alice, hidden, Visibility::Private)
+            .unwrap();
+        c.run_query(alice, "SELECT * FROM WaterTemp").unwrap();
+        for k in [0, 1, usize::MAX] {
+            check(&c, eve, k, 1);
+            check(&c, alice, k, 2);
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Precomputed similarity signatures (§4.2/§4.3 hot-path support).
 //!
 //! Every pairwise-similarity consumer in the system — kNN meta-queries,
-//! the recommendation panel, the miner's clustering distance matrix,
+//! the recommendation panel, the clustering reads' distance matrix,
 //! query-by-data — ultimately compares the same per-query artifacts: the
 //! syntactic feature sets, the constant-stripped parse tree, and the output
 //! rows. Recomputing those artifacts per *pair* (as the seed implementation
@@ -144,8 +144,8 @@ pub struct SimSignature {
     pub profile_fp: Option<u64>,
     /// 64-bit bloom over the interned feature ids (all three namespaces,
     /// bit `id & 63`): non-overlapping blooms *prove* the feature sets
-    /// disjoint, so the miner's distance matrix and session clustering can
-    /// take the O(1) disjoint path without merging.
+    /// disjoint, so the query and session clustering matrices can take the
+    /// O(1) disjoint path without merging.
     pub feature_bloom: u64,
     /// Hashed output rows, sorted + deduplicated (None when no summary is
     /// stored — output distance is then undefined, as before).
@@ -312,8 +312,8 @@ impl SimSignature {
 
 /// 64-bit bloom over a set of ids (bit `id & 63` each): non-overlapping
 /// blooms *prove* the id sets disjoint. The single definition of the
-/// bit-assignment scheme — signatures, session clustering and the miner's
-/// matrix screen all rely on it agreeing.
+/// bit-assignment scheme — signatures and both clustering matrix screens
+/// rely on it agreeing.
 pub fn bloom64(ids: impl Iterator<Item = u32>) -> u64 {
     ids.fold(0u64, |acc, id| acc | (1u64 << (id & 63)))
 }

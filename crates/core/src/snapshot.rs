@@ -7,8 +7,9 @@
 //! single immutable value,
 //! and every snapshot-servable read (keyword, substring, SQL over the
 //! Figure 1 feature relations, parse-tree, query-by-data over summaries,
-//! kNN, completion, recommendation, the Figure 2/3 renderings) is a method
-//! on it. Nothing else re-declares
+//! kNN, completion, recommendation; the browse reads: the Figure 2
+//! window, the log summary, query and session clustering) is a method on
+//! it, scoped to the live records its viewer may see. Nothing else re-declares
 //! them: a single-threaded [`crate::server::Cqms`] reads through
 //! [`crate::server::Cqms::capture_snapshot`], a
 //! [`crate::service::CqmsService`] hands out its published snapshot via
@@ -45,7 +46,8 @@ use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::metaquery::{MetaQueryExecutor, ScoredHit, TreePattern};
 use crate::miner::assoc::AssocRule;
-use crate::model::{QueryId, SessionId, UserId};
+use crate::miner::cluster::{self, ClusteringResult};
+use crate::model::{QueryId, QueryRecord, SessionId, UserId};
 use crate::similarity::DistanceKind;
 use crate::storage::QueryStorage;
 use std::collections::HashMap;
@@ -121,6 +123,12 @@ impl ReadSnapshot {
 
     fn executor(&self) -> MetaQueryExecutor<'_> {
         MetaQueryExecutor::new(&self.storage, &self.directory, &self.config)
+    }
+
+    /// The executor's one ACL + tombstone predicate, for `user`.
+    fn shown(&self, user: UserId) -> impl Fn(&QueryRecord) -> bool + '_ {
+        let executor = self.executor();
+        move |r| executor.visible(user, r)
     }
 
     // ------------------------------------------------------------------
@@ -199,14 +207,25 @@ impl ReadSnapshot {
         self.executor().knn_sql(user, sql, k, metric)
     }
 
-    /// Figure 2 session window.
-    pub fn render_session(&self, session: SessionId) -> Result<String, CqmsError> {
-        crate::viz::render_session(&self.storage, session)
+    /// Figure 2 session window over the queries `user` may see.
+    pub fn render_session(&self, user: UserId, session: SessionId) -> Result<String, CqmsError> {
+        crate::viz::render_session(&self.storage, session, self.shown(user))
     }
 
-    /// Browse view over the whole log.
-    pub fn render_log_summary(&self, max_sessions: usize) -> String {
-        crate::viz::render_log_summary(&self.storage, max_sessions)
+    /// Browse view over the part of the log `user` may see.
+    pub fn render_log_summary(&self, user: UserId, max_sessions: usize) -> String {
+        crate::viz::render_log_summary(&self.storage, max_sessions, self.shown(user))
+    }
+
+    /// Cluster the queries `user` may see (§4.3; `k = 0`: √(n/2)), per
+    /// call from the pinned signatures — O(n²) time and memory, no lock.
+    pub fn cluster_queries(&self, user: UserId, k: usize) -> (Vec<QueryId>, ClusteringResult) {
+        cluster::cluster_queries(&self.storage, self.shown(user), k, &self.config)
+    }
+
+    /// Cluster whole sessions by the queries of each `user` may see.
+    pub fn cluster_sessions(&self, user: UserId, k: usize) -> (Vec<SessionId>, ClusteringResult) {
+        cluster::cluster_sessions(&self.storage, self.shown(user), k, &self.config)
     }
 
     // ------------------------------------------------------------------

@@ -317,6 +317,18 @@ impl QueryStorage {
         self.sessions.get(&session).cloned().unwrap_or_default()
     }
 
+    /// The records of a session that `shown` admits, in insertion order.
+    pub fn session_members(
+        &self,
+        session: SessionId,
+        shown: impl Fn(&QueryRecord) -> bool,
+    ) -> Vec<&QueryRecord> {
+        let ids = self.sessions.get(&session).into_iter().flatten();
+        ids.filter_map(|id| self.get(*id).ok())
+            .filter(|r| shown(r))
+            .collect()
+    }
+
     /// All session ids with at least one query.
     pub fn session_ids(&self) -> Vec<SessionId> {
         let mut ids: Vec<SessionId> = self.sessions.keys().copied().collect();

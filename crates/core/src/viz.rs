@@ -10,7 +10,7 @@
 
 use crate::assist::recommend::PanelRow;
 use crate::error::CqmsError;
-use crate::model::SessionId;
+use crate::model::{QueryRecord, SessionId};
 use crate::storage::QueryStorage;
 use std::fmt::Write;
 
@@ -24,31 +24,35 @@ use std::fmt::Write;
 ///    |  'temp < 22' -> 'temp < 18'
 /// [q14] ...
 /// ```
-pub fn render_session(storage: &QueryStorage, session: SessionId) -> Result<String, CqmsError> {
-    let ids = storage.queries_in_session(session);
-    if ids.is_empty() {
+///
+/// Only the queries `shown` admits appear, header included; with none the
+/// session is `NotFound`, like a missing one.
+pub fn render_session(
+    storage: &QueryStorage,
+    session: SessionId,
+    shown: impl Fn(&QueryRecord) -> bool,
+) -> Result<String, CqmsError> {
+    let members = storage.session_members(session, shown);
+    let (Some(first), Some(last)) = (members.first(), members.last()) else {
         return Err(CqmsError::NotFound(format!("session {session}")));
-    }
-    let first = storage.get(ids[0])?;
-    let last = storage.get(*ids.last().unwrap())?;
+    };
     let mut out = String::new();
     let _ = writeln!(
         out,
         "session {} (user {}, {} queries, {} - {})",
         session,
         first.user,
-        ids.len(),
+        members.len(),
         fmt_clock(first.ts),
         fmt_clock(last.ts),
     );
     let edges = storage.session_edges(session);
-    for (i, id) in ids.iter().enumerate() {
-        let rec = storage.get(*id)?;
-        let _ = writeln!(out, "[q{}] {}", id, truncate(&rec.raw_sql, 100));
-        if i + 1 < ids.len() {
+    for (i, rec) in members.iter().enumerate() {
+        let _ = writeln!(out, "[q{}] {}", rec.id, truncate(&rec.raw_sql, 100));
+        if let Some(next) = members.get(i + 1) {
             // Edges from this query to the next, if recorded.
             let mut printed = false;
-            for e in edges.iter().filter(|e| e.from == *id && e.to == ids[i + 1]) {
+            for e in edges.iter().filter(|e| e.from == rec.id && e.to == next.id) {
                 match e.kind {
                     crate::model::EdgeKind::Evolution => {
                         for op in &e.edits {
@@ -98,33 +102,37 @@ pub fn render_panel(rows: &[PanelRow]) -> String {
 }
 
 /// Browse view: one line per session ("present query sessions instead of
-/// individual queries", §2.2).
-pub fn render_log_summary(storage: &QueryStorage, max_sessions: usize) -> String {
+/// individual queries", §2.2), counting only the queries `shown` admits.
+pub fn render_log_summary(
+    storage: &QueryStorage,
+    max_sessions: usize,
+    shown: impl Fn(&QueryRecord) -> bool,
+) -> String {
+    let sessions: Vec<(SessionId, Vec<&QueryRecord>)> = storage
+        .session_ids()
+        .into_iter()
+        .map(|s| (s, storage.session_members(s, &shown)))
+        .filter(|(_, members)| !members.is_empty())
+        .collect();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{} queries in {} sessions",
-        storage.live_count(),
-        storage.session_ids().len()
+        sessions
+            .iter()
+            .map(|(_, members)| members.len())
+            .sum::<usize>(),
+        sessions.len()
     );
-    for session in storage.session_ids().into_iter().take(max_sessions) {
-        let ids = storage.queries_in_session(session);
-        let Some(&first_id) = ids.first() else {
-            continue;
-        };
-        let Ok(first) = storage.get(first_id) else {
-            continue;
-        };
-        let Ok(last) = storage.get(*ids.last().unwrap()) else {
-            continue;
-        };
+    for (session, members) in sessions.iter().take(max_sessions) {
+        let (first, last) = (members[0], members[members.len() - 1]);
         let tables = last.features.tables.join(", ");
         let _ = writeln!(
             out,
             "  session {:>4} user {:>3} {:>3} queries {:>8}  [{}]  {}",
             session,
             first.user,
-            ids.len(),
+            members.len(),
             fmt_clock(first.ts),
             tables,
             truncate(&last.raw_sql, 48),
@@ -196,7 +204,7 @@ mod tests {
     #[test]
     fn session_window_shows_figure2_labels() {
         let st = storage_with_figure2();
-        let viz = render_session(&st, SessionId(0)).unwrap();
+        let viz = render_session(&st, SessionId(0), |_| true).unwrap();
         // Header with time range like the figure's 2:30—2:35 strip.
         assert!(viz.contains("02:30"), "{viz}");
         assert!(viz.contains("02:35"), "{viz}");
@@ -213,7 +221,7 @@ mod tests {
     #[test]
     fn missing_session_errors() {
         let st = QueryStorage::new();
-        assert!(render_session(&st, SessionId(9)).is_err());
+        assert!(render_session(&st, SessionId(9), |_| true).is_err());
     }
 
     #[test]
@@ -244,7 +252,7 @@ mod tests {
     #[test]
     fn log_summary_collapses_sessions() {
         let st = storage_with_figure2();
-        let s = render_log_summary(&st, 10);
+        let s = render_log_summary(&st, 10, |_| true);
         assert!(s.contains("6 queries in 1 sessions"));
         assert!(s.contains("session"), "{s}");
         assert!(s.contains("user 1"), "{s}");

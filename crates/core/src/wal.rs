@@ -69,7 +69,7 @@
 //! re-creatable by maintenance refresh), runtime plan/error text, the
 //! miner's session refinements ([`QueryStorage::adopt_sessions`] — the
 //! miner re-derives them; a snapshot does capture each record's session
-//! as of its horizon), mined rules/clusters, and the user/group directory
+//! as of its horizon), mined rules, and the user/group directory
 //! (deployments re-register principals at startup, which reproduces the
 //! same dense ids).
 

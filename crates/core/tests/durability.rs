@@ -360,7 +360,7 @@ fn deleted_queries_leave_rules_and_completion_like_a_reopen() {
     cqms.wal_flush().unwrap();
     let running = (
         cqms.capture_snapshot(0).complete(user, PROBE, 8),
-        cqms.association_rules().to_vec(),
+        cqms.capture_snapshot(0).association_rules().to_vec(),
     );
     assert_eq!(running.0[0].text, "CityLocations", "{:?}", running.0);
     assert!(!running.1.is_empty());
@@ -372,7 +372,7 @@ fn deleted_queries_leave_rules_and_completion_like_a_reopen() {
         reopened.capture_snapshot(0).complete(user, PROBE, 8),
         running.0
     );
-    assert_eq!(reopened.association_rules(), running.1);
+    assert_eq!(reopened.capture_snapshot(0).association_rules(), running.1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

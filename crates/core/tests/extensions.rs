@@ -38,7 +38,7 @@ fn session_clustering_groups_topical_sessions() {
         }
     }
     assert_eq!(c.storage.session_ids().len(), 6);
-    let (sessions, clustering) = c.cluster_sessions(2);
+    let (sessions, clustering) = c.capture_snapshot(0).cluster_sessions(u, 2);
     assert_eq!(sessions.len(), 6);
     // Sessions 0,2,4 (temps) must share a cluster; 1,3,5 (cities) the other.
     let label = |i: usize| clustering.assignment[i];
@@ -67,7 +67,7 @@ fn investigation_edges_recorded_and_rendered() {
     assert!(kinds.contains(&EdgeKind::Investigation));
     assert!(kinds.contains(&EdgeKind::Evolution));
     let session = c.storage.get(first.id).unwrap().session;
-    let window = c.capture_snapshot(0).render_session(session).unwrap();
+    let window = c.capture_snapshot(0).render_session(u, session).unwrap();
     assert!(window.contains("(investigates q0)"), "{window}");
 }
 

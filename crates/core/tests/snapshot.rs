@@ -2,7 +2,7 @@
 //!
 //! * `snapshot_reads_match_live_state` — a freshly cloned snapshot's
 //!   keyword / substring / feature-SQL / kNN / completion / recommendation
-//!   answers are
+//!   / query-clustering answers are
 //!   bit-identical to the quiesced store's lock-retained oracle at every
 //!   checkpoint of a generated workload, and a snapshot *held across*
 //!   further churn (ingests, tombstones, ACL flips, index rebuilds, miner
@@ -18,8 +18,9 @@
 use cqms_core::assist::completion::{CatalogView, CompletionEngine};
 use cqms_core::assist::recommend::recommend_panel;
 use cqms_core::metaquery::{MetaQueryExecutor, ScoredHit};
+use cqms_core::miner::cluster::{kmedoids, ClusteringResult};
 use cqms_core::model::{GroupId, QueryId, UserId, Visibility};
-use cqms_core::similarity::DistanceKind;
+use cqms_core::similarity::{self, DistanceKind};
 use cqms_core::{Cqms, CqmsConfig, CqmsService, ShardedCqms};
 use proptest::prelude::*;
 use relstore::Engine;
@@ -168,6 +169,12 @@ struct Answers {
     knn: Vec<(QueryId, u64)>,
     complete: Vec<(String, u64, String)>,
     recommend: Vec<(u8, String, String, String)>,
+    /// `cluster_queries(viewer, 2)`: ids, assignment, medoids, cost bits.
+    clusters: (Vec<QueryId>, Vec<usize>, Vec<usize>, u64),
+}
+
+fn clusters(ids: Vec<QueryId>, c: ClusteringResult) -> (Vec<QueryId>, Vec<usize>, Vec<usize>, u64) {
+    (ids, c.assignment, c.medoids, c.cost.to_bits())
 }
 
 fn bits(hits: Vec<ScoredHit>) -> Vec<(QueryId, u64)> {
@@ -203,6 +210,10 @@ fn snapshot_answers(snap: &cqms_core::ReadSnapshot, viewer: UserId) -> Answers {
             .into_iter()
             .map(|r| (r.score_pct, r.sql, r.diff, r.annotation))
             .collect(),
+        clusters: {
+            let (ids, clustering) = snap.cluster_queries(viewer, 2);
+            clusters(ids, clustering)
+        },
     }
 }
 
@@ -212,7 +223,8 @@ fn snapshot_answers(snap: &cqms_core::ReadSnapshot, viewer: UserId) -> Answers {
 /// snapshot (a COW clone) must match exactly while the store is quiesced.
 /// Going through `capture_snapshot` here would compare a clone with a
 /// clone. The feature-SQL answers come from a plain scan of the records,
-/// not from SQL.
+/// not from SQL; the clustering from a matrix of record-based feature
+/// distances, with no signature and no bloom screen.
 fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
     svc.read(|c| {
         let mq = MetaQueryExecutor::new(&c.storage, &c.directory, &c.config);
@@ -231,6 +243,14 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
             .collect();
         let sources: usize = shown.iter().map(|r| r.features.tables.len()).sum();
         feature_sql.push(vec![sources.to_string()]);
+        let dist: Vec<Vec<f64>> = (shown.iter())
+            .map(|a| {
+                (shown.iter())
+                    .map(|b| similarity::feature_distance(a, b, &c.config))
+                    .collect()
+            })
+            .collect();
+        let clustering = kmedoids(&dist, 2, c.config.cluster_max_iters, c.config.seed);
         Answers {
             live: c.storage.live_count(),
             now: c.now(),
@@ -252,6 +272,7 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
                 .into_iter()
                 .map(|r| (r.score_pct, r.sql, r.diff, r.annotation))
                 .collect(),
+            clusters: clusters(shown.iter().map(|r| r.id).collect(), clustering),
         }
     })
 }

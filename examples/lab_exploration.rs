@@ -53,9 +53,12 @@ fn main() {
 
     // One miner epoch digests the log.
     let miner = cqms.run_miner_epoch();
+    let (_, clustering) = cqms.capture_snapshot(0).cluster_queries(members[0], 0);
     println!(
-        "miner epoch: {} association rules, {} clusters, {} session labels refined\n",
-        miner.association_rules, miner.clusters, miner.sessions_refined
+        "miner epoch: {} association rules, {} session labels refined; {} query clusters\n",
+        miner.association_rules,
+        miner.sessions_refined,
+        clustering.medoids.len()
     );
 
     // --- Figure 1: the verbatim meta-query --------------------------------
@@ -78,7 +81,7 @@ fn main() {
         .max_by_key(|s| cqms.storage.queries_in_session(*s).len())
         .unwrap();
     let snap = cqms.capture_snapshot(0);
-    print!("{}", snap.render_session(busiest).unwrap());
+    print!("{}", snap.render_session(members[0], busiest).unwrap());
 
     // --- §2.2 query-by-data: Lake Washington but not Lake Union -----------
     println!("\n== Query-by-data: output includes Lake Washington, excludes Lake Union ==");
@@ -112,5 +115,5 @@ fn main() {
 
     // --- Browse summary ------------------------------------------------------
     println!("\n== Log browser (5 sessions) ==");
-    print!("{}", snap.render_log_summary(5));
+    print!("{}", snap.render_log_summary(members[0], 5));
 }

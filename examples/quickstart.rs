@@ -18,7 +18,6 @@ fn main() {
     //    lowered so a handful of demo queries already produce mined output.)
     let config = CqmsConfig {
         assoc_min_support: 2,
-        cluster_k: 2,
         ..CqmsConfig::default()
     };
     let mut cqms = Cqms::new(engine, config);
@@ -70,7 +69,7 @@ fn main() {
         .get(cqms::engine::model::QueryId(0))
         .unwrap()
         .session;
-    print!("{}", snap.render_session(session).unwrap());
+    print!("{}", snap.render_session(alice, session).unwrap());
 
     // 5. Assisted Interaction Mode: completions and recommendations.
     println!("\n== Assisted mode: completing 'SELECT * FROM WaterSalinity, ' ==");
@@ -89,20 +88,22 @@ fn main() {
         .unwrap();
     print!("{panel}");
 
-    // 6. Background components: one miner epoch + one maintenance pass.
+    // 6. Background components: one miner epoch + one maintenance pass,
+    //    then a fresh view (they changed the store) to cluster the log.
     let miner = cqms.run_miner_epoch();
     let (schema, refresh) = cqms.run_maintenance().unwrap();
+    let snap = cqms.capture_snapshot(0);
+    let (_, clustering) = snap.cluster_queries(alice, 2);
     println!(
-        "\n== Background: mined {} rules, {} clusters; maintenance examined {} queries, {} drifted tables ==",
+        "\n== Background: mined {} rules; maintenance examined {} queries, {} drifted tables; the log reads as {} clusters ==",
         miner.association_rules,
-        miner.clusters,
         schema.examined,
-        refresh.drifted_tables.len()
+        refresh.drifted_tables.len(),
+        clustering.medoids.len()
     );
 
     // 7. kNN similarity meta-query (§4.2).
-    let near = cqms
-        .capture_snapshot(0) // a fresh view: the epoch above changed the store
+    let near = snap
         .similar_queries(
             alice,
             "SELECT lake FROM WaterTemp WHERE temp < 15",

@@ -296,7 +296,11 @@ fn dropping_the_miner_handle_joins_and_runs_a_final_epoch() {
         // Dropping the handle here must join the thread (not detach it)...
     }
     // ...and the final epoch's results must be visible immediately.
-    assert!(!shared.read().association_rules().is_empty());
+    assert!(!shared
+        .read()
+        .capture_snapshot(0)
+        .association_rules()
+        .is_empty());
 }
 
 #[test]

@@ -70,8 +70,9 @@ fn online_sessions_approximate_ground_truth() {
 fn miner_rediscovers_planted_rules() {
     let (mut cqms, trace, _) = replay(Domain::Lakes, 40);
     cqms.run_miner_epoch();
+    let snap = cqms.capture_snapshot(0);
     for planted in &trace.rules {
-        let found = cqms.association_rules().iter().any(|r| {
+        let found = snap.association_rules().iter().any(|r| {
             r.antecedent == vec![planted.antecedent.clone()] && r.consequent == planted.consequent
         });
         assert!(
@@ -80,7 +81,7 @@ fn miner_rediscovers_planted_rules() {
             planted.antecedent, planted.consequent
         );
         // Mined confidence should be near the planted probability.
-        let rule = cqms
+        let rule = snap
             .association_rules()
             .iter()
             .find(|r| {
@@ -99,10 +100,11 @@ fn miner_rediscovers_planted_rules() {
 
 #[test]
 fn clustering_recovers_topics() {
-    let (mut cqms, trace, _) = replay(Domain::Lakes, 30);
-    cqms.config.cluster_k = Domain::Lakes.topics().len();
-    cqms.run_miner_epoch();
-    let (ids, clustering) = cqms.clustering().expect("clustering ran");
+    let (cqms, trace, users) = replay(Domain::Lakes, 30);
+    let (ids, clustering) = cqms
+        .capture_snapshot(0)
+        .cluster_queries(users[0], Domain::Lakes.topics().len());
+    assert_eq!(ids.len(), cqms.storage.live_count());
     let truth: Vec<u64> = ids
         .iter()
         .map(|id| trace.queries[id.0 as usize].topic as u64)

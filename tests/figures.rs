@@ -86,7 +86,10 @@ fn figure2_session_window_full_stack() {
     // All six queries share the session.
     assert_eq!(cqms.storage.queries_in_session(session).len(), 6);
 
-    let window = cqms.capture_snapshot(0).render_session(session).unwrap();
+    let window = cqms
+        .capture_snapshot(0)
+        .render_session(user, session)
+        .unwrap();
     // Time strip.
     assert!(window.contains("02:30 - 02:35"), "{window}");
     // The figure's signature edge labels.

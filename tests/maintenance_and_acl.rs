@@ -52,8 +52,21 @@ fn group_isolation_spans_every_search_mode() {
         )
         .unwrap()
         .is_empty());
+    // Browsing discloses neither the query nor its session.
+    let session = c.storage.get(id).unwrap().session;
+    assert!(snap.render_session(eve, session).is_err());
+    let summary = snap.render_log_summary(eve, 10);
+    assert!(!summary.contains("SELECT salinity"), "{summary}");
+    assert!(summary.contains("0 queries in 0 sessions"), "{summary}");
     // But alice sees her query everywhere.
     assert_eq!(snap.search_substring(alice, "salinity > 0.4"), vec![id]);
+    assert!(snap
+        .render_session(alice, session)
+        .unwrap()
+        .contains("salinity > 0.4"));
+    assert!(snap
+        .render_log_summary(alice, 10)
+        .contains("SELECT salinity"));
 
     // Eve cannot tamper.
     assert!(matches!(
@@ -82,6 +95,13 @@ fn deletion_is_global_and_idempotent() {
     c.delete_query(u, out.id).unwrap();
     // And the id still resolves for audit.
     assert_eq!(c.storage.get(out.id).unwrap().validity, Validity::Deleted);
+    // Its text is gone from its session window.
+    let next = c.run_query(u, "SELECT area FROM Lakes").unwrap();
+    let session = c.storage.get(out.id).unwrap().session;
+    assert_eq!(c.storage.get(next.id).unwrap().session, session);
+    let window = c.capture_snapshot(0).render_session(u, session).unwrap();
+    assert!(window.contains("SELECT area FROM Lakes"), "{window}");
+    assert!(!window.contains("SELECT * FROM Lakes"), "{window}");
 }
 
 #[test]

@@ -19,7 +19,6 @@ fn quickstart_path_end_to_end() {
     // 2. CQMS on top, with thresholds low enough for a short demo log.
     let config = CqmsConfig {
         assoc_min_support: 2,
-        cluster_k: 2,
         ..CqmsConfig::default()
     };
     let mut cqms = Cqms::new(engine, config);
@@ -69,7 +68,7 @@ fn quickstart_path_end_to_end() {
     let session = cqms.storage.get(QueryId(0)).unwrap().session;
     assert!(!cqms
         .capture_snapshot(0)
-        .render_session(session)
+        .render_session(alice, session)
         .unwrap()
         .is_empty());
 
@@ -86,8 +85,15 @@ fn quickstart_path_end_to_end() {
 
     // 6. Background components run to completion.
     let miner = cqms.run_miner_epoch();
-    assert!(miner.clusters > 0, "miner produced no clusters");
+    assert!(miner.association_rules > 0, "miner produced no rules");
     cqms.run_maintenance().unwrap();
+    let (ids, clustering) = cqms.capture_snapshot(0).cluster_queries(alice, 2);
+    assert_eq!(ids.len(), demo_queries.len());
+    assert_eq!(
+        clustering.medoids.len(),
+        2,
+        "clustering read produced no clusters"
+    );
 
     // 7. kNN similarity meta-query returns ranked neighbours.
     let near = cqms
