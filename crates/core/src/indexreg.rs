@@ -4,7 +4,8 @@
 //! lists, the tree-less side list — owned *inline* by the Query Storage:
 //! a rebuild (tombstone threshold, maintenance `reindex`) dropped the
 //! index and the next unlucky probe paid a stop-the-world lazy build
-//! (~100 ms per 1000 trees). The registry owns them instead, and keeps
+//! (one Zhang–Shasha distance per pivot level per tree). The registry
+//! owns them instead, and keeps
 //! **one** structural index ([`StructuralIndex`]): the VP-tree, the
 //! tree-less list, the ParseTree profile-fingerprint groups and their
 //! complement, over every non-tombstoned record. Every structure in it is

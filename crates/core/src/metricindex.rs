@@ -8,6 +8,13 @@
 //! holds), searched best-first under the *normalised* distance the kNN API
 //! returns, with per-subtree size ranges converting between the two.
 //!
+//! Every distance the tree computes — per pivot on an insert's descent,
+//! per pivot and surviving leaf entry on a probe, per entry of a bucket
+//! being split — is [`sqlparse::ted`] over the entries' [`FlatTree`]s
+//! (flattened once per record at ingest), normalised by
+//! [`FlatTree::len`]. Inserts, and so recovery, spend most of their index
+//! maintenance in that DP.
+//!
 //! Three pruning layers, all exactness-preserving (the VP-tree proptest
 //! pins ids and scores to the brute-force scan):
 //!
@@ -40,7 +47,7 @@
 use crate::metaquery::{ScoredHit, TopK};
 use crate::model::QueryId;
 use cqms_cow::{SegVec, SnapshotVec};
-use sqlparse::{normalized_from_ted, tree_edit_distance, TreeNode, TreeShape};
+use sqlparse::{normalized_from_ted, normalized_ted, ted, FlatTree, TreeShape};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,7 +121,7 @@ pub struct MetricIndexStats {
     pub rebuilds_completed: AtomicU64,
 }
 
-/// One indexed record: its id, cached constant-stripped tree and shape
+/// One indexed record: its id, flattened constant-stripped tree and shape
 /// (both `Arc`-shared with the record's signature — index entries own no
 /// per-entry heap blocks, so building or retiring a whole generation
 /// never scatters allocations through the record heap).
@@ -122,8 +129,8 @@ pub struct MetricIndexStats {
 pub struct TreeEntry {
     /// The indexed record's id.
     pub qid: u64,
-    /// Cached constant-stripped parse tree.
-    pub tree: Arc<TreeNode>,
+    /// Cached constant-stripped parse tree, flattened.
+    pub tree: Arc<FlatTree>,
     /// Cached size + label-histogram shape.
     pub shape: Arc<TreeShape>,
 }
@@ -304,7 +311,7 @@ impl VpTree {
                     children,
                 } => {
                     let p = &entries[*pivot as usize];
-                    let d = tree_edit_distance(&new.tree, &p.tree) as u32;
+                    let d = ted(&new.tree, &p.tree) as u32;
                     let side = usize::from(d > *radius);
                     bands[side].widen(d, new.shape.size, new.qid);
                     parent_dist = d;
@@ -320,7 +327,7 @@ impl VpTree {
     /// (score descending, id ascending) float for float.
     pub fn knn(
         &self,
-        probe: &TreeNode,
+        probe: &FlatTree,
         probe_shape: &TreeShape,
         k: usize,
         mut accept: impl FnMut(u64) -> bool,
@@ -395,7 +402,7 @@ impl VpTree {
                             stats.add_hits(1);
                             continue;
                         }
-                        let d = sqlparse::normalized_tree_distance(probe, &e.tree);
+                        let d = normalized_ted(probe, &e.tree);
                         stats.add_exact(1);
                         top.push(ScoredHit {
                             id: QueryId(e.qid),
@@ -410,11 +417,10 @@ impl VpTree {
                     children,
                 } => {
                     let p = &self.entries[*pivot as usize];
-                    let ted = tree_edit_distance(probe, &p.tree) as u32;
+                    let d_qp = ted(probe, &p.tree) as u32;
                     stats.add_exact(1);
                     if accept(p.qid) {
-                        let d =
-                            normalized_from_ted(ted as usize, sq as usize, p.shape.size as usize);
+                        let d = normalized_from_ted(d_qp as usize, sq as usize, p.tree.len());
                         top.push(ScoredHit {
                             id: QueryId(p.qid),
                             score: 1.0 - d,
@@ -424,7 +430,7 @@ impl VpTree {
                         if bands[side].count == 0 {
                             continue;
                         }
-                        let child_bound = bands[side].lower_bound(ted, sq).max(bound);
+                        let child_bound = bands[side].lower_bound(d_qp, sq).max(bound);
                         if !admissible(&top, child_bound, bands[side].min_qid) {
                             stats.add_hits(u64::from(bands[side].count));
                             continue;
@@ -434,7 +440,7 @@ impl VpTree {
                             bound: OrdF64(child_bound),
                             seq,
                             node: &children[side],
-                            parent_dist: ted,
+                            parent_dist: d_qp,
                             min_qid: bands[side].min_qid,
                         }));
                     }
@@ -458,7 +464,7 @@ fn build_node(entries: &SnapshotVec<TreeEntry>, items: Vec<(u32, u32)>, leaf_cap
     let mut dists: Vec<(u32, u32)> = items[1..]
         .iter()
         .map(|&(idx, _)| {
-            let d = tree_edit_distance(&pt.tree, &entries[idx as usize].tree) as u32;
+            let d = ted(&pt.tree, &entries[idx as usize].tree) as u32;
             (idx, d)
         })
         .collect();
@@ -560,14 +566,28 @@ impl Ord for Frontier<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::FeatureInterner;
     use sqlparse::statement_tree;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// One label map per test thread, so every entry a test builds is
+        /// comparable with every other.
+        static LABELS: RefCell<FeatureInterner> = RefCell::default();
+    }
 
     fn entry(qid: u64, sql: &str) -> TreeEntry {
-        let tree = Arc::new(statement_tree(&sqlparse::strip_constants(
-            &sqlparse::parse(sql).unwrap(),
-        )));
-        let shape = Arc::new(TreeShape::of(&tree));
-        TreeEntry { qid, tree, shape }
+        let node = statement_tree(&sqlparse::strip_constants(&sqlparse::parse(sql).unwrap()));
+        let tree = LABELS.with(|labels| {
+            let labels = &mut *labels.borrow_mut();
+            FlatTree::of(&node, &mut |label| labels.intern(label))
+        });
+        let shape = Arc::new(TreeShape::of(&node));
+        TreeEntry {
+            qid,
+            tree: Arc::new(tree),
+            shape,
+        }
     }
 
     fn pool() -> Vec<TreeEntry> {
@@ -604,7 +624,7 @@ mod tests {
         for e in entries {
             top.push(ScoredHit {
                 id: QueryId(e.qid),
-                score: 1.0 - sqlparse::normalized_tree_distance(&probe.tree, &e.tree),
+                score: 1.0 - normalized_ted(&probe.tree, &e.tree),
             });
         }
         top.into_vec()

@@ -129,19 +129,15 @@ impl Profiler {
         let record = make_record(
             id, user, ts, sql, statement, feats, runtime, summary, session, visibility,
         );
-        let stmt_for_edge = record.statement.clone();
         storage.insert(record);
-        if let (Some(prev_id), Some(cur_stmt)) = (prev, stmt_for_edge) {
-            if let Ok(prev_rec) = storage.get(prev_id) {
-                if let Some(prev_stmt) = prev_rec.statement.clone() {
-                    let edits = sqlparse::diff_statements(&prev_stmt, &cur_stmt);
-                    storage.add_edge(SessionEdge {
-                        from: prev_id,
-                        to: id,
-                        kind: EdgeKind::Evolution,
-                        edits,
-                    });
-                }
+        if let Some(prev_id) = prev {
+            if let Some(edits) = storage.statement_edits(prev_id, id) {
+                storage.add_edge(SessionEdge {
+                    from: prev_id,
+                    to: id,
+                    kind: EdgeKind::Evolution,
+                    edits,
+                });
             }
         }
 

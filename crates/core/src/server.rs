@@ -1028,6 +1028,34 @@ mod tests {
         assert_eq!(c.now(), t0 + 530);
     }
 
+    /// SQL nested past the parser's limit gets the outcome of any parse
+    /// failure — logged, `success = false` — on a thread with the default
+    /// stack, which the nesting would otherwise overflow.
+    #[test]
+    fn deeply_nested_sql_is_logged_as_a_parse_failure() {
+        let n = 10_000;
+        let sql = format!(
+            "SELECT * FROM t WHERE {}x = 1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        );
+        let logged = std::thread::spawn(move || {
+            let mut c = cqms();
+            let u = c.register_user("u");
+            let out = c.run_query(u, &sql).expect("a parse failure is logged");
+            assert!(out.result.is_none());
+            let rec = c.storage.get(out.id).expect("logged");
+            (
+                rec.statement.is_none(),
+                rec.runtime.success,
+                rec.runtime.error.clone(),
+            )
+        })
+        .join()
+        .expect("run_query returns");
+        assert_eq!(logged, (true, false, Some("parse error".to_string())));
+    }
+
     #[test]
     fn internal_clock_monotonic() {
         let mut c = cqms();

@@ -15,8 +15,10 @@
 //!   templates) as sorted `u32` vectors interned through a
 //!   [`FeatureInterner`] owned by the Query Storage — pairwise Jaccard
 //!   becomes an allocation-free sorted merge;
-//! * the cached constant-stripped canonical parse tree (shared via
-//!   `Arc`), so Zhang–Shasha tree edit distance never rebuilds trees;
+//! * the constant-stripped canonical parse tree, flattened once into a
+//!   [`FlatTree`] whose node labels are ids from the same interner (shared
+//!   via `Arc` with the VP-tree), so Zhang–Shasha tree edit distance never
+//!   rebuilds, walks or string-compares a tree;
 //! * the output rows hashed to a sorted `u64` set (output Jaccard) and the
 //!   lower-cased output *cells* hashed likewise (a sound negative screen
 //!   for query-by-data containment checks).
@@ -30,7 +32,7 @@
 use crate::features::SyntacticFeatures;
 use crate::model::{OutputSummary, QueryRecord};
 use cqms_cow::{CowMap, SnapshotVec};
-use sqlparse::{SelectProfile, TreeNode, TreeShape};
+use sqlparse::{FlatTree, SelectProfile, TreeShape};
 use std::sync::Arc;
 
 /// FNV-1a 64-bit hash (stable across runs; used for output row/cell
@@ -48,7 +50,9 @@ pub use sqlparse::fingerprint::fnv1a;
 ///
 /// Keys are namespaced (`t:` tables, `a:` attributes, `p:` predicate
 /// templates) so ids never collide across feature kinds and one posting
-/// index can cover all three.
+/// index can cover all three. Parse-tree node labels (`n:`) share the id
+/// space, so a [`FlatTree`] compares labels as integers; no posting list
+/// carries them.
 ///
 /// Internally persistent ([`cqms_cow`] containers, each key one `Arc<str>`
 /// shared by both directions) so cloning the storage into a read snapshot
@@ -118,9 +122,10 @@ pub struct SimSignature {
     /// Interned predicate-template (`table.column op`) ids, sorted,
     /// deduplicated (constants excluded per §4.3).
     pub predicates: Vec<u32>,
-    /// Cached constant-stripped parse tree (None when the SQL failed to
-    /// parse — such records are maximally far under tree metrics).
-    pub tree: Option<Arc<TreeNode>>,
+    /// Constant-stripped parse tree flattened for [`sqlparse::ted`], its
+    /// node labels interned as `n:{label}` keys (None when the SQL failed
+    /// to parse — such records are maximally far under tree metrics).
+    pub tree: Option<Arc<FlatTree>>,
     /// Size + node-label histogram of `tree` (present iff `tree` is):
     /// feeds the Zhang–Shasha lower bound that rejects a pair before the
     /// O(tree²) DP runs, and the metric index's size-gap pruning.
@@ -163,9 +168,10 @@ impl SimSignature {
         Self::assemble(record, &mut |key| interner.intern(key))
     }
 
-    /// Build a probe signature against a read-only interner. Features the
-    /// store has never seen get unique sentinel ids from `u32::MAX`
-    /// downward — they match nothing, which is exactly their semantics.
+    /// Build a probe signature against a read-only interner. Features and
+    /// tree-node labels the store has never seen get unique sentinel ids
+    /// from `u32::MAX` downward — they match nothing, which is exactly
+    /// their semantics (an unseen label relabels against every stored one).
     pub fn probe(record: &QueryRecord, interner: &FeatureInterner) -> SimSignature {
         let mut next_sentinel = u32::MAX;
         Self::assemble(record, &mut |key| {
@@ -199,11 +205,22 @@ impl SimSignature {
             .map(|p| format!("p:{}.{}{}", p.table, p.column, p.op))
             .collect());
 
-        let tree = record
-            .statement
-            .as_ref()
-            .map(|s| Arc::new(sqlparse::statement_tree(&sqlparse::strip_constants(s))));
-        let tree_shape = tree.as_deref().map(|t| Arc::new(TreeShape::of(t)));
+        // The nested tree lives only long enough to take its shape and be
+        // flattened; node labels share the feature-id space (`n:` keys).
+        let (tree, tree_shape) = match &record.statement {
+            Some(s) => {
+                let node = sqlparse::statement_tree(&sqlparse::strip_constants(s));
+                let mut key = String::new();
+                let flat = FlatTree::of(&node, &mut |label| {
+                    key.clear();
+                    key.push_str("n:");
+                    key.push_str(label);
+                    map(&key)
+                });
+                (Some(Arc::new(flat)), Some(Arc::new(TreeShape::of(&node))))
+            }
+            None => (None, None),
+        };
         let (diff_profile, folded_select, profile_fp) = match &record.statement {
             Some(sqlparse::Statement::Select(s)) => {
                 let folded = sqlparse::diff::fold_for_diff(s);

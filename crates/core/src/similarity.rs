@@ -22,8 +22,8 @@ pub enum DistanceKind {
     ParseTree,
     /// Exact Zhang–Shasha ordered tree edit distance over the canonical,
     /// constant-stripped parse trees (§4.3's "parse tree similarity …
-    /// after removing the constants from the tree"). More faithful, ~4-6x
-    /// slower than [`DistanceKind::ParseTree`] (ablation A3).
+    /// after removing the constants from the tree"). More faithful than
+    /// [`DistanceKind::ParseTree`], and dearer per pair.
     TreeEdit,
     /// Jaccard over hashed output rows/cells.
     Output,
@@ -76,7 +76,9 @@ pub fn feature_distance(a: &QueryRecord, b: &QueryRecord, config: &CqmsConfig) -
 }
 
 /// Exact Zhang–Shasha tree edit distance on canonical, constant-stripped
-/// parse trees, normalised by the larger tree size.
+/// parse trees, normalised by the larger tree size. The reference the
+/// signature kernel [`tree_edit_distance_sig`] is tested against: it
+/// rebuilds both [`sqlparse::TreeNode`]s per call.
 pub fn tree_edit_distance(a: &QueryRecord, b: &QueryRecord) -> f64 {
     match (&a.statement, &b.statement) {
         (Some(sa), Some(sb)) => {
@@ -122,7 +124,7 @@ pub fn output_distance(a: &QueryRecord, b: &QueryRecord) -> Option<f64> {
 // Every function below is value-identical to its record-based sibling
 // above but runs allocation-free over precomputed [`SimSignature`]s:
 // interned sorted id sets instead of freshly `format!`-ed `HashSet`s,
-// cached constant-stripped trees instead of per-pair rebuilds, hashed
+// trees flattened once at ingest instead of per-pair rebuilds, hashed
 // output-row sets instead of re-joined strings. kNN, the recommendation
 // panel, the miner's distance matrix and query-by-data all go through
 // these.
@@ -166,11 +168,11 @@ pub fn feature_distance_disjoint(a: &SimSignature, b: &SimSignature, config: &Cq
         + config.weight_predicates * j(&a.predicates, &b.predicates)
 }
 
-/// Zhang–Shasha distance over the cached constant-stripped trees — same
-/// value as [`tree_edit_distance`] without rebuilding either tree.
+/// Zhang–Shasha distance over the cached flattened trees — same value as
+/// [`tree_edit_distance`] without rebuilding or flattening either tree.
 pub fn tree_edit_distance_sig(a: &SimSignature, b: &SimSignature) -> f64 {
     match (&a.tree, &b.tree) {
-        (Some(ta), Some(tb)) => sqlparse::normalized_tree_distance(ta, tb),
+        (Some(ta), Some(tb)) => sqlparse::normalized_ted(ta, tb),
         _ => 1.0,
     }
 }

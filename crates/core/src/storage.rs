@@ -287,6 +287,19 @@ impl QueryStorage {
         hist
     }
 
+    /// The typed edits from `from`'s statement to `to`'s — a session
+    /// edge's labels, diffed in place — or `None` unless both records
+    /// exist and parsed.
+    pub(crate) fn statement_edits(
+        &self,
+        from: QueryId,
+        to: QueryId,
+    ) -> Option<Vec<sqlparse::EditOp>> {
+        let a = self.get(from).ok()?.statement.as_ref()?;
+        let b = self.get(to).ok()?.statement.as_ref()?;
+        Some(sqlparse::diff_statements(a, b))
+    }
+
     /// Record a session-graph edge.
     pub fn add_edge(&mut self, edge: SessionEdge) {
         self.wal_log(WalOp::Edge {

@@ -1184,13 +1184,7 @@ pub fn apply_op(
             Ok(true)
         }
         WalOp::Edge { from, to, kind } => {
-            let edits = match (
-                storage.get(*from).ok().and_then(|r| r.statement.clone()),
-                storage.get(*to).ok().and_then(|r| r.statement.clone()),
-            ) {
-                (Some(a), Some(b)) => sqlparse::diff_statements(&a, &b),
-                _ => Vec::new(),
-            };
+            let edits = storage.statement_edits(*from, *to).unwrap_or_default();
             storage.add_edge(SessionEdge {
                 from: *from,
                 to: *to,

@@ -19,8 +19,9 @@ use cqms_core::assist::completion::{CatalogView, CompletionEngine};
 use cqms_core::assist::recommend::recommend_panel;
 use cqms_core::metaquery::{MetaQueryExecutor, ScoredHit};
 use cqms_core::miner::cluster::{kmedoids, ClusteringResult};
-use cqms_core::model::{GroupId, QueryId, UserId, Visibility};
+use cqms_core::model::{GroupId, OutputSummary, QueryId, SessionId, UserId, Visibility};
 use cqms_core::similarity::{self, DistanceKind};
+use cqms_core::storage::make_record;
 use cqms_core::{Cqms, CqmsConfig, CqmsService, ShardedCqms};
 use proptest::prelude::*;
 use relstore::Engine;
@@ -33,6 +34,9 @@ use workload::Domain;
 const USERS: u32 = 3;
 const KEYWORD_PROBE: &str = "watertemp temp salinity lakes month";
 const KNN_PROBE: &str = "SELECT * FROM WaterTemp WHERE temp < 18";
+/// A TreeEdit probe whose `zz`/`nowhere`/`qq` labels the store never
+/// interned: they take the probe signature's sentinel ids.
+const UNSEEN_TREE_PROBE: &str = "SELECT zz FROM nowhere WHERE qq > 1";
 const COMPLETE_PROBE: &str = "SELECT * FROM WaterTemp, ";
 const SEED_SQL: &str = "SELECT * FROM WaterTemp WHERE temp < 18";
 /// The Figure 1 meta-query as generated for the paper's partial query
@@ -167,6 +171,10 @@ struct Answers {
     /// The [`FEATURE_JOIN`] rows, then the [`FEATURE_COUNT`] row.
     feature_sql: Vec<Vec<String>>,
     knn: Vec<(QueryId, u64)>,
+    /// TreeEdit kNN of [`UNSEEN_TREE_PROBE`]; the oracle is the
+    /// record-based [`similarity::tree_edit_distance`] over every shown
+    /// record.
+    unseen_tree_knn: Vec<(QueryId, u64)>,
     complete: Vec<(String, u64, String)>,
     recommend: Vec<(u8, String, String, String)>,
     /// `cluster_queries(viewer, 2)`: ids, assignment, medoids, cost bits.
@@ -197,6 +205,10 @@ fn snapshot_answers(snap: &cqms_core::ReadSnapshot, viewer: UserId) -> Answers {
             .collect(),
         knn: bits(
             snap.similar_queries(viewer, KNN_PROBE, 64, DistanceKind::Combined)
+                .expect("probe parses"),
+        ),
+        unseen_tree_knn: bits(
+            snap.similar_queries(viewer, UNSEEN_TREE_PROBE, 64, DistanceKind::TreeEdit)
                 .expect("probe parses"),
         ),
         complete: snap
@@ -251,6 +263,26 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
             })
             .collect();
         let clustering = kmedoids(&dist, 2, c.config.cluster_max_iters, c.config.seed);
+        let unseen = make_record(
+            QueryId(u64::MAX),
+            viewer,
+            0,
+            UNSEEN_TREE_PROBE,
+            sqlparse::parse(UNSEEN_TREE_PROBE).ok(),
+            Default::default(),
+            Default::default(),
+            OutputSummary::None,
+            SessionId(u64::MAX),
+            Visibility::Private,
+        );
+        let mut unseen_tree_knn: Vec<ScoredHit> = (shown.iter())
+            .map(|r| ScoredHit {
+                id: r.id,
+                score: 1.0 - similarity::tree_edit_distance(&unseen, r),
+            })
+            .collect();
+        unseen_tree_knn.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));
+        unseen_tree_knn.truncate(64);
         Answers {
             live: c.storage.live_count(),
             now: c.now(),
@@ -262,6 +294,7 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
                 mq.knn_sql(viewer, KNN_PROBE, 64, DistanceKind::Combined)
                     .expect("probe parses"),
             ),
+            unseen_tree_knn: bits(unseen_tree_knn),
             complete: completion
                 .suggest_with_stats(COMPLETE_PROBE, 8, &completion.collect_stats(COMPLETE_PROBE))
                 .into_iter()

@@ -20,6 +20,8 @@
 //!   label session-graph edges in the paper's Figure 2 (`+WaterSalinity`,
 //!   `'temp < 22' → 'temp < 18'`, …).
 //! * [`visit`] — an AST walker used by the CQMS feature extractor.
+//! * [`tree`] — labeled parse trees and the exact Zhang–Shasha tree edit
+//!   distance ([`ted`] over trees flattened once into [`FlatTree`]s).
 
 pub mod ast;
 pub mod canon;
@@ -50,8 +52,8 @@ pub use parser::{parse_expression, parse_statement, parse_statements, Parser};
 pub use printer::to_sql;
 pub use token::{Keyword, Token, TokenKind};
 pub use tree::{
-    normalized_from_ted, normalized_tree_distance, normalized_tree_lower_bound, statement_tree,
-    tree_edit_distance, tree_edit_lower_bound, TreeNode, TreeShape,
+    normalized_from_ted, normalized_ted, normalized_tree_distance, normalized_tree_lower_bound,
+    statement_tree, ted, tree_edit_distance, tree_edit_lower_bound, FlatTree, TreeNode, TreeShape,
 };
 
 /// Parse a single SQL statement from text.

@@ -43,11 +43,32 @@ pub fn parse_expression(sql: &str) -> Result<Expr, ParseError> {
     Ok(e)
 }
 
+/// Deepest nesting the parser accepts, in two counts that each stay at or
+/// below it:
+///
+/// * recursive descents — a parenthesised expression, a subquery, an
+///   `EXISTS`/`IN` operand, each `NOT`/`-` of a unary chain;
+/// * operator folds on one root-to-leaf path — a left-associative chain
+///   (`a AND b AND …`, `x IS NULL IS NULL …`) deepens the AST one level
+///   per operator without recursing.
+///
+/// Without a bound, SQL text picks the recursion depth of the parser and
+/// of every AST walk after it (tree building, canonicalisation, printing,
+/// execution), and a deep enough nesting overflows the thread's stack,
+/// which aborts the process; past the bound it is a [`ParseError`].
+/// Generated and hand-written queries stay far below it.
+pub const MAX_NESTING: usize = 128;
+
 /// Token-stream parser. Construct with [`Parser::new`], then call
 /// [`Parser::statement`] or [`Parser::expr`].
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Recursive descents in progress (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Operator folds on the deepest path of everything the innermost
+    /// expression in progress has parsed so far (see [`MAX_NESTING`]).
+    folds: usize,
 }
 
 impl Parser {
@@ -56,7 +77,37 @@ impl Parser {
         Ok(Parser {
             tokens: Lexer::tokenize(sql)?,
             pos: 0,
+            depth: 0,
+            folds: 0,
         })
+    }
+
+    /// Run `descend` one nesting level deeper, failing past
+    /// [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        descend: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.error_here(format!("query nests deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let out = descend(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Wrap the expression in progress in one more operator node. Its
+    /// operands were all parsed since the expression started, so `folds`
+    /// already holds the deepest of them.
+    fn fold(&mut self) -> Result<(), ParseError> {
+        self.folds += 1;
+        if self.folds > MAX_NESTING {
+            return Err(self.error_here(format!(
+                "expression chains more than {MAX_NESTING} operators"
+            )));
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -203,6 +254,10 @@ impl Parser {
 
     /// Parse a SELECT statement (entry point also used for subqueries).
     pub fn select(&mut self) -> Result<SelectStatement, ParseError> {
+        self.nested(Self::select_body)
+    }
+
+    fn select_body(&mut self) -> Result<SelectStatement, ParseError> {
         self.expect_kw(Keyword::Select)?;
         let distinct = self.eat_kw(Keyword::Distinct);
         if self.eat_kw(Keyword::All) {
@@ -409,6 +464,15 @@ impl Parser {
     }
 
     fn expr_bp(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
+        // Folds are counted per expression: this one's start from zero,
+        // and the enclosing expression's count takes the max of the two.
+        let enclosing = std::mem::take(&mut self.folds);
+        let out = self.nested(|p| p.expr_bp_body(min_bp));
+        self.folds = self.folds.max(enclosing);
+        out
+    }
+
+    fn expr_bp_body(&mut self, min_bp: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
         loop {
             // Postfix predicates (IS NULL, IN, BETWEEN, LIKE, NOT ...):
@@ -418,6 +482,7 @@ impl Parser {
                 match self.try_postfix_predicate(lhs)? {
                     Ok(wrapped) => {
                         lhs = wrapped;
+                        self.fold()?;
                         continue;
                     }
                     Err(original) => lhs = original, // fall through to binary ops
@@ -434,6 +499,7 @@ impl Parser {
             self.advance();
             let rhs = self.expr_bp(bp + 1)?;
             lhs = Expr::binary(lhs, op, rhs);
+            self.fold()?;
         }
     }
 
@@ -553,7 +619,7 @@ impl Parser {
             });
         }
         if self.eat(&TokenKind::Minus) {
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             // Fold `-<numeric literal>` into a negative literal so that
             // predicate constants like `temp < -5` extract as the value -5.
             return Ok(match e {
@@ -566,7 +632,7 @@ impl Parser {
             });
         }
         if self.eat(&TokenKind::Plus) {
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             return Ok(Expr::Unary {
                 op: UnaryOp::Plus,
                 expr: Box::new(e),

@@ -1,15 +1,24 @@
 //! Labeled ordered trees and exact tree edit distance (Zhang–Shasha).
 //!
 //! §4.3 of the CQMS paper proposes "parse tree similarity, perhaps after
-//! removing the constants from the tree" as a query distance. The cheap
-//! variant (diff-based, [`crate::diff::edit_distance_normalized`]) is the
-//! default; this module provides the exact ordered-tree edit distance for
-//! higher-fidelity comparisons and for calibrating the cheap one (ablation
-//! A3 in the CQMS experiment suite).
+//! removing the constants from the tree" as a query distance; this module
+//! is that metric's kernel. It is on the hot path: the Query Storage's
+//! VP-tree pays one distance per pivot on every insert — a live ingest, a
+//! replayed WAL frame, a loaded snapshot record — and a TreeEdit kNN read
+//! pays one per pivot and per surviving leaf entry.
+//!
+//! So a tree is flattened **once** into a [`FlatTree`] (postorder labels
+//! as caller-interned `u32` ids, leftmost-leaf indices, keyroots found in
+//! one reverse pass), and [`ted`] — the only Zhang–Shasha DP — runs over
+//! two flat `u32` tables allocated once per call, with relabel cost a
+//! `u32` inequality. [`tree_edit_distance`] and
+//! [`normalized_tree_distance`] over [`TreeNode`]s are the convenience
+//! form: they flatten both trees against one local label map.
 
 use crate::ast::*;
 use crate::fingerprint::fnv1a;
 use crate::printer::expr_to_sql;
+use std::collections::HashMap;
 
 /// A labeled ordered tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,27 +181,146 @@ fn expr_tree(e: &Expr) -> TreeNode {
     }
 }
 
-/// Exact ordered tree edit distance (Zhang & Shasha 1989) with unit costs
-/// for insert, delete and relabel.
-pub fn tree_edit_distance(a: &TreeNode, b: &TreeNode) -> usize {
-    let ta = Flat::build(a);
-    let tb = Flat::build(b);
-    let na = ta.labels.len();
-    let nb = tb.labels.len();
-    // td[i][j] = distance between subtree rooted at postorder i of a and j of b.
-    let mut td = vec![vec![0usize; nb]; na];
+/// A tree flattened for [`ted`]: postorder node labels (as `u32` ids from
+/// the caller's label map, so two trees are comparable only when they
+/// were flattened against the same map), each node's leftmost-leaf
+/// postorder index, and the keyroots in ascending order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FlatTree {
+    labels: Vec<u32>,
+    leftmost: Vec<u32>,
+    keyroots: Vec<u32>,
+}
 
-    for &i in &ta.keyroots {
-        for &j in &tb.keyroots {
-            tree_dist(&ta, &tb, i, j, &mut td);
+impl FlatTree {
+    /// Flatten `root`, mapping every node label to its id through
+    /// `label_id`.
+    pub fn of(root: &TreeNode, label_id: &mut dyn FnMut(&str) -> u32) -> FlatTree {
+        /// Append `node`'s subtree in postorder; returns its leftmost leaf.
+        fn push(node: &TreeNode, label_id: &mut dyn FnMut(&str) -> u32, t: &mut FlatTree) -> u32 {
+            let mut first_leaf = None;
+            for child in &node.children {
+                let leaf = push(child, label_id, t);
+                first_leaf.get_or_insert(leaf);
+            }
+            let leaf = first_leaf.unwrap_or(t.labels.len() as u32);
+            t.labels.push(label_id(&node.label));
+            t.leftmost.push(leaf);
+            leaf
+        }
+        let n = root.size();
+        let mut t = FlatTree {
+            labels: Vec::with_capacity(n),
+            leftmost: Vec::with_capacity(n),
+            keyroots: Vec::new(),
+        };
+        push(root, label_id, &mut t);
+        // A keyroot is a node no later node shares its leftmost leaf with:
+        // walking backwards, the first node seen per leftmost leaf.
+        let mut claimed = vec![false; n];
+        for i in (0..n).rev() {
+            let leaf = t.leftmost[i] as usize;
+            if !claimed[leaf] {
+                claimed[leaf] = true;
+                t.keyroots.push(i as u32);
+            }
+        }
+        t.keyroots.reverse();
+        t
+    }
+
+    /// Number of nodes (the normaliser of [`normalized_ted`]).
+    #[allow(clippy::len_without_is_empty)] // a flattened tree always has its root
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+}
+
+/// Exact ordered tree edit distance (Zhang & Shasha 1989) with unit costs
+/// for insert, delete and relabel, over two trees flattened against the
+/// same label map.
+pub fn ted(a: &FlatTree, b: &FlatTree) -> usize {
+    let (na, nb) = (a.len(), b.len());
+    // td[i * nb + j]: distance between the subtrees rooted at postorder i
+    // of a and j of b.
+    let mut td = vec![0u32; na * nb];
+    // Forest distances of one keyroot pair, row stride nb + 1; every pair
+    // reuses it.
+    let mut fd = vec![0u32; (na + 1) * (nb + 1)];
+    for &i in &a.keyroots {
+        for &j in &b.keyroots {
+            forest_dist(a, b, i as usize, j as usize, &mut td, &mut fd);
         }
     }
-    td[na - 1][nb - 1]
+    td[na * nb - 1] as usize
+}
+
+/// Fill `fd` for the keyroot pair `(i, j)`, recording every whole-subtree
+/// distance it meets into `td`.
+fn forest_dist(a: &FlatTree, b: &FlatTree, i: usize, j: usize, td: &mut [u32], fd: &mut [u32]) {
+    let nb = b.len();
+    let stride = nb + 1;
+    let (li, lj) = (a.leftmost[i] as usize, b.leftmost[j] as usize);
+    let (m, n) = (i - li + 2, j - lj + 2);
+    for x in 0..m {
+        fd[x * stride] = x as u32; // delete
+    }
+    for (y, cell) in fd[..n].iter_mut().enumerate() {
+        *cell = y as u32; // insert
+    }
+    for x in 1..m {
+        let ai = li + x - 1;
+        let la = a.leftmost[ai] as usize;
+        let label = a.labels[ai];
+        let (prev, row, td_row) = ((x - 1) * stride, x * stride, ai * nb);
+        for y in 1..n {
+            let bj = lj + y - 1;
+            let lb = b.leftmost[bj] as usize;
+            let edit = (fd[prev + y] + 1).min(fd[row + y - 1] + 1);
+            fd[row + y] = if la == li && lb == lj {
+                // Both forests are whole trees.
+                let d = edit.min(fd[prev + y - 1] + u32::from(label != b.labels[bj]));
+                td[td_row + bj] = d;
+                d
+            } else {
+                edit.min(fd[(la - li) * stride + (lb - lj)] + td[td_row + bj])
+            };
+        }
+    }
+}
+
+/// [`ted`] normalised into [0, 1] by the larger tree size.
+pub fn normalized_ted(a: &FlatTree, b: &FlatTree) -> f64 {
+    normalized_from_ted(ted(a, b), a.len(), b.len())
+}
+
+/// Flatten two trees against one local label map.
+fn flatten_pair(a: &TreeNode, b: &TreeNode) -> (FlatTree, FlatTree) {
+    let mut ids: HashMap<String, u32> = HashMap::new();
+    let mut label_id = |label: &str| match ids.get(label) {
+        Some(&id) => id,
+        None => {
+            let id = ids.len() as u32;
+            ids.insert(label.to_owned(), id);
+            id
+        }
+    };
+    (
+        FlatTree::of(a, &mut label_id),
+        FlatTree::of(b, &mut label_id),
+    )
+}
+
+/// [`ted`] over two [`TreeNode`]s.
+pub fn tree_edit_distance(a: &TreeNode, b: &TreeNode) -> usize {
+    let (fa, fb) = flatten_pair(a, b);
+    ted(&fa, &fb)
 }
 
 /// Normalised tree edit distance in [0, 1]: TED / max(size).
 pub fn normalized_tree_distance(a: &TreeNode, b: &TreeNode) -> f64 {
-    normalized_from_ted(tree_edit_distance(a, b), a.size(), b.size())
+    let (fa, fb) = flatten_pair(a, b);
+    normalized_ted(&fa, &fb)
 }
 
 /// Normalise a (possibly lower-bounded) edit count by the larger tree size —
@@ -274,88 +402,6 @@ pub fn normalized_tree_lower_bound(a: &TreeShape, b: &TreeShape) -> f64 {
         a.size as usize,
         b.size as usize,
     )
-}
-
-/// Postorder-flattened tree with leftmost-leaf indices and keyroots.
-struct Flat {
-    labels: Vec<String>,
-    /// l[i] = postorder index of the leftmost leaf of the subtree at i.
-    l: Vec<usize>,
-    keyroots: Vec<usize>,
-}
-
-impl Flat {
-    fn build(root: &TreeNode) -> Flat {
-        let mut labels = Vec::new();
-        let mut l = Vec::new();
-        fn rec(node: &TreeNode, labels: &mut Vec<String>, l: &mut Vec<usize>) -> usize {
-            let mut leftmost = usize::MAX;
-            for c in &node.children {
-                let cl = rec(c, labels, l);
-                if leftmost == usize::MAX {
-                    leftmost = cl;
-                }
-            }
-            labels.push(node.label.clone());
-            let my_index = labels.len() - 1;
-            let my_leftmost = if leftmost == usize::MAX {
-                my_index
-            } else {
-                leftmost
-            };
-            l.push(my_leftmost);
-            my_leftmost
-        }
-        rec(root, &mut labels, &mut l);
-        // Keyroots: i such that no j > i has l[j] == l[i].
-        let n = labels.len();
-        let mut keyroots = Vec::new();
-        for i in 0..n {
-            if !(i + 1..n).any(|j| l[j] == l[i]) {
-                keyroots.push(i);
-            }
-        }
-        Flat {
-            labels,
-            l,
-            keyroots,
-        }
-    }
-}
-
-fn tree_dist(a: &Flat, b: &Flat, i: usize, j: usize, td: &mut [Vec<usize>]) {
-    let li = a.l[i];
-    let lj = b.l[j];
-    let m = i - li + 2;
-    let n = j - lj + 2;
-    // Forest distance table, indices offset by li/lj.
-    let mut fd = vec![vec![0usize; n]; m];
-    for x in 1..m {
-        fd[x][0] = fd[x - 1][0] + 1; // delete
-    }
-    for y in 1..n {
-        fd[0][y] = fd[0][y - 1] + 1; // insert
-    }
-    for x in 1..m {
-        for y in 1..n {
-            let ai = li + x - 1;
-            let bj = lj + y - 1;
-            if a.l[ai] == li && b.l[bj] == lj {
-                // Both forests are whole trees.
-                let relabel = usize::from(a.labels[ai] != b.labels[bj]);
-                fd[x][y] = (fd[x - 1][y] + 1)
-                    .min(fd[x][y - 1] + 1)
-                    .min(fd[x - 1][y - 1] + relabel);
-                td[ai][bj] = fd[x][y];
-            } else {
-                let fx = a.l[ai].saturating_sub(li);
-                let fy = b.l[bj].saturating_sub(lj);
-                fd[x][y] = (fd[x - 1][y] + 1)
-                    .min(fd[x][y - 1] + 1)
-                    .min(fd[fx][fy] + td[ai][bj]);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,9 @@
 use proptest::prelude::*;
 use sqlparse::ast::*;
 use sqlparse::{
-    canonicalize, diff_selects, parse_statement, strip_constants, structure_fingerprint,
-    template_fingerprint, to_sql,
+    canonicalize, diff_selects, normalized_from_ted, normalized_tree_distance, parse_statement,
+    statement_tree, strip_constants, structure_fingerprint, template_fingerprint, to_sql,
+    tree_edit_distance, TreeNode,
 };
 
 // ---------------------------------------------------------------------
@@ -294,6 +295,301 @@ fn statement_strategy() -> impl Strategy<Value = Statement> {
     ]
 }
 
+/// Random labeled trees of 1–60 nodes over a 1–6 label alphabet (so
+/// relabel ties occur): random recursive trees, left and right chains
+/// (each spine node carries one leaf beside the next spine node) and
+/// stars.
+fn labeled_tree_strategy() -> impl Strategy<Value = TreeNode> {
+    (
+        0u8..4,
+        1usize..61,
+        1u32..7,
+        proptest::collection::vec(any::<u32>(), 60),
+    )
+        .prop_map(|(shape, n, alphabet, raw)| {
+            let label = |i: usize| format!("l{}", raw[i] % alphabet);
+            match shape {
+                0 => {
+                    // Node i hangs under an earlier node, as its first or
+                    // last child.
+                    let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
+                    for (i, &bits) in raw.iter().enumerate().take(n).skip(1) {
+                        let parent = (bits >> 8) as usize % i;
+                        if bits & 0x80 == 0 {
+                            children[parent].push(i);
+                        } else {
+                            children[parent].insert(0, i);
+                        }
+                    }
+                    fn build(
+                        i: usize,
+                        children: &[Vec<usize>],
+                        label: &dyn Fn(usize) -> String,
+                    ) -> TreeNode {
+                        let kids = children[i]
+                            .iter()
+                            .map(|&c| build(c, children, label))
+                            .collect();
+                        TreeNode::node(label(i), kids)
+                    }
+                    build(0, &children, &label)
+                }
+                1 | 2 => {
+                    let mut next = n - 1;
+                    let mut tree = TreeNode::leaf(label(next));
+                    while next > 0 {
+                        next -= 1;
+                        let spine = next;
+                        let kids = if next == 0 {
+                            vec![tree]
+                        } else {
+                            next -= 1;
+                            let leaf = TreeNode::leaf(label(next));
+                            if shape == 1 {
+                                vec![tree, leaf]
+                            } else {
+                                vec![leaf, tree]
+                            }
+                        };
+                        tree = TreeNode::node(label(spine), kids);
+                    }
+                    tree
+                }
+                _ => TreeNode::node(label(0), (1..n).map(|i| TreeNode::leaf(label(i))).collect()),
+            }
+        })
+}
+
+// ---------------------------------------------------------------------
+// Reference tree edit distance: the string-label Zhang–Shasha kernel the
+// flat `ted` replaced, kept verbatim as the oracle it is tested against.
+// ---------------------------------------------------------------------
+
+/// Postorder-flattened tree with leftmost-leaf indices and keyroots.
+struct Flat {
+    labels: Vec<String>,
+    /// l[i] = postorder index of the leftmost leaf of the subtree at i.
+    l: Vec<usize>,
+    keyroots: Vec<usize>,
+}
+
+impl Flat {
+    fn build(root: &TreeNode) -> Flat {
+        let mut labels = Vec::new();
+        let mut l = Vec::new();
+        fn rec(node: &TreeNode, labels: &mut Vec<String>, l: &mut Vec<usize>) -> usize {
+            let mut leftmost = usize::MAX;
+            for c in &node.children {
+                let cl = rec(c, labels, l);
+                if leftmost == usize::MAX {
+                    leftmost = cl;
+                }
+            }
+            labels.push(node.label.clone());
+            let my_index = labels.len() - 1;
+            let my_leftmost = if leftmost == usize::MAX {
+                my_index
+            } else {
+                leftmost
+            };
+            l.push(my_leftmost);
+            my_leftmost
+        }
+        rec(root, &mut labels, &mut l);
+        // Keyroots: i such that no j > i has l[j] == l[i].
+        let n = labels.len();
+        let mut keyroots = Vec::new();
+        for i in 0..n {
+            if !(i + 1..n).any(|j| l[j] == l[i]) {
+                keyroots.push(i);
+            }
+        }
+        Flat {
+            labels,
+            l,
+            keyroots,
+        }
+    }
+}
+
+fn tree_dist(a: &Flat, b: &Flat, i: usize, j: usize, td: &mut [Vec<usize>]) {
+    let li = a.l[i];
+    let lj = b.l[j];
+    let m = i - li + 2;
+    let n = j - lj + 2;
+    // Forest distance table, indices offset by li/lj.
+    let mut fd = vec![vec![0usize; n]; m];
+    for x in 1..m {
+        fd[x][0] = fd[x - 1][0] + 1; // delete
+    }
+    for y in 1..n {
+        fd[0][y] = fd[0][y - 1] + 1; // insert
+    }
+    for x in 1..m {
+        for y in 1..n {
+            let ai = li + x - 1;
+            let bj = lj + y - 1;
+            if a.l[ai] == li && b.l[bj] == lj {
+                // Both forests are whole trees.
+                let relabel = usize::from(a.labels[ai] != b.labels[bj]);
+                fd[x][y] = (fd[x - 1][y] + 1)
+                    .min(fd[x][y - 1] + 1)
+                    .min(fd[x - 1][y - 1] + relabel);
+                td[ai][bj] = fd[x][y];
+            } else {
+                let fx = a.l[ai].saturating_sub(li);
+                let fy = b.l[bj].saturating_sub(lj);
+                fd[x][y] = (fd[x - 1][y] + 1)
+                    .min(fd[x][y - 1] + 1)
+                    .min(fd[fx][fy] + td[ai][bj]);
+            }
+        }
+    }
+}
+
+/// Exact ordered tree edit distance (Zhang & Shasha 1989) with unit costs
+/// for insert, delete and relabel.
+fn reference_ted(a: &TreeNode, b: &TreeNode) -> usize {
+    let ta = Flat::build(a);
+    let tb = Flat::build(b);
+    let na = ta.labels.len();
+    let nb = tb.labels.len();
+    // td[i][j] = distance between subtree rooted at postorder i of a and j of b.
+    let mut td = vec![vec![0usize; nb]; na];
+
+    for &i in &ta.keyroots {
+        for &j in &tb.keyroots {
+            tree_dist(&ta, &tb, i, j, &mut td);
+        }
+    }
+    td[na - 1][nb - 1]
+}
+
+/// `ted` (through its `TreeNode` form) equals the reference, and the
+/// normalised distance is bit-identical to the reference's.
+fn check_against_reference(a: &TreeNode, b: &TreeNode) -> Result<(), String> {
+    let (got, want) = (tree_edit_distance(a, b), reference_ted(a, b));
+    if got != want {
+        return Err(format!("ted {got} != reference {want}"));
+    }
+    let want_norm = normalized_from_ted(want, a.size(), b.size());
+    let got_norm = normalized_tree_distance(a, b);
+    if got_norm.to_bits() != want_norm.to_bits() {
+        return Err(format!("normalised {got_norm} != reference {want_norm}"));
+    }
+    Ok(())
+}
+
+/// Joins, subqueries, GROUP BY/HAVING/ORDER BY/LIMIT, IN lists, CASE and
+/// non-SELECT statements.
+const TED_SQL_POOL: &[&str] = &[
+    "SELECT * FROM t",
+    "SELECT a FROM t",
+    "SELECT a, b FROM t",
+    "SELECT DISTINCT a FROM t",
+    "SELECT t.* FROM t",
+    "SELECT * FROM t WHERE x < 1",
+    "SELECT * FROM t WHERE x < 2 AND y > 3",
+    "SELECT * FROM t WHERE x < 1 OR y > 3 AND z = 4",
+    "SELECT * FROM t WHERE NOT x = 1",
+    "SELECT * FROM t WHERE x IS NULL",
+    "SELECT * FROM t WHERE x IS NOT NULL AND y LIKE 'a%'",
+    "SELECT * FROM t WHERE x BETWEEN 1 AND 5",
+    "SELECT * FROM t WHERE x NOT BETWEEN 1 AND 5",
+    "SELECT * FROM t WHERE x IN (1, 2, 3)",
+    "SELECT * FROM t WHERE x NOT IN (1, 2)",
+    "SELECT * FROM t WHERE x IN ('a', 'b', 'c', 'd')",
+    "SELECT * FROM t WHERE x IN (SELECT y FROM u)",
+    "SELECT * FROM t WHERE x NOT IN (SELECT y FROM u WHERE z > 2)",
+    "SELECT * FROM t WHERE EXISTS (SELECT * FROM u WHERE u.a = t.a)",
+    "SELECT * FROM t WHERE NOT EXISTS (SELECT * FROM u)",
+    "SELECT a, (SELECT MAX(b) FROM u) FROM t",
+    "SELECT * FROM t WHERE x > (SELECT AVG(x) FROM t)",
+    "SELECT * FROM t, u WHERE t.a = u.a",
+    "SELECT * FROM t, u, v WHERE t.a = u.a AND u.b = v.b",
+    "SELECT * FROM t JOIN u ON t.a = u.a",
+    "SELECT * FROM t LEFT OUTER JOIN u ON t.a = u.a",
+    "SELECT * FROM t RIGHT JOIN u ON t.a = u.a JOIN v ON u.b = v.b",
+    "SELECT * FROM t CROSS JOIN u",
+    "SELECT * FROM t FULL OUTER JOIN u ON t.a = u.a AND t.b < u.b",
+    "SELECT a, COUNT(*) FROM t GROUP BY a",
+    "SELECT a, b, SUM(c) FROM t GROUP BY a, b",
+    "SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 2",
+    "SELECT a, AVG(b) FROM t WHERE c < 5 GROUP BY a HAVING AVG(b) > 1 ORDER BY a",
+    "SELECT a FROM t ORDER BY a",
+    "SELECT a, b FROM t ORDER BY a DESC, b",
+    "SELECT a FROM t ORDER BY a LIMIT 10",
+    "SELECT a FROM t LIMIT 3",
+    "SELECT a FROM t LIMIT 5 OFFSET 2",
+    "SELECT COUNT(DISTINCT a) FROM t",
+    "SELECT MIN(a), MAX(b) FROM t WHERE c = 'x'",
+    "SELECT a + b * 2 FROM t",
+    "SELECT -a, a - b FROM t WHERE a % 2 = 0",
+    "SELECT a || b FROM t",
+    "SELECT CASE WHEN a < 1 THEN 'lo' ELSE 'hi' END FROM t",
+    "SELECT CASE a WHEN 1 THEN 'one' WHEN 2 THEN 'two' END FROM t",
+    "SELECT lake, temp FROM WaterTemp WHERE temp < 18",
+    "SELECT lake FROM WaterTemp WHERE temp < 18 AND month = 7",
+    "SELECT * FROM WaterSalinity S, WaterTemp T WHERE T.temp < 18 AND S.loc_x = T.loc_x",
+    "SELECT city, COUNT(*) FROM CityLocations GROUP BY city HAVING COUNT(*) > 2",
+    "SELECT * FROM CityLocations L WHERE L.city IN (SELECT City FROM Cities WHERE State = 'WA')",
+    "SELECT name FROM Lakes WHERE area > 50 ORDER BY name LIMIT 5",
+    "INSERT INTO t VALUES (1, 2)",
+    "INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')",
+    "UPDATE t SET a = 1 WHERE b = 2",
+    "DELETE FROM t WHERE a = 1",
+    "DELETE FROM t",
+    "CREATE TABLE t (a INT, b TEXT)",
+    "DROP TABLE t",
+    "ALTER TABLE t RENAME COLUMN a TO b",
+    "ALTER TABLE t ADD COLUMN c FLOAT",
+];
+
+#[test]
+fn ted_matches_reference_on_sql_pairs() {
+    let trees: Vec<TreeNode> = TED_SQL_POOL
+        .iter()
+        .map(|sql| statement_tree(&strip_constants(&parse_statement(sql).unwrap())))
+        .collect();
+    for (i, a) in trees.iter().enumerate() {
+        for (j, b) in trees.iter().enumerate() {
+            if let Err(e) = check_against_reference(a, b) {
+                panic!("{} vs {}: {e}", TED_SQL_POOL[i], TED_SQL_POOL[j]);
+            }
+        }
+    }
+}
+
+/// A 20 009-node `AND` chain (the tree of a 5 001-conjunct WHERE clause)
+/// against a small tree: the keyroot pass must be linear for this to stay
+/// cheap (the reference's quadratic scan is the slow side here). The
+/// parser no longer accepts a chain this long, so the tree is grown from
+/// a two-conjunct one, and checked on a thread whose stack fits its depth.
+#[test]
+fn ted_matches_reference_on_a_long_and_chain() {
+    let check = || {
+        let sql = "SELECT * FROM t WHERE x = 1 AND x = 1";
+        let mut chain = statement_tree(&strip_constants(&parse_statement(sql).unwrap()));
+        let and = chain.children.pop().unwrap().children.pop().unwrap();
+        let conjunct = &and.children[1];
+        let mut spine = conjunct.clone();
+        for _ in 1..5_001 {
+            spine = TreeNode::node(and.label.clone(), vec![spine, conjunct.clone()]);
+        }
+        chain.children.push(TreeNode::node("where", vec![spine]));
+        assert_eq!(chain.size(), 20_009);
+        let small = statement_tree(&parse_statement("SELECT * FROM t").unwrap());
+        check_against_reference(&chain, &small).unwrap();
+        check_against_reference(&small, &chain).unwrap();
+    };
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(check)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Properties
 // ---------------------------------------------------------------------
@@ -360,6 +656,13 @@ proptest! {
     fn diff_reflexive_and_symmetric_size(a in select_strategy(), b in select_strategy()) {
         prop_assert!(diff_selects(&a, &a).is_empty());
         prop_assert_eq!(diff_selects(&a, &b).len(), diff_selects(&b, &a).len());
+    }
+
+    /// The flat kernel computes exactly the reference tree edit distance.
+    #[test]
+    fn ted_matches_reference(a in labeled_tree_strategy(), b in labeled_tree_strategy()) {
+        let checked = check_against_reference(&a, &b);
+        prop_assert!(checked.is_ok(), "{checked:?}\n{a:?}\n{b:?}");
     }
 
     /// Lexer never panics on arbitrary input (errors are fine).
