@@ -73,9 +73,9 @@
 //! ## Caveats (documented, by design)
 //!
 //! * [`ShardedCqms::search_feature_sql`] runs the meta-query on every
-//!   shard and concatenates rows (remapping a projected `qid` column to
-//!   global ids); SQL-level aggregates are therefore computed per shard,
-//!   not globally.
+//!   shard and concatenates rows (remapping every output column that is a
+//!   bare reference to a `qid` column to global ids); SQL-level aggregates
+//!   are therefore computed per shard, not globally.
 //! * Each shard owns an independent *data* engine built by the engine
 //!   factory. DML routed through `run_query` mutates only the owning
 //!   shard's copy — deployments whose analysts write the underlying data
@@ -88,6 +88,7 @@ use crate::assist::recommend::{sort_panel_rows, PanelRow};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::faults;
+use crate::features::FEATURE_RELATIONS;
 use crate::maintenance::{MaintenanceReport, RefreshReport};
 use crate::metaquery::{ScoredHit, TreePattern};
 use crate::miner::assoc::AssocRule;
@@ -100,6 +101,7 @@ use crate::snapshot::ReadSnapshot;
 use crate::wal::RecoveryReport;
 use parking_lot::{Mutex, RwLock};
 use relstore::Engine;
+use sqlparse::ast::{Expr, SelectItem, SelectStatement, Statement};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -878,24 +880,21 @@ impl ShardedCqms {
     }
 
     /// SQL meta-query over the feature relations, run on every shard's
-    /// pinned snapshot with rows concatenated in shard order. A projected
-    /// `qid` column is remapped to global ids; SQL aggregates are per-shard
-    /// (see module docs).
+    /// pinned snapshot with rows concatenated in shard order. Every output
+    /// column that is a bare reference to a `qid` column is remapped to
+    /// global ids; SQL aggregates are per-shard (see module docs).
     pub fn search_feature_sql(
         &self,
         user: UserId,
         sql: &str,
     ) -> Result<relstore::QueryResult, CqmsError> {
+        let qid_cols = match sqlparse::parse(sql) {
+            Ok(Statement::Select(stmt)) => qid_columns(&stmt),
+            _ => Vec::new(), // every shard reports the error
+        };
         let mut merged: Option<relstore::QueryResult> = None;
         for (i, s) in self.snapshots().iter().enumerate() {
             let mut r = s.search_feature_sql(user, sql)?;
-            let qid_cols: Vec<usize> = r
-                .columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.eq_ignore_ascii_case("qid"))
-                .map(|(ci, _)| ci)
-                .collect();
             for row in &mut r.rows {
                 for &ci in &qid_cols {
                     if let relstore::Value::Int(v) = row[ci] {
@@ -1335,6 +1334,46 @@ fn merge_scored(per_shard: Vec<Vec<ScoredHit>>, k: usize) -> Vec<ScoredHit> {
         }
     }
     out
+}
+
+/// Output positions of a feature meta-query that are bare references to a
+/// `qid` column, aliased or not, wildcard expansions included. An
+/// aggregate or any other expression is never one, whatever its alias.
+fn qid_columns(stmt: &SelectStatement) -> Vec<usize> {
+    let is_qid = |name: &str| name.eq_ignore_ascii_case("qid");
+    let factors: Vec<(&str, &str)> = stmt
+        .from
+        .iter()
+        .flat_map(|t| {
+            let joins = t.joins.iter().map(|j| (j.binding_name(), j.table.as_str()));
+            std::iter::once((t.binding_name(), t.name.as_str())).chain(joins)
+        })
+        .collect();
+    // A wildcard expands to each table's columns, named as in the schema.
+    let expand = |table: &str| -> Vec<bool> {
+        let relation = FEATURE_RELATIONS
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(table));
+        relation.map_or(Vec::new(), |(_, cols)| {
+            cols.iter().map(|(c, _)| is_qid(c)).collect()
+        })
+    };
+    let mut output: Vec<bool> = Vec::new();
+    for item in &stmt.projection {
+        match item {
+            SelectItem::Expr { expr, .. } => {
+                output.push(matches!(expr, Expr::Column(c) if is_qid(&c.name)));
+            }
+            SelectItem::Wildcard => {
+                output.extend(factors.iter().flat_map(|(_, table)| expand(table)));
+            }
+            SelectItem::QualifiedWildcard(q) => {
+                let factor = factors.iter().find(|(b, _)| b.eq_ignore_ascii_case(q));
+                output.extend(factor.map_or(Vec::new(), |(_, table)| expand(table)));
+            }
+        }
+    }
+    (0..output.len()).filter(|&i| output[i]).collect()
 }
 
 #[cfg(test)]

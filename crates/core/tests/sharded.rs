@@ -482,6 +482,45 @@ fn next_query_after_an_epoch_joins_its_own_users_session() {
     );
 }
 
+/// Sharded feature-SQL globalises exactly the output columns that are bare
+/// `qid` references — unaliased, aliased or from a wildcard — and never an
+/// aggregate, whatever its alias.
+#[test]
+fn feature_sql_remaps_qid_references_not_qid_names() {
+    let sharded = ShardedCqms::new(engine, config(2));
+    let users: Vec<UserId> = (0..4)
+        .map(|i| sharded.register_user(&format!("user-{i}")))
+        .collect();
+    let user = *users
+        .iter()
+        .find(|&&u| sharded.shard_of(u) == 1)
+        .expect("four users over two shards");
+    let mut acked: Vec<i64> = (0..8u64)
+        .map(|i| {
+            let sql = format!("SELECT * FROM WaterTemp WHERE temp < {i}");
+            let out = sharded.run_query_at(user, &sql, 1_000 + i * 60).unwrap();
+            out.id.0 as i64
+        })
+        .collect();
+    acked.sort();
+    let first_column = |sql: &str| -> Vec<i64> {
+        let r = sharded.search_feature_sql(user, sql).unwrap();
+        let mut values: Vec<i64> = r.rows.iter().map(|row| row[0].as_i64().unwrap()).collect();
+        values.sort();
+        values
+    };
+    for sql in [
+        "SELECT Q.qid FROM Queries Q",
+        "SELECT Q.qid AS id FROM Queries Q",
+        "SELECT * FROM Queries Q",
+    ] {
+        assert_eq!(first_column(sql), acked, "{sql}");
+    }
+    // Aggregates stay per shard: the shards' counts sum to the live count.
+    let counts = first_column("SELECT COUNT(*) AS qid FROM Queries Q");
+    assert_eq!(counts.iter().sum::<i64>(), sharded.live_count() as i64);
+}
+
 /// Unique scratch directory per proptest case (cases share one process).
 fn case_dir(tag: &str) -> std::path::PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);

@@ -3,7 +3,7 @@
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec;
-use crate::expr::{Binding, Compiler, EvalCtx, Scope};
+use crate::expr::{Binding, Compiler, EvalCtx, Outer, Scope};
 use crate::index::{HashIndex, IndexAccess, Indexes};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::stats::TableStats;
@@ -250,16 +250,14 @@ impl Engine {
     fn run_insert(&mut self, ins: &InsertStatement) -> Result<QueryResult, EngineError> {
         // Evaluate rows first (needs & borrow), then mutate the table.
         let schema = self.catalog.table(&ins.table)?.schema.clone();
-        let scope = Scope::root(Vec::new());
-        let empty: Row = Vec::new();
+        let scope = Scope::root(&[]);
+        let ctx = EvalCtx::new(&self.catalog, &Outer::Root);
         let mut rows: Vec<Row> = Vec::with_capacity(ins.rows.len());
         for exprs in &ins.rows {
             let mut vals: Vec<Value> = Vec::with_capacity(exprs.len());
             for e in exprs {
                 let mut c = Compiler::new(&scope, &self.catalog);
-                let ce = c.compile(e)?;
-                let ctx = EvalCtx::new(&self.catalog, &empty);
-                vals.push(ce.eval(&ctx)?);
+                vals.push(c.compile(e)?.eval(&ctx)?);
             }
             let row = if ins.columns.is_empty() {
                 vals
@@ -302,8 +300,8 @@ impl Engine {
 
     fn run_update(&mut self, u: &UpdateStatement) -> Result<QueryResult, EngineError> {
         let table = self.catalog.table(&u.table)?;
-        let binding = table_binding(table);
-        let scope = Scope::root(vec![binding]);
+        let binding = [table_binding(table)];
+        let scope = Scope::root(&binding);
 
         let predicate = match &u.where_clause {
             Some(w) => Some(Compiler::new(&scope, &self.catalog).compile(w)?),
@@ -324,8 +322,10 @@ impl Engine {
 
         // Phase 1 (immutable): compute replacement values.
         let mut updates: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
+        let base = EvalCtx::new(&self.catalog, &Outer::Root);
         for (ri, row) in table.rows.iter().enumerate() {
-            let ctx = EvalCtx::new(&self.catalog, row);
+            let tuple = [Some(&**row)];
+            let ctx = base.at(&tuple);
             let hit = match &predicate {
                 Some(p) => p.eval_predicate(&ctx)?,
                 None => true,
@@ -367,15 +367,17 @@ impl Engine {
 
     fn run_delete(&mut self, d: &DeleteStatement) -> Result<QueryResult, EngineError> {
         let table = self.catalog.table(&d.table)?;
-        let binding = table_binding(table);
-        let scope = Scope::root(vec![binding]);
+        let binding = [table_binding(table)];
+        let scope = Scope::root(&binding);
         let predicate = match &d.where_clause {
             Some(w) => Some(Compiler::new(&scope, &self.catalog).compile(w)?),
             None => None,
         };
         let mut doomed: Vec<bool> = Vec::with_capacity(table.len());
+        let base = EvalCtx::new(&self.catalog, &Outer::Root);
         for row in &table.rows {
-            let ctx = EvalCtx::new(&self.catalog, row);
+            let tuple = [Some(&**row)];
+            let ctx = base.at(&tuple);
             doomed.push(match &predicate {
                 Some(p) => p.eval_predicate(&ctx)?,
                 None => true,
@@ -437,7 +439,7 @@ impl Engine {
         match stmt {
             Statement::Select(s) => {
                 let bindings = exec::bindings_for(&self.catalog, s)?;
-                let scope = Scope::root(bindings);
+                let scope = Scope::root(&bindings);
                 let mut aggs = Vec::new();
                 for item in &s.projection {
                     if let SelectItem::Expr { expr, .. } = item {
@@ -520,7 +522,6 @@ fn table_binding(table: &crate::table::Table) -> Binding {
             .iter()
             .map(|c| c.name.to_ascii_lowercase())
             .collect(),
-        offset: 0,
     }
 }
 

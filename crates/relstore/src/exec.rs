@@ -1,31 +1,51 @@
-//! Query executor.
+//! Query executor: a plan tree over borrowed rows.
 //!
-//! The executor plans and runs one SELECT at a time, directly from the AST:
+//! `plan_select` turns one SELECT into a small tree, built bottom-up by
+//! wrapping each operator around its source:
 //!
-//! 1. **FROM resolution** — every table factor becomes a [`Binding`]; the
-//!    joined relation is built left-to-right. Equality conjuncts (from
-//!    explicit `ON` clauses or from the WHERE clause for comma joins) turn
-//!    the step into a *hash join*; otherwise it degrades to a filtered
-//!    cartesian product.
-//! 2. **Predicate pushdown** — WHERE conjuncts touching a single table are
-//!    applied during that table's scan; an equality conjunct against a
-//!    literal uses a hash index when one exists.
-//! 3. **Grouping/aggregation** — hash aggregation with COUNT/SUM/AVG/MIN/MAX
-//!    (+DISTINCT), HAVING, and aggregate references in ORDER BY.
-//! 4. **DISTINCT, ORDER BY, LIMIT/OFFSET.**
+//! ```text
+//! Scan -> Join -> … -> Filter                 (Node: tuples of borrowed rows)
+//!   -> Project | Aggregate -> Distinct -> Sort -> Limit   (Plan: output rows)
+//! ```
 //!
-//! Every run reports [`ExecStats`]: base rows scanned and a plan string —
-//! these become the "runtime features" the CQMS Query Profiler logs (§4.1).
+//! 1. **Scans and push-down** — every FROM factor is a [`Scan`]. WHERE
+//!    conjuncts touching that factor alone are checked during its scan: a
+//!    `col = literal` conjunct probes a declared hash index or is compared
+//!    against the row in place, and is not evaluated again. A conjunct is
+//!    never pushed into a factor that an outer join NULL-extends.
+//! 2. **Joins** — left-deep in FROM order. Equality conjuncts (from an
+//!    `ON` clause, or from WHERE for comma joins) become hash-join keys;
+//!    otherwise the step is a nested loop (a cartesian product for CROSS
+//!    JOIN). Output order: probe tuples in order, each one's matches in
+//!    build-side insertion order, a RIGHT/FULL join's unmatched rows last.
+//! 3. **Filter** — the WHERE conjuncts no scan or join consumed.
+//! 4. **Aggregate / Project** — hash aggregation with COUNT/SUM/AVG/MIN/MAX
+//!    (+DISTINCT), HAVING and aggregate ORDER BY keys; or projection.
+//! 5. **Distinct, Sort, Limit/Offset.**
+//!
+//! The join pipeline passes [`Tuple`]s: one `&Row` per factor, borrowed
+//! from the catalog's `Arc<Row>`s. A cell is cloned only into a projected
+//! output row. Every run reports [`ExecStats`]: base rows scanned and the
+//! plan rendered from the tree — the "runtime features" the CQMS Query
+//! Profiler logs (§4.1).
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::expr::{AggKind, AggSpec, Binding, CompiledExpr, Compiler, EvalCtx, Scope};
-use crate::index::IndexAccess;
+use crate::expr::{
+    eval_all, literal_value, AggKind, AggSpec, Binding, CompiledExpr, Compiler, EvalCtx, Outer,
+    Scope, Tuple,
+};
+use crate::index::{HashIndex, IndexAccess};
 use crate::table::Row;
 use crate::value::{row_key, Key, Value};
 use sqlparse::ast::*;
 use sqlparse::printer::expr_to_sql;
+use sqlparse::visit::{walk_expr, Visitor};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// Execution statistics for one SELECT.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -44,436 +64,581 @@ pub struct SelectOutput {
     pub stats: ExecStats,
 }
 
-/// Run a top-level SELECT.
+/// Plan and run a top-level SELECT.
 pub fn run_select(
     catalog: &Catalog,
     stmt: &SelectStatement,
     indexes: Option<&mut dyn IndexAccess>,
 ) -> Result<SelectOutput, EngineError> {
-    run_select_inner(catalog, stmt, &[], &[], indexes)
+    let planned = plan_select(catalog, stmt, None, indexes)?;
+    let rows = planned.plan.run(catalog, &Outer::Root)?;
+    Ok(SelectOutput {
+        columns: planned.columns,
+        rows,
+        stats: ExecStats {
+            rows_scanned: planned.rows_scanned,
+            plan: planned.plan.to_string(),
+        },
+    })
 }
 
-/// Run a (possibly correlated) subquery: `outer` carries the binding chain of
-/// the enclosing scopes (outermost first) and `env` the matching row stack.
-pub fn run_subquery(
-    catalog: &Catalog,
-    stmt: &SelectStatement,
-    outer: &[Vec<Binding>],
-    env: &[&[Value]],
-) -> Result<Vec<Row>, EngineError> {
-    Ok(run_select_inner(catalog, stmt, outer, env, None)?.rows)
-}
-
-/// Resolve the FROM clause of `stmt` into bindings with row offsets.
+/// Resolve the FROM clause of `stmt` into bindings, one per factor.
 pub fn bindings_for(
     catalog: &Catalog,
     stmt: &SelectStatement,
 ) -> Result<Vec<Binding>, EngineError> {
-    let mut bindings = Vec::new();
-    let mut offset = 0usize;
-    let push = |name: &str,
-                binding_name: &str,
-                bindings: &mut Vec<Binding>,
-                offset: &mut usize|
-     -> Result<(), EngineError> {
+    let binding = |name: &str, binding_name: &str| -> Result<Binding, EngineError> {
         let table = catalog.table(name)?;
-        let columns: Vec<String> = table
-            .schema
-            .columns
-            .iter()
-            .map(|c| c.name.to_ascii_lowercase())
-            .collect();
-        let arity = columns.len();
-        bindings.push(Binding {
+        Ok(Binding {
             binding: binding_name.to_ascii_lowercase(),
             table: name.to_ascii_lowercase(),
-            columns,
-            offset: *offset,
-        });
-        *offset += arity;
-        Ok(())
+            columns: table
+                .schema
+                .columns
+                .iter()
+                .map(|c| c.name.to_ascii_lowercase())
+                .collect(),
+        })
     };
+    let mut bindings = Vec::new();
     for t in &stmt.from {
-        push(&t.name, t.binding_name(), &mut bindings, &mut offset)?;
+        bindings.push(binding(&t.name, t.binding_name())?);
         for j in &t.joins {
-            push(&j.table, j.binding_name(), &mut bindings, &mut offset)?;
+            bindings.push(binding(&j.table, j.binding_name())?);
         }
     }
     Ok(bindings)
 }
 
-/// One factor to join, in FROM order.
-struct Factor<'a> {
-    binding_idx: usize,
-    join_kind: Option<JoinKind>,
-    on: Option<&'a Expr>,
+// ---------------------------------------------------------------------
+// The plan tree
+// ---------------------------------------------------------------------
+
+/// A FROM factor's scan with the WHERE conjuncts pushed down to it.
+pub struct Scan {
+    /// Lower-cased table name.
+    table: String,
+    /// A declared index answering one `col = literal` conjunct: the
+    /// column's name, the index and the literal.
+    index: Option<(String, Arc<HashIndex>, Value)>,
+    /// The other `col = literal` conjuncts, compared in place.
+    equals: Vec<(usize, Value)>,
+    /// The remaining pushed-down conjuncts, compiled against the factor
+    /// alone.
+    filters: Vec<CompiledExpr>,
+    /// How many WHERE conjuncts were pushed down (all of the above).
+    pushed: usize,
 }
 
-fn run_select_inner(
-    catalog: &Catalog,
-    stmt: &SelectStatement,
-    outer: &[Vec<Binding>],
-    env: &[&[Value]],
-    mut indexes: Option<&mut dyn IndexAccess>,
-) -> Result<SelectOutput, EngineError> {
-    if stmt.from.is_empty() {
-        return run_fromless(catalog, stmt, outer, env);
-    }
-    let bindings = bindings_for(catalog, stmt)?;
+/// Operators that yield tuples of borrowed rows.
+pub enum Node {
+    Scan(Scan),
+    /// Joins the tuples of `left` with the rows of `right`. `keys` pairs a
+    /// `(factor, column)` of the left tuple with a column of the right row.
+    Join {
+        left: Box<Node>,
+        right: Scan,
+        kind: JoinKind,
+        keys: Vec<((usize, usize), usize)>,
+        residual: Vec<CompiledExpr>,
+    },
+    Filter {
+        source: Box<Node>,
+        predicates: Vec<CompiledExpr>,
+    },
+}
 
-    // Build the scope chain: outer scopes first, then this SELECT's scope.
-    let chains: Vec<Vec<Binding>> = outer.to_vec();
-    let scope = build_scope_chain(&chains, bindings.clone());
+/// Where an ORDER BY key of a projection comes from.
+pub enum OrderKey {
+    /// The projected column at this position (an alias reference).
+    Projected(usize),
+    Expr(CompiledExpr),
+}
 
-    // Collect the factor list in join order.
-    let mut factors = Vec::new();
-    {
-        let mut idx = 0usize;
-        for t in &stmt.from {
-            factors.push(Factor {
-                binding_idx: idx,
-                join_kind: None,
-                on: None,
-            });
-            idx += 1;
-            for j in &t.joins {
-                factors.push(Factor {
-                    binding_idx: idx,
-                    join_kind: Some(j.kind),
-                    on: j.on.as_ref(),
-                });
-                idx += 1;
-            }
+/// Hash aggregation: groups, aggregate slots, HAVING, and the projected
+/// expressions and ORDER BY keys evaluated per group.
+pub struct Aggregate {
+    source: Node,
+    /// Factors per tuple (the width of an empty scalar group's NULL tuple).
+    width: usize,
+    group: Vec<CompiledExpr>,
+    aggs: Vec<AggSpec>,
+    having: Option<CompiledExpr>,
+    items: Vec<CompiledExpr>,
+    order: Vec<CompiledExpr>,
+}
+
+/// Operators that yield output rows, each with its ORDER BY keys.
+pub enum Plan {
+    /// A FROM-less SELECT: one row of expressions.
+    Const(Vec<CompiledExpr>),
+    Project {
+        source: Box<Node>,
+        items: Vec<CompiledExpr>,
+        order: Vec<OrderKey>,
+    },
+    Aggregate(Box<Aggregate>),
+    Distinct(Box<Plan>),
+    Sort {
+        source: Box<Plan>,
+        descs: Vec<bool>,
+    },
+    Limit {
+        source: Box<Plan>,
+        offset: Option<u64>,
+        limit: Option<u64>,
+    },
+}
+
+impl fmt::Display for Scan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Scan({}", self.table)?;
+        if let Some((column, _, _)) = &self.index {
+            write!(f, " idx[{column}]")?;
         }
+        if self.pushed > 0 {
+            write!(f, " +{}f", self.pushed)?;
+        }
+        f.write_str(")")
     }
+}
 
-    // Split WHERE into conjuncts and classify.
-    let conjuncts: Vec<&Expr> = stmt
-        .where_clause
-        .as_ref()
-        .map(|w| w.conjuncts())
-        .unwrap_or_default();
-    let mut consumed = vec![false; conjuncts.len()];
-
-    let mut plan_steps: Vec<String> = Vec::new();
-    let mut rows_scanned = 0u64;
-
-    // --- Stage 1: join pipeline -------------------------------------------------
-    let mut acc_rows: Vec<Row> = Vec::new();
-    let mut acc_bindings: Vec<Binding> = Vec::new();
-
-    for (fi, factor) in factors.iter().enumerate() {
-        let b = &bindings[factor.binding_idx];
-        let table = catalog.table(&b.table)?;
-        rows_scanned += table.len() as u64;
-
-        // Single-table pushdown predicates for this factor (comma joins pull
-        // them from WHERE; they also apply inside INNER joins).
-        let outer_join = matches!(
-            factor.join_kind,
-            Some(JoinKind::LeftOuter) | Some(JoinKind::RightOuter) | Some(JoinKind::FullOuter)
-        );
-        let mut pushed: Vec<usize> = Vec::new();
-        if !outer_join {
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if !consumed[ci] && references_only(c, b, &scope) {
-                    pushed.push(ci);
+impl fmt::Display for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Node::Scan(scan) => write!(f, "{scan}"),
+            Node::Join {
+                left,
+                right,
+                kind,
+                keys,
+                ..
+            } => {
+                write!(f, "{left} -> {right} -> ")?;
+                match (kind, keys.len()) {
+                    (JoinKind::Cross, _) => write!(f, "CrossJoin({})", right.table),
+                    (_, 0) => write!(f, "NestedLoopJoin({})", right.table),
+                    (_, n) => write!(f, "HashJoin({} on {n} keys)", right.table),
                 }
             }
+            Node::Filter { source, predicates } => {
+                write!(f, "{source} -> Filter({})", predicates.len())
+            }
         }
+    }
+}
 
-        // The `col = literal` pushdown conjuncts narrow the scan: through a
-        // declared index on one of them, else by checking them against the
-        // table's rows in place — either way only the rows they admit are
-        // copied out.
-        let probes: Vec<(usize, String, Value)> = pushed
+impl fmt::Display for Plan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Plan::Const(_) => f.write_str("Const"),
+            Plan::Project { source, items, .. } => {
+                write!(f, "{source} -> Project({})", items.len())
+            }
+            Plan::Aggregate(a) => write!(
+                f,
+                "{} -> Group({} keys, {} aggs)",
+                a.source,
+                a.group.len(),
+                a.aggs.len()
+            ),
+            Plan::Distinct(source) => write!(f, "{source} -> Distinct"),
+            Plan::Sort { source, .. } => write!(f, "{source} -> Sort"),
+            Plan::Limit {
+                source,
+                limit: Some(n),
+                ..
+            } => write!(f, "{source} -> Limit({n})"),
+            Plan::Limit { source, .. } => write!(f, "{source}"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The planner
+// ---------------------------------------------------------------------
+
+/// A planned SELECT.
+pub(crate) struct Planned {
+    pub(crate) plan: Plan,
+    pub(crate) columns: Vec<String>,
+    /// Base-table rows its scans read.
+    pub(crate) rows_scanned: u64,
+    /// How many scopes above its own the statement reads: a subquery
+    /// planned under `parent` is correlated when this is nonzero.
+    pub(crate) depth: usize,
+}
+
+/// Plan a SELECT whose enclosing query (if any) has scope `parent`.
+/// `indexes` answers `col = literal` probes; subqueries are planned
+/// without.
+pub(crate) fn plan_select(
+    catalog: &Catalog,
+    stmt: &SelectStatement,
+    parent: Option<&Scope<'_>>,
+    indexes: Option<&mut dyn IndexAccess>,
+) -> Result<Planned, EngineError> {
+    let mut planner = Planner {
+        catalog,
+        parent,
+        depth: 0,
+        rows_scanned: 0,
+    };
+    let (plan, columns) = planner.select(stmt, indexes)?;
+    Ok(Planned {
+        plan,
+        columns,
+        rows_scanned: planner.rows_scanned,
+        depth: planner.depth,
+    })
+}
+
+struct Planner<'c, 'p> {
+    catalog: &'c Catalog,
+    parent: Option<&'p Scope<'p>>,
+    depth: usize,
+    rows_scanned: u64,
+}
+
+impl Planner<'_, '_> {
+    fn compile(&mut self, scope: &Scope<'_>, e: &Expr) -> Result<CompiledExpr, EngineError> {
+        let mut c = Compiler::new(scope, self.catalog);
+        let compiled = c.compile(e)?;
+        self.depth = self.depth.max(c.depth);
+        Ok(compiled)
+    }
+
+    fn compile_agg(
+        &mut self,
+        scope: &Scope<'_>,
+        e: &Expr,
+        aggs: &mut Vec<AggSpec>,
+    ) -> Result<CompiledExpr, EngineError> {
+        let mut c = Compiler::with_aggregates(scope, self.catalog, aggs);
+        let compiled = c.compile(e)?;
+        self.depth = self.depth.max(c.depth);
+        Ok(compiled)
+    }
+
+    fn select(
+        &mut self,
+        stmt: &SelectStatement,
+        mut indexes: Option<&mut dyn IndexAccess>,
+    ) -> Result<(Plan, Vec<String>), EngineError> {
+        if stmt.from.is_empty() {
+            return self.fromless(stmt);
+        }
+        let bindings = bindings_for(self.catalog, stmt)?;
+        let scope = Scope {
+            bindings: &bindings,
+            parent: self.parent,
+        };
+        // Factors in join order: how each joins the ones before it (`None`
+        // for the first and for comma joins) and its ON clause.
+        let factors: Vec<(Option<JoinKind>, Option<&Expr>)> = stmt
+            .from
             .iter()
-            .filter_map(|&ci| as_col_eq_literal(conjuncts[ci], b))
-            .map(|(col_name, lit)| {
-                let col_idx = b.columns.iter().position(|c| c == &col_name).unwrap();
-                (col_idx, col_name, literal_value(&lit))
+            .flat_map(|t| {
+                std::iter::once((None, None))
+                    .chain(t.joins.iter().map(|j| (Some(j.kind), j.on.as_ref())))
             })
             .collect();
-        let mut index_note = String::new();
-        let mut indexed: Option<Vec<Row>> = None;
-        if let Some(idxs) = indexes.as_mut() {
-            for (col_idx, col_name, val) in &probes {
-                if let Some(idx) = idxs.prepared(&b.table, col_name, table, *col_idx) {
-                    let hits = idx.lookup(val).iter();
-                    indexed = Some(hits.map(|&pos| Row::clone(&table.rows[pos])).collect());
-                    index_note = format!(" idx[{col_name}]");
-                    break;
+        let conjuncts: Vec<&Expr> = stmt
+            .where_clause
+            .as_ref()
+            .map(|w| w.conjuncts())
+            .unwrap_or_default();
+        let mut consumed = vec![false; conjuncts.len()];
+        // A LEFT or FULL join NULL-extends its own factor, a RIGHT or FULL
+        // join every factor before it: no WHERE conjunct on such a factor
+        // may be applied before that join.
+        let extended_later = |i: usize| {
+            let later = &factors[i + 1..];
+            later
+                .iter()
+                .any(|(k, _)| matches!(k, Some(JoinKind::RightOuter | JoinKind::FullOuter)))
+        };
+        let push_down = |i: usize, consumed: &mut [bool]| {
+            let outer = matches!(
+                factors[i].0,
+                Some(JoinKind::LeftOuter | JoinKind::RightOuter | JoinKind::FullOuter)
+            );
+            let mut pushed = Vec::new();
+            if outer || extended_later(i) {
+                return pushed;
+            }
+            for (c, done) in conjuncts.iter().zip(consumed) {
+                if !*done && references_only(c, &bindings[i]) {
+                    *done = true;
+                    pushed.push(*c);
                 }
             }
-        }
-        let base_rows: Vec<Row> = indexed.unwrap_or_else(|| {
-            let admits = |r: &Row| probes.iter().all(|(i, _, v)| r[*i].sql_eq(v) == Some(true));
-            let admitted = table.rows.iter().filter(|r| admits(r));
-            admitted.map(|r| Row::clone(r)).collect()
-        });
+            pushed
+        };
 
-        // Apply remaining pushdown filters on the factor alone.
-        let filtered: Vec<Row> = if pushed.is_empty() {
-            base_rows
-        } else {
-            // Compile pushdown predicates against a factor-local scope so the
-            // offsets match the standalone row.
-            let mut local = b.clone();
-            local.offset = 0;
-            let local_scope = build_scope_chain(&chains, vec![local]);
-            let compiled: Vec<CompiledExpr> = local_scope.with(|sc| {
-                pushed
-                    .iter()
-                    .map(|&ci| Compiler::new(sc, catalog).compile(conjuncts[ci]))
-                    .collect::<Result<Vec<_>, _>>()
-            })?;
-            let mut out = Vec::new();
-            'row: for row in base_rows {
-                let mut ctx = EvalCtx::new(catalog, &row);
-                ctx.env = env
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once(&row[..]))
-                    .collect();
-                for ce in &compiled {
-                    if !ce.eval_predicate(&ctx)? {
-                        continue 'row;
+        let first = push_down(0, &mut consumed);
+        let mut node = Node::Scan(self.scan(&bindings[0], &first, indexes.as_deref_mut())?);
+        for (i, &(kind, on)) in factors.iter().enumerate().skip(1) {
+            let (acc, b) = (&bindings[..i], &bindings[i]);
+            let pushed = push_down(i, &mut consumed);
+            let right = self.scan(b, &pushed, indexes.as_deref_mut())?;
+            let joined = Scope {
+                bindings: &bindings[..=i],
+                parent: self.parent,
+            };
+            let mut keys = Vec::new();
+            let mut residual = Vec::new();
+            for c in on.map(Expr::conjuncts).unwrap_or_default() {
+                match join_key_of(c, acc, b) {
+                    Some(key) => keys.push(key),
+                    None => residual.push(self.compile(&joined, c)?),
+                }
+            }
+            if kind.is_none() && !extended_later(i) {
+                // Comma join: claim the WHERE equi-conjuncts it can hash on.
+                for (c, done) in conjuncts.iter().zip(&mut consumed) {
+                    if let Some(key) = join_key_of(c, acc, b).filter(|_| !*done) {
+                        keys.push(key);
+                        *done = true;
                     }
                 }
-                out.push(row);
             }
-            for &ci in &pushed {
-                consumed[ci] = true;
-            }
-            out
+            node = Node::Join {
+                left: Box::new(node),
+                right,
+                kind: kind.unwrap_or(JoinKind::Inner),
+                keys,
+                residual,
+            };
+        }
+
+        let mut predicates = Vec::new();
+        for (c, _) in conjuncts.iter().zip(&consumed).filter(|(_, done)| !**done) {
+            predicates.push(self.compile(&scope, c)?);
+        }
+        if !predicates.is_empty() {
+            node = Node::Filter {
+                source: Box::new(node),
+                predicates,
+            };
+        }
+
+        let needs_group = !stmt.group_by.is_empty()
+            || stmt.having.is_some()
+            || projection_has_aggregate(stmt)
+            || order_by_has_aggregate(stmt);
+        let (mut plan, columns) = if needs_group {
+            self.aggregate(&scope, stmt, node)?
+        } else {
+            self.project(&scope, stmt, node)?
         };
-        let scan_note = format!(
-            "Scan({}{}{})",
-            b.table,
-            index_note,
-            if pushed.is_empty() {
-                String::new()
-            } else {
-                format!(" +{}f", pushed.len())
-            }
-        );
-
-        if fi == 0 {
-            acc_rows = filtered;
-            acc_bindings.push(b.clone());
-            plan_steps.push(scan_note);
-            continue;
+        if stmt.distinct {
+            plan = Plan::Distinct(Box::new(plan));
         }
-
-        // Determine the join condition for this step.
-        let kind = factor.join_kind.unwrap_or(JoinKind::Inner);
-        let mut join_conjuncts: Vec<&Expr> = Vec::new();
-        if let Some(on) = factor.on {
-            join_conjuncts.extend(on.conjuncts());
+        if !stmt.order_by.is_empty() {
+            plan = Plan::Sort {
+                source: Box::new(plan),
+                descs: stmt.order_by.iter().map(|o| o.desc).collect(),
+            };
         }
-        if factor.join_kind.is_none() {
-            // Comma join: claim applicable WHERE equi-conjuncts now.
-            for (ci, c) in conjuncts.iter().enumerate() {
-                if !consumed[ci] && is_equi_between(c, &acc_bindings, b) {
-                    join_conjuncts.push(c);
-                    consumed[ci] = true;
-                }
-            }
+        if stmt.limit.is_some() || stmt.offset.is_some() {
+            plan = Plan::Limit {
+                source: Box::new(plan),
+                offset: stmt.offset,
+                limit: stmt.limit,
+            };
         }
-
-        let (joined, note) = join_step(
-            catalog,
-            &chains,
-            env,
-            &acc_bindings,
-            acc_rows,
-            b,
-            filtered,
-            kind,
-            &join_conjuncts,
-        )?;
-        plan_steps.push(format!("{scan_note} -> {note}"));
-        acc_rows = joined;
-        acc_bindings.push(b.clone());
+        Ok((plan, columns))
     }
 
-    // --- Stage 2: residual WHERE -------------------------------------------------
-    let residual: Vec<&Expr> = conjuncts
-        .iter()
-        .enumerate()
-        .filter(|(ci, _)| !consumed[*ci])
-        .map(|(_, c)| *c)
-        .collect();
-    if !residual.is_empty() {
-        let compiled: Vec<CompiledExpr> = scope.with(|sc| {
-            residual
-                .iter()
-                .map(|c| Compiler::new(sc, catalog).compile(c))
-                .collect::<Result<Vec<_>, _>>()
-        })?;
-        let mut out = Vec::with_capacity(acc_rows.len());
-        'row: for row in acc_rows {
-            let mut ctx = EvalCtx::new(catalog, &row);
-            ctx.env = env
-                .iter()
-                .copied()
-                .chain(std::iter::once(&row[..]))
-                .collect();
-            for ce in &compiled {
-                if !ce.eval_predicate(&ctx)? {
-                    continue 'row;
-                }
-            }
-            out.push(row);
-        }
-        acc_rows = out;
-        plan_steps.push(format!("Filter({})", residual.len()));
-    }
-
-    // --- Stage 3: grouping / projection -------------------------------------------
-    let needs_group = !stmt.group_by.is_empty()
-        || stmt.having.is_some()
-        || projection_has_aggregate(stmt)
-        || order_by_has_aggregate(stmt);
-
-    let (columns, mut out_rows) = if needs_group {
-        let r = run_grouped(catalog, stmt, &scope, env, acc_rows, &mut plan_steps)?;
-        (r.0, r.1)
-    } else {
-        run_projection(catalog, stmt, &scope, env, acc_rows, &mut plan_steps)?
-    };
-
-    // --- Stage 4: DISTINCT --------------------------------------------------------
-    if stmt.distinct {
-        let mut seen: HashSet<Vec<Key>> = HashSet::with_capacity(out_rows.len());
-        out_rows.retain(|kr| seen.insert(row_key(&kr.1)));
-        plan_steps.push("Distinct".into());
-    }
-
-    // --- Stage 5: ORDER BY / LIMIT -------------------------------------------------
-    if !stmt.order_by.is_empty() {
-        let descs: Vec<bool> = stmt.order_by.iter().map(|o| o.desc).collect();
-        out_rows.sort_by(|(ka, _), (kb, _)| {
-            for (i, (a, b)) in ka.iter().zip(kb.iter()).enumerate() {
-                let ord = a.total_cmp(b);
-                let ord = if descs[i] { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        plan_steps.push("Sort".into());
-    }
-
-    let mut rows: Vec<Row> = out_rows.into_iter().map(|(_, r)| r).collect();
-    if let Some(offset) = stmt.offset {
-        let n = (offset as usize).min(rows.len());
-        rows.drain(..n);
-    }
-    if let Some(limit) = stmt.limit {
-        rows.truncate(limit as usize);
-        plan_steps.push(format!("Limit({limit})"));
-    }
-
-    Ok(SelectOutput {
-        columns,
-        rows,
-        stats: ExecStats {
-            rows_scanned,
-            plan: plan_steps.join(" -> "),
-        },
-    })
-}
-
-/// Rows paired with their ORDER BY keys.
-type KeyedRows = Vec<(Vec<Value>, Row)>;
-
-/// SELECT without FROM (e.g. `SELECT 1 + 1`).
-fn run_fromless(
-    catalog: &Catalog,
-    stmt: &SelectStatement,
-    outer: &[Vec<Binding>],
-    env: &[&[Value]],
-) -> Result<SelectOutput, EngineError> {
-    let chains: Vec<Vec<Binding>> = outer.to_vec();
-    let scope = build_scope_chain(&chains, Vec::new());
-    let mut columns = Vec::new();
-    let mut row = Vec::new();
-    for item in &stmt.projection {
-        match item {
-            SelectItem::Expr { expr, alias } => {
-                let ce = scope.with(|sc| Compiler::new(sc, catalog).compile(expr))?;
-                let empty: Row = Vec::new();
-                let mut ctx = EvalCtx::new(catalog, &empty);
-                ctx.env = env
-                    .iter()
-                    .copied()
-                    .chain(std::iter::once(&empty[..]))
-                    .collect();
-                row.push(ce.eval(&ctx)?);
-                columns.push(output_name(expr, alias));
-            }
-            _ => {
+    /// SELECT without FROM (e.g. `SELECT 1 + 1`).
+    fn fromless(&mut self, stmt: &SelectStatement) -> Result<(Plan, Vec<String>), EngineError> {
+        let scope = Scope {
+            bindings: &[],
+            parent: self.parent,
+        };
+        let mut columns = Vec::new();
+        let mut items = Vec::new();
+        for item in &stmt.projection {
+            let SelectItem::Expr { expr, alias } = item else {
                 return Err(EngineError::Unsupported(
                     "wildcard requires a FROM clause".into(),
-                ))
+                ));
+            };
+            items.push(self.compile(&scope, expr)?);
+            columns.push(output_name(expr, alias));
+        }
+        Ok((Plan::Const(items), columns))
+    }
+
+    /// Factor `b`'s scan, checking the WHERE conjuncts `pushed` to it.
+    fn scan(
+        &mut self,
+        b: &Binding,
+        pushed: &[&Expr],
+        indexes: Option<&mut (dyn IndexAccess + '_)>,
+    ) -> Result<Scan, EngineError> {
+        let table = self.catalog.table(&b.table)?;
+        self.rows_scanned += table.len() as u64;
+        let local = Scope {
+            bindings: std::slice::from_ref(b),
+            parent: self.parent,
+        };
+        let mut equals = Vec::new();
+        let mut filters = Vec::new();
+        for c in pushed {
+            match as_col_eq_literal(c, b) {
+                Some(eq) => equals.push(eq),
+                None => filters.push(self.compile(&local, c)?),
             }
         }
+        let index = indexes.and_then(|idxs| {
+            equals.iter().enumerate().find_map(|(p, &(col, _))| {
+                let idx = idxs.prepared(&b.table, &b.columns[col], table, col)?;
+                Some((p, idx))
+            })
+        });
+        let index = index.map(|(p, idx)| {
+            let (col, value) = equals.remove(p);
+            (b.columns[col].clone(), idx, value)
+        });
+        Ok(Scan {
+            table: b.table.clone(),
+            index,
+            equals,
+            filters,
+            pushed: pushed.len(),
+        })
     }
-    Ok(SelectOutput {
-        columns,
-        rows: vec![row],
-        stats: ExecStats {
-            rows_scanned: 0,
-            plan: "Const".into(),
-        },
-    })
-}
 
-/// Build a `Scope` chain from owned binding vectors. The chain is rebuilt on
-/// each call (cheap: bindings are small) to sidestep self-referential
-/// lifetimes.
-fn build_scope_chain(outer: &[Vec<Binding>], current: Vec<Binding>) -> OwnedScope {
-    OwnedScope {
-        chain: outer.to_vec(),
-        current,
-    }
-}
-
-/// An owned scope chain that can hand out a borrowed `Scope` view.
-struct OwnedScope {
-    chain: Vec<Vec<Binding>>,
-    current: Vec<Binding>,
-}
-
-impl OwnedScope {
-    /// Run `f` with the borrowed `Scope` chain assembled on the stack.
-    fn with<R>(&self, f: impl for<'s, 't> FnOnce(&'s Scope<'t>) -> R) -> R {
-        fn rec<R, F: for<'s, 't> FnOnce(&'s Scope<'t>) -> R>(
-            chain: &[Vec<Binding>],
-            parent: Option<&Scope<'_>>,
-            current: &[Binding],
-            f: F,
-        ) -> R {
-            match chain.split_first() {
-                None => {
-                    let scope = Scope {
-                        bindings: current.to_vec(),
-                        parent,
-                    };
-                    f(&scope)
+    fn project(
+        &mut self,
+        scope: &Scope<'_>,
+        stmt: &SelectStatement,
+        source: Node,
+    ) -> Result<(Plan, Vec<String>), EngineError> {
+        let mut columns: Vec<String> = Vec::new();
+        let mut items: Vec<CompiledExpr> = Vec::new();
+        let mut alias_to_pos: HashMap<String, usize> = HashMap::new();
+        for item in &stmt.projection {
+            let expanded: Vec<(usize, &Binding)> = match item {
+                SelectItem::Wildcard => scope.bindings.iter().enumerate().collect(),
+                SelectItem::QualifiedWildcard(q) => {
+                    let ql = q.to_ascii_lowercase();
+                    let found = scope
+                        .bindings
+                        .iter()
+                        .enumerate()
+                        .find(|(_, b)| b.binding == ql);
+                    vec![found.ok_or_else(|| EngineError::UnknownTable(q.clone()))?]
                 }
-                Some((first, rest)) => {
-                    let scope = Scope {
-                        bindings: first.clone(),
-                        parent,
-                    };
-                    rec(rest, Some(&scope), current, f)
+                SelectItem::Expr { expr, alias } => {
+                    let compiled = self.compile(scope, expr)?;
+                    if let Some(a) = alias {
+                        alias_to_pos.insert(a.to_ascii_lowercase(), items.len());
+                    }
+                    columns.push(output_name(expr, alias));
+                    items.push(compiled);
+                    continue;
+                }
+            };
+            for (factor, b) in expanded {
+                for (column, name) in b.columns.iter().enumerate() {
+                    columns.push(name.clone());
+                    items.push(CompiledExpr::Col {
+                        level: 0,
+                        factor,
+                        column,
+                    });
                 }
             }
         }
-        rec(&self.chain, None, &self.current, f)
+        // ORDER BY keys: projection aliases first, then scope columns.
+        let mut order = Vec::with_capacity(stmt.order_by.len());
+        for o in &stmt.order_by {
+            let alias = match &o.expr {
+                Expr::Column(c) if c.qualifier.is_none() => {
+                    alias_to_pos.get(&c.name.to_ascii_lowercase())
+                }
+                _ => None,
+            };
+            order.push(match alias {
+                Some(&pos) => OrderKey::Projected(pos),
+                None => OrderKey::Expr(self.compile(scope, &o.expr)?),
+            });
+        }
+        let plan = Plan::Project {
+            source: Box::new(source),
+            items,
+            order,
+        };
+        Ok((plan, columns))
+    }
+
+    fn aggregate(
+        &mut self,
+        scope: &Scope<'_>,
+        stmt: &SelectStatement,
+        source: Node,
+    ) -> Result<(Plan, Vec<String>), EngineError> {
+        let mut aggs = Vec::new();
+        let group = stmt
+            .group_by
+            .iter()
+            .map(|g| self.compile(scope, g))
+            .collect::<Result<_, _>>()?;
+        let mut columns = Vec::new();
+        let mut items = Vec::new();
+        for item in &stmt.projection {
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(EngineError::Unsupported(
+                    "wildcard projection cannot be combined with GROUP BY/aggregates".into(),
+                ));
+            };
+            items.push(self.compile_agg(scope, expr, &mut aggs)?);
+            columns.push(output_name(expr, alias));
+        }
+        let having = match &stmt.having {
+            Some(h) => Some(self.compile_agg(scope, h, &mut aggs)?),
+            None => None,
+        };
+        let mut order = Vec::with_capacity(stmt.order_by.len());
+        for o in &stmt.order_by {
+            // An alias names a projected expression: compile that instead.
+            let aliased = match &o.expr {
+                Expr::Column(c) if c.qualifier.is_none() => {
+                    stmt.projection.iter().find_map(|p| match p {
+                        SelectItem::Expr {
+                            expr,
+                            alias: Some(a),
+                        } if a.eq_ignore_ascii_case(&c.name) => Some(expr),
+                        _ => None,
+                    })
+                }
+                _ => None,
+            };
+            order.push(self.compile_agg(scope, aliased.unwrap_or(&o.expr), &mut aggs)?);
+        }
+        let plan = Plan::Aggregate(Box::new(Aggregate {
+            source,
+            width: scope.bindings.len(),
+            group,
+            aggs,
+            having,
+            items,
+            order,
+        }));
+        Ok((plan, columns))
+    }
+}
+
+fn output_name(expr: &Expr, alias: &Option<String>) -> String {
+    if let Some(a) = alias {
+        return a.clone();
+    }
+    match expr {
+        Expr::Column(c) => c.name.clone(),
+        other => expr_to_sql(other),
     }
 }
 
@@ -517,53 +682,31 @@ fn expr_has_aggregate(e: &Expr) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------
-// Join machinery
-// ---------------------------------------------------------------------
-
 /// Does conjunct `c` reference only binding `b` (and no subqueries, no outer
 /// columns)? Such predicates can be pushed down to the factor scan.
-fn references_only(c: &Expr, b: &Binding, _scope: &OwnedScope) -> bool {
+fn references_only(c: &Expr, b: &Binding) -> bool {
+    struct Only<'b>(&'b Binding, bool, bool);
+    impl Visitor for Only<'_> {
+        fn visit_column(&mut self, col: &ColumnRef, _depth: usize) {
+            let Only(b, only, any) = self;
+            *any = true;
+            *only &= match &col.qualifier {
+                Some(q) => q.eq_ignore_ascii_case(&b.binding),
+                None => b.columns.iter().any(|c| c.eq_ignore_ascii_case(&col.name)),
+            };
+        }
+    }
     if c.contains_subquery() {
         return false;
     }
-    let mut only = true;
-    let mut any = false;
-    collect_columns(c, &mut |col| {
-        any = true;
-        match &col.qualifier {
-            Some(q) => {
-                if !q.eq_ignore_ascii_case(&b.binding) {
-                    only = false;
-                }
-            }
-            None => {
-                if !b
-                    .columns
-                    .iter()
-                    .any(|cc| cc.eq_ignore_ascii_case(&col.name))
-                {
-                    only = false;
-                }
-            }
-        }
-    });
-    only && any
+    let mut v = Only(b, true, false);
+    walk_expr(&mut v, c, 0);
+    v.1 && v.2
 }
 
-/// Is `c` an equality between a column of the accumulated bindings and a
-/// column of the new binding?
-fn is_equi_between(c: &Expr, acc: &[Binding], b: &Binding) -> bool {
-    equi_key_columns(c, acc, b).is_some()
-}
-
-/// For an equi-join conjunct, return (left column ref, right column ref)
-/// where left resolves in `acc` and right in `b`.
-fn equi_key_columns<'e>(
-    c: &'e Expr,
-    acc: &[Binding],
-    b: &Binding,
-) -> Option<(&'e ColumnRef, &'e ColumnRef)> {
+/// If `c` equates a column of `acc` with a column of `b`, its hash-join
+/// key: the `(factor, column)` in `acc` and the column of `b`.
+fn join_key_of(c: &Expr, acc: &[Binding], b: &Binding) -> Option<((usize, usize), usize)> {
     let Expr::Binary {
         left,
         op: BinaryOp::Eq,
@@ -572,376 +715,354 @@ fn equi_key_columns<'e>(
     else {
         return None;
     };
-    let (Expr::Column(cl), Expr::Column(cr)) = (&**left, &**right) else {
+    let (Expr::Column(l), Expr::Column(r)) = (&**left, &**right) else {
         return None;
     };
-    let in_acc = |col: &ColumnRef| resolves_in(col, acc);
-    let in_b = |col: &ColumnRef| resolves_in(col, std::slice::from_ref(b));
-    if in_acc(cl) && in_b(cr) {
-        Some((cl, cr))
-    } else if in_acc(cr) && in_b(cl) {
-        Some((cr, cl))
-    } else {
-        None
-    }
+    let b = std::slice::from_ref(b);
+    let key = |a, x| Some((column_of(a, acc)?, column_of(x, b)?.1));
+    key(l, r).or_else(|| key(r, l))
 }
 
-fn resolves_in(col: &ColumnRef, bindings: &[Binding]) -> bool {
-    bindings.iter().any(|b| {
-        let qual_ok = match &col.qualifier {
-            Some(q) => q.eq_ignore_ascii_case(&b.binding),
-            None => true,
-        };
-        qual_ok && b.columns.iter().any(|c| c.eq_ignore_ascii_case(&col.name))
+/// `(factor, column)` of `col` among `bindings` (first match).
+fn column_of(col: &ColumnRef, bindings: &[Binding]) -> Option<(usize, usize)> {
+    bindings.iter().enumerate().find_map(|(factor, b)| {
+        if col
+            .qualifier
+            .as_ref()
+            .is_some_and(|q| !q.eq_ignore_ascii_case(&b.binding))
+        {
+            return None;
+        }
+        let column = b
+            .columns
+            .iter()
+            .position(|c| c.eq_ignore_ascii_case(&col.name))?;
+        Some((factor, column))
     })
 }
 
-fn collect_columns(e: &Expr, f: &mut impl FnMut(&ColumnRef)) {
-    match e {
-        Expr::Column(c) => f(c),
-        Expr::Literal(_) => {}
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => collect_columns(expr, f),
-        Expr::Binary { left, right, .. } => {
-            collect_columns(left, f);
-            collect_columns(right, f);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_columns(a, f);
-            }
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_columns(expr, f);
-            for i in list {
-                collect_columns(i, f);
-            }
-        }
-        Expr::InSubquery { expr, .. } => collect_columns(expr, f),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_columns(expr, f);
-            collect_columns(low, f);
-            collect_columns(high, f);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            collect_columns(expr, f);
-            collect_columns(pattern, f);
-        }
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => {}
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(op) = operand {
-                collect_columns(op, f);
-            }
-            for (w, t) in branches {
-                collect_columns(w, f);
-                collect_columns(t, f);
-            }
-            if let Some(el) = else_branch {
-                collect_columns(el, f);
-            }
-        }
-    }
-}
-
-/// Column offset of `col` within the row of `bindings` (first match).
-fn offset_in(col: &ColumnRef, bindings: &[Binding]) -> Option<usize> {
-    for b in bindings {
-        if let Some(q) = &col.qualifier {
-            if !q.eq_ignore_ascii_case(&b.binding) {
-                continue;
-            }
-        }
-        if let Some(i) = b
-            .columns
-            .iter()
-            .position(|c| c.eq_ignore_ascii_case(&col.name))
-        {
-            return Some(b.offset + i);
-        }
-    }
-    None
-}
-
-/// Execute one join step, returning joined rows and a plan note.
-#[allow(clippy::too_many_arguments)]
-fn join_step(
-    catalog: &Catalog,
-    chains: &[Vec<Binding>],
-    env: &[&[Value]],
-    acc_bindings: &[Binding],
-    acc_rows: Vec<Row>,
-    right_binding: &Binding,
-    right_rows: Vec<Row>,
-    kind: JoinKind,
-    join_conjuncts: &[&Expr],
-) -> Result<(Vec<Row>, String), EngineError> {
-    let right_arity = right_binding.arity();
-    let acc_width: usize = acc_bindings.iter().map(Binding::arity).sum();
-
-    // Partition conjuncts into hashable equi keys vs residual conditions.
-    let mut left_keys: Vec<usize> = Vec::new();
-    let mut right_keys: Vec<usize> = Vec::new();
-    let mut residual: Vec<&Expr> = Vec::new();
-    for c in join_conjuncts {
-        if let Some((lcol, rcol)) = equi_key_columns(c, acc_bindings, right_binding) {
-            if let (Some(lo), Some(ro)) = (
-                offset_in(lcol, acc_bindings),
-                offset_in(rcol, std::slice::from_ref(right_binding))
-                    .map(|o| o - right_binding.offset),
-            ) {
-                left_keys.push(lo);
-                right_keys.push(ro);
-                continue;
-            }
-        }
-        residual.push(c);
-    }
-
-    // Compile residual conditions against the combined scope.
-    let combined: Vec<Binding> = acc_bindings
-        .iter()
-        .cloned()
-        .chain(std::iter::once({
-            let mut rb = right_binding.clone();
-            rb.offset = acc_width;
-            rb
-        }))
-        .collect();
-    let owned = build_scope_chain(chains, combined);
-    let compiled_residual: Vec<CompiledExpr> = owned.with(|scope| {
-        residual
-            .iter()
-            .map(|c| Compiler::new(scope, catalog).compile(c))
-            .collect::<Result<Vec<_>, _>>()
-    })?;
-
-    let eval_residual = |row: &Row| -> Result<bool, EngineError> {
-        let mut ctx = EvalCtx::new(catalog, row);
-        ctx.env = env
-            .iter()
-            .copied()
-            .chain(std::iter::once(&row[..]))
-            .collect();
-        for ce in &compiled_residual {
-            if !ce.eval_predicate(&ctx)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+/// If `c` is `col = <literal>` (either orientation) on binding `b`, return
+/// the column's position and the literal's value.
+fn as_col_eq_literal(c: &Expr, b: &Binding) -> Option<(usize, Value)> {
+    let Expr::Binary {
+        left,
+        op: BinaryOp::Eq,
+        right,
+    } = c
+    else {
+        return None;
     };
-
-    let use_hash = !left_keys.is_empty() && kind != JoinKind::Cross;
-    let mut out: Vec<Row> = Vec::new();
-    let note;
-
-    if use_hash {
-        // Build hash table over the right side.
-        let mut table: HashMap<Vec<Key>, Vec<usize>> = HashMap::with_capacity(right_rows.len());
-        for (i, r) in right_rows.iter().enumerate() {
-            let key: Vec<Key> = right_keys.iter().map(|&k| r[k].group_key()).collect();
-            if right_keys.iter().any(|&k| r[k].is_null()) {
-                continue; // NULL keys never join
-            }
-            table.entry(key).or_default().push(i);
+    let (col, lit) = match (&**left, &**right) {
+        (Expr::Column(col), Expr::Literal(l)) | (Expr::Literal(l), Expr::Column(col))
+            if l.is_constant() =>
+        {
+            (col, l)
         }
-        let mut right_matched = vec![false; right_rows.len()];
-        for lrow in &acc_rows {
-            let mut matched = false;
-            if !left_keys.iter().any(|&k| lrow[k].is_null()) {
-                let key: Vec<Key> = left_keys.iter().map(|&k| lrow[k].group_key()).collect();
-                if let Some(cands) = table.get(&key) {
-                    for &ri in cands {
-                        let mut row = lrow.clone();
-                        row.extend(right_rows[ri].iter().cloned());
-                        if eval_residual(&row)? {
-                            right_matched[ri] = true;
-                            matched = true;
-                            out.push(row);
-                        }
-                    }
-                }
-            }
-            if !matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-                let mut row = lrow.clone();
-                row.extend(std::iter::repeat_n(Value::Null, right_arity));
+        _ => return None,
+    };
+    let (_, column) = column_of(col, std::slice::from_ref(b))?;
+    Some((column, literal_value(lit)?))
+}
+
+// ---------------------------------------------------------------------
+// Running the tree
+// ---------------------------------------------------------------------
+
+/// Output rows paired with their ORDER BY keys.
+type KeyedRows = Vec<(Vec<Value>, Row)>;
+
+/// Tuples of one width, stored flat.
+struct Tuples<'r> {
+    width: usize,
+    slots: Vec<Option<&'r Row>>,
+}
+
+impl<'r> Tuples<'r> {
+    fn iter(&self) -> std::slice::ChunksExact<'_, Option<&'r Row>> {
+        self.slots.chunks_exact(self.width)
+    }
+}
+
+/// Do all `predicates` hold (exactly TRUE) under `ctx`?
+fn all(predicates: &[CompiledExpr], ctx: &EvalCtx<'_>) -> Result<bool, EngineError> {
+    for p in predicates {
+        if !p.eval_predicate(ctx)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+impl Scan {
+    /// The rows of the table that pass every pushed-down conjunct.
+    fn rows<'a>(&self, ctx: &EvalCtx<'a>) -> Result<Vec<&'a Row>, EngineError> {
+        let table = ctx.catalog.table(&self.table)?;
+        let mut out = Vec::new();
+        let mut offer = |row: &'a Row| -> Result<(), EngineError> {
+            let equal = self
+                .equals
+                .iter()
+                .all(|(c, v)| row[*c].sql_eq(v) == Some(true));
+            if equal && all(&self.filters, &ctx.at(&[Some(row)]))? {
                 out.push(row);
             }
-        }
-        if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-            for (ri, r) in right_rows.iter().enumerate() {
-                if !right_matched[ri] {
-                    let mut row: Row = std::iter::repeat_n(Value::Null, acc_width).collect();
-                    row.extend(r.iter().cloned());
-                    out.push(row);
-                }
-            }
-        }
-        note = format!(
-            "HashJoin({} on {} keys)",
-            right_binding.table,
-            left_keys.len()
-        );
-    } else {
-        // Nested loop (also the CROSS JOIN path).
-        let mut right_matched = vec![false; right_rows.len()];
-        for lrow in &acc_rows {
-            let mut matched = false;
-            for (ri, rrow) in right_rows.iter().enumerate() {
-                let mut row = lrow.clone();
-                row.extend(rrow.iter().cloned());
-                if eval_residual(&row)? {
-                    matched = true;
-                    right_matched[ri] = true;
-                    out.push(row);
-                }
-            }
-            if !matched && matches!(kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
-                let mut row = lrow.clone();
-                row.extend(std::iter::repeat_n(Value::Null, right_arity));
-                out.push(row);
-            }
-        }
-        if matches!(kind, JoinKind::RightOuter | JoinKind::FullOuter) {
-            for (ri, r) in right_rows.iter().enumerate() {
-                if !right_matched[ri] {
-                    let mut row: Row = std::iter::repeat_n(Value::Null, acc_width).collect();
-                    row.extend(r.iter().cloned());
-                    out.push(row);
-                }
-            }
-        }
-        note = if kind == JoinKind::Cross {
-            format!("CrossJoin({})", right_binding.table)
-        } else {
-            format!("NestedLoopJoin({})", right_binding.table)
+            Ok(())
         };
-    }
-
-    Ok((out, note))
-}
-
-// ---------------------------------------------------------------------
-// Projection (non-grouped)
-// ---------------------------------------------------------------------
-
-fn output_name(expr: &Expr, alias: &Option<String>) -> String {
-    if let Some(a) = alias {
-        return a.clone();
-    }
-    match expr {
-        Expr::Column(c) => c.name.clone(),
-        other => expr_to_sql(other),
-    }
-}
-
-fn run_projection(
-    catalog: &Catalog,
-    stmt: &SelectStatement,
-    scope: &OwnedScope,
-    env: &[&[Value]],
-    input: Vec<Row>,
-    plan_steps: &mut Vec<String>,
-) -> Result<(Vec<String>, KeyedRows), EngineError> {
-    // Expand the projection into (name, source) pairs.
-    enum Source {
-        Offset(usize),
-        Expr(CompiledExpr),
-    }
-    let mut columns: Vec<String> = Vec::new();
-    let mut sources: Vec<Source> = Vec::new();
-    let mut alias_to_pos: HashMap<String, usize> = HashMap::new();
-
-    scope.with(|sc| -> Result<(), EngineError> {
-        let current = &sc.bindings;
-        for item in &stmt.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for b in current {
-                        for (i, cname) in b.columns.iter().enumerate() {
-                            columns.push(cname.clone());
-                            sources.push(Source::Offset(b.offset + i));
-                        }
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let ql = q.to_ascii_lowercase();
-                    let b = current
-                        .iter()
-                        .find(|b| b.binding == ql)
-                        .ok_or_else(|| EngineError::UnknownTable(q.clone()))?;
-                    for (i, cname) in b.columns.iter().enumerate() {
-                        columns.push(cname.clone());
-                        sources.push(Source::Offset(b.offset + i));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let mut c = Compiler::new(sc, catalog);
-                    let ce = c.compile(expr)?;
-                    let name = output_name(expr, alias);
-                    if let Some(a) = alias {
-                        alias_to_pos.insert(a.to_ascii_lowercase(), sources.len());
-                    }
-                    columns.push(name);
-                    sources.push(Source::Expr(ce));
+        match &self.index {
+            Some((_, index, value)) => {
+                for &pos in index.lookup(value) {
+                    offer(&table.rows[pos])?;
                 }
             }
+            None => {
+                for row in &table.rows {
+                    offer(row)?;
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl Node {
+    fn tuples<'a>(&self, ctx: &EvalCtx<'a>) -> Result<Tuples<'a>, EngineError> {
+        match self {
+            Node::Scan(scan) => Ok(Tuples {
+                width: 1,
+                slots: scan.rows(ctx)?.into_iter().map(Some).collect(),
+            }),
+            Node::Join {
+                left,
+                right,
+                kind,
+                keys,
+                residual,
+            } => {
+                let left = left.tuples(ctx)?;
+                let rows = right.rows(ctx)?;
+                let mut join = Joiner {
+                    ctx,
+                    rows: &rows,
+                    residual,
+                    kind: *kind,
+                    out: Tuples {
+                        width: left.width + 1,
+                        slots: Vec::new(),
+                    },
+                    right_matched: match kind {
+                        JoinKind::RightOuter | JoinKind::FullOuter => vec![false; rows.len()],
+                        _ => Vec::new(),
+                    },
+                };
+                match keys.as_slice() {
+                    [] => {
+                        for t in left.iter() {
+                            join.probe(t, 0..rows.len())?;
+                        }
+                    }
+                    &[((f, c), rc)] => join.hash(
+                        &left,
+                        |t| join_key(t[f].map(|row| &row[c])),
+                        |row| join_key(Some(&row[rc])),
+                    )?,
+                    keys => join.hash(
+                        &left,
+                        |t| {
+                            let cells = keys.iter().map(|&((f, c), _)| t[f].map(|row| &row[c]));
+                            cells.map(join_key).collect::<Option<Vec<Key>>>()
+                        },
+                        |row| {
+                            let cells = keys.iter().map(|&(_, rc)| Some(&row[rc]));
+                            cells.map(join_key).collect::<Option<Vec<Key>>>()
+                        },
+                    )?,
+                }
+                Ok(join.finish(left.width))
+            }
+            Node::Filter { source, predicates } => {
+                let tuples = source.tuples(ctx)?;
+                let mut kept = Vec::new();
+                for t in tuples.iter() {
+                    if all(predicates, &ctx.at(t))? {
+                        kept.extend_from_slice(t);
+                    }
+                }
+                Ok(Tuples {
+                    slots: kept,
+                    ..tuples
+                })
+            }
+        }
+    }
+}
+
+/// A join key cell's hash key; NULL (or a NULL-extended factor) never
+/// joins.
+fn join_key(cell: Option<&Value>) -> Option<Key> {
+    cell.filter(|v| !v.is_null()).map(Value::group_key)
+}
+
+/// One join step's output under construction.
+struct Joiner<'j, 'a> {
+    ctx: &'j EvalCtx<'a>,
+    rows: &'j [&'a Row],
+    residual: &'j [CompiledExpr],
+    kind: JoinKind,
+    out: Tuples<'a>,
+    /// Which right rows matched (RIGHT/FULL joins only).
+    right_matched: Vec<bool>,
+}
+
+impl<'a> Joiner<'_, 'a> {
+    /// Emit `left` joined with each candidate right row the residual
+    /// accepts, or NULL-extended if none does and the join keeps it.
+    fn probe(
+        &mut self,
+        left: &Tuple<'a>,
+        candidates: impl Iterator<Item = usize>,
+    ) -> Result<(), EngineError> {
+        let mut matched = false;
+        for ri in candidates {
+            let start = self.out.slots.len();
+            self.out.slots.extend_from_slice(left);
+            self.out.slots.push(Some(self.rows[ri]));
+            if all(self.residual, &self.ctx.at(&self.out.slots[start..]))? {
+                matched = true;
+                if let Some(m) = self.right_matched.get_mut(ri) {
+                    *m = true;
+                }
+            } else {
+                self.out.slots.truncate(start);
+            }
+        }
+        if !matched && matches!(self.kind, JoinKind::LeftOuter | JoinKind::FullOuter) {
+            self.out.slots.extend_from_slice(left);
+            self.out.slots.push(None);
         }
         Ok(())
-    })?;
-
-    // ORDER BY keys: projection aliases first, then scope columns.
-    enum OrderSource {
-        Projected(usize),
-        Expr(CompiledExpr),
     }
-    let order_sources: Vec<OrderSource> = scope.with(|sc| {
-        stmt.order_by
-            .iter()
-            .map(|o| {
-                if let Expr::Column(c) = &o.expr {
-                    if c.qualifier.is_none() {
-                        if let Some(&pos) = alias_to_pos.get(&c.name.to_ascii_lowercase()) {
-                            return Ok(OrderSource::Projected(pos));
-                        }
-                    }
+
+    /// Hash join: build over the right rows (chained in insertion order),
+    /// probe with each left tuple.
+    fn hash<K: Hash + Eq>(
+        &mut self,
+        left: &Tuples<'a>,
+        left_key: impl Fn(&Tuple<'a>) -> Option<K>,
+        right_key: impl Fn(&Row) -> Option<K>,
+    ) -> Result<(), EngineError> {
+        let mut chains = HashMap::with_capacity(self.rows.len());
+        let mut next: Vec<Option<usize>> = vec![None; self.rows.len()];
+        for (i, row) in self.rows.iter().enumerate() {
+            let Some(key) = right_key(row) else { continue };
+            match chains.entry(key) {
+                Entry::Occupied(mut e) => {
+                    let (_, last) = e.get_mut();
+                    next[*last] = Some(i);
+                    *last = i;
                 }
-                let mut comp = Compiler::new(sc, catalog);
-                Ok(OrderSource::Expr(comp.compile(&o.expr)?))
-            })
-            .collect::<Result<Vec<_>, EngineError>>()
-    })?;
-
-    let mut out: KeyedRows = Vec::with_capacity(input.len());
-    for row in input {
-        let mut ctx = EvalCtx::new(catalog, &row);
-        ctx.env = env
-            .iter()
-            .copied()
-            .chain(std::iter::once(&row[..]))
-            .collect();
-        let mut projected: Row = Vec::with_capacity(sources.len());
-        for s in &sources {
-            projected.push(match s {
-                Source::Offset(o) => row[*o].clone(),
-                Source::Expr(ce) => ce.eval(&ctx)?,
-            });
+                Entry::Vacant(e) => {
+                    e.insert((i, i));
+                }
+            }
         }
-        let mut keys: Vec<Value> = Vec::with_capacity(order_sources.len());
-        for os in &order_sources {
-            keys.push(match os {
-                OrderSource::Projected(p) => projected[*p].clone(),
-                OrderSource::Expr(ce) => ce.eval(&ctx)?,
-            });
+        for t in left.iter() {
+            let first = left_key(t)
+                .and_then(|k| chains.get(&k))
+                .map(|&(first, _)| first);
+            self.probe(t, std::iter::successors(first, |&i| next[i]))?;
         }
-        out.push((keys, projected));
+        Ok(())
     }
-    plan_steps.push(format!("Project({})", columns.len()));
-    Ok((columns, out))
+
+    /// Append a RIGHT/FULL join's unmatched right rows, NULL-extended.
+    fn finish(mut self, left_width: usize) -> Tuples<'a> {
+        for (ri, _) in self.right_matched.iter().enumerate().filter(|(_, m)| !**m) {
+            let slots = &mut self.out.slots;
+            slots.extend(std::iter::repeat_n(None, left_width));
+            slots.push(Some(self.rows[ri]));
+        }
+        self.out
+    }
+}
+
+impl Plan {
+    /// Run the plan; `outer` holds the enclosing tuples of a correlated
+    /// subquery.
+    pub(crate) fn run(
+        &self,
+        catalog: &Catalog,
+        outer: &Outer<'_>,
+    ) -> Result<Vec<Row>, EngineError> {
+        let rows = self.keyed(&EvalCtx::new(catalog, outer))?;
+        Ok(rows.into_iter().map(|(_, row)| row).collect())
+    }
+
+    fn keyed(&self, ctx: &EvalCtx<'_>) -> Result<KeyedRows, EngineError> {
+        Ok(match self {
+            Plan::Const(items) => {
+                vec![(Vec::new(), eval_all(items, ctx)?)]
+            }
+            Plan::Project {
+                source,
+                items,
+                order,
+            } => {
+                let tuples = source.tuples(ctx)?;
+                let mut out = Vec::with_capacity(tuples.slots.len() / tuples.width);
+                for t in tuples.iter() {
+                    let cx = ctx.at(t);
+                    let row = eval_all(items, &cx)?;
+                    let mut keys = Vec::with_capacity(order.len());
+                    for k in order {
+                        keys.push(match k {
+                            OrderKey::Projected(p) => row[*p].clone(),
+                            OrderKey::Expr(e) => e.eval(&cx)?,
+                        });
+                    }
+                    out.push((keys, row));
+                }
+                out
+            }
+            Plan::Aggregate(a) => a.run(ctx)?,
+            Plan::Distinct(source) => {
+                let mut rows = source.keyed(ctx)?;
+                let mut seen = HashSet::with_capacity(rows.len());
+                rows.retain(|(_, row)| seen.insert(row_key(row)));
+                rows
+            }
+            Plan::Sort { source, descs } => {
+                let mut rows = source.keyed(ctx)?;
+                rows.sort_by(|(ka, _), (kb, _)| {
+                    let keys = ka.iter().zip(kb).zip(descs);
+                    let mut ords = keys.map(|((a, b), &desc)| {
+                        let ord = a.total_cmp(b);
+                        if desc {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    });
+                    ords.find(|o| o.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                rows
+            }
+            Plan::Limit {
+                source,
+                offset,
+                limit,
+            } => {
+                let mut rows = source.keyed(ctx)?;
+                if let Some(offset) = offset {
+                    rows.drain(..(*offset as usize).min(rows.len()));
+                }
+                if let Some(limit) = limit {
+                    rows.truncate(*limit as usize);
+                }
+                rows
+            }
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -990,73 +1111,56 @@ impl AggState {
     }
 
     fn update(&mut self, v: Option<&Value>) -> Result<(), EngineError> {
-        match self {
-            AggState::Count(n) => {
-                // COUNT(*) gets None-arg (count every row); COUNT(x) skips NULLs.
-                match v {
-                    None => *n += 1,
-                    Some(val) if !val.is_null() => *n += 1,
-                    _ => {}
-                }
+        match (self, v) {
+            // COUNT(*) gets no argument (count every row); COUNT(x) skips NULLs.
+            (AggState::Count(n), v) => *n += i64::from(v.is_none_or(|v| !v.is_null())),
+            (_, None | Some(Value::Null)) => {}
+            (
+                AggState::Sum {
+                    sum_f, sum_i, seen, ..
+                },
+                Some(Value::Int(i)),
+            ) => {
+                *sum_i += i;
+                *sum_f += *i as f64;
+                *seen = true;
             }
-            AggState::Sum {
-                sum_f,
-                any_float,
-                sum_i,
-                seen,
-            } => {
-                if let Some(val) = v {
-                    match val {
-                        Value::Null => {}
-                        Value::Int(i) => {
-                            *sum_i += i;
-                            *sum_f += *i as f64;
-                            *seen = true;
-                        }
-                        Value::Float(f) => {
-                            *sum_f += f;
-                            *any_float = true;
-                            *seen = true;
-                        }
-                        other => {
-                            return Err(EngineError::TypeError(format!(
-                                "SUM over non-numeric {other:?}"
-                            )))
-                        }
-                    }
-                }
+            (
+                AggState::Sum {
+                    sum_f,
+                    any_float,
+                    seen,
+                    ..
+                },
+                Some(Value::Float(f)),
+            ) => {
+                *sum_f += f;
+                *any_float = true;
+                *seen = true;
             }
-            AggState::Avg { sum, n } => {
-                if let Some(val) = v {
-                    if let Some(f) = val.as_f64() {
-                        *sum += f;
-                        *n += 1;
-                    } else if !val.is_null() {
-                        return Err(EngineError::TypeError(format!(
-                            "AVG over non-numeric {val:?}"
-                        )));
-                    }
-                }
+            (AggState::Sum { .. }, Some(other)) => {
+                return Err(EngineError::TypeError(format!(
+                    "SUM over non-numeric {other:?}"
+                )))
             }
-            AggState::MinMax { best, is_min } => {
-                if let Some(val) = v {
-                    if val.is_null() {
-                        return Ok(());
+            (AggState::Avg { sum, n }, Some(val)) => {
+                let f = val.as_f64().ok_or_else(|| {
+                    EngineError::TypeError(format!("AVG over non-numeric {val:?}"))
+                })?;
+                *sum += f;
+                *n += 1;
+            }
+            (AggState::MinMax { best, is_min }, Some(val)) => {
+                let better = best.as_ref().is_none_or(|b| {
+                    let ord = val.total_cmp(b);
+                    if *is_min {
+                        ord.is_lt()
+                    } else {
+                        ord.is_gt()
                     }
-                    match best {
-                        None => *best = Some(val.clone()),
-                        Some(b) => {
-                            let ord = val.total_cmp(b);
-                            let better = if *is_min {
-                                ord == std::cmp::Ordering::Less
-                            } else {
-                                ord == std::cmp::Ordering::Greater
-                            };
-                            if better {
-                                *best = Some(val.clone());
-                            }
-                        }
-                    }
+                });
+                if better {
+                    *best = Some(val.clone());
                 }
             }
         }
@@ -1066,254 +1170,93 @@ impl AggState {
     fn finish(self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(n),
+            AggState::Sum { seen: false, .. } | AggState::Avg { n: 0, .. } => Value::Null,
             AggState::Sum {
                 sum_f,
-                any_float,
-                sum_i,
-                seen,
-            } => {
-                if !seen {
-                    Value::Null
-                } else if any_float {
-                    Value::Float(sum_f)
-                } else {
-                    Value::Int(sum_i)
-                }
-            }
-            AggState::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
-            }
+                any_float: true,
+                ..
+            } => Value::Float(sum_f),
+            AggState::Sum { sum_i, .. } => Value::Int(sum_i),
+            AggState::Avg { sum, n } => Value::Float(sum / n as f64),
             AggState::MinMax { best, .. } => best.unwrap_or(Value::Null),
         }
     }
 }
 
-fn run_grouped(
-    catalog: &Catalog,
-    stmt: &SelectStatement,
-    scope: &OwnedScope,
-    env: &[&[Value]],
-    input: Vec<Row>,
-    plan_steps: &mut Vec<String>,
-) -> Result<(Vec<String>, KeyedRows), EngineError> {
-    struct Compiled {
-        group_exprs: Vec<CompiledExpr>,
-        aggs: Vec<AggSpec>,
-        proj: Vec<(String, CompiledExpr)>,
-        having: Option<CompiledExpr>,
-        order: Vec<CompiledExpr>,
+/// One group: its first input tuple (none for the empty scalar group)
+/// and its accumulators.
+struct Group {
+    rep: Option<usize>,
+    states: Vec<AggState>,
+    distinct_seen: Vec<Option<HashSet<Key>>>,
+}
+
+impl Aggregate {
+    fn group(&self, rep: Option<usize>) -> Group {
+        Group {
+            rep,
+            states: self.aggs.iter().map(|a| AggState::new(a.kind)).collect(),
+            distinct_seen: self
+                .aggs
+                .iter()
+                .map(|a| a.distinct.then(HashSet::new))
+                .collect(),
+        }
     }
 
-    let compiled: Compiled = scope.with(|sc| -> Result<Compiled, EngineError> {
-        let mut aggs: Vec<AggSpec> = Vec::new();
-        let group_exprs = stmt
-            .group_by
-            .iter()
-            .map(|g| Compiler::new(sc, catalog).compile(g))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut proj = Vec::new();
-        for item in &stmt.projection {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    let mut c = Compiler::with_aggregates(sc, catalog, &mut aggs);
-                    let ce = c.compile(expr)?;
-                    proj.push((output_name(expr, alias), ce));
+    /// Output rows in the order their groups first appear.
+    fn run(&self, ctx: &EvalCtx<'_>) -> Result<KeyedRows, EngineError> {
+        let tuples = self.source.tuples(ctx)?;
+        let mut index: HashMap<Vec<Key>, usize> = HashMap::new();
+        let mut groups: Vec<Group> = Vec::new();
+        for (ti, t) in tuples.iter().enumerate() {
+            let cx = ctx.at(t);
+            let mut key = Vec::with_capacity(self.group.len());
+            for g in &self.group {
+                key.push(g.value(&cx)?.group_key());
+            }
+            let gi = *index.entry(key).or_insert_with(|| {
+                groups.push(self.group(Some(ti)));
+                groups.len() - 1
+            });
+            let group = &mut groups[gi];
+            for (i, spec) in self.aggs.iter().enumerate() {
+                let arg = match &spec.arg {
+                    None => None,
+                    Some(a) => Some(a.value(&cx)?),
+                };
+                if let (Some(seen), Some(v)) = (&mut group.distinct_seen[i], &arg) {
+                    if !v.is_null() && !seen.insert(v.group_key()) {
+                        continue; // duplicate under DISTINCT
+                    }
                 }
-                _ => {
-                    return Err(EngineError::Unsupported(
-                        "wildcard projection cannot be combined with GROUP BY/aggregates".into(),
-                    ))
-                }
+                group.states[i].update(arg.as_deref())?;
             }
         }
-        let having = match &stmt.having {
-            Some(h) => {
-                let mut c = Compiler::with_aggregates(sc, catalog, &mut aggs);
-                Some(c.compile(h)?)
-            }
-            None => None,
-        };
-        let order = stmt
-            .order_by
-            .iter()
-            .map(|o| {
-                // Aliases refer to projected expressions; check them first.
-                if let Expr::Column(cr) = &o.expr {
-                    if cr.qualifier.is_none() {
-                        if let Some(pos) = stmt.projection.iter().position(|p| {
-                            matches!(p, SelectItem::Expr { alias: Some(a), .. }
-                                if a.eq_ignore_ascii_case(&cr.name))
-                        }) {
-                            // Re-compile the aliased projection expression.
-                            if let SelectItem::Expr { expr, .. } = &stmt.projection[pos] {
-                                let mut c = Compiler::with_aggregates(sc, catalog, &mut aggs);
-                                return c.compile(expr);
-                            }
-                        }
-                    }
-                }
-                let mut c = Compiler::with_aggregates(sc, catalog, &mut aggs);
-                c.compile(&o.expr)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Compiled {
-            group_exprs,
-            aggs,
-            proj,
-            having,
-            order,
-        })
-    })?;
+        // A scalar aggregate over zero rows still yields one output row.
+        if self.group.is_empty() && groups.is_empty() {
+            groups.push(self.group(None));
+        }
 
-    // Accumulate groups.
-    struct Group {
-        rep_row: Row,
-        states: Vec<AggState>,
-        distinct_seen: Vec<Option<HashSet<Key>>>,
-    }
-    let mut groups: HashMap<Vec<Key>, Group> = HashMap::new();
-    let scalar_query = stmt.group_by.is_empty();
-    let width: usize = scope.with(|sc| sc.width());
-
-    for row in input {
-        let mut ctx = EvalCtx::new(catalog, &row);
-        ctx.env = env
-            .iter()
-            .copied()
-            .chain(std::iter::once(&row[..]))
-            .collect();
-        let key: Vec<Key> = compiled
-            .group_exprs
-            .iter()
-            .map(|g| g.eval(&ctx).map(|v| v.group_key()))
-            .collect::<Result<_, _>>()?;
-        let group = groups.entry(key).or_insert_with(|| Group {
-            rep_row: row.clone(),
-            states: compiled
-                .aggs
-                .iter()
-                .map(|a| AggState::new(a.kind))
-                .collect(),
-            distinct_seen: compiled
-                .aggs
-                .iter()
-                .map(|a| {
-                    if a.distinct {
-                        Some(HashSet::new())
-                    } else {
-                        None
-                    }
-                })
-                .collect(),
-        });
-        for (i, spec) in compiled.aggs.iter().enumerate() {
-            let arg_val = match &spec.arg {
-                None => None,
-                Some(a) => Some(a.eval(&ctx)?),
+        let nulls = vec![None; self.width];
+        let mut out = Vec::with_capacity(groups.len());
+        for group in groups {
+            let agg_values: Vec<Value> = group.states.into_iter().map(AggState::finish).collect();
+            let w = tuples.width;
+            let rep = group
+                .rep
+                .map_or(&nulls[..], |i| &tuples.slots[i * w..(i + 1) * w]);
+            let cx = EvalCtx {
+                agg_values: Some(&agg_values),
+                ..ctx.at(rep)
             };
-            if let (Some(seen), Some(v)) = (&mut group.distinct_seen[i], &arg_val) {
-                if !v.is_null() && !seen.insert(v.group_key()) {
-                    continue; // duplicate under DISTINCT
+            if let Some(h) = &self.having {
+                if !h.eval_predicate(&cx)? {
+                    continue;
                 }
             }
-            group.states[i].update(arg_val.as_ref())?;
+            out.push((eval_all(&self.order, &cx)?, eval_all(&self.items, &cx)?));
         }
-    }
-
-    // A scalar aggregate over zero rows still yields one output row.
-    if scalar_query && groups.is_empty() {
-        groups.insert(
-            Vec::new(),
-            Group {
-                rep_row: std::iter::repeat_n(Value::Null, width).collect(),
-                states: compiled
-                    .aggs
-                    .iter()
-                    .map(|a| AggState::new(a.kind))
-                    .collect(),
-                distinct_seen: compiled.aggs.iter().map(|_| None).collect(),
-            },
-        );
-    }
-
-    let columns: Vec<String> = compiled.proj.iter().map(|(n, _)| n.clone()).collect();
-    let mut out: KeyedRows = Vec::with_capacity(groups.len());
-    for (_, group) in groups {
-        let agg_values: Vec<Value> = group.states.into_iter().map(AggState::finish).collect();
-        let rep = group.rep_row;
-        let mut ctx = EvalCtx::new(catalog, &rep);
-        ctx.env = env
-            .iter()
-            .copied()
-            .chain(std::iter::once(&rep[..]))
-            .collect();
-        ctx.agg_values = Some(&agg_values);
-        if let Some(h) = &compiled.having {
-            if !h.eval_predicate(&ctx)? {
-                continue;
-            }
-        }
-        let mut prow: Row = Vec::with_capacity(compiled.proj.len());
-        for (_, ce) in &compiled.proj {
-            prow.push(ce.eval(&ctx)?);
-        }
-        let mut keys: Vec<Value> = Vec::with_capacity(compiled.order.len());
-        for oe in &compiled.order {
-            keys.push(oe.eval(&ctx)?);
-        }
-        out.push((keys, prow));
-    }
-    plan_steps.push(format!(
-        "Group({} keys, {} aggs)",
-        compiled.group_exprs.len(),
-        compiled.aggs.len()
-    ));
-    Ok((columns, out))
-}
-
-// ---------------------------------------------------------------------
-// small helpers
-// ---------------------------------------------------------------------
-
-/// If `c` is `col = <literal>` (either orientation) on binding `b`, return
-/// the lower-cased column name and the literal.
-fn as_col_eq_literal(c: &Expr, b: &Binding) -> Option<(String, Literal)> {
-    let Expr::Binary {
-        left,
-        op: BinaryOp::Eq,
-        right,
-    } = c
-    else {
-        return None;
-    };
-    let (col, lit) = match (&**left, &**right) {
-        (Expr::Column(col), Expr::Literal(l)) if l.is_constant() => (col, l),
-        (Expr::Literal(l), Expr::Column(col)) if l.is_constant() => (col, l),
-        _ => return None,
-    };
-    if let Some(q) = &col.qualifier {
-        if !q.eq_ignore_ascii_case(&b.binding) {
-            return None;
-        }
-    }
-    let name = col.name.to_ascii_lowercase();
-    if b.columns.iter().any(|c| c == &name) {
-        Some((name, lit.clone()))
-    } else {
-        None
-    }
-}
-
-fn literal_value(l: &Literal) -> Value {
-    match l {
-        Literal::Int(i) => Value::Int(*i),
-        Literal::Float(f) => Value::Float(*f),
-        Literal::Str(s) => Value::from(s.as_str()),
-        Literal::Bool(b) => Value::Bool(*b),
-        Literal::Null | Literal::Placeholder => Value::Null,
+        Ok(out)
     }
 }

@@ -1,18 +1,24 @@
-//! Expression compilation and evaluation.
+//! Expression compilation and evaluation over borrowed tuples.
 //!
 //! Expressions are compiled against a [`Scope`] (the tables visible in the
 //! current query, with a parent pointer for correlated subqueries) into
 //! [`CompiledExpr`], which resolves every column reference to a
-//! `(scope level, row offset)` pair. Evaluation follows SQL three-valued
-//! logic: comparisons against NULL yield NULL, `AND`/`OR` use Kleene
-//! semantics, and a WHERE clause keeps a row only when its predicate
-//! evaluates to exactly `TRUE`.
+//! `(scope level, factor, column)` triple. A [`Tuple`] holds one borrowed
+//! catalog row per FROM factor — `None` where an outer join NULL-extended
+//! it — so no operator concatenates rows: an [`EvalCtx`] is built once per
+//! operator and pointed at each tuple in turn, and a correlated subquery
+//! evaluates under the explicit [`Outer`] chain of its enclosing tuples.
+//! Evaluation follows SQL three-valued logic: comparisons against NULL
+//! yield NULL, `AND`/`OR` use Kleene semantics, and a WHERE clause keeps a
+//! row only when its predicate evaluates to exactly `TRUE`.
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
+use crate::exec::Plan;
 use crate::table::Row;
 use crate::value::{Key, Value};
 use sqlparse::ast::*;
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// One table visible in a scope.
@@ -24,80 +30,43 @@ pub struct Binding {
     pub table: String,
     /// Lower-cased column names in row order.
     pub columns: Vec<String>,
-    /// Offset of this binding's first column in the concatenated row.
-    pub offset: usize,
 }
 
-impl Binding {
-    pub fn arity(&self) -> usize {
-        self.columns.len()
-    }
-}
-
-/// A compilation scope: the bindings of one SELECT, with a link to the
-/// enclosing query's scope for correlated references.
+/// A compilation scope: the bindings of one SELECT (factor `i` is
+/// `bindings[i]`), with a link to the enclosing query's scope for
+/// correlated references.
 pub struct Scope<'a> {
-    pub bindings: Vec<Binding>,
+    pub bindings: &'a [Binding],
     pub parent: Option<&'a Scope<'a>>,
 }
 
 impl<'a> Scope<'a> {
-    pub fn root(bindings: Vec<Binding>) -> Self {
+    pub fn root(bindings: &'a [Binding]) -> Self {
         Scope {
             bindings,
             parent: None,
         }
     }
 
-    pub fn child(&'a self, bindings: Vec<Binding>) -> Scope<'a> {
-        Scope {
-            bindings,
-            parent: Some(self),
-        }
-    }
-
-    /// Total width of the concatenated row at this scope.
-    pub fn width(&self) -> usize {
-        self.bindings.iter().map(Binding::arity).sum()
-    }
-
-    /// The binding chain from the outermost scope to this one. Stored inside
-    /// correlated subquery plans so they can be re-compiled per row.
-    pub fn chain(&self) -> Vec<Vec<Binding>> {
-        let mut chain = Vec::new();
-        let mut cur = Some(self);
-        while let Some(s) = cur {
-            chain.push(s.bindings.clone());
-            cur = s.parent;
-        }
-        chain.reverse();
-        chain
-    }
-
-    /// Resolve a column reference. Returns `(levels_up, offset)`.
-    fn resolve(&self, col: &ColumnRef) -> Result<(usize, usize), EngineError> {
+    /// Resolve a column reference to `(levels_up, factor, column)`.
+    fn resolve(&self, col: &ColumnRef) -> Result<(usize, usize, usize), EngineError> {
         let name = col.name.to_ascii_lowercase();
         let qualifier = col.qualifier.as_ref().map(|q| q.to_ascii_lowercase());
         let mut scope = Some(self);
         let mut level = 0usize;
         while let Some(s) = scope {
-            let mut hits = Vec::new();
-            for b in &s.bindings {
-                if let Some(q) = &qualifier {
-                    if &b.binding != q {
-                        continue;
-                    }
+            let mut hits = s.bindings.iter().enumerate().filter_map(|(f, b)| {
+                if qualifier.as_ref().is_some_and(|q| &b.binding != q) {
+                    return None;
                 }
-                if let Some(i) = b.columns.iter().position(|c| c == &name) {
-                    hits.push(b.offset + i);
-                }
-            }
-            match hits.len() {
-                0 => {
+                b.columns.iter().position(|c| c == &name).map(|c| (f, c))
+            });
+            match (hits.next(), hits.next()) {
+                (None, _) => {
                     scope = s.parent;
                     level += 1;
                 }
-                1 => return Ok((level, hits[0])),
+                (Some((factor, column)), None) => return Ok((level, factor, column)),
                 _ => return Err(EngineError::AmbiguousColumn(col.to_string())),
             }
         }
@@ -171,10 +140,11 @@ impl ScalarFn {
 
 /// A compiled, evaluable expression.
 pub enum CompiledExpr {
-    /// Column at `level` scopes up, `offset` into that row.
+    /// Column `column` of factor `factor` of the tuple `level` scopes up.
     Col {
         level: usize,
-        offset: usize,
+        factor: usize,
+        column: usize,
     },
     Lit(Value),
     Not(Box<CompiledExpr>),
@@ -200,12 +170,10 @@ pub enum CompiledExpr {
         set_has_null: bool,
         negated: bool,
     },
-    /// Correlated IN subquery, re-evaluated per row.
+    /// Correlated IN subquery, planned once and run per row.
     InSubquery {
         expr: Box<CompiledExpr>,
-        subquery: Box<SelectStatement>,
-        /// Binding chain of the enclosing scopes (outermost first).
-        outer: Vec<Vec<Binding>>,
+        plan: Box<Plan>,
         negated: bool,
     },
     Between {
@@ -223,19 +191,13 @@ pub enum CompiledExpr {
         expr: Box<CompiledExpr>,
         negated: bool,
     },
-    /// Correlated EXISTS, re-evaluated per row.
+    /// Correlated EXISTS, planned once and run per row.
     Exists {
-        subquery: Box<SelectStatement>,
-        /// Binding chain of the enclosing scopes (outermost first).
-        outer: Vec<Vec<Binding>>,
+        plan: Box<Plan>,
         negated: bool,
     },
-    /// Correlated scalar subquery, re-evaluated per row.
-    ScalarSubquery {
-        subquery: Box<SelectStatement>,
-        /// Binding chain of the enclosing scopes (outermost first).
-        outer: Vec<Vec<Binding>>,
-    },
+    /// Correlated scalar subquery, planned once and run per row.
+    ScalarSubquery(Box<Plan>),
     Case {
         operand: Option<Box<CompiledExpr>>,
         branches: Vec<(CompiledExpr, CompiledExpr)>,
@@ -255,9 +217,16 @@ pub struct Compiler<'a, 'b> {
     pub scope: &'a Scope<'a>,
     pub catalog: &'a Catalog,
     pub aggregates: Option<&'b mut Vec<AggSpec>>,
-    /// Set when any column resolved to an enclosing scope — i.e. the
-    /// expression is correlated.
-    pub used_outer: bool,
+    /// How many scopes above its own the compiled expressions read (a
+    /// subquery planned here is correlated when this is nonzero for it).
+    pub depth: usize,
+}
+
+/// A subquery as the compiler leaves it: an uncorrelated one has already
+/// run, a correlated one is planned once and run per outer tuple.
+enum Subquery {
+    Rows(Vec<Row>),
+    Correlated(Box<Plan>),
 }
 
 impl<'a, 'b> Compiler<'a, 'b> {
@@ -266,7 +235,7 @@ impl<'a, 'b> Compiler<'a, 'b> {
             scope,
             catalog,
             aggregates: None,
-            used_outer: false,
+            depth: 0,
         }
     }
 
@@ -276,34 +245,36 @@ impl<'a, 'b> Compiler<'a, 'b> {
         aggs: &'b mut Vec<AggSpec>,
     ) -> Self {
         Compiler {
-            scope,
-            catalog,
             aggregates: Some(aggs),
-            used_outer: false,
+            ..Compiler::new(scope, catalog)
         }
+    }
+
+    fn subquery(&mut self, sub: &SelectStatement) -> Result<Subquery, EngineError> {
+        let planned = crate::exec::plan_select(self.catalog, sub, Some(self.scope), None)?;
+        if planned.depth == 0 {
+            return Ok(Subquery::Rows(
+                planned.plan.run(self.catalog, &Outer::Root)?,
+            ));
+        }
+        self.depth = self.depth.max(planned.depth - 1);
+        Ok(Subquery::Correlated(Box::new(planned.plan)))
     }
 
     pub fn compile(&mut self, e: &Expr) -> Result<CompiledExpr, EngineError> {
         Ok(match e {
             Expr::Column(c) => {
-                let (level, offset) = self.scope.resolve(c)?;
-                if level > 0 {
-                    self.used_outer = true;
+                let (level, factor, column) = self.scope.resolve(c)?;
+                self.depth = self.depth.max(level);
+                CompiledExpr::Col {
+                    level,
+                    factor,
+                    column,
                 }
-                CompiledExpr::Col { level, offset }
             }
-            Expr::Literal(l) => CompiledExpr::Lit(match l {
-                Literal::Int(i) => Value::Int(*i),
-                Literal::Float(f) => Value::Float(*f),
-                Literal::Str(s) => Value::from(s.as_str()),
-                Literal::Bool(b) => Value::Bool(*b),
-                Literal::Null => Value::Null,
-                Literal::Placeholder => {
-                    return Err(EngineError::Unsupported(
-                        "`?` placeholder cannot be executed".into(),
-                    ))
-                }
-            }),
+            Expr::Literal(l) => CompiledExpr::Lit(literal_value(l).ok_or_else(|| {
+                EngineError::Unsupported("`?` placeholder cannot be executed".into())
+            })?),
             Expr::Unary { op, expr } => {
                 let inner = self.compile(expr)?;
                 match op {
@@ -335,7 +306,7 @@ impl<'a, 'b> Compiler<'a, 'b> {
                         // Aggregate arguments may not nest aggregates.
                         let mut inner = Compiler::new(self.scope, self.catalog);
                         let compiled = inner.compile(&args[0])?;
-                        self.used_outer |= inner.used_outer;
+                        self.depth = self.depth.max(inner.depth);
                         Some(compiled)
                     };
                     let Some(aggs) = self.aggregates.as_deref_mut() else {
@@ -382,33 +353,31 @@ impl<'a, 'b> Compiler<'a, 'b> {
                 subquery,
                 negated,
             } => {
-                let compiled = self.compile(expr)?;
-                if self.is_correlated(subquery)? {
-                    self.used_outer = true;
-                    CompiledExpr::InSubquery {
-                        expr: Box::new(compiled),
-                        subquery: subquery.clone(),
-                        outer: self.scope.chain(),
-                        negated: *negated,
-                    }
-                } else {
-                    // Materialise now: the subquery does not depend on the row.
-                    let rows = crate::exec::run_subquery(self.catalog, subquery, &[], &[])?;
-                    let mut set = HashSet::with_capacity(rows.len());
-                    let mut set_has_null = false;
-                    for row in &rows {
-                        let v = single_column(row)?;
-                        if v.is_null() {
-                            set_has_null = true;
-                        } else {
-                            set.insert(v.group_key());
+                let expr = Box::new(self.compile(expr)?);
+                let negated = *negated;
+                match self.subquery(subquery)? {
+                    Subquery::Correlated(plan) => CompiledExpr::InSubquery {
+                        expr,
+                        plan,
+                        negated,
+                    },
+                    Subquery::Rows(rows) => {
+                        let mut set = HashSet::with_capacity(rows.len());
+                        let mut set_has_null = false;
+                        for row in &rows {
+                            let v = single_column(row)?;
+                            if v.is_null() {
+                                set_has_null = true;
+                            } else {
+                                set.insert(v.group_key());
+                            }
                         }
-                    }
-                    CompiledExpr::InSet {
-                        expr: Box::new(compiled),
-                        set,
-                        set_has_null,
-                        negated: *negated,
+                        CompiledExpr::InSet {
+                            expr,
+                            set,
+                            set_has_null,
+                            negated,
+                        }
                     }
                 }
             }
@@ -436,31 +405,17 @@ impl<'a, 'b> Compiler<'a, 'b> {
                 expr: Box::new(self.compile(expr)?),
                 negated: *negated,
             },
-            Expr::Exists { subquery, negated } => {
-                if self.is_correlated(subquery)? {
-                    self.used_outer = true;
-                    CompiledExpr::Exists {
-                        subquery: subquery.clone(),
-                        outer: self.scope.chain(),
-                        negated: *negated,
-                    }
-                } else {
-                    let rows = crate::exec::run_subquery(self.catalog, subquery, &[], &[])?;
-                    CompiledExpr::Lit(Value::Bool(rows.is_empty() == *negated))
-                }
-            }
-            Expr::ScalarSubquery(sub) => {
-                if self.is_correlated(sub)? {
-                    self.used_outer = true;
-                    CompiledExpr::ScalarSubquery {
-                        subquery: sub.clone(),
-                        outer: self.scope.chain(),
-                    }
-                } else {
-                    let rows = crate::exec::run_subquery(self.catalog, sub, &[], &[])?;
-                    CompiledExpr::Lit(scalar_result(&rows)?)
-                }
-            }
+            Expr::Exists { subquery, negated } => match self.subquery(subquery)? {
+                Subquery::Correlated(plan) => CompiledExpr::Exists {
+                    plan,
+                    negated: *negated,
+                },
+                Subquery::Rows(rows) => CompiledExpr::Lit(Value::Bool(rows.is_empty() == *negated)),
+            },
+            Expr::ScalarSubquery(sub) => match self.subquery(sub)? {
+                Subquery::Correlated(plan) => CompiledExpr::ScalarSubquery(plan),
+                Subquery::Rows(rows) => CompiledExpr::Lit(scalar_result(&rows)?.clone()),
+            },
             Expr::Case {
                 operand,
                 branches,
@@ -481,57 +436,18 @@ impl<'a, 'b> Compiler<'a, 'b> {
             },
         })
     }
+}
 
-    /// Is `sub` correlated with the current (or any enclosing) scope? We
-    /// answer by trial compilation of the subquery in a child scope.
-    fn is_correlated(&self, sub: &SelectStatement) -> Result<bool, EngineError> {
-        let bindings = crate::exec::bindings_for(self.catalog, sub)?;
-        let child = self.scope.child(bindings);
-        let mut probe = Compiler::new(&child, self.catalog);
-        // Compile all expressions of the subquery; errors at this stage are
-        // real compile errors and surface to the caller.
-        probe.compile_select_exprs(sub)?;
-        Ok(probe.used_outer)
-    }
-
-    /// Compile every expression in a SELECT (used for correlation probing).
-    fn compile_select_exprs(&mut self, s: &SelectStatement) -> Result<(), EngineError> {
-        let mut aggs = Vec::new();
-        for item in &s.projection {
-            if let SelectItem::Expr { expr, .. } = item {
-                let mut c = Compiler::with_aggregates(self.scope, self.catalog, &mut aggs);
-                // Note: self.scope here is the *child* scope built by caller.
-                c.compile(expr)?;
-                self.used_outer |= c.used_outer;
-            }
-        }
-        let mut visit = |e: &Expr| -> Result<(), EngineError> {
-            let mut c = Compiler::with_aggregates(self.scope, self.catalog, &mut aggs);
-            c.compile(e)?;
-            self.used_outer |= c.used_outer;
-            Ok(())
-        };
-        for t in &s.from {
-            for j in &t.joins {
-                if let Some(on) = &j.on {
-                    visit(on)?;
-                }
-            }
-        }
-        if let Some(w) = &s.where_clause {
-            visit(w)?;
-        }
-        for g in &s.group_by {
-            visit(g)?;
-        }
-        if let Some(h) = &s.having {
-            visit(h)?;
-        }
-        for o in &s.order_by {
-            visit(&o.expr)?;
-        }
-        Ok(())
-    }
+/// A literal's value; `None` for the `?` placeholder.
+pub(crate) fn literal_value(l: &Literal) -> Option<Value> {
+    Some(match l {
+        Literal::Int(i) => Value::Int(*i),
+        Literal::Float(f) => Value::Float(*f),
+        Literal::Str(s) => Value::from(s.as_str()),
+        Literal::Bool(b) => Value::Bool(*b),
+        Literal::Null => Value::Null,
+        Literal::Placeholder => return None,
+    })
 }
 
 fn check_scalar_arity(f: ScalarFn, n: usize) -> Result<(), EngineError> {
@@ -550,19 +466,19 @@ fn check_scalar_arity(f: ScalarFn, n: usize) -> Result<(), EngineError> {
     }
 }
 
-fn single_column(row: &Row) -> Result<Value, EngineError> {
-    if row.len() != 1 {
-        return Err(EngineError::SubqueryShape(format!(
+fn single_column(row: &Row) -> Result<&Value, EngineError> {
+    match row.as_slice() {
+        [v] => Ok(v),
+        _ => Err(EngineError::SubqueryShape(format!(
             "IN subquery must return one column, got {}",
             row.len()
-        )));
+        ))),
     }
-    Ok(row[0].clone())
 }
 
-fn scalar_result(rows: &[Row]) -> Result<Value, EngineError> {
+fn scalar_result(rows: &[Row]) -> Result<&Value, EngineError> {
     match rows.len() {
-        0 => Ok(Value::Null),
+        0 => Ok(&NULL),
         1 => single_column(&rows[0]),
         n => Err(EngineError::SubqueryShape(format!(
             "scalar subquery returned {n} rows"
@@ -570,41 +486,87 @@ fn scalar_result(rows: &[Row]) -> Result<Value, EngineError> {
     }
 }
 
-/// Evaluation context: the stack of rows (innermost current row last), the
-/// catalog (for correlated subqueries) and optional aggregate slot values.
+/// One borrowed catalog row per FROM factor, in FROM order; `None` where an
+/// outer join NULL-extended the factor.
+pub type Tuple<'r> = [Option<&'r Row>];
+
+/// The tuples of the queries enclosing a correlated subquery, innermost
+/// first: a column `level` scopes up reads the `level`-th.
+pub enum Outer<'t> {
+    Root,
+    Scope {
+        tuple: &'t Tuple<'t>,
+        parent: &'t Outer<'t>,
+    },
+}
+
+/// Evaluation context: the current tuple, the enclosing tuples, the catalog
+/// (for correlated subqueries) and optional aggregate slot values. An
+/// operator builds one and points it at each tuple in turn with
+/// [`EvalCtx::at`].
+#[derive(Clone, Copy)]
 pub struct EvalCtx<'a> {
     pub catalog: &'a Catalog,
-    /// Environment stack. `env[env.len()-1]` is the current row; levels
-    /// count upward from it.
-    pub env: Vec<&'a [Value]>,
+    pub tuple: &'a Tuple<'a>,
+    pub outer: &'a Outer<'a>,
     pub agg_values: Option<&'a [Value]>,
 }
 
+static NULL: Value = Value::Null;
+
 impl<'a> EvalCtx<'a> {
-    pub fn new(catalog: &'a Catalog, row: &'a [Value]) -> Self {
+    pub fn new(catalog: &'a Catalog, outer: &'a Outer<'a>) -> Self {
         EvalCtx {
             catalog,
-            env: vec![row],
+            tuple: &[],
+            outer,
             agg_values: None,
         }
     }
 
-    fn lookup(&self, level: usize, offset: usize) -> Result<Value, EngineError> {
-        let idx = self
-            .env
-            .len()
-            .checked_sub(1 + level)
-            .ok_or_else(|| EngineError::Unsupported("scope level underflow".into()))?;
-        Ok(self.env[idx][offset].clone())
+    /// The same context, pointed at `tuple`.
+    pub fn at<'t>(self, tuple: &'t Tuple<'t>) -> EvalCtx<'t>
+    where
+        'a: 't,
+    {
+        EvalCtx { tuple, ..self }
+    }
+
+    fn column(&self, level: usize, factor: usize, column: usize) -> Result<&'a Value, EngineError> {
+        let (mut tuple, mut outer) = (self.tuple, self.outer);
+        for _ in 0..level {
+            let Outer::Scope { tuple: t, parent } = outer else {
+                return Err(EngineError::Unsupported("scope level underflow".into()));
+            };
+            (tuple, outer) = (t, parent);
+        }
+        Ok(tuple[factor].map_or(&NULL, |row| &row[column]))
+    }
+
+    /// Run a correlated subquery's plan with this context's tuple as the
+    /// innermost enclosing one.
+    fn run(&self, plan: &Plan) -> Result<Vec<Row>, EngineError> {
+        let outer = Outer::Scope {
+            tuple: self.tuple,
+            parent: self.outer,
+        };
+        plan.run(self.catalog, &outer)
     }
 }
 
 impl CompiledExpr {
     /// Evaluate to a [`Value`] under three-valued logic.
     pub fn eval(&self, ctx: &EvalCtx<'_>) -> Result<Value, EngineError> {
+        self.value(ctx).map(Cow::into_owned)
+    }
+
+    /// Evaluate an operator, function or subquery: everything
+    /// [`CompiledExpr::value`] does not borrow.
+    fn compute(&self, ctx: &EvalCtx<'_>) -> Result<Value, EngineError> {
         Ok(match self {
-            CompiledExpr::Col { level, offset } => ctx.lookup(*level, *offset)?,
-            CompiledExpr::Lit(v) => v.clone(),
+            CompiledExpr::Col { .. } | CompiledExpr::Lit(_) | CompiledExpr::AggRef(_) => {
+                self.eval(ctx)?
+            }
             CompiledExpr::Not(inner) => match inner.eval(ctx)? {
                 Value::Null => Value::Null,
                 Value::Bool(b) => Value::Bool(!b),
@@ -631,24 +593,19 @@ impl CompiledExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(ctx)?;
+                let v = expr.value(ctx)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
-                let mut found = false;
                 for item in list {
-                    let iv = item.eval(ctx)?;
-                    match v.sql_eq(&iv) {
-                        Some(true) => {
-                            found = true;
-                            break;
-                        }
+                    match v.sql_eq(&*item.value(ctx)?) {
+                        Some(true) => return Ok(in_result(true, saw_null, *negated)),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                in_result(found, saw_null, *negated)
+                in_result(false, saw_null, *negated)
             }
             CompiledExpr::InSet {
                 expr,
@@ -656,7 +613,7 @@ impl CompiledExpr {
                 set_has_null,
                 negated,
             } => {
-                let v = expr.eval(ctx)?;
+                let v = expr.value(ctx)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
@@ -665,29 +622,22 @@ impl CompiledExpr {
             }
             CompiledExpr::InSubquery {
                 expr,
-                subquery,
-                outer,
+                plan,
                 negated,
             } => {
-                let v = expr.eval(ctx)?;
+                let v = expr.value(ctx)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                let rows = crate::exec::run_subquery(ctx.catalog, subquery, outer, &ctx.env)?;
                 let mut saw_null = false;
-                let mut found = false;
-                for row in &rows {
-                    let sv = single_column(row)?;
-                    match v.sql_eq(&sv) {
-                        Some(true) => {
-                            found = true;
-                            break;
-                        }
+                for row in &ctx.run(plan)? {
+                    match v.sql_eq(single_column(row)?) {
+                        Some(true) => return Ok(in_result(true, saw_null, *negated)),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                in_result(found, saw_null, *negated)
+                in_result(false, saw_null, *negated)
             }
             CompiledExpr::Between {
                 expr,
@@ -695,13 +645,12 @@ impl CompiledExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(ctx)?;
-                let lo = low.eval(ctx)?;
-                let hi = high.eval(ctx)?;
+                let v = expr.value(ctx)?;
+                let lo = low.value(ctx)?;
+                let hi = high.value(ctx)?;
                 let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
                 let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
-                let both = kleene_and(ge, le);
-                match both {
+                match kleene_and(ge, le) {
                     None => Value::Null,
                     Some(b) => Value::Bool(b != *negated),
                 }
@@ -710,36 +659,22 @@ impl CompiledExpr {
                 expr,
                 pattern,
                 negated,
-            } => {
-                let v = expr.eval(ctx)?;
-                let p = pattern.eval(ctx)?;
-                match (v, p) {
-                    (Value::Null, _) | (_, Value::Null) => Value::Null,
-                    (Value::Text(s), Value::Text(pat)) => {
-                        Value::Bool(like_match(&s, &pat) != *negated)
-                    }
-                    (a, b) => {
-                        return Err(EngineError::TypeError(format!(
-                            "LIKE requires text operands, got {a:?} / {b:?}"
-                        )))
-                    }
+            } => match (&*expr.value(ctx)?, &*pattern.value(ctx)?) {
+                (Value::Null, _) | (_, Value::Null) => Value::Null,
+                (Value::Text(s), Value::Text(pat)) => Value::Bool(like_match(s, pat) != *negated),
+                (a, b) => {
+                    return Err(EngineError::TypeError(format!(
+                        "LIKE requires text operands, got {a:?} / {b:?}"
+                    )))
                 }
-            }
+            },
             CompiledExpr::IsNull { expr, negated } => {
-                Value::Bool(expr.eval(ctx)?.is_null() != *negated)
+                Value::Bool(expr.value(ctx)?.is_null() != *negated)
             }
-            CompiledExpr::Exists {
-                subquery,
-                outer,
-                negated,
-            } => {
-                let rows = crate::exec::run_subquery(ctx.catalog, subquery, outer, &ctx.env)?;
-                Value::Bool(rows.is_empty() == *negated)
+            CompiledExpr::Exists { plan, negated } => {
+                Value::Bool(ctx.run(plan)?.is_empty() == *negated)
             }
-            CompiledExpr::ScalarSubquery { subquery, outer } => {
-                let rows = crate::exec::run_subquery(ctx.catalog, subquery, outer, &ctx.env)?;
-                scalar_result(&rows)?
-            }
+            CompiledExpr::ScalarSubquery(plan) => scalar_result(&ctx.run(plan)?)?.clone(),
             CompiledExpr::Case {
                 operand,
                 branches,
@@ -750,7 +685,7 @@ impl CompiledExpr {
                     None => None,
                 };
                 for (when, then) in branches {
-                    let cond = when.eval(ctx)?;
+                    let cond = when.value(ctx)?;
                     let fire = match &op_val {
                         Some(v) => v.sql_eq(&cond) == Some(true),
                         None => cond.as_bool() == Some(true),
@@ -764,19 +699,46 @@ impl CompiledExpr {
                     None => Value::Null,
                 }
             }
+        })
+    }
+
+    /// [`CompiledExpr::eval`] that borrows a column, literal or aggregate
+    /// slot instead of cloning it.
+    pub fn value<'x>(&'x self, ctx: &EvalCtx<'x>) -> Result<Cow<'x, Value>, EngineError> {
+        Ok(Cow::Borrowed(match self {
+            CompiledExpr::Col {
+                level,
+                factor,
+                column,
+            } => ctx.column(*level, *factor, *column)?,
+            CompiledExpr::Lit(v) => v,
             CompiledExpr::AggRef(i) => {
                 let aggs = ctx.agg_values.ok_or_else(|| {
                     EngineError::Unsupported("aggregate reference outside grouped context".into())
                 })?;
-                aggs[*i].clone()
+                &aggs[*i]
             }
-        })
+            _ => return self.compute(ctx).map(Cow::Owned),
+        }))
     }
 
     /// Evaluate as a predicate: `true` only for an exact SQL TRUE.
     pub fn eval_predicate(&self, ctx: &EvalCtx<'_>) -> Result<bool, EngineError> {
-        Ok(matches!(self.eval(ctx)?, Value::Bool(true)))
+        Ok(matches!(*self.value(ctx)?, Value::Bool(true)))
     }
+}
+
+/// Evaluate each of `exprs` (a pushing loop: collecting through `Result`
+/// grows the vector from empty).
+pub(crate) fn eval_all(
+    exprs: &[CompiledExpr],
+    ctx: &EvalCtx<'_>,
+) -> Result<Vec<Value>, EngineError> {
+    let mut values = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        values.push(e.eval(ctx)?);
+    }
+    Ok(values)
 }
 
 fn in_result(found: bool, saw_null: bool, negated: bool) -> Value {
@@ -825,22 +787,22 @@ fn eval_binary(
     // AND/OR get Kleene semantics with short-circuiting on the left value.
     match op {
         BinaryOp::And => {
-            let l = to_kleene(&left.eval(ctx)?)?;
+            let l = to_kleene(left.value(ctx)?.as_ref())?;
             if l == Some(false) {
                 return Ok(Value::Bool(false));
             }
-            let r = to_kleene(&right.eval(ctx)?)?;
+            let r = to_kleene(right.value(ctx)?.as_ref())?;
             return Ok(match kleene_and(l, r) {
                 Some(b) => Value::Bool(b),
                 None => Value::Null,
             });
         }
         BinaryOp::Or => {
-            let l = to_kleene(&left.eval(ctx)?)?;
+            let l = to_kleene(left.value(ctx)?.as_ref())?;
             if l == Some(true) {
                 return Ok(Value::Bool(true));
             }
-            let r = to_kleene(&right.eval(ctx)?)?;
+            let r = to_kleene(right.value(ctx)?.as_ref())?;
             return Ok(match kleene_or(l, r) {
                 Some(b) => Value::Bool(b),
                 None => Value::Null,
@@ -849,8 +811,8 @@ fn eval_binary(
         _ => {}
     }
 
-    let l = left.eval(ctx)?;
-    let r = right.eval(ctx)?;
+    let l = left.value(ctx)?;
+    let r = right.value(ctx)?;
 
     if op.is_comparison() {
         return Ok(match l.sql_cmp(&r) {
@@ -882,7 +844,7 @@ fn eval_binary(
             Ok(Value::from(format!("{ls}{rs}")))
         }
         BinaryOp::Plus | BinaryOp::Minus | BinaryOp::Mul | BinaryOp::Div | BinaryOp::Mod => {
-            match (&l, &r) {
+            match (&*l, &*r) {
                 (Value::Int(a), Value::Int(b)) => {
                     let a = *a;
                     let b = *b;
@@ -944,7 +906,7 @@ fn eval_scalar(
     f: ScalarFn,
     args: &[CompiledExpr],
 ) -> Result<Value, EngineError> {
-    let vals: Vec<Value> = args.iter().map(|a| a.eval(ctx)).collect::<Result<_, _>>()?;
+    let vals = eval_all(args, ctx)?;
     // COALESCE is the only function that tolerates NULL arguments.
     if f == ScalarFn::Coalesce {
         for v in vals {

@@ -68,7 +68,11 @@ impl Value {
     /// NULL, otherwise the comparison result. Int and Float compare
     /// numerically; mismatched non-numeric types are unequal.
     pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
+        match (self, other) {
+            // Texts of different lengths differ without a byte read.
+            (Value::Text(a), Value::Text(b)) => Some(a == b),
+            _ => self.sql_cmp(other).map(|o| o == Ordering::Equal),
+        }
     }
 
     /// SQL ordering under three-valued logic. `None` when either side is

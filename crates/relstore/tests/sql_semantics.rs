@@ -268,3 +268,35 @@ fn aggregate_inside_expression() {
     assert_eq!(r.rows[0][1], Value::Float(2.0));
     assert_eq!(r.rows.last().unwrap()[1], Value::Float(0.0)); // sammamish
 }
+
+/// A WHERE conjunct on a factor that a later RIGHT or FULL join
+/// NULL-extends is applied after that join, so the NULL-extended rows
+/// face it too.
+#[test]
+fn where_applies_to_rows_null_extended_by_right_and_full_joins() {
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE a (k INT, x INT)").unwrap();
+    e.execute("CREATE TABLE b (k INT, w INT)").unwrap();
+    e.execute("INSERT INTO a VALUES (1, 1), (2, 2)").unwrap();
+    e.execute("INSERT INTO b VALUES (1, 10), (2, 20), (3, 30)")
+        .unwrap();
+    let int = |v: i64| Value::Int(v);
+    let matched = vec![vec![int(1), int(1), int(1), int(10)]];
+    let unmatched = vec![vec![Value::Null, Value::Null, int(3), int(30)]];
+    for join in ["RIGHT", "FULL"] {
+        let on = format!("SELECT a.k, a.x, b.k, b.w FROM a {join} JOIN b ON a.k = b.k");
+        let r = e.execute(&format!("{on} WHERE a.x = 1")).unwrap();
+        assert_eq!(r.rows, matched, "{join} JOIN, WHERE a.x = 1");
+        let r = e.execute(&format!("{on} WHERE a.x IS NULL")).unwrap();
+        assert_eq!(r.rows, unmatched, "{join} JOIN, WHERE a.x IS NULL");
+    }
+    // A comma join's WHERE equi-conjunct is not a join key when a later
+    // RIGHT join NULL-extends both of its sides.
+    let r = e
+        .execute(
+            "SELECT a.k, b2.k FROM a, b b1 RIGHT JOIN b b2 ON b1.k = b2.k \
+             WHERE a.k = b1.k",
+        )
+        .unwrap();
+    assert_eq!(r.rows, vec![vec![int(1), int(1)], vec![int(2), int(2)]]);
+}
