@@ -19,7 +19,7 @@ use cqms_core::{Cqms, CqmsConfig, CqmsService};
 use proptest::prelude::*;
 use relstore::Engine;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use workload::Domain;
+use workload::{Domain, Trace, TraceConfig};
 
 const USERS: u32 = 4;
 
@@ -519,6 +519,102 @@ fn feature_sql_remaps_qid_references_not_qid_names() {
     // Aggregates stay per shard: the shards' counts sum to the live count.
     let counts = first_column("SELECT COUNT(*) AS qid FROM Queries Q");
     assert_eq!(counts.iter().sum::<i64>(), sharded.live_count() as i64);
+}
+
+/// The 14-byte `FROM <table…>` slice of a statement: the substring needle
+/// an analyst types to find earlier queries over a table.
+fn from_needle(sql: &str) -> &str {
+    let start = sql.find(" FROM ").map_or(0, |p| p + 1);
+    &sql[start..(start + 14).min(sql.len())]
+}
+
+/// Sharded substring search over a generated log equals a brute-force
+/// filter of the visible live records' text, after a delete, a flip to
+/// private and a maintenance pass that rewrites (and so re-indexes)
+/// records, for the flipped record's owner and for another user.
+#[test]
+fn substring_search_matches_brute_force_over_the_log() {
+    let trace = Trace::generate(TraceConfig::new(Domain::Lakes).with_sessions(16));
+    let sharded = ShardedCqms::new(engine, config(2));
+    // Burn `UserId(0)`, the implicit admin who sees everything, so every
+    // trace user is a plain user.
+    sharded.register_user("root");
+    let users: Vec<UserId> = (0..trace.config.users)
+        .map(|i| sharded.register_user(&format!("user-{i}")))
+        .collect();
+    let issued: Issued = trace
+        .queries
+        .iter()
+        .map(|q| {
+            let user = users[q.user as usize];
+            (user, sharded.run_query_at(user, &q.sql, q.ts).unwrap().id)
+        })
+        .collect();
+
+    let (owner, private) = issued[7];
+    sharded
+        .set_visibility(owner, private, Visibility::Private)
+        .unwrap();
+    let (deleter, deleted) = *issued
+        .iter()
+        .find(|(_, id)| *id != private)
+        .expect("a second query");
+    sharded.delete_query(deleter, deleted).unwrap();
+    for shard in sharded.shards() {
+        shard.write(|c| {
+            c.data
+                .execute("ALTER TABLE WaterTemp RENAME TO LakeTemperatures")
+                .unwrap()
+        });
+    }
+    let repaired: usize = sharded
+        .run_maintenance()
+        .unwrap()
+        .iter()
+        .map(|(schema, _)| schema.repaired.len())
+        .sum();
+    assert!(repaired > 0, "the rename rewrote no logged query");
+
+    // (global id, owner, visibility, text) of every live record.
+    let mut live: Vec<(QueryId, UserId, Visibility, String)> = Vec::new();
+    for (i, shard) in sharded.shards().iter().enumerate() {
+        shard.read(|c| {
+            live.extend(c.storage.iter_live().map(|r| {
+                let id = sharded.globalize(i, r.id);
+                (id, r.user, r.visibility, r.raw_sql.clone())
+            }))
+        });
+    }
+    let mut needles: Vec<&str> = trace
+        .queries
+        .iter()
+        .map(|q| from_needle(&q.sql))
+        .chain(live.iter().map(|(.., sql)| from_needle(sql)))
+        .collect();
+    needles.sort_unstable();
+    needles.dedup();
+    assert!(needles.contains(&"FROM WaterTemp") && needles.contains(&"FROM LakeTempe"));
+
+    let other = *users.iter().find(|&&u| u != owner).expect("two users");
+    for viewer in [owner, other] {
+        for needle in &needles {
+            let lower = needle.to_lowercase();
+            let mut want: Vec<QueryId> = live
+                .iter()
+                .filter(|(_, user, vis, sql)| {
+                    (*user == viewer || *vis == Visibility::Public)
+                        && sql.to_lowercase().contains(&lower)
+                })
+                .map(|(id, ..)| *id)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(
+                sharded.search_substring(viewer, needle),
+                want,
+                "{needle:?} for {viewer}"
+            );
+        }
+    }
 }
 
 /// Unique scratch directory per proptest case (cases share one process).

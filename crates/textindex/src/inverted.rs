@@ -9,11 +9,13 @@
 //! Postings are **generation-stamped**: re-adding a document
 //! bumps its generation instead of purging old postings, and an entry only
 //! counts when its stamp matches the document's current generation and the
-//! document is live. Stale entries are reclaimed by [`InvertedIndex::compact`].
+//! document is live. Nothing purges a masked entry: each re-add (the Query
+//! Storage's `reindex`) or delete leaves one masked posting per distinct
+//! term of the text it retired, which a scan of that term's list skips.
 
 use crate::tokenize::tokenize;
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// One search result.
@@ -33,14 +35,12 @@ struct Posting {
 }
 
 /// Per-document bookkeeping: current generation, token count (for length
-/// normalisation), live flag, and distinct-term count (for stale
-/// accounting).
+/// normalisation) and live flag.
 #[derive(Debug, Clone, Copy)]
 struct DocInfo {
     gen: u32,
     len: u32,
     live: bool,
-    terms: u32,
 }
 
 /// Inverted index mapping terms to generation-stamped postings, with
@@ -57,11 +57,6 @@ pub struct InvertedIndex {
     docs: SnapshotVec<Option<DocInfo>>,
     /// Live (non-tombstoned) document count.
     live: usize,
-    /// Posting entries masked by re-adds or tombstones since the last
-    /// compaction.
-    stale: usize,
-    /// Total posting entries currently stored (live + stale).
-    entries: usize,
 }
 
 impl InvertedIndex {
@@ -92,23 +87,14 @@ impl InvertedIndex {
     pub fn add(&mut self, doc: u64, text: &str) {
         let prev = self.doc(doc).copied();
         let gen = prev.map(|p| p.gen.wrapping_add(1)).unwrap_or(0);
-        match prev {
-            Some(p) => {
-                if p.live {
-                    // Old entries now masked by the generation bump.
-                    self.stale += p.terms as usize;
-                } else {
-                    self.live += 1; // resurrect: entries already counted stale
-                }
-            }
-            None => self.live += 1,
+        if !prev.is_some_and(|p| p.live) {
+            self.live += 1;
         }
         let tokens = tokenize(text);
         let mut tf: HashMap<String, u32> = HashMap::new();
         for t in &tokens {
             *tf.entry(t.clone()).or_insert(0) += 1;
         }
-        let distinct = tf.len() as u32;
         for (term, f) in tf {
             let posting = Posting { doc, tf: f, gen };
             // Allocate the shared key only for a term not seen before.
@@ -119,27 +105,21 @@ impl InvertedIndex {
                     .entry_or_default(Arc::from(term))
                     .push(posting),
             }
-            self.entries += 1;
         }
         *self.docs.entry_or_default(doc as usize) = Some(DocInfo {
             gen,
             len: tokens.len().max(1) as u32,
             live: true,
-            terms: distinct,
         });
     }
 
     /// Tombstone a document.
     pub fn remove(&mut self, doc: u64) {
-        let Some(info) = self.doc(doc).copied() else {
-            return;
-        };
-        if info.live {
+        if self.contains(doc) {
             if let Some(Some(m)) = self.docs.get_mut(doc as usize) {
                 m.live = false;
             }
             self.live -= 1;
-            self.stale += info.terms as usize;
         }
     }
 
@@ -215,77 +195,10 @@ impl InvertedIndex {
         top_k(scores, k)
     }
 
-    /// Documents containing *all* query terms (boolean AND), unranked.
-    pub fn search_all_terms(&self, query: &str) -> Vec<u64> {
-        let mut qterms = tokenize(query);
-        qterms.sort();
-        qterms.dedup();
-        if qterms.is_empty() {
-            return Vec::new();
-        }
-        let mut sets: Vec<HashSet<u64>> = Vec::with_capacity(qterms.len());
-        for term in &qterms {
-            let set: HashSet<u64> = self
-                .postings
-                .get_by(term.as_str())
-                .map(|posts| {
-                    posts
-                        .iter()
-                        .filter(|p| self.is_current(p))
-                        .map(|p| p.doc)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if set.is_empty() {
-                return Vec::new();
-            }
-            sets.push(set);
-        }
-        // Intersect starting from the smallest set.
-        sets.sort_by_key(HashSet::len);
-        let (first, rest) = sets.split_first().unwrap();
-        let mut out: Vec<u64> = first
-            .iter()
-            .filter(|d| rest.iter().all(|s| s.contains(*d)))
-            .copied()
-            .collect();
-        out.sort();
-        out
-    }
-
     /// Pointers a `clone()` copies (one per chunk of document slots; the
     /// term trie is one more).
     pub fn clone_len(&self) -> usize {
         self.docs.chunk_count()
-    }
-
-    /// Are ≥¼ of the stored posting entries masked (stale generation or
-    /// tombstoned document)?
-    pub fn needs_compaction(&self) -> bool {
-        self.stale > 0 && self.stale * 4 >= self.entries
-    }
-
-    /// Rebuild the postings keeping only current entries, dropping
-    /// tombstoned documents entirely.
-    pub fn compact(&mut self) {
-        let mut entries = 0usize;
-        let mut new_posts = CowMap::new();
-        for (term, posts) in self.postings.iter() {
-            let kept: SegVec<Posting> = posts
-                .iter()
-                .filter(|p| self.is_current(p))
-                .copied()
-                .collect();
-            if !kept.is_empty() {
-                entries += kept.len();
-                new_posts.insert(term.clone(), kept);
-            }
-        }
-        let new_docs = self.docs.iter().map(|i| i.filter(|i| i.live)).collect();
-        self.postings = new_posts;
-        self.docs = new_docs;
-        self.entries = entries;
-        self.stale = 0;
     }
 }
 
@@ -386,14 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn boolean_and_search() {
-        let ix = index();
-        assert_eq!(ix.search_all_terms("salinity temp"), vec![3]);
-        assert!(ix.search_all_terms("salinity nonexistent").is_empty());
-        assert!(ix.search_all_terms("").is_empty());
-    }
-
-    #[test]
     fn empty_query_no_hits() {
         let ix = index();
         assert!(ix.search("", 5).is_empty());
@@ -462,40 +367,5 @@ mod tests {
         // And the live index sees the mutations.
         assert!(!ix.contains(1));
         assert!(ix.contains(9));
-    }
-
-    #[test]
-    fn compact_preserves_results() {
-        let mut ix = index();
-        ix.add(2, "SELECT lake FROM Lakes"); // replacement → stale postings
-        ix.remove(4);
-        let want_salinity = ix.search("salinity water", 10);
-        let want_dfs = ix.query_term_dfs("select water temp");
-        ix.compact();
-        assert_eq!(ix.search("salinity water", 10), want_salinity);
-        assert_eq!(ix.query_term_dfs("select water temp"), want_dfs);
-        assert_eq!(ix.len(), 3);
-        assert!(!ix.needs_compaction());
-        assert!(!ix.contains(4));
-        // A compacted index keeps accepting writes.
-        ix.add(4, "SELECT city FROM CityLocations WHERE state = 'WA'");
-        assert!(ix.contains(4));
-        assert_eq!(ix.len(), 4);
-    }
-
-    #[test]
-    fn stale_accounting_drives_needs_compaction() {
-        let mut ix = InvertedIndex::new();
-        for d in 0..8u64 {
-            ix.add(d, "SELECT a FROM T WHERE b = 1");
-        }
-        assert!(!ix.needs_compaction());
-        for d in 0..4u64 {
-            ix.remove(d);
-        }
-        assert!(ix.needs_compaction());
-        ix.compact();
-        assert!(!ix.needs_compaction());
-        assert_eq!(ix.len(), 4);
     }
 }

@@ -1,9 +1,19 @@
 //! Trigram index for substring meta-queries.
 //!
-//! A substring query of length ≥ 3 is answered by intersecting the posting
-//! lists of its trigrams and verifying candidates with a direct `contains`
-//! check (trigram intersection over-approximates). Shorter queries fall back
-//! to a scan over the stored texts, which is still bounded by the log size.
+//! Each document's text is stored **lowercased once**, at [`TrigramIndex::add`],
+//! and its distinct byte trigrams are posted. A substring query of length ≥ 3
+//! walks the *shortest* posting list among its trigrams: a document containing
+//! the needle is on every one of those lists, so the shortest is a complete
+//! candidate set and no intersection is needed. Each candidate is verified
+//! with a plain `contains` on its stored text, which makes the answer exact.
+//! Shorter queries scan the stored texts, which is still bounded by the log
+//! size.
+//!
+//! Nothing purges a posting. A replacement (the Query Storage's `reindex`)
+//! leaves the old text's grams posted, and a delete leaves the document's
+//! grams posted behind its tombstone: each replacement or delete leaves at
+//! most one stale entry per distinct gram of the text it retired, and a stale
+//! entry costs one failed verification.
 //!
 //! Built on the persistent `cqms-cow` collections so a [`Clone`] shares
 //! all state by pointer — the CQMS write path publishes a clone per
@@ -11,11 +21,10 @@
 //! integers (the Query Storage's record ids).
 
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
-use std::collections::HashSet;
 use std::sync::Arc;
 
-/// One document slot: its current text (none for an id never added, or
-/// dropped by compaction) and its tombstone.
+/// One document slot: its current text, lowercased (none for an id never
+/// added), and its tombstone.
 #[derive(Debug, Default, Clone)]
 struct Doc {
     text: Option<Arc<str>>,
@@ -31,6 +40,18 @@ pub struct TrigramIndex {
     live: usize,
 }
 
+/// The distinct byte trigrams of an already-lowercased text, sorted.
+fn trigrams(lower: &str) -> Vec<[u8; 3]> {
+    let mut out: Vec<[u8; 3]> = lower
+        .as_bytes()
+        .windows(3)
+        .map(|w| [w[0], w[1], w[2]])
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 impl TrigramIndex {
     pub fn new() -> Self {
         TrigramIndex::default()
@@ -44,37 +65,24 @@ impl TrigramIndex {
         self.live == 0
     }
 
-    fn trigrams(text: &str) -> HashSet<[u8; 3]> {
-        let lower = text.to_lowercase();
-        let bytes = lower.as_bytes();
-        let mut out = HashSet::new();
-        if bytes.len() >= 3 {
-            for w in bytes.windows(3) {
-                out.insert([w[0], w[1], w[2]]);
-            }
-        }
-        out
-    }
-
-    /// Add (or replace) a document.
+    /// Add (or replace) a document. A replaced text's grams stay posted;
+    /// verification against the new text rejects them.
     pub fn add(&mut self, doc: u64, text: &str) {
-        // Replacement: old postings are purged lazily — candidates are
-        // re-verified against the stored text at query time, so leftover
-        // grams only cost a failed verify until the next compaction.
-        let slot = self.docs.entry_or_default(doc as usize);
-        if slot.text.is_none() || slot.deleted {
-            self.live += 1;
-        }
-        *slot = Doc {
-            text: Some(Arc::from(text)),
-            deleted: false,
-        };
-        for g in Self::trigrams(text) {
+        let lower = text.to_lowercase();
+        for g in trigrams(&lower) {
             let posts = self.grams.entry_or_default(g);
             if posts.last() != Some(&doc) {
                 posts.push(doc);
             }
         }
+        let slot = self.docs.entry_or_default(doc as usize);
+        if slot.text.is_none() || slot.deleted {
+            self.live += 1;
+        }
+        *slot = Doc {
+            text: Some(Arc::from(lower)),
+            deleted: false,
+        };
     }
 
     pub fn remove(&mut self, doc: u64) {
@@ -88,46 +96,39 @@ impl TrigramIndex {
         }
     }
 
-    /// All documents whose text contains `needle` (case-insensitive).
+    /// All documents whose text contains `needle` (case-insensitive), in
+    /// ascending id order.
     pub fn search(&self, needle: &str) -> Vec<u64> {
         if needle.is_empty() {
             return Vec::new();
         }
         let lower = needle.to_lowercase();
-        let candidates: Vec<u64> = if lower.len() >= 3 {
-            let grams = Self::trigrams(&lower);
-            let mut lists: Vec<&SegVec<u64>> = Vec::new();
-            for g in &grams {
-                match self.grams.get(g) {
-                    Some(l) => lists.push(l),
-                    None => return Vec::new(),
+        let matches = |d: &u64| {
+            self.docs.get(*d as usize).is_some_and(|doc| {
+                !doc.deleted && doc.text.as_deref().is_some_and(|t| t.contains(&*lower))
+            })
+        };
+        let mut out: Vec<u64> = if lower.len() < 3 {
+            (0..self.docs.len() as u64).filter(matches).collect()
+        } else {
+            let mut shortest: Option<&SegVec<u64>> = None;
+            for g in trigrams(&lower) {
+                let Some(list) = self.grams.get(&g) else {
+                    return Vec::new();
+                };
+                if shortest.is_none_or(|s| list.len() < s.len()) {
+                    shortest = Some(list);
                 }
             }
-            lists.sort_by_key(|l| l.len());
-            let (first, rest) = lists.split_first().unwrap();
-            let rest_sets: Vec<HashSet<u64>> =
-                rest.iter().map(|l| l.iter().copied().collect()).collect();
-            first
-                .iter()
-                .filter(|d| rest_sets.iter().all(|s| s.contains(d)))
+            shortest
+                .into_iter()
+                .flat_map(SegVec::iter)
                 .copied()
+                .filter(matches)
                 .collect()
-        } else {
-            (0..self.docs.len() as u64).collect()
         };
-        let mut out: Vec<u64> = candidates
-            .into_iter()
-            .filter(|d| {
-                self.docs.get(*d as usize).is_some_and(|doc| {
-                    !doc.deleted
-                        && doc
-                            .text
-                            .as_ref()
-                            .is_some_and(|t| t.to_lowercase().contains(&lower))
-                })
-            })
-            .collect();
-        out.sort();
+        // A re-added document can sit on a list twice, or out of id order.
+        out.sort_unstable();
         out.dedup();
         out
     }
@@ -136,24 +137,6 @@ impl TrigramIndex {
     /// gram trie is one more).
     pub fn clone_len(&self) -> usize {
         self.docs.chunk_count()
-    }
-
-    /// Rebuild the gram postings from the live texts, dropping tombstoned
-    /// documents and replacement leftovers.
-    pub fn compact(&mut self) {
-        let live_docs: SnapshotVec<Doc> = self
-            .docs
-            .iter()
-            .map(|d| if d.deleted { Doc::default() } else { d.clone() })
-            .collect();
-        let mut new_grams: CowMap<[u8; 3], SegVec<u64>> = CowMap::new();
-        for (doc, slot) in live_docs.iter_enumerated() {
-            for g in slot.text.iter().flat_map(|t| Self::trigrams(t)) {
-                new_grams.entry_or_default(g).push(doc as u64);
-            }
-        }
-        self.grams = new_grams;
-        self.docs = live_docs;
     }
 }
 
@@ -228,22 +211,5 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert!(ix.search("watersal").is_empty());
         assert_eq!(ix.search("brand new"), vec![7]);
-    }
-
-    #[test]
-    fn compact_preserves_results() {
-        let mut ix = index();
-        ix.add(2, "replaced entirely");
-        ix.remove(3);
-        let want = ix.search("e");
-        ix.compact();
-        assert_eq!(ix.search("e"), want);
-        assert_eq!(ix.search("replaced"), vec![2]);
-        assert!(ix.search("city").is_empty());
-        assert_eq!(ix.len(), 2);
-        // A compacted index keeps accepting writes.
-        ix.add(3, "SELECT city FROM CityLocations");
-        assert_eq!(ix.search("city"), vec![3]);
-        assert_eq!(ix.len(), 3);
     }
 }
