@@ -84,14 +84,6 @@ impl Catalog {
         self.clock
     }
 
-    /// Explicitly advance the clock to at least `t` (used when replaying
-    /// workload traces that carry their own timestamps).
-    pub fn advance_to(&mut self, t: u64) {
-        if t > self.clock {
-            self.clock = t;
-        }
-    }
-
     fn key(name: &str) -> String {
         name.to_ascii_lowercase()
     }
@@ -126,14 +118,6 @@ impl Catalog {
     /// The full schema-change log.
     pub fn changes(&self) -> &[SchemaChange] {
         &self.changes
-    }
-
-    /// Changes affecting `table` strictly after logical time `t`.
-    pub fn changes_since<'a>(&'a self, table: &str, t: u64) -> Vec<&'a SchemaChange> {
-        self.changes
-            .iter()
-            .filter(|c| c.at > t && c.table.eq_ignore_ascii_case(table))
-            .collect()
     }
 
     pub fn create_table(&mut self, schema: TableSchema) -> Result<(), EngineError> {
@@ -263,16 +247,19 @@ mod tests {
         c.rename_column("WaterTemp", "temp", "temperature").unwrap();
         c.add_column("WaterTemp", "depth", DataType::Float).unwrap();
         c.drop_column("WaterTemp", "lake").unwrap();
-        let changes = c.changes_since("WaterTemp", t0);
-        assert_eq!(changes.len(), 3);
+        // The log opens with the CREATE, then the three ALTERs.
+        let changes = c.changes();
+        assert_eq!(changes.len(), 4);
+        assert_eq!(changes[0].kind, SchemaChangeKind::CreatedTable);
+        assert!(changes[0].at <= t0);
         assert!(matches!(
-            changes[0].kind,
+            changes[1].kind,
             SchemaChangeKind::RenamedColumn { .. }
         ));
-        // Strictly increasing timestamps.
-        assert!(changes[0].at < changes[1].at && changes[1].at < changes[2].at);
-        // Queries logged *after* the change see nothing new.
-        assert!(c.changes_since("WaterTemp", c.now()).is_empty());
+        assert!(changes.iter().all(|ch| ch.table == "WaterTemp"));
+        // Strictly increasing timestamps, the last one the clock's now.
+        assert!(t0 < changes[1].at && changes[1].at < changes[2].at);
+        assert!(changes[2].at < changes[3].at && changes[3].at == c.now());
     }
 
     #[test]
@@ -309,8 +296,15 @@ mod tests {
         c.rename_table("WaterTemp", "LakeTemp").unwrap();
         assert!(c.table("WaterTemp").is_err());
         assert_eq!(c.table("LakeTemp").unwrap().len(), 1);
-        let changed = c.changes_since("WaterTemp", t0);
-        assert_eq!(changed.len(), 1);
+        let last = c.changes().last().unwrap();
+        assert!(last.at > t0);
+        assert_eq!(last.table, "WaterTemp");
+        assert_eq!(
+            last.kind,
+            SchemaChangeKind::RenamedTable {
+                to: "LakeTemp".into()
+            }
+        );
     }
 
     #[test]

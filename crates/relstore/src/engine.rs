@@ -4,12 +4,10 @@ use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::exec;
 use crate::expr::{Binding, Compiler, EvalCtx, Outer, Scope};
-use crate::index::{HashIndex, IndexAccess, Indexes};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::stats::TableStats;
-use crate::table::{Row, Table};
+use crate::table::Row;
 use crate::value::Value;
-use parking_lot::RwLock;
 use sqlparse::ast::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -78,29 +76,15 @@ impl QueryResult {
     }
 }
 
-/// The embedded relational engine: a catalog plus hash indexes.
+/// The embedded relational engine: a catalog of tables.
 ///
 /// Writes (`execute*`) take `&mut self`. Read-only SELECTs can instead go
 /// through [`Engine::query`] / [`Engine::query_statement`], which take
-/// `&self` so concurrent readers never serialise on the engine itself: the
-/// lazily-maintained hash indexes — the only mutable read-path state — are
-/// published as an epoch snapshot (`Arc<Indexes>`). A reader clones the
-/// current snapshot once and uses it lock-free; a reader that finds an
-/// index stale rebuilds it **off-lock** and publishes a copy-on-write
-/// successor with one brief write-lock swap, so readers always get index
-/// pushdown instead of degrading to a scan under contention.
+/// `&self`: a SELECT mutates nothing, so concurrent readers share the
+/// engine with no lock.
+#[derive(Default)]
 pub struct Engine {
     pub catalog: Catalog,
-    indexes: RwLock<Arc<Indexes>>,
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Engine {
-            catalog: Catalog::default(),
-            indexes: RwLock::new(Arc::new(Indexes::new())),
-        }
-    }
 }
 
 impl Engine {
@@ -108,27 +92,10 @@ impl Engine {
         Engine::default()
     }
 
-    /// Exclusive access to the index set (write paths). Copy-on-write: if a
-    /// published snapshot still shares the `Arc`, it is detached first so
-    /// in-flight readers keep their frozen epoch.
-    fn indexes_mut(&mut self) -> &mut Indexes {
-        Arc::make_mut(self.indexes.get_mut())
-    }
-
     /// Parse and execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
         let stmt = sqlparse::parse(sql)?;
         self.execute_statement(&stmt)
-    }
-
-    /// Execute a `;`-separated script, returning the last result.
-    pub fn execute_script(&mut self, sql: &str) -> Result<QueryResult, EngineError> {
-        let stmts = sqlparse::parse_statements(sql)?;
-        let mut last = QueryResult::default();
-        for stmt in &stmts {
-            last = self.execute_statement(stmt)?;
-        }
-        Ok(last)
     }
 
     /// Parse and run one read-only SELECT with `&self` (the concurrent read
@@ -138,13 +105,9 @@ impl Engine {
         self.query_statement(&stmt)
     }
 
-    /// Run an already-parsed SELECT with `&self`.
-    ///
-    /// Unlike [`Engine::execute_statement`], reads observe but do not
-    /// advance the catalog's logical clock, and they never block on the
-    /// index cache: the SELECT runs against an epoch snapshot of the
-    /// indexes ([`EpochIndexes`]), rebuilding a stale index off-lock and
-    /// publishing the result for later readers.
+    /// Run an already-parsed SELECT with `&self`. It is the path
+    /// [`Engine::execute_statement`] runs a SELECT on too, except that a
+    /// read observes but does not advance the catalog's logical clock.
     pub fn query_statement(&self, stmt: &Statement) -> Result<QueryResult, EngineError> {
         let Statement::Select(s) = stmt else {
             return Err(EngineError::Unsupported(
@@ -152,8 +115,7 @@ impl Engine {
             ));
         };
         let start = Instant::now();
-        let mut epoch = EpochIndexes::new(&self.indexes);
-        let out = exec::run_select(&self.catalog, s, Some(&mut epoch))?;
+        let out = exec::run_select(&self.catalog, s)?;
         Ok(QueryResult {
             metrics: ExecMetrics {
                 cardinality: out.rows.len() as u64,
@@ -171,7 +133,7 @@ impl Engine {
     pub fn execute_statement(&mut self, stmt: &Statement) -> Result<QueryResult, EngineError> {
         let start = Instant::now();
         let mut result = match stmt {
-            Statement::Select(s) => self.run_select(s)?,
+            Statement::Select(_) => self.query_statement(stmt)?,
             Statement::Insert(i) => self.run_insert(i)?,
             Statement::CreateTable(c) => {
                 let schema = TableSchema::new(
@@ -188,17 +150,14 @@ impl Engine {
             Statement::Delete(d) => self.run_delete(d)?,
             Statement::DropTable(t) => {
                 self.catalog.drop_table(t)?;
-                self.indexes_mut().invalidate_table(t);
                 QueryResult::default()
             }
             Statement::AlterRenameColumn { table, from, to } => {
                 self.catalog.rename_column(table, from, to)?;
-                self.indexes_mut().invalidate_table(table);
                 QueryResult::default()
             }
             Statement::AlterDropColumn { table, column } => {
                 self.catalog.drop_column(table, column)?;
-                self.indexes_mut().invalidate_table(table);
                 QueryResult::default()
             }
             Statement::AlterAddColumn {
@@ -207,24 +166,21 @@ impl Engine {
                 data_type,
             } => {
                 self.catalog.add_column(table, column, *data_type)?;
-                self.indexes_mut().invalidate_table(table);
                 QueryResult::default()
             }
             Statement::AlterRenameTable { table, to } => {
                 self.catalog.rename_table(table, to)?;
-                self.indexes_mut().invalidate_table(table);
-                self.indexes_mut().invalidate_table(to);
                 QueryResult::default()
             }
         };
-        // SELECT does not mutate: tick once per statement regardless so the
-        // profiler can order queries and schema changes on one clock.
+        // DDL already ticked inside the catalog ops. Every other statement
+        // ticks here, SELECT included, so the profiler can order queries
+        // and schema changes on one clock.
         let logical_time = match stmt {
-            Statement::Select(_) => self.catalog.tick(),
-            // DDL already ticked inside the catalog ops; DML ticks here.
-            Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_) => {
-                self.catalog.tick()
-            }
+            Statement::Select(_)
+            | Statement::Insert(_)
+            | Statement::Update(_)
+            | Statement::Delete(_) => self.catalog.tick(),
             _ => self.catalog.now(),
         };
         result.metrics.elapsed = start.elapsed();
@@ -232,27 +188,14 @@ impl Engine {
         Ok(result)
     }
 
-    fn run_select(&mut self, s: &SelectStatement) -> Result<QueryResult, EngineError> {
-        let idxs = Arc::make_mut(self.indexes.get_mut());
-        let out = exec::run_select(&self.catalog, s, Some(idxs))?;
-        Ok(QueryResult {
-            metrics: ExecMetrics {
-                cardinality: out.rows.len() as u64,
-                rows_scanned: out.stats.rows_scanned,
-                plan: out.stats.plan,
-                ..Default::default()
-            },
-            columns: out.columns,
-            rows: out.rows,
-        })
-    }
-
+    /// Evaluates and conforms every row before it inserts any, so a row
+    /// that fails leaves the table as it was.
     fn run_insert(&mut self, ins: &InsertStatement) -> Result<QueryResult, EngineError> {
-        // Evaluate rows first (needs & borrow), then mutate the table.
-        let schema = self.catalog.table(&ins.table)?.schema.clone();
+        let table = self.catalog.table(&ins.table)?;
+        let schema = &table.schema;
         let scope = Scope::root(&[]);
         let ctx = EvalCtx::new(&self.catalog, &Outer::Root);
-        let mut rows: Vec<Row> = Vec::with_capacity(ins.rows.len());
+        let mut rows = Vec::with_capacity(ins.rows.len());
         for exprs in &ins.rows {
             let mut vals: Vec<Value> = Vec::with_capacity(exprs.len());
             for e in exprs {
@@ -281,21 +224,11 @@ impl Engine {
                 }
                 row
             };
-            rows.push(row);
+            rows.push(Arc::new(table.conform(row)?));
         }
         let n = rows.len() as u64;
-        let table = self.catalog.table_mut(&ins.table)?;
-        for row in rows {
-            table.insert(row)?;
-        }
-        self.indexes_mut().invalidate_table(&ins.table);
-        Ok(QueryResult {
-            metrics: ExecMetrics {
-                cardinality: n,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
+        self.catalog.table_mut(&ins.table)?.rows.extend(rows);
+        Ok(affected(n))
     }
 
     fn run_update(&mut self, u: &UpdateStatement) -> Result<QueryResult, EngineError> {
@@ -320,7 +253,8 @@ impl Engine {
             assignments.push((idx, ce));
         }
 
-        // Phase 1 (immutable): compute replacement values.
+        // Phase 1 (immutable): compute and conform replacement values, so
+        // a value that fails leaves the table as it was.
         let mut updates: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
         let base = EvalCtx::new(&self.catalog, &Outer::Root);
         for (ri, row) in table.rows.iter().enumerate() {
@@ -334,35 +268,22 @@ impl Engine {
                 continue;
             }
             let mut vals = Vec::with_capacity(assignments.len());
-            for (idx, ce) in &assignments {
-                vals.push((*idx, ce.eval(&ctx)?));
+            for &(idx, ref ce) in &assignments {
+                vals.push((idx, table.schema.columns[idx].admit(ce.eval(&ctx)?)?));
             }
             updates.push((ri, vals));
         }
 
-        // Phase 2 (mutable): apply.
+        // Phase 2 (mutable): apply; nothing here can fail.
         let n = updates.len() as u64;
         let table = self.catalog.table_mut(&u.table)?;
         for (ri, vals) in updates {
+            let row = Arc::make_mut(&mut table.rows[ri]);
             for (idx, v) in vals {
-                let ty = table.schema.columns[idx].data_type;
-                if !v.conforms_to(ty) {
-                    return Err(EngineError::TypeError(format!(
-                        "value {v:?} does not fit column `{}`",
-                        table.schema.columns[idx].name
-                    )));
-                }
-                Arc::make_mut(&mut table.rows[ri])[idx] = v.coerce(ty);
+                row[idx] = v;
             }
         }
-        self.indexes_mut().invalidate_table(&u.table);
-        Ok(QueryResult {
-            metrics: ExecMetrics {
-                cardinality: n,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
+        Ok(affected(n))
     }
 
     fn run_delete(&mut self, d: &DeleteStatement) -> Result<QueryResult, EngineError> {
@@ -391,41 +312,12 @@ impl Engine {
             i += 1;
             keep
         });
-        let n = (before - table.rows.len()) as u64;
-        self.indexes_mut().invalidate_table(&d.table);
-        Ok(QueryResult {
-            metrics: ExecMetrics {
-                cardinality: n,
-                ..Default::default()
-            },
-            ..Default::default()
-        })
+        Ok(affected((before - table.rows.len()) as u64))
     }
 
     // ------------------------------------------------------------------
     // Administration
     // ------------------------------------------------------------------
-
-    /// Declare a hash index on `table.column` (built lazily on first use).
-    pub fn create_index(&mut self, table: &str, column: &str) -> Result<(), EngineError> {
-        let t = self.catalog.table(table)?;
-        if t.schema.column_index(column).is_none() {
-            return Err(EngineError::UnknownColumn {
-                column: column.to_string(),
-                context: format!("table `{table}`"),
-            });
-        }
-        self.indexes_mut().create(table, column);
-        Ok(())
-    }
-
-    pub fn drop_index(&mut self, table: &str, column: &str) -> bool {
-        self.indexes_mut().drop(table, column)
-    }
-
-    pub fn has_index(&self, table: &str, column: &str) -> bool {
-        self.indexes.read().has(table, column)
-    }
 
     /// Compute statistics for a table (paper §4.1/§4.4 building block).
     pub fn table_stats(&self, table: &str) -> Result<TableStats, EngineError> {
@@ -466,49 +358,14 @@ impl Engine {
     }
 }
 
-/// The read-path index accessor: one epoch snapshot per statement.
-///
-/// Construction clones the engine's current `Arc<Indexes>` under a brief
-/// read lock; every lookup after that is lock-free. When a lookup finds its
-/// index stale (a writer invalidated it since the last publish), the reader
-/// rebuilds **off-lock** from the table it already holds a borrow of, then
-/// publishes a copy-on-write successor snapshot with one short write-lock
-/// swap so later readers skip the rebuild. Because `query_statement` holds
-/// `&Engine`, no writer can mutate the catalog mid-statement; concurrent
-/// readers racing to publish the same rebuild install identical content,
-/// so the race is benign.
-pub struct EpochIndexes<'a> {
-    shared: &'a RwLock<Arc<Indexes>>,
-    snap: Arc<Indexes>,
-}
-
-impl<'a> EpochIndexes<'a> {
-    fn new(shared: &'a RwLock<Arc<Indexes>>) -> Self {
-        let snap = shared.read().clone();
-        EpochIndexes { shared, snap }
-    }
-}
-
-impl IndexAccess for EpochIndexes<'_> {
-    fn prepared(
-        &mut self,
-        table_name: &str,
-        column: &str,
-        table: &Table,
-        col_idx: usize,
-    ) -> Option<Arc<HashIndex>> {
-        let declared = self.snap.get(table_name, column)?;
-        if declared.is_fresh(table) {
-            return Some(declared.clone());
-        }
-        let mut fresh = HashIndex::new();
-        fresh.rebuild(table, col_idx);
-        let fresh = Arc::new(fresh);
-        let mut guard = self.shared.write();
-        Arc::make_mut(&mut guard).install(table_name, column, fresh.clone());
-        self.snap = guard.clone();
-        drop(guard);
-        Some(fresh)
+/// The result of a DML statement that touched `n` rows.
+fn affected(n: u64) -> QueryResult {
+    QueryResult {
+        metrics: ExecMetrics {
+            cardinality: n,
+            ..Default::default()
+        },
+        ..Default::default()
     }
 }
 
@@ -574,6 +431,11 @@ mod tests {
         let via_query = e.query(sql).unwrap();
         assert_eq!(via_query.columns, via_execute.columns);
         assert_eq!(via_query.rows, via_execute.rows);
+        assert_eq!(via_query.metrics.plan, via_execute.metrics.plan);
+        assert_eq!(
+            via_query.metrics.rows_scanned,
+            via_execute.metrics.rows_scanned
+        );
         // Reads observe, but never advance, the logical clock.
         let before = e.catalog.now();
         e.query("SELECT * FROM WaterTemp").unwrap();
@@ -586,14 +448,9 @@ mod tests {
 
     #[test]
     fn concurrent_queries_share_the_engine() {
-        let mut e = lakes_engine();
-        e.create_index("WaterTemp", "lake").unwrap();
-        // Warm the index through the write path, then hammer reads from
-        // multiple threads; each statement clones one epoch snapshot and
-        // every thread must see identical results.
-        e.execute("SELECT temp FROM WaterTemp WHERE lake = 'Lake Union'")
-            .unwrap();
-        let e = &e;
+        // Hammer reads from multiple threads through one `&Engine`; every
+        // thread must see identical results.
+        let e = &lakes_engine();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -614,27 +471,6 @@ mod tests {
                 assert_eq!(h.join().unwrap(), 100);
             }
         });
-    }
-
-    #[test]
-    fn read_path_rebuilds_and_publishes_indexes() {
-        let mut e = lakes_engine();
-        e.create_index("WaterTemp", "lake").unwrap();
-        // The index has never been built; a `&self` read must rebuild it
-        // off-lock and use it rather than degrade to an index-free scan.
-        let r = e
-            .query("SELECT temp FROM WaterTemp WHERE lake = 'Lake Union'")
-            .unwrap();
-        assert!(r.metrics.plan.contains("idx[lake]"), "{}", r.metrics.plan);
-        // The publish sticks: after a write invalidates, the next readers
-        // again rebuild once and share the fresh epoch.
-        e.execute("INSERT INTO WaterTemp VALUES (9.0, 9.0, 12.0, 'Lake Union')")
-            .unwrap();
-        let r2 = e
-            .query("SELECT temp FROM WaterTemp WHERE lake = 'Lake Union'")
-            .unwrap();
-        assert_eq!(r2.rows.len(), 2);
-        assert!(r2.metrics.plan.contains("idx[lake]"), "{}", r2.metrics.plan);
     }
 
     #[test]
@@ -829,38 +665,6 @@ mod tests {
             .execute("SELECT loc_x, lake FROM WaterTemp WHERE lake = 'Lake X'")
             .unwrap();
         assert!(r.rows[0][0].is_null());
-    }
-
-    #[test]
-    fn index_accelerated_lookup_same_results() {
-        let mut e = lakes_engine();
-        let plain = e
-            .execute("SELECT temp FROM WaterTemp WHERE lake = 'Lake Washington' ORDER BY temp")
-            .unwrap();
-        e.create_index("WaterTemp", "lake").unwrap();
-        let indexed = e
-            .execute("SELECT temp FROM WaterTemp WHERE lake = 'Lake Washington' ORDER BY temp")
-            .unwrap();
-        assert_eq!(plain.rows, indexed.rows);
-        assert!(
-            indexed.metrics.plan.contains("idx[lake]"),
-            "{}",
-            indexed.metrics.plan
-        );
-    }
-
-    #[test]
-    fn index_sees_new_rows() {
-        let mut e = lakes_engine();
-        e.create_index("WaterTemp", "lake").unwrap();
-        e.execute("SELECT * FROM WaterTemp WHERE lake = 'Lake Union'")
-            .unwrap();
-        e.execute("INSERT INTO WaterTemp VALUES (5.0, 5.0, 11.0, 'Lake Union')")
-            .unwrap();
-        let r = e
-            .execute("SELECT * FROM WaterTemp WHERE lake = 'Lake Union'")
-            .unwrap();
-        assert_eq!(r.rows.len(), 2);
     }
 
     #[test]

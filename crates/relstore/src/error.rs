@@ -26,8 +26,6 @@ pub enum EngineError {
     Arithmetic(String),
     /// A scalar subquery returned more than one row/column.
     SubqueryShape(String),
-    /// I/O error rendered as text (keeps the type `Clone + PartialEq`).
-    Io(String),
 }
 
 impl fmt::Display for EngineError {
@@ -47,7 +45,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::Arithmetic(m) => write!(f, "arithmetic error: {m}"),
             EngineError::SubqueryShape(m) => write!(f, "subquery shape: {m}"),
-            EngineError::Io(m) => write!(f, "io error: {m}"),
         }
     }
 }
@@ -57,12 +54,6 @@ impl std::error::Error for EngineError {}
 impl From<ParseError> for EngineError {
     fn from(e: ParseError) -> Self {
         EngineError::Parse(e)
-    }
-}
-
-impl From<std::io::Error> for EngineError {
-    fn from(e: std::io::Error) -> Self {
-        EngineError::Io(e.to_string())
     }
 }
 

@@ -10,9 +10,10 @@
 //!
 //! 1. **Scans and push-down** — every FROM factor is a [`Scan`]. WHERE
 //!    conjuncts touching that factor alone are checked during its scan: a
-//!    `col = literal` conjunct probes a declared hash index or is compared
-//!    against the row in place, and is not evaluated again. A conjunct is
-//!    never pushed into a factor that an outer join NULL-extends.
+//!    `col = literal` conjunct is compared against the row in place, any
+//!    other is a compiled filter, and neither is evaluated again. A
+//!    conjunct is never pushed into a factor that an outer join
+//!    NULL-extends.
 //! 2. **Joins** — left-deep in FROM order. Equality conjuncts (from an
 //!    `ON` clause, or from WHERE for comma joins) become hash-join keys;
 //!    otherwise the step is a nested loop (a cartesian product for CROSS
@@ -35,7 +36,6 @@ use crate::expr::{
     eval_all, literal_value, AggKind, AggSpec, Binding, CompiledExpr, Compiler, EvalCtx, Outer,
     Scope, Tuple,
 };
-use crate::index::{HashIndex, IndexAccess};
 use crate::table::Row;
 use crate::value::{row_key, Key, Value};
 use sqlparse::ast::*;
@@ -45,15 +45,15 @@ use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// Execution statistics for one SELECT.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecStats {
     /// Base-table rows read (before any filtering).
     pub rows_scanned: u64,
-    /// Human-readable plan description, e.g.
-    /// `Scan(attributes idx[attrname]) -> HashJoin(attributes) -> Filter(2)`.
+    /// Human-readable plan description, e.g. `Scan(queries) ->
+    /// Scan(datasources +1f) -> HashJoin(datasources on 1 keys) ->
+    /// Project(1)`.
     pub plan: String,
 }
 
@@ -65,12 +65,8 @@ pub struct SelectOutput {
 }
 
 /// Plan and run a top-level SELECT.
-pub fn run_select(
-    catalog: &Catalog,
-    stmt: &SelectStatement,
-    indexes: Option<&mut dyn IndexAccess>,
-) -> Result<SelectOutput, EngineError> {
-    let planned = plan_select(catalog, stmt, None, indexes)?;
+pub fn run_select(catalog: &Catalog, stmt: &SelectStatement) -> Result<SelectOutput, EngineError> {
+    let planned = plan_select(catalog, stmt, None)?;
     let rows = planned.plan.run(catalog, &Outer::Root)?;
     Ok(SelectOutput {
         columns: planned.columns,
@@ -118,10 +114,7 @@ pub fn bindings_for(
 pub struct Scan {
     /// Lower-cased table name.
     table: String,
-    /// A declared index answering one `col = literal` conjunct: the
-    /// column's name, the index and the literal.
-    index: Option<(String, Arc<HashIndex>, Value)>,
-    /// The other `col = literal` conjuncts, compared in place.
+    /// The `col = literal` conjuncts, compared in place.
     equals: Vec<(usize, Value)>,
     /// The remaining pushed-down conjuncts, compiled against the factor
     /// alone.
@@ -193,9 +186,6 @@ pub enum Plan {
 impl fmt::Display for Scan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Scan({}", self.table)?;
-        if let Some((column, _, _)) = &self.index {
-            write!(f, " idx[{column}]")?;
-        }
         if self.pushed > 0 {
             write!(f, " +{}f", self.pushed)?;
         }
@@ -270,13 +260,10 @@ pub(crate) struct Planned {
 }
 
 /// Plan a SELECT whose enclosing query (if any) has scope `parent`.
-/// `indexes` answers `col = literal` probes; subqueries are planned
-/// without.
 pub(crate) fn plan_select(
     catalog: &Catalog,
     stmt: &SelectStatement,
     parent: Option<&Scope<'_>>,
-    indexes: Option<&mut dyn IndexAccess>,
 ) -> Result<Planned, EngineError> {
     let mut planner = Planner {
         catalog,
@@ -284,7 +271,7 @@ pub(crate) fn plan_select(
         depth: 0,
         rows_scanned: 0,
     };
-    let (plan, columns) = planner.select(stmt, indexes)?;
+    let (plan, columns) = planner.select(stmt)?;
     Ok(Planned {
         plan,
         columns,
@@ -320,11 +307,7 @@ impl Planner<'_, '_> {
         Ok(compiled)
     }
 
-    fn select(
-        &mut self,
-        stmt: &SelectStatement,
-        mut indexes: Option<&mut dyn IndexAccess>,
-    ) -> Result<(Plan, Vec<String>), EngineError> {
+    fn select(&mut self, stmt: &SelectStatement) -> Result<(Plan, Vec<String>), EngineError> {
         if stmt.from.is_empty() {
             return self.fromless(stmt);
         }
@@ -377,11 +360,11 @@ impl Planner<'_, '_> {
         };
 
         let first = push_down(0, &mut consumed);
-        let mut node = Node::Scan(self.scan(&bindings[0], &first, indexes.as_deref_mut())?);
+        let mut node = Node::Scan(self.scan(&bindings[0], &first)?);
         for (i, &(kind, on)) in factors.iter().enumerate().skip(1) {
             let (acc, b) = (&bindings[..i], &bindings[i]);
             let pushed = push_down(i, &mut consumed);
-            let right = self.scan(b, &pushed, indexes.as_deref_mut())?;
+            let right = self.scan(b, &pushed)?;
             let joined = Scope {
                 bindings: &bindings[..=i],
                 parent: self.parent,
@@ -472,12 +455,7 @@ impl Planner<'_, '_> {
     }
 
     /// Factor `b`'s scan, checking the WHERE conjuncts `pushed` to it.
-    fn scan(
-        &mut self,
-        b: &Binding,
-        pushed: &[&Expr],
-        indexes: Option<&mut (dyn IndexAccess + '_)>,
-    ) -> Result<Scan, EngineError> {
+    fn scan(&mut self, b: &Binding, pushed: &[&Expr]) -> Result<Scan, EngineError> {
         let table = self.catalog.table(&b.table)?;
         self.rows_scanned += table.len() as u64;
         let local = Scope {
@@ -492,19 +470,8 @@ impl Planner<'_, '_> {
                 None => filters.push(self.compile(&local, c)?),
             }
         }
-        let index = indexes.and_then(|idxs| {
-            equals.iter().enumerate().find_map(|(p, &(col, _))| {
-                let idx = idxs.prepared(&b.table, &b.columns[col], table, col)?;
-                Some((p, idx))
-            })
-        });
-        let index = index.map(|(p, idx)| {
-            let (col, value) = equals.remove(p);
-            (b.columns[col].clone(), idx, value)
-        });
         Ok(Scan {
             table: b.table.clone(),
-            index,
             equals,
             filters,
             pushed: pushed.len(),
@@ -798,26 +765,13 @@ impl Scan {
     fn rows<'a>(&self, ctx: &EvalCtx<'a>) -> Result<Vec<&'a Row>, EngineError> {
         let table = ctx.catalog.table(&self.table)?;
         let mut out = Vec::new();
-        let mut offer = |row: &'a Row| -> Result<(), EngineError> {
+        for row in &table.rows {
             let equal = self
                 .equals
                 .iter()
                 .all(|(c, v)| row[*c].sql_eq(v) == Some(true));
             if equal && all(&self.filters, &ctx.at(&[Some(row)]))? {
-                out.push(row);
-            }
-            Ok(())
-        };
-        match &self.index {
-            Some((_, index, value)) => {
-                for &pos in index.lookup(value) {
-                    offer(&table.rows[pos])?;
-                }
-            }
-            None => {
-                for row in &table.rows {
-                    offer(row)?;
-                }
+                out.push(&**row);
             }
         }
         Ok(out)

@@ -251,7 +251,7 @@ impl<'a, 'b> Compiler<'a, 'b> {
     }
 
     fn subquery(&mut self, sub: &SelectStatement) -> Result<Subquery, EngineError> {
-        let planned = crate::exec::plan_select(self.catalog, sub, Some(self.scope), None)?;
+        let planned = crate::exec::plan_select(self.catalog, sub, Some(self.scope))?;
         if planned.depth == 0 {
             return Ok(Subquery::Rows(
                 planned.plan.run(self.catalog, &Outer::Root)?,

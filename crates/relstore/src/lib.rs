@@ -10,7 +10,6 @@
 //!   the paper's Query Maintenance component consumes (§4.4) ([`catalog`]),
 //! * an executor for the `sqlparse` dialect: filters, hash/nested-loop joins,
 //!   grouping and aggregation, ordering, subqueries ([`exec`], [`expr`]),
-//! * hash indexes for point meta-queries ([`index`]),
 //! * per-column statistics: histograms, distinct counts, reservoir samples —
 //!   used for output summarisation (§4.1) and drift detection (§4.4)
 //!   ([`stats`]),
@@ -20,12 +19,10 @@
 //! The public entry point is [`engine::Engine`].
 
 pub mod catalog;
-pub mod csv;
 pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod expr;
-pub mod index;
 pub mod schema;
 pub mod stats;
 pub mod table;

@@ -1,6 +1,7 @@
 //! Table schemas with version tracking.
 
 use crate::error::EngineError;
+use crate::value::Value;
 use sqlparse::ast::DataType;
 
 /// One column definition.
@@ -16,6 +17,18 @@ impl ColumnDef {
             name: name.into(),
             data_type,
         }
+    }
+
+    /// `v` as this column stores it (an Int widened to Float where the
+    /// column requires it), or a type error if it does not fit.
+    pub fn admit(&self, v: Value) -> Result<Value, EngineError> {
+        if !v.conforms_to(self.data_type) {
+            return Err(EngineError::TypeError(format!(
+                "value {v:?} does not fit column `{}` ({})",
+                self.name, self.data_type
+            )));
+        }
+        Ok(v.coerce(self.data_type))
     }
 }
 

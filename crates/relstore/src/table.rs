@@ -35,34 +35,27 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Append a row after checking arity and type conformance. Int values
-    /// are widened to Float where the column requires it.
-    pub fn insert(&mut self, row: Row) -> Result<(), EngineError> {
+    /// `row` as this table stores it, after checking arity and type
+    /// conformance. Int values are widened to Float where the column
+    /// requires it.
+    pub fn conform(&self, row: Row) -> Result<Row, EngineError> {
         if row.len() != self.schema.arity() {
             return Err(EngineError::ArityMismatch {
                 expected: self.schema.arity(),
                 got: row.len(),
             });
         }
-        let mut coerced = Vec::with_capacity(row.len());
-        for (v, col) in row.into_iter().zip(&self.schema.columns) {
-            if !v.conforms_to(col.data_type) {
-                return Err(EngineError::TypeError(format!(
-                    "value {v:?} does not fit column `{}` ({})",
-                    col.name, col.data_type
-                )));
-            }
-            coerced.push(v.coerce(col.data_type));
-        }
-        self.rows.push(Arc::new(coerced));
-        Ok(())
+        row.into_iter()
+            .zip(&self.schema.columns)
+            .map(|(v, c)| c.admit(v))
+            .collect()
     }
 
-    /// Remove rows matching the predicate; returns how many were removed.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let before = self.rows.len();
-        self.rows.retain(|r| !pred(r));
-        before - self.rows.len()
+    /// Append a row after [`Table::conform`]ing it.
+    pub fn insert(&mut self, row: Row) -> Result<(), EngineError> {
+        let row = self.conform(row)?;
+        self.rows.push(Arc::new(row));
+        Ok(())
     }
 
     /// Drop the column at `idx` from every row (schema already updated).
@@ -124,18 +117,6 @@ mod tests {
         t.insert(vec![Value::Null, Value::Null, Value::Null])
             .unwrap();
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn delete_where_counts() {
-        let mut t = table();
-        for i in 0..10 {
-            t.insert(vec![Value::Int(i), Value::Int(i), Value::from("x")])
-                .unwrap();
-        }
-        let n = t.delete_where(|r| matches!(r[0], Value::Int(i) if i % 2 == 0));
-        assert_eq!(n, 5);
-        assert_eq!(t.len(), 5);
     }
 
     #[test]

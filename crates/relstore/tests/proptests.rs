@@ -1,8 +1,9 @@
 //! Property-based tests for the relational engine.
 //!
 //! The key invariants: the hash-join fast path agrees with the nested-loop
-//! general path, filters compose like set intersection, ORDER BY really
-//! sorts, DISTINCT really deduplicates, and LIMIT bounds cardinality.
+//! general path, an equality pushed into a scan agrees with a plain filter,
+//! filters compose like set intersection, ORDER BY really sorts, DISTINCT
+//! really deduplicates, and LIMIT bounds cardinality.
 
 use proptest::prelude::*;
 use relstore::{Engine, Value};
@@ -155,18 +156,45 @@ proptest! {
         prop_assert_eq!(r.rows.len(), uniq.len());
     }
 
-    /// An index never changes results, only the plan.
+    /// A `col = literal` conjunct compared in place during the scan (in
+    /// either orientation), the same test as a compiled filter, and the
+    /// pushdown under a comma join all return what a plain filter over the
+    /// input returns, in scan order.
     #[test]
-    fn index_is_transparent(a in pairs(), probe in -5i64..5) {
-        let mut e = engine_with(&a, &[]);
-        let plain = e
-            .execute(&format!("SELECT v FROM a WHERE k = {probe} ORDER BY v"))
+    fn equality_pushdown_matches_naive(a in pairs(), b in pairs(), p in -5i64..5) {
+        let mut e = engine_with(&a, &b);
+        let ints = |rows: &[Vec<Value>]| -> Vec<Vec<i64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|v| v.as_i64().unwrap()).collect())
+                .collect()
+        };
+        let expected: Vec<Vec<i64>> = a
+            .iter()
+            .filter(|(k, _)| *k == p)
+            .map(|(_, v)| vec![*v])
+            .collect();
+        for sql in [
+            format!("SELECT v FROM a WHERE k = {p}"),
+            format!("SELECT v FROM a WHERE {p} = k"),
+            format!("SELECT v FROM a WHERE k + 0 = {p}"),
+        ] {
+            let r = e.execute(&sql).unwrap();
+            prop_assert_eq!(&r.metrics.plan, "Scan(a +1f) -> Project(1)");
+            prop_assert_eq!(ints(&r.rows), expected.clone(), "{}", sql);
+        }
+        let joined: Vec<Vec<i64>> = a
+            .iter()
+            .flat_map(|(ak, v)| {
+                b.iter()
+                    .filter(move |(bk, _)| bk == ak && *bk == p)
+                    .map(move |(_, w)| vec![*v, *w])
+            })
+            .collect();
+        let r = e
+            .execute(&format!("SELECT a.v, b.w FROM a, b WHERE a.k = b.k AND b.k = {p}"))
             .unwrap();
-        e.create_index("a", "k").unwrap();
-        let indexed = e
-            .execute(&format!("SELECT v FROM a WHERE k = {probe} ORDER BY v"))
-            .unwrap();
-        prop_assert_eq!(plain.rows, indexed.rows);
+        prop_assert!(r.metrics.plan.contains("Scan(b +1f)"), "{}", r.metrics.plan);
+        prop_assert_eq!(ints(&r.rows), joined);
     }
 
     /// IN subquery equals the equivalent join semantics (set membership).

@@ -2,7 +2,7 @@
 //! expression grouping, null handling in joins/aggregates, nested
 //! correlation, CASE, scalar functions, self-joins.
 
-use relstore::{Engine, Value};
+use relstore::{Engine, EngineError, Value};
 
 fn engine() -> Engine {
     let mut e = Engine::new();
@@ -299,4 +299,44 @@ fn where_applies_to_rows_null_extended_by_right_and_full_joins() {
         )
         .unwrap();
     assert_eq!(r.rows, vec![vec![int(1), int(1)], vec![int(2), int(2)]]);
+}
+
+fn three_rows() -> Engine {
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE t (id INT, x INT)").unwrap();
+    e.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        .unwrap();
+    e
+}
+
+fn rows_of(e: &Engine) -> Vec<Vec<Value>> {
+    e.query("SELECT id, x FROM t ORDER BY id").unwrap().rows
+}
+
+/// An INSERT whose later row does not fit the table inserts none of its
+/// rows: the profiler logs the statement as failed, so the data must not
+/// have changed.
+#[test]
+fn failing_insert_leaves_the_table_unchanged() {
+    let mut e = three_rows();
+    let before = rows_of(&e);
+    let err = e
+        .execute("INSERT INTO t VALUES (4, 40), (5, 'oops')")
+        .unwrap_err();
+    assert!(matches!(err, EngineError::TypeError(_)), "{err:?}");
+    let err = e.execute("INSERT INTO t VALUES (4, 40), (5)").unwrap_err();
+    assert!(matches!(err, EngineError::ArityMismatch { .. }), "{err:?}");
+    assert_eq!(rows_of(&e), before);
+}
+
+/// An UPDATE that fails on a later row updates none of them.
+#[test]
+fn failing_update_leaves_the_table_unchanged() {
+    let mut e = three_rows();
+    let before = rows_of(&e);
+    let err = e
+        .execute("UPDATE t SET x = CASE WHEN id < 3 THEN 0 ELSE 'oops' END")
+        .unwrap_err();
+    assert!(matches!(err, EngineError::TypeError(_)), "{err:?}");
+    assert_eq!(rows_of(&e), before);
 }
