@@ -9,13 +9,18 @@
 //! being completed (a table in FROM, an attribute in SELECT/WHERE, a
 //! predicate), then ranks candidates by association-rule confidence given
 //! the tables already present, falling back to global popularity.
+//!
+//! The statistics come from counts the Query Storage keeps at write time
+//! over its live records (`QueryStorage::completion_counts`, plus the
+//! `t:` posting lists for table popularity), so collecting them costs the
+//! keys in scope and never walks the log. Debug builds check each
+//! collection against a scan of the live records.
 
 use crate::config::CqmsConfig;
 use crate::miner::assoc::{suggest_from_counts, ContextCounts};
-use crate::model::{QueryId, QueryRecord};
 use crate::storage::QueryStorage;
 use sqlparse::{Keyword, Lexer, TokenKind};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// A predicate shape: (table, column, operator).
 pub type PredicateKey = (String, String, String);
@@ -52,7 +57,8 @@ impl CatalogView {
 }
 
 /// Summable inputs behind one completion probe, counted over one Query
-/// Storage's live records. A sharded deployment
+/// Storage's live records (copied out of its maintained counters). A
+/// sharded deployment
 /// [`CompletionStats::merge`]s its shards' stats and scores the totals
 /// once, which reproduces a single instance holding every shard's log
 /// bit-for-bit (see [`suggest_from_counts`] for the rule part of that
@@ -204,7 +210,8 @@ impl<'a> CompletionEngine<'a> {
 
     /// Collect the summable statistics this probe needs from *this*
     /// storage (one shard's contribution; only the maps the probe's
-    /// context consults are filled).
+    /// context consults are filled). Reads the storage's counters and
+    /// posting lists only: O(keys in scope), never O(log).
     pub fn collect_stats(&self, partial: &str) -> CompletionStats {
         let (ctx, _prefix, tables) = Self::detect_context(partial);
         let mut stats = CompletionStats::default();
@@ -255,35 +262,31 @@ impl<'a> CompletionEngine<'a> {
         }]
     }
 
-    /// Association context counts for the tables already typed. Only the
-    /// records on those tables' posting lists can contain a context item,
-    /// so only they are visited — none when no table is present yet.
+    /// Association context counts for the tables already typed: each
+    /// distinct live table list is added once, weighted by how many live
+    /// records have it (a list without a typed table adds nothing).
     fn collect_rule_counts(&self, present: &[String]) -> ContextCounts {
         let context: HashSet<String> = present.iter().map(|t| format!("table:{t}")).collect();
-        let count = |records: &mut dyn Iterator<Item = &QueryRecord>| {
-            let mut counts = ContextCounts::default();
-            for r in records {
-                let items: Vec<String> = r
-                    .features
-                    .tables
-                    .iter()
-                    .map(|t| format!("table:{t}"))
-                    .collect();
-                counts.add(&items, &context, "table:");
-            }
-            counts
+        let items = |tables: &mut dyn Iterator<Item = &str>| -> Vec<String> {
+            tables.map(|t| format!("table:{t}")).collect()
         };
-        let posted: BTreeSet<u64> = present
-            .iter()
-            .filter_map(|t| self.storage.interner().lookup(&format!("t:{t}")))
-            .flat_map(|fid| self.storage.live_posting_ids(fid))
-            .collect();
-        let counts = count(
-            &mut posted
-                .iter()
-                .filter_map(|&id| self.storage.get(QueryId(id)).ok()),
-        );
-        debug_assert_eq!(counts, count(&mut self.storage.iter_live()));
+        let mut counts = ContextCounts::default();
+        for (tables, n) in self.storage.completion_counts().table_sets() {
+            // A list holding no typed table adds nothing: skip building it.
+            if !tables.iter().any(|t| present.iter().any(|p| p == &**t)) {
+                continue;
+            }
+            let items = items(&mut tables.iter().map(|t| &**t));
+            counts.add_n(&items, &context, "table:", u64::from(n));
+        }
+        debug_assert_eq!(counts, {
+            let mut scan = ContextCounts::default();
+            for r in self.storage.iter_live() {
+                let items = items(&mut r.features.tables.iter().map(String::as_str));
+                scan.add_n(&items, &context, "table:", 1);
+            }
+            scan
+        });
         counts
     }
 
@@ -393,16 +396,28 @@ impl<'a> CompletionEngine<'a> {
         out
     }
 
-    /// (table, attribute) use counts over in-scope tables.
+    /// (table, attribute) use counts over in-scope tables (every table
+    /// when none is typed), read from the storage's counters.
     fn collect_attr_pop(&self, present: &[String]) -> HashMap<(String, String), u32> {
-        let mut pop: HashMap<(String, String), u32> = HashMap::new();
-        for r in self.storage.iter_live() {
-            for (t, a) in &r.features.attributes {
-                if present.is_empty() || present.contains(t) {
-                    *pop.entry((t.clone(), a.clone())).or_insert(0) += 1;
+        let in_scope = |t: &str| present.is_empty() || present.iter().any(|p| p == t);
+        let pop: HashMap<(String, String), u32> = self
+            .storage
+            .completion_counts()
+            .attrs()
+            .filter(|((t, _), _)| in_scope(t))
+            .map(|((t, a), n)| ((t.to_string(), a.to_string()), n))
+            .collect();
+        debug_assert_eq!(pop, {
+            let mut scan: HashMap<(String, String), u32> = HashMap::new();
+            for r in self.storage.iter_live() {
+                for (t, a) in &r.features.attributes {
+                    if in_scope(t) {
+                        *scan.entry((t.clone(), a.clone())).or_insert(0) += 1;
+                    }
                 }
             }
-        }
+            scan
+        });
         pop
     }
 
@@ -457,21 +472,42 @@ impl<'a> CompletionEngine<'a> {
         out
     }
 
-    /// Predicate-shape stats over in-scope tables.
+    /// Predicate-shape stats over in-scope tables, read from the storage's
+    /// counters. A predicate whose table did not resolve (empty) is always
+    /// in scope.
     fn collect_pred_pop(&self, present: &[String]) -> HashMap<PredicateKey, PredicateStats> {
-        let mut pop: HashMap<PredicateKey, PredicateStats> = HashMap::new();
-        for r in self.storage.iter_live() {
-            for p in &r.features.predicates {
-                if !present.is_empty() && !present.contains(&p.table) && !p.table.is_empty() {
-                    continue;
+        let in_scope =
+            |t: &str| t.is_empty() || present.is_empty() || present.iter().any(|p| p == t);
+        let pop: HashMap<PredicateKey, PredicateStats> = self
+            .storage
+            .completion_counts()
+            .preds()
+            .filter(|((t, ..), _)| in_scope(t))
+            .map(|((t, c, op), shape)| {
+                let constants = shape
+                    .constants
+                    .iter()
+                    .map(|(constant, &n)| (constant.to_string(), n))
+                    .collect();
+                (
+                    (t.to_string(), c.to_string(), op.to_string()),
+                    (shape.count, constants),
+                )
+            })
+            .collect();
+        debug_assert_eq!(pop, {
+            let mut scan: HashMap<PredicateKey, PredicateStats> = HashMap::new();
+            for r in self.storage.iter_live() {
+                for p in r.features.predicates.iter().filter(|p| in_scope(&p.table)) {
+                    let entry = scan
+                        .entry((p.table.clone(), p.column.clone(), p.op.clone()))
+                        .or_insert((0, HashMap::new()));
+                    entry.0 += 1;
+                    *entry.1.entry(p.constant.clone()).or_insert(0) += 1;
                 }
-                let entry = pop
-                    .entry((p.table.clone(), p.column.clone(), p.op.clone()))
-                    .or_insert((0, HashMap::new()));
-                entry.0 += 1;
-                *entry.1.entry(p.constant.clone()).or_insert(0) += 1;
             }
-        }
+            scan
+        });
         pop
     }
 

@@ -46,19 +46,13 @@ pub fn recommend_panel(
 ) -> Result<Vec<PanelRow>, CqmsError> {
     let hits = knn_candidates(storage, directory, config, viewer, seed_sql, k * 3)?;
     let pairs: Vec<(crate::model::QueryId, f64)> = hits.iter().map(|h| (h.id, h.score)).collect();
-    let now_ts = panel_now_ts(storage);
+    let now_ts = storage.max_ts();
     let max_pop = storage.max_popularity();
     let mut rows = panel_rows_for(storage, config, seed_sql, &pairs, now_ts, max_pop, &|fp| {
         storage.popularity(fp)
     })?;
     sort_panel_rows(&mut rows);
     Ok(rows.into_iter().map(|(_, r)| r).take(k).collect())
-}
-
-/// The trace time the recency term decays from: the newest logged
-/// timestamp. A sharded deployment takes the max across shards.
-pub fn panel_now_ts(storage: &QueryStorage) -> u64 {
-    storage.iter().map(|r| r.ts).max().unwrap_or(0)
 }
 
 /// The panel's kNN candidate pool for `seed_sql`: the top `m` Combined

@@ -450,6 +450,20 @@ pub const FEATURE_RELATIONS: [(&str, &[(&str, DataType)]); 5] = [
 const QUERY_META: usize = 4;
 const SESSION_ID: usize = 3;
 
+/// Positions of the relations completion counts in [`FEATURE_RELATIONS`].
+const DATA_SOURCES: usize = 1;
+const ATTRIBUTES: usize = 2;
+const PREDICATES: usize = 3;
+
+/// The text a feature row holds in `cell` (every cell past `qid` in the
+/// three relations completion counts is text).
+fn text_cell(row: &Row, cell: usize) -> &Arc<str> {
+    match &row[cell] {
+        Value::Text(s) => s,
+        other => unreachable!("feature cell {cell} holds {other:?}, not text"),
+    }
+}
+
 /// One logged query's rows in the feature relations, indexed like
 /// [`FEATURE_RELATIONS`]. Rows sit behind `Arc`, so showing them to a SQL
 /// meta-query copies pointers, never cells.
@@ -497,6 +511,33 @@ impl FeatureRows {
     /// The query's rows in relation `i` of [`FEATURE_RELATIONS`].
     pub fn relation(&self, i: usize) -> &[Arc<Row>] {
         &self.0[i]
+    }
+
+    /// `DataSources.relName` per row: the record's `features.tables`, in
+    /// order.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &Arc<str>> {
+        self.0[DATA_SOURCES].iter().map(|r| text_cell(r, 1))
+    }
+
+    /// `(relName, attrName)` per `Attributes` row: the record's
+    /// `features.attributes`, in order.
+    pub(crate) fn attributes(&self) -> impl Iterator<Item = (&Arc<str>, &Arc<str>)> {
+        self.0[ATTRIBUTES]
+            .iter()
+            .map(|r| (text_cell(r, 2), text_cell(r, 1)))
+    }
+
+    /// `[relName, attrName, op, const]` per `Predicates` row: the record's
+    /// `features.predicates` as `[table, column, op, constant]`, in order.
+    pub(crate) fn predicates(&self) -> impl Iterator<Item = [&Arc<str>; 4]> {
+        self.0[PREDICATES].iter().map(|r| {
+            [
+                text_cell(r, 2),
+                text_cell(r, 1),
+                text_cell(r, 3),
+                text_cell(r, 4),
+            ]
+        })
     }
 
     /// These rows with `QueryMeta.sessionId` pointing at `session` (the

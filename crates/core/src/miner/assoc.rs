@@ -85,9 +85,11 @@ pub struct ContextCounts {
 }
 
 impl ContextCounts {
-    /// Count one transaction. `items` must be sorted and deduplicated, so
-    /// pair keys come out in the same (ordered) form [`mine_apriori`] uses.
-    pub fn add(&mut self, items: &[String], context: &HashSet<String>, prefix: &str) {
+    /// Count `n` copies of one transaction. `items` must be sorted and
+    /// deduplicated, so pair keys come out in the same (ordered) form
+    /// [`mine_apriori`] uses. Completion adds each distinct live table set
+    /// once, weighted by the number of live records that have it.
+    pub fn add_n(&mut self, items: &[String], context: &HashSet<String>, prefix: &str, n: u64) {
         let ctx_items: Vec<&String> = items.iter().filter(|i| context.contains(*i)).collect();
         if ctx_items.is_empty() {
             return;
@@ -97,17 +99,17 @@ impl ContextCounts {
             .filter(|i| i.starts_with(prefix) && !context.contains(*i))
             .collect();
         for (i, &a) in ctx_items.iter().enumerate() {
-            *self.singles.entry(a.clone()).or_insert(0) += 1;
+            *self.singles.entry(a.clone()).or_insert(0) += n;
             for &z in &cons {
-                *self.joint_pairs.entry((a.clone(), z.clone())).or_insert(0) += 1;
+                *self.joint_pairs.entry((a.clone(), z.clone())).or_insert(0) += n;
             }
             for &b in &ctx_items[i + 1..] {
-                *self.pairs.entry((a.clone(), b.clone())).or_insert(0) += 1;
+                *self.pairs.entry((a.clone(), b.clone())).or_insert(0) += n;
                 for &z in &cons {
                     *self
                         .joint_triples
                         .entry((a.clone(), b.clone(), z.clone()))
-                        .or_insert(0) += 1;
+                        .or_insert(0) += n;
                 }
             }
         }
@@ -367,7 +369,7 @@ mod tests {
     fn context_counts(m: &RuleMiner, context: &HashSet<String>, prefix: &str) -> ContextCounts {
         let mut counts = ContextCounts::default();
         for t in &m.transactions {
-            counts.add(t, context, prefix);
+            counts.add_n(t, context, prefix, 1);
         }
         counts
     }

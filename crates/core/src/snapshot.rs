@@ -327,9 +327,10 @@ impl ReadSnapshot {
         )
     }
 
-    /// Newest logged trace timestamp (the panel recency anchor).
+    /// Newest logged trace timestamp, tombstones included (the panel
+    /// recency anchor; a sharded deployment takes the max across shards).
     pub fn panel_now_ts(&self) -> u64 {
-        recommend::panel_now_ts(&self.storage)
+        self.storage.max_ts()
     }
 
     /// The template popularity histogram (summable across shards).

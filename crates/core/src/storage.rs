@@ -81,6 +81,14 @@ pub struct QueryStorage {
     /// `insert`/`delete`/`set_validity`; validity must never be flipped
     /// through `get_mut`).
     live: usize,
+    /// Completion's statistics over the live records, read from their
+    /// feature-row slots (kept coherent by `insert`/`delete`/
+    /// `set_validity`/`reindex`, like `live`).
+    completion: CompletionCounts,
+    /// The newest `ts` of any record, tombstones included (records are
+    /// never removed and no mutator rewrites `ts`, so `insert` alone
+    /// keeps it).
+    max_ts: u64,
     /// Write-ahead log, when this store is durable ([`crate::wal`]). Every
     /// sanctioned mutator logs its operation here; durability happens at
     /// the service layer's per-batch [`QueryStorage::wal_flush`].
@@ -107,6 +115,8 @@ impl Clone for QueryStorage {
             signatures: self.signatures.clone(),
             indexes: self.indexes.clone(),
             live: self.live,
+            completion: self.completion.clone(),
+            max_ts: self.max_ts,
             wal: None,
         }
     }
@@ -135,6 +145,8 @@ impl QueryStorage {
             signatures: SnapshotVec::new(),
             indexes: IndexRegistry::new(),
             live: 0,
+            completion: CompletionCounts::default(),
+            max_ts: 0,
             wal: None,
         }
     }
@@ -158,6 +170,17 @@ impl QueryStorage {
             "live counter out of sync"
         );
         self.live
+    }
+
+    /// The newest logged timestamp, tombstones included (0 when empty).
+    /// O(1): `insert` maintains it.
+    pub fn max_ts(&self) -> u64 {
+        debug_assert_eq!(
+            self.max_ts,
+            self.records.iter().map(|r| r.ts).max().unwrap_or(0),
+            "max_ts out of sync"
+        );
+        self.max_ts
     }
 
     /// Allocate a fresh session id.
@@ -188,6 +211,7 @@ impl QueryStorage {
         }
         self.sessions.entry_or_default(record.session).push(id);
         self.last_by_user.insert(record.user, id);
+        self.max_ts = self.max_ts.max(record.ts);
         if record.session.0 >= self.next_session {
             self.next_session = record.session.0 + 1;
         }
@@ -197,7 +221,8 @@ impl QueryStorage {
         // flagged record enters with its final validity and is skipped,
         // matching the state set_validity/delete leave behind.
         let sig = SimSignature::build(&record, &mut self.interner);
-        if record.is_live() {
+        let live = record.is_live();
+        if live {
             self.indexes.post(&sig, id.0);
             self.live += 1;
         }
@@ -215,6 +240,9 @@ impl QueryStorage {
         self.feature_rows
             .push((!tombstoned).then(|| Arc::new(FeatureRows::of(&record))));
         self.records.push(Arc::new(record));
+        if live {
+            self.count_completion(id, true);
+        }
         id
     }
 
@@ -251,6 +279,11 @@ impl QueryStorage {
     /// from.
     pub fn feature_rows(&self) -> &SnapshotVec<Option<Arc<FeatureRows>>> {
         &self.feature_rows
+    }
+
+    /// Completion's statistics, counted over the live records.
+    pub(crate) fn completion_counts(&self) -> &CompletionCounts {
+        &self.completion
     }
 
     /// Keyword index.
@@ -391,6 +424,7 @@ impl QueryStorage {
             // its posting entries counted stale at that transition —
             // marking again would double-count.
             self.mark_dead_postings(id);
+            self.count_completion(id, false);
         }
         self.text.remove(id.0);
         self.trigram.remove(id.0);
@@ -447,10 +481,12 @@ impl QueryStorage {
             (true, false) => {
                 self.live -= 1;
                 self.mark_dead_postings(id);
+                self.count_completion(id, false);
             }
             (false, true) => {
                 self.live += 1;
                 self.ensure_posted(id);
+                self.count_completion(id, true);
             }
             _ => {}
         }
@@ -513,6 +549,22 @@ impl QueryStorage {
         }
     }
 
+    /// Add (or subtract) a live record's completion features to the
+    /// counters. They are read from the record's feature-row slot, which
+    /// only `insert` and `reindex` write — not from `record.features`,
+    /// which maintenance rewrites through `get_mut` before it re-validates
+    /// and reindexes the record.
+    fn count_completion(&mut self, id: QueryId, add: bool) {
+        let QueryStorage {
+            feature_rows,
+            completion,
+            ..
+        } = self;
+        if let Some(Some(rows)) = feature_rows.get(id.0 as usize) {
+            completion.count(rows, add);
+        }
+    }
+
     /// The feature-row slot of a record known to exist.
     fn feature_rows_mut(&mut self, id: QueryId) -> &mut Option<Arc<FeatureRows>> {
         self.feature_rows
@@ -550,17 +602,23 @@ impl QueryStorage {
     /// re-evaluate this record from its fresh signature) and schedules a
     /// background rebuild into the next miner epoch.
     pub fn reindex(&mut self, id: QueryId) -> Result<(), CqmsError> {
-        let (sql, rows) = {
+        let (sql, rows, live) = {
             let r = self.get(id)?;
-            (r.raw_sql.clone(), Arc::new(FeatureRows::of(r)))
+            (r.raw_sql.clone(), Arc::new(FeatureRows::of(r)), r.is_live())
         };
         self.text.add(id.0, &sql);
         self.trigram.add(id.0, &sql);
+        if live {
+            self.count_completion(id, false);
+        }
         *self.feature_rows_mut(id) = Some(rows);
+        if live {
+            self.count_completion(id, true);
+        }
         // Rebuild the similarity signature and its posting entries (the
         // statement, features and possibly the summary changed).
         self.remove_postings(id);
-        let (sig, live) = {
+        let sig = {
             let QueryStorage {
                 records, interner, ..
             } = &mut *self;
@@ -568,7 +626,7 @@ impl QueryStorage {
                 .get(id.0 as usize)
                 .expect("validated by get above")
                 .as_ref();
-            (SimSignature::build(r, interner), r.is_live())
+            SimSignature::build(r, interner)
         };
         *self
             .signatures
@@ -977,6 +1035,88 @@ impl QueryStorage {
             pos += len;
         }
         Ok(storage)
+    }
+}
+
+/// A predicate shape as completion counts it: (table, column, op).
+pub(crate) type PredicateShape = (Arc<str>, Arc<str>, Arc<str>);
+
+/// A predicate shape's use count and its constants' counts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PredicateCount {
+    /// Live records' predicates of this shape.
+    pub(crate) count: u32,
+    /// Rendered constant → how many of them compare against it.
+    pub(crate) constants: CowMap<Arc<str>, u32>,
+}
+
+/// The statistics [`crate::assist::completion::CompletionEngine`] reads,
+/// counted over exactly the records [`QueryStorage::iter_live`] yields and
+/// kept by the storage's mutators, so a completion costs O(keys in scope)
+/// instead of O(log). Keys are the text cells of the records' feature
+/// rows; a key whose count falls to zero is removed. Nothing here is
+/// persisted: log replay and snapshot load rebuild it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CompletionCounts {
+    /// A record's `features.tables` → live records with exactly that list.
+    table_sets: CowMap<Arc<[Arc<str>]>, u32>,
+    /// (table, attribute) → live records that use it.
+    attrs: CowMap<(Arc<str>, Arc<str>), u32>,
+    /// (table, column, op) → its predicates over live records.
+    preds: CowMap<PredicateShape, PredicateCount>,
+}
+
+impl CompletionCounts {
+    /// Each distinct live table list with its record count.
+    pub(crate) fn table_sets(&self) -> impl Iterator<Item = (&[Arc<str>], u32)> {
+        self.table_sets.iter().map(|(k, &n)| (&**k, n))
+    }
+
+    /// Each (table, attribute) with its use count.
+    pub(crate) fn attrs(&self) -> impl Iterator<Item = (&(Arc<str>, Arc<str>), u32)> {
+        self.attrs.iter().map(|(k, &n)| (k, n))
+    }
+
+    /// Each (table, column, op) predicate shape with its counts.
+    pub(crate) fn preds(&self) -> impl Iterator<Item = (&PredicateShape, &PredicateCount)> {
+        self.preds.iter()
+    }
+
+    /// Add (or subtract) one live record's features.
+    fn count(&mut self, rows: &FeatureRows, add: bool) {
+        bump(&mut self.table_sets, rows.tables().cloned().collect(), add);
+        for (t, a) in rows.attributes() {
+            bump(&mut self.attrs, (Arc::clone(t), Arc::clone(a)), add);
+        }
+        for [t, c, op, constant] in rows.predicates() {
+            let key = (Arc::clone(t), Arc::clone(c), Arc::clone(op));
+            if add {
+                let shape = self.preds.entry_or_default(key);
+                shape.count += 1;
+                bump(&mut shape.constants, Arc::clone(constant), true);
+            } else if let Some(shape) = self.preds.get_mut(&key) {
+                if shape.count > 1 {
+                    shape.count -= 1;
+                    bump(&mut shape.constants, Arc::clone(constant), false);
+                } else {
+                    self.preds.remove(&key);
+                }
+            }
+        }
+    }
+}
+
+/// Add one to `key`'s count, or take one away and drop the key at zero.
+fn bump<K: Eq + std::hash::Hash + Clone>(map: &mut CowMap<K, u32>, key: K, add: bool) {
+    if add {
+        *map.entry_or_default(key) += 1;
+        return;
+    }
+    match map.get_mut(&key) {
+        Some(n) if *n > 1 => *n -= 1,
+        _ => {
+            map.remove(&key);
+        }
     }
 }
 

@@ -49,10 +49,6 @@ impl Statement {
             _ => None,
         }
     }
-
-    pub fn is_query(&self) -> bool {
-        matches!(self, Statement::Select(_))
-    }
 }
 
 /// A `SELECT` statement (possibly a subquery).

@@ -67,8 +67,3 @@ pub use tree::{
 pub fn parse(sql: &str) -> Result<Statement, ParseError> {
     parser::parse_statement(sql)
 }
-
-/// Parse a statement and return it re-printed in canonical SQL.
-pub fn normalize_sql(sql: &str) -> Result<String, ParseError> {
-    Ok(printer::to_sql(&canon::canonicalize(&parse(sql)?)))
-}
