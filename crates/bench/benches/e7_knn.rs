@@ -1,7 +1,7 @@
 //! E7 — kNN recommendation latency by similarity metric (§4.2: kNN
 //! meta-queries must be interactive; A3 ablation across distance kinds),
 //! plus a store-size axis (500/2000) for the indexed/pruned metrics:
-//! Features and Combined via signatures + posting pruning, TreeEdit via
+//! Features and Combined via the feature-class sweep, TreeEdit via
 //! the VP-tree metric index, ParseTree via the registry's
 //! profile-fingerprint group sweep — all should grow far slower than the
 //! log. Two registry axes ride along: `store_ParseTree_dup` grows the

@@ -11,9 +11,8 @@
 //! the tables already present, falling back to global popularity.
 //!
 //! The statistics come from counts the Query Storage keeps at write time
-//! over its live records (`QueryStorage::completion_counts`, plus the
-//! `t:` posting lists for table popularity), so collecting them costs the
-//! keys in scope and never walks the log. Debug builds check each
+//! over its live records (`QueryStorage::completion_counts`), so
+//! collecting them costs the keys in scope and never walks the log. Debug builds check each
 //! collection against a scan of the live records.
 
 use crate::config::CqmsConfig;
@@ -210,8 +209,8 @@ impl<'a> CompletionEngine<'a> {
 
     /// Collect the summable statistics this probe needs from *this*
     /// storage (one shard's contribution; only the maps the probe's
-    /// context consults are filled). Reads the storage's counters and
-    /// posting lists only: O(keys in scope), never O(log).
+    /// context consults are filled). Reads the storage's counters only:
+    /// O(keys in scope), never O(log).
     pub fn collect_stats(&self, partial: &str) -> CompletionStats {
         let (ctx, _prefix, tables) = Self::detect_context(partial);
         let mut stats = CompletionStats::default();
@@ -290,23 +289,18 @@ impl<'a> CompletionEngine<'a> {
         counts
     }
 
-    /// Global table popularity: each `t:` feature's live posting count
-    /// (`len − dead` — every live record is on each of its lists, and every
-    /// other entry is counted dead).
+    /// Global table popularity: pop(t) is the summed count of the live
+    /// table lists that contain t (a list holds each table once).
     fn collect_table_pop(&self) -> HashMap<String, u32> {
-        let pop: HashMap<String, u32> = self
-            .storage
-            .postings()
-            .iter_enumerated()
-            .filter_map(|(fid, list)| {
-                let table = self
-                    .storage
-                    .interner()
-                    .resolve(fid as u32)?
-                    .strip_prefix("t:")?;
-                let live = list.len() as u32 - list.dead();
-                (live > 0).then(|| (table.to_string(), live))
-            })
+        let mut counted: HashMap<&str, u32> = HashMap::new();
+        for (tables, n) in self.storage.completion_counts().table_sets() {
+            for t in tables {
+                *counted.entry(t).or_insert(0) += n;
+            }
+        }
+        let pop: HashMap<String, u32> = counted
+            .into_iter()
+            .map(|(t, n)| (t.to_string(), n))
             .collect();
         debug_assert_eq!(pop, {
             let mut scan: HashMap<String, u32> = HashMap::new();

@@ -9,8 +9,8 @@
 use crate::admin::Directory;
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
-use crate::metaquery::MetaQueryExecutor;
-use crate::model::{QueryRecord, UserId};
+use crate::metaquery::{MetaQueryExecutor, ScoredHit};
+use crate::model::{QueryId, QueryRecord, UserId};
 use crate::similarity::{self, DistanceKind};
 use crate::storage::QueryStorage;
 
@@ -26,16 +26,17 @@ pub struct PanelRow {
     /// First-annotation digest (possibly empty).
     pub annotation: String,
     /// The recommended query's id.
-    pub id: crate::model::QueryId,
+    pub id: QueryId,
 }
 
 /// Compute the recommendation panel for `seed_sql` on behalf of `viewer`.
 ///
 /// The candidate search runs through the signature-backed kNN
-/// ([`MetaQueryExecutor::knn`] with the Combined metric): the probe is
-/// interned against the storage's feature vocabulary once and the
-/// posting-index/lower-bound pruning applies, so panel latency tracks the
-/// number of genuinely similar queries rather than the log size.
+/// ([`MetaQueryExecutor::knn`] with the Combined metric), whose
+/// feature-class sweep and lower-bound pruning make panel latency track
+/// the number of genuinely similar queries rather than the log size. The
+/// `3k` candidates are ranked first; only the `k` rows shown are diffed
+/// and rendered.
 pub fn recommend_panel(
     storage: &QueryStorage,
     directory: &Directory,
@@ -44,33 +45,28 @@ pub fn recommend_panel(
     seed_sql: &str,
     k: usize,
 ) -> Result<Vec<PanelRow>, CqmsError> {
-    let hits = knn_candidates(storage, directory, config, viewer, seed_sql, k * 3)?;
-    let pairs: Vec<(crate::model::QueryId, f64)> = hits.iter().map(|h| (h.id, h.score)).collect();
+    let seed = seed_probe(viewer, seed_sql)?;
+    let hits = knn_candidates(storage, directory, config, viewer, &seed, k * 3);
     let now_ts = storage.max_ts();
     let max_pop = storage.max_popularity();
-    let mut rows = panel_rows_for(storage, config, seed_sql, &pairs, now_ts, max_pop, &|fp| {
+    let mut ranked = rank_candidates(storage, config, &hits, now_ts, max_pop, &|fp| {
         storage.popularity(fp)
     })?;
-    sort_panel_rows(&mut rows);
-    Ok(rows.into_iter().map(|(_, r)| r).take(k).collect())
+    sort_ranked(&mut ranked);
+    ranked
+        .into_iter()
+        .take(k)
+        .map(|(score, id)| panel_row(storage, &seed, id, score))
+        .collect()
 }
 
-/// The panel's kNN candidate pool for `seed_sql`: the top `m` Combined
-/// hits visible to `viewer`, in the executor's (score desc, id asc)
-/// order. Sharded deployments run this per shard and merge with the same
-/// comparator, which reproduces a single instance's pool exactly.
-pub fn knn_candidates(
-    storage: &QueryStorage,
-    directory: &Directory,
-    config: &CqmsConfig,
-    viewer: UserId,
-    seed_sql: &str,
-    m: usize,
-) -> Result<Vec<crate::metaquery::ScoredHit>, CqmsError> {
+/// The seed query as a kNN probe record, parsed once per panel (a
+/// sharded deployment hands the same probe to every shard).
+pub fn seed_probe(viewer: UserId, seed_sql: &str) -> Result<QueryRecord, CqmsError> {
     let stmt = sqlparse::parse(seed_sql)?;
     let feats = crate::features::extract(&stmt, None);
-    let probe = crate::storage::make_record(
-        crate::model::QueryId(u64::MAX),
+    Ok(crate::storage::make_record(
+        QueryId(u64::MAX),
         viewer,
         u64::MAX, // not used for ranking of the probe itself
         seed_sql,
@@ -80,66 +76,79 @@ pub fn knn_candidates(
         crate::model::OutputSummary::None,
         crate::model::SessionId(u64::MAX),
         crate::model::Visibility::Private,
-    );
-    let mq = MetaQueryExecutor::new(storage, directory, config);
-    Ok(mq.knn(viewer, &probe, m, DistanceKind::Combined))
+    ))
 }
 
-/// Score `(candidate id, knn score)` pairs living in *this* storage into
-/// `(rank score, panel row)` rows using externally supplied corpus-wide
-/// terms (`now_ts`, `max_pop`, template popularity). With local values
-/// those are exactly [`recommend_panel`]'s rows; a sharded deployment
-/// passes the merged global values instead so a candidate's rank score
-/// is placement-independent.
-pub fn panel_rows_for(
+/// The panel's kNN candidate pool for `seed`: the top `m` Combined hits
+/// visible to `viewer`, in the executor's (score desc, id asc) order.
+/// Sharded deployments run this per shard and merge with the same
+/// comparator, which reproduces a single instance's pool exactly.
+pub fn knn_candidates(
+    storage: &QueryStorage,
+    directory: &Directory,
+    config: &CqmsConfig,
+    viewer: UserId,
+    seed: &QueryRecord,
+    m: usize,
+) -> Vec<ScoredHit> {
+    MetaQueryExecutor::new(storage, directory, config).knn(viewer, seed, m, DistanceKind::Combined)
+}
+
+/// Rank score each candidate living in *this* storage, as `(rank score,
+/// id)`, using externally supplied corpus-wide terms (`now_ts`,
+/// `max_pop`, template popularity). With local values those are exactly
+/// [`recommend_panel`]'s scores; a sharded deployment passes the merged
+/// global values instead so a candidate's rank score is
+/// placement-independent.
+pub fn rank_candidates(
     storage: &QueryStorage,
     config: &CqmsConfig,
-    seed_sql: &str,
-    hits: &[(crate::model::QueryId, f64)],
+    hits: &[ScoredHit],
     now_ts: u64,
     max_pop: u32,
     popularity_of: &dyn Fn(u64) -> u32,
-) -> Result<Vec<(f64, PanelRow)>, CqmsError> {
-    let stmt = sqlparse::parse(seed_sql)?;
-    let mut rows: Vec<(f64, PanelRow)> = Vec::with_capacity(hits.len());
-    for &(id, knn_score) in hits {
-        let rec: &QueryRecord = storage.get(id)?;
-        let dist = 1.0 - knn_score;
-        let score = similarity::rank_score(
-            rec,
-            dist,
-            now_ts,
-            max_pop,
-            popularity_of(rec.template_fp),
-            config,
-        );
-        let diff = match (&stmt, &rec.statement) {
-            (sqlparse::Statement::Select(a), Some(sqlparse::Statement::Select(b))) => {
-                sqlparse::summarize_edits(&sqlparse::diff_selects(a, b))
-            }
-            _ => "n/a".to_string(),
-        };
-        rows.push((
-            score,
-            PanelRow {
-                score_pct: (score * 100.0).round().clamp(0.0, 100.0) as u8,
-                sql: rec.raw_sql.clone(),
-                diff,
-                annotation: rec.annotation_digest(),
-                id: rec.id,
-            },
-        ));
-    }
-    Ok(rows)
+) -> Result<Vec<(f64, QueryId)>, CqmsError> {
+    hits.iter()
+        .map(|h| {
+            let rec = storage.get(h.id)?;
+            let pop = popularity_of(rec.template_fp);
+            let score = similarity::rank_score(rec, 1.0 - h.score, now_ts, max_pop, pop, config);
+            Ok((score, h.id))
+        })
+        .collect()
 }
 
 /// The panel's final order: rank score descending, id ascending.
-pub fn sort_panel_rows(rows: &mut [(f64, PanelRow)]) {
-    rows.sort_by(|a, b| {
+pub fn sort_ranked(ranked: &mut [(f64, QueryId)]) {
+    ranked.sort_by(|a, b| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.1.id.cmp(&b.1.id))
+            .then_with(|| a.1.cmp(&b.1))
     });
+}
+
+/// Render one ranked candidate of this storage as a panel row: its diff
+/// against the seed's statement and its annotation digest.
+pub fn panel_row(
+    storage: &QueryStorage,
+    seed: &QueryRecord,
+    id: QueryId,
+    score: f64,
+) -> Result<PanelRow, CqmsError> {
+    let rec = storage.get(id)?;
+    let diff = match (&seed.statement, &rec.statement) {
+        (Some(sqlparse::Statement::Select(a)), Some(sqlparse::Statement::Select(b))) => {
+            sqlparse::summarize_edits(&sqlparse::diff_selects(a, b))
+        }
+        _ => "n/a".to_string(),
+    };
+    Ok(PanelRow {
+        score_pct: (score * 100.0).round().clamp(0.0, 100.0) as u8,
+        sql: rec.raw_sql.clone(),
+        diff,
+        annotation: rec.annotation_digest(),
+        id: rec.id,
+    })
 }
 
 #[cfg(test)]

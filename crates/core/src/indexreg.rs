@@ -1,14 +1,12 @@
 //! The index registry: every derived index of the Query Storage.
 //!
-//! PR 4 left every derived structure — the VP-tree, the feature-posting
-//! lists, the tree-less side list — owned *inline* by the Query Storage:
-//! a rebuild (tombstone threshold, maintenance `reindex`) dropped the
-//! index and the next unlucky probe paid a stop-the-world lazy build
-//! (one Zhang–Shasha distance per pivot level per tree). The registry
-//! owns them instead, and keeps
-//! **one** structural index ([`StructuralIndex`]): the VP-tree, the
-//! tree-less list, the ParseTree profile-fingerprint groups and their
-//! complement, over every non-tombstoned record. Every structure in it is
+//! A rebuild used to drop an index the storage owned inline, and the next
+//! unlucky probe paid a stop-the-world lazy build (one Zhang–Shasha
+//! distance per pivot level per tree). The registry owns the indexes
+//! instead, and keeps **one** structural index ([`StructuralIndex`]): the
+//! VP-tree, the tree-less list, the ParseTree profile-fingerprint groups
+//! and their complement, and the feature classes, over every
+//! non-tombstoned record. Every structure in it is
 //! *persistent* (path-copying VP-tree, `cqms_cow` containers), so
 //!
 //! * an insert indexes the record directly — it is visible to probes the
@@ -47,90 +45,84 @@
 //! actually observed, and the storage forces an inline publish once
 //! [`OVERRIDE_PUBLISH_THRESHOLD`] of them are outstanding.
 //!
-//! The feature-posting lists sit beside the structural index, one list
-//! per interned feature id in a chunked vector: appends are O(1) and
-//! coherent by construction. Their lazy compaction used to run inline the
-//! moment a list crossed its stale threshold; the registry instead queues
-//! the list and compacts it in the background maintenance pass
-//! (`IndexRegistry::maintain_postings`), keeping every maintenance
-//! transition O(1) per list and the read path allocation-free.
+//! The **feature classes** file each record by the exact interned table,
+//! attribute and predicate-template ids of its signature. Records that
+//! share them are at the same feature distance from any probe, so the
+//! `Features` and `Combined` kNN sweeps evaluate a class once instead of
+//! every record in it. Classes and profile groups are one [`Grouping`]
+//! and share its lifecycle: filed at insert, refiled by a rebuild,
+//! tombstoned and flagged members filtered at query time, overridden
+//! members masked.
 
 use crate::metricindex::{MetricIndexStats, TreeEntry, VpTree, REBUILD_DEAD_FRACTION};
 use crate::model::{QueryRecord, Validity};
-use crate::postings::{self, PostingCursor, PostingList};
 use crate::signature::SimSignature;
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
+use sqlparse::fingerprint::{fnv1a, fnv1a_extend};
 use sqlparse::{SelectProfile, SelectStatement};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Chunk size of the registry's slot vectors — one slot per interned
-/// feature, one per profile group. They stay short (hundreds of slots),
+/// Chunk size of the registry's slot vectors — one slot per profile
+/// group, one per feature class. They stay short (hundreds of slots),
 /// each slot is several `Arc`s wide, and a write lands on slots scattered
 /// all over them, so the chunk a write copies is kept small.
 pub const SLOT_CHUNK: usize = 32;
 
-/// The feature-posting lists, indexed by interned feature id.
-pub type PostingLists = SnapshotVec<PostingList, SLOT_CHUNK>;
-
-/// One ParseTree profile-fingerprint group: every member's diff-folded
-/// SELECT is *identical* (fingerprint bucket + structural equality, so a
-/// hash collision can never merge two templates), which makes both the
-/// diff lower bound and the exact diff distance shared across the whole
-/// group — the per-probe sweep does one bound and at most one exact
-/// evaluation per group instead of one per record.
+/// One group of a [`Grouping`]: the key its members share and their
+/// qids.
 #[derive(Debug, Clone)]
-pub struct ProfileGroup {
-    /// The shared diff-folded statement (the group key).
-    pub folded: Arc<SelectStatement>,
-    /// Its clause profile, feeding [`sqlparse::edit_distance_lower_bound`].
-    pub profile: Arc<SelectProfile>,
+pub struct Group<K> {
+    /// What every member has identically (the group key).
+    pub key: K,
     /// Member qids, ascending. Built from non-tombstoned records;
     /// liveness/ACL/overrides are filtered at query time. A [`SegVec`], so
-    /// a popular template's list is shared with read snapshots however
-    /// long it grows.
+    /// a popular group's list is shared with read snapshots however long
+    /// it grows.
     pub members: SegVec<u64>,
 }
 
-/// Profile-fingerprint grouping of every indexed record that has a
-/// diff-folded SELECT (the ROADMAP's "identical folded SELECTs share one
-/// bound/exact evaluation").
+/// Records grouped by a key they share exactly: a fingerprint buckets
+/// them and an equality check on the key resolves collisions, so a hash
+/// collision can never merge two groups. The profile groups and the
+/// feature classes are both one.
 ///
 /// Persistent: a clone is pointer copies, and adding a member to a cloned
 /// grouping copies one chunk of group headers and one member-list tail.
-#[derive(Debug, Default, Clone)]
-pub struct ProfileGroups {
-    groups: SnapshotVec<ProfileGroup, SLOT_CHUNK>,
-    /// Folded-statement fingerprint → group indices (collision bucket).
+#[derive(Debug, Clone)]
+pub struct Grouping<K> {
+    groups: SnapshotVec<Group<K>, SLOT_CHUNK>,
+    /// Key fingerprint → group indices (collision bucket).
     by_fp: CowMap<u64, Vec<u32>>,
 }
 
-impl ProfileGroups {
-    /// Add `qid` to its group, creating the group on first sight.
-    /// Returns `false` when the signature has no folded SELECT (the
-    /// record belongs on the ungrouped side list instead).
-    pub fn insert(&mut self, qid: u64, sig: &SimSignature) -> bool {
-        let (Some(fp), Some(folded), Some(profile)) =
-            (sig.profile_fp, &sig.folded_select, &sig.diff_profile)
-        else {
-            return false;
-        };
+impl<K> Default for Grouping<K> {
+    fn default() -> Self {
+        Grouping {
+            groups: SnapshotVec::default(),
+            by_fp: CowMap::default(),
+        }
+    }
+}
+
+impl<K: Clone> Grouping<K> {
+    /// Add `qid` to the group whose key `is_key` accepts among those
+    /// fingerprinted `fp`, creating the group from `key()` on first sight.
+    fn insert(&mut self, qid: u64, fp: u64, is_key: impl Fn(&K) -> bool, key: impl FnOnce() -> K) {
         let bucket = self.by_fp.get(&fp).map_or(&[][..], Vec::as_slice);
-        let existing = bucket.iter().copied().find(|&gi| {
-            let g = &self.groups[gi as usize];
-            Arc::ptr_eq(&g.folded, folded) || g.folded == *folded
-        });
+        let existing = bucket
+            .iter()
+            .copied()
+            .find(|&gi| is_key(&self.groups[gi as usize].key));
         let Some(gi) = existing else {
             self.by_fp
                 .entry_or_default(fp)
                 .push(self.groups.len() as u32);
-            self.groups.push(ProfileGroup {
-                folded: Arc::clone(folded),
-                profile: Arc::clone(profile),
+            self.groups.push(Group {
+                key: key(),
                 members: [qid].into_iter().collect(),
             });
-            return true;
+            return;
         };
         let members = &mut self
             .groups
@@ -150,10 +142,9 @@ impl ProfileGroups {
             }
             _ => members.push(qid),
         }
-        true
     }
 
-    /// Number of distinct folded-SELECT groups.
+    /// Number of distinct groups.
     pub fn len(&self) -> usize {
         self.groups.len()
     }
@@ -163,15 +154,72 @@ impl ProfileGroups {
         self.groups.is_empty()
     }
 
-    /// Iterate the groups in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &ProfileGroup> {
+    /// Iterate the groups in creation order.
+    pub fn iter(&self) -> impl Iterator<Item = &Group<K>> {
         self.groups.iter()
     }
 }
 
+/// The key of a ParseTree profile-fingerprint group: every member's
+/// diff-folded SELECT is *identical*, which makes both the diff lower
+/// bound and the exact diff distance shared across the whole group — the
+/// per-probe sweep does one bound and at most one exact evaluation per
+/// group instead of one per record.
+#[derive(Debug, Clone)]
+pub struct ProfileKey {
+    /// The shared diff-folded statement.
+    pub folded: Arc<SelectStatement>,
+    /// Its clause profile, feeding [`sqlparse::edit_distance_lower_bound`].
+    pub profile: Arc<SelectProfile>,
+}
+
+/// Profile-fingerprint grouping of every indexed record that has a
+/// diff-folded SELECT (the ROADMAP's "identical folded SELECTs share one
+/// bound/exact evaluation").
+pub type ProfileGroups = Grouping<ProfileKey>;
+
+/// The key of a feature class: the interned table, attribute and
+/// predicate-template ids every member's signature carries. The feature
+/// distance of a probe to each member is the same, so the `Features` and
+/// `Combined` sweeps compute it once per class.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FeatureKey {
+    /// Interned table ids, sorted.
+    pub tables: Vec<u32>,
+    /// Interned attribute ids, sorted.
+    pub attributes: Vec<u32>,
+    /// Interned predicate-template ids, sorted.
+    pub predicates: Vec<u32>,
+}
+
+impl FeatureKey {
+    /// The three id sets, as [`SimSignature::feature_sets`] gives them.
+    pub fn sets(&self) -> [&[u32]; 3] {
+        [&self.tables, &self.attributes, &self.predicates]
+    }
+}
+
+/// Feature classes over every indexed record.
+pub type FeatureClasses = Grouping<FeatureKey>;
+
+/// One feature class: its id sets and member qids.
+pub type FeatureClass = Group<FeatureKey>;
+
+/// FNV-1a over the three id sets, each closed by its length so ids
+/// cannot shift between namespaces.
+fn feature_fp(sets: [&[u32]; 3]) -> u64 {
+    sets.iter().fold(fnv1a(b""), |h, set| {
+        let h = set
+            .iter()
+            .fold(h, |h, id| fnv1a_extend(h, &id.to_le_bytes()));
+        fnv1a_extend(h, &(set.len() as u32).to_le_bytes())
+    })
+}
+
 /// The structural index: the VP-tree, the tree-less list, the ParseTree
-/// profile-fingerprint groups and their complement, over every
-/// non-tombstoned record (minus tombstones the last rebuild dropped).
+/// profile-fingerprint groups and their complement, and the feature
+/// classes, over every non-tombstoned record (minus tombstones the last
+/// rebuild dropped).
 ///
 /// Persistent: a clone is pointer copies, and indexing one more record
 /// into a cloned index copies a root-to-leaf path of the VP-tree, one
@@ -191,6 +239,9 @@ pub struct StructuralIndex {
     /// Ascending qids of indexed records without a folded SELECT (the
     /// groups' complement; ParseTree evaluates them per record).
     pub ungrouped: SegVec<u64>,
+    /// Feature classes: every indexed record, filed by its interned
+    /// table, attribute and predicate-template ids.
+    pub classes: FeatureClasses,
 }
 
 impl StructuralIndex {
@@ -201,6 +252,7 @@ impl StructuralIndex {
             treeless: SegVec::new(),
             groups: ProfileGroups::default(),
             ungrouped: SegVec::new(),
+            classes: FeatureClasses::default(),
         }
     }
 
@@ -215,8 +267,28 @@ impl StructuralIndex {
     /// its tree entry, if it has a parse tree: a rebuild collects the
     /// entries for one bulk [`VpTree::build`].
     fn add_beside_tree(&mut self, qid: u64, sig: &SimSignature) -> Option<TreeEntry> {
-        if !self.groups.insert(qid, sig) {
-            self.ungrouped.push(qid);
+        let sets = sig.feature_sets();
+        self.classes.insert(
+            qid,
+            feature_fp(sets),
+            |k| k.sets() == sets,
+            || FeatureKey {
+                tables: sig.tables.clone(),
+                attributes: sig.attributes.clone(),
+                predicates: sig.predicates.clone(),
+            },
+        );
+        match (sig.profile_fp, &sig.folded_select, &sig.diff_profile) {
+            (Some(fp), Some(folded), Some(profile)) => self.groups.insert(
+                qid,
+                fp,
+                |k| Arc::ptr_eq(&k.folded, folded) || k.folded == *folded,
+                || ProfileKey {
+                    folded: Arc::clone(folded),
+                    profile: Arc::clone(profile),
+                },
+            ),
+            _ => self.ungrouped.push(qid),
         }
         let (Some(tree), Some(shape)) = (&sig.tree, &sig.tree_shape) else {
             self.treeless.push(qid);
@@ -270,27 +342,13 @@ struct Override {
 /// publish and probes never scan more than this many.
 pub const OVERRIDE_PUBLISH_THRESHOLD: usize = 64;
 
-/// The index registry: feature postings, the structural index, the
-/// override log and the rebuild schedule. Owned by the Query Storage;
-/// every write-path hook takes `&mut self` from storage's own exclusive
-/// borrow, every probe reads through `&self`.
-#[derive(Debug)]
+/// The index registry: the structural index, the override log and the
+/// rebuild schedule. Owned by the Query Storage; every write-path hook
+/// takes `&mut self` from storage's own exclusive borrow, every probe
+/// reads through `&self`. A clone is pointer copies: the stats block is
+/// shared, the structural index chunk by chunk.
+#[derive(Debug, Clone)]
 pub struct IndexRegistry {
-    /// Inverted feature-posting index: interned feature id → sorted qids
-    /// (ids are dense, so the id indexes a vector — the lookup every probe
-    /// feature makes; a feature nothing posts to has an empty list).
-    /// Every *live* record is present in each of its lists; non-live
-    /// records linger as stale entries until the background compaction
-    /// pass. Consumers filter candidates by liveness anyway, and the kNN
-    /// pruning argument only needs live non-candidates to be provably
-    /// feature-disjoint.
-    postings: PostingLists,
-    /// Feature ids whose lists crossed the stale threshold — compacted
-    /// by the next [`IndexRegistry::maintain_postings`] pass instead of
-    /// inline at the transition (a set, so queueing stays O(1) per list
-    /// no matter how much churn piles up between epochs). Writer-only:
-    /// a clone starts with an empty queue.
-    compaction_due: HashSet<u32>,
     /// The structural index. Inserts path-copy into it; a publish
     /// (`&mut self`) replaces it; a registry clone keeps the one it was
     /// cloned with.
@@ -315,26 +373,6 @@ pub struct IndexRegistry {
     stats: Arc<MetricIndexStats>,
 }
 
-impl Clone for IndexRegistry {
-    /// O(pointer copies): the stats block is shared by pointer, the
-    /// structural index and the posting vector chunk by chunk. The
-    /// compaction queue is the writer's to-do list — no read and no build
-    /// consumes it — so the clone gets an empty one.
-    fn clone(&self) -> Self {
-        IndexRegistry {
-            postings: self.postings.clone(),
-            compaction_due: HashSet::new(),
-            index: self.index.clone(),
-            overrides: Arc::clone(&self.overrides),
-            mutations: self.mutations,
-            publish_seq: self.publish_seq,
-            dead_entries: self.dead_entries,
-            rebuild_wanted: self.rebuild_wanted,
-            stats: Arc::clone(&self.stats),
-        }
-    }
-}
-
 impl Default for IndexRegistry {
     fn default() -> Self {
         Self::new()
@@ -345,8 +383,6 @@ impl IndexRegistry {
     /// An empty registry (generation 0, nothing scheduled).
     pub fn new() -> IndexRegistry {
         IndexRegistry {
-            postings: SnapshotVec::new(),
-            compaction_due: HashSet::new(),
             index: StructuralIndex::empty(),
             overrides: Arc::new(Vec::new()),
             mutations: 0,
@@ -542,106 +578,11 @@ impl IndexRegistry {
         true
     }
 
-    // ------------------------------------------------------------------
-    // Feature postings
-    // ------------------------------------------------------------------
-
-    /// Pointers a `clone()` copies: one per chunk of posting lists, tree
-    /// entries and profile groups.
+    /// Pointers a `clone()` copies: one per chunk of tree entries,
+    /// profile groups and feature classes.
     pub fn clone_len(&self) -> usize {
-        self.postings.chunk_count()
-            + self.index.tree.clone_len()
+        self.index.tree.clone_len()
             + self.index.groups.groups.chunk_count()
-    }
-
-    /// The raw posting lists, indexed by interned feature id (lists may
-    /// carry stale entries pending the background compaction pass).
-    pub fn postings(&self) -> &PostingLists {
-        &self.postings
-    }
-
-    /// One feature's posting list (`None` for a probe's sentinel id).
-    pub fn posting(&self, fid: u32) -> Option<&PostingList> {
-        self.postings.get(fid as usize)
-    }
-
-    /// Append a freshly-inserted live record to its feature lists (ids
-    /// are dense and ascending, so appends keep every list sorted).
-    pub(crate) fn post(&mut self, sig: &SimSignature, qid: u64) {
-        for fid in sig.feature_ids() {
-            self.postings.entry_or_default(fid as usize).append(qid);
-        }
-    }
-
-    /// Make sure a revived record's feature ids are posted exactly once:
-    /// stale leftovers flip back to alive instead of duplicating.
-    pub(crate) fn repost(&mut self, sig: &SimSignature, qid: u64) {
-        for fid in sig.feature_ids() {
-            let list = self.postings.entry_or_default(fid as usize);
-            if !list.insert(qid) {
-                list.mark_alive();
-            }
-        }
-    }
-
-    /// Note a record's posting entries stale (live → non-live
-    /// transition). O(1) per list: a list crossing its stale threshold
-    /// is *queued* for the background compaction pass, not compacted
-    /// here — the maintenance transition stays allocation-free.
-    pub(crate) fn mark_stale(&mut self, sig: &SimSignature, qid: u64) {
-        for fid in sig.feature_ids() {
-            if let Some(list) = self.postings.get_mut(fid as usize) {
-                debug_assert!(list.contains(qid), "live record missing from posting");
-                list.mark_dead();
-                if list.needs_compaction() {
-                    self.compaction_due.insert(fid);
-                }
-            }
-        }
-    }
-
-    /// Hard-remove a record's posting entries (reindex path: the feature
-    /// set itself changes, so stale-entry bookkeeping does not apply).
-    pub(crate) fn remove_posted(&mut self, sig: &SimSignature, qid: u64, non_live: bool) {
-        for fid in sig.feature_ids() {
-            if let Some(list) = self.postings.get_mut(fid as usize) {
-                if list.remove(qid) && non_live {
-                    // The entry was counted stale; the counter follows it.
-                    list.mark_alive();
-                }
-            }
-        }
-    }
-
-    /// Background compaction pass: rebuild every queued list down to the
-    /// ids `keep` accepts (its currently-live members). Runs in the miner
-    /// epoch / maintenance, never on a
-    /// read or maintenance-transition path.
-    pub(crate) fn maintain_postings(&mut self, keep: impl Fn(u64) -> bool) -> usize {
-        let mut compacted = 0;
-        for fid in std::mem::take(&mut self.compaction_due) {
-            // Peek before `get_mut`: that would detach the list's chunk
-            // from the read snapshots sharing it.
-            if !self.posting(fid).is_some_and(PostingList::needs_compaction) {
-                continue; // revivals brought it back under the threshold
-            }
-            let list = self.postings.get_mut(fid as usize).expect("peeked");
-            list.retain(&keep);
-            compacted += 1;
-        }
-        compacted
-    }
-
-    /// Candidate generation for kNN: sorted, deduplicated qids of all
-    /// records sharing at least one feature with `sig`, via a galloping
-    /// multi-way merge of the probe's posting lists.
-    pub fn candidate_ids(&self, sig: &SimSignature) -> Vec<u64> {
-        let cursors: Vec<PostingCursor<'_>> = sig
-            .feature_ids()
-            .filter_map(|fid| self.posting(fid))
-            .filter(|l| !l.is_empty())
-            .map(PostingList::cursor)
-            .collect();
-        postings::union_cursors(cursors)
+            + self.index.classes.groups.chunk_count()
     }
 }

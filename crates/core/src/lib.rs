@@ -64,7 +64,6 @@ pub mod metaquery;
 pub mod metricindex;
 pub mod miner;
 pub mod model;
-pub mod postings;
 pub mod profiler;
 pub mod server;
 pub mod service;

@@ -20,11 +20,15 @@ use crate::admin::Directory;
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::features::{self, FEATURE_RELATIONS};
+use crate::indexreg::FeatureClass;
 use crate::model::{QueryId, QueryRecord, UserId};
+use crate::signature::SimSignature;
 use crate::similarity::{self, DistanceKind};
 use crate::storage::QueryStorage;
 use relstore::TableSchema;
 use sqlparse::ast::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// A scored search hit.
@@ -379,16 +383,16 @@ impl<'a> MetaQueryExecutor<'a> {
     /// kNN similarity meta-query (§4.2): the `k` nearest live, visible
     /// queries to `target` under the given metric. Self-matches excluded.
     ///
-    /// Runs over precomputed similarity signatures. `Features` and
-    /// `Combined` additionally prune with the storage's inverted
-    /// feature-posting index — a record sharing no feature with the probe
-    /// has each per-namespace Jaccard pinned at 1.0 (0.0 when both sides
-    /// are empty), so its distance is bounded below in O(1) — while
-    /// `Combined` also defers the expensive parse-tree component until the
-    /// cheap feature+output lower bound says a record could still make the
-    /// top k. Both prunings are *exact*: the result (ids and scores,
-    /// ties broken by ascending id) is identical to the brute-force scan,
-    /// which the pruning-equivalence proptest asserts.
+    /// Runs over precomputed similarity signatures and the registry's
+    /// structural index. `Features` and `Combined` sweep its feature
+    /// classes — records with identical table, attribute and
+    /// predicate-template ids are at one feature distance from the probe,
+    /// so it is computed once per class, not once per record — and
+    /// `Combined` also defers the expensive parse-tree component until
+    /// the cheap feature+profile+output lower bound says a record could
+    /// still make the top k. Both are *exact*: the result (ids and
+    /// scores, ties broken by ascending id) is identical to the
+    /// brute-force scan, which the pruning-equivalence proptest asserts.
     pub fn knn(
         &self,
         viewer: UserId,
@@ -424,111 +428,178 @@ impl<'a> MetaQueryExecutor<'a> {
         }
     }
 
-    /// Feature-metric kNN with posting-index candidate generation.
+    /// `qid`'s record and live signature, when it is a kNN neighbour of
+    /// `target` for `viewer`: not the probe itself, live, and visible.
+    fn neighbour(
+        &self,
+        viewer: UserId,
+        target: &QueryRecord,
+        qid: u64,
+    ) -> Option<(&'a QueryRecord, &'a SimSignature)> {
+        let r = self.storage.get(QueryId(qid)).ok()?;
+        if r.id == target.id || !self.visible(viewer, r) {
+            return None;
+        }
+        Some((
+            r,
+            self.storage.signature(r.id).expect("signature per record"),
+        ))
+    }
+
+    /// The registry's feature classes with each one's exact feature
+    /// distance from the probe — one [`similarity::feature_distance_sets`]
+    /// on the ids every member carries, so bit-identical to the
+    /// per-record kernel — ascending, ties by first member: the order both
+    /// class sweeps visit them in.
+    fn classes_by_distance(&self, psig: &SimSignature) -> Vec<(f64, &'a FeatureClass)> {
+        let probe = psig.feature_sets();
+        let mut order: Vec<(f64, &FeatureClass)> = self
+            .storage
+            .indexes()
+            .structural()
+            .classes
+            .iter()
+            .map(|c| {
+                let f = similarity::feature_distance_sets(probe, c.key.sets(), self.config);
+                (f, c)
+            })
+            .collect();
+        order.sort_unstable_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then_with(|| a.1.members[0].cmp(&b.1.members[0]))
+        });
+        order
+    }
+
+    /// Feature-metric kNN over the feature classes, visited nearest
+    /// first ([`MetaQueryExecutor::classes_by_distance`]). A class's
+    /// members tie, so at most `k` accepted members (ascending ids) can
+    /// matter, and the sweep stops at the first class that cannot reach
+    /// the top k.
+    /// Overridden records are filed under stale ids: they are masked in
+    /// the classes and evaluated from their live signatures.
     fn knn_features(
         &self,
         viewer: UserId,
         target: &QueryRecord,
-        psig: &crate::signature::SimSignature,
+        psig: &SimSignature,
         k: usize,
     ) -> Vec<ScoredHit> {
+        let reg = self.storage.indexes();
         let mut top = TopK::new(k);
-        let candidates = self.storage.candidate_ids(psig);
-        for &qid in &candidates {
-            let Ok(r) = self.storage.get(QueryId(qid)) else {
-                continue;
-            };
-            if r.id == target.id || !self.visible(viewer, r) {
-                continue;
-            }
-            let sig = self.storage.signature(r.id).expect("signature per record");
-            top.push(ScoredHit {
-                id: r.id,
-                score: 1.0 - similarity::feature_distance_sig(psig, sig, self.config),
-            });
-        }
-        // Smallest distance any non-candidate can achieve: every namespace
-        // the probe populates contributes its full weight (disjoint sets);
-        // namespaces the probe leaves empty can contribute 0 (both empty).
-        // Same expression shape as `feature_distance_disjoint`, so the
-        // bound is ≤ every non-candidate's distance float-for-float.
-        let populated = |s: &[u32]| if s.is_empty() { 0.0 } else { 1.0 };
-        let nc_best = self.config.weight_tables * populated(&psig.tables)
-            + self.config.weight_attributes * populated(&psig.attributes)
-            + self.config.weight_predicates * populated(&psig.predicates);
-        let pruned = top.full() && top.worst().map(|w| w.score).unwrap_or(f64::MIN) > 1.0 - nc_best;
-        if !pruned {
-            // Sparse probe or thin candidate set: finish with a pass over
-            // the non-candidates, each an O(1) emptiness-pattern distance.
-            for r in self.storage.iter_live() {
-                if r.id == target.id
-                    || candidates.binary_search(&r.id.0).is_ok()
-                    || !self.visible(viewer, r)
-                {
-                    continue;
-                }
-                let sig = self.storage.signature(r.id).expect("signature per record");
+        for qid in reg.override_qids() {
+            if let Some((r, sig)) = self.neighbour(viewer, target, qid) {
                 top.push(ScoredHit {
                     id: r.id,
-                    score: 1.0 - similarity::feature_distance_disjoint(psig, sig, self.config),
+                    score: 1.0 - similarity::feature_distance_sig(psig, sig, self.config),
                 });
+            }
+        }
+        for (d, class) in self.classes_by_distance(psig) {
+            let score = 1.0 - d;
+            if top.worst().is_some_and(|w| score < w.score) {
+                break; // distance-ordered: no later class can enter
+            }
+            let accepted = class
+                .members
+                .iter()
+                .filter(|&&qid| !reg.overridden(qid))
+                .filter_map(|&qid| self.neighbour(viewer, target, qid))
+                .take(k);
+            for (r, _) in accepted {
+                top.push(ScoredHit { id: r.id, score });
             }
         }
         top.into_vec()
     }
 
-    /// Combined-metric kNN: the feature and output components are cheap
-    /// over signatures, and the parse-tree term is bounded below by the
-    /// precomputed SELECT-profile diff bound (0 when either side has no
-    /// profile); records are then visited in bound order and the tree
-    /// diff is only computed while a record could still enter the top k.
+    /// Combined-metric kNN over the feature classes. A class's bound is
+    /// the blend with its tree and output terms at 0 — `0.55·f` for a
+    /// probe without an output summary, `0.45·f` for one with (a member
+    /// without output blends 0.55 / 0.45, and `0.55·f ≥ 0.45·f`) — which
+    /// is at most every member's lower bound, float for float. Classes
+    /// are opened in bound order (the feature-distance order, since the
+    /// bound is a constant multiple of it); opening one pushes each
+    /// accepted member's own lower bound (the class's feature distance, the
+    /// SELECT-profile diff bound for the tree term, the exact output
+    /// distance) onto a min-heap, and exact distances are taken off the
+    /// heap while its minimum is no larger than the next class bound. The
+    /// sweep stops once neither the heap nor any unopened class can reach
+    /// the top k. Overridden records are evaluated exactly up front from
+    /// their live signatures and masked in the classes.
     fn knn_combined(
         &self,
         viewer: UserId,
         target: &QueryRecord,
-        psig: &crate::signature::SimSignature,
+        psig: &SimSignature,
         k: usize,
     ) -> Vec<ScoredHit> {
-        let candidates = self.storage.candidate_ids(psig);
-        let mut bounds: Vec<(f64, QueryId)> = Vec::new();
-        for r in self.storage.iter_live() {
-            if r.id == target.id || !self.visible(viewer, r) {
-                continue;
-            }
-            let sig = self.storage.signature(r.id).expect("signature per record");
-            // Posting-index candidates get the exact merge; everything
-            // else is provably feature-disjoint, an O(1) pattern.
-            let f = if candidates.binary_search(&r.id.0).is_ok() {
-                similarity::feature_distance_sig(psig, sig, self.config)
-            } else {
-                similarity::feature_distance_disjoint(psig, sig, self.config)
-            };
-            // Same blend as the exact distance with the tree term at its
-            // cheap lower bound (the blend is monotone in every term).
-            let t = match (&psig.diff_profile, &sig.diff_profile) {
-                (Some(pa), Some(pb)) => sqlparse::edit_distance_lower_bound(pa, pb),
-                _ => 0.0,
-            };
-            let lb = similarity::combined_blend(f, t, similarity::output_distance_sig(psig, sig));
-            bounds.push((lb, r.id));
-        }
-        let mut sweep = BoundSweep::new(bounds, k);
+        let reg = self.storage.indexes();
         let mut top = TopK::new(k);
-        while let Some((lb, id)) = sweep.next() {
-            if top.full() && 1.0 - lb < top.worst().map(|w| w.score).unwrap_or(f64::MIN) {
-                break; // every remaining bound is at least as large
+        let exact = |r: &QueryRecord, sig: &SimSignature| ScoredHit {
+            id: r.id,
+            score: 1.0
+                - similarity::distance_with(
+                    target,
+                    psig,
+                    r,
+                    sig,
+                    DistanceKind::Combined,
+                    self.config,
+                ),
+        };
+        for qid in reg.override_qids() {
+            if let Some((r, sig)) = self.neighbour(viewer, target, qid) {
+                top.push(exact(r, sig));
             }
-            let r = self.storage.get(id).expect("bounded ids exist");
-            let sig = self.storage.signature(id).expect("signature per record");
-            let d = similarity::distance_with(
-                target,
-                psig,
-                r,
-                sig,
-                DistanceKind::Combined,
-                self.config,
-            );
-            top.push(ScoredHit { id, score: 1.0 - d });
+        }
+        let output = psig.output_rows.as_ref().map(|_| 0.0);
+        let class_bound = |f: f64| similarity::combined_blend(f, 0.0, output);
+        let cannot_enter = |top: &TopK, lb: f64| top.worst().is_some_and(|w| 1.0 - lb < w.score);
+        let mut pending: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
+        let mut classes = self.classes_by_distance(psig).into_iter().peekable();
+        loop {
+            let next_bound = classes.peek().map_or(f64::INFINITY, |c| class_bound(c.0));
+            match pending.peek() {
+                Some(Reverse(p)) if p.lb <= next_bound => {
+                    if cannot_enter(&top, p.lb) {
+                        break; // the heap minimum is the smallest bound left
+                    }
+                    let Reverse(p) = pending.pop().expect("peeked");
+                    let (r, sig) = self
+                        .neighbour(viewer, target, p.qid)
+                        .expect("accepted when pushed");
+                    top.push(exact(r, sig));
+                }
+                _ => {
+                    let Some((f, class)) = classes.next() else {
+                        break; // heap and classes both exhausted
+                    };
+                    if cannot_enter(&top, next_bound) {
+                        break; // the class bound is the smallest bound left
+                    }
+                    for &qid in class.members.iter() {
+                        if reg.overridden(qid) {
+                            continue;
+                        }
+                        let Some((_, sig)) = self.neighbour(viewer, target, qid) else {
+                            continue;
+                        };
+                        // The exact blend with the tree term at its cheap
+                        // lower bound (the blend is monotone in every term).
+                        let t = match (&psig.diff_profile, &sig.diff_profile) {
+                            (Some(pa), Some(pb)) => sqlparse::edit_distance_lower_bound(pa, pb),
+                            _ => 0.0,
+                        };
+                        let lb = similarity::combined_blend(
+                            f,
+                            t,
+                            similarity::output_distance_sig(psig, sig),
+                        );
+                        pending.push(Reverse(Pending { lb, qid }));
+                    }
+                }
+            }
         }
         top.into_vec()
     }
@@ -684,7 +755,7 @@ impl<'a> MetaQueryExecutor<'a> {
         let mut order: Vec<_> = index
             .groups
             .iter()
-            .map(|g| (sqlparse::edit_distance_lower_bound(pa, &g.profile), g))
+            .map(|g| (sqlparse::edit_distance_lower_bound(pa, &g.key.profile), g))
             .collect();
         order.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -714,7 +785,7 @@ impl<'a> MetaQueryExecutor<'a> {
                 }
             }
             // One exact diff for the whole template.
-            let d = sqlparse::diff::edit_distance_normalized_folded(probe_folded, &g.folded);
+            let d = sqlparse::diff::edit_distance_normalized_folded(probe_folded, &g.key.folded);
             stats.add_exact(1);
             stats.add_hits(g.members.len() as u64 - 1);
             // Members tie at the same score, ascending ids: only the
@@ -770,54 +841,27 @@ impl<'a> MetaQueryExecutor<'a> {
     }
 }
 
-/// Bound-ordered sweep scaffold shared by the Combined and ParseTree kNN
-/// paths: yields `(lower bound, id)` in (bound ascending, id ascending)
-/// order. The sweep almost always terminates within a handful of
-/// entries, so instead of a full O(n log n) sort it selects and sorts a
-/// small prefix up front and sorts the tail only if the sweep outlives
-/// the prefix.
-struct BoundSweep {
-    bounds: Vec<(f64, QueryId)>,
-    prefix: usize,
-    i: usize,
-    tail_sorted: bool,
+/// A Combined-sweep record awaiting its exact distance, ordered by
+/// (lower bound, qid).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pending {
+    lb: f64,
+    qid: u64,
 }
 
-impl BoundSweep {
-    fn new(mut bounds: Vec<(f64, QueryId)>, k: usize) -> BoundSweep {
-        fn by_bound(a: &(f64, QueryId), b: &(f64, QueryId)) -> std::cmp::Ordering {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        }
-        let prefix = (4 * k + 32).min(bounds.len());
-        if prefix < bounds.len() {
-            bounds.select_nth_unstable_by(prefix - 1, by_bound);
-            bounds[..prefix].sort_unstable_by(by_bound);
-        } else {
-            bounds.sort_unstable_by(by_bound);
-        }
-        let tail_sorted = prefix >= bounds.len();
-        BoundSweep {
-            bounds,
-            prefix,
-            i: 0,
-            tail_sorted,
-        }
-    }
+impl Eq for Pending {}
 
-    fn next(&mut self) -> Option<(f64, QueryId)> {
-        if self.i == self.prefix && !self.tail_sorted {
-            self.bounds[self.prefix..].sort_unstable_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.1.cmp(&b.1))
-            });
-            self.tail_sorted = true;
-        }
-        let out = self.bounds.get(self.i).copied();
-        self.i += 1;
-        out
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.lb
+            .total_cmp(&other.lb)
+            .then_with(|| self.qid.cmp(&other.qid))
     }
 }
 
@@ -1313,6 +1357,132 @@ mod tests {
         assert_eq!(ids, [3, 5, 0, 2, 4, 6], "own template first, then by id");
         let stats = &st.metric_stats().parse_tree;
         assert_eq!(stats.exact_evals.load(Ordering::Relaxed), 2);
+    }
+
+    /// A record built like `add`'s, carrying `output` as its one-column
+    /// summary when given.
+    fn record_with_output(id: u64, sql: &str, output: Option<&str>) -> QueryRecord {
+        let stmt = sqlparse::parse(sql).ok();
+        let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
+        let mut r = make_record(
+            QueryId(id),
+            UserId(1),
+            100,
+            sql,
+            stmt,
+            feats,
+            RuntimeFeatures::default(),
+            OutputSummary::None,
+            SessionId(id),
+            Visibility::Public,
+        );
+        if let Some(v) = output {
+            r.summary = OutputSummary::Full {
+                columns: vec!["c".into()],
+                rows: vec![vec![v.into()]],
+            };
+        }
+        r
+    }
+
+    /// Every visible live record scored by the exact kernel, best first.
+    fn brute(
+        st: &QueryStorage,
+        probe: &QueryRecord,
+        k: usize,
+        metric: DistanceKind,
+    ) -> Vec<ScoredHit> {
+        let cfg = CqmsConfig::default();
+        let psig = st.probe_signature(probe);
+        let mut hits: Vec<ScoredHit> = st
+            .iter_live()
+            .map(|r| ScoredHit {
+                id: r.id,
+                score: 1.0
+                    - similarity::distance_with(
+                        probe,
+                        &psig,
+                        r,
+                        st.signature(r.id).unwrap(),
+                        metric,
+                        &cfg,
+                    ),
+            })
+            .collect();
+        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
+        hits.truncate(k);
+        hits
+    }
+
+    fn assert_class_sweeps_exact(st: &QueryStorage, probe: &QueryRecord, what: &str) {
+        let (dir, cfg) = (Directory::new(), CqmsConfig::default());
+        let mq = MetaQueryExecutor::new(st, &dir, &cfg);
+        for k in 1..=st.len() {
+            for metric in [DistanceKind::Features, DistanceKind::Combined] {
+                assert_eq!(
+                    mq.knn(UserId(1), probe, k, metric),
+                    brute(st, probe, k, metric),
+                    "{metric:?} top {k} {what}"
+                );
+            }
+        }
+    }
+
+    /// A member with an output summary blends 0.45 / 0.35 / 0.2, so a
+    /// record whose features all differ from an output-carrying probe
+    /// can still sit below `0.55·f` when its tree and output nearly
+    /// match: the Combined class bound must use `0.45·f` for such a probe.
+    #[test]
+    fn combined_class_bound_covers_both_blend_shapes() {
+        let mut st = QueryStorage::new();
+        let log = [
+            ("SELECT a, b, c, d, e, f FROM t2 ORDER BY a", None),
+            ("SELECT a, b, c, d, e, f FROM t1 WHERE a > 1", Some("x")),
+            (
+                "SELECT a, b, c, d FROM t1 WHERE b < 2 ORDER BY b",
+                Some("x"),
+            ),
+            ("SELECT e FROM t3 WHERE b < 2 ORDER BY b", Some("x")),
+            ("SELECT a, b FROM t3", Some("y")),
+        ];
+        for (i, (sql, output)) in log.into_iter().enumerate() {
+            st.insert(record_with_output(i as u64, sql, output));
+        }
+        // Record 1 shares no feature with the probe, yet at 0.49 it is
+        // nearer than record 4 (0.54): a 0.55·f class bound (0.55)
+        // would stop the sweep before opening its class.
+        let probe_sql = "SELECT a, b, c, d, e, f FROM t3 WHERE a > 1";
+        let probe = record_with_output(u64::MAX, probe_sql, Some("x"));
+        assert_class_sweeps_exact(&st, &probe, "with probe output");
+        let probe = record_with_output(u64::MAX, probe_sql, None);
+        assert_class_sweeps_exact(&st, &probe, "without probe output");
+    }
+
+    /// A reindexed record stays filed under its old feature ids until the
+    /// rebuild: the class sweeps must mask it there and score it from
+    /// its live signature instead.
+    #[test]
+    fn class_sweeps_mask_overridden_records() {
+        let mut st = QueryStorage::new();
+        let log = [
+            "SELECT * FROM WaterTemp WHERE temp < 1",
+            "SELECT city FROM CityLocations",
+            "SELECT * FROM Lakes",
+            "SELECT city, pop FROM CityLocations WHERE pop > 3",
+        ];
+        for (i, sql) in log.into_iter().enumerate() {
+            st.insert(record_with_output(i as u64, sql, None));
+        }
+        let rewritten = "SELECT city FROM CityLocations WHERE pop > 2";
+        let r = st.get_mut(QueryId(1)).unwrap();
+        r.raw_sql = rewritten.into();
+        r.derive(sqlparse::parse(rewritten).ok(), None);
+        st.reindex(QueryId(1)).unwrap();
+        assert!(st.indexes().overridden(1));
+        let probe = record_with_output(u64::MAX, "SELECT city FROM CityLocations", None);
+        assert_class_sweeps_exact(&st, &probe, "with the override outstanding");
+        assert!(st.run_index_maintenance());
+        assert_class_sweeps_exact(&st, &probe, "after the rebuild");
     }
 
     #[test]

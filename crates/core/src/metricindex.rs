@@ -1,8 +1,8 @@
 //! Metric-indexed kNN for the structural similarity metrics.
 //!
-//! PR 3 made the Features/Combined/Output metrics interactive with
-//! signatures and posting-list pruning, but the two tree metrics still
-//! brute-forced every live record per probe. Tree edit distance is a true
+//! The Features/Combined/Output metrics are interactive over signatures
+//! (and, for the first two, the feature classes), but the two tree
+//! metrics would brute-force every live record per probe. Tree edit distance is a true
 //! metric, so the classic fix applies: a vantage-point tree over the
 //! *unnormalised* Zhang–Shasha distance (where the triangle inequality
 //! holds), searched best-first under the *normalised* distance the kNN API

@@ -339,14 +339,8 @@ impl Cqms {
     pub(crate) fn miner_epoch(&mut self, execute_rebuild: bool) -> MinerReport {
         // Scheduled index maintenance first (tombstone threshold,
         // reindex, summary refresh): the rebuild the query path only
-        // ever *requests* runs here, plus the queued posting
-        // compactions.
-        let index_rebuilt = if execute_rebuild {
-            self.storage.run_index_maintenance()
-        } else {
-            self.storage.compact_postings();
-            false
-        };
+        // ever *requests* runs here.
+        let index_rebuilt = execute_rebuild && self.storage.run_index_maintenance();
         let mut report = MinerReport {
             index_rebuilt,
             index_generation: self.storage.index_generation(),

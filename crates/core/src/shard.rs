@@ -84,7 +84,7 @@
 
 use crate::assist::completion::{CompletionStats, Suggestion};
 use crate::assist::correction::{Correction, RepairSuggestion};
-use crate::assist::recommend::{sort_panel_rows, PanelRow};
+use crate::assist::recommend::{self, sort_ranked, PanelRow};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::faults;
@@ -933,11 +933,12 @@ impl ShardedCqms {
     }
 
     /// The recommendation panel merged across shards **exactly**: the
-    /// per-shard kNN candidate pools are heap-merged into the global pool
-    /// a single instance would sweep, then every candidate is scored on
-    /// its home shard with the *global* recency anchor (max trace time)
-    /// and template-popularity terms, so a candidate's rank score is
-    /// placement-independent. Row-for-row identical to an unsharded
+    /// seed is parsed once, the per-shard kNN candidate pools are
+    /// heap-merged into the global pool a single instance would sweep,
+    /// every candidate is rank-scored on its home shard with the *global*
+    /// recency anchor (max trace time) and template-popularity terms, so
+    /// a candidate's rank score is placement-independent, and only the
+    /// `k` rows shown are rendered. Row-for-row identical to an unsharded
     /// deployment over the union log, up to the usual top-k tie caveat:
     /// kNN-score ties at the `3k` candidate-pool boundary cut by id, and
     /// the two deployments' id spaces order tied records differently.
@@ -947,13 +948,14 @@ impl ShardedCqms {
         seed_sql: &str,
         k: usize,
     ) -> Result<Vec<PanelRow>, CqmsError> {
+        let seed = recommend::seed_probe(user, seed_sql)?;
         let snaps = self.snapshots();
-        // Global ranking terms: summed template histogram, max trace time.
+        // Global ranking terms: summed template counts, max trace time.
         let mut pop: HashMap<u64, u32> = HashMap::new();
         let mut now_ts = 0u64;
         for snap in &snaps {
             now_ts = now_ts.max(snap.panel_now_ts());
-            for (fp, c) in snap.template_histogram() {
+            for (fp, c) in snap.storage().template_counts() {
                 *pop.entry(fp).or_insert(0) += c;
             }
         }
@@ -963,33 +965,49 @@ impl ShardedCqms {
         // executor's own (score desc, id asc) order, so this is exactly
         // the pool an unsharded sweep would hand to the scorer.
         let m = k * 3;
-        let mut per_shard: Vec<Vec<ScoredHit>> = Vec::with_capacity(snaps.len());
-        for (i, snap) in snaps.iter().enumerate() {
-            per_shard.push(self.globalize_hits(i, snap.recommend_candidates(user, seed_sql, m)?));
-        }
+        let per_shard: Vec<Vec<ScoredHit>> = snaps
+            .iter()
+            .enumerate()
+            .map(|(i, snap)| {
+                let hits = recommend::knn_candidates(
+                    snap.storage(),
+                    snap.directory(),
+                    snap.config(),
+                    user,
+                    &seed,
+                    m,
+                );
+                self.globalize_hits(i, hits)
+            })
+            .collect();
         let pool = merge_scored(per_shard, m);
-        // Score each candidate on its home shard (the record lives there)
+        // Rank each candidate on its home shard (the record lives there)
         // with the merged global terms.
-        let mut by_shard: Vec<Vec<(QueryId, f64)>> = vec![Vec::new(); snaps.len()];
-        for h in &pool {
+        let mut by_shard: Vec<Vec<ScoredHit>> = vec![Vec::new(); snaps.len()];
+        for h in pool {
             let (shard, local) = self.locate(h.id);
-            by_shard[shard].push((local, h.score));
+            by_shard[shard].push(ScoredHit { id: local, ..h });
         }
         let popularity_of = |fp: u64| pop.get(&fp).copied().unwrap_or(0);
-        let mut rows: Vec<(f64, PanelRow)> = Vec::with_capacity(pool.len());
+        let mut ranked: Vec<(f64, QueryId)> = Vec::new();
         for (i, hits) in by_shard.iter().enumerate() {
-            if hits.is_empty() {
-                continue;
-            }
-            for (score, mut row) in
-                snaps[i].recommend_rows_for(seed_sql, hits, now_ts, max_pop, &popularity_of)?
+            let (storage, config) = (snaps[i].storage(), snaps[i].config());
+            for (score, local) in
+                recommend::rank_candidates(storage, config, hits, now_ts, max_pop, &popularity_of)?
             {
-                row.id = self.globalize(i, row.id);
-                rows.push((score, row));
+                ranked.push((score, self.globalize(i, local)));
             }
         }
-        sort_panel_rows(&mut rows);
-        Ok(rows.into_iter().map(|(_, r)| r).take(k).collect())
+        sort_ranked(&mut ranked);
+        ranked
+            .into_iter()
+            .take(k)
+            .map(|(score, id)| {
+                let (shard, local) = self.locate(id);
+                let row = recommend::panel_row(snaps[shard].storage(), &seed, local, score)?;
+                Ok(PanelRow { id, ..row })
+            })
+            .collect()
     }
 
     /// Identifier checking is schema-driven and identical on every shard.

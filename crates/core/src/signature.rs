@@ -23,11 +23,10 @@
 //!   lower-cased output *cells* hashed likewise (a sound negative screen
 //!   for query-by-data containment checks).
 //!
-//! The same interned ids key the storage's inverted feature-posting index,
-//! which kNN uses for candidate generation: any record sharing **no**
-//! feature with the probe has a per-namespace Jaccard of exactly 1.0
-//! (or 0.0 when both sides are empty), which yields an O(1) lower bound
-//! that prunes non-candidates without giving up the exact top-k.
+//! The same interned ids key the structural index's feature classes
+//! ([`crate::indexreg::FeatureKey`]): records whose three id sets are
+//! identical are at the same feature distance from any probe, so kNN
+//! computes that distance once per class.
 
 use crate::features::SyntacticFeatures;
 use crate::model::{OutputSummary, QueryRecord};
@@ -45,14 +44,13 @@ pub use sqlparse::fingerprint::fnv1a;
 /// are never persisted, and a storage rebuilt from a snapshot may assign
 /// different ids to the same keys (e.g. when a maintenance repair
 /// re-interned features out of insertion order before the snapshot).
-/// Every id-consuming structure (signatures, postings) is rebuilt
+/// Every id-consuming structure (signatures, feature classes) is rebuilt
 /// alongside the interner, so cross-process id stability is never needed.
 ///
 /// Keys are namespaced (`t:` tables, `a:` attributes, `p:` predicate
-/// templates) so ids never collide across feature kinds and one posting
-/// index can cover all three. Parse-tree node labels (`n:`) share the id
-/// space, so a [`FlatTree`] compares labels as integers; no posting list
-/// carries them.
+/// templates) so ids never collide across feature kinds. Parse-tree node
+/// labels (`n:`) share the id space, so a [`FlatTree`] compares labels as
+/// integers.
 ///
 /// Internally persistent ([`cqms_cow`] containers, each key one `Arc<str>`
 /// shared by both directions) so cloning the storage into a read snapshot
@@ -279,8 +277,15 @@ impl SimSignature {
         }
     }
 
-    /// All interned feature ids (posting-index keys), in no particular
-    /// order but without duplicates (namespaced keys cannot collide).
+    /// The table, attribute and predicate-template id sets, in that
+    /// order (the feature-distance kernel's inputs and a feature class's
+    /// key).
+    pub fn feature_sets(&self) -> [&[u32]; 3] {
+        [&self.tables, &self.attributes, &self.predicates]
+    }
+
+    /// All interned feature ids, in no particular order but without
+    /// duplicates (namespaced keys cannot collide).
     pub fn feature_ids(&self) -> impl Iterator<Item = u32> + '_ {
         self.tables
             .iter()

@@ -145,13 +145,19 @@ pub fn combined_blend(f: f64, t: f64, o: Option<f64>) -> f64 {
 /// Feature distance over signatures — same weighted Jaccard as
 /// [`feature_distance`], as a sorted merge over interned ids.
 pub fn feature_distance_sig(a: &SimSignature, b: &SimSignature, config: &CqmsConfig) -> f64 {
-    config.weight_tables * signature::jaccard_ids(&a.tables, &b.tables)
-        + config.weight_attributes * signature::jaccard_ids(&a.attributes, &b.attributes)
-        + config.weight_predicates * signature::jaccard_ids(&a.predicates, &b.predicates)
+    feature_distance_sets(a.feature_sets(), b.feature_sets(), config)
+}
+
+/// [`feature_distance_sig`] over bare `[tables, attributes, predicates]`
+/// id sets — what a feature class keeps of its members' signatures.
+pub fn feature_distance_sets(a: [&[u32]; 3], b: [&[u32]; 3], config: &CqmsConfig) -> f64 {
+    config.weight_tables * signature::jaccard_ids(a[0], b[0])
+        + config.weight_attributes * signature::jaccard_ids(a[1], b[1])
+        + config.weight_predicates * signature::jaccard_ids(a[2], b[2])
 }
 
 /// Feature distance between signatures known to share **no** feature
-/// (posting-index non-candidates): each per-namespace Jaccard is exactly
+/// (bloom-disjoint clustering pairs): each per-namespace Jaccard is exactly
 /// 0.0 (both empty) or 1.0 (disjoint), so the distance collapses to an
 /// O(1) emptiness pattern — bit-identical to [`feature_distance_sig`]
 /// on the same pair.

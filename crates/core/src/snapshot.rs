@@ -289,44 +289,6 @@ impl ReadSnapshot {
         ))
     }
 
-    /// This shard's panel candidate pool (top `m` Combined kNN hits).
-    pub fn recommend_candidates(
-        &self,
-        user: UserId,
-        seed_sql: &str,
-        m: usize,
-    ) -> Result<Vec<ScoredHit>, CqmsError> {
-        recommend::knn_candidates(
-            &self.storage,
-            &self.directory,
-            &self.config,
-            user,
-            seed_sql,
-            m,
-        )
-    }
-
-    /// Score local candidates with corpus-wide (cross-shard merged)
-    /// ranking terms; see [`recommend::panel_rows_for`].
-    pub fn recommend_rows_for(
-        &self,
-        seed_sql: &str,
-        hits: &[(QueryId, f64)],
-        now_ts: u64,
-        max_pop: u32,
-        popularity_of: &dyn Fn(u64) -> u32,
-    ) -> Result<Vec<(f64, PanelRow)>, CqmsError> {
-        recommend::panel_rows_for(
-            &self.storage,
-            &self.config,
-            seed_sql,
-            hits,
-            now_ts,
-            max_pop,
-            popularity_of,
-        )
-    }
-
     /// Newest logged trace timestamp, tombstones included (the panel
     /// recency anchor; a sharded deployment takes the max across shards).
     pub fn panel_now_ts(&self) -> u64 {

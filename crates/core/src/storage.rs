@@ -25,7 +25,7 @@
 
 use crate::error::CqmsError;
 use crate::features::{FeatureRows, SyntacticFeatures};
-use crate::indexreg::{IndexBuild, IndexRegistry, PostingLists, OVERRIDE_PUBLISH_THRESHOLD};
+use crate::indexreg::{IndexBuild, IndexRegistry, OVERRIDE_PUBLISH_THRESHOLD};
 use crate::metricindex::MetricIndexStats;
 use crate::model::*;
 use crate::signature::{FeatureInterner, SimSignature};
@@ -70,10 +70,10 @@ pub struct QueryStorage {
     interner: FeatureInterner,
     /// Per-record similarity signatures, parallel to `records`.
     signatures: SnapshotVec<Arc<SimSignature>>,
-    /// All derived index state — feature postings, the structural index
-    /// (VP-tree, tree-less list, ParseTree profile groups), the override
-    /// log and the rebuild schedule. See [`crate::indexreg`] for the
-    /// rebuild lifecycle; probes read it through
+    /// All derived index state — the structural index (VP-tree,
+    /// tree-less list, ParseTree profile groups, feature classes), the
+    /// override log and the rebuild schedule. See [`crate::indexreg`] for
+    /// the rebuild lifecycle; probes read it through
     /// [`QueryStorage::indexes`], rebuilds run in the background miner
     /// epoch.
     indexes: IndexRegistry,
@@ -215,20 +215,16 @@ impl QueryStorage {
         if record.session.0 >= self.next_session {
             self.next_session = record.session.0 + 1;
         }
-        // Similarity signature + posting index (ids are dense and
-        // inserted in order, so posting lists stay sorted by appending).
-        // Only live records are posted — a snapshot-restored tombstone or
-        // flagged record enters with its final validity and is skipped,
-        // matching the state set_validity/delete leave behind.
         let sig = SimSignature::build(&record, &mut self.interner);
         let live = record.is_live();
         if live {
-            self.indexes.post(&sig, id.0);
             self.live += 1;
         }
         // Index the record into the registry's structural index: every
         // non-tombstoned record is indexed (flagged records may be
-        // repaired later; tombstones never come back).
+        // repaired later; tombstones never come back), so a
+        // snapshot-restored record entering with its final validity ends
+        // up where set_validity/delete would have left it.
         if !tombstoned {
             self.indexes.note_insert(&record, &sig);
         }
@@ -304,6 +300,12 @@ impl QueryStorage {
     /// Highest template popularity (for score normalisation).
     pub fn max_popularity(&self) -> u32 {
         self.template_counts.values().copied().max().unwrap_or(1)
+    }
+
+    /// Each template fingerprint with its live count, in no particular
+    /// order (zero counts included) — what a cross-shard merge sums.
+    pub fn template_counts(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.template_counts.iter().map(|(&fp, &c)| (fp, c))
     }
 
     /// The full popularity table as sorted `(template fingerprint, live
@@ -404,9 +406,9 @@ impl QueryStorage {
         Ok(())
     }
 
-    /// Tombstone a query: drop it from every index (text, trigram,
-    /// feature postings) and drop its feature rows; the record itself
-    /// remains for audit (§2.4 delete).
+    /// Tombstone a query: drop it from the text indexes, drop its feature
+    /// rows and count it as dead weight in the structural index; the
+    /// record itself remains for audit (§2.4 delete).
     pub fn delete(&mut self, id: QueryId) -> Result<(), CqmsError> {
         let (tfp, was_live) = {
             let r = self.get_mut(id)?;
@@ -420,10 +422,6 @@ impl QueryStorage {
         };
         if was_live {
             self.live -= 1;
-            // A record that was already non-live (flagged/obsoleted) had
-            // its posting entries counted stale at that transition —
-            // marking again would double-count.
-            self.mark_dead_postings(id);
             self.count_completion(id, false);
         }
         self.text.remove(id.0);
@@ -443,7 +441,7 @@ impl QueryStorage {
     }
 
     /// Change a record's maintenance validity, keeping the live counter
-    /// and the feature-posting index coherent. Query Maintenance goes
+    /// and the completion counts coherent. Query Maintenance goes
     /// through here (never through `get_mut`) when it flags, repairs or
     /// obsoletes a query.
     ///
@@ -473,19 +471,17 @@ impl QueryStorage {
         if let Some(v) = logged {
             self.wal_log(WalOp::SetValidity { id, validity: v });
         }
-        // The VP-tree needs no update on either transition: it indexes
-        // every non-tombstoned record and filters liveness at query time,
-        // so a flagged record is hidden now and findable again the moment
-        // maintenance repairs it.
+        // The structural index needs no update on either transition: it
+        // indexes every non-tombstoned record and filters liveness at
+        // query time, so a flagged record is hidden now and findable again
+        // the moment maintenance repairs it.
         match (was_live, now_live) {
             (true, false) => {
                 self.live -= 1;
-                self.mark_dead_postings(id);
                 self.count_completion(id, false);
             }
             (false, true) => {
                 self.live += 1;
-                self.ensure_posted(id);
                 self.count_completion(id, true);
             }
             _ => {}
@@ -515,40 +511,6 @@ impl QueryStorage {
         *self.template_counts.entry_or_default(new_fp) += 1;
     }
 
-    /// Make sure a (live) record's feature ids are posted exactly once.
-    /// Its entries may still be present as stale leftovers from an earlier
-    /// live→non-live transition; those flip back to alive instead of
-    /// duplicating.
-    fn ensure_posted(&mut self, id: QueryId) {
-        let QueryStorage {
-            signatures,
-            indexes,
-            ..
-        } = self;
-        if let Some(sig) = signatures.get(id.0 as usize) {
-            indexes.repost(sig, id.0);
-        }
-    }
-
-    /// Note a record's posting entries stale. Callers invoke this exactly
-    /// at the record's live → non-live transition, and live records are
-    /// always present in each of their lists (insert appends, revival
-    /// re-inserts, compaction retains them), so no membership check is
-    /// needed — marking is O(1) per list. A list whose stale fraction
-    /// passes the threshold is *queued* for the registry's background
-    /// compaction pass ([`QueryStorage::compact_postings`]) instead of
-    /// being compacted inline.
-    fn mark_dead_postings(&mut self, id: QueryId) {
-        let QueryStorage {
-            signatures,
-            indexes,
-            ..
-        } = self;
-        if let Some(sig) = signatures.get(id.0 as usize) {
-            indexes.mark_stale(sig, id.0);
-        }
-    }
-
     /// Add (or subtract) a live record's completion features to the
     /// counters. They are read from the record's feature-row slot, which
     /// only `insert` and `reindex` write — not from `record.features`,
@@ -572,32 +534,13 @@ impl QueryStorage {
             .expect("feature rows parallel records")
     }
 
-    /// Hard-remove a record's posting entries (reindex path: the feature
-    /// set itself is changing, so stale-entry bookkeeping does not apply).
-    fn remove_postings(&mut self, id: QueryId) {
-        let QueryStorage {
-            signatures,
-            indexes,
-            records,
-            ..
-        } = self;
-        let Some(sig) = signatures.get(id.0 as usize) else {
-            return;
-        };
-        let non_live = records
-            .get(id.0 as usize)
-            .map(|r| !r.is_live())
-            .unwrap_or(true);
-        indexes.remove_posted(sig, id.0, non_live);
-    }
-
     /// Re-index a record whose SQL (or output summary) was rewritten —
     /// the maintenance repair path, and the only sanctioned route for
     /// any in-place record mutation that derived state depends on.
     ///
-    /// Text indexes, feature rows, the similarity signature and the
-    /// posting entries are rebuilt immediately; the structural indexes
-    /// (VP-tree, ParseTree profile groups) are *not* rebuilt inline —
+    /// Text indexes, feature rows and the similarity signature are
+    /// rebuilt immediately; the structural index (VP-tree, ParseTree
+    /// profile groups, feature classes) is *not* rebuilt inline —
     /// the registry logs an override (probes mask the stale entries and
     /// re-evaluate this record from its fresh signature) and schedules a
     /// background rebuild into the next miner epoch.
@@ -615,9 +558,8 @@ impl QueryStorage {
         if live {
             self.count_completion(id, true);
         }
-        // Rebuild the similarity signature and its posting entries (the
-        // statement, features and possibly the summary changed).
-        self.remove_postings(id);
+        // Rebuild the similarity signature (the statement, features and
+        // possibly the summary changed).
         let sig = {
             let QueryStorage {
                 records, interner, ..
@@ -632,9 +574,6 @@ impl QueryStorage {
             .signatures
             .get_mut(id.0 as usize)
             .expect("signatures parallel records") = Arc::new(sig);
-        if live {
-            self.ensure_posted(id);
-        }
         // The record's parse tree / folded SELECT / summary may have
         // changed: log an override (probes re-evaluate this record from
         // the fresh signature) and schedule the background rebuild that
@@ -669,7 +608,7 @@ impl QueryStorage {
     }
 
     // ------------------------------------------------------------------
-    // Similarity signatures & posting index
+    // Similarity signatures
     // ------------------------------------------------------------------
 
     /// The precomputed similarity signature of a record.
@@ -687,37 +626,10 @@ impl QueryStorage {
         &self.interner
     }
 
-    /// The index registry: feature postings, the structural index and
-    /// the override log. Probes read indexes through here
-    /// ([`IndexRegistry::structural`]).
+    /// The index registry: the structural index and the override log.
+    /// Probes read indexes through here ([`IndexRegistry::structural`]).
     pub fn indexes(&self) -> &IndexRegistry {
         &self.indexes
-    }
-
-    /// The inverted feature-posting index (feature id → posting list;
-    /// lists may carry stale non-live entries pending the background
-    /// compaction pass).
-    pub fn postings(&self) -> &PostingLists {
-        self.indexes.postings()
-    }
-
-    /// The decoded posting ids of one feature, restricted to currently
-    /// live records — the canonical view of the index, independent of
-    /// compaction timing (tests compare storages through this).
-    pub fn live_posting_ids(&self, fid: u32) -> Vec<u64> {
-        self.indexes
-            .posting(fid)
-            .map(|l| {
-                l.iter()
-                    .filter(|&q| {
-                        self.records
-                            .get(q as usize)
-                            .map(|r| r.is_live())
-                            .unwrap_or(false)
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// Build a probe signature for a record that is not (necessarily) in
@@ -725,17 +637,6 @@ impl QueryStorage {
     /// features get sentinel ids that match nothing.
     pub fn probe_signature(&self, record: &QueryRecord) -> SimSignature {
         SimSignature::probe(record, &self.interner)
-    }
-
-    /// Candidate generation for kNN: the sorted, deduplicated qids of all
-    /// records sharing at least one feature with `sig`, via a galloping
-    /// multi-way merge of the probe's posting lists. Every *live* record
-    /// outside this set has per-namespace feature Jaccard of exactly 1.0
-    /// (or 0.0 for mutually empty namespaces), which bounds its distance
-    /// below without touching it. The set may contain stale non-live ids
-    /// (pending background compaction); callers filter by liveness anyway.
-    pub fn candidate_ids(&self, sig: &SimSignature) -> Vec<u64> {
-        self.indexes.candidate_ids(sig)
     }
 
     /// Cheap-bound effectiveness counters + rebuild counters for the
@@ -778,54 +679,32 @@ impl QueryStorage {
     }
 
     /// Phase 2: replay the delta that landed mid-build (inserts past the
-    /// build's length, overrides the build missed), publish with one
-    /// swap, and run the queued posting compactions. Returns `false` when
-    /// the build was discarded as stale (a racing rebuild published
-    /// first).
+    /// build's length, overrides the build missed) and publish with one
+    /// swap. Returns `false` when the build was discarded as stale (a
+    /// racing rebuild published first).
     pub fn publish_index_rebuild(&mut self, build: IndexBuild) -> bool {
-        let published = {
-            let QueryStorage {
-                records,
-                signatures,
-                indexes,
-                ..
-            } = self;
-            indexes.publish_rebuild(build, records, signatures)
-        };
-        self.compact_postings();
-        published
+        let QueryStorage {
+            records,
+            signatures,
+            indexes,
+            ..
+        } = self;
+        indexes.publish_rebuild(build, records, signatures)
     }
 
     /// The background index-maintenance pass (run from the miner epoch):
-    /// executes a scheduled rebuild synchronously and compacts queued
-    /// posting lists. Returns whether a rebuild was published.
+    /// executes a scheduled rebuild synchronously. Returns whether a
+    /// rebuild was published.
     pub fn run_index_maintenance(&mut self) -> bool {
-        if self.indexes.rebuild_pending() {
+        self.indexes.rebuild_pending() && {
             let build = self.begin_index_rebuild();
             self.publish_index_rebuild(build)
-        } else {
-            self.compact_postings();
-            false
         }
     }
 
-    /// Compact every posting list queued by a live→non-live transition
-    /// down to its currently-live members.
-    pub fn compact_postings(&mut self) -> usize {
-        let QueryStorage {
-            records, indexes, ..
-        } = self;
-        indexes.maintain_postings(|q| {
-            records
-                .get(q as usize)
-                .map(|r| r.is_live())
-                .unwrap_or(false)
-        })
-    }
-
     /// Pointers a snapshot clone copies eagerly: one per chunk of each
-    /// id-indexed vector (records, feature rows, signatures, document and
-    /// posting slots, VP-tree entries and profile groups). Everything else a clone shares
+    /// id-indexed vector (records, feature rows, signatures, document
+    /// slots, VP-tree entries, profile groups and feature classes). Everything else a clone shares
     /// costs O(1) per structure; nothing is copied by value.
     pub fn cow_head_len(&self) -> usize {
         self.records.chunk_count()
@@ -1492,37 +1371,43 @@ mod tests {
         assert_eq!(restored.live_count(), scan(&restored));
     }
 
+    /// The feature-class keys of every class `qid` is filed in.
+    fn classes_of(s: &QueryStorage, qid: u64) -> Vec<crate::indexreg::FeatureKey> {
+        let classes = &s.indexes().structural().classes;
+        classes
+            .iter()
+            .filter(|c| c.members.iter().any(|&q| q == qid))
+            .map(|c| c.key.clone())
+            .collect()
+    }
+
+    /// `qid`'s own signature as a feature-class key.
+    fn key_of(s: &QueryStorage, qid: u64) -> crate::indexreg::FeatureKey {
+        let sig = s.signature(QueryId(qid)).unwrap();
+        crate::indexreg::FeatureKey {
+            tables: sig.tables.clone(),
+            attributes: sig.attributes.clone(),
+            predicates: sig.predicates.clone(),
+        }
+    }
+
     #[test]
-    fn posting_index_follows_insert_delete_reindex() {
+    fn feature_classes_follow_insert_delete_reindex() {
         let mut s = populated();
-        let sig = s.signature(QueryId(2)).unwrap().clone();
-        // Every feature of a live record posts to its qid.
-        for fid in sig.feature_ids() {
-            assert!(s.indexes().posting(fid).unwrap().contains(2));
+        // Every record is filed once, under its signature's id sets; the
+        // two constant variants of one template share a class.
+        for q in 0..3 {
+            assert_eq!(classes_of(&s, q), [key_of(&s, q)]);
         }
-        // Candidate generation sees records sharing the probe's features.
-        let probe = s.probe_signature(s.get(QueryId(0)).unwrap());
-        let cands = s.candidate_ids(&probe);
-        assert!(cands.contains(&0) && cands.contains(&1));
-        assert!(cands.contains(&2), "join shares watertemp");
-        // Tombstoning marks the entries stale everywhere (the canonical
-        // live view drops them at once); the background compaction pass
-        // then removes them physically.
+        assert_eq!(s.indexes().structural().classes.len(), 2);
+        // A tombstone stays filed (probes filter liveness) until a
+        // rebuild drops it.
         s.delete(QueryId(2)).unwrap();
-        for fid in sig.feature_ids() {
-            assert!(!s.live_posting_ids(fid).contains(&2));
-        }
-        s.compact_postings();
-        for fid in sig.feature_ids() {
-            assert!(!s
-                .indexes()
-                .posting(fid)
-                .map(|l| l.contains(2))
-                .unwrap_or(false));
-        }
-        // Flagging unposts too (non-live records cost probes nothing);
-        // repairing re-posts.
-        let sig0 = s.signature(QueryId(0)).unwrap().clone();
+        assert_eq!(classes_of(&s, 2).len(), 1);
+        s.schedule_index_rebuild();
+        assert!(s.run_index_maintenance());
+        assert!(classes_of(&s, 2).is_empty());
+        // Flagging and repairing are query-time filtering only.
         s.set_validity(
             QueryId(0),
             Validity::Flagged {
@@ -1531,14 +1416,7 @@ mod tests {
             },
         )
         .unwrap();
-        s.compact_postings();
-        for fid in sig0.feature_ids() {
-            assert!(!s
-                .indexes()
-                .posting(fid)
-                .map(|l| l.contains(0))
-                .unwrap_or(false));
-        }
+        assert_eq!(classes_of(&s, 0), [key_of(&s, 0)]);
         s.set_validity(
             QueryId(0),
             Validity::Repaired {
@@ -1547,9 +1425,7 @@ mod tests {
             },
         )
         .unwrap();
-        for fid in sig0.feature_ids() {
-            assert!(s.indexes().posting(fid).unwrap().contains(0));
-        }
+        assert_eq!(classes_of(&s, 0), [key_of(&s, 0)]);
         // Reindex after a rewrite (the maintenance repair path): the
         // query's rows in all five relations are replaced in place — none
         // duplicated, none left behind — so it keeps its place ahead of
@@ -1586,6 +1462,14 @@ mod tests {
             feature_sql(&s, "SELECT qid, author FROM QueryMeta"),
             [["0", "1"], ["1", "1"]]
         );
+        // The class index keeps the stale filing, masked by the override
+        // log, until the rebuild the reindex scheduled refiles it.
+        assert!(s.indexes().overridden(0));
+        assert_ne!(classes_of(&s, 0), [key_of(&s, 0)]);
+        assert!(s.run_index_maintenance());
+        assert!(!s.indexes().overridden(0));
+        assert_eq!(classes_of(&s, 0), [key_of(&s, 0)]);
+        assert_ne!(classes_of(&s, 1), [key_of(&s, 0)]);
     }
 
     #[test]
@@ -1604,14 +1488,13 @@ mod tests {
         assert_eq!(restored.latest_of(UserId(2)).unwrap().id, QueryId(2));
     }
 
-    /// Regression for the stale-posting leak: hammering insert/delete
-    /// cycles must not grow posting lists without bound — transitions
-    /// queue over-threshold lists, and the background maintenance pass
-    /// (here run once per round, as the miner epoch does) compacts them,
-    /// so list length stays within a constant factor of the live
-    /// membership while the transitions themselves stay O(1) per list.
+    /// Hammering insert/delete cycles must not grow the feature classes
+    /// without bound: tombstones stay filed only until their share of
+    /// the index crosses the rebuild threshold, and the background
+    /// maintenance pass (here run once per round, as the miner epoch
+    /// does) then refiles the survivors alone.
     #[test]
-    fn posting_lists_stay_bounded_under_churn() {
+    fn feature_classes_shed_tombstones_at_rebuild() {
         let mut s = QueryStorage::new();
         let mut next_id = 0u64;
         // 12 rounds of: insert a batch sharing one hot feature set, then
@@ -1631,8 +1514,6 @@ mod tests {
             for q in start..start + 45 {
                 s.delete(QueryId(q)).unwrap();
             }
-            // Flag + repair the survivors' head, exercising the
-            // dead→alive revival path on stale entries.
             s.set_validity(
                 QueryId(start + 45),
                 Validity::Flagged {
@@ -1649,35 +1530,32 @@ mod tests {
                 },
             )
             .unwrap();
-            // The per-epoch background pass drains the compaction queue.
-            s.compact_postings();
+            s.run_index_maintenance();
         }
-        let live = s.live_count();
-        assert_eq!(live, 12 * 5);
-        for (fid, list) in s.postings().iter_enumerated() {
-            let fid = fid as u32;
-            // Invariant maintained by the background compaction pass:
-            // stale entries are at most a quarter of any list…
-            assert!(
-                u64::from(list.dead()) * 4 <= list.len() as u64,
-                "feature {fid}: {} dead of {}",
-                list.dead(),
-                list.len()
-            );
-            // …and every live id with this feature is present, while the
-            // list never exceeds live + tolerated-stale.
-            let live_ids = s.live_posting_ids(fid);
-            assert!(list.len() <= live_ids.len() + live_ids.len() / 3 + 1);
-            for q in live_ids {
-                assert!(list.contains(q));
-            }
-        }
-        // Candidate generation still returns every live sharer.
-        let probe = s.probe_signature(s.get(QueryId(next_id - 1)).unwrap());
-        let cands = s.candidate_ids(&probe);
-        for r in s.iter_live() {
-            assert!(cands.binary_search(&r.id.0).is_ok());
-        }
+        assert_eq!(s.live_count(), 12 * 5);
+        let classes = &s.indexes().structural().classes;
+        assert_eq!(classes.len(), 1);
+        let members: Vec<u64> = classes
+            .iter()
+            .flat_map(|c| c.members.iter().copied())
+            .collect();
+        let dead = members
+            .iter()
+            .filter(|&&q| !s.get(QueryId(q)).unwrap().is_live())
+            .count();
+        assert!(
+            dead as f64 <= crate::metricindex::REBUILD_DEAD_FRACTION * members.len() as f64,
+            "{dead} tombstones of {} members",
+            members.len()
+        );
+        // Every live record is filed exactly once, in ascending order.
+        let live: Vec<u64> = s.iter_live().map(|r| r.id.0).collect();
+        let filed: Vec<u64> = members
+            .iter()
+            .copied()
+            .filter(|&q| s.get(QueryId(q)).unwrap().is_live())
+            .collect();
+        assert_eq!(filed, live);
     }
 
     /// The registry lifecycle: inserts are indexed at once into the one

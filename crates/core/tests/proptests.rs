@@ -13,7 +13,7 @@ use cqms_core::storage::{make_record, QueryStorage};
 use cqms_core::wal::{MemSink, WalWriter};
 use cqms_core::CqmsConfig;
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 // ---------------------------------------------------------------------
 // Generators
@@ -157,6 +157,24 @@ fn brute_knn(
     });
     brute.truncate(k);
     brute
+}
+
+/// Each feature class's id sets → its live members, classes without
+/// one dropped: the class index as probes see it.
+fn live_classes(st: &QueryStorage) -> BTreeMap<[Vec<u32>; 3], Vec<u64>> {
+    let mut out = BTreeMap::new();
+    for class in st.indexes().structural().classes.iter() {
+        let live: Vec<u64> = class
+            .members
+            .iter()
+            .copied()
+            .filter(|&q| st.get(QueryId(q)).unwrap().is_live())
+            .collect();
+        if !live.is_empty() {
+            out.insert(class.key.sets().map(<[u32]>::to_vec), live);
+        }
+    }
+    out
 }
 
 /// Records for the kNN-pruning property: the plain SQL generator plus
@@ -373,20 +391,29 @@ proptest! {
         }
     }
 
-    /// Candidate-pruned kNN returns exactly the brute-force top-k — same
-    /// ids, same scores, same tie-breaking — on randomized workloads
-    /// including records with empty feature sets, mixed visibility and
-    /// tombstones, for every pruned metric.
+    /// Class-swept kNN returns exactly the brute-force top-k — same ids,
+    /// same scores, same tie-breaking — on randomized workloads including
+    /// records with empty feature sets, mixed visibility, tombstones,
+    /// flagged records and records rewritten through `reindex` (filed
+    /// under stale ids until the rebuild), for `Features` and both
+    /// `Combined` blend shapes (probes with and without an output
+    /// summary), before and after the rebuild that retires the
+    /// overrides.
     #[test]
     fn pruned_knn_matches_brute_force(
         records in proptest::collection::vec(0u64..1, 2..20).prop_flat_map(|seeds| {
             (0..seeds.len() as u64).map(knn_record_strategy).collect::<Vec<_>>()
         }),
-        del_seeds in proptest::collection::vec(any::<bool>(), 20),
+        // One record in four is deleted and one in four flagged, so most
+        // probes still rank a full top k.
+        del_seeds in proptest::collection::vec(0u8..4, 20),
+        flag_seeds in proptest::collection::vec(0u8..4, 20),
+        rewrites in proptest::collection::vec((0usize..20, sql_strategy()), 0..4),
         probe_sql in prop_oneof![
             4 => sql_strategy(),
             1 => Just("word salad, no features".to_string()),
         ],
+        probe_rows in proptest::option::of(proptest::collection::vec("[a-c]{1,2}", 1..4)),
         viewer in 0u32..4,
         k in 1usize..6,
     ) {
@@ -397,44 +424,54 @@ proptest! {
         }
         let n = st.len();
         for (i, del) in del_seeds.iter().take(n).enumerate() {
-            if *del {
+            if *del == 0 {
                 st.delete(QueryId(i as u64)).unwrap();
             }
+        }
+        for (i, flag) in flag_seeds.iter().take(n).enumerate() {
+            if *flag == 0 && st.get(QueryId(i as u64)).unwrap().validity != Validity::Deleted {
+                st.set_validity(
+                    QueryId(i as u64),
+                    Validity::Flagged { reason: "drift".into(), at: 1 },
+                ).unwrap();
+            }
+        }
+        for (pick, sql) in &rewrites {
+            let id = QueryId((pick % n) as u64);
+            let r = st.get_mut(id).unwrap();
+            r.raw_sql = sql.clone();
+            r.derive(sqlparse::parse(sql).ok(), None);
+            st.reindex(id).unwrap();
         }
         let dir = Directory::new();
         let cfg = CqmsConfig::default();
         let viewer = UserId(viewer);
         let stmt = sqlparse::parse(&probe_sql).ok();
         let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
-        let probe = make_record(
+        let mut probe = make_record(
             QueryId(u64::MAX), viewer, 0, &probe_sql, stmt, feats,
             RuntimeFeatures::default(), OutputSummary::None,
             SessionId(u64::MAX), Visibility::Private,
         );
-        let psig = st.probe_signature(&probe);
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
-        for metric in [DistanceKind::Features, DistanceKind::Combined] {
-            // Brute force: full scan, same distance kernels, no pruning.
-            let mut brute: Vec<ScoredHit> = st
-                .iter_live()
-                .filter(|r| dir.can_see(viewer, r))
-                .map(|r| ScoredHit {
-                    id: r.id,
-                    score: 1.0 - similarity::distance_with(
-                        &probe, &psig, r, st.signature(r.id).unwrap(), metric, &cfg,
-                    ),
-                })
-                .collect();
-            brute.sort_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| a.id.cmp(&b.id))
-            });
-            brute.truncate(k);
-            let pruned = mq.knn(viewer, &probe, k, metric);
-            prop_assert_eq!(&pruned, &brute, "{:?} pruning diverged", metric);
+        if let Some(rows) = probe_rows {
+            probe.summary = OutputSummary::Full {
+                columns: vec!["c".into()],
+                rows: rows.into_iter().map(|v| vec![v]).collect(),
+            };
         }
+        let check = |st: &QueryStorage, what: &str| -> Result<(), TestCaseError> {
+            let mq = MetaQueryExecutor::new(st, &dir, &cfg);
+            for metric in [DistanceKind::Features, DistanceKind::Combined] {
+                let got = mq.knn(viewer, &probe, k, metric);
+                let want = brute_knn(st, &dir, &cfg, viewer, &probe, metric, k);
+                prop_assert_eq!(&got, &want, "{:?} diverged {}", metric, what);
+            }
+            Ok(())
+        };
+        check(&st, "with overrides outstanding")?;
+        st.run_index_maintenance();
+        prop_assert_eq!(st.indexes().override_count(), 0);
+        check(&st, "after the rebuild")?;
     }
 
     /// VP-tree TreeEdit kNN returns exactly the brute-force top-k — ids
@@ -627,7 +664,12 @@ proptest! {
         );
         let check = |st: &QueryStorage, what: &str| -> Result<(), TestCaseError> {
             let mq = MetaQueryExecutor::new(st, &dir, &cfg);
-            for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
+            for metric in [
+                DistanceKind::TreeEdit,
+                DistanceKind::ParseTree,
+                DistanceKind::Features,
+                DistanceKind::Combined,
+            ] {
                 let got = mq.knn(viewer, &probe, k, metric);
                 let want = brute_knn(st, &dir, &cfg, viewer, &probe, metric, k);
                 prop_assert_eq!(&got, &want, "{:?} diverged {}", metric, what);
@@ -760,17 +802,10 @@ proptest! {
         prop_assert_eq!(&resnapshot(&restored), &buf, "snapshot → load → snapshot is a fixpoint");
         prop_assert_eq!(restored.interner(), st.interner());
         prop_assert_eq!(restored.signatures(), st.signatures());
-        // Posting lists may differ in stale entries (lazy compaction runs
-        // on thresholds; a freshly restored storage has none), so compare
-        // the canonical live view per interned feature.
-        for fid in 0..st.interner().len() as u32 {
-            prop_assert_eq!(
-                restored.live_posting_ids(fid),
-                st.live_posting_ids(fid),
-                "feature {} diverges",
-                fid
-            );
-        }
+        // Feature classes may differ in tombstoned members (a rebuild
+        // drops them; a freshly restored storage never files them) and in
+        // creation order, so compare each class's live members.
+        prop_assert_eq!(live_classes(&restored), live_classes(&st));
         prop_assert_eq!(restored.live_count(), st.live_count());
     }
 

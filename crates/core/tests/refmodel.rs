@@ -2,32 +2,40 @@
 //! property tests that hold the optimised paths to it.
 //!
 //! [`RefModel`] is built from a deployment's live records and answers by
-//! naive counting over their features, with none of the counters,
-//! posting lists or indexes the product keeps. It starts with completion
-//! (paper §2.3): [`RefModel::complete_stats`] counts each completion
-//! context's statistics record by record, and [`RefModel::complete`]
-//! scores them with the product's own `suggest_with_stats`, so a mismatch
-//! is a collection bug, never a scoring one.
+//! naive counting and scanning over them, with none of the counters,
+//! classes or indexes the product keeps. For completion (paper §2.3),
+//! [`RefModel::complete_stats`] counts each completion context's
+//! statistics record by record, and [`RefModel::complete`] scores them
+//! with the product's own `suggest_with_stats`, so a mismatch is a
+//! collection bug, never a scoring one. For kNN similarity search
+//! (§4.2), [`RefModel::similar`] scores every visible live record with
+//! the record-based `similarity::distance` and keeps the best k.
 
+use cqms_core::admin::Directory;
 use cqms_core::assist::completion::{
     CatalogView, CompletionContext, CompletionEngine, CompletionStats, Suggestion,
 };
 use cqms_core::features::SyntacticFeatures;
+use cqms_core::metaquery::ScoredHit;
 use cqms_core::miner::assoc::ContextCounts;
-use cqms_core::model::{QueryId, UserId, Validity};
+use cqms_core::model::{
+    OutputSummary, QueryId, QueryRecord, SessionId, UserId, Validity, Visibility,
+};
 use cqms_core::service::IngestItem;
 use cqms_core::shard::ShardedCqms;
-use cqms_core::storage::QueryStorage;
-use cqms_core::CqmsConfig;
+use cqms_core::similarity::{self, DistanceKind};
+use cqms_core::storage::{make_record, QueryStorage};
+use cqms_core::{CqmsConfig, CqmsError};
 use proptest::prelude::*;
 use relstore::Engine;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The naive model: the live records' features, the catalog names and
-/// the configuration completion scores with.
+/// The naive model: the live records under their global ids, the
+/// directory, the catalog names and the configuration.
 struct RefModel {
-    live: Vec<SyntacticFeatures>,
+    live: Vec<(QueryId, QueryRecord)>,
+    directory: Directory,
     catalog: CatalogView,
     config: CqmsConfig,
 }
@@ -36,18 +44,66 @@ impl RefModel {
     /// The model of a sharded deployment: every shard's live records.
     fn of(sharded: &ShardedCqms, config: &CqmsConfig) -> RefModel {
         let mut live = Vec::new();
+        let mut directory = Directory::default();
         let mut catalog = CatalogView::default();
-        for shard in sharded.shards() {
+        for (i, shard) in sharded.shards().iter().enumerate() {
             shard.read(|c| {
-                live.extend(c.storage.iter_live().map(|r| r.features.clone()));
+                live.extend(
+                    c.storage
+                        .iter_live()
+                        .map(|r| (sharded.globalize(i, r.id), r.clone())),
+                );
+                directory = c.directory.clone();
                 catalog = CatalogView::of(&c.data);
             });
         }
         RefModel {
             live,
+            directory,
             catalog,
             config: config.clone(),
         }
+    }
+
+    fn features(&self) -> impl Iterator<Item = &SyntacticFeatures> {
+        self.live.iter().map(|(_, r)| &r.features)
+    }
+
+    /// The `k` visible live records nearest to `sql` under `metric`,
+    /// scored record by record, best first (ties by ascending id).
+    fn similar(
+        &self,
+        viewer: UserId,
+        sql: &str,
+        k: usize,
+        metric: DistanceKind,
+    ) -> Result<Vec<ScoredHit>, CqmsError> {
+        let stmt = sqlparse::parse(sql)?;
+        let features = cqms_core::features::extract(&stmt, None);
+        let probe = make_record(
+            QueryId(u64::MAX),
+            viewer,
+            0,
+            sql,
+            Some(stmt),
+            features,
+            Default::default(),
+            OutputSummary::None,
+            SessionId(u64::MAX),
+            Visibility::Private,
+        );
+        let mut hits: Vec<ScoredHit> = self
+            .live
+            .iter()
+            .filter(|(_, r)| self.directory.can_see(viewer, r))
+            .map(|(id, r)| ScoredHit {
+                id: *id,
+                score: 1.0 - similarity::distance(&probe, r, metric, &self.config),
+            })
+            .collect();
+        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));
+        hits.truncate(k);
+        Ok(hits)
     }
 
     /// The statistics behind one completion probe, counted record by
@@ -60,7 +116,7 @@ impl RefModel {
             CompletionContext::Table => {
                 let context: HashSet<String> =
                     present.iter().map(|t| format!("table:{t}")).collect();
-                for f in &self.live {
+                for f in self.features() {
                     let items: Vec<String> =
                         f.tables.iter().map(|t| format!("table:{t}")).collect();
                     stats.rule_counts.add_n(&items, &context, "table:", 1);
@@ -70,14 +126,14 @@ impl RefModel {
                 }
             }
             CompletionContext::Attribute => {
-                for f in &self.live {
+                for f in self.features() {
                     for (t, a) in f.attributes.iter().filter(|(t, _)| in_scope(t)) {
                         *stats.attr_pop.entry((t.clone(), a.clone())).or_insert(0) += 1;
                     }
                 }
             }
             CompletionContext::Predicate => {
-                for f in &self.live {
+                for f in self.features() {
                     for p in &f.predicates {
                         if !p.table.is_empty() && !in_scope(&p.table) {
                             continue;
@@ -159,6 +215,20 @@ fn probes() -> Vec<String> {
     out
 }
 
+/// The kNN probes the model checks: logged templates, a join, a
+/// predicate on no table's column, and a table the log never saw.
+const KNN_PROBES: [&str; 6] = [
+    "SELECT * FROM WaterTemp WHERE temp < 2",
+    "SELECT lake, month FROM WaterSalinity, WaterTemp",
+    "SELECT lake FROM LakeTemperatures, Lakes, CityLocations WHERE pop > 1",
+    "SELECT * FROM Lakes WHERE depth = 0",
+    "SELECT lake FROM CityLocations WHERE area > 3",
+    "SELECT name FROM Rivers",
+];
+
+/// Neighbours per kNN probe.
+const KNN_K: usize = 6;
+
 /// The Lakes data tier, with the table rename applied when `renamed`.
 fn engine(renamed: bool) -> Engine {
     let mut e = Engine::new();
@@ -193,7 +263,10 @@ enum Op {
     Batch { items: Vec<(u32, String)> },
     Delete { nth: usize },
     SetValidity { nth: usize, live: bool },
+    MakePrivate { nth: usize },
     RenameAndMaintain,
+    Maintain,
+    RebuildIndexes,
     Reopen { snapshot: bool },
 }
 
@@ -236,7 +309,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|items| Op::Batch { items }),
         2 => (0usize..64).prop_map(|nth| Op::Delete { nth }),
         3 => (0usize..64, any::<bool>()).prop_map(|(nth, live)| Op::SetValidity { nth, live }),
+        1 => (0usize..64).prop_map(|nth| Op::MakePrivate { nth }),
         1 => Just(Op::RenameAndMaintain),
+        1 => Just(Op::Maintain),
+        1 => Just(Op::RebuildIndexes),
         1 => any::<bool>().prop_map(|snapshot| Op::Reopen { snapshot }),
     ]
 }
@@ -303,7 +379,8 @@ impl Harness {
                     self.issued.push((item.user, id.unwrap()));
                 }
             }
-            Op::Delete { .. } | Op::SetValidity { .. } if self.issued.is_empty() => {}
+            Op::Delete { .. } | Op::SetValidity { .. } | Op::MakePrivate { .. }
+                if self.issued.is_empty() => {}
             Op::Delete { nth: n } => {
                 let (owner, id) = nth(*n);
                 s.delete_query(owner, id).unwrap();
@@ -322,6 +399,11 @@ impl Harness {
                 // A tombstone refuses the change; that is the contract.
                 let _ = s.shards()[shard].write(|c| c.storage.set_validity(local, validity));
             }
+            Op::MakePrivate { nth: n } => {
+                let (owner, id) = nth(*n);
+                // A tombstone refuses the change; that is the contract.
+                let _ = s.set_visibility(owner, id, Visibility::Private);
+            }
             Op::RenameAndMaintain => {
                 let sql = if self.renamed { RENAMED_BACK } else { RENAMED };
                 for shard in s.shards() {
@@ -329,6 +411,12 @@ impl Harness {
                 }
                 self.renamed = !self.renamed;
                 s.run_maintenance().unwrap();
+            }
+            Op::Maintain => {
+                s.run_maintenance().unwrap();
+            }
+            Op::RebuildIndexes => {
+                s.rebuild_indexes();
             }
             Op::Reopen { snapshot } => {
                 if *snapshot {
@@ -350,9 +438,26 @@ impl Harness {
         }
     }
 
-    /// Every probe's merged statistics and top-k against the model.
+    /// Every probe's merged statistics and top-k, and every kNN probe's
+    /// neighbours for two viewers, against the model.
     fn check(&self, step: usize) -> Result<(), TestCaseError> {
         let model = RefModel::of(&self.sharded, &self.config);
+        for sql in KNN_PROBES {
+            for &viewer in &self.users[..2] {
+                for metric in [DistanceKind::Features, DistanceKind::Combined] {
+                    let got = self.sharded.similar_queries(viewer, sql, KNN_K, metric);
+                    prop_assert_eq!(
+                        got.unwrap(),
+                        model.similar(viewer, sql, KNN_K, metric).unwrap(),
+                        "{:?} neighbours of {:?} for {:?} after step {}",
+                        metric,
+                        sql,
+                        viewer,
+                        step
+                    );
+                }
+            }
+        }
         for probe in probes() {
             let mut merged = CompletionStats::default();
             for shard in self.sharded.shards() {
@@ -387,10 +492,12 @@ impl Drop for Harness {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Completion's statistics equal naive counting over the live records
-    /// after every step of a random trace (ingests, batches, deletes,
-    /// validity flips, rename repairs, WAL and snapshot reopens), on one
-    /// shard and on two.
+    /// Completion's statistics equal naive counting over the live records,
+    /// and `Features` / `Combined` kNN equal a record-by-record scan of
+    /// the visible ones, after every step of a random trace (ingests,
+    /// batches, deletes, validity and visibility flips, rename repairs,
+    /// maintenance passes, index rebuilds, WAL and snapshot reopens), on
+    /// one shard and on two.
     #[test]
     fn completion_matches_refmodel(
         ops in proptest::collection::vec(op_strategy(), 1..30),
