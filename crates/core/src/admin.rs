@@ -102,11 +102,6 @@ impl Directory {
         self.state.users.get(&id)
     }
 
-    /// A group's display name.
-    pub fn group_name(&self, id: GroupId) -> Option<&str> {
-        self.state.groups.get(&id).map(String::as_str)
-    }
-
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
         self.state.users.len()

@@ -37,14 +37,20 @@ pub struct RepairSuggestion {
 
 /// Correction engine over a data engine's catalog and the query log.
 pub struct CorrectionEngine<'a> {
-    /// The query log consulted for repairs.
-    pub storage: &'a QueryStorage,
+    /// The query logs consulted for repairs: one per shard.
+    pub logs: Vec<&'a QueryStorage>,
 }
 
 impl<'a> CorrectionEngine<'a> {
-    /// Bind a correction engine over the storage.
+    /// Bind a correction engine over one storage.
     pub fn new(storage: &'a QueryStorage) -> Self {
-        CorrectionEngine { storage }
+        Self::over(vec![storage])
+    }
+
+    /// Bind a correction engine over several shards' logs; repairs draw
+    /// popular constants from all of them.
+    pub fn over(logs: Vec<&'a QueryStorage>) -> Self {
+        CorrectionEngine { logs }
     }
 
     /// Spell-check relation and attribute names of `sql` against the
@@ -212,18 +218,33 @@ impl<'a> CorrectionEngine<'a> {
         out
     }
 
-    /// (column, op) → constants by popularity from the log's predicates.
+    /// (column, op) → constants by popularity, summed over every log's
+    /// maintained predicate counts (all tables' shapes of that column).
     fn popular_constants(&self) -> HashMap<(String, String), Vec<String>> {
         let mut counts: HashMap<(String, String), HashMap<String, u32>> = HashMap::new();
-        for r in self.storage.iter_live() {
-            for p in &r.features.predicates {
-                *counts
-                    .entry((p.column.clone(), p.op.clone()))
-                    .or_default()
-                    .entry(p.constant.clone())
-                    .or_insert(0) += 1;
+        for log in &self.logs {
+            for ((_table, column, op), shape) in log.completion_counts().preds() {
+                let slot = counts
+                    .entry((column.to_string(), op.to_string()))
+                    .or_default();
+                for (constant, &n) in shape.constants.iter() {
+                    *slot.entry(constant.to_string()).or_insert(0) += n;
+                }
             }
         }
+        debug_assert_eq!(counts, {
+            let mut scan: HashMap<(String, String), HashMap<String, u32>> = HashMap::new();
+            for r in self.logs.iter().flat_map(|log| log.iter_live()) {
+                for p in &r.features.predicates {
+                    *scan
+                        .entry((p.column.clone(), p.op.clone()))
+                        .or_default()
+                        .entry(p.constant.clone())
+                        .or_insert(0) += 1;
+                }
+            }
+            scan
+        });
         counts
             .into_iter()
             .map(|(k, v)| {

@@ -76,7 +76,7 @@ pub struct CqmsConfig {
 
     // --- Durability (WAL + snapshots) ---
     /// `fsync` the log at every flush point and snapshots at every rename.
-    /// Leave on for real deployments; tests and benches may disable it to
+    /// Leave on for real deployments; tests and benchmarks may disable it to
     /// measure the non-syscall overhead in isolation.
     pub wal_fsync: bool,
     /// Write a snapshot (and truncate the log) once this many operations

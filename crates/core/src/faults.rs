@@ -132,11 +132,6 @@ impl FaultPlan {
         self.armed.store(false, Ordering::Release);
     }
 
-    /// Is any failpoint currently armed?
-    pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Acquire)
-    }
-
     /// How many times `point` has fired since the plan was created.
     pub fn fired(&self, point: &str) -> u64 {
         *self.fired.lock().get(point).unwrap_or(&0)

@@ -56,7 +56,7 @@ use std::sync::Arc;
 /// Default leaf bucket capacity. Larger buckets mean fewer mandatory
 /// pivot distance computations on the way down, trading against the
 /// (much cheaper) per-entry histogram + parent-pivot screens at the
-/// leaves; 128 measured best on the e7 workload by a wide margin.
+/// leaves; 128 measured best on a kNN workload by a wide margin.
 const LEAF_CAP: usize = 128;
 
 /// Tombstone fraction beyond which the index registry schedules a
@@ -67,7 +67,8 @@ pub const REBUILD_DEAD_FRACTION: f64 = 0.25;
 const NO_PARENT: u32 = u32::MAX;
 
 /// Cheap-bound effectiveness counters for one metric (relaxed atomics —
-/// the counters feed the bench's `bound_hit_rate`, not control flow).
+/// the counters feed the ledger's `metricindex.bound_hit_rate`, not
+/// control flow).
 #[derive(Debug, Default)]
 pub struct MetricStats {
     /// Pairs (or whole subtrees' worth of pairs) rejected by a cheap

@@ -24,9 +24,3 @@ pub mod cluster;
 pub mod editpatterns;
 pub mod sessions;
 pub mod tutorial;
-
-pub use assoc::{AssocRule, RuleMiner};
-pub use cluster::{adjusted_rand_index, kmedoids, purity, ClusteringResult};
-pub use editpatterns::EditPatternMiner;
-pub use sessions::{segment_log, SegmentationQuality};
-pub use tutorial::generate_tutorial;

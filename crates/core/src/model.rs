@@ -217,8 +217,6 @@ pub struct QueryRecord {
     /// Parsed statement (None when the text failed to parse — the log still
     /// records the attempt; §2.3 correction mode needs those too).
     pub statement: Option<Statement>,
-    /// The canonicalised re-print of `statement` (raw text when unparsed).
-    pub canonical_sql: String,
     /// Fingerprint of the canonicalised statement.
     pub structure_fp: u64,
     /// Fingerprint of the constant-stripped template (popularity key).
@@ -243,12 +241,9 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// Re-derive, in place, everything that is a function of `raw_sql`:
-    /// its parse, the canonical text, both fingerprints and the syntactic
-    /// features, resolved against `catalog` when one is given — the
-    /// rewrite path of WAL replay and maintenance repair alike. Features
-    /// come first: the scan-heavy reads are sensitive to where a record's
-    /// feature strings land on the heap, and ingest allocates in this
-    /// order too.
+    /// its parse, both fingerprints and the syntactic features, resolved
+    /// against `catalog` when one is given — the rewrite path of WAL
+    /// replay and maintenance repair alike.
     pub fn derive(&mut self, statement: Option<Statement>, catalog: Option<&Catalog>) {
         self.features = statement
             .as_ref()
@@ -257,16 +252,15 @@ impl QueryRecord {
         self.set_statement(statement);
     }
 
-    /// The statement, its canonical text and fingerprints — the part of
+    /// The statement and its fingerprints — the part of
     /// [`QueryRecord::derive`] every record constructor shares.
     pub(crate) fn set_statement(&mut self, statement: Option<Statement>) {
-        (self.canonical_sql, self.structure_fp, self.template_fp) = match &statement {
+        (self.structure_fp, self.template_fp) = match &statement {
             Some(stmt) => (
-                sqlparse::to_sql(&sqlparse::canonicalize(stmt)),
                 sqlparse::structure_fingerprint(stmt),
                 sqlparse::template_fingerprint(stmt),
             ),
-            None => (self.raw_sql.clone(), 0, 0),
+            None => (0, 0),
         };
         self.statement = statement;
     }
@@ -274,11 +268,6 @@ impl QueryRecord {
     /// Is this record alive and usable for search/recommendation?
     pub fn is_live(&self) -> bool {
         self.validity.is_usable()
-    }
-
-    /// The SQL to show/re-execute (repaired text when applicable).
-    pub fn effective_sql(&self) -> &str {
-        &self.raw_sql
     }
 
     /// One-line annotation digest for panel display (Fig. 3 right column).

@@ -34,8 +34,7 @@
 //!
 //! The service is `Clone` (cheap: a handful of `Arc`s); hand one clone to
 //! each client thread. See `tests/concurrency.rs` for the multi-writer /
-//! multi-reader stress test and `benches/e10_concurrency.rs` for the read
-//! scaling experiment.
+//! multi-reader stress test.
 
 use crate::admission::AdmissionGate;
 use crate::assist::correction::{Correction, RepairSuggestion};
@@ -492,7 +491,7 @@ impl CqmsService {
     /// swap. Returns `false` when no rebuild was scheduled. (The
     /// background miner runs the same routine on its own thread; this
     /// entry point is for explicit maintenance and the rebuild-race
-    /// benches/tests.)
+    /// tests.)
     pub fn rebuild_indexes(&self) -> bool {
         let Some(build) = build_scheduled_rebuild(Some(self.read_guard())) else {
             return false;

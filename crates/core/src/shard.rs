@@ -83,7 +83,7 @@
 //!   and treat these engines as catalogs for validation/profiling.
 
 use crate::assist::completion::{CompletionStats, Suggestion};
-use crate::assist::correction::{Correction, RepairSuggestion};
+use crate::assist::correction::{Correction, CorrectionEngine, RepairSuggestion};
 use crate::assist::recommend::{self, sort_ranked, PanelRow};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
@@ -363,7 +363,7 @@ impl ShardedCqms {
         (splitmix64(user.0 as u64) % self.shards.len() as u64) as usize
     }
 
-    /// The per-shard service handles (tests, benches, operators).
+    /// The per-shard service handles (tests, the ledger, operators).
     pub fn shards(&self) -> &[CqmsService] {
         &self.shards
     }
@@ -1015,9 +1015,13 @@ impl ShardedCqms {
         self.shards[0].check_identifiers(sql)
     }
 
-    /// Empty-result repair (schema + data driven; shard 0's data engine).
+    /// Empty-result repair: popular constants summed over every shard's
+    /// pinned log, candidates verified on shard 0's data engine.
     pub fn repair_empty_result(&self, sql: &str, k: usize) -> Vec<RepairSuggestion> {
-        self.shards[0].repair_empty_result(sql, k)
+        let snaps = self.snapshots();
+        let logs = snaps.iter().map(|snap| snap.storage()).collect();
+        self.shards[0]
+            .read(|cqms| CorrectionEngine::over(logs).repair_empty_result(&cqms.data, sql, k))
     }
 
     /// Association rules from every shard's miner, concatenated.

@@ -1033,7 +1033,6 @@ pub fn make_record(
         ts,
         raw_sql: raw_sql.to_string(),
         statement: None,
-        canonical_sql: String::new(),
         structure_fp: 0,
         template_fp: 0,
         features,

@@ -63,9 +63,9 @@
 //!
 //! # What is (deliberately) not logged
 //!
-//! Anything re-derivable: the parsed statement, canonical text,
-//! fingerprints and syntactic features (functions of the SQL and the
-//! catalog, see [`QueryRecord::derive`]), output summaries (statistics,
+//! Anything re-derivable: the parsed statement, fingerprints and
+//! syntactic features (functions of the SQL and the catalog, see
+//! [`QueryRecord::derive`]), output summaries (statistics,
 //! re-creatable by maintenance refresh), runtime plan/error text, the
 //! miner's session refinements ([`QueryStorage::adopt_sessions`] — the
 //! miner re-derives them; a snapshot does capture each record's session

@@ -90,7 +90,6 @@ fn assert_storage_equiv(recovered: &QueryStorage, reference: &QueryStorage) {
         assert_eq!(got.validity, want.validity, "{}", want.id);
         assert_eq!(got.template_fp, want.template_fp, "{}", want.id);
         assert_eq!(got.structure_fp, want.structure_fp, "{}", want.id);
-        assert_eq!(got.canonical_sql, want.canonical_sql, "{}", want.id);
         assert_eq!(got.features, want.features, "{}", want.id);
         assert_eq!(got.annotations.len(), want.annotations.len(), "{}", want.id);
         for (a, b) in got.annotations.iter().zip(&want.annotations) {

@@ -54,7 +54,7 @@ impl Domain {
     ///
     /// `scale` is the approximate per-table row count. Value distributions
     /// are chosen so the paper's scenarios hold (e.g. Lake Washington stays
-    /// below 18°C while Lake Union does not, which experiment E5 relies on).
+    /// below 18°C while Lake Union does not, which query-by-data tests rely on).
     pub fn setup(&self, engine: &mut Engine, scale: usize, seed: u64) {
         for ddl in self.ddl() {
             engine.execute(ddl).expect("ddl");
@@ -80,8 +80,8 @@ impl Domain {
 }
 
 /// Per-lake characteristics used by the data generator *and* referenced by
-/// tests (experiment E5 exploits the fact that `temp < 18` separates Lake
-/// Washington from Lake Union).
+/// tests (query-by-data tests exploit the fact that `temp < 18` separates
+/// Lake Washington from Lake Union).
 pub const LAKES: [(&str, f64, f64, f64); 5] = [
     // (name, temp_lo, temp_hi, salinity_mid)
     ("Lake Washington", 8.0, 16.0, 0.15),
@@ -620,7 +620,7 @@ mod tests {
 
     #[test]
     fn lakes_temp_separation_holds() {
-        // Experiment E5's planted fact: `temp < 18` returns Lake Washington
+        // The query-by-data planted fact: `temp < 18` returns Lake Washington
         // rows but never Lake Union rows.
         let mut e = Engine::new();
         Domain::Lakes.setup(&mut e, 500, 42);

@@ -5,8 +5,9 @@ use cqms::engine::metaquery::FIGURE1_META_QUERY;
 use cqms::engine::model::*;
 use cqms::engine::{Cqms, CqmsConfig};
 use relstore::Engine;
+use std::collections::HashMap;
 use workload::querygen::figure2_session;
-use workload::Domain;
+use workload::{Domain, Trace, TraceConfig};
 
 fn lakes_cqms() -> (Cqms, UserId) {
     let mut engine = Engine::new();
@@ -171,6 +172,69 @@ fn figure3_assisted_interaction_full_stack() {
     let panel = cqms::engine::viz::render_panel(&rows);
     assert!(panel.contains("Score"), "{panel}");
     assert!(panel.contains("%]"), "{panel}");
+
+    // Hold-out completion on a generated log of every domain: replay the
+    // first three quarters of the sessions, then type each later
+    // multi-table FROM without its last table. The held-back table must
+    // rank first at the domain's floor, and at least as often as the most
+    // popular table not yet typed does.
+    for (domain, floor) in [
+        (Domain::Lakes, 0.7),
+        (Domain::SkySurvey, 0.95),
+        (Domain::WebLog, 0.95),
+    ] {
+        let trace = Trace::generate(
+            TraceConfig::new(domain)
+                .with_sessions(40)
+                .with_users(4)
+                .with_scale(150),
+        );
+        let cut = trace.queries.iter().map(|q| q.session).max().unwrap_or(0) * 3 / 4;
+        let mut cqms = Cqms::new(trace.build_engine(), CqmsConfig::default());
+        let user = cqms.register_user("u");
+        let (logged, held_out): (Vec<_>, Vec<_>) =
+            trace.queries.iter().partition(|q| q.session < cut);
+        for q in logged {
+            cqms.run_query_at(user, &q.sql, q.ts).unwrap();
+        }
+        let mut popularity: HashMap<&str, usize> = HashMap::new();
+        for r in cqms.storage.iter_live() {
+            for t in &r.features.tables {
+                *popularity.entry(t).or_default() += 1;
+            }
+        }
+        let snap = cqms.capture_snapshot(0);
+        let (mut cases, mut hits, mut popular_hits) = (0usize, 0usize, 0usize);
+        for q in held_out {
+            let Ok(sqlparse::Statement::Select(select)) = sqlparse::parse(&q.sql) else {
+                continue;
+            };
+            let tables: Vec<String> = select
+                .from
+                .iter()
+                .map(|t| t.name.to_ascii_lowercase())
+                .collect();
+            let Some((target, typed)) = tables.split_last().filter(|(_, t)| !t.is_empty()) else {
+                continue;
+            };
+            cases += 1;
+            let partial = format!("SELECT * FROM {}, ", typed.join(", "));
+            let first = snap.complete(user, &partial, 5).into_iter().next();
+            hits += usize::from(first.is_some_and(|s| s.text.eq_ignore_ascii_case(target)));
+            let most_popular = popularity
+                .iter()
+                .filter(|(t, _)| !typed.iter().any(|typed| typed == *t))
+                .max_by(|a, b| a.1.cmp(b.1).then_with(|| b.0.cmp(a.0)));
+            popular_hits += usize::from(most_popular.is_some_and(|(t, _)| t == target));
+        }
+        let hit_rate = hits as f64 / cases.max(1) as f64;
+        assert!(cases > 0, "{domain:?}: no held-out multi-table query");
+        assert!(
+            hit_rate >= floor && hits >= popular_hits,
+            "{domain:?}: {hits} of {cases} held-back tables ranked first \
+             (popularity alone: {popular_hits})"
+        );
+    }
 }
 
 /// §2.2 query-by-data on real output summaries: "all queries whose output

@@ -5,7 +5,7 @@
 use cqms::engine::model::*;
 use cqms::engine::{Cqms, CqmsConfig, CqmsError};
 use relstore::Engine;
-use workload::Domain;
+use workload::{Domain, Trace, TraceConfig};
 
 fn lakes_cqms() -> Cqms {
     let mut engine = Engine::new();
@@ -131,6 +131,48 @@ fn chained_schema_evolution_repairs_transitively() {
             assert!(original_sql.contains("WaterTemp"));
         }
         other => panic!("{other:?}"),
+    }
+
+    // Each kind of schema change over a generated log: it affects logged
+    // queries, renames repair some, and every repaired query executes.
+    let trace = Trace::generate(
+        TraceConfig::new(Domain::Lakes)
+            .with_sessions(40)
+            .with_users(4)
+            .with_scale(100),
+    );
+    let changes: [(&[&str], bool); 5] = [
+        (
+            &["ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature"],
+            true,
+        ),
+        (&["ALTER TABLE WaterSalinity RENAME TO Salinity"], true),
+        (&["ALTER TABLE WaterTemp DROP COLUMN month"], false),
+        (&["DROP TABLE Lakes"], false),
+        (
+            &[
+                "ALTER TABLE WaterTemp RENAME COLUMN temp TO temperature",
+                "ALTER TABLE WaterTemp RENAME TO LakeTemps",
+            ],
+            true,
+        ),
+    ];
+    for (ddls, renames) in changes {
+        let mut c = Cqms::new(trace.build_engine(), CqmsConfig::default());
+        let u = c.register_user("u");
+        for q in &trace.queries {
+            c.run_query_at(u, &q.sql, q.ts).unwrap();
+        }
+        for ddl in ddls {
+            c.data.execute(ddl).unwrap();
+        }
+        let (schema, _) = c.run_maintenance().unwrap();
+        assert!(schema.affected > 0, "{ddls:?} affected no logged query");
+        assert_eq!(!schema.repaired.is_empty(), renames, "{ddls:?}: {schema:?}");
+        for id in &schema.repaired {
+            let sql = c.storage.get(*id).unwrap().raw_sql.clone();
+            assert!(c.data.execute(&sql).is_ok(), "{ddls:?} broke {sql}");
+        }
     }
 }
 
@@ -361,4 +403,54 @@ fn private_queries_do_not_leak_through_a_service_or_across_shards() {
     sharded.set_visibility(a, id, Visibility::Private).unwrap();
     sharded.run_query(b, PUBLIC_SQL).unwrap();
     assert_feature_sql_hides_private(&|u, sql| sharded.search_feature_sql(u, sql).unwrap(), a, b);
+}
+
+/// Repair's popular constants come from every shard's log: a 2-shard
+/// deployment whose only history sits on shard 1 suggests what one shard
+/// holding the same history does.
+#[test]
+fn sharded_repair_uses_every_shards_log() {
+    use cqms::engine::ShardedCqms;
+
+    let deploy = |shards| {
+        ShardedCqms::new(
+            || {
+                let mut engine = Engine::new();
+                Domain::Lakes.setup(&mut engine, 100, 11);
+                engine
+            },
+            CqmsConfig {
+                shards,
+                ..CqmsConfig::default()
+            },
+        )
+    };
+    let (two, one) = (deploy(2), deploy(1));
+    let mut on_shard_1 = Vec::new();
+    for i in 0..8 {
+        let name = format!("u{i}");
+        let user = two.register_user(&name);
+        assert_eq!(one.register_user(&name), user);
+        if two.shard_of(user) == 1 && on_shard_1.len() < 2 {
+            on_shard_1.push(user);
+        }
+    }
+    assert_eq!(on_shard_1.len(), 2);
+    for deployment in [&two, &one] {
+        for &user in &on_shard_1 {
+            for _ in 0..3 {
+                deployment
+                    .run_query(user, "SELECT * FROM WaterTemp WHERE temp < 12")
+                    .unwrap();
+            }
+        }
+    }
+    let repair =
+        |d: &ShardedCqms| d.repair_empty_result("SELECT * FROM WaterTemp WHERE temp < -900", 5);
+    let single = repair(&one);
+    assert!(
+        single.iter().any(|s| s.description.contains("temp < 12")),
+        "{single:?}"
+    );
+    assert_eq!(repair(&two), single);
 }
