@@ -9,14 +9,16 @@
 //! with the product's own `suggest_with_stats`, so a mismatch is a
 //! collection bug, never a scoring one. For kNN similarity search
 //! (§4.2), [`RefModel::similar`] scores every visible live record with
-//! the record-based `similarity::distance` and keeps the best k.
+//! the record-based `similarity::distance` and keeps the best k. For
+//! substring and parse-tree search (§2.2), [`RefModel::substring`] and
+//! [`RefModel::parse_tree`] scan every visible live record.
 
 use cqms_core::admin::Directory;
 use cqms_core::assist::completion::{
     CatalogView, CompletionContext, CompletionEngine, CompletionStats, Suggestion,
 };
 use cqms_core::features::SyntacticFeatures;
-use cqms_core::metaquery::ScoredHit;
+use cqms_core::metaquery::{ScoredHit, TreePattern};
 use cqms_core::miner::assoc::ContextCounts;
 use cqms_core::model::{
     OutputSummary, QueryId, QueryRecord, SessionId, UserId, Validity, Visibility,
@@ -67,6 +69,28 @@ impl RefModel {
 
     fn features(&self) -> impl Iterator<Item = &SyntacticFeatures> {
         self.live.iter().map(|(_, r)| &r.features)
+    }
+
+    /// The live records `viewer` may see that `keep` admits, ascending ids.
+    fn visible_ids(&self, viewer: UserId, keep: impl Fn(&QueryRecord) -> bool) -> Vec<QueryId> {
+        let mut ids: Vec<QueryId> = (self.live.iter())
+            .filter(|(_, r)| self.directory.can_see(viewer, r) && keep(r))
+            .map(|(id, _)| *id)
+            .collect();
+        ids.sort();
+        ids
+    }
+
+    /// The visible live records whose SQL text contains `needle`, case
+    /// folded, ascending ids.
+    fn substring(&self, viewer: UserId, needle: &str) -> Vec<QueryId> {
+        let needle = needle.to_lowercase();
+        self.visible_ids(viewer, |r| r.raw_sql.to_lowercase().contains(&needle))
+    }
+
+    /// The visible live records `pattern` matches, ascending ids.
+    fn parse_tree(&self, viewer: UserId, pattern: &TreePattern) -> Vec<QueryId> {
+        self.visible_ids(viewer, |r| pattern.matches(r))
     }
 
     /// The `k` visible live records nearest to `sql` under `metric`,
@@ -228,6 +252,35 @@ const KNN_PROBES: [&str; 6] = [
 
 /// Neighbours per kNN probe.
 const KNN_K: usize = 6;
+
+/// The substring needles the model checks: a table name in another case,
+/// a predicate fragment, a join separator, a needle under three bytes
+/// (the trigram index scans for those) and text no query contains.
+const NEEDLES: [&str; 6] = ["watertemp", "TEMP <", "p, l", "< 1", "ke", "rivers"];
+
+/// The parse-tree patterns the model checks.
+fn tree_patterns() -> Vec<TreePattern> {
+    vec![
+        TreePattern {
+            tables_all: vec!["WaterTemp".into()],
+            ..TreePattern::default()
+        },
+        TreePattern {
+            tables_any: vec!["lakes".into(), "LakeTemperatures".into()],
+            min_tables: Some(2),
+            ..TreePattern::default()
+        },
+        TreePattern {
+            predicate_on: Some(("WaterTemp".into(), "temp".into(), Some("<".into()))),
+            ..TreePattern::default()
+        },
+        TreePattern {
+            projects: vec!["month".into()],
+            has_aggregate: Some(false),
+            ..TreePattern::default()
+        },
+    ]
+}
 
 /// The Lakes data tier, with the table rename applied when `renamed`.
 fn engine(renamed: bool) -> Engine {
@@ -438,10 +491,33 @@ impl Harness {
         }
     }
 
-    /// Every probe's merged statistics and top-k, and every kNN probe's
-    /// neighbours for two viewers, against the model.
+    /// Every probe's merged statistics and top-k, every kNN probe's
+    /// neighbours for two viewers, and every substring needle's and
+    /// parse-tree pattern's matches for every viewer, against the model.
     fn check(&self, step: usize) -> Result<(), TestCaseError> {
         let model = RefModel::of(&self.sharded, &self.config);
+        for &viewer in &self.users {
+            for needle in NEEDLES {
+                prop_assert_eq!(
+                    self.sharded.search_substring(viewer, needle),
+                    model.substring(viewer, needle),
+                    "substring {:?} for {:?} after step {}",
+                    needle,
+                    viewer,
+                    step
+                );
+            }
+            for pattern in tree_patterns() {
+                prop_assert_eq!(
+                    self.sharded.search_parse_tree(viewer, &pattern),
+                    model.parse_tree(viewer, &pattern),
+                    "parse tree {:?} for {:?} after step {}",
+                    pattern,
+                    viewer,
+                    step
+                );
+            }
+        }
         for sql in KNN_PROBES {
             for &viewer in &self.users[..2] {
                 for metric in [DistanceKind::Features, DistanceKind::Combined] {
@@ -493,8 +569,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Completion's statistics equal naive counting over the live records,
-    /// and `Features` / `Combined` kNN equal a record-by-record scan of
-    /// the visible ones, after every step of a random trace (ingests,
+    /// and `Features` / `Combined` kNN, substring and parse-tree search
+    /// equal a record-by-record scan of the visible ones, after every step of a random trace (ingests,
     /// batches, deletes, validity and visibility flips, rename repairs,
     /// maintenance passes, index rebuilds, WAL and snapshot reopens), on
     /// one shard and on two.
