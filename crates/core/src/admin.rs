@@ -102,11 +102,6 @@ impl Directory {
         self.state.users.get(&id)
     }
 
-    /// Number of registered users.
-    pub fn user_count(&self) -> usize {
-        self.state.users.len()
-    }
-
     /// Is this user an administrator?
     pub fn is_admin(&self, user: UserId) -> bool {
         self.user(user).map(|u| u.is_admin).unwrap_or(false)

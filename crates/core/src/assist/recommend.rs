@@ -6,7 +6,6 @@
 //! the diff against the user's query (`-1 col, -1 pred`) and the annotation
 //! digest — exactly the columns of Figure 3.
 
-use crate::admin::Directory;
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::metaquery::{MetaQueryExecutor, ScoredHit};
@@ -29,7 +28,7 @@ pub struct PanelRow {
     pub id: QueryId,
 }
 
-/// Compute the recommendation panel for `seed_sql` on behalf of `viewer`.
+/// Compute the recommendation panel for `seed_sql` over what `view` shows.
 ///
 /// The candidate search runs through the signature-backed kNN
 /// ([`MetaQueryExecutor::knn`] with the Combined metric), whose
@@ -38,15 +37,13 @@ pub struct PanelRow {
 /// `3k` candidates are ranked first; only the `k` rows shown are diffed
 /// and rendered.
 pub fn recommend_panel(
-    storage: &QueryStorage,
-    directory: &Directory,
-    config: &CqmsConfig,
-    viewer: UserId,
+    view: &MetaQueryExecutor,
     seed_sql: &str,
     k: usize,
 ) -> Result<Vec<PanelRow>, CqmsError> {
-    let seed = seed_probe(viewer, seed_sql)?;
-    let hits = knn_candidates(storage, directory, config, viewer, &seed, k * 3);
+    let seed = seed_probe(view.viewer(), seed_sql)?;
+    let hits = knn_candidates(view, &seed, k * 3);
+    let (storage, config) = (view.storage(), view.config());
     let now_ts = storage.max_ts();
     let max_pop = storage.max_popularity();
     let mut ranked = rank_candidates(storage, config, &hits, now_ts, max_pop, &|fp| {
@@ -80,18 +77,11 @@ pub fn seed_probe(viewer: UserId, seed_sql: &str) -> Result<QueryRecord, CqmsErr
 }
 
 /// The panel's kNN candidate pool for `seed`: the top `m` Combined hits
-/// visible to `viewer`, in the executor's (score desc, id asc) order.
+/// `view` shows, in the executor's (score desc, id asc) order.
 /// Sharded deployments run this per shard and merge with the same
 /// comparator, which reproduces a single instance's pool exactly.
-pub fn knn_candidates(
-    storage: &QueryStorage,
-    directory: &Directory,
-    config: &CqmsConfig,
-    viewer: UserId,
-    seed: &QueryRecord,
-    m: usize,
-) -> Vec<ScoredHit> {
-    MetaQueryExecutor::new(storage, directory, config).knn(viewer, seed, m, DistanceKind::Combined)
+pub fn knn_candidates(view: &MetaQueryExecutor, seed: &QueryRecord, m: usize) -> Vec<ScoredHit> {
+    view.knn(seed, m, DistanceKind::Combined)
 }
 
 /// Rank score each candidate living in *this* storage, as `(rank score,
@@ -154,6 +144,7 @@ pub fn panel_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admin::Directory;
     use crate::features::extract;
     use crate::model::*;
     use crate::storage::make_record;
@@ -209,15 +200,8 @@ mod tests {
     fn panel_rows_have_figure3_columns() {
         let (st, dir) = seeded();
         let cfg = CqmsConfig::default();
-        let rows = recommend_panel(
-            &st,
-            &dir,
-            &cfg,
-            UserId(1),
-            "SELECT * FROM WaterTemp WHERE temp < 20",
-            3,
-        )
-        .unwrap();
+        let view = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let rows = recommend_panel(&view, "SELECT * FROM WaterTemp WHERE temp < 20", 3).unwrap();
         assert_eq!(rows.len(), 3);
         // Best hits are the same-template queries; their diff is a constant
         // change, summarised as `~1 const`.
@@ -232,15 +216,8 @@ mod tests {
     fn unrelated_queries_rank_last() {
         let (st, dir) = seeded();
         let cfg = CqmsConfig::default();
-        let rows = recommend_panel(
-            &st,
-            &dir,
-            &cfg,
-            UserId(1),
-            "SELECT * FROM WaterTemp WHERE temp < 20",
-            5,
-        )
-        .unwrap();
+        let view = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let rows = recommend_panel(&view, "SELECT * FROM WaterTemp WHERE temp < 20", 5).unwrap();
         let city_pos = rows
             .iter()
             .position(|r| r.sql.contains("CityLocations"))
@@ -252,6 +229,7 @@ mod tests {
     fn bad_seed_sql_errors() {
         let (st, dir) = seeded();
         let cfg = CqmsConfig::default();
-        assert!(recommend_panel(&st, &dir, &cfg, UserId(1), "SELEC nope", 3).is_err());
+        let view = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        assert!(recommend_panel(&view, "SELEC nope", 3).is_err());
     }
 }

@@ -381,11 +381,9 @@ mod tests {
             &st,
             &crate::admin::Directory::new(),
             &crate::config::CqmsConfig::default(),
-        )
-        .by_feature_sql(
             UserId(1),
-            "SELECT qid FROM Attributes WHERE attrName = 'temperature'",
         )
+        .by_feature_sql("SELECT qid FROM Attributes WHERE attrName = 'temperature'")
         .unwrap();
         assert_eq!(hits.rows.len(), 1);
     }

@@ -13,15 +13,20 @@
 //!   tuples (the Lake Washington ∖ Lake Union scenario);
 //! * **kNN** similarity queries used by the Assisted Interaction Mode.
 //!
-//! Every search takes the requesting user and applies §2.4 access control
-//! before returning results.
+//! An executor is bound to one viewer, and it is the one place the §2.4
+//! visibility rule lives: a record is shown when it is live and
+//! [`Directory::can_see`] admits it. Every search, and every read elsewhere
+//! that walks records on a viewer's behalf, reaches them through
+//! [`MetaQueryExecutor::records`], [`MetaQueryExecutor::get`],
+//! [`MetaQueryExecutor::session_members`] or
+//! [`MetaQueryExecutor::session_edges`].
 
 use crate::admin::Directory;
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::features::{self, FEATURE_RELATIONS};
 use crate::indexreg::FeatureClass;
-use crate::model::{QueryId, QueryRecord, UserId};
+use crate::model::{QueryId, QueryRecord, SessionEdge, SessionId, UserId};
 use crate::signature::SimSignature;
 use crate::similarity::{self, DistanceKind};
 use crate::storage::QueryStorage;
@@ -117,59 +122,104 @@ impl TreePattern {
     }
 }
 
-/// The Meta-query Executor. Every search paradigm is a pure read: the
-/// executor borrows the storage *shared*, so any number of concurrent
-/// searches can run against one storage.
+/// The Meta-query Executor: one viewer's scoped view of one storage. Every
+/// search paradigm is a pure read: the executor borrows the storage
+/// *shared*, so any number of concurrent searches can run against one
+/// storage.
+#[derive(Clone, Copy)]
 pub struct MetaQueryExecutor<'a> {
-    /// The query log being searched.
-    pub storage: &'a QueryStorage,
-    /// ACL checks.
-    pub directory: &'a Directory,
-    /// Ranking/similarity tunables.
-    pub config: &'a CqmsConfig,
+    storage: &'a QueryStorage,
+    directory: &'a Directory,
+    config: &'a CqmsConfig,
+    viewer: UserId,
 }
 
 impl<'a> MetaQueryExecutor<'a> {
-    /// Bind an executor over one storage, directory and config.
+    /// Bind an executor over one storage, directory and config, reading on
+    /// behalf of `viewer`.
     pub fn new(
         storage: &'a QueryStorage,
         directory: &'a Directory,
         config: &'a CqmsConfig,
+        viewer: UserId,
     ) -> Self {
         MetaQueryExecutor {
             storage,
             directory,
             config,
+            viewer,
         }
     }
 
-    /// The one ACL + tombstone predicate every read applies.
-    pub(crate) fn visible(&self, viewer: UserId, record: &QueryRecord) -> bool {
-        record.is_live() && self.directory.can_see(viewer, record)
+    /// The user this view reads for.
+    pub fn viewer(&self) -> UserId {
+        self.viewer
     }
 
-    /// The first `k` text-index hits `viewer` may see, as scored hits.
-    fn visible_hits(
-        &self,
-        viewer: UserId,
-        hits: Vec<textindex::SearchHit>,
-        k: usize,
-    ) -> Vec<ScoredHit> {
+    /// The pinned storage, for what is not a record: signatures, indexes,
+    /// popularity and session ids. Records come from [`Self::records`] and
+    /// [`Self::get`].
+    pub(crate) fn storage(&self) -> &'a QueryStorage {
+        self.storage
+    }
+
+    /// Ranking/similarity tunables.
+    pub(crate) fn config(&self) -> &'a CqmsConfig {
+        self.config
+    }
+
+    /// The §2.4 rule, and the only place it is decided: live, and
+    /// visible to the viewer.
+    fn shows(&self, record: &QueryRecord) -> bool {
+        record.is_live() && self.directory.can_see(self.viewer, record)
+    }
+
+    /// The live records the viewer may see, in id order.
+    pub fn records(&self) -> impl Iterator<Item = &'a QueryRecord> + 'a {
+        let view = *self;
+        self.storage.iter().filter(move |r| view.shows(r))
+    }
+
+    /// Record `id`, or `None` when it is missing, tombstoned, not usable
+    /// or hidden from the viewer — the four are indistinguishable.
+    pub fn get(&self, id: QueryId) -> Option<&'a QueryRecord> {
+        self.storage.get(id).ok().filter(|r| self.shows(r))
+    }
+
+    /// The records of `session` the viewer may see, in insertion order.
+    pub fn session_members(&self, session: SessionId) -> Vec<&'a QueryRecord> {
+        (self.storage.queries_in_session(session).iter())
+            .filter_map(|&id| self.get(id))
+            .collect()
+    }
+
+    /// The edges of `session` whose two ends the viewer sees, in insertion
+    /// order.
+    pub fn session_edges(&self, session: SessionId) -> Vec<&'a SessionEdge> {
+        let members: Vec<QueryId> = (self.session_members(session).iter())
+            .map(|r| r.id)
+            .collect();
+        (self.storage.edges().iter())
+            .filter(|e| members.contains(&e.from) && members.contains(&e.to))
+            .map(Arc::as_ref)
+            .collect()
+    }
+
+    /// The first `k` text-index hits the viewer may see, as scored hits.
+    fn visible_hits(&self, hits: Vec<textindex::SearchHit>, k: usize) -> Vec<ScoredHit> {
         hits.into_iter()
-            .filter_map(|h| {
-                let rec = self.storage.get(QueryId(h.doc)).ok()?;
-                self.visible(viewer, rec).then_some(ScoredHit {
-                    id: QueryId(h.doc),
-                    score: h.score,
-                })
+            .filter(|h| self.get(QueryId(h.doc)).is_some())
+            .map(|h| ScoredHit {
+                id: QueryId(h.doc),
+                score: h.score,
             })
             .take(k)
             .collect()
     }
 
     /// Keyword search over query text (TF-IDF ranked).
-    pub fn keyword(&self, viewer: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
-        self.visible_hits(viewer, self.storage.text_index().search(query, k * 4), k)
+    pub fn keyword(&self, query: &str, k: usize) -> Vec<ScoredHit> {
+        self.visible_hits(self.storage.text_index().search(query, k * 4), k)
     }
 
     /// [`MetaQueryExecutor::keyword`] scored against externally supplied
@@ -180,7 +230,6 @@ impl<'a> MetaQueryExecutor<'a> {
     /// scores exactly.
     pub fn keyword_with_corpus(
         &self,
-        viewer: UserId,
         query: &str,
         k: usize,
         total_docs: u64,
@@ -190,22 +239,14 @@ impl<'a> MetaQueryExecutor<'a> {
             .storage
             .text_index()
             .search_with_corpus(query, k * 4, total_docs, df);
-        self.visible_hits(viewer, hits, k)
+        self.visible_hits(hits, k)
     }
 
     /// Substring search over query text.
-    pub fn substring(&self, viewer: UserId, needle: &str) -> Vec<QueryId> {
-        self.storage
-            .trigram_index()
-            .search(needle)
-            .into_iter()
+    pub fn substring(&self, needle: &str) -> Vec<QueryId> {
+        (self.storage.trigram_index().search(needle).into_iter())
             .map(QueryId)
-            .filter(|id| {
-                self.storage
-                    .get(*id)
-                    .map(|r| self.visible(viewer, r))
-                    .unwrap_or(false)
-            })
+            .filter(|&id| self.get(id).is_some())
             .collect()
     }
 
@@ -217,16 +258,12 @@ impl<'a> MetaQueryExecutor<'a> {
     ///
     /// Access control is which rows the executor is shown: the statement
     /// runs against a throw-away catalog holding, for each feature relation
-    /// it references at any depth, exactly the rows of the queries `viewer`
-    /// may see (tombstoned and flagged queries have none to show), in
+    /// it references at any depth, exactly the rows of the queries the
+    /// viewer may see (tombstoned and flagged queries have none to show), in
     /// ascending `qid`. No projection, alias, aggregate, join or subquery
     /// can return or count a row that is not there. Assembly is one pass
     /// over the log cloning row pointers; nothing is kept between calls.
-    pub fn by_feature_sql(
-        &self,
-        viewer: UserId,
-        sql: &str,
-    ) -> Result<relstore::QueryResult, CqmsError> {
+    pub fn by_feature_sql(&self, sql: &str) -> Result<relstore::QueryResult, CqmsError> {
         let mut stmt = sqlparse::parse(sql)?;
         if let Statement::Select(s) = &mut stmt {
             fold_name_literals(s);
@@ -240,8 +277,9 @@ impl<'a> MetaQueryExecutor<'a> {
             })
             .map(|i| (i, Vec::new()))
             .collect();
-        for (record, rows) in self.storage.iter().zip(self.storage.feature_rows()) {
-            if let (true, Some(rows)) = (self.visible(viewer, record), rows) {
+        let feature_rows = self.storage.feature_rows();
+        for record in self.records() {
+            if let Some(Some(rows)) = feature_rows.get(record.id.0 as usize) {
                 for (i, shown) in &mut shown {
                     shown.extend_from_slice(rows.relation(*i));
                 }
@@ -261,7 +299,7 @@ impl<'a> MetaQueryExecutor<'a> {
     /// §2.2: "the CQMS could automatically generate these statements from
     /// partially written queries". Builds the Figure 1-style meta-query for
     /// a partial query like `SELECT FROM WaterSalinity, WaterTemperature`.
-    pub fn generate_feature_query(&self, partial_sql: &str) -> Result<String, CqmsError> {
+    pub fn generate_feature_query(partial_sql: &str) -> Result<String, CqmsError> {
         let stmt = sqlparse::parse(partial_sql)?;
         let feats = crate::features::extract(&stmt, None);
         let mut from = vec!["Queries Q".to_string()];
@@ -290,10 +328,9 @@ impl<'a> MetaQueryExecutor<'a> {
     }
 
     /// Query-by-parse-tree: structural pattern matching over stored ASTs.
-    pub fn by_parse_tree(&self, viewer: UserId, pattern: &TreePattern) -> Vec<QueryId> {
-        self.storage
-            .iter_live()
-            .filter(|r| self.visible(viewer, r) && pattern.matches(r))
+    pub fn by_parse_tree(&self, pattern: &TreePattern) -> Vec<QueryId> {
+        (self.records())
+            .filter(|r| pattern.matches(r))
             .map(|r| r.id)
             .collect()
     }
@@ -307,16 +344,12 @@ impl<'a> MetaQueryExecutor<'a> {
     /// re-execution of sampled candidates.
     pub fn by_data(
         &self,
-        viewer: UserId,
         include: &[&str],
         exclude: &[&str],
         engine: Option<&relstore::Engine>,
     ) -> Vec<QueryId> {
         let mut out = Vec::new();
-        for r in self.storage.iter_live() {
-            if !self.visible(viewer, r) {
-                continue;
-            }
+        for r in self.records() {
             // Signature cell-hash screen: absence of a hash proves the
             // value is absent, so most records are rejected without
             // scanning any stored row; a hash hit is re-verified against
@@ -393,27 +426,21 @@ impl<'a> MetaQueryExecutor<'a> {
     /// still make the top k. Both are *exact*: the result (ids and
     /// scores, ties broken by ascending id) is identical to the
     /// brute-force scan, which the pruning-equivalence proptest asserts.
-    pub fn knn(
-        &self,
-        viewer: UserId,
-        target: &QueryRecord,
-        k: usize,
-        metric: DistanceKind,
-    ) -> Vec<ScoredHit> {
+    pub fn knn(&self, target: &QueryRecord, k: usize, metric: DistanceKind) -> Vec<ScoredHit> {
         if k == 0 {
             return Vec::new();
         }
         let psig = self.storage.probe_signature(target);
         match metric {
-            DistanceKind::Features => self.knn_features(viewer, target, &psig, k),
-            DistanceKind::Combined => self.knn_combined(viewer, target, &psig, k),
-            DistanceKind::TreeEdit => self.knn_tree_edit(viewer, target, &psig, k),
-            DistanceKind::ParseTree => self.knn_parse_tree(viewer, target, &psig, k),
+            DistanceKind::Features => self.knn_features(target, &psig, k),
+            DistanceKind::Combined => self.knn_combined(target, &psig, k),
+            DistanceKind::TreeEdit => self.knn_tree_edit(target, &psig, k),
+            DistanceKind::ParseTree => self.knn_parse_tree(target, &psig, k),
             // Output runs over hashed row sets — already a cheap full scan.
             _ => {
                 let mut top = TopK::new(k);
-                for r in self.storage.iter_live() {
-                    if r.id == target.id || !self.visible(viewer, r) {
+                for r in self.records() {
+                    if r.id == target.id {
                         continue;
                     }
                     let sig = self.storage.signature(r.id).expect("signature per record");
@@ -429,15 +456,14 @@ impl<'a> MetaQueryExecutor<'a> {
     }
 
     /// `qid`'s record and live signature, when it is a kNN neighbour of
-    /// `target` for `viewer`: not the probe itself, live, and visible.
+    /// `target`: not the probe itself, and shown.
     fn neighbour(
         &self,
-        viewer: UserId,
         target: &QueryRecord,
         qid: u64,
     ) -> Option<(&'a QueryRecord, &'a SimSignature)> {
-        let r = self.storage.get(QueryId(qid)).ok()?;
-        if r.id == target.id || !self.visible(viewer, r) {
+        let r = self.get(QueryId(qid))?;
+        if r.id == target.id {
             return None;
         }
         Some((
@@ -478,17 +504,11 @@ impl<'a> MetaQueryExecutor<'a> {
     /// the top k.
     /// Overridden records are filed under stale ids: they are masked in
     /// the classes and evaluated from their live signatures.
-    fn knn_features(
-        &self,
-        viewer: UserId,
-        target: &QueryRecord,
-        psig: &SimSignature,
-        k: usize,
-    ) -> Vec<ScoredHit> {
+    fn knn_features(&self, target: &QueryRecord, psig: &SimSignature, k: usize) -> Vec<ScoredHit> {
         let reg = self.storage.indexes();
         let mut top = TopK::new(k);
         for qid in reg.override_qids() {
-            if let Some((r, sig)) = self.neighbour(viewer, target, qid) {
+            if let Some((r, sig)) = self.neighbour(target, qid) {
                 top.push(ScoredHit {
                     id: r.id,
                     score: 1.0 - similarity::feature_distance_sig(psig, sig, self.config),
@@ -504,7 +524,7 @@ impl<'a> MetaQueryExecutor<'a> {
                 .members
                 .iter()
                 .filter(|&&qid| !reg.overridden(qid))
-                .filter_map(|&qid| self.neighbour(viewer, target, qid))
+                .filter_map(|&qid| self.neighbour(target, qid))
                 .take(k);
             for (r, _) in accepted {
                 top.push(ScoredHit { id: r.id, score });
@@ -527,13 +547,7 @@ impl<'a> MetaQueryExecutor<'a> {
     /// sweep stops once neither the heap nor any unopened class can reach
     /// the top k. Overridden records are evaluated exactly up front from
     /// their live signatures and masked in the classes.
-    fn knn_combined(
-        &self,
-        viewer: UserId,
-        target: &QueryRecord,
-        psig: &SimSignature,
-        k: usize,
-    ) -> Vec<ScoredHit> {
+    fn knn_combined(&self, target: &QueryRecord, psig: &SimSignature, k: usize) -> Vec<ScoredHit> {
         let reg = self.storage.indexes();
         let mut top = TopK::new(k);
         let exact = |r: &QueryRecord, sig: &SimSignature| ScoredHit {
@@ -549,7 +563,7 @@ impl<'a> MetaQueryExecutor<'a> {
                 ),
         };
         for qid in reg.override_qids() {
-            if let Some((r, sig)) = self.neighbour(viewer, target, qid) {
+            if let Some((r, sig)) = self.neighbour(target, qid) {
                 top.push(exact(r, sig));
             }
         }
@@ -566,9 +580,7 @@ impl<'a> MetaQueryExecutor<'a> {
                         break; // the heap minimum is the smallest bound left
                     }
                     let Reverse(p) = pending.pop().expect("peeked");
-                    let (r, sig) = self
-                        .neighbour(viewer, target, p.qid)
-                        .expect("accepted when pushed");
+                    let (r, sig) = self.neighbour(target, p.qid).expect("accepted when pushed");
                     top.push(exact(r, sig));
                 }
                 _ => {
@@ -582,7 +594,7 @@ impl<'a> MetaQueryExecutor<'a> {
                         if reg.overridden(qid) {
                             continue;
                         }
-                        let Some((_, sig)) = self.neighbour(viewer, target, qid) else {
+                        let Some((_, sig)) = self.neighbour(target, qid) else {
                             continue;
                         };
                         // The exact blend with the tree term at its cheap
@@ -614,7 +626,6 @@ impl<'a> MetaQueryExecutor<'a> {
     /// (`vp_tree_knn_matches_brute_force`).
     fn knn_tree_edit(
         &self,
-        viewer: UserId,
         target: &QueryRecord,
         psig: &crate::signature::SimSignature,
         k: usize,
@@ -623,9 +634,9 @@ impl<'a> MetaQueryExecutor<'a> {
         let (Some(probe_tree), Some(probe_shape)) = (&psig.tree, &psig.tree_shape) else {
             // Unparseable probe: every record is at exactly distance 1.0,
             // so the top k are simply the k smallest visible ids —
-            // iter_live yields in id order, stop as soon as k are found.
-            for r in self.storage.iter_live() {
-                if r.id != target.id && self.visible(viewer, r) {
+            // records() yields in id order, stop as soon as k are found.
+            for r in self.records() {
+                if r.id != target.id {
                     top.push(ScoredHit {
                         id: r.id,
                         score: 0.0,
@@ -641,27 +652,14 @@ impl<'a> MetaQueryExecutor<'a> {
         let index = reg.structural();
         let stats = &reg.stats().tree_edit;
         let mut accept = |qid: u64| {
-            qid != target.id.0
-                && !reg.overridden(qid)
-                && self
-                    .storage
-                    .get(QueryId(qid))
-                    .map(|r| self.visible(viewer, r))
-                    .unwrap_or(false)
+            qid != target.id.0 && !reg.overridden(qid) && self.get(QueryId(qid)).is_some()
         };
         // Overridden records: their index entries are stale, so they
         // are masked above and evaluated from the live signature.
         for qid in reg.override_qids() {
-            if qid == target.id.0 {
-                continue;
-            }
-            let Ok(r) = self.storage.get(QueryId(qid)) else {
+            let Some((r, sig)) = self.neighbour(target, qid) else {
                 continue;
             };
-            if !self.visible(viewer, r) {
-                continue;
-            }
-            let sig = self.storage.signature(r.id).expect("signature per record");
             stats.add_exact(1);
             top.push(ScoredHit {
                 id: r.id,
@@ -707,7 +705,6 @@ impl<'a> MetaQueryExecutor<'a> {
     /// `parsetree_bounded_knn_matches_brute_force`.
     fn knn_parse_tree(
         &self,
-        viewer: UserId,
         target: &QueryRecord,
         psig: &crate::signature::SimSignature,
         k: usize,
@@ -717,13 +714,9 @@ impl<'a> MetaQueryExecutor<'a> {
         let mut top = TopK::new(k);
         // Evaluate one record exactly from its live signature.
         let exact = |qid: u64, top: &mut TopK| {
-            let Ok(r) = self.storage.get(QueryId(qid)) else {
+            let Some((r, sig)) = self.neighbour(target, qid) else {
                 return;
             };
-            if r.id == target.id || !r.is_live() || !self.visible(viewer, r) {
-                return;
-            }
-            let sig = self.storage.signature(r.id).expect("signature per record");
             let d = similarity::tree_distance_sig(target, psig, r, sig);
             stats.add_exact(1);
             top.push(ScoredHit {
@@ -734,7 +727,7 @@ impl<'a> MetaQueryExecutor<'a> {
         let (Some(pa), Some(probe_folded)) = (&psig.diff_profile, &psig.folded_select) else {
             // Probe without a folded SELECT: every pair is an O(1)-ish
             // statement comparison — a plain scan is already optimal.
-            for r in self.storage.iter_live() {
+            for r in self.records() {
                 exact(r.id.0, &mut top);
             }
             return top.into_vec();
@@ -792,15 +785,12 @@ impl<'a> MetaQueryExecutor<'a> {
             // first k accepted can matter.
             let mut pushed = 0usize;
             for &qid in g.members.iter() {
-                if qid == target.id.0 || reg.overridden(qid) {
+                if reg.overridden(qid) {
                     continue;
                 }
-                let Ok(r) = self.storage.get(QueryId(qid)) else {
+                let Some((r, _)) = self.neighbour(target, qid) else {
                     continue;
                 };
-                if !self.visible(viewer, r) {
-                    continue;
-                }
                 top.push(ScoredHit {
                     id: r.id,
                     score: 1.0 - d,
@@ -818,7 +808,6 @@ impl<'a> MetaQueryExecutor<'a> {
     /// user is composing a query, §2.3).
     pub fn knn_sql(
         &self,
-        viewer: UserId,
         sql: &str,
         k: usize,
         metric: DistanceKind,
@@ -827,7 +816,7 @@ impl<'a> MetaQueryExecutor<'a> {
         let feats = crate::features::extract(&stmt, None);
         let probe = crate::storage::make_record(
             QueryId(u64::MAX),
-            viewer,
+            self.viewer,
             0,
             sql,
             Some(stmt),
@@ -837,7 +826,7 @@ impl<'a> MetaQueryExecutor<'a> {
             crate::model::SessionId(u64::MAX),
             crate::model::Visibility::Private,
         );
-        Ok(self.knn(viewer, &probe, k, metric))
+        Ok(self.knn(&probe, k, metric))
     }
 }
 
@@ -1043,8 +1032,8 @@ mod tests {
     #[test]
     fn figure1_meta_query_runs_verbatim() {
         let (st, dir, cfg) = setup();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
-        let r = mq.by_feature_sql(UserId(1), FIGURE1_META_QUERY).unwrap();
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let r = mq.by_feature_sql(FIGURE1_META_QUERY).unwrap();
         // Only query 0 correlates salinity with temp.
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][0].render(), "0");
@@ -1054,45 +1043,39 @@ mod tests {
     #[test]
     fn keyword_and_substring_search() {
         let (st, dir, cfg) = setup();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
-        let hits = mq.keyword(UserId(1), "salinity", 10);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let hits = mq.keyword("salinity", 10);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, QueryId(0));
-        let subs = mq.substring(UserId(1), "temp < 22");
+        let subs = mq.substring("temp < 22");
         assert_eq!(subs, vec![QueryId(1)]);
     }
 
     #[test]
     fn acl_hides_private_queries() {
         let (st, dir, cfg) = setup();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = |u| MetaQueryExecutor::new(&st, &dir, &cfg, UserId(u));
         // Owner sees it.
-        assert_eq!(mq.substring(UserId(2), "PrivateStuff").len(), 1);
+        assert_eq!(mq(2).substring("PrivateStuff").len(), 1);
         // Others don't.
-        assert!(mq.substring(UserId(1), "PrivateStuff").is_empty());
-        let hits = mq.keyword(UserId(1), "secret", 10);
+        assert!(mq(1).substring("PrivateStuff").is_empty());
+        let hits = mq(1).keyword("secret", 10);
         assert!(hits.is_empty());
     }
 
     #[test]
     fn acl_filters_feature_sql_by_qid() {
         let (st, dir, cfg) = setup();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
-        let all = mq
-            .by_feature_sql(UserId(2), "SELECT qid FROM Queries")
-            .unwrap();
+        let mq = |u| MetaQueryExecutor::new(&st, &dir, &cfg, UserId(u));
+        let all = mq(2).by_feature_sql("SELECT qid FROM Queries").unwrap();
         assert_eq!(all.rows.len(), 4);
-        let filtered = mq
-            .by_feature_sql(UserId(1), "SELECT qid FROM Queries")
-            .unwrap();
+        let filtered = mq(1).by_feature_sql("SELECT qid FROM Queries").unwrap();
         assert_eq!(filtered.rows.len(), 3);
         // The restriction is on the relations, not on a projected `qid`.
-        let texts = mq
-            .by_feature_sql(UserId(1), "SELECT qText FROM Queries")
-            .unwrap();
+        let texts = mq(1).by_feature_sql("SELECT qText FROM Queries").unwrap();
         assert_eq!(texts.rows.len(), 3);
-        let count = mq
-            .by_feature_sql(UserId(1), "SELECT COUNT(*) FROM Queries")
+        let count = mq(1)
+            .by_feature_sql("SELECT COUNT(*) FROM Queries")
             .unwrap();
         assert_eq!(count.rows[0][0].render(), "3");
     }
@@ -1100,13 +1083,12 @@ mod tests {
     #[test]
     fn generated_feature_query_finds_matches() {
         let (st, dir, cfg) = setup();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
         // The paper's partial query example (§2.2).
-        let sql = mq
-            .generate_feature_query("SELECT FROM WaterSalinity, WaterTemp")
+        let sql = MetaQueryExecutor::generate_feature_query("SELECT FROM WaterSalinity, WaterTemp")
             .unwrap();
         assert!(sql.contains("DataSources"));
-        let r = mq.by_feature_sql(UserId(1), &sql).unwrap();
+        let r = mq.by_feature_sql(&sql).unwrap();
         assert_eq!(r.rows.len(), 1);
         assert_eq!(r.rows[0][0].render(), "0");
     }
@@ -1114,35 +1096,32 @@ mod tests {
     #[test]
     fn parse_tree_patterns() {
         let (st, dir, cfg) = setup();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
         // All queries touching WaterTemp.
         let p = TreePattern {
             tables_all: vec!["watertemp".into()],
             ..Default::default()
         };
-        assert_eq!(mq.by_parse_tree(UserId(1), &p).len(), 2);
+        assert_eq!(mq.by_parse_tree(&p).len(), 2);
         // Predicate on watertemp.temp with `<`.
         let p = TreePattern {
             predicate_on: Some(("watertemp".into(), "temp".into(), Some("<".into()))),
             ..Default::default()
         };
-        assert_eq!(mq.by_parse_tree(UserId(1), &p).len(), 2);
+        assert_eq!(mq.by_parse_tree(&p).len(), 2);
         // Joins of at least two tables.
         let p = TreePattern {
             min_tables: Some(2),
             ..Default::default()
         };
-        assert_eq!(mq.by_parse_tree(UserId(1), &p), vec![QueryId(0)]);
+        assert_eq!(mq.by_parse_tree(&p), vec![QueryId(0)]);
         // Projection requirement: `SELECT *` projects everything, so the
         // wildcard query matches alongside the explicit `SELECT city`.
         let p = TreePattern {
             projects: vec!["city".into()],
             ..Default::default()
         };
-        assert_eq!(
-            mq.by_parse_tree(UserId(1), &p),
-            vec![QueryId(1), QueryId(2)]
-        );
+        assert_eq!(mq.by_parse_tree(&p), vec![QueryId(1), QueryId(2)]);
     }
 
     #[test]
@@ -1193,8 +1172,8 @@ mod tests {
         );
         let dir = Directory::new();
         let cfg = CqmsConfig::default();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
-        let hits = mq.by_data(UserId(1), &["Lake Washington"], &["Lake Union"], None);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let hits = mq.by_data(&["Lake Washington"], &["Lake Union"], None);
         assert_eq!(hits, vec![QueryId(0)]);
         // And indeed that query specifies temp < 18.
         assert!(st.get(QueryId(0)).unwrap().raw_sql.contains("temp < 18"));
@@ -1266,10 +1245,10 @@ mod tests {
         assert!(st.index_rebuild_pending(), "threshold schedules");
         assert_eq!(st.index_generation(), 1, "…but does not rebuild");
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
         let probe = st.get(QueryId(12)).unwrap().clone();
         for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
-            let got = mq.knn(UserId(1), &probe, 3, metric);
+            let got = mq.knn(&probe, 3, metric);
             assert_eq!(got, brute(&st, &dir, &cfg, metric), "{metric:?}");
         }
         // Probes read the published generation; they never advance it.
@@ -1283,9 +1262,9 @@ mod tests {
         assert!(st.run_index_maintenance());
         assert_eq!(st.index_generation(), 2);
         assert!(!st.index_rebuild_pending());
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
         for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
-            let got = mq.knn(UserId(1), &probe, 3, metric);
+            let got = mq.knn(&probe, 3, metric);
             assert_eq!(got, brute(&st, &dir, &cfg, metric), "{metric:?} post-swap");
         }
     }
@@ -1314,10 +1293,10 @@ mod tests {
         st.run_index_maintenance();
         assert_eq!(st.indexes().structural().groups.len(), 3);
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
         let probe = st.get(QueryId(0)).unwrap().clone();
         st.metric_stats().parse_tree.reset();
-        let hits = mq.knn(UserId(1), &probe, 5, DistanceKind::ParseTree);
+        let hits = mq.knn(&probe, 5, DistanceKind::ParseTree);
         assert_eq!(hits.len(), 5);
         let exact = st
             .metric_stats()
@@ -1349,10 +1328,10 @@ mod tests {
         // k exceeds the store, so nothing is pruned: every template is
         // diffed — exactly once.
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
         let probe = st.get(QueryId(1)).unwrap().clone();
         st.metric_stats().parse_tree.reset();
-        let hits = mq.knn(UserId(1), &probe, 10, DistanceKind::ParseTree);
+        let hits = mq.knn(&probe, 10, DistanceKind::ParseTree);
         let ids: Vec<u64> = hits.iter().map(|h| h.id.0).collect();
         assert_eq!(ids, [3, 5, 0, 2, 4, 6], "own template first, then by id");
         let stats = &st.metric_stats().parse_tree;
@@ -1416,11 +1395,11 @@ mod tests {
 
     fn assert_class_sweeps_exact(st: &QueryStorage, probe: &QueryRecord, what: &str) {
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
-        let mq = MetaQueryExecutor::new(st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(st, &dir, &cfg, UserId(1));
         for k in 1..=st.len() {
             for metric in [DistanceKind::Features, DistanceKind::Combined] {
                 assert_eq!(
-                    mq.knn(UserId(1), probe, k, metric),
+                    mq.knn(probe, k, metric),
                     brute(st, probe, k, metric),
                     "{metric:?} top {k} {what}"
                 );
@@ -1488,10 +1467,9 @@ mod tests {
     #[test]
     fn knn_orders_by_similarity() {
         let (st, dir, cfg) = setup();
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
         let hits = mq
             .knn_sql(
-                UserId(1),
                 "SELECT * FROM WaterTemp WHERE temp < 20",
                 2,
                 DistanceKind::Combined,

@@ -8,10 +8,10 @@
 //! [`crate::snapshot::ReadSnapshot::cluster_queries`] / `cluster_sessions`.
 
 use crate::config::CqmsConfig;
-use crate::model::{QueryId, QueryRecord, SessionId};
+use crate::metaquery::MetaQueryExecutor;
+use crate::model::{QueryId, SessionId};
 use crate::signature::SimSignature;
 use crate::similarity::{feature_distance_disjoint, feature_distance_sig};
-use crate::storage::QueryStorage;
 use std::collections::HashMap;
 
 /// A clustering of n items into k clusters.
@@ -136,18 +136,12 @@ fn cluster(
     kmedoids(&dist, auto_k(k, n), config.cluster_max_iters, config.seed)
 }
 
-/// Cluster the queries `shown` admits by feature distance over their
+/// Cluster the queries the view shows by feature distance over their
 /// signatures. Returns the ids in id order plus the clustering.
-pub fn cluster_queries(
-    storage: &QueryStorage,
-    shown: impl Fn(&QueryRecord) -> bool,
-    k: usize,
-    config: &CqmsConfig,
-) -> (Vec<QueryId>, ClusteringResult) {
-    let (ids, sigs): (Vec<QueryId>, Vec<&SimSignature>) = (storage.iter())
-        .zip(storage.signatures())
-        .filter(|(r, _)| shown(r))
-        .map(|(r, sig)| (r.id, sig.as_ref()))
+pub fn cluster_queries(view: &MetaQueryExecutor, k: usize) -> (Vec<QueryId>, ClusteringResult) {
+    let (storage, config) = (view.storage(), view.config());
+    let (ids, sigs): (Vec<QueryId>, Vec<&SimSignature>) = (view.records())
+        .map(|r| (r.id, storage.signature(r.id).expect("signature per record")))
         .unzip();
     let clustering = cluster(sigs.len(), k, config, |i, j| {
         // Bloom screen: disjoint blooms prove the feature sets disjoint,
@@ -164,15 +158,11 @@ pub fn cluster_queries(
 
 /// Cluster whole *sessions* (§4.3: "if the CQMS clusters entire query
 /// sessions, it can provide better services"). Each session is represented
-/// by the union of the feature items of its queries `shown` admits (a
+/// by the union of the feature items of its queries the view shows (a
 /// session with none is skipped); the distance is Jaccard. Returns the
 /// session ids in matrix order plus the clustering.
-pub fn cluster_sessions(
-    storage: &QueryStorage,
-    shown: impl Fn(&QueryRecord) -> bool,
-    k: usize,
-    config: &CqmsConfig,
-) -> (Vec<SessionId>, ClusteringResult) {
+pub fn cluster_sessions(view: &MetaQueryExecutor, k: usize) -> (Vec<SessionId>, ClusteringResult) {
+    let (storage, config) = (view.storage(), view.config());
     // Each session's item set is the union of its queries' interned
     // feature ids (signatures precompute these; the namespaced interner
     // keys are in bijection with the old `items()` string vocabulary, so
@@ -181,7 +171,7 @@ pub fn cluster_sessions(
         .session_ids()
         .into_iter()
         .filter_map(|s| {
-            let members = storage.session_members(s, &shown);
+            let members = view.session_members(s);
             let mut ids: Vec<u32> = (members.iter())
                 .filter_map(|r| storage.signature(r.id))
                 .flat_map(|sig| sig.feature_ids())

@@ -3,34 +3,24 @@
 //! suggestions" and "common query evolution patterns … could automatically
 //! generate a tutorial … demonstrating common mistakes and good practices").
 
-use crate::storage::QueryStorage;
+use crate::metaquery::MetaQueryExecutor;
 use std::collections::HashMap;
 
-/// Frequencies of single edits and edit bigrams across session edges.
+/// Frequencies of single edits across session edges.
 #[derive(Debug, Default)]
 pub struct EditPatternMiner {
     /// edit kind → count.
     unigrams: HashMap<&'static str, u32>,
-    /// (previous edge's kind, next edge's kind) → count.
-    bigrams: HashMap<(&'static str, &'static str), u32>,
 }
 
 impl EditPatternMiner {
-    /// Mine the storage's session graph from scratch.
-    pub fn mine(storage: &QueryStorage) -> EditPatternMiner {
+    /// Mine the session edges `view` shows from scratch.
+    pub fn mine(view: &MetaQueryExecutor) -> EditPatternMiner {
         let mut m = EditPatternMiner::default();
-        for session in storage.session_ids() {
-            let edges = storage.session_edges(session);
-            for e in &edges {
+        for session in view.storage().session_ids() {
+            for e in view.session_edges(session) {
                 for op in &e.edits {
                     *m.unigrams.entry(op.kind()).or_insert(0) += 1;
-                }
-            }
-            for pair in edges.windows(2) {
-                for a in &pair[0].edits {
-                    for b in &pair[1].edits {
-                        *m.bigrams.entry((a.kind(), b.kind())).or_insert(0) += 1;
-                    }
                 }
             }
         }
@@ -44,46 +34,23 @@ impl EditPatternMiner {
         v.truncate(k);
         v
     }
-
-    /// Most common edit successions, descending.
-    pub fn top_bigrams(&self, k: usize) -> Vec<((&'static str, &'static str), u32)> {
-        let mut v: Vec<((&'static str, &'static str), u32)> =
-            self.bigrams.iter().map(|(&p, &c)| (p, c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
-    }
-
-    /// Given the user's last edit, what do people usually do next?
-    /// Returns (next edit kind, conditional probability).
-    pub fn next_edit_distribution(&self, last: &str) -> Vec<(&'static str, f64)> {
-        let total: u32 = self
-            .bigrams
-            .iter()
-            .filter(|((a, _), _)| *a == last)
-            .map(|(_, &c)| c)
-            .sum();
-        if total == 0 {
-            return Vec::new();
-        }
-        let mut v: Vec<(&'static str, f64)> = self
-            .bigrams
-            .iter()
-            .filter(|((a, _), _)| *a == last)
-            .map(|((_, b), &c)| (*b, c as f64 / total as f64))
-            .collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admin::Directory;
+    use crate::config::CqmsConfig;
     use crate::features::extract;
     use crate::model::*;
-    use crate::storage::make_record;
+    use crate::storage::{make_record, QueryStorage};
     use sqlparse::diff_statements;
+
+    /// Mine `st` as user 1 sees it.
+    fn mine(st: &QueryStorage) -> EditPatternMiner {
+        let (dir, cfg) = (Directory::new(), CqmsConfig::default());
+        EditPatternMiner::mine(&MetaQueryExecutor::new(st, &dir, &cfg, UserId(1)))
+    }
 
     fn storage_with_session(sqls: &[&str]) -> QueryStorage {
         let mut st = QueryStorage::new();
@@ -123,7 +90,7 @@ mod tests {
     #[test]
     fn mines_figure2_patterns() {
         let st = storage_with_session(&workload::querygen::figure2_session());
-        let m = EditPatternMiner::mine(&st);
+        let m = mine(&st);
         // Every edit of the five edges is counted once.
         let edits: usize = st.edges().iter().map(|e| e.edits.len()).sum();
         let counted: u32 = m.top_edits(usize::MAX).iter().map(|(_, c)| c).sum();
@@ -135,26 +102,7 @@ mod tests {
     }
 
     #[test]
-    fn bigram_transition_probabilities() {
-        let st = storage_with_session(&[
-            "SELECT * FROM t WHERE x < 1",
-            "SELECT * FROM t WHERE x < 2",
-            "SELECT * FROM t WHERE x < 3",
-            "SELECT * FROM t WHERE x < 3 AND y > 0",
-        ]);
-        let m = EditPatternMiner::mine(&st);
-        let next = m.next_edit_distribution("change_constant");
-        assert!(!next.is_empty());
-        let total: f64 = next.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_storage_no_patterns() {
-        let st = QueryStorage::new();
-        let m = EditPatternMiner::mine(&st);
-        assert!(m.top_bigrams(5).is_empty());
-        assert!(m.top_edits(5).is_empty());
-        assert!(m.next_edit_distribution("add_table").is_empty());
+        assert!(mine(&QueryStorage::new()).top_edits(5).is_empty());
     }
 }

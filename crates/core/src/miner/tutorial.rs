@@ -5,34 +5,36 @@
 //! set … e.g. the system could introduce each relation and its schema by
 //! showing the user the most popular queries that include the relation."
 
+use crate::metaquery::MetaQueryExecutor;
 use crate::miner::editpatterns::EditPatternMiner;
-use crate::storage::QueryStorage;
+use crate::model::QueryRecord;
 use std::collections::HashMap;
 use std::fmt::Write;
 
 /// Generate a Markdown tutorial for the dataset behind `engine`, driven by
-/// the logged queries in `storage`.
+/// the logged queries `view` shows: the query count, each template's
+/// popularity, the exemplars and the edit patterns count nothing else.
 pub fn generate_tutorial(
-    storage: &QueryStorage,
+    view: &MetaQueryExecutor,
     engine: &relstore::Engine,
     queries_per_relation: usize,
 ) -> String {
+    let mut logged = 0usize;
+    let mut popularity: HashMap<u64, u32> = HashMap::new();
+    let mut per_rel: HashMap<&str, Vec<&QueryRecord>> = HashMap::new();
+    for r in view.records() {
+        logged += 1;
+        *popularity.entry(r.template_fp).or_insert(0) += 1;
+        for t in &r.features.tables {
+            per_rel.entry(t).or_default().push(r);
+        }
+    }
     let mut out = String::new();
     let _ = writeln!(out, "# Dataset tutorial (generated by the CQMS)\n");
     let _ = writeln!(
         out,
-        "Derived from {} logged queries by the Query Miner.\n",
-        storage.live_count()
+        "Derived from {logged} logged queries by the Query Miner.\n"
     );
-
-    // Popularity of each template per relation.
-    let mut per_rel: HashMap<String, Vec<(u32, &crate::model::QueryRecord)>> = HashMap::new();
-    for r in storage.iter_live() {
-        let pop = storage.popularity(r.template_fp);
-        for t in &r.features.tables {
-            per_rel.entry(t.clone()).or_default().push((pop, r));
-        }
-    }
 
     let mut names = engine.catalog.table_names();
     names.sort();
@@ -50,19 +52,21 @@ pub fn generate_tutorial(
             .collect();
         let _ = writeln!(out, "Schema: {} ({} rows)\n", cols.join(", "), table.len());
 
-        let Some(entries) = per_rel.get_mut(&lname) else {
+        let Some(entries) = per_rel.get_mut(lname.as_str()) else {
             let _ = writeln!(out, "*No logged queries use this relation yet.*\n");
             continue;
         };
         // Deduplicate by template, keep the most popular exemplars.
-        entries.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.id.cmp(&b.1.id)));
+        let pop = |r: &QueryRecord| popularity[&r.template_fp];
+        entries.sort_by(|a, b| pop(b).cmp(&pop(a)).then_with(|| a.id.cmp(&b.id)));
         let mut seen_templates = std::collections::HashSet::new();
         let mut shown = 0;
         let _ = writeln!(out, "Most popular queries on `{name}`:\n");
-        for (pop, rec) in entries.iter() {
+        for rec in entries.iter() {
             if !seen_templates.insert(rec.template_fp) {
                 continue;
             }
+            let pop = pop(rec);
             let _ = writeln!(out, "```sql\n{}\n```", rec.raw_sql);
             let annotation = rec.annotation_digest();
             if annotation.is_empty() {
@@ -78,7 +82,7 @@ pub fn generate_tutorial(
     }
 
     // Common practice section from edit patterns.
-    let patterns = EditPatternMiner::mine(storage);
+    let patterns = EditPatternMiner::mine(view);
     let top = patterns.top_edits(5);
     if !top.is_empty() {
         let _ = writeln!(out, "## How analyses typically evolve\n");
@@ -99,9 +103,21 @@ pub fn generate_tutorial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admin::Directory;
+    use crate::config::CqmsConfig;
     use crate::features::extract;
     use crate::model::*;
-    use crate::storage::make_record;
+    use crate::storage::{make_record, QueryStorage};
+
+    /// The tutorial of `st` as user 1 sees it.
+    fn tutorial(st: &QueryStorage, engine: &relstore::Engine, n: usize) -> String {
+        let (dir, cfg) = (Directory::new(), CqmsConfig::default());
+        generate_tutorial(
+            &MetaQueryExecutor::new(st, &dir, &cfg, UserId(1)),
+            engine,
+            n,
+        )
+    }
 
     #[test]
     fn tutorial_mentions_relations_and_popular_queries() {
@@ -144,7 +160,7 @@ mod tests {
             },
         )
         .unwrap();
-        let text = generate_tutorial(&st, &engine, 2);
+        let text = tutorial(&st, &engine, 2);
         assert!(text.contains("## Relation `WaterTemp`"));
         assert!(text.contains("temp < 18"));
         assert!(text.contains("temperatures of Seattle lakes"));
@@ -178,7 +194,7 @@ mod tests {
                 Visibility::Public,
             ));
         }
-        let text = generate_tutorial(&st, &engine, 3);
+        let text = tutorial(&st, &engine, 3);
         // All five share one template → exactly one SQL block shown.
         assert_eq!(text.matches("```sql").count(), 1);
         assert!(text.contains("used by 5 logged queries"));

@@ -105,14 +105,6 @@ pub enum OutputSummary {
 }
 
 impl OutputSummary {
-    /// Number of rows physically stored (0 for [`OutputSummary::None`]).
-    pub fn row_count_stored(&self) -> usize {
-        match self {
-            OutputSummary::None => 0,
-            OutputSummary::Full { rows, .. } | OutputSummary::Sample { rows, .. } => rows.len(),
-        }
-    }
-
     /// Is this summary exhaustive (query-by-data can trust exclusions)?
     pub fn is_exhaustive(&self) -> bool {
         matches!(self, OutputSummary::Full { .. })
@@ -321,7 +313,6 @@ mod tests {
         assert!(s.contains_value("lake washington"));
         assert!(!s.contains_value("Lake Union"));
         assert!(s.is_exhaustive());
-        assert_eq!(s.row_count_stored(), 2);
         assert!(!OutputSummary::None.contains_value("x"));
     }
 }

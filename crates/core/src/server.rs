@@ -296,12 +296,7 @@ impl Cqms {
         include: &[&str],
         exclude: &[&str],
     ) -> Vec<QueryId> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config).by_data(
-            user,
-            include,
-            exclude,
-            Some(&self.data),
-        )
+        self.view(user).by_data(include, exclude, Some(&self.data))
     }
 
     /// Identifier spell-check (Fig. 3 "Corrections").
@@ -314,9 +309,19 @@ impl Cqms {
         CorrectionEngine::new(&self.storage).repair_empty_result(&self.data, sql, k)
     }
 
-    /// Auto-generated dataset tutorial (§2.3).
-    pub fn tutorial(&self, queries_per_relation: usize) -> String {
-        crate::miner::tutorial::generate_tutorial(&self.storage, &self.data, queries_per_relation)
+    /// Auto-generated dataset tutorial (§2.3) from the queries `viewer`
+    /// may see, over the live data engine's relations.
+    pub fn tutorial(&self, viewer: UserId, queries_per_relation: usize) -> String {
+        crate::miner::tutorial::generate_tutorial(
+            &self.view(viewer),
+            &self.data,
+            queries_per_relation,
+        )
+    }
+
+    /// The live log as `viewer` may see it, for the data-tier reads.
+    fn view(&self, viewer: UserId) -> MetaQueryExecutor<'_> {
+        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config, viewer)
     }
 
     // ------------------------------------------------------------------

@@ -969,14 +969,7 @@ impl ShardedCqms {
             .iter()
             .enumerate()
             .map(|(i, snap)| {
-                let hits = recommend::knn_candidates(
-                    snap.storage(),
-                    snap.directory(),
-                    snap.config(),
-                    user,
-                    &seed,
-                    m,
-                );
+                let hits = recommend::knn_candidates(&snap.view(user), &seed, m);
                 self.globalize_hits(i, hits)
             })
             .collect();

@@ -9,8 +9,11 @@
 //! Figure 1 feature relations, parse-tree, query-by-data over summaries,
 //! kNN, completion, recommendation; the browse reads: the Figure 2
 //! window, the log summary, query and session clustering) is a method on
-//! it, scoped to the live records its viewer may see. Nothing else re-declares
-//! them: a single-threaded [`crate::server::Cqms`] reads through
+//! it. Each one reads through [`ReadSnapshot::view`], the
+//! [`MetaQueryExecutor`] bound to its viewer, which holds the one §2.4
+//! visibility rule, so it sees exactly the live records that viewer may
+//! see. Nothing else re-declares them: a single-threaded
+//! [`crate::server::Cqms`] reads through
 //! [`crate::server::Cqms::capture_snapshot`], a
 //! [`crate::service::CqmsService`] hands out its published snapshot via
 //! [`crate::service::CqmsService::snapshot`], and
@@ -34,10 +37,12 @@
 //! the writes since some earlier event — and by the drop of the snapshot
 //! it displaced, which frees exactly those copies' predecessors.
 //!
-//! The three reads that need the live *data* engine (identifier
-//! spell-check, empty-result repair, query-by-data with re-execution) are
+//! The reads that need the live *data* engine (identifier spell-check,
+//! empty-result repair, query-by-data with re-execution, and the dataset
+//! tutorial, which prints the engine's column types and row counts) are
 //! the remainder: they stay on [`crate::server::Cqms`] and, in a service,
-//! behind its read lock.
+//! behind its read lock. The two that read records build the same
+//! viewer-bound executor.
 
 use crate::admin::Directory;
 use crate::assist::completion::{CatalogView, CompletionEngine, CompletionStats, Suggestion};
@@ -47,7 +52,7 @@ use crate::error::CqmsError;
 use crate::metaquery::{MetaQueryExecutor, ScoredHit, TreePattern};
 use crate::miner::assoc::AssocRule;
 use crate::miner::cluster::{self, ClusteringResult};
-use crate::model::{QueryId, QueryRecord, SessionId, UserId};
+use crate::model::{QueryId, SessionId, UserId};
 use crate::similarity::DistanceKind;
 use crate::storage::QueryStorage;
 use std::collections::HashMap;
@@ -111,24 +116,15 @@ impl ReadSnapshot {
         &self.config
     }
 
-    /// The captured user/group directory.
-    pub fn directory(&self) -> &Directory {
-        &self.directory
-    }
-
     /// The association rules mined by the latest epoch before capture.
     pub fn association_rules(&self) -> &[AssocRule] {
         &self.last_rules
     }
 
-    fn executor(&self) -> MetaQueryExecutor<'_> {
-        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config)
-    }
-
-    /// The executor's one ACL + tombstone predicate, for `user`.
-    fn shown(&self, user: UserId) -> impl Fn(&QueryRecord) -> bool + '_ {
-        let executor = self.executor();
-        move |r| executor.visible(user, r)
+    /// The snapshot as `user` may see it: the executor every read below
+    /// reaches records through.
+    pub fn view(&self, user: UserId) -> MetaQueryExecutor<'_> {
+        MetaQueryExecutor::new(&self.storage, &self.directory, &self.config, user)
     }
 
     // ------------------------------------------------------------------
@@ -137,7 +133,7 @@ impl ReadSnapshot {
 
     /// TF-IDF keyword search over logged query text.
     pub fn search_keyword(&self, user: UserId, query: &str, k: usize) -> Vec<ScoredHit> {
-        self.executor().keyword(user, query, k)
+        self.view(user).keyword(query, k)
     }
 
     /// This snapshot's corpus statistics for `query`: live document
@@ -160,13 +156,13 @@ impl ReadSnapshot {
         total_docs: u64,
         df: &HashMap<String, u64>,
     ) -> Vec<ScoredHit> {
-        self.executor()
-            .keyword_with_corpus(user, query, k, total_docs, df)
+        self.view(user)
+            .keyword_with_corpus(query, k, total_docs, df)
     }
 
     /// Exact substring search over logged query text.
     pub fn search_substring(&self, user: UserId, needle: &str) -> Vec<QueryId> {
-        self.executor().substring(user, needle)
+        self.view(user).substring(needle)
     }
 
     /// SQL meta-query over the Figure 1 feature relations, restricted to
@@ -176,24 +172,24 @@ impl ReadSnapshot {
         user: UserId,
         sql: &str,
     ) -> Result<relstore::QueryResult, CqmsError> {
-        self.executor().by_feature_sql(user, sql)
+        self.view(user).by_feature_sql(sql)
     }
 
     /// Structural search by parse-tree pattern.
     pub fn search_parse_tree(&self, user: UserId, pattern: &TreePattern) -> Vec<QueryId> {
-        self.executor().by_parse_tree(user, pattern)
+        self.view(user).by_parse_tree(pattern)
     }
 
     /// Query-by-data over stored output summaries. Re-execution of
     /// sampled candidates needs the live data engine — that variant is
     /// [`crate::server::Cqms::search_by_data_reexecuting`].
     pub fn search_by_data(&self, user: UserId, include: &[&str], exclude: &[&str]) -> Vec<QueryId> {
-        self.executor().by_data(user, include, exclude, None)
+        self.view(user).by_data(include, exclude, None)
     }
 
     /// §2.2: generate the feature meta-query for a partially typed query.
     pub fn generate_feature_query(&self, partial_sql: &str) -> Result<String, CqmsError> {
-        self.executor().generate_feature_query(partial_sql)
+        MetaQueryExecutor::generate_feature_query(partial_sql)
     }
 
     /// kNN similar queries to arbitrary SQL text.
@@ -204,28 +200,28 @@ impl ReadSnapshot {
         k: usize,
         metric: DistanceKind,
     ) -> Result<Vec<ScoredHit>, CqmsError> {
-        self.executor().knn_sql(user, sql, k, metric)
+        self.view(user).knn_sql(sql, k, metric)
     }
 
     /// Figure 2 session window over the queries `user` may see.
     pub fn render_session(&self, user: UserId, session: SessionId) -> Result<String, CqmsError> {
-        crate::viz::render_session(&self.storage, session, self.shown(user))
+        crate::viz::render_session(&self.view(user), session)
     }
 
     /// Browse view over the part of the log `user` may see.
     pub fn render_log_summary(&self, user: UserId, max_sessions: usize) -> String {
-        crate::viz::render_log_summary(&self.storage, max_sessions, self.shown(user))
+        crate::viz::render_log_summary(&self.view(user), max_sessions)
     }
 
     /// Cluster the queries `user` may see (§4.3; `k = 0`: √(n/2)), per
     /// call from the pinned signatures — O(n²) time and memory, no lock.
     pub fn cluster_queries(&self, user: UserId, k: usize) -> (Vec<QueryId>, ClusteringResult) {
-        cluster::cluster_queries(&self.storage, self.shown(user), k, &self.config)
+        cluster::cluster_queries(&self.view(user), k)
     }
 
     /// Cluster whole sessions by the queries of each `user` may see.
     pub fn cluster_sessions(&self, user: UserId, k: usize) -> (Vec<SessionId>, ClusteringResult) {
-        cluster::cluster_sessions(&self.storage, self.shown(user), k, &self.config)
+        cluster::cluster_sessions(&self.view(user), k)
     }
 
     // ------------------------------------------------------------------
@@ -267,14 +263,7 @@ impl ReadSnapshot {
         seed_sql: &str,
         k: usize,
     ) -> Result<Vec<PanelRow>, CqmsError> {
-        recommend::recommend_panel(
-            &self.storage,
-            &self.directory,
-            &self.config,
-            user,
-            seed_sql,
-            k,
-        )
+        recommend::recommend_panel(&self.view(user), seed_sql, k)
     }
 
     /// Render a recommendation panel as text (Fig. 3).

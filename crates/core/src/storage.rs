@@ -350,31 +350,9 @@ impl QueryStorage {
         &self.edges
     }
 
-    /// Edges within one session, in insertion order.
-    pub fn session_edges(&self, session: SessionId) -> Vec<&SessionEdge> {
-        let members = self.queries_in_session(session);
-        self.edges
-            .iter()
-            .filter(|e| members.contains(&e.from) && members.contains(&e.to))
-            .map(Arc::as_ref)
-            .collect()
-    }
-
     /// Queries of a session in insertion order.
-    pub fn queries_in_session(&self, session: SessionId) -> Vec<QueryId> {
-        self.sessions.get(&session).cloned().unwrap_or_default()
-    }
-
-    /// The records of a session that `shown` admits, in insertion order.
-    pub fn session_members(
-        &self,
-        session: SessionId,
-        shown: impl Fn(&QueryRecord) -> bool,
-    ) -> Vec<&QueryRecord> {
-        let ids = self.sessions.get(&session).into_iter().flatten();
-        ids.filter_map(|id| self.get(*id).ok())
-            .filter(|r| shown(r))
-            .collect()
+    pub fn queries_in_session(&self, session: SessionId) -> &[QueryId] {
+        self.sessions.get(&session).map_or(&[], Vec::as_slice)
     }
 
     /// All session ids with at least one query.
@@ -1081,8 +1059,8 @@ mod tests {
         let mut directory = crate::admin::Directory::new();
         let admin = directory.create_user("admin");
         let config = crate::config::CqmsConfig::default();
-        crate::metaquery::MetaQueryExecutor::new(s, &directory, &config)
-            .by_feature_sql(admin, sql)
+        crate::metaquery::MetaQueryExecutor::new(s, &directory, &config, admin)
+            .by_feature_sql(sql)
             .unwrap()
             .rows
             .iter()
@@ -1221,7 +1199,7 @@ mod tests {
             kind: EdgeKind::Evolution,
             edits,
         });
-        let edges = s.session_edges(SessionId(0));
+        let edges = s.edges();
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].edits.len(), 1);
     }

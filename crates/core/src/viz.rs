@@ -10,8 +10,8 @@
 
 use crate::assist::recommend::PanelRow;
 use crate::error::CqmsError;
+use crate::metaquery::MetaQueryExecutor;
 use crate::model::{QueryRecord, SessionId};
-use crate::storage::QueryStorage;
 use std::fmt::Write;
 
 /// Render one session as a Figure 2-style window.
@@ -25,14 +25,10 @@ use std::fmt::Write;
 /// [q14] ...
 /// ```
 ///
-/// Only the queries `shown` admits appear, header included; with none the
+/// Only the queries the view shows appear, header included; with none the
 /// session is `NotFound`, like a missing one.
-pub fn render_session(
-    storage: &QueryStorage,
-    session: SessionId,
-    shown: impl Fn(&QueryRecord) -> bool,
-) -> Result<String, CqmsError> {
-    let members = storage.session_members(session, shown);
+pub fn render_session(view: &MetaQueryExecutor, session: SessionId) -> Result<String, CqmsError> {
+    let members = view.session_members(session);
     let (Some(first), Some(last)) = (members.first(), members.last()) else {
         return Err(CqmsError::NotFound(format!("session {session}")));
     };
@@ -46,7 +42,7 @@ pub fn render_session(
         fmt_clock(first.ts),
         fmt_clock(last.ts),
     );
-    let edges = storage.session_edges(session);
+    let edges = view.session_edges(session);
     for (i, rec) in members.iter().enumerate() {
         let _ = writeln!(out, "[q{}] {}", rec.id, truncate(&rec.raw_sql, 100));
         if let Some(next) = members.get(i + 1) {
@@ -102,16 +98,11 @@ pub fn render_panel(rows: &[PanelRow]) -> String {
 }
 
 /// Browse view: one line per session ("present query sessions instead of
-/// individual queries", §2.2), counting only the queries `shown` admits.
-pub fn render_log_summary(
-    storage: &QueryStorage,
-    max_sessions: usize,
-    shown: impl Fn(&QueryRecord) -> bool,
-) -> String {
-    let sessions: Vec<(SessionId, Vec<&QueryRecord>)> = storage
-        .session_ids()
+/// individual queries", §2.2), counting only the queries the view shows.
+pub fn render_log_summary(view: &MetaQueryExecutor, max_sessions: usize) -> String {
+    let sessions: Vec<(SessionId, Vec<&QueryRecord>)> = (view.storage().session_ids())
         .into_iter()
-        .map(|s| (s, storage.session_members(s, &shown)))
+        .map(|s| (s, view.session_members(s)))
         .filter(|(_, members)| !members.is_empty())
         .collect();
     let mut out = String::new();
@@ -160,9 +151,11 @@ fn truncate(s: &str, n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::admin::Directory;
+    use crate::config::CqmsConfig;
     use crate::features::extract;
     use crate::model::*;
-    use crate::storage::make_record;
+    use crate::storage::{make_record, QueryStorage};
     use sqlparse::diff_statements;
 
     fn storage_with_figure2() -> QueryStorage {
@@ -203,8 +196,13 @@ mod tests {
 
     #[test]
     fn session_window_shows_figure2_labels() {
-        let st = storage_with_figure2();
-        let viz = render_session(&st, SessionId(0), |_| true).unwrap();
+        let (st, dir, cfg) = (
+            storage_with_figure2(),
+            Directory::new(),
+            CqmsConfig::default(),
+        );
+        let view = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let viz = render_session(&view, SessionId(0)).unwrap();
         // Header with time range like the figure's 2:30—2:35 strip.
         assert!(viz.contains("02:30"), "{viz}");
         assert!(viz.contains("02:35"), "{viz}");
@@ -220,8 +218,9 @@ mod tests {
 
     #[test]
     fn missing_session_errors() {
-        let st = QueryStorage::new();
-        assert!(render_session(&st, SessionId(9), |_| true).is_err());
+        let (st, dir, cfg) = (QueryStorage::new(), Directory::new(), CqmsConfig::default());
+        let view = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        assert!(render_session(&view, SessionId(9)).is_err());
     }
 
     #[test]
@@ -251,8 +250,13 @@ mod tests {
 
     #[test]
     fn log_summary_collapses_sessions() {
-        let st = storage_with_figure2();
-        let s = render_log_summary(&st, 10, |_| true);
+        let (st, dir, cfg) = (
+            storage_with_figure2(),
+            Directory::new(),
+            CqmsConfig::default(),
+        );
+        let view = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let s = render_log_summary(&view, 10);
         assert!(s.contains("6 queries in 1 sessions"));
         assert!(s.contains("session"), "{s}");
         assert!(s.contains("user 1"), "{s}");

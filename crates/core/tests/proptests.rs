@@ -371,8 +371,8 @@ proptest! {
         let admin = directory.create_user("admin");
         let config = CqmsConfig::default();
         let visible_qids = |s: &QueryStorage| -> Vec<String> {
-            let mut v: Vec<String> = MetaQueryExecutor::new(s, &directory, &config)
-                .by_feature_sql(admin, "SELECT qid FROM Queries")
+            let mut v: Vec<String> = MetaQueryExecutor::new(s, &directory, &config, admin)
+                .by_feature_sql("SELECT qid FROM Queries")
                 .unwrap()
                 .rows
                 .iter()
@@ -460,9 +460,9 @@ proptest! {
             };
         }
         let check = |st: &QueryStorage, what: &str| -> Result<(), TestCaseError> {
-            let mq = MetaQueryExecutor::new(st, &dir, &cfg);
+            let mq = MetaQueryExecutor::new(st, &dir, &cfg, viewer);
             for metric in [DistanceKind::Features, DistanceKind::Combined] {
-                let got = mq.knn(viewer, &probe, k, metric);
+                let got = mq.knn(&probe, k, metric);
                 let want = brute_knn(st, &dir, &cfg, viewer, &probe, metric, k);
                 prop_assert_eq!(&got, &want, "{:?} diverged {}", metric, what);
             }
@@ -522,8 +522,8 @@ proptest! {
             SessionId(u64::MAX), Visibility::Private,
         );
         let check = |st: &QueryStorage, phase: &str| -> Result<(), TestCaseError> {
-            let mq = MetaQueryExecutor::new(st, &dir, &cfg);
-            let got = mq.knn(viewer, &probe, k, DistanceKind::TreeEdit);
+            let mq = MetaQueryExecutor::new(st, &dir, &cfg, viewer);
+            let got = mq.knn(&probe, k, DistanceKind::TreeEdit);
             let want = brute_knn(st, &dir, &cfg, viewer, &probe, DistanceKind::TreeEdit, k);
             prop_assert_eq!(&got, &want, "TreeEdit diverged in phase `{}`", phase);
             Ok(())
@@ -663,14 +663,14 @@ proptest! {
             SessionId(u64::MAX), Visibility::Private,
         );
         let check = |st: &QueryStorage, what: &str| -> Result<(), TestCaseError> {
-            let mq = MetaQueryExecutor::new(st, &dir, &cfg);
+            let mq = MetaQueryExecutor::new(st, &dir, &cfg, viewer);
             for metric in [
                 DistanceKind::TreeEdit,
                 DistanceKind::ParseTree,
                 DistanceKind::Features,
                 DistanceKind::Combined,
             ] {
-                let got = mq.knn(viewer, &probe, k, metric);
+                let got = mq.knn(&probe, k, metric);
                 let want = brute_knn(st, &dir, &cfg, viewer, &probe, metric, k);
                 prop_assert_eq!(&got, &want, "{:?} diverged {}", metric, what);
             }
@@ -737,8 +737,8 @@ proptest! {
             RuntimeFeatures::default(), OutputSummary::None,
             SessionId(u64::MAX), Visibility::Private,
         );
-        let mq = MetaQueryExecutor::new(&st, &dir, &cfg);
-        let got = mq.knn(viewer, &probe, k, DistanceKind::ParseTree);
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, viewer);
+        let got = mq.knn(&probe, k, DistanceKind::ParseTree);
         let want = brute_knn(&st, &dir, &cfg, viewer, &probe, DistanceKind::ParseTree, k);
         prop_assert_eq!(&got, &want, "ParseTree pruning diverged");
     }

@@ -239,7 +239,7 @@ fn snapshot_answers(snap: &cqms_core::ReadSnapshot, viewer: UserId) -> Answers {
 /// distances, with no signature and no bloom screen.
 fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
     svc.read(|c| {
-        let mq = MetaQueryExecutor::new(&c.storage, &c.directory, &c.config);
+        let mq = MetaQueryExecutor::new(&c.storage, &c.directory, &c.config, viewer);
         let catalog = CatalogView::of(&c.data);
         let completion = CompletionEngine::new(&c.storage, &c.config, &catalog);
         let shown: Vec<_> = (c.storage.iter())
@@ -287,11 +287,11 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
             live: c.storage.live_count(),
             now: c.now(),
             generation: c.storage.index_generation(),
-            keyword: bits(mq.keyword(viewer, KEYWORD_PROBE, 64)),
-            substring: mq.substring(viewer, "WaterTemp"),
+            keyword: bits(mq.keyword(KEYWORD_PROBE, 64)),
+            substring: mq.substring("WaterTemp"),
             feature_sql,
             knn: bits(
-                mq.knn_sql(viewer, KNN_PROBE, 64, DistanceKind::Combined)
+                mq.knn_sql(KNN_PROBE, 64, DistanceKind::Combined)
                     .expect("probe parses"),
             ),
             unseen_tree_knn: bits(unseen_tree_knn),
@@ -300,7 +300,7 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
                 .into_iter()
                 .map(|s| (s.text, s.score.to_bits(), s.why))
                 .collect(),
-            recommend: recommend_panel(&c.storage, &c.directory, &c.config, viewer, SEED_SQL, 5)
+            recommend: recommend_panel(&mq, SEED_SQL, 5)
                 .expect("seed parses")
                 .into_iter()
                 .map(|r| (r.score_pct, r.sql, r.diff, r.annotation))

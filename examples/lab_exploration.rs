@@ -109,7 +109,7 @@ fn main() {
 
     // --- §2.3 tutorial generation ------------------------------------------
     println!("\n== Auto-generated tutorial (first 15 lines) ==");
-    for line in cqms.tutorial(1).lines().take(15) {
+    for line in cqms.tutorial(members[0], 1).lines().take(15) {
         println!("{line}");
     }
 

@@ -257,9 +257,9 @@ fn snapshot_roundtrip_preserves_search() {
 #[test]
 fn tutorial_generated_for_every_domain() {
     for domain in Domain::all() {
-        let (mut cqms, _, _) = replay(domain, 8);
+        let (mut cqms, _, users) = replay(domain, 8);
         cqms.run_miner_epoch();
-        let text = cqms.tutorial(2);
+        let text = cqms.tutorial(users[0], 2);
         assert!(text.contains("# Dataset tutorial"));
         for topic in domain.topics() {
             for table in topic.tables.iter().take(1) {

@@ -454,3 +454,35 @@ fn sharded_repair_uses_every_shards_log() {
     );
     assert_eq!(repair(&two), single);
 }
+
+/// The tutorial is a scoped read: its query count, its template
+/// popularity, its exemplars and its edit-pattern section come from what
+/// the reader may see.
+#[test]
+fn private_queries_do_not_leak_through_the_tutorial() {
+    let mut c = lakes_cqms();
+    let _admin = c.register_user("admin");
+    let alice = c.register_user("alice");
+    let bob = c.register_user("bob");
+    for sql in [
+        "SELECT city FROM CityLocations WHERE pop > 123457",
+        "SELECT city FROM CityLocations WHERE pop > 123458",
+    ] {
+        let id = c.run_query(alice, sql).unwrap().id;
+        c.set_visibility(alice, id, Visibility::Private).unwrap();
+    }
+    c.run_query(bob, "SELECT city FROM CityLocations WHERE pop > 5")
+        .unwrap();
+
+    let bobs = c.tutorial(bob, 3);
+    assert!(!bobs.contains("12345"), "{bobs}");
+    assert!(bobs.contains("Derived from 1 logged queries"), "{bobs}");
+    assert!(bobs.contains("used by 1 logged queries"), "{bobs}");
+    assert!(!bobs.contains("How analyses typically evolve"), "{bobs}");
+
+    let alices = c.tutorial(alice, 3);
+    assert!(alices.contains("pop > 123457"), "{alices}");
+    assert!(alices.contains("Derived from 3 logged queries"), "{alices}");
+    assert!(alices.contains("used by 3 logged queries"), "{alices}");
+    assert!(alices.contains("change_constant"), "{alices}");
+}
