@@ -11,7 +11,9 @@
 //! (§4.2), [`RefModel::similar`] scores every visible live record with
 //! the record-based `similarity::distance` and keeps the best k. For
 //! substring and parse-tree search (§2.2), [`RefModel::substring`] and
-//! [`RefModel::parse_tree`] scan every visible live record.
+//! [`RefModel::parse_tree`] scan every visible live record. For the
+//! Query Miner's association rules (§4.3), [`RefModel::association_rules`]
+//! runs plain Apriori over one transaction per visible live record.
 
 use cqms_core::admin::Directory;
 use cqms_core::assist::completion::{
@@ -19,7 +21,7 @@ use cqms_core::assist::completion::{
 };
 use cqms_core::features::SyntacticFeatures;
 use cqms_core::metaquery::{ScoredHit, TreePattern};
-use cqms_core::miner::assoc::ContextCounts;
+use cqms_core::miner::assoc::{mine_apriori, AssocRule, ContextCounts};
 use cqms_core::model::{
     OutputSummary, QueryId, QueryRecord, SessionId, UserId, Validity, Visibility,
 };
@@ -91,6 +93,22 @@ impl RefModel {
     /// The visible live records `pattern` matches, ascending ids.
     fn parse_tree(&self, viewer: UserId, pattern: &TreePattern) -> Vec<QueryId> {
         self.visible_ids(viewer, |r| pattern.matches(r))
+    }
+
+    /// The association rules over the live records `viewer` may see: one
+    /// transaction per record with a non-empty item set.
+    fn association_rules(&self, viewer: UserId) -> Vec<AssocRule> {
+        let transactions: Vec<Vec<String>> = (self.live.iter())
+            .filter(|(_, r)| self.directory.can_see(viewer, r))
+            .map(|(_, r)| r.features.items())
+            .filter(|items| !items.is_empty())
+            .collect();
+        let config = &self.config;
+        mine_apriori(
+            &transactions,
+            config.assoc_min_support,
+            config.assoc_min_confidence,
+        )
     }
 
     /// The `k` visible live records nearest to `sql` under `metric`,
@@ -556,6 +574,21 @@ impl Harness {
         }
         Ok(())
     }
+
+    /// Every viewer's association rules against the model.
+    fn check_rules(&self, step: usize) -> Result<(), TestCaseError> {
+        let model = RefModel::of(&self.sharded, &self.config);
+        for &viewer in &self.users {
+            prop_assert_eq!(
+                self.sharded.association_rules(),
+                model.association_rules(viewer),
+                "rules for {:?} after step {}",
+                viewer,
+                step
+            );
+        }
+        Ok(())
+    }
 }
 
 impl Drop for Harness {
@@ -583,6 +616,27 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             h.apply(op, 1_000 + i as u64 * 60);
             h.check(i)?;
+        }
+    }
+
+    /// The rules a miner epoch publishes equal plain Apriori over the live
+    /// records, after every step of a random trace on one shard, while
+    /// every query stays public and no rename rewrites one.
+    #[test]
+    fn rules_match_refmodel_on_public_logs(
+        ops in proptest::collection::vec(
+            op_strategy().prop_map(|op| match op {
+                Op::MakePrivate { .. } | Op::RenameAndMaintain => Op::Maintain,
+                op => op,
+            }),
+            1..30,
+        ),
+    ) {
+        let mut h = Harness::new(1);
+        for (i, op) in ops.iter().enumerate() {
+            h.apply(op, 1_000 + i as u64 * 60);
+            h.sharded.run_miner_epoch();
+            h.check_rules(i)?;
         }
     }
 }
