@@ -10,7 +10,7 @@
 //! | Query Profiler (§4.1) | [`profiler`], [`features`] |
 //! | Query Storage (§4.1) | [`storage`] (incl. each query's rows of the Figure 1 feature relations) |
 //! | Meta-query Executor (§4.2) | [`metaquery`], [`similarity`] |
-//! | Query Miner (§4.3) | [`miner`] (sessions, association rules, edit patterns, tutorials; clustering, served as a snapshot read) |
+//! | Query Miner (§4.3) | [`miner`] (sessions, edit patterns, tutorials; association rules and clustering, served as snapshot reads) |
 //! | Query Maintenance (§4.4) | [`maintenance`] |
 //! | Assisted Interaction (§2.3) | [`assist`] (completion, correction, recommendation) |
 //! | Administrative Interaction (§2.4) | [`admin`] |

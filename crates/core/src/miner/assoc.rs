@@ -5,8 +5,8 @@
 //! WaterTemp*. Transactions are per-query item sets from
 //! [`crate::features::SyntacticFeatures::items`] (`table:…`, `attr:…`,
 //! `pred:…`). Classic Apriori with support counting and single-consequent
-//! rule generation. A [`RuleMiner`] is transient: a miner epoch feeds it
-//! the Query Storage's live records and keeps only the mined rules.
+//! rule generation over a multiset of transactions. A [`RuleMiner`] is
+//! transient: a snapshot read fills it from its viewer's live records.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -24,17 +24,10 @@ pub struct AssocRule {
     pub confidence: f64,
 }
 
-impl AssocRule {
-    /// Does `items` (sorted or not) satisfy the antecedent?
-    pub fn applies_to(&self, items: &HashSet<String>) -> bool {
-        self.antecedent.iter().all(|a| items.contains(a))
-    }
-}
-
-/// Apriori over an accumulated transaction list.
-#[derive(Debug, Default)]
+/// Apriori over a multiset: each distinct sorted item set and its count.
+#[derive(Debug, Default, Clone)]
 pub struct RuleMiner {
-    transactions: Vec<Vec<String>>,
+    transactions: HashMap<Vec<String>, u32>,
 }
 
 impl RuleMiner {
@@ -43,21 +36,35 @@ impl RuleMiner {
         RuleMiner::default()
     }
 
-    /// Append one transaction (deduplicated, sorted internally).
-    pub fn add_transaction(&mut self, mut items: Vec<String>) {
+    /// Add one transaction (sorted and deduplicated; an empty one is skipped).
+    pub fn add_transaction(&mut self, items: Vec<String>) {
+        self.add_transaction_n(items, 1);
+    }
+
+    /// Add `n` copies of one transaction.
+    pub fn add_transaction_n(&mut self, mut items: Vec<String>, n: u32) {
+        if items.is_empty() || n == 0 {
+            return;
+        }
         items.sort();
         items.dedup();
-        self.transactions.push(items);
+        *self.transactions.entry(items).or_insert(0) += n;
+    }
+
+    /// Sum another miner's multiset into this one (a sharded read's merge).
+    pub fn merge(&mut self, other: RuleMiner) {
+        for (items, n) in other.transactions {
+            *self.transactions.entry(items).or_insert(0) += n;
+        }
     }
 
     /// Mine rules at the given thresholds. `min_support` is an absolute
     /// transaction count; confidence is a fraction.
     pub fn mine(&self, min_support: u32, min_confidence: f64) -> Arc<Vec<AssocRule>> {
-        Arc::new(mine_apriori(
-            &self.transactions,
-            min_support,
-            min_confidence,
-        ))
+        let transactions: Vec<(&[String], u32)> = (self.transactions.iter())
+            .map(|(items, &n)| (items.as_slice(), n))
+            .collect();
+        Arc::new(mine_apriori(&transactions, min_support, min_confidence))
     }
 }
 
@@ -192,23 +199,24 @@ pub fn suggest_from_counts(
     out
 }
 
-/// Run Apriori: frequent itemsets up to size 3, rules with single
+/// Run Apriori over weighted transactions (`(items, n)`: `n` copies of sorted,
+/// deduplicated `items`): frequent itemsets up to size 3, rules with single
 /// consequents and antecedents of size 1–2.
-pub fn mine_apriori(
-    transactions: &[Vec<String>],
+pub fn mine_apriori<T: AsRef<[String]>>(
+    transactions: &[(T, u32)],
     min_support: u32,
     min_confidence: f64,
 ) -> Vec<AssocRule> {
-    let n = transactions.len();
+    let n: u64 = transactions.iter().map(|(_, w)| u64::from(*w)).sum();
     if n == 0 {
         return Vec::new();
     }
 
     // Pass 1: frequent single items.
     let mut c1: HashMap<&str, u32> = HashMap::new();
-    for t in transactions {
-        for item in t {
-            *c1.entry(item.as_str()).or_insert(0) += 1;
+    for (t, w) in transactions {
+        for item in t.as_ref() {
+            *c1.entry(item.as_str()).or_insert(0) += w;
         }
     }
     let f1: HashSet<&str> = c1
@@ -217,17 +225,20 @@ pub fn mine_apriori(
         .map(|(&i, _)| i)
         .collect();
 
+    // Each transaction's frequent items, for passes 2 and 3.
+    let frequent_items: Vec<(Vec<&str>, u32)> = (transactions.iter())
+        .map(|(t, w)| {
+            let items = t.as_ref().iter().map(String::as_str);
+            (items.filter(|i| f1.contains(i)).collect(), *w)
+        })
+        .collect();
+
     // Pass 2: frequent pairs (candidates from f1 × f1).
     let mut c2: HashMap<(&str, &str), u32> = HashMap::new();
-    for t in transactions {
-        let frequent: Vec<&str> = t
-            .iter()
-            .map(String::as_str)
-            .filter(|i| f1.contains(i))
-            .collect();
+    for (frequent, w) in &frequent_items {
         for i in 0..frequent.len() {
             for j in (i + 1)..frequent.len() {
-                *c2.entry((frequent[i], frequent[j])).or_insert(0) += 1;
+                *c2.entry((frequent[i], frequent[j])).or_insert(0) += w;
             }
         }
     }
@@ -236,12 +247,7 @@ pub fn mine_apriori(
 
     // Pass 3: frequent triples (candidates joined from f2, pruned).
     let mut c3: HashMap<(&str, &str, &str), u32> = HashMap::new();
-    for t in transactions {
-        let frequent: Vec<&str> = t
-            .iter()
-            .map(String::as_str)
-            .filter(|i| f1.contains(i))
-            .collect();
+    for (frequent, w) in &frequent_items {
         for i in 0..frequent.len() {
             for j in (i + 1)..frequent.len() {
                 if !f2.contains_key(&(frequent[i], frequent[j])) {
@@ -252,7 +258,7 @@ pub fn mine_apriori(
                         && f2.contains_key(&(frequent[i], frequent[l]))
                     {
                         *c3.entry((frequent[i], frequent[j], frequent[l]))
-                            .or_insert(0) += 1;
+                            .or_insert(0) += w;
                     }
                 }
             }
@@ -343,7 +349,8 @@ mod tests {
         let rules = m.mine(min_support, min_confidence);
         let mut best: HashMap<String, f64> = HashMap::new();
         for r in rules.iter() {
-            if !r.applies_to(context) || context.contains(&r.consequent) {
+            let applies = r.antecedent.iter().all(|a| context.contains(a));
+            if !applies || context.contains(&r.consequent) {
                 continue;
             }
             if !r.consequent.starts_with(prefix) {
@@ -368,8 +375,8 @@ mod tests {
 
     fn context_counts(m: &RuleMiner, context: &HashSet<String>, prefix: &str) -> ContextCounts {
         let mut counts = ContextCounts::default();
-        for t in &m.transactions {
-            counts.add_n(t, context, prefix, 1);
+        for (t, &n) in &m.transactions {
+            counts.add_n(t, context, prefix, u64::from(n));
         }
         counts
     }
@@ -528,8 +535,9 @@ mod tests {
         }
     }
 
-    /// Summing two shards' counts and scoring must equal one miner
-    /// holding both shards' transactions.
+    /// Summing two shards' counts and scoring, and mining the sum of two
+    /// shards' miners, must each equal one miner holding both shards'
+    /// transactions.
     #[test]
     fn merged_counts_match_combined_miner() {
         let txns = [
@@ -559,6 +567,16 @@ mod tests {
             assert_eq!(
                 suggest(&combined, &ctx, ms, mc, ""),
                 suggest_from_counts(&merged, ms, mc),
+                "ms={ms} mc={mc}"
+            );
+        }
+        for (ms, mc) in [(1, 0.0), (2, 0.4), (3, 0.6)] {
+            let mut merged = shard0.clone();
+            merged.merge(shard1.clone());
+            assert!(!combined.mine(ms, mc).is_empty());
+            assert_eq!(
+                merged.mine(ms, mc),
+                combined.mine(ms, mc),
                 "ms={ms} mc={mc}"
             );
         }

@@ -4,13 +4,13 @@
 //! * [`cluster`] — k-medoids query/session clustering with purity and
 //!   adjusted-Rand-index scoring (served as a snapshot read);
 //! * [`assoc`] — Apriori association-rule mining over query feature
-//!   itemsets (powers context-aware completion, §2.3);
+//!   itemsets (§2.3 composition support; served as a snapshot read);
 //! * [`editpatterns`] — frequent edit-sequence mining over session edges;
 //! * [`tutorial`] — automatic tutorial generation (§2.3: "introduce each
 //!   relation … by showing the user the most popular queries that include
 //!   the relation").
 //!
-//! The miner *epoch* computes only what a read consumes (rules, refined
+//! The miner *epoch* computes only what a read consumes (refined
 //! sessions) and is also where *scheduled index rebuilds* execute: the
 //! Query Storage's [`crate::indexreg::IndexRegistry`] only ever flags
 //! that a structural rebuild is wanted (tombstone threshold, maintenance

@@ -23,7 +23,6 @@ use crate::error::CqmsError;
 use crate::indexreg::IndexBuild;
 use crate::maintenance::{self, MaintenanceReport, RefreshReport};
 use crate::metaquery::MetaQueryExecutor;
-use crate::miner::assoc::{AssocRule, RuleMiner};
 use crate::miner::sessions;
 use crate::model::*;
 use crate::profiler::{ProfiledQuery, Profiler};
@@ -39,7 +38,8 @@ use std::time::Duration;
 /// Summary of one Query Miner epoch (§4.3).
 #[derive(Debug, Clone, Default)]
 pub struct MinerReport {
-    /// Association rules in the published rule set.
+    /// Always 0 — association rules are a read; kept because
+    /// `ledger/src/main.rs:350` reads it for `miner.rules`.
     pub association_rules: usize,
     /// Always 0 — clustering is a read; kept because
     /// `ledger/src/main.rs:351` reads it for `miner.clusters`.
@@ -72,13 +72,6 @@ pub struct Cqms {
     pub storage: QueryStorage,
     /// Users, groups and ACL checks (§2.4).
     pub directory: Directory,
-    /// Latest mined state consumed by the assisted mode. Behind an `Arc`
-    /// so a [`crate::snapshot::ReadSnapshot`] shares it for free.
-    last_rules: Arc<Vec<AssocRule>>,
-    /// What `last_rules` was mined from: `(storage.len(), live_count())`
-    /// and the two thresholds. An epoch that finds them unchanged keeps the
-    /// rules instead of re-mining.
-    rules_mined_at: (usize, usize, u32, u64),
     baseline_stats: HashMap<String, TableStats>,
     /// Internal trace clock (seconds); advances when callers do not supply
     /// explicit timestamps.
@@ -101,8 +94,6 @@ impl Cqms {
             data,
             storage: QueryStorage::new(),
             directory: Directory::new(),
-            last_rules: Arc::new(Vec::new()),
-            rules_mined_at: (0, 0, 0, 0),
             baseline_stats: HashMap::new(),
             clock: 0,
             recovery: None,
@@ -119,8 +110,8 @@ impl Cqms {
     /// Not persisted (by design, matching the snapshot format): the
     /// user/group [`Directory`] — deployments re-register principals at
     /// startup in the same order, which reproduces the same dense ids —
-    /// plus output summaries and mined state, which the maintenance and
-    /// miner passes re-derive. Everything else derived from the log —
+    /// plus output summaries and refined sessions, which the maintenance
+    /// and miner passes re-derive. Everything else derived from the log —
     /// indexes, popularity, each analyst's session cursor — is rebuilt by
     /// replay, so the first query after a restart continues its session.
     ///
@@ -328,8 +319,8 @@ impl Cqms {
     // Query Miner (§4.3)
     // ------------------------------------------------------------------
 
-    /// Run one miner epoch: execute any scheduled index rebuild, refresh
-    /// association rules, refine session boundaries, write a due snapshot.
+    /// Run one miner epoch: execute any scheduled index rebuild, refine
+    /// session boundaries, write a due snapshot.
     pub fn run_miner_epoch(&mut self) -> MinerReport {
         self.miner_epoch(true)
     }
@@ -351,31 +342,6 @@ impl Cqms {
             index_generation: self.storage.index_generation(),
             ..MinerReport::default()
         };
-
-        // Association rules, mined from the live log unless it (and the
-        // thresholds) stand where the last epoch left them.
-        let (min_support, min_confidence) = (
-            self.config.assoc_min_support,
-            self.config.assoc_min_confidence,
-        );
-        let mined_at = (
-            self.storage.len(),
-            self.storage.live_count(),
-            min_support,
-            min_confidence.to_bits(),
-        );
-        if mined_at != self.rules_mined_at {
-            let mut miner = RuleMiner::new();
-            for rec in self.storage.iter_live() {
-                let items = rec.features.items();
-                if !items.is_empty() {
-                    miner.add_transaction(items);
-                }
-            }
-            self.last_rules = miner.mine(min_support, min_confidence);
-            self.rules_mined_at = mined_at;
-        }
-        report.association_rules = self.last_rules.len();
 
         // Offline session refinement.
         let refined = sessions::segment_log(&self.storage, &self.config);
@@ -525,7 +491,7 @@ impl Cqms {
 
     /// Capture an immutable, lock-free-readable view of this instance:
     /// pointer copies only (the storage's persistent containers chunk by
-    /// chunk, directory, rules and catalog names one `Arc` each) plus the
+    /// chunk, directory and catalog names one `Arc` each) plus the
     /// flat config. The catalog names are re-read only when the data
     /// engine's schema stamp moved. The service layer publishes one
     /// snapshot per write; see [`crate::snapshot::ReadSnapshot`].
@@ -543,7 +509,6 @@ impl Cqms {
             config: self.config.clone(),
             storage: self.storage.clone(),
             directory: self.directory.clone(),
-            last_rules: Arc::clone(&self.last_rules),
             catalog,
             clock: self.clock,
         }
@@ -555,12 +520,12 @@ impl Cqms {
 ///
 /// Shutdown is graceful in both forms: [`BackgroundMiner::stop`] and simply
 /// dropping the handle join the thread, and the miner runs one *final*
-/// epoch on the way out so results mined from the latest ingested queries
-/// are visible after shutdown. Every epoch — periodic or final — acquires
-/// the write lock with a bounded retry and is skipped if the lock stays
-/// held for the whole grace period (e.g. by the very thread doing the
-/// join), so the miner can be delayed by a stuck client but stopping can
-/// never deadlock.
+/// epoch on the way out so its index rebuild and session refinement of the
+/// latest ingested queries are visible after shutdown. Every epoch —
+/// periodic or final — acquires the write lock with a bounded retry and is
+/// skipped if the lock stays held for the whole grace period (e.g. by the
+/// very thread doing the join), so the miner can be delayed by a stuck
+/// client but stopping can never deadlock.
 pub struct BackgroundMiner {
     stop_tx: std::sync::mpsc::SyncSender<()>,
     handle: Option<std::thread::JoinHandle<usize>>,
@@ -688,8 +653,8 @@ fn try_miner_epoch(
         report.wal_flush_error = Some(e);
     }
     // Republish the service's read snapshot before the lock is released:
-    // the epoch refreshed rules, rebuilt indexes and refined sessions, all
-    // of which snapshot readers must see.
+    // the epoch rebuilt indexes and refined sessions, both of which
+    // snapshot readers must see.
     if let Some(publish) = publish {
         publish(&guard);
     }
@@ -774,7 +739,7 @@ fn try_wal_snapshot(cqms: &RwLock<Cqms>, faults: &crate::faults::FaultPlan) -> b
 /// The loop runs each epoch under `catch_unwind`: an epoch that panics — a
 /// mining bug, or the `miner.epoch` failpoint armed with a panic — is
 /// counted as a skipped epoch and the miner keeps running, instead of
-/// dying silently and letting rules/snapshots go permanently stale. (The
+/// dying silently and letting indexes/snapshots go permanently stale. (The
 /// lock shims are non-poisoning, and the failpoint fires before any lock
 /// is taken, so a panicking epoch can never wedge the lock.)
 pub fn spawn_background_miner(
@@ -918,15 +883,13 @@ mod tests {
             )
             .unwrap();
         }
-        let report = c.run_miner_epoch();
-        assert!(report.association_rules > 0);
-        // The planted-style rule is discoverable.
-        assert!(c
-            .capture_snapshot(0)
-            .association_rules()
-            .iter()
-            .any(|r| r.consequent == "table:watertemp"));
-        // Clusters are a read, with or without an epoch.
+        // Rules are a read, with or without an epoch, and the
+        // planted-style rule is discoverable.
+        let rules = c.capture_snapshot(0).association_rules(u);
+        assert!(rules.iter().any(|r| r.consequent == "table:watertemp"));
+        assert_eq!(c.run_miner_epoch().association_rules, 0);
+        assert_eq!(c.capture_snapshot(0).association_rules(u), rules);
+        // So are clusters.
         let (ids, clustering) = c.capture_snapshot(0).cluster_queries(u, 0);
         assert_eq!(ids.len(), 14);
         assert!(clustering.medoids.len() >= 2);

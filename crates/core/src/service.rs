@@ -25,7 +25,7 @@
 //! * **Background mining** — [`CqmsService::start_miner`] runs the Query
 //!   Miner on its own thread; [`CqmsService::shutdown`] (or dropping the
 //!   last service clone) joins it gracefully after one final epoch, so
-//!   rules mined from the most recent queries stay visible.
+//!   its work on the most recent queries stays visible.
 //! * **Durability** — over a durable CQMS (built by [`Cqms::open`]) every
 //!   write-path method flushes the write-ahead log before returning, and
 //!   [`CqmsService::ingest_batch`] flushes **once per batch**: an `Ok`
@@ -675,7 +675,10 @@ mod tests {
             .unwrap();
         }
         // Interval far beyond the test's lifetime: the only epoch that can
-        // run is the final shutdown epoch.
+        // run is the final shutdown epoch, and it runs the scheduled
+        // rebuild.
+        let generation = svc.snapshot().index_generation();
+        svc.write(|c| c.storage.schedule_index_rebuild());
         assert!(svc.start_miner(Duration::from_secs(3600)));
         assert!(!svc.start_miner(Duration::from_secs(3600)));
         assert!(svc.miner_running());
@@ -684,6 +687,6 @@ mod tests {
         assert!(!svc.miner_running());
         assert!(svc.shutdown().is_none(), "second shutdown is a no-op");
         // The final epoch's results are visible after shutdown.
-        assert!(!svc.snapshot().association_rules().is_empty());
+        assert!(svc.snapshot().index_generation() > generation);
     }
 }

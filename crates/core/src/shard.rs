@@ -91,7 +91,7 @@ use crate::faults;
 use crate::features::FEATURE_RELATIONS;
 use crate::maintenance::{MaintenanceReport, RefreshReport};
 use crate::metaquery::{ScoredHit, TreePattern};
-use crate::miner::assoc::AssocRule;
+use crate::miner::assoc::{AssocRule, RuleMiner};
 use crate::model::{GroupId, QueryId, UserId, Visibility};
 use crate::profiler::ProfiledQuery;
 use crate::server::{Cqms, MinerReport};
@@ -1017,12 +1017,18 @@ impl ShardedCqms {
             .read(|cqms| CorrectionEngine::over(logs).repair_empty_result(&cqms.data, sql, k))
     }
 
-    /// Association rules from every shard's miner, concatenated.
-    pub fn association_rules(&self) -> Vec<AssocRule> {
-        self.snapshots()
-            .iter()
-            .flat_map(|snap| snap.association_rules().iter().cloned())
-            .collect()
+    /// Association rules over the live queries `user` may see, mined once
+    /// from the sum of the shards' item-set multisets — exact, since the
+    /// union of those multisets is the log's.
+    pub fn association_rules(&self, user: UserId) -> Vec<AssocRule> {
+        let snaps = self.snapshots();
+        let mut miner = RuleMiner::new();
+        for snap in &snaps {
+            miner.merge(snap.rule_transactions(user));
+        }
+        let config = snaps[0].config();
+        let rules = miner.mine(config.assoc_min_support, config.assoc_min_confidence);
+        Arc::unwrap_or_clone(rules)
     }
 
     // ------------------------------------------------------------------

@@ -2,18 +2,17 @@
 //!
 //! A [`ReadSnapshot`] bundles everything a meta-query needs — the COW
 //! [`QueryStorage`] (records, session graph, popularity tables, text
-//! indexes, structural index registry), the user [`Directory`], the latest
-//! mined rules, a detached [`CatalogView`] and the trace clock — into a
-//! single immutable value,
-//! and every snapshot-servable read (keyword, substring, SQL over the
-//! Figure 1 feature relations, parse-tree, query-by-data over summaries,
-//! kNN, completion, recommendation; the browse reads: the Figure 2
-//! window, the log summary, query and session clustering) is a method on
-//! it. Each one reads through [`ReadSnapshot::view`], the
-//! [`MetaQueryExecutor`] bound to its viewer, which holds the one §2.4
-//! visibility rule, so it sees exactly the live records that viewer may
-//! see. Nothing else re-declares them: a single-threaded
-//! [`crate::server::Cqms`] reads through
+//! indexes, structural index registry), the user [`Directory`], a
+//! detached [`CatalogView`] and the trace clock — into a single immutable
+//! value, and every snapshot-servable read (keyword, substring, SQL over
+//! the Figure 1 feature relations, parse-tree, query-by-data over
+//! summaries, kNN, completion, recommendation; the browse and mining
+//! reads: the Figure 2 window, the log summary, query and session
+//! clustering, association rules) is a method on it. Each one reads
+//! through [`ReadSnapshot::view`], the [`MetaQueryExecutor`] bound to its
+//! viewer, which holds the one §2.4 visibility rule, so it sees exactly
+//! the live records that viewer may see. Nothing else re-declares them: a
+//! single-threaded [`crate::server::Cqms`] reads through
 //! [`crate::server::Cqms::capture_snapshot`], a
 //! [`crate::service::CqmsService`] hands out its published snapshot via
 //! [`crate::service::CqmsService::snapshot`], and
@@ -29,7 +28,7 @@
 //!
 //! Capture copies pointers and nothing else: one `Arc` per chunk of each
 //! id-indexed vector ([`QueryStorage::cow_head_len`] counts them), one per
-//! hash trie, VP-tree, directory, rule set and catalog view, plus the flat
+//! hash trie, VP-tree, directory and catalog view, plus the flat
 //! config. What a publish really costs is paid by the *next* write, which
 //! copies the nodes and chunks it touches out of the structures the
 //! snapshot now shares — a root-to-leaf path per touched key, one chunk
@@ -50,7 +49,7 @@ use crate::assist::recommend::{self, PanelRow};
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::metaquery::{MetaQueryExecutor, ScoredHit, TreePattern};
-use crate::miner::assoc::AssocRule;
+use crate::miner::assoc::{AssocRule, RuleMiner};
 use crate::miner::cluster::{self, ClusteringResult};
 use crate::model::{QueryId, SessionId, UserId};
 use crate::similarity::DistanceKind;
@@ -68,7 +67,6 @@ pub struct ReadSnapshot {
     pub(crate) config: CqmsConfig,
     pub(crate) storage: QueryStorage,
     pub(crate) directory: Directory,
-    pub(crate) last_rules: Arc<Vec<AssocRule>>,
     pub(crate) catalog: Arc<CatalogView>,
     pub(crate) clock: u64,
 }
@@ -114,11 +112,6 @@ impl ReadSnapshot {
     /// The captured tunables.
     pub fn config(&self) -> &CqmsConfig {
         &self.config
-    }
-
-    /// The association rules mined by the latest epoch before capture.
-    pub fn association_rules(&self) -> &[AssocRule] {
-        &self.last_rules
     }
 
     /// The snapshot as `user` may see it: the executor every read below
@@ -222,6 +215,26 @@ impl ReadSnapshot {
     /// Cluster whole sessions by the queries of each `user` may see.
     pub fn cluster_sessions(&self, user: UserId, k: usize) -> (Vec<SessionId>, ClusteringResult) {
         cluster::cluster_sessions(&self.view(user), k)
+    }
+
+    /// The association rules (§4.3) over the live queries `user` may
+    /// see, mined per call at the configured thresholds.
+    pub fn association_rules(&self, user: UserId) -> Vec<AssocRule> {
+        let config = &self.config;
+        let rules = (self.rule_transactions(user))
+            .mine(config.assoc_min_support, config.assoc_min_confidence);
+        Arc::unwrap_or_clone(rules)
+    }
+
+    /// The item sets of the live queries `user` may see, as one miner's
+    /// multiset. Summable across shards: the union of every shard's
+    /// multiset is the log's.
+    pub(crate) fn rule_transactions(&self, user: UserId) -> RuleMiner {
+        let mut miner = RuleMiner::new();
+        for record in self.view(user).records() {
+            miner.add_transaction(record.features.items());
+        }
+        miner
     }
 
     // ------------------------------------------------------------------

@@ -69,9 +69,9 @@
 //! re-creatable by maintenance refresh), runtime plan/error text, the
 //! miner's session refinements ([`QueryStorage::adopt_sessions`] — the
 //! miner re-derives them; a snapshot does capture each record's session
-//! as of its horizon), mined rules, and the user/group directory
-//! (deployments re-register principals at startup, which reproduces the
-//! same dense ids).
+//! as of its horizon), and the user/group directory (deployments
+//! re-register principals at startup, which reproduces the same dense
+//! ids). Association rules and clusters are computed per read.
 
 use crate::error::CqmsError;
 use crate::features;

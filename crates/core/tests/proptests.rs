@@ -6,7 +6,7 @@
 use cqms_core::admin::Directory;
 use cqms_core::features::extract;
 use cqms_core::metaquery::{MetaQueryExecutor, ScoredHit};
-use cqms_core::miner::assoc::mine_apriori;
+use cqms_core::miner::assoc::{mine_apriori, RuleMiner};
 use cqms_core::model::*;
 use cqms_core::similarity::{self, DistanceKind};
 use cqms_core::storage::{make_record, QueryStorage};
@@ -953,7 +953,9 @@ proptest! {
         }
     }
 
-    /// Apriori's pair rules agree exactly with brute-force counting.
+    /// Apriori's pair rules agree exactly with brute-force counting, and
+    /// mining the same transactions as `RuleMiner`'s multiset gives the
+    /// same rules.
     #[test]
     fn apriori_matches_brute_force(
         transactions in proptest::collection::vec(
@@ -971,7 +973,13 @@ proptest! {
                 items
             })
             .collect();
-        let rules = mine_apriori(&txs, min_support, 0.0);
+        let weighted: Vec<(&[String], u32)> = txs.iter().map(|t| (t.as_slice(), 1)).collect();
+        let rules = mine_apriori(&weighted, min_support, 0.0);
+        let mut miner = RuleMiner::new();
+        for t in &txs {
+            miner.add_transaction(t.clone());
+        }
+        prop_assert_eq!(&*miner.mine(min_support, 0.0), &rules);
         // Brute force every single-item => single-item rule.
         for a in 0..6u8 {
             for b in 0..6u8 {

@@ -98,10 +98,10 @@ impl RefModel {
     /// The association rules over the live records `viewer` may see: one
     /// transaction per record with a non-empty item set.
     fn association_rules(&self, viewer: UserId) -> Vec<AssocRule> {
-        let transactions: Vec<Vec<String>> = (self.live.iter())
+        let transactions: Vec<(Vec<String>, u32)> = (self.live.iter())
             .filter(|(_, r)| self.directory.can_see(viewer, r))
-            .map(|(_, r)| r.features.items())
-            .filter(|items| !items.is_empty())
+            .map(|(_, r)| (r.features.items(), 1))
+            .filter(|(items, _)| !items.is_empty())
             .collect();
         let config = &self.config;
         mine_apriori(
@@ -510,11 +510,19 @@ impl Harness {
     }
 
     /// Every probe's merged statistics and top-k, every kNN probe's
-    /// neighbours for two viewers, and every substring needle's and
-    /// parse-tree pattern's matches for every viewer, against the model.
+    /// neighbours for two viewers, and every viewer's association rules and
+    /// substring needle's and parse-tree pattern's matches, against the
+    /// model.
     fn check(&self, step: usize) -> Result<(), TestCaseError> {
         let model = RefModel::of(&self.sharded, &self.config);
         for &viewer in &self.users {
+            prop_assert_eq!(
+                self.sharded.association_rules(viewer),
+                model.association_rules(viewer),
+                "rules for {:?} after step {}",
+                viewer,
+                step
+            );
             for needle in NEEDLES {
                 prop_assert_eq!(
                     self.sharded.search_substring(viewer, needle),
@@ -574,21 +582,6 @@ impl Harness {
         }
         Ok(())
     }
-
-    /// Every viewer's association rules against the model.
-    fn check_rules(&self, step: usize) -> Result<(), TestCaseError> {
-        let model = RefModel::of(&self.sharded, &self.config);
-        for &viewer in &self.users {
-            prop_assert_eq!(
-                self.sharded.association_rules(),
-                model.association_rules(viewer),
-                "rules for {:?} after step {}",
-                viewer,
-                step
-            );
-        }
-        Ok(())
-    }
 }
 
 impl Drop for Harness {
@@ -602,11 +595,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Completion's statistics equal naive counting over the live records,
-    /// and `Features` / `Combined` kNN, substring and parse-tree search
-    /// equal a record-by-record scan of the visible ones, after every step of a random trace (ingests,
-    /// batches, deletes, validity and visibility flips, rename repairs,
-    /// maintenance passes, index rebuilds, WAL and snapshot reopens), on
-    /// one shard and on two.
+    /// association rules equal plain Apriori over the visible ones, and
+    /// `Features` / `Combined` kNN, substring and parse-tree search equal a
+    /// record-by-record scan of them, after every step of a random trace
+    /// (ingests, batches, deletes, validity and visibility flips, rename
+    /// repairs, maintenance passes, index rebuilds, WAL and snapshot
+    /// reopens), on one shard and on two.
     #[test]
     fn completion_matches_refmodel(
         ops in proptest::collection::vec(op_strategy(), 1..30),
@@ -616,27 +610,6 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             h.apply(op, 1_000 + i as u64 * 60);
             h.check(i)?;
-        }
-    }
-
-    /// The rules a miner epoch publishes equal plain Apriori over the live
-    /// records, after every step of a random trace on one shard, while
-    /// every query stays public and no rename rewrites one.
-    #[test]
-    fn rules_match_refmodel_on_public_logs(
-        ops in proptest::collection::vec(
-            op_strategy().prop_map(|op| match op {
-                Op::MakePrivate { .. } | Op::RenameAndMaintain => Op::Maintain,
-                op => op,
-            }),
-            1..30,
-        ),
-    ) {
-        let mut h = Harness::new(1);
-        for (i, op) in ops.iter().enumerate() {
-            h.apply(op, 1_000 + i as u64 * 60);
-            h.sharded.run_miner_epoch();
-            h.check_rules(i)?;
         }
     }
 }

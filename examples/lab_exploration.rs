@@ -51,13 +51,15 @@ fn main() {
         cqms.storage.session_ids().len()
     );
 
-    // One miner epoch digests the log.
+    // One miner epoch refines sessions; rules and clusters are reads.
     let miner = cqms.run_miner_epoch();
-    let (_, clustering) = cqms.capture_snapshot(0).cluster_queries(members[0], 0);
+    let snap = cqms.capture_snapshot(0);
+    let rules = snap.association_rules(members[0]);
+    let (_, clustering) = snap.cluster_queries(members[0], 0);
     println!(
-        "miner epoch: {} association rules, {} session labels refined; {} query clusters\n",
-        miner.association_rules,
+        "miner epoch: {} session labels refined; {} association rules, {} query clusters\n",
         miner.sessions_refined,
+        rules.len(),
         clustering.medoids.len()
     );
 

@@ -89,14 +89,16 @@ fn main() {
     print!("{panel}");
 
     // 6. Background components: one miner epoch + one maintenance pass,
-    //    then a fresh view (they changed the store) to cluster the log.
-    let miner = cqms.run_miner_epoch();
+    //    then a fresh view (they changed the store) to mine rules from and
+    //    cluster the log.
+    cqms.run_miner_epoch();
     let (schema, refresh) = cqms.run_maintenance().unwrap();
     let snap = cqms.capture_snapshot(0);
+    let rules = snap.association_rules(alice);
     let (_, clustering) = snap.cluster_queries(alice, 2);
     println!(
         "\n== Background: mined {} rules; maintenance examined {} queries, {} drifted tables; the log reads as {} clusters ==",
-        miner.association_rules,
+        rules.len(),
         schema.examined,
         refresh.drifted_tables.len(),
         clustering.medoids.len()

@@ -223,11 +223,13 @@ fn miner_survives_a_client_panicking_under_the_write_lock() {
     // Reads, writes and mining all still work on the "poisoned" lock.
     assert_eq!(svc.snapshot().live_count(), 6);
     svc.run_query(user, "SELECT * FROM Lakes").unwrap();
+    let generation = svc.snapshot().index_generation();
+    svc.write(|c| c.storage.schedule_index_rebuild());
     assert!(svc.start_miner(std::time::Duration::from_millis(5)));
     std::thread::sleep(std::time::Duration::from_millis(40));
     let epochs = svc.shutdown().expect("miner was running");
     assert!(epochs >= 1, "miner made no progress after the panic");
-    assert!(!svc.snapshot().association_rules().is_empty());
+    assert!(svc.snapshot().index_generation() > generation);
 }
 
 #[test]
@@ -270,7 +272,7 @@ fn dropping_the_miner_handle_joins_and_runs_a_final_epoch() {
         trace.build_engine(),
         CqmsConfig::default(),
     )));
-    {
+    let generation = {
         let mut guard = shared.write();
         let u = guard.register_user("u");
         for i in 0..6 {
@@ -284,7 +286,9 @@ fn dropping_the_miner_handle_joins_and_runs_a_final_epoch() {
                 )
                 .unwrap();
         }
-    }
+        guard.storage.schedule_index_rebuild();
+        guard.storage.index_generation()
+    };
     {
         // Interval far beyond the test: only the shutdown epoch can run.
         let _miner = spawn_background_miner(
@@ -295,12 +299,8 @@ fn dropping_the_miner_handle_joins_and_runs_a_final_epoch() {
         );
         // Dropping the handle here must join the thread (not detach it)...
     }
-    // ...and the final epoch's results must be visible immediately.
-    assert!(!shared
-        .read()
-        .capture_snapshot(0)
-        .association_rules()
-        .is_empty());
+    // ...and the final epoch's rebuild must be visible immediately.
+    assert!(shared.read().storage.index_generation() > generation);
 }
 
 #[test]
@@ -310,20 +310,24 @@ fn background_miner_shutdown_after_concurrent_ingest() {
     let users: Vec<UserId> = (0..USERS)
         .map(|i| svc.register_user(&format!("user-{i}")))
         .collect();
-    // Long interval: only the final shutdown epoch can run, so whatever
-    // rules are visible afterwards were mined by it — over queries that
+    // Long interval: only the final shutdown epoch can run, so an index
+    // generation published afterwards was built by it — over queries that
     // were ingested concurrently while the miner thread was alive.
     assert!(svc.start_miner(std::time::Duration::from_secs(3600)));
     trace.replay_concurrent(4, |_t, q| {
         svc.run_query_at(users[q.user as usize % users.len()], &q.sql, q.ts)
             .expect("profiling never hard-fails");
     });
+    let generation = svc.snapshot().index_generation();
+    svc.write(|c| c.storage.schedule_index_rebuild());
     let epochs = svc.shutdown().expect("miner was running");
     assert!(epochs >= 1);
+    let snap = svc.snapshot();
     assert!(
-        !svc.snapshot().association_rules().is_empty(),
+        snap.index_generation() > generation,
         "final epoch results not visible"
     );
+    assert_eq!(snap.storage().len(), trace.queries.len());
 }
 
 /// Readers racing a background generation rebuild: TreeEdit/ParseTree

@@ -84,11 +84,10 @@ fn online_sessions_approximate_ground_truth() {
 #[test]
 fn miner_rediscovers_planted_rules() {
     for domain in Domain::all() {
-        let (mut cqms, trace, _) = replay(domain, 40);
-        cqms.run_miner_epoch();
-        let snap = cqms.capture_snapshot(0);
+        let (cqms, trace, users) = replay(domain, 40);
+        let rules = cqms.capture_snapshot(0).association_rules(users[0]);
         for planted in &trace.rules {
-            let rule = snap.association_rules().iter().find(|r| {
+            let rule = rules.iter().find(|r| {
                 r.antecedent == vec![planted.antecedent.clone()]
                     && r.consequent == planted.consequent
             });

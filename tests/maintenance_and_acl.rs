@@ -278,8 +278,8 @@ fn empty_log_operations_are_safe() {
         .recommend(u, "SELECT * FROM Lakes", 5)
         .unwrap()
         .is_empty());
-    let report = c.run_miner_epoch();
-    assert_eq!(report.association_rules, 0);
+    c.run_miner_epoch();
+    assert!(c.capture_snapshot(0).association_rules(u).is_empty());
     let (schema, refresh) = c.run_maintenance().unwrap();
     assert_eq!(schema.examined, 0);
     assert!(refresh.refreshed.is_empty());
@@ -485,4 +485,98 @@ fn private_queries_do_not_leak_through_the_tutorial() {
     assert!(alices.contains("Derived from 3 logged queries"), "{alices}");
     assert!(alices.contains("used by 3 logged queries"), "{alices}");
     assert!(alices.contains("change_constant"), "{alices}");
+}
+
+/// Every item of every rule, for asserting what a rule set names.
+fn rule_items(rules: &[cqms::engine::miner::assoc::AssocRule]) -> Vec<&str> {
+    (rules.iter())
+        .flat_map(|r| r.antecedent.iter().chain([&r.consequent]))
+        .map(String::as_str)
+        .collect()
+}
+
+/// Mined rules are a scoped read: a private query's items reach only the
+/// readers who may see it, in one CQMS and across shards.
+#[test]
+fn private_queries_do_not_leak_through_rules() {
+    use cqms::engine::ShardedCqms;
+
+    let sharded = ShardedCqms::new(
+        || {
+            let mut engine = Engine::new();
+            Domain::Lakes.setup(&mut engine, 100, 11);
+            engine
+        },
+        CqmsConfig {
+            shards: 2,
+            ..CqmsConfig::default()
+        },
+    );
+    let mut c = lakes_cqms();
+    let [_admin, alice, bob] = ["admin", "alice", "bob"].map(|name| {
+        let user = c.register_user(name);
+        assert_eq!(sharded.register_user(name), user);
+        user
+    });
+    for i in 0..6 {
+        let private = format!(
+            "SELECT * FROM WaterSalinity S, WaterTemp T WHERE S.loc_x = T.loc_x AND T.temp < {i}"
+        );
+        let public = format!("SELECT city FROM CityLocations WHERE pop > {i}");
+        let id = c.run_query(alice, &private).unwrap().id;
+        c.set_visibility(alice, id, Visibility::Private).unwrap();
+        c.run_query(bob, &public).unwrap();
+        let id = sharded.run_query(alice, &private).unwrap().id;
+        sharded
+            .set_visibility(alice, id, Visibility::Private)
+            .unwrap();
+        sharded.run_query(bob, &public).unwrap();
+    }
+    c.run_miner_epoch();
+    sharded.run_miner_epoch();
+    let snap = c.capture_snapshot(0);
+    for rules in [snap.association_rules(bob), sharded.association_rules(bob)] {
+        let items = rule_items(&rules);
+        assert!(items.contains(&"table:citylocations"), "{rules:?}");
+        assert!(!items.iter().any(|i| i.contains("water")), "{rules:?}");
+    }
+    for rules in [
+        snap.association_rules(alice),
+        sharded.association_rules(alice),
+    ] {
+        assert!(rule_items(&rules).contains(&"table:watertemp"), "{rules:?}");
+    }
+}
+
+/// A rename repaired by maintenance rewrites logged queries without
+/// changing how many there are; the rules follow the rewrite.
+#[test]
+fn rules_follow_a_maintenance_rewrite() {
+    let mut c = lakes_cqms();
+    let u = c.register_user("u");
+    for i in 0..6 {
+        c.run_query(
+            u,
+            &format!(
+                "SELECT * FROM WaterSalinity S, WaterTemp T WHERE S.loc_x = T.loc_x AND T.temp < {i}"
+            ),
+        )
+        .unwrap();
+    }
+    c.run_miner_epoch();
+    let rules = c.capture_snapshot(0).association_rules(u);
+    assert!(rule_items(&rules).contains(&"table:watertemp"), "{rules:?}");
+
+    let counts = (c.storage.len(), c.storage.live_count());
+    c.data
+        .execute("ALTER TABLE WaterTemp RENAME TO LakeTemperatures")
+        .unwrap();
+    let (schema, _) = c.run_maintenance().unwrap();
+    assert_eq!(schema.repaired.len(), 6, "{schema:?}");
+    assert_eq!((c.storage.len(), c.storage.live_count()), counts);
+    c.run_miner_epoch();
+    let rules = c.capture_snapshot(0).association_rules(u);
+    let items = rule_items(&rules);
+    assert!(items.contains(&"table:laketemperatures"), "{rules:?}");
+    assert!(!items.contains(&"table:watertemp"), "{rules:?}");
 }
