@@ -13,7 +13,11 @@
 //! substring and parse-tree search (§2.2), [`RefModel::substring`] and
 //! [`RefModel::parse_tree`] scan every visible live record. For the
 //! Query Miner's association rules (§4.3), [`RefModel::association_rules`]
-//! runs plain Apriori over one transaction per visible live record.
+//! runs plain Apriori over one transaction per visible live record. For
+//! the miner epoch's session refinement (§2.2: "query sessions should be
+//! automatically identified"), [`RefModel::sessions`] re-segments each
+//! shard's whole log, tombstones included, with the record-based
+//! `similarity::feature_distance`.
 
 use cqms_core::admin::Directory;
 use cqms_core::assist::completion::{
@@ -32,13 +36,15 @@ use cqms_core::storage::{make_record, QueryStorage};
 use cqms_core::{CqmsConfig, CqmsError};
 use proptest::prelude::*;
 use relstore::Engine;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The naive model: the live records under their global ids, the
-/// directory, the catalog names and the configuration.
+/// The naive model: the live records under their global ids, every
+/// shard's whole log under its local ids, the directory, the catalog names
+/// and the configuration.
 struct RefModel {
     live: Vec<(QueryId, QueryRecord)>,
+    logs: Vec<Vec<QueryRecord>>,
     directory: Directory,
     catalog: CatalogView,
     config: CqmsConfig,
@@ -48,6 +54,7 @@ impl RefModel {
     /// The model of a sharded deployment: every shard's live records.
     fn of(sharded: &ShardedCqms, config: &CqmsConfig) -> RefModel {
         let mut live = Vec::new();
+        let mut logs = Vec::new();
         let mut directory = Directory::default();
         let mut catalog = CatalogView::default();
         for (i, shard) in sharded.shards().iter().enumerate() {
@@ -57,12 +64,14 @@ impl RefModel {
                         .iter_live()
                         .map(|r| (sharded.globalize(i, r.id), r.clone())),
                 );
+                logs.push(c.storage.iter().cloned().collect());
                 directory = c.directory.clone();
                 catalog = CatalogView::of(&c.data);
             });
         }
         RefModel {
             live,
+            logs,
             directory,
             catalog,
             config: config.clone(),
@@ -109,6 +118,57 @@ impl RefModel {
             config.assoc_min_support,
             config.assoc_min_confidence,
         )
+    }
+
+    /// Each shard's offline session assignment, local ids: every user's
+    /// log (tombstones included) in timestamp order, a new session when
+    /// the idle gap exceeds the threshold and the feature distance to the
+    /// previous query does too, or when the gap exceeds 3× the threshold.
+    /// Session ids are numbered 0.. over the users in id order; compare
+    /// partitions ([`partition`]), not ids.
+    fn sessions(&self) -> Vec<HashMap<QueryId, SessionId>> {
+        let config = &self.config;
+        (self.logs.iter())
+            .map(|log| {
+                let get = |id: QueryId| log.get(id.0 as usize);
+                let mut per_user: HashMap<UserId, Vec<QueryId>> = HashMap::new();
+                for r in log {
+                    per_user.entry(r.user).or_default().push(r.id);
+                }
+                let mut assignment: HashMap<QueryId, SessionId> = HashMap::new();
+                let mut next = 0u64;
+                let mut users: Vec<UserId> = per_user.keys().copied().collect();
+                users.sort();
+                for user in users {
+                    let mut ids = per_user.remove(&user).unwrap();
+                    ids.sort_by_key(|id| get(*id).map(|r| r.ts).unwrap_or(0));
+                    let mut current = SessionId(next);
+                    next += 1;
+                    let mut prev: Option<QueryId> = None;
+                    for id in ids {
+                        if let Some(p) = prev {
+                            let (pr, cr) = (get(p).unwrap(), get(id).unwrap());
+                            let gap = cr.ts.saturating_sub(pr.ts);
+                            let dist = similarity::feature_distance(pr, cr, config);
+                            let new_session = if gap > 3 * config.session_idle_gap_secs {
+                                true
+                            } else if gap > config.session_idle_gap_secs {
+                                dist > config.session_similarity_threshold
+                            } else {
+                                false
+                            };
+                            if new_session {
+                                current = SessionId(next);
+                                next += 1;
+                            }
+                        }
+                        assignment.insert(id, current);
+                        prev = Some(id);
+                    }
+                }
+                assignment
+            })
+            .collect()
     }
 
     /// The `k` visible live records nearest to `sql` under `metric`,
@@ -201,6 +261,23 @@ impl RefModel {
             &self.complete_stats(partial),
         )
     }
+}
+
+/// A session assignment as a partition: each query mapped to the smallest
+/// id in its session, so two assignments that group alike compare equal
+/// whatever they name the groups.
+fn partition(
+    assignment: impl IntoIterator<Item = (QueryId, SessionId)>,
+) -> BTreeMap<QueryId, QueryId> {
+    let assignment: Vec<(QueryId, SessionId)> = assignment.into_iter().collect();
+    let mut first: HashMap<SessionId, QueryId> = HashMap::new();
+    for &(id, session) in &assignment {
+        let slot = first.entry(session).or_insert(id);
+        *slot = (*slot).min(id);
+    }
+    (assignment.into_iter())
+        .map(|(id, session)| (id, first[&session]))
+        .collect()
 }
 
 /// `CompletionStats` field by field (it has no `PartialEq` of its own).
@@ -315,6 +392,10 @@ fn config(shards: usize) -> CqmsConfig {
         shards,
         wal_fsync: false,
         assoc_min_support: 2,
+        // Steps are 60 s apart: with a 90 s idle gap, a user's next query
+        // two to four steps later falls in the gap band the feature
+        // distance decides, and five or more steps later always breaks.
+        session_idle_gap_secs: 90,
         ..CqmsConfig::default()
     }
 }
@@ -338,6 +419,7 @@ enum Op {
     RenameAndMaintain,
     Maintain,
     RebuildIndexes,
+    MinerEpoch,
     Reopen { snapshot: bool },
 }
 
@@ -384,6 +466,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => Just(Op::RenameAndMaintain),
         1 => Just(Op::Maintain),
         1 => Just(Op::RebuildIndexes),
+        2 => Just(Op::MinerEpoch),
         1 => any::<bool>().prop_map(|snapshot| Op::Reopen { snapshot }),
     ]
 }
@@ -489,6 +572,11 @@ impl Harness {
             Op::RebuildIndexes => {
                 s.rebuild_indexes();
             }
+            Op::MinerEpoch => {
+                for report in s.run_miner_epoch() {
+                    assert!(report.wal_flush_error.is_none(), "{report:?}");
+                }
+            }
             Op::Reopen { snapshot } => {
                 if *snapshot {
                     for shard in s.shards() {
@@ -512,9 +600,43 @@ impl Harness {
     /// Every probe's merged statistics and top-k, every kNN probe's
     /// neighbours for two viewers, and every viewer's association rules and
     /// substring needle's and parse-tree pattern's matches, against the
-    /// model.
-    fn check(&self, step: usize) -> Result<(), TestCaseError> {
+    /// model; every shard's session map against its records; and, after a
+    /// miner epoch (`epoch`), every shard's session partition against the
+    /// model's.
+    fn check(&self, step: usize, epoch: bool) -> Result<(), TestCaseError> {
         let model = RefModel::of(&self.sharded, &self.config);
+        let oracle = model.sessions();
+        for (i, shard) in self.sharded.shards().iter().enumerate() {
+            let (records, members) = shard.read(|c| {
+                let records: Vec<(QueryId, SessionId)> =
+                    c.storage.iter().map(|r| (r.id, r.session)).collect();
+                let members: Vec<(SessionId, Vec<QueryId>)> = (c.storage.session_ids())
+                    .into_iter()
+                    .map(|s| (s, c.storage.queries_in_session(s).to_vec()))
+                    .collect();
+                (records, members)
+            });
+            let mut expected: BTreeMap<SessionId, Vec<QueryId>> = BTreeMap::new();
+            for &(id, session) in &records {
+                expected.entry(session).or_default().push(id);
+            }
+            prop_assert_eq!(
+                members.into_iter().collect::<BTreeMap<_, _>>(),
+                expected,
+                "shard {} session map after step {}",
+                i,
+                step
+            );
+            if epoch {
+                prop_assert_eq!(
+                    partition(records),
+                    partition(oracle[i].iter().map(|(&id, &s)| (id, s))),
+                    "shard {} sessions after step {}",
+                    i,
+                    step
+                );
+            }
+        }
         for &viewer in &self.users {
             prop_assert_eq!(
                 self.sharded.association_rules(viewer),
@@ -599,8 +721,10 @@ proptest! {
     /// `Features` / `Combined` kNN, substring and parse-tree search equal a
     /// record-by-record scan of them, after every step of a random trace
     /// (ingests, batches, deletes, validity and visibility flips, rename
-    /// repairs, maintenance passes, index rebuilds, WAL and snapshot
-    /// reopens), on one shard and on two.
+    /// repairs, maintenance passes, index rebuilds, miner epochs, WAL and
+    /// snapshot reopens), on one shard and on two. After a miner epoch,
+    /// every shard's sessions partition its log as the model's offline
+    /// segmentation does.
     #[test]
     fn completion_matches_refmodel(
         ops in proptest::collection::vec(op_strategy(), 1..30),
@@ -609,7 +733,7 @@ proptest! {
         let mut h = Harness::new(shards);
         for (i, op) in ops.iter().enumerate() {
             h.apply(op, 1_000 + i as u64 * 60);
-            h.check(i)?;
+            h.check(i, matches!(op, Op::MinerEpoch))?;
         }
     }
 }
