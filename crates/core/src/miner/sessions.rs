@@ -5,50 +5,60 @@ use crate::config::CqmsConfig;
 use crate::model::{QueryId, SessionId, UserId};
 use crate::similarity;
 use crate::storage::QueryStorage;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// Segment the whole log per user, returning a fresh session assignment
-/// (the miner's refined view; the profiler's online assignment stays in the
-/// records until the server adopts the refined one).
+/// Segment the whole log per user (tombstones included), returning a
+/// session for every record: the miner's refined view, which the server
+/// adopts over the profiler's online assignment.
 ///
-/// Heuristic: order each user's queries by time; a new session starts when
-/// the idle gap exceeds the threshold *and* the queries are dissimilar, or
-/// when the gap exceeds 3× the threshold regardless.
+/// Heuristic: order each user's queries by time (ties by id); a new
+/// session starts when the idle gap exceeds the threshold *and* the
+/// queries are dissimilar, or when the gap exceeds 3× the threshold
+/// regardless. The feature distance is computed only for gaps in
+/// between, over the stored signatures.
+///
+/// Ids are stable: a refined session keeps the id its first member
+/// already carries, unless an earlier session of this pass (users in id
+/// order) claimed that id; then it takes a fresh id, counting up from the
+/// storage's next unused one. A record assigned a session other than its
+/// current one was therefore re-decided, and an unchanged log refines to
+/// exactly its current ids.
 pub fn segment_log(storage: &QueryStorage, config: &CqmsConfig) -> HashMap<QueryId, SessionId> {
-    let mut per_user: HashMap<UserId, Vec<QueryId>> = HashMap::new();
-    for r in storage.iter() {
-        per_user.entry(r.user).or_default().push(r.id);
-    }
-    let mut assignment: HashMap<QueryId, SessionId> = HashMap::new();
-    let mut next = 0u64;
-    let mut users: Vec<UserId> = per_user.keys().copied().collect();
-    users.sort();
-    for user in users {
-        let mut ids = per_user.remove(&user).unwrap();
-        ids.sort_by_key(|id| storage.get(*id).map(|r| r.ts).unwrap_or(0));
-        let mut current = SessionId(next);
-        next += 1;
-        let mut prev: Option<QueryId> = None;
-        for id in ids {
-            if let Some(p) = prev {
-                let (pr, cr) = (storage.get(p).unwrap(), storage.get(id).unwrap());
-                let gap = cr.ts.saturating_sub(pr.ts);
-                let dist = similarity::feature_distance(pr, cr, config);
-                let new_session = if gap > 3 * config.session_idle_gap_secs {
-                    true
-                } else if gap > config.session_idle_gap_secs {
-                    dist > config.session_similarity_threshold
-                } else {
-                    false
-                };
-                if new_session {
-                    current = SessionId(next);
-                    next += 1;
-                }
+    let mut log: Vec<(UserId, u64, QueryId, SessionId)> = (storage.iter())
+        .map(|r| (r.user, r.ts, r.id, r.session))
+        .collect();
+    log.sort_unstable();
+    let signatures = storage.signatures();
+    let idle = config.session_idle_gap_secs;
+    let mut assignment = HashMap::with_capacity(log.len());
+    let mut claimed: HashSet<SessionId> = HashSet::new();
+    let mut fresh = storage.next_session().0;
+    let mut current = SessionId(0);
+    let mut prev: Option<(UserId, u64, QueryId)> = None;
+    for &(user, ts, id, carried) in &log {
+        let new_session = match prev {
+            Some((prev_user, prev_ts, prev_id)) if prev_user == user => {
+                let gap = ts - prev_ts;
+                gap > 3 * idle
+                    || (gap > idle && {
+                        let sig =
+                            |id: QueryId| &**signatures.get(id.0 as usize).expect("dense ids");
+                        similarity::feature_distance_sig(sig(prev_id), sig(id), config)
+                            > config.session_similarity_threshold
+                    })
             }
-            assignment.insert(id, current);
-            prev = Some(id);
+            _ => true,
+        };
+        if new_session {
+            current = if claimed.insert(carried) {
+                carried
+            } else {
+                fresh += 1;
+                SessionId(fresh - 1)
+            };
         }
+        assignment.insert(id, current);
+        prev = Some((user, ts, id));
     }
     assignment
 }

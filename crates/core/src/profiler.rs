@@ -34,7 +34,7 @@ pub struct ProfiledQuery {
 
 /// The profiler. Stateless: each user's session cursor is the user's
 /// latest record in the Query Storage, so it survives restarts and follows
-/// the miner's session renumbering; storage and engine are passed per call
+/// the miner's session refinement; storage and engine are passed per call
 /// so the server can coordinate borrows.
 #[derive(Default)]
 pub struct Profiler;

@@ -44,7 +44,10 @@ pub struct MinerReport {
     /// Always 0 — clustering is a read; kept because
     /// `ledger/src/main.rs:351` reads it for `miner.clusters`.
     pub clusters: usize,
-    /// Queries whose predicted session changed this epoch.
+    /// Records this epoch moved to another session. Session ids are
+    /// stable ([`crate::miner::sessions::segment_log`]), so this counts
+    /// records whose session the offline rule re-decided, never records
+    /// merely renumbered; an epoch over an unchanged log reports 0.
     pub sessions_refined: usize,
     /// Did this epoch build + publish a scheduled index generation?
     pub index_rebuilt: bool,
@@ -643,8 +646,7 @@ fn try_miner_epoch(
     // off-lock build is *deferred* to the next cycle's — never built
     // inline under the write lock.
     let mut report = guard.miner_epoch(false);
-    // The epoch may have re-logged state (session refinement); flush so it
-    // is durable — retrying transient sink faults with capped backoff
+    // Flush whatever the epoch left in the WAL buffer so it is durable — retrying transient sink faults with capped backoff
     // first — and surface, never swallow, a terminal failure: the caller
     // decides how loudly to report.
     let (flushed, retries) = wal::retry_write(|| guard.wal_flush());
@@ -809,6 +811,7 @@ pub fn spawn_background_miner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::similarity;
     use workload::Domain;
 
     fn cqms() -> Cqms {
@@ -893,6 +896,60 @@ mod tests {
         let (ids, clustering) = c.capture_snapshot(0).cluster_queries(u, 0);
         assert_eq!(ids.len(), 14);
         assert!(clustering.medoids.len() >= 2);
+    }
+
+    #[test]
+    fn an_epoch_rewrites_only_the_sessions_it_redecides() {
+        let mut c = cqms();
+        let idle = c.config.session_idle_gap_secs;
+        let users: Vec<UserId> = (0..4)
+            .map(|i| c.register_user(&format!("user-{i}")))
+            .collect();
+        let mut ts = 1_000;
+        for &u in &users {
+            for k in 0..3 {
+                c.run_query_at(u, &format!("SELECT * FROM WaterTemp WHERE temp < {k}"), ts)
+                    .unwrap();
+                ts += 60;
+            }
+        }
+        c.run_miner_epoch();
+        let sessions =
+            |c: &Cqms| -> Vec<SessionId> { c.storage.iter().map(|r| r.session).collect() };
+        let before = sessions(&c);
+
+        // Same table, so the online rule resumes the session across a
+        // gap in (idle, 3×idle]; new attributes and predicates, so the
+        // offline rule splits it off.
+        let first = c.storage.latest_of(users[0]).unwrap().id;
+        let split = c
+            .run_query_at(
+                users[0],
+                "SELECT lake, month FROM WaterTemp WHERE month = 3",
+                ts + idle,
+            )
+            .unwrap()
+            .id;
+        let gap = c.storage.get(split).unwrap().ts - c.storage.get(first).unwrap().ts;
+        assert!(gap > idle && gap <= 3 * idle);
+        assert_eq!(
+            c.storage.get(split).unwrap().session,
+            before[first.0 as usize]
+        );
+        let sig = |id: QueryId| c.storage.signature(id).unwrap();
+        let dist = similarity::feature_distance_sig(sig(first), sig(split), &c.config);
+        assert!(dist > c.config.session_similarity_threshold);
+
+        let report = c.run_miner_epoch();
+        assert_eq!(report.sessions_refined, 1);
+        let after = sessions(&c);
+        assert_eq!(after[..before.len()], before[..]);
+        assert!(!before.contains(&after[split.0 as usize]));
+        assert_eq!(
+            c.storage.queries_in_session(after[split.0 as usize]),
+            [split]
+        );
+        assert_eq!(c.run_miner_epoch().sessions_refined, 0);
     }
 
     #[test]

@@ -183,6 +183,12 @@ impl QueryStorage {
         self.max_ts
     }
 
+    /// The session id [`QueryStorage::new_session`] would allocate next:
+    /// one past every id a record has carried.
+    pub(crate) fn next_session(&self) -> SessionId {
+        SessionId(self.next_session)
+    }
+
     /// Allocate a fresh session id.
     pub fn new_session(&mut self) -> SessionId {
         let id = SessionId(self.next_session);
@@ -350,7 +356,7 @@ impl QueryStorage {
         &self.edges
     }
 
-    /// Queries of a session in insertion order.
+    /// Queries of a session, ascending ids.
     pub fn queries_in_session(&self, session: SessionId) -> &[QueryId] {
         self.sessions.get(&session).map_or(&[], Vec::as_slice)
     }
@@ -363,7 +369,7 @@ impl QueryStorage {
     }
 
     /// The most recently logged query of `user` (tombstoned or not), with
-    /// its *current* session — miner epochs renumber sessions in place.
+    /// its *current* session — a miner epoch may have moved it to another.
     pub fn latest_of(&self, user: UserId) -> Option<&QueryRecord> {
         self.get(*self.last_by_user.get(&user)?).ok()
     }
@@ -694,32 +700,37 @@ impl QueryStorage {
     }
 
     /// Adopt a refined session assignment from the Query Miner (§4.3: the
-    /// miner periodically recomputes sessions offline). Rewrites record
-    /// session ids, the session map and the moved queries' `QueryMeta` rows.
+    /// miner periodically recomputes sessions offline). Session ids are
+    /// stable ([`crate::miner::sessions::segment_log`] names each session
+    /// after an id its members already carry), so only the records whose
+    /// id changed are rewritten: the record, its `QueryMeta` row, and its
+    /// place in two member lists (each kept in ascending id order; a list
+    /// left empty is dropped). The next fresh session id never decreases.
     pub fn adopt_sessions(&mut self, assignment: &HashMap<QueryId, SessionId>) {
-        self.sessions.clear();
-        let mut max_session = 0u64;
-        for i in 0..self.records.len() {
-            let (id, cur_session) = {
-                let r = self.records.get(i).expect("dense ids");
-                (r.id, r.session)
+        for (&id, &session) in assignment {
+            let i = id.0 as usize;
+            let old = match self.records.get(i) {
+                Some(r) if r.session != session => r.session,
+                _ => continue,
             };
-            let session = match assignment.get(&id) {
-                Some(&s) => {
-                    if s != cur_session {
-                        Arc::make_mut(self.records.get_mut(i).expect("dense ids")).session = s;
-                        if let Some(rows) = self.feature_rows_mut(id) {
-                            *rows = Arc::new(rows.with_session(s));
-                        }
-                    }
-                    s
+            Arc::make_mut(self.records.get_mut(i).expect("checked above")).session = session;
+            if let Some(rows) = self.feature_rows_mut(id) {
+                *rows = Arc::new(rows.with_session(session));
+            }
+            if let Some(members) = self.sessions.get_mut(&old) {
+                if let Ok(at) = members.binary_search(&id) {
+                    members.remove(at);
                 }
-                None => cur_session,
-            };
-            self.sessions.entry_or_default(session).push(id);
-            max_session = max_session.max(session.0);
+                if members.is_empty() {
+                    self.sessions.remove(&old);
+                }
+            }
+            let members = self.sessions.entry_or_default(session);
+            if let Err(at) = members.binary_search(&id) {
+                members.insert(at, id);
+            }
+            self.next_session = self.next_session.max(session.0 + 1);
         }
-        self.next_session = max_session + 1;
     }
 
     // ------------------------------------------------------------------

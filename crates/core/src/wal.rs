@@ -67,9 +67,12 @@
 //! syntactic features (functions of the SQL and the catalog, see
 //! [`QueryRecord::derive`]), output summaries (statistics,
 //! re-creatable by maintenance refresh), runtime plan/error text, the
-//! miner's session refinements ([`QueryStorage::adopt_sessions`] — the
-//! miner re-derives them; a snapshot does capture each record's session
-//! as of its horizon), and the user/group directory (deployments
+//! miner's session refinements ([`QueryStorage::adopt_sessions`]: the
+//! partition is a function of the log, so the first epoch after a
+//! replay re-derives it, and because session ids are stable it moves
+//! only the records the profiler's online rule placed otherwise; a
+//! snapshot does capture each record's session as of its horizon), and
+//! the user/group directory (deployments
 //! re-register principals at startup, which reproduces the same dense
 //! ids). Association rules and clusters are computed per read.
 

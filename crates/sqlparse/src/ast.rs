@@ -162,7 +162,7 @@ impl ColumnRef {
         }
     }
 
-    pub fn qualified(qualifier: impl Into<String>, name: impl Into<String>) -> Self {
+    pub(crate) fn qualified(qualifier: impl Into<String>, name: impl Into<String>) -> Self {
         ColumnRef {
             qualifier: Some(qualifier.into()),
             name: name.into(),
@@ -242,7 +242,7 @@ impl BinaryOp {
     }
 
     /// Parser precedence (higher binds tighter).
-    pub fn precedence(&self) -> u8 {
+    pub(crate) fn precedence(&self) -> u8 {
         match self {
             BinaryOp::Or => 1,
             BinaryOp::And => 2,

@@ -154,7 +154,7 @@ fn fold_expr(e: &mut Expr) {
 }
 
 /// Canonicalize a SELECT in place (recursing into subqueries).
-pub fn canonicalize_select(s: &mut SelectStatement) {
+pub(crate) fn canonicalize_select(s: &mut SelectStatement) {
     // Build the alias map: every table binding becomes `t<i>`.
     let mut alias_map: HashMap<String, String> = HashMap::new();
     let mut counter = 0usize;
@@ -296,7 +296,7 @@ pub fn canonicalize_select(s: &mut SelectStatement) {
 }
 
 /// Replace all data constants in a SELECT with placeholders, in place.
-pub fn strip_select(s: &mut SelectStatement) {
+pub(crate) fn strip_select(s: &mut SelectStatement) {
     fn strip_expr(e: &mut Expr) {
         match e {
             Expr::Literal(l) => {

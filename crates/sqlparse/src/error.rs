@@ -72,7 +72,7 @@ impl ParseError {
     }
 
     /// Attach the set of inputs the parser would have accepted.
-    pub fn with_expected(mut self, expected: Vec<String>) -> Self {
+    pub(crate) fn with_expected(mut self, expected: Vec<String>) -> Self {
         self.expected = expected;
         self
     }

@@ -93,7 +93,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Lex the next token (skipping whitespace and comments).
-    pub fn next_token(&mut self) -> Result<Token, ParseError> {
+    pub(crate) fn next_token(&mut self) -> Result<Token, ParseError> {
         self.skip_trivia()?;
         let start = self.pos;
         let Some(b) = self.peek() else {

@@ -48,7 +48,7 @@ pub use diff::{
 pub use error::{ParseError, Span};
 pub use fingerprint::{structure_fingerprint, template_fingerprint};
 pub use lexer::Lexer;
-pub use parser::{parse_expression, parse_statement, parse_statements, Parser};
+pub use parser::{parse_expression, parse_statement, Parser};
 pub use printer::to_sql;
 pub use token::{Keyword, Token, TokenKind};
 pub use tree::{

@@ -19,22 +19,6 @@ pub fn parse_statement(sql: &str) -> Result<Statement, ParseError> {
     Ok(stmt)
 }
 
-/// Parse a `;`-separated script into statements.
-pub fn parse_statements(sql: &str) -> Result<Vec<Statement>, ParseError> {
-    let mut p = Parser::new(sql)?;
-    let mut out = Vec::new();
-    loop {
-        while p.eat(&TokenKind::Semicolon) {}
-        if p.at_eof() {
-            return Ok(out);
-        }
-        out.push(p.statement()?);
-        if !p.at_eof() && !p.check(&TokenKind::Semicolon) {
-            return Err(p.error_here("expected `;` between statements"));
-        }
-    }
-}
-
 /// Parse a standalone scalar expression (used by tests and meta-query tools).
 pub fn parse_expression(sql: &str) -> Result<Expr, ParseError> {
     let mut p = Parser::new(sql)?;
@@ -136,7 +120,7 @@ impl Parser {
     }
 
     /// Has the parser consumed all input?
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         matches!(self.peek(), TokenKind::Eof)
     }
 
@@ -1212,14 +1196,6 @@ mod tests {
                 to: "u".into()
             }
         );
-    }
-
-    #[test]
-    fn multi_statement_script() {
-        let stmts =
-            parse_statements("CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t;")
-                .unwrap();
-        assert_eq!(stmts.len(), 3);
     }
 
     #[test]

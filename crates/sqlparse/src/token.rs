@@ -74,7 +74,7 @@ pub enum Keyword {
 
 impl Keyword {
     /// Look up a keyword from an identifier, case-insensitively.
-    pub fn from_str_ci(s: &str) -> Option<Keyword> {
+    pub(crate) fn from_str_ci(s: &str) -> Option<Keyword> {
         use Keyword::*;
         // Uppercase without allocating for the common short case.
         let mut buf = [0u8; 16];
@@ -294,7 +294,7 @@ impl TokenKind {
     }
 
     /// The literal source text for punctuation tokens; empty for others.
-    pub fn lexeme(&self) -> &'static str {
+    pub(crate) fn lexeme(&self) -> &'static str {
         match self {
             TokenKind::Eq => "=",
             TokenKind::NotEq => "<>",
@@ -318,7 +318,7 @@ impl TokenKind {
         }
     }
 
-    pub fn is_keyword(&self, kw: Keyword) -> bool {
+    pub(crate) fn is_keyword(&self, kw: Keyword) -> bool {
         matches!(self, TokenKind::Keyword(k) if *k == kw)
     }
 }

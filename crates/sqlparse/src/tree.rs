@@ -63,7 +63,7 @@ pub fn statement_tree(stmt: &Statement) -> TreeNode {
 }
 
 /// Convert a SELECT into its labeled tree.
-pub fn select_tree(s: &SelectStatement) -> TreeNode {
+pub(crate) fn select_tree(s: &SelectStatement) -> TreeNode {
     let mut children = Vec::new();
     if s.distinct {
         children.push(TreeNode::leaf("distinct"));
