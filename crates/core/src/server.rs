@@ -646,9 +646,10 @@ fn try_miner_epoch(
     // off-lock build is *deferred* to the next cycle's — never built
     // inline under the write lock.
     let mut report = guard.miner_epoch(false);
-    // Flush whatever the epoch left in the WAL buffer so it is durable — retrying transient sink faults with capped backoff
-    // first — and surface, never swallow, a terminal failure: the caller
-    // decides how loudly to report.
+    // Flush whatever the epoch left in the WAL buffer so it is durable —
+    // retrying transient sink faults with capped backoff first — and
+    // surface, never swallow, a terminal failure: the caller decides how
+    // loudly to report.
     let (flushed, retries) = wal::retry_write(|| guard.wal_flush());
     report.wal_flush_retries = retries;
     if let Err(e) = flushed {
