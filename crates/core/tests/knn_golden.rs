@@ -11,11 +11,13 @@
 //! Every logged query's SQL is a probe: through `similar_queries` with
 //! the `Features` and `Combined` metrics (k = 10), digested as
 //! `(id, score bits)`, and through `recommend` (k = 5), digested as
-//! `(id, score_pct, diff, annotation)`. The probes run twice: once while
-//! the maintenance pass's reindex overrides are outstanding, and once
-//! more after the index rebuild retires them. One digest per phase is
-//! pinned for each (deployment, domain); ids differ between deployments,
-//! so tied hits may order differently and each deployment has its own.
+//! `(id, score_pct, diff, annotation)`; and, in a second digest, through
+//! `similar_queries` with the `TreeEdit` and `ParseTree` metrics (k = 10).
+//! The probes run twice: once while the maintenance pass's reindex
+//! overrides are outstanding, and once more after the index rebuild
+//! retires them. Both digests of each phase are pinned for each
+//! (deployment, domain); ids differ between deployments, so tied hits may
+//! order differently and each deployment has its own.
 
 use cqms_core::assist::recommend::PanelRow;
 use cqms_core::metaquery::ScoredHit;
@@ -36,7 +38,8 @@ const KNN_K: usize = 10;
 /// Rows per recommendation panel.
 const PANEL_K: usize = 5;
 
-/// `[overrides outstanding, after the rebuild]` per deployment.
+/// `[overrides outstanding, after the rebuild]` per deployment, for one
+/// of the two digests.
 struct Golden {
     ram: [u64; 2],
     sharded: [u64; 2],
@@ -57,6 +60,23 @@ const WEBLOG: Golden = Golden {
     ram: [0xcd1e074929a8ed3a, 0xcd1e074929a8ed3a],
     sharded: [0xb4f2e93fe3645ebe, 0xb4f2e93fe3645ebe],
     reopened: [0xcd1e074929a8ed3a, 0xcd1e074929a8ed3a],
+};
+
+/// The `TreeEdit` + `ParseTree` digests.
+const LAKES_TREES: Golden = Golden {
+    ram: [0xb9c8965bd8f573a3, 0xb9c8965bd8f573a3],
+    sharded: [0x3906bc4503496c71, 0x3906bc4503496c71],
+    reopened: [0xb9c8965bd8f573a3, 0xb9c8965bd8f573a3],
+};
+const SKY_TREES: Golden = Golden {
+    ram: [0xb1269c88f36ee980, 0xb1269c88f36ee980],
+    sharded: [0x78f60aa062d085bf, 0x78f60aa062d085bf],
+    reopened: [0xb1269c88f36ee980, 0xb1269c88f36ee980],
+};
+const WEBLOG_TREES: Golden = Golden {
+    ram: [0x2b4998d4076211af, 0x2b4998d4076211af],
+    sharded: [0x2fce902af71dcdb7, 0x2fce902af71dcdb7],
+    reopened: [0x2b4998d4076211af, 0x2b4998d4076211af],
 };
 
 /// 64-bit FNV-1a: stable across platforms and toolchains.
@@ -117,22 +137,36 @@ impl Probed for (&ShardedCqms, UserId) {
     }
 }
 
-/// One phase's digest: every probe's two kNN answers and its panel.
-fn phase_digest(trace: &Trace, probed: &dyn Probed) -> u64 {
-    probes(trace).iter().fold(FNV_SEED, |h, sql| {
+/// One phase's two digests: every probe's `Features` and `Combined`
+/// answers and its panel; every probe's `TreeEdit` and `ParseTree`
+/// answers.
+fn phase_digest(trace: &Trace, probed: &dyn Probed) -> [u64; 2] {
+    let probes = probes(trace);
+    let classes = probes.iter().fold(FNV_SEED, |h, sql| {
         let h = hits_digest(h, probed.similar(sql, DistanceKind::Features));
         let h = hits_digest(h, probed.similar(sql, DistanceKind::Combined));
         panel_digest(h, probed.panel(sql))
-    })
+    });
+    let trees = probes.iter().fold(FNV_SEED, |h, sql| {
+        let h = hits_digest(h, probed.similar(sql, DistanceKind::TreeEdit));
+        hits_digest(h, probed.similar(sql, DistanceKind::ParseTree))
+    });
+    [classes, trees]
 }
 
-fn check(what: &str, got: [u64; 2], golden: [u64; 2]) {
-    assert_eq!(
-        got, golden,
-        "{what}: [overrides outstanding, rebuilt] digests moved; computed \
-         [0x{:016x}, 0x{:016x}]",
-        got[0], got[1]
-    );
+/// A deployment's `[overrides outstanding, rebuilt]` phase digests.
+type Phases = [[u64; 2]; 2];
+
+fn check(what: &str, got: Phases, golden: [&[u64; 2]; 2]) {
+    for (digest, name) in ["classes", "trees"].iter().enumerate() {
+        let got = [got[0][digest], got[1][digest]];
+        assert_eq!(
+            got, *golden[digest],
+            "{what} {name}: [overrides outstanding, rebuilt] digests moved; \
+             computed [0x{:016x}, 0x{:016x}]",
+            got[0], got[1]
+        );
+    }
 }
 
 /// Maintained quality ranks each query's measured wall-clock latency,
@@ -205,7 +239,7 @@ fn ingest_and_churn(cqms: &mut Cqms, trace: &Trace) -> Issued {
 }
 
 /// Probe a single-node CQMS, rebuild its indexes, probe again.
-fn probe_single(cqms: &mut Cqms, trace: &Trace, viewer: UserId) -> [u64; 2] {
+fn probe_single(cqms: &mut Cqms, trace: &Trace, viewer: UserId) -> Phases {
     assert!(cqms.storage.indexes().override_count() > 0);
     let outstanding = phase_digest(trace, &Viewed(&cqms.capture_snapshot(0), viewer));
     cqms.storage.run_index_maintenance();
@@ -213,13 +247,13 @@ fn probe_single(cqms: &mut Cqms, trace: &Trace, viewer: UserId) -> [u64; 2] {
     [outstanding, rebuilt]
 }
 
-fn ram(trace: &Trace) -> [u64; 2] {
+fn ram(trace: &Trace) -> Phases {
     let mut cqms = Cqms::new(trace.build_engine(), config(1));
     let issued = ingest_and_churn(&mut cqms, trace);
     probe_single(&mut cqms, trace, issued[0].0)
 }
 
-fn sharded(trace: &Trace) -> [u64; 2] {
+fn sharded(trace: &Trace) -> Phases {
     let sharded = ShardedCqms::new(|| trace.build_engine(), config(2));
     sharded.register_user("root");
     let users: Vec<UserId> = (0..trace.config.users)
@@ -265,7 +299,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cqms-knn-{tag}-{}", std::process::id()))
 }
 
-fn durable(trace: &Trace) -> [u64; 2] {
+fn durable(trace: &Trace) -> Phases {
     let dir = temp_dir(&format!("{:?}", trace.config.domain));
     let _ = std::fs::remove_dir_all(&dir);
     let issued = {
@@ -283,32 +317,36 @@ fn durable(trace: &Trace) -> [u64; 2] {
     digests
 }
 
-fn check_domain(domain: Domain, golden: &Golden) {
+fn check_domain(domain: Domain, golden: &Golden, trees: &Golden) {
     let trace = trace(domain);
-    check(&format!("{domain:?} RAM"), ram(&trace), golden.ram);
+    check(
+        &format!("{domain:?} RAM"),
+        ram(&trace),
+        [&golden.ram, &trees.ram],
+    );
     check(
         &format!("{domain:?} 2 shards"),
         sharded(&trace),
-        golden.sharded,
+        [&golden.sharded, &trees.sharded],
     );
     check(
         &format!("{domain:?} reopened"),
         durable(&trace),
-        golden.reopened,
+        [&golden.reopened, &trees.reopened],
     );
 }
 
 #[test]
 fn lakes_knn_and_panels_are_pinned() {
-    check_domain(Domain::Lakes, &LAKES);
+    check_domain(Domain::Lakes, &LAKES, &LAKES_TREES);
 }
 
 #[test]
 fn skysurvey_knn_and_panels_are_pinned() {
-    check_domain(Domain::SkySurvey, &SKY);
+    check_domain(Domain::SkySurvey, &SKY, &SKY_TREES);
 }
 
 #[test]
 fn weblog_knn_and_panels_are_pinned() {
-    check_domain(Domain::WebLog, &WEBLOG);
+    check_domain(Domain::WebLog, &WEBLOG, &WEBLOG_TREES);
 }

@@ -9,7 +9,9 @@
 //! with the product's own `suggest_with_stats`, so a mismatch is a
 //! collection bug, never a scoring one. For kNN similarity search
 //! (§4.2), [`RefModel::similar`] scores every visible live record with
-//! the record-based `similarity::distance` and keeps the best k. For
+//! the record-based `similarity::distance` and keeps the best k, under
+//! all four indexed metrics (`Features`, `Combined`, `TreeEdit`,
+//! `ParseTree`). For
 //! substring and parse-tree search (§2.2), [`RefModel::substring`] and
 //! [`RefModel::parse_tree`] scan every visible live record. For the
 //! Query Miner's association rules (§4.3), [`RefModel::association_rules`]
@@ -668,7 +670,12 @@ impl Harness {
         }
         for sql in KNN_PROBES {
             for &viewer in &self.users[..2] {
-                for metric in [DistanceKind::Features, DistanceKind::Combined] {
+                for metric in [
+                    DistanceKind::Features,
+                    DistanceKind::Combined,
+                    DistanceKind::TreeEdit,
+                    DistanceKind::ParseTree,
+                ] {
                     let got = self.sharded.similar_queries(viewer, sql, KNN_K, metric);
                     prop_assert_eq!(
                         got.unwrap(),
