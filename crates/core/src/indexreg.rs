@@ -4,9 +4,10 @@
 //! unlucky probe paid a stop-the-world lazy build (one Zhang–Shasha
 //! distance per pivot level per tree). The registry owns the indexes
 //! instead, and keeps **one** structural index ([`StructuralIndex`]): the
-//! VP-tree, the tree-less list, the ParseTree profile-fingerprint groups
-//! and their complement, and the feature classes, over every
-//! non-tombstoned record. Every structure in it is
+//! tree groups and the VP-tree over them, the tree-less list, the
+//! ParseTree profile-fingerprint groups and their complement, and the
+//! feature classes, over every non-tombstoned record. Every structure in
+//! it is
 //! *persistent* (path-copying VP-tree, `cqms_cow` containers), so
 //!
 //! * an insert indexes the record directly — it is visible to probes the
@@ -45,12 +46,21 @@
 //! actually observed, and the storage forces an inline publish once
 //! [`OVERRIDE_PUBLISH_THRESHOLD`] of them are outstanding.
 //!
-//! The **feature classes** file each record by the exact interned table,
-//! attribute and predicate-template ids of its signature. Records that
-//! share them are at the same feature distance from any probe, so the
-//! `Features` and `Combined` kNN sweeps evaluate a class once instead of
-//! every record in it. Classes and profile groups are one [`Grouping`]
-//! and share its lifecycle: filed at insert, refiled by a rebuild,
+//! Three [`Grouping`]s file records that any probe finds at one distance,
+//! so each group costs a sweep one evaluation instead of one per member:
+//!
+//! * the **tree groups** file each record that has a parse tree by its
+//!   constant-stripped [`FlatTree`]. The VP-tree indexes the groups, not
+//!   the records: an insert whose tree already has a group appends its
+//!   qid and computes no distance, only a new tree descends the VP-tree,
+//!   and a TreeEdit probe takes one exact distance per surviving group;
+//! * the **profile groups** file each record by its diff-folded SELECT,
+//!   for the ParseTree sweep;
+//! * the **feature classes** file each record by the exact interned
+//!   table, attribute and predicate-template ids of its signature, for
+//!   the `Features` and `Combined` sweeps.
+//!
+//! All three share one lifecycle: filed at insert, refiled by a rebuild,
 //! tombstoned and flagged members filtered at query time, overridden
 //! members masked.
 
@@ -59,48 +69,64 @@ use crate::model::{QueryRecord, Validity};
 use crate::signature::SimSignature;
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
 use sqlparse::fingerprint::{fnv1a, fnv1a_extend};
-use sqlparse::{SelectProfile, SelectStatement};
+use sqlparse::{FlatTree, SelectProfile, SelectStatement};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Chunk size of the registry's slot vectors — one slot per profile
-/// group, one per feature class. They stay short (hundreds of slots),
+/// Chunk size of the registry's slot vectors — one slot per tree group,
+/// profile group or feature class. They stay short (hundreds of slots),
 /// each slot is several `Arc`s wide, and a write lands on slots scattered
 /// all over them, so the chunk a write copies is kept small.
 pub const SLOT_CHUNK: usize = 32;
 
 /// One group of a [`Grouping`]: the key its members share and their
-/// qids.
-#[derive(Debug, Clone)]
-pub struct Group<K> {
+/// qids, borrowed from the grouping.
+#[derive(Debug)]
+pub struct Group<'a, K> {
     /// What every member has identically (the group key).
-    pub key: K,
+    pub key: &'a K,
     /// Member qids, ascending. Built from non-tombstoned records;
     /// liveness/ACL/overrides are filtered at query time. A [`SegVec`], so
     /// a popular group's list is shared with read snapshots however long
     /// it grows.
-    pub members: SegVec<u64>,
+    pub members: &'a SegVec<u64>,
 }
+
+impl<K> Clone for Group<'_, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K> Copy for Group<'_, K> {}
 
 /// Records grouped by a key they share exactly: a fingerprint buckets
 /// them and an equality check on the key resolves collisions, so a hash
-/// collision can never merge two groups. The profile groups and the
-/// feature classes are both one.
+/// collision can never merge two groups. The tree groups, the profile
+/// groups and the feature classes are each one.
 ///
-/// Persistent: a clone is pointer copies, and adding a member to a cloned
-/// grouping copies one chunk of group headers and one member-list tail.
+/// Persistent: a clone is pointer copies. Keys and member lists sit in
+/// separate slot vectors, so adding a member to a cloned grouping copies
+/// one chunk of member-list headers and one member-list tail, and no key:
+/// only a new group writes the keys.
 #[derive(Debug, Clone)]
 pub struct Grouping<K> {
-    groups: SnapshotVec<Group<K>, SLOT_CHUNK>,
+    keys: SnapshotVec<K, SLOT_CHUNK>,
+    /// Member lists, one per key, in the same order.
+    members: SnapshotVec<SegVec<u64>, SLOT_CHUNK>,
     /// Key fingerprint → group indices (collision bucket).
     by_fp: CowMap<u64, Vec<u32>>,
+    /// Members over all groups.
+    member_count: usize,
 }
 
 impl<K> Default for Grouping<K> {
     fn default() -> Self {
         Grouping {
-            groups: SnapshotVec::default(),
+            keys: SnapshotVec::default(),
+            members: SnapshotVec::default(),
             by_fp: CowMap::default(),
+            member_count: 0,
         }
     }
 }
@@ -108,55 +134,73 @@ impl<K> Default for Grouping<K> {
 impl<K: Clone> Grouping<K> {
     /// Add `qid` to the group whose key `is_key` accepts among those
     /// fingerprinted `fp`, creating the group from `key()` on first sight.
-    fn insert(&mut self, qid: u64, fp: u64, is_key: impl Fn(&K) -> bool, key: impl FnOnce() -> K) {
+    /// Returns whether it created one.
+    ///
+    /// Members arrive in ascending qid order on every path (storage ids
+    /// are dense and a build scan, inserts and publish replay all go in
+    /// id order), so this is an append, and a group's first member stays
+    /// its smallest for good — the VP-tree's tie bounds rely on it.
+    fn insert(
+        &mut self,
+        qid: u64,
+        fp: u64,
+        is_key: impl Fn(&K) -> bool,
+        key: impl FnOnce() -> K,
+    ) -> bool {
+        self.member_count += 1;
         let bucket = self.by_fp.get(&fp).map_or(&[][..], Vec::as_slice);
         let existing = bucket
             .iter()
             .copied()
-            .find(|&gi| is_key(&self.groups[gi as usize].key));
+            .find(|&gi| is_key(&self.keys[gi as usize]));
         let Some(gi) = existing else {
             self.by_fp
                 .entry_or_default(fp)
-                .push(self.groups.len() as u32);
-            self.groups.push(Group {
-                key: key(),
-                members: [qid].into_iter().collect(),
-            });
-            return;
+                .push(self.keys.len() as u32);
+            self.keys.push(key());
+            self.members.push([qid].into_iter().collect());
+            return true;
         };
-        let members = &mut self
-            .groups
-            .get_mut(gi as usize)
-            .expect("bucket indices address groups")
-            .members;
-        // Members arrive in ascending qid order on every path (build
-        // scan, inserts, publish replay), so this is an append; a
-        // re-sort keeps the invariant unconditional.
-        match members.last() {
-            Some(&last) if last >= qid => {
-                let mut ids: Vec<u64> = members.iter().copied().collect();
-                if let Err(pos) = ids.binary_search(&qid) {
-                    ids.insert(pos, qid);
-                    *members = ids.into_iter().collect();
-                }
-            }
-            _ => members.push(qid),
-        }
+        let members = (self.members.get_mut(gi as usize)).expect("bucket indices address groups");
+        debug_assert!(members.last() < Some(&qid), "members arrive in id order");
+        members.push(qid);
+        false
     }
 
     /// Number of distinct groups.
     pub fn len(&self) -> usize {
-        self.groups.len()
+        self.keys.len()
+    }
+
+    /// Number of members over all groups.
+    pub fn member_count(&self) -> usize {
+        self.member_count
+    }
+
+    /// The group created `index`-th.
+    pub fn group(&self, index: usize) -> Group<'_, K> {
+        Group {
+            key: &self.keys[index],
+            members: &self.members[index],
+        }
     }
 
     /// Are there no groups?
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.keys.is_empty()
     }
 
     /// Iterate the groups in creation order.
-    pub fn iter(&self) -> impl Iterator<Item = &Group<K>> {
-        self.groups.iter()
+    pub fn iter(&self) -> impl Iterator<Item = Group<'_, K>> {
+        (self.keys.iter())
+            .zip(self.members.iter())
+            .map(|(key, members)| Group { key, members })
+    }
+
+    /// Pointers a `clone()` copies: one per chunk of keys and of member
+    /// lists.
+    fn chunk_count(&self) -> usize {
+        self.keys.chunk_count() + self.members.chunk_count()
     }
 }
 
@@ -202,8 +246,13 @@ impl FeatureKey {
 /// Feature classes over every indexed record.
 pub type FeatureClasses = Grouping<FeatureKey>;
 
+/// Tree groups over every indexed record that has a parse tree, keyed by
+/// its constant-stripped [`FlatTree`]: members are at one tree edit
+/// distance from any probe. Group `i` is entry `i` of the VP-tree.
+pub type TreeGroups = Grouping<Arc<FlatTree>>;
+
 /// One feature class: its id sets and member qids.
-pub type FeatureClass = Group<FeatureKey>;
+pub type FeatureClass<'a> = Group<'a, FeatureKey>;
 
 /// FNV-1a over the three id sets, each closed by its length so ids
 /// cannot shift between namespaces.
@@ -216,10 +265,10 @@ fn feature_fp(sets: [&[u32]; 3]) -> u64 {
     })
 }
 
-/// The structural index: the VP-tree, the tree-less list, the ParseTree
-/// profile-fingerprint groups and their complement, and the feature
-/// classes, over every non-tombstoned record (minus tombstones the last
-/// rebuild dropped).
+/// The structural index: the tree groups and the VP-tree over them, the
+/// tree-less list, the ParseTree profile-fingerprint groups and their
+/// complement, and the feature classes, over every non-tombstoned record
+/// (minus tombstones the last rebuild dropped).
 ///
 /// Persistent: a clone is pointer copies, and indexing one more record
 /// into a cloned index copies a root-to-leaf path of the VP-tree, one
@@ -229,7 +278,9 @@ fn feature_fp(sets: [&[u32]; 3]) -> u64 {
 pub struct StructuralIndex {
     /// Rebuilds published into this index so far (0 = grown from empty).
     pub generation: u64,
-    /// VP-tree over every indexed record with a parse tree.
+    /// Tree groups: every indexed record with a parse tree, filed by it.
+    pub trees: TreeGroups,
+    /// VP-tree with one entry per tree group, in group order.
     pub tree: VpTree,
     /// Ascending qids of indexed records without a parse tree (distance
     /// exactly 1.0 under tree metrics). Liveness filtered at query time.
@@ -248,6 +299,7 @@ impl StructuralIndex {
     fn empty() -> StructuralIndex {
         StructuralIndex {
             generation: 0,
+            trees: TreeGroups::default(),
             tree: VpTree::build(Vec::new()),
             treeless: SegVec::new(),
             groups: ProfileGroups::default(),
@@ -264,8 +316,8 @@ impl StructuralIndex {
     }
 
     /// Index one record into everything but the VP-tree and hand back
-    /// its tree entry, if it has a parse tree: a rebuild collects the
-    /// entries for one bulk [`VpTree::build`].
+    /// the VP-tree entry of its tree, if that tree is new to the index: a
+    /// rebuild collects the entries for one bulk [`VpTree::build`].
     fn add_beside_tree(&mut self, qid: u64, sig: &SimSignature) -> Option<TreeEntry> {
         let sets = sig.feature_sets();
         self.classes.insert(
@@ -279,22 +331,30 @@ impl StructuralIndex {
             },
         );
         match (sig.profile_fp, &sig.folded_select, &sig.diff_profile) {
-            (Some(fp), Some(folded), Some(profile)) => self.groups.insert(
-                qid,
-                fp,
-                |k| Arc::ptr_eq(&k.folded, folded) || k.folded == *folded,
-                || ProfileKey {
-                    folded: Arc::clone(folded),
-                    profile: Arc::clone(profile),
-                },
-            ),
+            (Some(fp), Some(folded), Some(profile)) => {
+                self.groups.insert(
+                    qid,
+                    fp,
+                    |k| Arc::ptr_eq(&k.folded, folded) || k.folded == *folded,
+                    || ProfileKey {
+                        folded: Arc::clone(folded),
+                        profile: Arc::clone(profile),
+                    },
+                );
+            }
             _ => self.ungrouped.push(qid),
         }
         let (Some(tree), Some(shape)) = (&sig.tree, &sig.tree_shape) else {
             self.treeless.push(qid);
             return None;
         };
-        Some(TreeEntry {
+        let opened = self.trees.insert(
+            qid,
+            tree.fingerprint(),
+            |k| Arc::ptr_eq(k, tree) || k == tree,
+            || Arc::clone(tree),
+        );
+        opened.then(|| TreeEntry {
             qid,
             tree: Arc::clone(tree),
             shape: Arc::clone(shape),
@@ -441,8 +501,8 @@ impl IndexRegistry {
     }
 
     /// A record was tombstoned. Dead weight accumulates in the index —
-    /// VP-tree entries *and* the tree-less / ungrouped side lists, which
-    /// probes still touch per id — until it crosses
+    /// tree-group members *and* the tree-less / ungrouped side lists,
+    /// which probes still touch per id — until it crosses
     /// [`REBUILD_DEAD_FRACTION`], which *schedules* a background rebuild;
     /// the probe path only ever reads the index as it stands.
     pub(crate) fn note_tombstone(&mut self) {
@@ -453,8 +513,9 @@ impl IndexRegistry {
     }
 
     fn dead_fraction(&self) -> f64 {
-        // `tree` + `treeless` covers every indexed record exactly once.
-        let indexed = self.index.tree.len() + self.index.treeless.len();
+        // Tree-group members + `treeless` cover every indexed record
+        // exactly once.
+        let indexed = self.index.trees.member_count() + self.index.treeless.len();
         self.dead_entries as f64 / indexed.max(1) as f64
     }
 
@@ -506,8 +567,9 @@ impl IndexRegistry {
         signatures: &SnapshotVec<Arc<SimSignature>>,
     ) -> IndexBuild {
         let mut index = StructuralIndex::empty();
-        // Bulk-build the VP-tree: median-radius pivots beat the
-        // incrementally grown ones of the tree this generation replaces.
+        // Bulk-build the VP-tree over the distinct trees: median-radius
+        // pivots beat the incrementally grown ones of the tree this
+        // generation replaces.
         let mut entries = Vec::new();
         for (record, sig) in records.iter().zip(signatures.iter()) {
             if record.validity != Validity::Deleted {
@@ -578,11 +640,12 @@ impl IndexRegistry {
         true
     }
 
-    /// Pointers a `clone()` copies: one per chunk of tree entries,
-    /// profile groups and feature classes.
+    /// Pointers a `clone()` copies: one per chunk of tree entries, tree
+    /// groups, profile groups and feature classes.
     pub fn clone_len(&self) -> usize {
         self.index.tree.clone_len()
-            + self.index.groups.groups.chunk_count()
-            + self.index.classes.groups.chunk_count()
+            + self.index.trees.chunk_count()
+            + self.index.groups.chunk_count()
+            + self.index.classes.chunk_count()
     }
 }

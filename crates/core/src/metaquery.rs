@@ -477,9 +477,9 @@ impl<'a> MetaQueryExecutor<'a> {
     /// on the ids every member carries, so bit-identical to the
     /// per-record kernel — ascending, ties by first member: the order both
     /// class sweeps visit them in.
-    fn classes_by_distance(&self, psig: &SimSignature) -> Vec<(f64, &'a FeatureClass)> {
+    fn classes_by_distance(&self, psig: &SimSignature) -> Vec<(f64, FeatureClass<'a>)> {
         let probe = psig.feature_sets();
-        let mut order: Vec<(f64, &FeatureClass)> = self
+        let mut order: Vec<(f64, FeatureClass)> = self
             .storage
             .indexes()
             .structural()
@@ -618,11 +618,14 @@ impl<'a> MetaQueryExecutor<'a> {
 
     /// TreeEdit kNN over the registry's structural index (§4.3's exact
     /// Zhang–Shasha metric, sublinear): records with a parse tree are
-    /// served from the VP-tree, tree-less records (exact distance 1.0)
-    /// from the side list, and overridden records (reindexed since they
-    /// were indexed) are re-evaluated from their live signatures. Liveness,
-    /// visibility and the self-match are filtered per query through the
-    /// accept closure. Exact: ids and scores match the brute-force scan
+    /// served from the VP-tree over their tree groups — one exact
+    /// distance per distinct tree, fanned out to up to `k` of its group's
+    /// accepted members, as the ParseTree sweep does — tree-less records
+    /// (exact distance 1.0) from the side list, and overridden records
+    /// (reindexed since they were indexed) are re-evaluated from their
+    /// live signatures. Liveness, visibility and the self-match are
+    /// filtered per member through the accept closure. Exact: ids and
+    /// scores match the brute-force scan
     /// (`vp_tree_knn_matches_brute_force`).
     fn knn_tree_edit(
         &self,
@@ -682,9 +685,10 @@ impl<'a> MetaQueryExecutor<'a> {
                 break;
             }
         }
+        let members = |group: usize| index.trees.group(group).members.iter().copied();
         for hit in index
             .tree
-            .knn(probe_tree, probe_shape, k, &mut accept, stats)
+            .knn(probe_tree, probe_shape, k, members, &mut accept, stats)
         {
             top.push(hit);
         }
@@ -1336,6 +1340,37 @@ mod tests {
         assert_eq!(ids, [3, 5, 0, 2, 4, 6], "own template first, then by id");
         let stats = &st.metric_stats().parse_tree;
         assert_eq!(stats.exact_evals.load(Ordering::Relaxed), 2);
+    }
+
+    /// Identical constant-stripped trees are one VP-tree entry: 300 logs
+    /// of one template index one tree, before and after a rebuild, and a
+    /// TreeEdit probe over them evaluates it once, fanning its score out
+    /// to the k smallest ids.
+    #[test]
+    fn identical_trees_enter_the_vp_tree_once() {
+        use std::sync::atomic::Ordering;
+        let mut st = QueryStorage::new();
+        for i in 0..300u64 {
+            let sql = format!("SELECT * FROM WaterTemp WHERE temp < {i}");
+            add(&mut st, i, 1, &sql, Visibility::Public);
+        }
+        let (dir, cfg) = (Directory::new(), CqmsConfig::default());
+        let probe = st.get(QueryId(2)).unwrap().clone();
+        for phase in ["grown", "rebuilt"] {
+            let index = st.indexes().structural();
+            assert_eq!(index.tree.len(), 1, "{phase}");
+            assert_eq!(index.trees.member_count(), 300, "{phase}");
+            let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+            st.metric_stats().tree_edit.reset();
+            let hits = mq.knn(&probe, 5, DistanceKind::TreeEdit);
+            let ids: Vec<u64> = hits.iter().map(|h| h.id.0).collect();
+            assert_eq!(ids, [0, 1, 3, 4, 5], "{phase}: the probe is no neighbour");
+            assert!(hits.iter().all(|h| h.score == 1.0), "{phase}");
+            let stats = &st.metric_stats().tree_edit;
+            assert_eq!(stats.exact_evals.load(Ordering::Relaxed), 1, "{phase}");
+            st.schedule_index_rebuild();
+            assert!(st.run_index_maintenance());
+        }
     }
 
     /// A record built like `add`'s, carrying `output` as its one-column

@@ -8,12 +8,19 @@
 //! holds), searched best-first under the *normalised* distance the kNN API
 //! returns, with per-subtree size ranges converting between the two.
 //!
-//! Every distance the tree computes — per pivot on an insert's descent,
+//! An entry is a *distinct* constant-stripped tree, not a record: the
+//! [`crate::indexreg`] tree groups file the records that share one, and
+//! a template logged a thousand times is one entry. Only a record whose
+//! tree the index does not hold yet descends the tree, so inserts — and
+//! so recovery — pay no distance for a tree already indexed, and a probe
+//! evaluates each distinct tree at most once, then pushes up to `k` of
+//! its group's accepted members (ascending ids) at that score.
+//!
+//! Every distance the tree computes — per pivot on a new tree's descent,
 //! per pivot and surviving leaf entry on a probe, per entry of a bucket
 //! being split — is [`sqlparse::ted`] over the entries' [`FlatTree`]s
 //! (flattened once per record at ingest), normalised by
-//! [`FlatTree::len`]. Inserts, and so recovery, spend most of their index
-//! maintenance in that DP.
+//! [`FlatTree::len`].
 //!
 //! Three pruning layers, all exactness-preserving (the VP-tree proptest
 //! pins ids and scores to the brute-force scan):
@@ -29,10 +36,11 @@
 //!    (`max(sizes) − Σ_label min(counts)`) and the leaf's stored
 //!    pivot-distance give two more O(|labels|)/O(1) rejections.
 //!
-//! The tree indexes every non-tombstoned record that has a parse tree —
-//! including currently flagged/obsoleted ones, which maintenance may
-//! revive — and filters liveness/visibility at query time through the
-//! caller's `accept` closure. Tombstones accumulate as dead weight; the
+//! The tree indexes the trees of every non-tombstoned record that has
+//! one — including currently flagged/obsoleted ones, which maintenance
+//! may revive — and filters liveness/visibility per member at query time
+//! through the caller's `accept` closure. Tombstones accumulate as dead
+//! weight; the
 //! [`crate::indexreg::IndexRegistry`] counts them and *schedules* a
 //! background rebuild once they exceed [`REBUILD_DEAD_FRACTION`] — the
 //! probe path itself never rebuilds.
@@ -122,13 +130,15 @@ pub struct MetricIndexStats {
     pub rebuilds_completed: AtomicU64,
 }
 
-/// One indexed record: its id, flattened constant-stripped tree and shape
-/// (both `Arc`-shared with the record's signature — index entries own no
-/// per-entry heap blocks, so building or retiring a whole generation
-/// never scatters allocations through the record heap).
+/// One indexed tree: the id of the first record filed under it, and its
+/// flattened constant-stripped form and shape (both `Arc`-shared with
+/// that record's signature — index entries own no per-entry heap blocks,
+/// so building or retiring a whole generation never scatters allocations
+/// through the record heap).
 #[derive(Debug, Clone)]
 pub struct TreeEntry {
-    /// The indexed record's id.
+    /// The smallest member id of the entry's tree group (members arrive
+    /// in ascending id order, so it is the first one).
     pub qid: u64,
     /// Cached constant-stripped parse tree, flattened.
     pub tree: Arc<FlatTree>,
@@ -144,9 +154,10 @@ struct Band {
     hi: u32,
     min_size: u32,
     max_size: u32,
-    /// Smallest qid in the subtree — lets tie plateaus prune: a subtree
-    /// whose bound only *ties* the current k-th score cannot displace it
-    /// unless it holds a smaller id (ties break by ascending id).
+    /// Smallest member id in the subtree — lets tie plateaus prune: a
+    /// subtree whose bound only *ties* the current k-th score cannot
+    /// displace it unless it holds a smaller id (ties break by ascending
+    /// id).
     min_qid: u64,
     count: u32,
 }
@@ -195,9 +206,9 @@ impl Band {
 enum Node {
     Leaf {
         /// `(entry index, TED to the parent pivot; NO_PARENT at the root)`.
-        /// A bucket of pairwise-equidistant trees never splits, so it is a
-        /// [`SegVec`]: an append after a clone copies its open tail, not
-        /// the bucket.
+        /// A bucket whose trees are all equidistant from its first one
+        /// never splits, so it is a [`SegVec`]: an append after a clone
+        /// copies its open tail, not the bucket.
         items: SegVec<(u32, u32)>,
     },
     Inner {
@@ -253,7 +264,7 @@ impl VpTree {
         }
     }
 
-    /// Number of indexed entries.
+    /// Number of indexed entries (distinct trees).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -269,7 +280,7 @@ impl VpTree {
         self.entries.chunk_count()
     }
 
-    /// Incrementally insert a new record: descend by pivot distance,
+    /// Incrementally insert a new tree: descend by pivot distance,
     /// widening every band passed, and split the target leaf when it
     /// overflows. Bands only ever widen, so every bound that held before
     /// still holds. Every node on the way down is detached from any clone
@@ -293,12 +304,14 @@ impl VpTree {
                 Node::Leaf { items } => {
                     items.push((idx, parent_dist));
                     // Re-split an overflowing bucket only at power-of-two
-                    // sizes: a bucket of pairwise-equidistant trees (e.g.
-                    // thousands of logs of one template — identical after
-                    // constant stripping) cannot split, and attempting on
-                    // every insert would cost O(bucket) TED calls each
-                    // time. Doubling amortises that to O(1) per insert
-                    // while a splittable bucket still splits promptly.
+                    // sizes. Entries are distinct trees, but distinct
+                    // trees can still all sit at one distance from the
+                    // bucket's first (sibling templates one relabel or
+                    // one extra column away from it), and such a bucket
+                    // cannot split: attempting on every insert would cost
+                    // O(bucket) TED calls each time. Doubling amortises
+                    // that to O(1) per insert while a splittable bucket
+                    // still splits promptly.
                     if items.len() > leaf_cap && items.len().is_power_of_two() {
                         let taken = items.iter().copied().collect();
                         *node = build_node(entries, taken, leaf_cap);
@@ -323,14 +336,19 @@ impl VpTree {
     }
 
     /// Exact k-nearest search under the normalised tree edit distance,
-    /// over entries passing `accept` (liveness + ACL). Results carry
-    /// `score = 1.0 − distance` and replicate the brute-force ordering
-    /// (score descending, id ascending) float for float.
-    pub fn knn(
+    /// over the members passing `accept` (liveness + ACL). `members(i)`
+    /// yields entry `i`'s member ids, ascending, the first being the
+    /// entry's `qid`. One exact distance is computed per surviving entry
+    /// with an accepted member, and up to `k` accepted members are pushed
+    /// at its score. Results carry `score = 1.0 − distance` and replicate
+    /// the brute-force ordering (score descending, id ascending) float
+    /// for float.
+    pub fn knn<I: IntoIterator<Item = u64>>(
         &self,
         probe: &FlatTree,
         probe_shape: &TreeShape,
         k: usize,
+        members: impl Fn(usize) -> I,
         mut accept: impl FnMut(u64) -> bool,
         stats: &MetricStats,
     ) -> Vec<ScoredHit> {
@@ -386,9 +404,12 @@ impl VpTree {
                 Node::Leaf { items } => {
                     for &(eidx, d_pp) in items.iter() {
                         let e = &self.entries[eidx as usize];
-                        if !accept(e.qid) {
+                        let mut accepted = members(eidx as usize)
+                            .into_iter()
+                            .filter(|&qid| accept(qid));
+                        let Some(first) = accepted.next() else {
                             continue;
-                        }
+                        };
                         let mut lb = sqlparse::normalized_tree_lower_bound(probe_shape, &e.shape);
                         if parent_dist != NO_PARENT && d_pp != NO_PARENT {
                             // Triangle via the leaf's parent pivot.
@@ -399,16 +420,13 @@ impl VpTree {
                                 e.shape.size as usize,
                             ));
                         }
-                        if !admissible(&top, lb, e.qid) {
+                        if !admissible(&top, lb, first) {
                             stats.add_hits(1);
                             continue;
                         }
                         let d = normalized_ted(probe, &e.tree);
                         stats.add_exact(1);
-                        top.push(ScoredHit {
-                            id: QueryId(e.qid),
-                            score: 1.0 - d,
-                        });
+                        push_members(&mut top, [first].into_iter().chain(accepted), 1.0 - d, k);
                     }
                 }
                 Node::Inner {
@@ -420,13 +438,11 @@ impl VpTree {
                     let p = &self.entries[*pivot as usize];
                     let d_qp = ted(probe, &p.tree) as u32;
                     stats.add_exact(1);
-                    if accept(p.qid) {
-                        let d = normalized_from_ted(d_qp as usize, sq as usize, p.tree.len());
-                        top.push(ScoredHit {
-                            id: QueryId(p.qid),
-                            score: 1.0 - d,
-                        });
-                    }
+                    let d = normalized_from_ted(d_qp as usize, sq as usize, p.tree.len());
+                    let accepted = members(*pivot as usize)
+                        .into_iter()
+                        .filter(|&qid| accept(qid));
+                    push_members(&mut top, accepted, 1.0 - d, k);
                     for side in 0..2 {
                         if bands[side].count == 0 {
                             continue;
@@ -452,6 +468,17 @@ impl VpTree {
     }
 }
 
+/// Push the first `k` of one entry's accepted members, all at `score`:
+/// they tie, so later (larger) ids cannot beat them.
+fn push_members(top: &mut TopK, accepted: impl Iterator<Item = u64>, score: f64, k: usize) {
+    for qid in accepted.take(k) {
+        top.push(ScoredHit {
+            id: QueryId(qid),
+            score,
+        });
+    }
+}
+
 /// Build a subtree from `(entry index, distance-to-parent-pivot)` pairs.
 fn build_node(entries: &SnapshotVec<TreeEntry>, items: Vec<(u32, u32)>, leaf_cap: usize) -> Node {
     let leaf = |items: Vec<(u32, u32)>| Node::Leaf {
@@ -471,9 +498,9 @@ fn build_node(entries: &SnapshotVec<TreeEntry>, items: Vec<(u32, u32)>, leaf_cap
         .collect();
     let mut sorted: Vec<u32> = dists.iter().map(|&(_, d)| d).collect();
     sorted.sort_unstable();
-    // All entries equidistant from the pivot — the common case being a
-    // popular template logged many times (identical constant-stripped
-    // trees, all at distance 0): no radius can split them, so keep one
+    // All entries equidistant from the pivot (sibling templates one edit
+    // from it; identical trees are one entry, so never distance 0 when
+    // the tree groups feed it): no radius can split them, so keep one
     // flat bucket instead of recursing one-pivot-at-a-time (which would
     // cost O(bucket²) DP calls and O(bucket) recursion depth).
     if sorted[0] == sorted[sorted.len() - 1] {
@@ -620,6 +647,11 @@ mod tests {
             .collect()
     }
 
+    /// Every entry as a one-member group.
+    fn single(vp: &VpTree) -> impl Fn(usize) -> [u64; 1] + '_ {
+        move |i| [vp.entries[i].qid]
+    }
+
     fn brute(entries: &[TreeEntry], probe: &TreeEntry, k: usize) -> Vec<ScoredHit> {
         let mut top = TopK::new(k);
         for e in entries {
@@ -672,7 +704,7 @@ mod tests {
             let stats = MetricStats::default();
             for probe in &entries {
                 for k in [1, 3, 7, 25] {
-                    let got = vp.knn(&probe.tree, &probe.shape, k, |_| true, &stats);
+                    let got = vp.knn(&probe.tree, &probe.shape, k, single(&vp), |_| true, &stats);
                     assert_eq!(
                         got,
                         brute(&entries, probe, k),
@@ -694,7 +726,7 @@ mod tests {
         let stats = MetricStats::default();
         for probe in entries.iter().step_by(7) {
             for k in [1, 5, 20] {
-                let got = vp.knn(&probe.tree, &probe.shape, k, |_| true, &stats);
+                let got = vp.knn(&probe.tree, &probe.shape, k, single(&vp), |_| true, &stats);
                 assert_eq!(got, brute(&entries, probe, k), "probe {} k {k}", probe.qid);
             }
         }
@@ -726,8 +758,43 @@ mod tests {
         let stats = MetricStats::default();
         for probe in [&entries[0], &entries[300], entries.last().unwrap()] {
             for k in [1, 5] {
-                let got = vp.knn(&probe.tree, &probe.shape, k, |_| true, &stats);
+                let got = vp.knn(&probe.tree, &probe.shape, k, single(&vp), |_| true, &stats);
                 assert_eq!(got, brute(&entries, probe, k), "probe {} k {k}", probe.qid);
+            }
+        }
+    }
+
+    /// Entries fan out to their members: each distinct tree stands for
+    /// three records, a filter hides some (first members included), and
+    /// the answers equal brute force over the records, with at most one
+    /// exact distance per entry per probe.
+    #[test]
+    fn member_fan_out_matches_brute_force() {
+        let trees = big_pool();
+        let entries: Vec<TreeEntry> = (trees.iter().enumerate())
+            .map(|(i, e)| TreeEntry {
+                qid: 3 * i as u64,
+                ..e.clone()
+            })
+            .collect();
+        let vp = VpTree::with_leaf_cap(entries.clone(), 4);
+        let members = |i: usize| [3 * i as u64, 3 * i as u64 + 1, 3 * i as u64 + 2];
+        let accept = |qid: u64| qid % 7 != 0;
+        let records: Vec<TreeEntry> = (entries.iter())
+            .flat_map(|e| {
+                (0..3).map(move |j| TreeEntry {
+                    qid: e.qid + j,
+                    ..e.clone()
+                })
+            })
+            .filter(|e| accept(e.qid))
+            .collect();
+        for probe in trees.iter().step_by(9) {
+            for k in [1, 2, 5, 8] {
+                let stats = MetricStats::default();
+                let got = vp.knn(&probe.tree, &probe.shape, k, members, accept, &stats);
+                assert_eq!(got, brute(&records, probe, k), "probe {} k {k}", probe.qid);
+                assert!(stats.exact_evals.load(Ordering::Relaxed) <= entries.len() as u64);
             }
         }
     }
@@ -743,7 +810,7 @@ mod tests {
         }
         let stats = MetricStats::default();
         for probe in entries.iter().step_by(11) {
-            let got = vp.knn(&probe.tree, &probe.shape, 4, |_| true, &stats);
+            let got = vp.knn(&probe.tree, &probe.shape, 4, single(&vp), |_| true, &stats);
             assert_eq!(got, brute(&entries, probe, 4), "probe {}", probe.qid);
         }
     }
@@ -799,8 +866,8 @@ mod tests {
         for probe in entries.iter().step_by(5) {
             for k in [1, 4, 9] {
                 let (sa, ss) = (MetricStats::default(), MetricStats::default());
-                let want = alone.knn(&probe.tree, &probe.shape, k, |_| true, &sa);
-                let got = shared.knn(&probe.tree, &probe.shape, k, |_| true, &ss);
+                let want = alone.knn(&probe.tree, &probe.shape, k, single(&alone), |_| true, &sa);
+                let got = shared.knn(&probe.tree, &probe.shape, k, single(&shared), |_| true, &ss);
                 assert_eq!(got, want, "probe {} k {k}", probe.qid);
                 assert_eq!(counters(&ss), counters(&sa), "probe {} k {k}", probe.qid);
             }
@@ -809,7 +876,7 @@ mod tests {
         for (n, snap) in held.iter().enumerate().step_by(13) {
             assert_eq!(snap.len(), n + 1);
             let probe = &entries[n / 2];
-            let got = snap.knn(&probe.tree, &probe.shape, 3, |_| true, &stats);
+            let got = snap.knn(&probe.tree, &probe.shape, 3, single(&snap), |_| true, &stats);
             assert_eq!(got, brute(&entries[..=n], probe, 3), "clone {n}");
         }
     }
@@ -821,14 +888,14 @@ mod tests {
         let stats = MetricStats::default();
         let probe = &entries[0];
         // Filter to even qids only (tombstone/ACL stand-in).
-        let got = vp.knn(&probe.tree, &probe.shape, 3, |q| q % 2 == 0, &stats);
+        let got = vp.knn(&probe.tree, &probe.shape, 3, single(&vp), |q| q % 2 == 0, &stats);
         let even: Vec<TreeEntry> = entries.iter().filter(|e| e.qid % 2 == 0).cloned().collect();
         assert_eq!(got, brute(&even, probe, 3));
 
         let empty = VpTree::build(Vec::new());
         assert!(empty.is_empty());
         assert!(empty
-            .knn(&probe.tree, &probe.shape, 3, |_| true, &stats)
+            .knn(&probe.tree, &probe.shape, 3, single(&empty), |_| true, &stats)
             .is_empty());
     }
 }

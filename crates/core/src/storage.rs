@@ -1558,16 +1558,23 @@ mod tests {
         // Fresh store: generation 0, every insert already indexed.
         assert_eq!(s.index_generation(), 0);
         assert!(!s.index_rebuild_pending());
-        assert_eq!(s.indexes().structural().tree.len(), 3);
+        // Records 0 and 1 share one constant-stripped tree: one VP-tree
+        // entry, one tree group of two members.
+        let trees = |s: &QueryStorage| {
+            let index = s.indexes().structural();
+            assert_eq!(index.tree.len(), index.trees.len());
+            (index.trees.len(), index.trees.member_count())
+        };
+        assert_eq!(trees(&s), (2, 3));
         // One rebuild publishes generation 1 over the same records.
         s.schedule_index_rebuild();
         assert!(s.run_index_maintenance());
         assert_eq!(s.index_generation(), 1);
-        assert_eq!(s.indexes().structural().tree.len(), 3);
+        assert_eq!(trees(&s), (2, 3));
         assert!(s.indexes().structural().groups.len() >= 2);
         // An insert grows the rebuilt tree — there is no second one.
         s.insert(record(3, 1, 60, "SELECT * FROM Lakes", 2));
-        assert_eq!(s.indexes().structural().tree.len(), 4);
+        assert_eq!(trees(&s), (3, 4));
         assert_eq!(s.index_generation(), 1);
         // Flagging is query-time filtering only — no index change.
         s.set_validity(
@@ -1589,7 +1596,7 @@ mod tests {
         assert!(s.run_index_maintenance());
         assert_eq!(s.index_generation(), 2);
         assert!(!s.indexes().overridden(1));
-        assert_eq!(s.indexes().structural().tree.len(), 4);
+        assert_eq!(trees(&s), (3, 4));
         // Tombstones only *schedule* past the 25% threshold.
         s.delete(QueryId(0)).unwrap();
         assert!(!s.index_rebuild_pending()); // 1/4 ≤ threshold
@@ -1598,7 +1605,7 @@ mod tests {
         assert_eq!(s.index_generation(), 2, "rebuild deferred to the epoch");
         assert!(s.run_index_maintenance());
         assert_eq!(s.index_generation(), 3);
-        assert_eq!(s.indexes().structural().tree.len(), 2);
+        assert_eq!(trees(&s), (2, 2));
         assert_eq!(
             s.metric_stats().rebuilds_completed.load(Ordering::Relaxed),
             3

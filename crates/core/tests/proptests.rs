@@ -182,11 +182,39 @@ fn live_classes(st: &QueryStorage) -> BTreeMap<[Vec<u32>; 3], Vec<u64>> {
 /// tree) and optional output summaries, which together exercise every
 /// pruning branch (posting candidates, emptiness patterns, output blend).
 fn knn_record_strategy(id: u64) -> impl Strategy<Value = QueryRecord> {
-    (
+    knn_record_of(
+        id,
         prop_oneof![
             4 => sql_strategy(),
             1 => Just("not really sql at all".to_string()),
         ],
+    )
+}
+
+/// SQL drawn mostly from three templates with varying constants, so
+/// constant-stripped trees repeat and the tree groups have several
+/// members; two of the templates are one relabel apart.
+fn grouped_sql_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        4 => (0usize..3, -9i64..9).prop_map(|(t, c)| match t {
+            0 => format!("SELECT * FROM WaterTemp WHERE temp < {c}"),
+            1 => format!("SELECT * FROM WaterTemp WHERE month < {c}"),
+            _ => format!("SELECT lake FROM Lakes WHERE area > {c} ORDER BY lake"),
+        }),
+        2 => sql_strategy(),
+        1 => Just("not really sql at all".to_string()),
+    ]
+}
+
+/// A [`knn_record_strategy`] record over [`grouped_sql_strategy`].
+fn grouped_record_strategy(id: u64) -> impl Strategy<Value = QueryRecord> {
+    knn_record_of(id, grouped_sql_strategy())
+}
+
+/// A kNN test record with SQL from `sql`.
+fn knn_record_of(id: u64, sql: impl Strategy<Value = String>) -> impl Strategy<Value = QueryRecord> {
+    (
+        sql,
         0u32..4,
         0u64..100_000,
         prop_oneof![
@@ -475,26 +503,31 @@ proptest! {
     }
 
     /// VP-tree TreeEdit kNN returns exactly the brute-force top-k — ids
-    /// and scores — through the index's whole coherence lifecycle: lazy
-    /// build over a store with tombstones, query-time filtering of
-    /// flagged records and ACLs, revival of repaired records, incremental
-    /// inserts into the already-built tree, and further tombstoning
-    /// (possibly crossing the rebuild threshold). Statement-less records
-    /// (distance exactly 1.0, outside the index) are covered by the
-    /// generator.
+    /// and scores — through the index's whole coherence lifecycle, over
+    /// records drawn mostly from a few templates, so the VP-tree's
+    /// entries are tree groups of several members: lazy build over a
+    /// store with tombstones, query-time filtering of flagged records and
+    /// ACLs, revival of repaired records, a group's first member
+    /// tombstoned, flagged or made private, a member rewritten through
+    /// `reindex` (an override), incremental inserts into the
+    /// already-built tree, a rebuild, and further tombstoning (possibly
+    /// crossing the rebuild threshold). Statement-less records (distance
+    /// exactly 1.0, outside the index) are covered by the generator.
     #[test]
     fn vp_tree_knn_matches_brute_force(
         records in proptest::collection::vec(0u64..1, 2..16).prop_flat_map(|seeds| {
-            (0..seeds.len() as u64).map(knn_record_strategy).collect::<Vec<_>>()
+            (0..seeds.len() as u64).map(grouped_record_strategy).collect::<Vec<_>>()
         }),
         extra in proptest::collection::vec(0u64..1, 1..5).prop_flat_map(|seeds| {
-            (100..100 + seeds.len() as u64).map(knn_record_strategy).collect::<Vec<_>>()
+            (100..100 + seeds.len() as u64).map(grouped_record_strategy).collect::<Vec<_>>()
         }),
-        del_seeds in proptest::collection::vec(any::<bool>(), 16),
+        del_seeds in proptest::collection::vec(0u8..4, 16),
         flag_seeds in proptest::collection::vec(any::<bool>(), 16),
+        first_seeds in proptest::collection::vec(0u8..4, 8),
+        rewrite in grouped_sql_strategy(),
         late_del_seeds in proptest::collection::vec(any::<bool>(), 16),
         probe_sql in prop_oneof![
-            4 => sql_strategy(),
+            4 => grouped_sql_strategy(),
             1 => Just("word salad, no features".to_string()),
         ],
         viewer in 0u32..4,
@@ -507,7 +540,7 @@ proptest! {
         }
         let n = st.len();
         for (i, del) in del_seeds.iter().take(n).enumerate() {
-            if *del {
+            if *del == 0 {
                 st.delete(QueryId(i as u64)).unwrap();
             }
         }
@@ -522,6 +555,8 @@ proptest! {
             SessionId(u64::MAX), Visibility::Private,
         );
         let check = |st: &QueryStorage, phase: &str| -> Result<(), TestCaseError> {
+            let index = st.indexes().structural();
+            prop_assert_eq!(index.tree.len(), index.trees.len(), "one entry per tree group");
             let mq = MetaQueryExecutor::new(st, &dir, &cfg, viewer);
             let got = mq.knn(&probe, k, DistanceKind::TreeEdit);
             let want = brute_knn(st, &dir, &cfg, viewer, &probe, DistanceKind::TreeEdit, k);
@@ -550,13 +585,45 @@ proptest! {
             }
         }
         check(&st, "repaired")?;
-        // Phase 4: incremental inserts into the already-built tree.
+        // Phase 4: the first (smallest) member of each tree group that
+        // has others is tombstoned, flagged, made private or left alone.
+        let groups: Vec<Vec<u64>> = (st.indexes().structural().trees.iter())
+            .map(|g| g.members.iter().copied().collect())
+            .collect();
+        for (g, members) in groups.iter().filter(|m| m.len() > 1).enumerate() {
+            let first = QueryId(members[0]);
+            if st.get(first).unwrap().validity == Validity::Deleted {
+                continue;
+            }
+            match first_seeds[g % first_seeds.len()] {
+                0 => st.delete(first).unwrap(),
+                1 => st.set_validity(first, Validity::Flagged { reason: "drift".into(), at: 3 }).unwrap(),
+                2 => st.set_visibility(first, Visibility::Private).unwrap(),
+                _ => {}
+            }
+        }
+        check(&st, "first members")?;
+        // Phase 5: a member of the largest group is rewritten in place:
+        // masked in its group, evaluated from its live signature.
+        let pick = groups.iter().max_by_key(|m| m.len()).map_or(0, |m| m[m.len() - 1]);
+        let r = st.get_mut(QueryId(pick)).unwrap();
+        r.raw_sql = rewrite.clone();
+        r.derive(sqlparse::parse(&rewrite).ok(), None);
+        st.reindex(QueryId(pick)).unwrap();
+        prop_assert!(st.indexes().overridden(pick));
+        check(&st, "reindexed")?;
+        // Phase 6: incremental inserts into the already-built tree.
         for (i, mut r) in extra.into_iter().enumerate() {
             r.id = QueryId((n + i) as u64);
             st.insert(r);
         }
         check(&st, "inserted")?;
-        // Phase 5: more tombstones — may cross the rebuild threshold.
+        // Phase 7: a rebuild over distinct trees retires the override.
+        st.schedule_index_rebuild();
+        prop_assert!(st.run_index_maintenance());
+        prop_assert_eq!(st.indexes().override_count(), 0);
+        check(&st, "rebuilt")?;
+        // Phase 8: more tombstones — may cross the rebuild threshold.
         let total = st.len();
         for (i, del) in late_del_seeds.iter().take(total).enumerate() {
             if *del {

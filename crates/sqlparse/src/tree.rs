@@ -3,9 +3,11 @@
 //! §4.3 of the CQMS paper proposes "parse tree similarity, perhaps after
 //! removing the constants from the tree" as a query distance; this module
 //! is that metric's kernel. It is on the hot path: the Query Storage's
-//! VP-tree pays one distance per pivot on every insert — a live ingest, a
-//! replayed WAL frame, a loaded snapshot record — and a TreeEdit kNN read
-//! pays one per pivot and per surviving leaf entry.
+//! VP-tree pays one distance per pivot on every insert of a tree it does
+//! not yet hold — a live ingest, a replayed WAL frame, a loaded snapshot
+//! record — and a TreeEdit kNN read pays one per pivot and per surviving
+//! leaf entry. [`FlatTree::fingerprint`] is how the index finds a tree it
+//! already holds without computing any distance.
 //!
 //! So a tree is flattened **once** into a [`FlatTree`] (postorder labels
 //! as caller-interned `u32` ids, leftmost-leaf indices, keyroots found in
@@ -16,7 +18,7 @@
 //! form: they flatten both trees against one local label map.
 
 use crate::ast::*;
-use crate::fingerprint::fnv1a;
+use crate::fingerprint::{fnv1a, fnv1a_extend};
 use crate::printer::expr_to_sql;
 use std::collections::HashMap;
 
@@ -233,6 +235,17 @@ impl FlatTree {
     #[allow(clippy::len_without_is_empty)] // a flattened tree always has its root
     pub fn len(&self) -> usize {
         self.labels.len()
+    }
+
+    /// FNV-1a over the postorder labels and leftmost-leaf indices, which
+    /// determine the tree (the keyroots are derived from them): equal
+    /// trees flattened against one label map fingerprint equally. A
+    /// bucketing key only — unequal trees may collide.
+    pub fn fingerprint(&self) -> u64 {
+        self.labels
+            .iter()
+            .chain(&self.leftmost)
+            .fold(fnv1a(b"flat-tree"), |h, v| fnv1a_extend(h, &v.to_le_bytes()))
     }
 }
 
@@ -485,6 +498,24 @@ mod tests {
         let a = tree("SELECT * FROM t WHERE x IN (SELECT y FROM u)");
         let b = tree("SELECT * FROM t WHERE x IN (SELECT y FROM v)");
         assert_eq!(tree_edit_distance(&a, &b), 1);
+    }
+
+    #[test]
+    fn equal_flat_trees_fingerprint_equally() {
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut flat = |sql: &str| {
+            FlatTree::of(&tree(sql), &mut |label| {
+                let next = ids.len() as u32;
+                *ids.entry(label.to_owned()).or_insert(next)
+            })
+        };
+        let a = flat("SELECT * FROM t WHERE x < 1");
+        let b = flat("SELECT * FROM t WHERE x < 1");
+        assert_eq!(a, b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        // A relabel and an added node each move it.
+        assert_ne!(flat("SELECT * FROM t WHERE x < 2").fingerprint(), a.fingerprint());
+        assert_ne!(flat("SELECT * FROM t WHERE x < 1 LIMIT 1").fingerprint(), a.fingerprint());
     }
 
     #[test]
