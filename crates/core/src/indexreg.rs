@@ -73,10 +73,12 @@ use sqlparse::{FlatTree, SelectProfile, SelectStatement};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Chunk size of the registry's slot vectors — one slot per tree group,
-/// profile group or feature class. They stay short (hundreds of slots),
-/// each slot is several `Arc`s wide, and a write lands on slots scattered
-/// all over them, so the chunk a write copies is kept small.
+/// Chunk size of the registry's member-list vectors — one slot per tree
+/// group, profile group or feature class. They stay short (hundreds of
+/// slots), each slot is several `Arc`s wide, and a write lands on slots
+/// scattered all over them, so the chunk a write copies is kept small.
+/// The keys beside them only grow at the end, so they take the default
+/// chunk.
 pub const SLOT_CHUNK: usize = 32;
 
 /// One group of a [`Grouping`]: the key its members share and their
@@ -106,12 +108,13 @@ impl<K> Copy for Group<'_, K> {}
 /// groups and the feature classes are each one.
 ///
 /// Persistent: a clone is pointer copies. Keys and member lists sit in
-/// separate slot vectors, so adding a member to a cloned grouping copies
-/// one chunk of member-list headers and one member-list tail, and no key:
-/// only a new group writes the keys.
+/// separate vectors, so adding a member to a cloned grouping copies one
+/// chunk of member-list headers and one member-list tail, and no key:
+/// only a new group appends a key. Keys are cheap to clone (`Arc`s), as
+/// that append copies the last chunk of them.
 #[derive(Debug, Clone)]
 pub struct Grouping<K> {
-    keys: SnapshotVec<K, SLOT_CHUNK>,
+    keys: SnapshotVec<K>,
     /// Member lists, one per key, in the same order.
     members: SnapshotVec<SegVec<u64>, SLOT_CHUNK>,
     /// Key fingerprint → group indices (collision bucket).
@@ -244,7 +247,7 @@ impl FeatureKey {
 }
 
 /// Feature classes over every indexed record.
-pub type FeatureClasses = Grouping<FeatureKey>;
+pub type FeatureClasses = Grouping<Arc<FeatureKey>>;
 
 /// Tree groups over every indexed record that has a parse tree, keyed by
 /// its constant-stripped [`FlatTree`]: members are at one tree edit
@@ -252,7 +255,7 @@ pub type FeatureClasses = Grouping<FeatureKey>;
 pub type TreeGroups = Grouping<Arc<FlatTree>>;
 
 /// One feature class: its id sets and member qids.
-pub type FeatureClass<'a> = Group<'a, FeatureKey>;
+pub type FeatureClass<'a> = Group<'a, Arc<FeatureKey>>;
 
 /// FNV-1a over the three id sets, each closed by its length so ids
 /// cannot shift between namespaces.
@@ -324,10 +327,12 @@ impl StructuralIndex {
             qid,
             feature_fp(sets),
             |k| k.sets() == sets,
-            || FeatureKey {
-                tables: sig.tables.clone(),
-                attributes: sig.attributes.clone(),
-                predicates: sig.predicates.clone(),
+            || {
+                Arc::new(FeatureKey {
+                    tables: sig.tables.clone(),
+                    attributes: sig.attributes.clone(),
+                    predicates: sig.predicates.clone(),
+                })
             },
         );
         match (sig.profile_fp, &sig.folded_select, &sig.diff_profile) {

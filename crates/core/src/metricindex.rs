@@ -40,10 +40,9 @@
 //! one — including currently flagged/obsoleted ones, which maintenance
 //! may revive — and filters liveness/visibility per member at query time
 //! through the caller's `accept` closure. Tombstones accumulate as dead
-//! weight; the
-//! [`crate::indexreg::IndexRegistry`] counts them and *schedules* a
-//! background rebuild once they exceed [`REBUILD_DEAD_FRACTION`] — the
-//! probe path itself never rebuilds.
+//! weight; the [`crate::indexreg::IndexRegistry`] counts them and
+//! *schedules* a background rebuild once they exceed
+//! [`REBUILD_DEAD_FRACTION`] — the probe path itself never rebuilds.
 //!
 //! The tree is *persistent*: children hang off `Arc`s, entries live in a
 //! chunked [`SnapshotVec`] and leaf buckets in [`SegVec`]s, so `clone()` is

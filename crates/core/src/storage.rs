@@ -1365,7 +1365,7 @@ mod tests {
         classes
             .iter()
             .filter(|c| c.members.iter().any(|&q| q == qid))
-            .map(|c| c.key.clone())
+            .map(|c| (**c.key).clone())
             .collect()
     }
 
