@@ -7,8 +7,7 @@
 //! tree groups and the VP-tree over them, the tree-less list, the
 //! ParseTree profile-fingerprint groups and their complement, and the
 //! feature classes, over every non-tombstoned record. Every structure in
-//! it is
-//! *persistent* (path-copying VP-tree, `cqms_cow` containers), so
+//! it is *persistent* (path-copying VP-tree, `cqms_cow` containers), so
 //!
 //! * an insert indexes the record directly — it is visible to probes the
 //!   moment the insert returns, whether the index was bulk-built by the
@@ -157,14 +156,15 @@ impl<K: Clone> Grouping<K> {
             .copied()
             .find(|&gi| is_key(&self.keys[gi as usize]));
         let Some(gi) = existing else {
-            self.by_fp
-                .entry_or_default(fp)
-                .push(self.keys.len() as u32);
+            self.by_fp.entry_or_default(fp).push(self.keys.len() as u32);
             self.keys.push(key());
             self.members.push([qid].into_iter().collect());
             return true;
         };
-        let members = (self.members.get_mut(gi as usize)).expect("bucket indices address groups");
+        let members = self
+            .members
+            .get_mut(gi as usize)
+            .expect("bucket indices address groups");
         debug_assert!(members.last() < Some(&qid), "members arrive in id order");
         members.push(qid);
         false

@@ -778,7 +778,7 @@ mod tests {
             .collect();
         let vp = VpTree::with_leaf_cap(entries.clone(), 4);
         let members = |i: usize| [3 * i as u64, 3 * i as u64 + 1, 3 * i as u64 + 2];
-        let accept = |qid: u64| qid % 7 != 0;
+        let accept = |qid: u64| !qid.is_multiple_of(7);
         let records: Vec<TreeEntry> = (entries.iter())
             .flat_map(|e| {
                 (0..3).map(move |j| TreeEntry {
@@ -875,7 +875,7 @@ mod tests {
         for (n, snap) in held.iter().enumerate().step_by(13) {
             assert_eq!(snap.len(), n + 1);
             let probe = &entries[n / 2];
-            let got = snap.knn(&probe.tree, &probe.shape, 3, single(&snap), |_| true, &stats);
+            let got = snap.knn(&probe.tree, &probe.shape, 3, single(snap), |_| true, &stats);
             assert_eq!(got, brute(&entries[..=n], probe, 3), "clone {n}");
         }
     }
@@ -887,14 +887,28 @@ mod tests {
         let stats = MetricStats::default();
         let probe = &entries[0];
         // Filter to even qids only (tombstone/ACL stand-in).
-        let got = vp.knn(&probe.tree, &probe.shape, 3, single(&vp), |q| q % 2 == 0, &stats);
+        let got = vp.knn(
+            &probe.tree,
+            &probe.shape,
+            3,
+            single(&vp),
+            |q| q % 2 == 0,
+            &stats,
+        );
         let even: Vec<TreeEntry> = entries.iter().filter(|e| e.qid % 2 == 0).cloned().collect();
         assert_eq!(got, brute(&even, probe, 3));
 
         let empty = VpTree::build(Vec::new());
         assert!(empty.is_empty());
         assert!(empty
-            .knn(&probe.tree, &probe.shape, 3, single(&empty), |_| true, &stats)
+            .knn(
+                &probe.tree,
+                &probe.shape,
+                3,
+                single(&empty),
+                |_| true,
+                &stats
+            )
             .is_empty());
     }
 }

@@ -212,7 +212,10 @@ fn grouped_record_strategy(id: u64) -> impl Strategy<Value = QueryRecord> {
 }
 
 /// A kNN test record with SQL from `sql`.
-fn knn_record_of(id: u64, sql: impl Strategy<Value = String>) -> impl Strategy<Value = QueryRecord> {
+fn knn_record_of(
+    id: u64,
+    sql: impl Strategy<Value = String>,
+) -> impl Strategy<Value = QueryRecord> {
     (
         sql,
         0u32..4,

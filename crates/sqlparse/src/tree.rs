@@ -245,7 +245,9 @@ impl FlatTree {
         self.labels
             .iter()
             .chain(&self.leftmost)
-            .fold(fnv1a(b"flat-tree"), |h, v| fnv1a_extend(h, &v.to_le_bytes()))
+            .fold(fnv1a(b"flat-tree"), |h, v| {
+                fnv1a_extend(h, &v.to_le_bytes())
+            })
     }
 }
 
@@ -514,8 +516,14 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.fingerprint(), b.fingerprint());
         // A relabel and an added node each move it.
-        assert_ne!(flat("SELECT * FROM t WHERE x < 2").fingerprint(), a.fingerprint());
-        assert_ne!(flat("SELECT * FROM t WHERE x < 1 LIMIT 1").fingerprint(), a.fingerprint());
+        assert_ne!(
+            flat("SELECT * FROM t WHERE x < 2").fingerprint(),
+            a.fingerprint()
+        );
+        assert_ne!(
+            flat("SELECT * FROM t WHERE x < 1 LIMIT 1").fingerprint(),
+            a.fingerprint()
+        );
     }
 
     #[test]
