@@ -10,6 +10,7 @@
 //! assembles into `relstore` tables to run SQL against.
 
 use crate::model::{QueryRecord, SessionId};
+use cqms_cow::CowSet;
 use relstore::{Catalog, Row, Value};
 use sqlparse::ast::*;
 use sqlparse::printer::expr_to_sql;
@@ -464,6 +465,37 @@ fn text_cell(row: &Row, cell: usize) -> &Arc<str> {
     }
 }
 
+/// The distinct table, attribute and operator names of a store's feature
+/// rows, each held once: [`FeatureRows::of`] fills those cells with
+/// these `Arc`s, so a name costs one allocation per store however many
+/// rows carry it. It only grows, and stays bounded by the schemas the
+/// log has queried. Persistent ([`CowSet`]), so a storage clone shares it
+/// by pointer.
+#[derive(Debug, Clone, Default)]
+pub struct Vocabulary(CowSet<Arc<str>>);
+
+impl Vocabulary {
+    /// The one shared copy of `s`, added on first sight.
+    pub fn share(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get_by(s) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// Number of distinct names held.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Is it empty?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// One logged query's rows in the feature relations, indexed like
 /// [`FEATURE_RELATIONS`]. Rows sit behind `Arc`, so showing them to a SQL
 /// meta-query copies pointers, never cells.
@@ -471,27 +503,30 @@ fn text_cell(row: &Row, cell: usize) -> &Arc<str> {
 pub struct FeatureRows([Vec<Arc<Row>>; 5]);
 
 impl FeatureRows {
-    /// Build the rows of `record`.
-    pub fn of(record: &QueryRecord) -> FeatureRows {
+    /// Build the rows of `record`. Every relName, attrName and op cell is
+    /// `vocabulary`'s one shared copy of its string; `qText` and the
+    /// predicate constants are the record's own.
+    pub fn of(record: &QueryRecord, vocabulary: &mut Vocabulary) -> FeatureRows {
         let qid = || Value::Int(record.id.0 as i64);
         let text = |s: &str| Value::from(s);
         let f = &record.features;
         let row = |cells: Vec<Value>| Arc::new(cells);
+        let mut word = |s: &str| Value::Text(vocabulary.share(s));
         FeatureRows([
             vec![row(vec![qid(), text(&record.raw_sql)])],
-            f.tables.iter().map(|t| row(vec![qid(), text(t)])).collect(),
+            f.tables.iter().map(|t| row(vec![qid(), word(t)])).collect(),
             f.attributes
                 .iter()
-                .map(|(t, a)| row(vec![qid(), text(a), text(t)]))
+                .map(|(t, a)| row(vec![qid(), word(a), word(t)]))
                 .collect(),
             f.predicates
                 .iter()
                 .map(|p| {
                     row(vec![
                         qid(),
-                        text(&p.column),
-                        text(&p.table),
-                        text(&p.op),
+                        word(&p.column),
+                        word(&p.table),
+                        word(&p.op),
                         text(&p.constant),
                     ])
                 })
@@ -659,7 +694,8 @@ mod tests {
             SessionId(7),
             crate::model::Visibility::Public,
         );
-        let rows = FeatureRows::of(&record);
+        let mut vocabulary = Vocabulary::default();
+        let rows = FeatureRows::of(&record, &mut vocabulary);
         let rendered = |i: usize| -> Vec<Vec<String>> {
             rows.relation(i)
                 .iter()
@@ -688,5 +724,14 @@ mod tests {
         assert_eq!(moved.relation(4)[0][3], Value::Int(9));
         assert_eq!(rows.relation(4)[0][3], Value::Int(7));
         assert!(Arc::ptr_eq(&moved.relation(0)[0], &rows.relation(0)[0]));
+        // Names are shared through the vocabulary; the constant is not.
+        assert_eq!(vocabulary.len(), 3, "watersalinity, salinity, >");
+        let again = FeatureRows::of(&record, &mut vocabulary);
+        assert_eq!(vocabulary.len(), 3);
+        let [t, a, op, c] = again.predicates().next().unwrap();
+        let [t0, a0, op0, c0] = rows.predicates().next().unwrap();
+        assert!(Arc::ptr_eq(t, t0) && Arc::ptr_eq(a, a0) && Arc::ptr_eq(op, op0));
+        assert!(!Arc::ptr_eq(c, c0));
+        assert!(Arc::ptr_eq(again.tables().next().unwrap(), t0));
     }
 }

@@ -150,12 +150,7 @@ impl<K: Clone> Grouping<K> {
         key: impl FnOnce() -> K,
     ) -> bool {
         self.member_count += 1;
-        let bucket = self.by_fp.get(&fp).map_or(&[][..], Vec::as_slice);
-        let existing = bucket
-            .iter()
-            .copied()
-            .find(|&gi| is_key(&self.keys[gi as usize]));
-        let Some(gi) = existing else {
+        let Some(gi) = self.find(fp, is_key) else {
             self.by_fp.entry_or_default(fp).push(self.keys.len() as u32);
             self.keys.push(key());
             self.members.push([qid].into_iter().collect());
@@ -163,11 +158,21 @@ impl<K: Clone> Grouping<K> {
         };
         let members = self
             .members
-            .get_mut(gi as usize)
+            .get_mut(gi)
             .expect("bucket indices address groups");
         debug_assert!(members.last() < Some(&qid), "members arrive in id order");
         members.push(qid);
         false
+    }
+
+    /// The index of the group whose key `is_key` accepts among those
+    /// fingerprinted `fp`.
+    fn find(&self, fp: u64, is_key: impl Fn(&K) -> bool) -> Option<usize> {
+        let bucket = self.by_fp.get(&fp).map_or(&[][..], Vec::as_slice);
+        bucket
+            .iter()
+            .map(|&gi| gi as usize)
+            .find(|&gi| is_key(&self.keys[gi]))
     }
 
     /// Number of distinct groups.
@@ -308,6 +313,29 @@ impl StructuralIndex {
             groups: ProfileGroups::default(),
             ungrouped: SegVec::new(),
             classes: FeatureClasses::default(),
+        }
+    }
+
+    /// Point a new record's signature at the copies its groups already
+    /// hold: the tree group's `FlatTree` and its VP-tree entry's
+    /// `TreeShape`, the profile group's folded SELECT and its profile.
+    /// Each is equal to the signature's own, so no answer moves; the
+    /// record just stops keeping a second copy. A record whose tree or
+    /// folded SELECT is new to the index keeps its own, and its group
+    /// will hold those.
+    fn adopt(&self, sig: &mut SimSignature) {
+        if let (Some(fp), Some(folded)) = (sig.profile_fp, &sig.folded_select) {
+            if let Some(gi) = self.groups.find(fp, |k| k.folded == *folded) {
+                let key = self.groups.group(gi).key;
+                sig.folded_select = Some(Arc::clone(&key.folded));
+                sig.diff_profile = Some(Arc::clone(&key.profile));
+            }
+        }
+        if let Some(tree) = &sig.tree {
+            if let Some(gi) = self.trees.find(tree.fingerprint(), |k| k == tree) {
+                sig.tree = Some(Arc::clone(self.trees.group(gi).key));
+                sig.tree_shape = Some(Arc::clone(&self.tree.entry(gi).shape));
+            }
         }
     }
 
@@ -500,8 +528,10 @@ impl IndexRegistry {
     // Write-path hooks (called by the Query Storage)
     // ------------------------------------------------------------------
 
-    /// A non-tombstoned record was inserted: index it.
-    pub(crate) fn note_insert(&mut self, record: &QueryRecord, sig: &SimSignature) {
+    /// A non-tombstoned record is being inserted: point its signature at
+    /// the tree and folded SELECT its groups already hold, then index it.
+    pub(crate) fn note_insert(&mut self, record: &QueryRecord, sig: &mut SimSignature) {
+        self.index.adopt(sig);
         self.index.add(record.id.0, sig);
     }
 

@@ -1393,7 +1393,7 @@ mod tests {
         if let Some(v) = output {
             r.summary = OutputSummary::Full {
                 columns: vec!["c".into()],
-                rows: vec![vec![v.into()]],
+                rows: [[v]].into_iter().collect(),
             };
         }
         r

@@ -273,6 +273,12 @@ impl VpTree {
         self.entries.is_empty()
     }
 
+    /// The entry inserted `index`-th (entries are never removed; a
+    /// rebuild builds a new tree).
+    pub fn entry(&self, index: usize) -> &TreeEntry {
+        &self.entries[index]
+    }
+
     /// Pointers a `clone()` copies (one per chunk of entries; the node
     /// tree is one more).
     pub fn clone_len(&self) -> usize {

@@ -80,8 +80,11 @@ pub struct RuntimeFeatures {
     pub error: Option<String>,
 }
 
-/// Semantic output summary (§4.1 "Profiling query results"). Cell values are
-/// stored in rendered form; query-by-data matches against them.
+/// Semantic output summary (§4.1 "Profiling query results"): the whole
+/// output when it is small relative to the query's cost, otherwise a
+/// reservoir sample of it. Cell values are stored in rendered form, as
+/// one [`Cells`] block per summary; query-by-data and output distance
+/// read them. Summaries are never persisted: a reopened store has none.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OutputSummary {
     /// Not captured (profiling depth below `Full`, or failed execution).
@@ -91,14 +94,14 @@ pub enum OutputSummary {
         /// Output column names.
         columns: Vec<String>,
         /// Every output row, cells rendered as text.
-        rows: Vec<Vec<String>>,
+        rows: Cells,
     },
     /// A reservoir sample of a larger output.
     Sample {
         /// Output column names.
         columns: Vec<String>,
         /// The sampled rows, cells rendered as text.
-        rows: Vec<Vec<String>>,
+        rows: Cells,
         /// Cardinality of the full output the sample was drawn from.
         total_rows: u64,
     },
@@ -118,6 +121,165 @@ impl OutputSummary {
         };
         rows.iter()
             .any(|r| r.iter().any(|c| c.eq_ignore_ascii_case(needle)))
+    }
+}
+
+/// Rows of text cells in one block: every cell's text back to back in
+/// one `Box<str>`, the end offset of each cell, and the end (in cells)
+/// of each row. A summary's rows cost three allocations however many
+/// rows and cells it holds, where a `Vec<Vec<String>>` costs one per
+/// cell and one per row.
+///
+/// Read it like the nested vectors it replaces: [`Cells::iter`] yields
+/// one [`CellRow`] per row, and a row's [`CellRow::iter`] yields its
+/// cells as `&str`. Collect nested iterables of strings into one
+/// ([`FromIterator`]), or push cells as they are rendered
+/// ([`Cells::builder`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Cells {
+    text: Box<str>,
+    /// Byte offset in `text` where each cell ends; a cell starts where
+    /// the one before it ends.
+    cell_ends: Box<[u32]>,
+    /// Index in `cell_ends` one past each row's last cell.
+    row_ends: Box<[u32]>,
+}
+
+impl Cells {
+    /// An empty builder.
+    pub fn builder() -> CellsBuilder {
+        CellsBuilder::default()
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.row_ends.len()
+    }
+
+    /// Are there no rows?
+    pub fn is_empty(&self) -> bool {
+        self.row_ends.is_empty()
+    }
+
+    /// The rows, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = CellRow<'_>> + '_ {
+        (0..self.row_ends.len()).map(move |r| CellRow {
+            cells: self,
+            first: self.row_end(r.wrapping_sub(1)),
+            end: self.row_end(r),
+        })
+    }
+
+    /// Every cell, row after row.
+    pub fn cells(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.cell_ends.len()).map(move |c| self.cell(c))
+    }
+
+    /// Where row `r` ends in `cell_ends` (0 for `r = usize::MAX`, the row
+    /// before the first).
+    fn row_end(&self, r: usize) -> usize {
+        self.row_ends.get(r).map_or(0, |&e| e as usize)
+    }
+
+    /// The text of cell `c`, counted over all rows.
+    fn cell(&self, c: usize) -> &str {
+        let start = c.checked_sub(1).map_or(0, |p| self.cell_ends[p] as usize);
+        &self.text[start..self.cell_ends[c] as usize]
+    }
+}
+
+impl<R> FromIterator<R> for Cells
+where
+    R: IntoIterator,
+    R::Item: AsRef<str>,
+{
+    fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Cells {
+        let mut b = Cells::builder();
+        for row in rows {
+            for cell in row {
+                b.text().push_str(cell.as_ref());
+                b.end_cell();
+            }
+            b.end_row();
+        }
+        b.finish()
+    }
+}
+
+/// One row of a [`Cells`] block.
+#[derive(Debug, Clone, Copy)]
+pub struct CellRow<'a> {
+    cells: &'a Cells,
+    /// The row's cells are `first..end`, counted over all rows.
+    first: usize,
+    end: usize,
+}
+
+impl<'a> CellRow<'a> {
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.end - self.first
+    }
+
+    /// Is the row empty?
+    pub fn is_empty(&self) -> bool {
+        self.first == self.end
+    }
+
+    /// The cells, in column order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
+        let cells = self.cells;
+        (self.first..self.end).map(move |c| cells.cell(c))
+    }
+
+    /// The cells joined by `sep`, as `[String]::join` would join them.
+    pub fn join(&self, sep: &str) -> String {
+        let mut out = String::new();
+        for (i, cell) in self.iter().enumerate() {
+            if i > 0 {
+                out.push_str(sep);
+            }
+            out.push_str(cell);
+        }
+        out
+    }
+}
+
+/// Builds a [`Cells`] block one cell at a time: write a cell's text
+/// into [`CellsBuilder::text`], close it with
+/// [`CellsBuilder::end_cell`], and close each row with
+/// [`CellsBuilder::end_row`].
+#[derive(Debug, Default)]
+pub struct CellsBuilder {
+    text: String,
+    cell_ends: Vec<u32>,
+    row_ends: Vec<u32>,
+}
+
+impl CellsBuilder {
+    /// The text buffer the open cell is written to.
+    pub fn text(&mut self) -> &mut String {
+        &mut self.text
+    }
+
+    /// Close the open cell: the text written since the last close.
+    pub fn end_cell(&mut self) {
+        let end = u32::try_from(self.text.len()).expect("a summary's text fits in 4 GiB");
+        self.cell_ends.push(end);
+    }
+
+    /// Close the open row: the cells closed since the last row.
+    pub fn end_row(&mut self) {
+        self.row_ends.push(self.cell_ends.len() as u32);
+    }
+
+    /// The finished block, each part allocated at its exact size.
+    pub fn finish(self) -> Cells {
+        Cells {
+            text: self.text.into_boxed_str(),
+            cell_ends: self.cell_ends.into_boxed_slice(),
+            row_ends: self.row_ends.into_boxed_slice(),
+        }
     }
 }
 
@@ -308,11 +470,28 @@ mod tests {
     fn summary_containment() {
         let s = OutputSummary::Full {
             columns: vec!["lake".into()],
-            rows: vec![vec!["Lake Washington".into()], vec!["Green Lake".into()]],
+            rows: [["Lake Washington"], ["Green Lake"]].into_iter().collect(),
         };
         assert!(s.contains_value("lake washington"));
         assert!(!s.contains_value("Lake Union"));
         assert!(s.is_exhaustive());
         assert!(!OutputSummary::None.contains_value("x"));
+    }
+
+    #[test]
+    fn cells_read_back_like_the_nested_rows() {
+        let nested: Vec<Vec<&str>> = vec![vec!["a", "", "ccc"], vec![], vec!["", "é"], vec!["x"]];
+        let cells: Cells = nested.iter().collect();
+        assert_eq!(cells.len(), nested.len());
+        let back: Vec<Vec<&str>> = cells.iter().map(|r| r.iter().collect()).collect();
+        assert_eq!(back, nested);
+        for (row, want) in cells.iter().zip(&nested) {
+            assert_eq!(row.join("\u{1}"), want.join("\u{1}"));
+            assert_eq!(row.len(), want.len());
+        }
+        let flat: Vec<&str> = nested.iter().flatten().copied().collect();
+        assert_eq!(cells.cells().collect::<Vec<_>>(), flat);
+        assert!(Cells::default().is_empty());
+        assert_eq!(cells, nested.iter().collect::<Cells>());
     }
 }

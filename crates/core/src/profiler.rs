@@ -13,7 +13,8 @@ use crate::features::{self, SyntacticFeatures};
 use crate::model::*;
 use crate::storage::{make_record, QueryStorage};
 use relstore::stats::Reservoir;
-use relstore::{Engine, QueryResult, Value};
+use relstore::{Engine, QueryResult, Row, Value};
+use std::fmt::Write as _;
 
 /// Outcome of profiling one statement.
 #[derive(Debug)]
@@ -201,11 +202,7 @@ pub(crate) fn summarize_output(config: &CqmsConfig, r: &QueryResult) -> OutputSu
     if (r.rows.len() as u64) <= budget {
         OutputSummary::Full {
             columns,
-            rows: r
-                .rows
-                .iter()
-                .map(|row| row.iter().map(Value::render).collect())
-                .collect(),
+            rows: render_rows(r.rows.iter()),
         }
     } else {
         // Reservoir-sample row *indices* to avoid cloning the whole result
@@ -216,17 +213,28 @@ pub(crate) fn summarize_output(config: &CqmsConfig, r: &QueryResult) -> OutputSu
         }
         OutputSummary::Sample {
             columns,
-            rows: res
-                .into_items()
-                .iter()
-                .map(|idx| {
-                    let i = idx[0].as_i64().unwrap() as usize;
-                    r.rows[i].iter().map(Value::render).collect()
-                })
-                .collect(),
+            rows: render_rows(
+                res.into_items()
+                    .iter()
+                    .map(|idx| &r.rows[idx[0].as_i64().unwrap() as usize]),
+            ),
             total_rows: r.rows.len() as u64,
         }
     }
+}
+
+/// Render `rows` straight into one cell block, each cell as
+/// [`Value::render`] spells it.
+fn render_rows<'a>(rows: impl Iterator<Item = &'a Row>) -> Cells {
+    let mut cells = Cells::builder();
+    for row in rows {
+        for value in row {
+            write!(cells.text(), "{value}").expect("writing to a String cannot fail");
+            cells.end_cell();
+        }
+        cells.end_row();
+    }
+    cells.finish()
 }
 
 #[cfg(test)]

@@ -444,7 +444,7 @@ mod tests {
         let mut r = rec(0, "SELECT lake FROM WaterTemp");
         r.summary = OutputSummary::Full {
             columns: vec!["lake".into()],
-            rows: vec![vec!["Lake Washington".into()], vec!["Green Lake".into()]],
+            rows: [["Lake Washington"], ["Green Lake"]].into_iter().collect(),
         };
         let s = SimSignature::build(&r, &mut i);
         assert!(s.may_contain_cell("lake washington"));

@@ -309,10 +309,7 @@ mod tests {
     fn with_summary(mut r: QueryRecord, rows: Vec<Vec<&str>>) -> QueryRecord {
         r.summary = OutputSummary::Full {
             columns: vec!["c".into()],
-            rows: rows
-                .into_iter()
-                .map(|r| r.into_iter().map(String::from).collect())
-                .collect(),
+            rows: rows.into_iter().collect(),
         };
         r
     }

@@ -24,7 +24,7 @@
 //! space by the shard layer.
 
 use crate::error::CqmsError;
-use crate::features::{FeatureRows, SyntacticFeatures};
+use crate::features::{FeatureRows, SyntacticFeatures, Vocabulary};
 use crate::indexreg::{IndexBuild, IndexRegistry, OVERRIDE_PUBLISH_THRESHOLD};
 use crate::metricindex::MetricIndexStats;
 use crate::model::*;
@@ -68,6 +68,9 @@ pub struct QueryStorage {
     next_session: u64,
     /// Feature-key interner backing the similarity signatures.
     interner: FeatureInterner,
+    /// The table, attribute and operator names every feature row's cells
+    /// share (one `Arc<str>` per distinct name).
+    vocabulary: Vocabulary,
     /// Per-record similarity signatures, parallel to `records`.
     signatures: SnapshotVec<Arc<SimSignature>>,
     /// All derived index state — the structural index (VP-tree,
@@ -112,6 +115,7 @@ impl Clone for QueryStorage {
             last_by_user: self.last_by_user.clone(),
             next_session: self.next_session,
             interner: self.interner.clone(),
+            vocabulary: self.vocabulary.clone(),
             signatures: self.signatures.clone(),
             indexes: self.indexes.clone(),
             live: self.live,
@@ -142,6 +146,7 @@ impl QueryStorage {
             last_by_user: CowMap::new(),
             next_session: 0,
             interner: FeatureInterner::new(),
+            vocabulary: Vocabulary::default(),
             signatures: SnapshotVec::new(),
             indexes: IndexRegistry::new(),
             live: 0,
@@ -221,7 +226,7 @@ impl QueryStorage {
         if record.session.0 >= self.next_session {
             self.next_session = record.session.0 + 1;
         }
-        let sig = SimSignature::build(&record, &mut self.interner);
+        let mut sig = SimSignature::build(&record, &mut self.interner);
         let live = record.is_live();
         if live {
             self.live += 1;
@@ -232,15 +237,15 @@ impl QueryStorage {
         // snapshot-restored record entering with its final validity ends
         // up where set_validity/delete would have left it.
         if !tombstoned {
-            self.indexes.note_insert(&record, &sig);
+            self.indexes.note_insert(&record, &mut sig);
         }
         if self.wal.is_some() {
             let op = WalOp::Insert(Box::new(InsertFrame::of(&record)));
             self.wal_log(op);
         }
         self.signatures.push(Arc::new(sig));
-        self.feature_rows
-            .push((!tombstoned).then(|| Arc::new(FeatureRows::of(&record))));
+        let rows = (!tombstoned).then(|| Arc::new(FeatureRows::of(&record, &mut self.vocabulary)));
+        self.feature_rows.push(rows);
         self.records.push(Arc::new(record));
         if live {
             self.count_completion(id, true);
@@ -529,9 +534,16 @@ impl QueryStorage {
     /// re-evaluate this record from its fresh signature) and schedules a
     /// background rebuild into the next miner epoch.
     pub fn reindex(&mut self, id: QueryId) -> Result<(), CqmsError> {
+        self.get(id)?;
         let (sql, rows, live) = {
-            let r = self.get(id)?;
-            (r.raw_sql.clone(), Arc::new(FeatureRows::of(r)), r.is_live())
+            let QueryStorage {
+                records,
+                vocabulary,
+                ..
+            } = &mut *self;
+            let r = records.get(id.0 as usize).expect("validated by get above");
+            let rows = Arc::new(FeatureRows::of(r, vocabulary));
+            (r.raw_sql.clone(), rows, r.is_live())
         };
         self.text.add(id.0, &sql);
         self.trigram.add(id.0, &sql);
@@ -1623,7 +1635,7 @@ mod tests {
             QueryId(0),
             OutputSummary::Full {
                 columns: vec!["lake".into()],
-                rows: vec![vec!["Lake Washington".into()]],
+                rows: [["Lake Washington"]].into_iter().collect(),
             },
         )
         .unwrap();

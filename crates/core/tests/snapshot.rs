@@ -588,10 +588,11 @@ fn feature_sql_does_not_wait_for_the_store_lock() {
 }
 
 /// A publish copies what the write touched, never the index head: with a
-/// snapshot held after *every* write, the first record's parse tree is
-/// referenced by its signature and once per copy of the head entry chunk
-/// it sits in — copies that stop once a later chunk takes the appends —
-/// not once per held snapshot.
+/// snapshot held after *every* write, the first record's signature is
+/// referenced once per copy of the head chunk it sits in — copies that
+/// stop once a later chunk takes the appends — not once per held
+/// snapshot. Its parse tree is the one every record of its template
+/// shares.
 #[test]
 fn held_snapshots_share_the_index_head() {
     let mut c = Cqms::new(engine(), CqmsConfig::default());
@@ -603,17 +604,23 @@ fn held_snapshots_share_the_index_head() {
         c.run_query_at(u, &sql, 1_000 + i * 30).expect("write");
         held.push(c.capture_snapshot(i));
     }
-    let first = held[0]
-        .storage()
-        .signature(QueryId(0))
-        .and_then(|sig| sig.tree.as_ref())
-        .expect("record 0 parsed");
+    let first = &held[0].storage().signatures()[0];
     assert!(
         Arc::strong_count(first) <= cqms_cow::CHUNK + 3,
         "{} references for {} held snapshots",
         Arc::strong_count(first),
         held.len()
     );
+    // The 250 records of record 0's template hold one tree.
+    let last = held.last().expect("held snapshots").storage();
+    let tree = first.tree.as_ref().expect("record 0 parsed");
+    for id in (0..1_000).step_by(4) {
+        let sig = last.signature(QueryId(id)).expect("logged");
+        assert!(
+            Arc::ptr_eq(sig.tree.as_ref().expect("parsed"), tree),
+            "record {id}"
+        );
+    }
     // Feature rows likewise: a held snapshot shares record 0's through its
     // slot, and nothing copies the rows themselves.
     let rows = held[0].storage().feature_rows()[0]

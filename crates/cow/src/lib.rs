@@ -394,11 +394,21 @@ impl<K: Eq + Hash + Clone, V: Clone> CowMap<K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
+        self.get_key_value_by(key).map(|(_, v)| v)
+    }
+
+    /// Look up by a borrowed form of the key, returning the stored key
+    /// with its value (so a caller can share the stored key).
+    pub fn get_key_value_by<Q>(&self, key: &Q) -> Option<(&K, &V)>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         self.lookup(self.hasher.hash_one(key), key)
     }
 
-    /// [`CowMap::get_by`] with the key's hash in hand.
-    fn lookup<Q>(&self, hash: u64, key: &Q) -> Option<&V>
+    /// [`CowMap::get_key_value_by`] with the key's hash in hand.
+    fn lookup<Q>(&self, hash: u64, key: &Q) -> Option<(&K, &V)>
     where
         K: Borrow<Q>,
         Q: Eq + ?Sized,
@@ -411,7 +421,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CowMap<K, V> {
                     return entries
                         .iter()
                         .find(|e| e.hash == hash && e.key.borrow() == key)
-                        .map(|e| &e.value);
+                        .map(|e| (&e.key, &e.value));
                 }
                 Node::Branch { bitmap, children } => {
                     let bit = 1u32 << slot(hash, depth);
@@ -640,6 +650,15 @@ impl<T: Eq + Hash + Clone> CowSet<T> {
     /// Is `value` a member?
     pub fn contains(&self, value: &T) -> bool {
         self.inner.contains_key(value)
+    }
+
+    /// The stored member equal to `value`, looked up by a borrowed form.
+    pub fn get_by<Q>(&self, value: &Q) -> Option<&T>
+    where
+        T: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.inner.get_key_value_by(value).map(|(k, _)| k)
     }
 
     /// Iterate members (order unspecified).

@@ -137,13 +137,7 @@ impl Value {
     /// Render as the engine's textual form (used by CSV export and the CQMS
     /// output summaries). NULL renders as the empty marker `NULL`.
     pub fn render(&self) -> String {
-        match self {
-            Value::Null => "NULL".to_string(),
-            Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => format!("{f}"),
-            Value::Text(s) => s.to_string(),
-        }
+        self.to_string()
     }
 
     /// Does this value conform to (or is coercible into) the column type?
@@ -170,7 +164,13 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
+        match self {
+            Value::Null => f.write_str("NULL"),
+            Value::Bool(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write!(f, "{x}"),
+            Value::Text(s) => f.write_str(s),
+        }
     }
 }
 
