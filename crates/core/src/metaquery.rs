@@ -784,7 +784,6 @@ impl<'a> MetaQueryExecutor<'a> {
             // One exact diff for the whole template.
             let d = sqlparse::diff::edit_distance_normalized_folded(probe_folded, &g.key.folded);
             stats.add_exact(1);
-            stats.add_hits(g.members.len() as u64 - 1);
             // Members tie at the same score, ascending ids: only the
             // first k accepted can matter.
             let mut pushed = 0usize;
@@ -1371,6 +1370,29 @@ mod tests {
             st.schedule_index_rebuild();
             assert!(st.run_index_maintenance());
         }
+    }
+
+    /// Members that share a group's one exact diff are not bound hits: a
+    /// ParseTree probe over 300 logs of one statement records one exact
+    /// evaluation and no hits, as the TreeEdit sweep counts its groups.
+    #[test]
+    fn a_shared_exact_diff_is_no_bound_hit() {
+        use std::sync::atomic::Ordering;
+        let sql = "SELECT * FROM WaterTemp WHERE temp < 18";
+        let mut st = QueryStorage::new();
+        for i in 0..300u64 {
+            add(&mut st, i, 1, sql, Visibility::Public);
+        }
+        assert_eq!(st.indexes().structural().groups.len(), 1);
+        let (dir, cfg) = (Directory::new(), CqmsConfig::default());
+        let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
+        let probe = st.get(QueryId(2)).unwrap().clone();
+        st.metric_stats().parse_tree.reset();
+        let hits = mq.knn(&probe, 5, DistanceKind::ParseTree);
+        assert_eq!(hits.len(), 5);
+        let stats = &st.metric_stats().parse_tree;
+        assert_eq!(stats.exact_evals.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.bound_hits.load(Ordering::Relaxed), 0);
     }
 
     /// A record built like `add`'s, carrying `output` as its one-column
