@@ -59,6 +59,27 @@ pub struct InvertedIndex {
     live: usize,
 }
 
+/// Each distinct term of `tokens` with its number of occurrences, in term
+/// order. Sorts `tokens` in place, so equal terms are counted as runs and
+/// none is cloned.
+pub(crate) fn term_frequencies(tokens: &mut [String]) -> impl Iterator<Item = (&str, u32)> {
+    tokens.sort_unstable();
+    tokens
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0].as_str(), run.len() as u32))
+}
+
+/// [`term_frequencies`] as it was counted before, in a hashed map of
+/// cloned terms: the reference the property test holds it to.
+#[cfg(test)]
+pub(crate) fn reference_term_frequencies(tokens: &[String]) -> HashMap<String, u32> {
+    let mut tf: HashMap<String, u32> = HashMap::new();
+    for t in tokens {
+        *tf.entry(t.clone()).or_insert(0) += 1;
+    }
+    tf
+}
+
 impl InvertedIndex {
     pub fn new() -> Self {
         InvertedIndex::default()
@@ -90,15 +111,12 @@ impl InvertedIndex {
         if !prev.is_some_and(|p| p.live) {
             self.live += 1;
         }
-        let tokens = tokenize(text);
-        let mut tf: HashMap<String, u32> = HashMap::new();
-        for t in &tokens {
-            *tf.entry(t.clone()).or_insert(0) += 1;
-        }
-        for (term, f) in tf {
+        let mut tokens = tokenize(text);
+        let len = tokens.len();
+        for (term, f) in term_frequencies(&mut tokens) {
             let posting = Posting { doc, tf: f, gen };
             // Allocate the shared key only for a term not seen before.
-            match self.postings.get_mut_by(term.as_str()) {
+            match self.postings.get_mut_by(term) {
                 Some(posts) => posts.push(posting),
                 None => self
                     .postings
@@ -108,7 +126,7 @@ impl InvertedIndex {
         }
         *self.docs.entry_or_default(doc as usize) = Some(DocInfo {
             gen,
-            len: tokens.len().max(1) as u32,
+            len: len.max(1) as u32,
             live: true,
         });
     }

@@ -10,8 +10,63 @@
 //!   components **and** keeps the whole identifier as a token,
 //! * keeps numbers as tokens.
 
-/// Tokenize `text` into lowercase terms.
+/// Tokenize `text` into lowercase terms. ASCII text, which is nearly
+/// all SQL, takes a byte path that allocates only the terms it returns;
+/// other text goes character by character.
 pub fn tokenize(text: &str) -> Vec<String> {
+    if !text.is_ascii() {
+        return tokenize_chars(text);
+    }
+    let mut out = Vec::new();
+    for raw in text.split(|c: char| !c.is_ascii_alphanumeric() && c != '_') {
+        if raw.is_empty() {
+            continue;
+        }
+        let mut parts = 0;
+        ascii_parts(raw.as_bytes(), |_| parts += 1);
+        if parts > 1 {
+            ascii_parts(raw.as_bytes(), |part| {
+                out.push(raw[part].to_ascii_lowercase())
+            });
+        }
+        out.push(raw.to_ascii_lowercase());
+    }
+    out
+}
+
+/// [`split_identifier`]'s boundaries over an ASCII identifier: calls
+/// `part` with the byte range of each component, in order.
+fn ascii_parts(s: &[u8], mut part: impl FnMut(std::ops::Range<usize>)) {
+    // The open component is `start..i`; it is empty when `start == i`.
+    let mut start = 0;
+    for (i, &c) in s.iter().enumerate() {
+        if c == b'_' {
+            if start < i {
+                part(start..i);
+            }
+            start = i + 1;
+            continue;
+        }
+        if start < i && c.is_ascii_uppercase() {
+            let prev = s[i - 1];
+            let next_lower = s.get(i + 1).is_some_and(u8::is_ascii_lowercase);
+            if prev.is_ascii_lowercase()
+                || prev.is_ascii_digit()
+                || (prev.is_ascii_uppercase() && next_lower)
+            {
+                part(start..i);
+                start = i;
+            }
+        }
+    }
+    if start < s.len() {
+        part(start..s.len());
+    }
+}
+
+/// Tokenize any text character by character (the path non-ASCII text
+/// takes, and the reference the ASCII path is tested against).
+pub(crate) fn tokenize_chars(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     for raw in text.split(|c: char| !c.is_alphanumeric() && c != '_') {
         if raw.is_empty() {

@@ -41,7 +41,37 @@ pub struct TrigramIndex {
 }
 
 /// The distinct byte trigrams of an already-lowercased text, sorted.
-fn trigrams(lower: &str) -> Vec<[u8; 3]> {
+/// Each gram is packed big-endian into the low bytes of a `u32`, which
+/// sorts exactly as the byte triple does, so the sort and dedup run on
+/// plain integers.
+pub(crate) fn trigrams(lower: &str) -> Vec<[u8; 3]> {
+    let bytes = lower.as_bytes();
+    let Some(head) = bytes.get(..2) else {
+        return Vec::new();
+    };
+    let mut gram = u32::from(head[0]) << 8 | u32::from(head[1]);
+    let mut packed: Vec<u32> = bytes[2..]
+        .iter()
+        .map(|&b| {
+            gram = (gram << 8 | u32::from(b)) & 0x00ff_ffff;
+            gram
+        })
+        .collect();
+    packed.sort_unstable();
+    packed.dedup();
+    packed
+        .into_iter()
+        .map(|g| {
+            let [_, a, b, c] = g.to_be_bytes();
+            [a, b, c]
+        })
+        .collect()
+}
+
+/// [`trigrams`] as it was written before the packed kernel: the
+/// reference the property test holds it to.
+#[cfg(test)]
+pub(crate) fn reference_trigrams(lower: &str) -> Vec<[u8; 3]> {
     let mut out: Vec<[u8; 3]> = lower
         .as_bytes()
         .windows(3)
