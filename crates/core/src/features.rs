@@ -484,16 +484,6 @@ impl Vocabulary {
         self.0.insert(Arc::clone(&shared));
         shared
     }
-
-    /// Number of distinct names held.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Is it empty?
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
 }
 
 /// One logged query's rows in the feature relations, indexed like
@@ -725,9 +715,7 @@ mod tests {
         assert_eq!(rows.relation(4)[0][3], Value::Int(7));
         assert!(Arc::ptr_eq(&moved.relation(0)[0], &rows.relation(0)[0]));
         // Names are shared through the vocabulary; the constant is not.
-        assert_eq!(vocabulary.len(), 3, "watersalinity, salinity, >");
         let again = FeatureRows::of(&record, &mut vocabulary);
-        assert_eq!(vocabulary.len(), 3);
         let [t, a, op, c] = again.predicates().next().unwrap();
         let [t0, a0, op0, c0] = rows.predicates().next().unwrap();
         assert!(Arc::ptr_eq(t, t0) && Arc::ptr_eq(a, a0) && Arc::ptr_eq(op, op0));

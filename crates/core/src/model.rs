@@ -162,28 +162,26 @@ impl Cells {
     }
 
     /// The rows, in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = CellRow<'_>> + '_ {
-        (0..self.row_ends.len()).map(move |r| CellRow {
-            cells: self,
-            first: self.row_end(r.wrapping_sub(1)),
-            end: self.row_end(r),
+    pub fn iter(&self) -> impl Iterator<Item = CellRow<'_>> + '_ {
+        let mut first = 0;
+        self.row_ends.iter().map(move |&end| {
+            let row = CellRow {
+                cells: self,
+                first,
+                end: end as usize,
+            };
+            first = end as usize;
+            row
         })
-    }
-
-    /// Every cell, row after row.
-    pub fn cells(&self) -> impl Iterator<Item = &str> + '_ {
-        (0..self.cell_ends.len()).map(move |c| self.cell(c))
-    }
-
-    /// Where row `r` ends in `cell_ends` (0 for `r = usize::MAX`, the row
-    /// before the first).
-    fn row_end(&self, r: usize) -> usize {
-        self.row_ends.get(r).map_or(0, |&e| e as usize)
     }
 
     /// The text of cell `c`, counted over all rows.
     fn cell(&self, c: usize) -> &str {
-        let start = c.checked_sub(1).map_or(0, |p| self.cell_ends[p] as usize);
+        let start = if c == 0 {
+            0
+        } else {
+            self.cell_ends[c - 1] as usize
+        };
         &self.text[start..self.cell_ends[c] as usize]
     }
 }
@@ -216,16 +214,6 @@ pub struct CellRow<'a> {
 }
 
 impl<'a> CellRow<'a> {
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.end - self.first
-    }
-
-    /// Is the row empty?
-    pub fn is_empty(&self) -> bool {
-        self.first == self.end
-    }
-
     /// The cells, in column order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a str> + 'a {
         let cells = self.cells;
@@ -270,7 +258,8 @@ impl CellsBuilder {
 
     /// Close the open row: the cells closed since the last row.
     pub fn end_row(&mut self) {
-        self.row_ends.push(self.cell_ends.len() as u32);
+        let end = u32::try_from(self.cell_ends.len()).expect("a summary has under 2³² cells");
+        self.row_ends.push(end);
     }
 
     /// The finished block, each part allocated at its exact size.
@@ -487,10 +476,7 @@ mod tests {
         assert_eq!(back, nested);
         for (row, want) in cells.iter().zip(&nested) {
             assert_eq!(row.join("\u{1}"), want.join("\u{1}"));
-            assert_eq!(row.len(), want.len());
         }
-        let flat: Vec<&str> = nested.iter().flatten().copied().collect();
-        assert_eq!(cells.cells().collect::<Vec<_>>(), flat);
         assert!(Cells::default().is_empty());
         assert_eq!(cells, nested.iter().collect::<Cells>());
     }

@@ -216,7 +216,7 @@ pub(crate) fn summarize_output(config: &CqmsConfig, r: &QueryResult) -> OutputSu
             rows: render_rows(
                 res.into_items()
                     .iter()
-                    .map(|idx| &r.rows[idx[0].as_i64().unwrap() as usize]),
+                    .map(|idx| &r.rows[idx[0].as_i64().expect("sampled a row index") as usize]),
             ),
             total_rows: r.rows.len() as u64,
         }

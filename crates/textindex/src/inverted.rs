@@ -69,17 +69,6 @@ pub(crate) fn term_frequencies(tokens: &mut [String]) -> impl Iterator<Item = (&
         .map(|run| (run[0].as_str(), run.len() as u32))
 }
 
-/// [`term_frequencies`] as it was counted before, in a hashed map of
-/// cloned terms: the reference the property test holds it to.
-#[cfg(test)]
-pub(crate) fn reference_term_frequencies(tokens: &[String]) -> HashMap<String, u32> {
-    let mut tf: HashMap<String, u32> = HashMap::new();
-    for t in tokens {
-        *tf.entry(t.clone()).or_insert(0) += 1;
-    }
-    tf
-}
-
 impl InvertedIndex {
     pub fn new() -> Self {
         InvertedIndex::default()
@@ -247,6 +236,17 @@ fn top_k(scores: HashMap<u64, f64>, k: usize) -> Vec<SearchHit> {
         }
     }
     out
+}
+
+/// [`term_frequencies`] as it was counted before, in a hashed map of
+/// cloned terms: the reference the property test holds it to.
+#[cfg(test)]
+pub(crate) fn reference_term_frequencies(tokens: &[String]) -> HashMap<String, u32> {
+    let mut tf: HashMap<String, u32> = HashMap::new();
+    for t in tokens {
+        *tf.entry(t.clone()).or_insert(0) += 1;
+    }
+    tf
 }
 
 #[cfg(test)]

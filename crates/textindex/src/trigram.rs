@@ -68,20 +68,6 @@ pub(crate) fn trigrams(lower: &str) -> Vec<[u8; 3]> {
         .collect()
 }
 
-/// [`trigrams`] as it was written before the packed kernel: the
-/// reference the property test holds it to.
-#[cfg(test)]
-pub(crate) fn reference_trigrams(lower: &str) -> Vec<[u8; 3]> {
-    let mut out: Vec<[u8; 3]> = lower
-        .as_bytes()
-        .windows(3)
-        .map(|w| [w[0], w[1], w[2]])
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
 impl TrigramIndex {
     pub fn new() -> Self {
         TrigramIndex::default()
@@ -168,6 +154,20 @@ impl TrigramIndex {
     pub fn clone_len(&self) -> usize {
         self.docs.chunk_count()
     }
+}
+
+/// [`trigrams`] as it was written before the packed kernel: the
+/// reference the property test holds it to.
+#[cfg(test)]
+pub(crate) fn reference_trigrams(lower: &str) -> Vec<[u8; 3]> {
+    let mut out: Vec<[u8; 3]> = lower
+        .as_bytes()
+        .windows(3)
+        .map(|w| [w[0], w[1], w[2]])
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 #[cfg(test)]
