@@ -123,6 +123,9 @@ pub struct SimSignature {
     /// Constant-stripped parse tree flattened for [`sqlparse::ted`], its
     /// node labels interned as `n:{label}` keys (None when the SQL failed
     /// to parse — such records are maximally far under tree metrics).
+    /// A stored signature whose tree already had a tree group holds that
+    /// group's copy, as it does the group's `tree_shape` and the profile
+    /// group's `folded_select` and `diff_profile` (adopted at insert).
     pub tree: Option<Arc<FlatTree>>,
     /// Size + node-label histogram of `tree` (present iff `tree` is):
     /// feeds the Zhang–Shasha lower bound that rejects a pair before the
