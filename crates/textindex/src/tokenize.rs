@@ -10,63 +10,67 @@
 //!   components **and** keeps the whole identifier as a token,
 //! * keeps numbers as tokens.
 
-/// Tokenize `text` into lowercase terms. ASCII text, which is nearly
-/// all SQL, takes a byte path that allocates only the terms it returns;
-/// other text goes character by character.
+use std::ops::Range;
+
+/// Tokenize `text` into lowercase terms.
 pub fn tokenize(text: &str) -> Vec<String> {
-    if !text.is_ascii() {
-        return tokenize_chars(text);
-    }
     let mut out = Vec::new();
-    for raw in text.split(|c: char| !c.is_ascii_alphanumeric() && c != '_') {
+    let mut parts = Vec::new();
+    for raw in text.split(|c: char| !c.is_alphanumeric() && c != '_') {
         if raw.is_empty() {
             continue;
         }
-        let mut parts = 0;
-        ascii_parts(raw.as_bytes(), |_| parts += 1);
-        if parts > 1 {
-            ascii_parts(raw.as_bytes(), |part| {
-                out.push(raw[part].to_ascii_lowercase())
-            });
+        parts.clear();
+        identifier_parts(raw, &mut parts);
+        if parts.len() > 1 {
+            // Components lowercase char by char: `str::to_lowercase`
+            // would read a component-final `Σ` as `ς`.
+            out.extend(parts.iter().map(|p| {
+                raw[p.clone()]
+                    .chars()
+                    .flat_map(char::to_lowercase)
+                    .collect()
+            }));
         }
-        out.push(raw.to_ascii_lowercase());
+        out.push(raw.to_lowercase());
     }
     out
 }
 
-/// [`split_identifier`]'s boundaries over an ASCII identifier: calls
-/// `part` with the byte range of each component, in order.
-fn ascii_parts(s: &[u8], mut part: impl FnMut(std::ops::Range<usize>)) {
+/// Split an identifier on `_` boundaries and lower↔upper transitions,
+/// pushing each component's byte range onto `parts`.
+/// `WaterSalinity` → `Water`, `Salinity`; `loc_x` → `loc`, `x`.
+fn identifier_parts(s: &str, parts: &mut Vec<Range<usize>>) {
     // The open component is `start..i`; it is empty when `start == i`.
     let mut start = 0;
-    for (i, &c) in s.iter().enumerate() {
-        if c == b'_' {
+    let mut prev = '_';
+    let mut chars = s.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        if c == '_' {
             if start < i {
-                part(start..i);
+                parts.push(start..i);
             }
             start = i + 1;
-            continue;
-        }
-        if start < i && c.is_ascii_uppercase() {
-            let prev = s[i - 1];
-            let next_lower = s.get(i + 1).is_some_and(u8::is_ascii_lowercase);
-            if prev.is_ascii_lowercase()
-                || prev.is_ascii_digit()
-                || (prev.is_ascii_uppercase() && next_lower)
-            {
-                part(start..i);
+        } else if start < i && c.is_uppercase() {
+            // CamelCase boundary: lowercase/digit followed by uppercase, or
+            // uppercase followed by uppercase+lowercase (`SQLQuery` → sql query).
+            let next_lower = chars.peek().is_some_and(|&(_, n)| n.is_lowercase());
+            if prev.is_lowercase() || prev.is_numeric() || (prev.is_uppercase() && next_lower) {
+                parts.push(start..i);
                 start = i;
             }
         }
+        prev = c;
     }
     if start < s.len() {
-        part(start..s.len());
+        parts.push(start..s.len());
     }
 }
 
-/// Tokenize any text character by character (the path non-ASCII text
-/// takes, and the reference the ASCII path is tested against).
-pub(crate) fn tokenize_chars(text: &str) -> Vec<String> {
+/// The tokenizer as first written, one `String` per component built
+/// char by char; [`tokenize`] is tested against it.
+#[cfg(test)]
+pub(crate) fn reference_tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::new();
     for raw in text.split(|c: char| !c.is_alphanumeric() && c != '_') {
         if raw.is_empty() {
@@ -86,6 +90,7 @@ pub(crate) fn tokenize_chars(text: &str) -> Vec<String> {
 
 /// Split an identifier on `_` boundaries and lower↔upper transitions.
 /// `WaterSalinity` → `["water", "salinity"]`; `loc_x` → `["loc", "x"]`.
+#[cfg(test)]
 fn split_identifier(s: &str) -> Vec<String> {
     let mut parts: Vec<String> = Vec::new();
     let mut cur = String::new();
