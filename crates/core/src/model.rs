@@ -125,10 +125,11 @@ impl OutputSummary {
 }
 
 /// Rows of text cells in one block: every cell's text back to back in
-/// one `Box<str>`, the end offset of each cell, and the end (in cells)
-/// of each row. A summary's rows cost three allocations however many
-/// rows and cells it holds, where a `Vec<Vec<String>>` costs one per
-/// cell and one per row.
+/// one `Box<str>` and the end offset of each cell. Every row has the
+/// same number of cells (a summary's column count), so rows need no
+/// offsets of their own. A summary's rows cost two allocations however
+/// many rows and cells it holds, where a `Vec<Vec<String>>` costs one
+/// per cell and one per row.
 ///
 /// Read it like the nested vectors it replaces: [`Cells::iter`] yields
 /// one [`CellRow`] per row, and a row's [`CellRow::iter`] yields its
@@ -141,8 +142,10 @@ pub struct Cells {
     /// Byte offset in `text` where each cell ends; a cell starts where
     /// the one before it ends.
     cell_ends: Box<[u32]>,
-    /// Index in `cell_ends` one past each row's last cell.
-    row_ends: Box<[u32]>,
+    /// Cells per row.
+    width: u32,
+    /// Number of rows (rows of width 0 still count).
+    len: u32,
 }
 
 impl Cells {
@@ -153,25 +156,21 @@ impl Cells {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.row_ends.len()
+        self.len as usize
     }
 
     /// Are there no rows?
     pub fn is_empty(&self) -> bool {
-        self.row_ends.is_empty()
+        self.len == 0
     }
 
     /// The rows, in order.
     pub fn iter(&self) -> impl Iterator<Item = CellRow<'_>> + '_ {
-        let mut first = 0;
-        self.row_ends.iter().map(move |&end| {
-            let row = CellRow {
-                cells: self,
-                first,
-                end: end as usize,
-            };
-            first = end as usize;
-            row
+        let width = self.width as usize;
+        (0..self.len()).map(move |r| CellRow {
+            cells: self,
+            first: r * width,
+            end: (r + 1) * width,
         })
     }
 
@@ -191,6 +190,7 @@ where
     R: IntoIterator,
     R::Item: AsRef<str>,
 {
+    /// Collect rows of cells; panics if two rows differ in width.
     fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Cells {
         let mut b = Cells::builder();
         for row in rows {
@@ -236,12 +236,13 @@ impl<'a> CellRow<'a> {
 /// Builds a [`Cells`] block one cell at a time: write a cell's text
 /// into [`CellsBuilder::text`], close it with
 /// [`CellsBuilder::end_cell`], and close each row with
-/// [`CellsBuilder::end_row`].
+/// [`CellsBuilder::end_row`]. The first row sets the block's width.
 #[derive(Debug, Default)]
 pub struct CellsBuilder {
     text: String,
     cell_ends: Vec<u32>,
-    row_ends: Vec<u32>,
+    width: u32,
+    len: u32,
 }
 
 impl CellsBuilder {
@@ -256,10 +257,19 @@ impl CellsBuilder {
         self.cell_ends.push(end);
     }
 
-    /// Close the open row: the cells closed since the last row.
+    /// Close the open row: the cells closed since the last row. Panics
+    /// if it is not as wide as the first row.
     pub fn end_row(&mut self) {
-        let end = u32::try_from(self.cell_ends.len()).expect("a summary has under 2³² cells");
-        self.row_ends.push(end);
+        let cells = u32::try_from(self.cell_ends.len()).expect("a summary has under 2³² cells");
+        if self.len == 0 {
+            self.width = cells;
+        }
+        assert_eq!(
+            cells,
+            self.width * (self.len + 1),
+            "every row of a cell block has the first row's width"
+        );
+        self.len += 1;
     }
 
     /// The finished block, each part allocated at its exact size.
@@ -267,7 +277,8 @@ impl CellsBuilder {
         Cells {
             text: self.text.into_boxed_str(),
             cell_ends: self.cell_ends.into_boxed_slice(),
-            row_ends: self.row_ends.into_boxed_slice(),
+            width: self.width,
+            len: self.len,
         }
     }
 }
@@ -469,7 +480,8 @@ mod tests {
 
     #[test]
     fn cells_read_back_like_the_nested_rows() {
-        let nested: Vec<Vec<&str>> = vec![vec!["a", "", "ccc"], vec![], vec!["", "é"], vec!["x"]];
+        let nested: Vec<Vec<&str>> =
+            vec![vec!["a", "", "ccc"], vec!["", "é", ""], vec!["x", "y", "z"]];
         let cells: Cells = nested.iter().collect();
         assert_eq!(cells.len(), nested.len());
         let back: Vec<Vec<&str>> = cells.iter().map(|r| r.iter().collect()).collect();
@@ -479,5 +491,15 @@ mod tests {
         }
         assert!(Cells::default().is_empty());
         assert_eq!(cells, nested.iter().collect::<Cells>());
+        // Rows without cells still count as rows.
+        let empty_rows: Cells = [[""; 0], [""; 0]].into_iter().collect();
+        assert_eq!(empty_rows.len(), 2);
+        assert!(empty_rows.iter().all(|r| r.join(",").is_empty()));
+    }
+
+    #[test]
+    #[should_panic(expected = "first row's width")]
+    fn cells_reject_ragged_rows() {
+        let _: Cells = [vec!["a", "b"], vec!["c"]].into_iter().collect();
     }
 }
