@@ -136,7 +136,7 @@ impl<K> Default for Grouping<K> {
 impl<K: Clone> Grouping<K> {
     /// Add `qid` to the group whose key `is_key` accepts among those
     /// fingerprinted `fp`, creating the group from `key()` on first sight.
-    /// Returns whether it created one.
+    /// Returns the group's index and whether it was created.
     ///
     /// Members arrive in ascending qid order on every path (storage ids
     /// are dense and a build scan, inserts and publish replay all go in
@@ -148,13 +148,19 @@ impl<K: Clone> Grouping<K> {
         fp: u64,
         is_key: impl Fn(&K) -> bool,
         key: impl FnOnce() -> K,
-    ) -> bool {
+    ) -> (usize, bool) {
         self.member_count += 1;
-        let Some(gi) = self.find(fp, is_key) else {
-            self.by_fp.entry_or_default(fp).push(self.keys.len() as u32);
+        let bucket = self.by_fp.get(&fp).map_or(&[][..], Vec::as_slice);
+        let existing = bucket
+            .iter()
+            .map(|&gi| gi as usize)
+            .find(|&gi| is_key(&self.keys[gi]));
+        let Some(gi) = existing else {
+            let gi = self.keys.len();
+            self.by_fp.entry_or_default(fp).push(gi as u32);
             self.keys.push(key());
             self.members.push([qid].into_iter().collect());
-            return true;
+            return (gi, true);
         };
         let members = self
             .members
@@ -162,17 +168,7 @@ impl<K: Clone> Grouping<K> {
             .expect("bucket indices address groups");
         debug_assert!(members.last() < Some(&qid), "members arrive in id order");
         members.push(qid);
-        false
-    }
-
-    /// The index of the group whose key `is_key` accepts among those
-    /// fingerprinted `fp`.
-    fn find(&self, fp: u64, is_key: impl Fn(&K) -> bool) -> Option<usize> {
-        let bucket = self.by_fp.get(&fp).map_or(&[][..], Vec::as_slice);
-        bucket
-            .iter()
-            .map(|&gi| gi as usize)
-            .find(|&gi| is_key(&self.keys[gi]))
+        (gi, false)
     }
 
     /// Number of distinct groups.
@@ -316,40 +312,39 @@ impl StructuralIndex {
         }
     }
 
-    /// Point a new record's signature at the copies its groups already
+    /// Point a newly indexed record's signature at the copies its groups
     /// hold: the tree group's `FlatTree` and its VP-tree entry's
     /// `TreeShape`, the profile group's folded SELECT and its profile.
     /// Each is equal to the signature's own, so no answer moves; the
-    /// record just stops keeping a second copy. A record whose tree or
-    /// folded SELECT is new to the index keeps its own, and its group
-    /// will hold those.
-    fn adopt(&self, sig: &mut SimSignature) {
-        if let (Some(fp), Some(folded)) = (sig.profile_fp, &sig.folded_select) {
-            if let Some(gi) = self.groups.find(fp, |k| k.folded == *folded) {
-                let key = self.groups.group(gi).key;
-                sig.folded_select = Some(Arc::clone(&key.folded));
-                sig.diff_profile = Some(Arc::clone(&key.profile));
-            }
+    /// record just stops keeping a second copy. A record that opened its
+    /// group already holds what the group holds.
+    fn adopt(&self, sig: &mut SimSignature, filed: Filed) {
+        if let Some(gi) = filed.profile_group {
+            let key = self.groups.group(gi).key;
+            sig.folded_select = Some(Arc::clone(&key.folded));
+            sig.diff_profile = Some(Arc::clone(&key.profile));
         }
-        if let Some(tree) = &sig.tree {
-            if let Some(gi) = self.trees.find(tree.fingerprint(), |k| k == tree) {
-                sig.tree = Some(Arc::clone(self.trees.group(gi).key));
-                sig.tree_shape = Some(Arc::clone(&self.tree.entry(gi).shape));
-            }
+        if let Some(gi) = filed.tree_group {
+            sig.tree = Some(Arc::clone(self.trees.group(gi).key));
+            sig.tree_shape = Some(Arc::clone(&self.tree.entry(gi).shape));
         }
     }
 
-    /// Index one record (an insert, or a publish replaying one).
-    fn add(&mut self, qid: u64, sig: &SimSignature) {
-        if let Some(entry) = self.add_beside_tree(qid, sig) {
+    /// Index one record (an insert, or a publish replaying one) and say
+    /// which groups took it.
+    fn add(&mut self, qid: u64, sig: &SimSignature) -> Filed {
+        let (filed, entry) = self.add_beside_tree(qid, sig);
+        if let Some(entry) = entry {
             self.tree.insert(entry);
         }
+        filed
     }
 
     /// Index one record into everything but the VP-tree and hand back
-    /// the VP-tree entry of its tree, if that tree is new to the index: a
-    /// rebuild collects the entries for one bulk [`VpTree::build`].
-    fn add_beside_tree(&mut self, qid: u64, sig: &SimSignature) -> Option<TreeEntry> {
+    /// the groups that took it, with the VP-tree entry of its tree if
+    /// that tree is new to the index: a rebuild collects the entries for
+    /// one bulk [`VpTree::build`].
+    fn add_beside_tree(&mut self, qid: u64, sig: &SimSignature) -> (Filed, Option<TreeEntry>) {
         let sets = sig.feature_sets();
         self.classes.insert(
             qid,
@@ -363,9 +358,9 @@ impl StructuralIndex {
                 })
             },
         );
-        match (sig.profile_fp, &sig.folded_select, &sig.diff_profile) {
+        let profile_group = match (sig.profile_fp, &sig.folded_select, &sig.diff_profile) {
             (Some(fp), Some(folded), Some(profile)) => {
-                self.groups.insert(
+                let (gi, _) = self.groups.insert(
                     qid,
                     fp,
                     |k| Arc::ptr_eq(&k.folded, folded) || k.folded == *folded,
@@ -374,25 +369,47 @@ impl StructuralIndex {
                         profile: Arc::clone(profile),
                     },
                 );
+                Some(gi)
             }
-            _ => self.ungrouped.push(qid),
-        }
+            _ => {
+                self.ungrouped.push(qid);
+                None
+            }
+        };
         let (Some(tree), Some(shape)) = (&sig.tree, &sig.tree_shape) else {
             self.treeless.push(qid);
-            return None;
+            let filed = Filed {
+                profile_group,
+                tree_group: None,
+            };
+            return (filed, None);
         };
-        let opened = self.trees.insert(
+        let (gi, opened) = self.trees.insert(
             qid,
             tree.fingerprint(),
             |k| Arc::ptr_eq(k, tree) || k == tree,
             || Arc::clone(tree),
         );
-        opened.then(|| TreeEntry {
+        let entry = opened.then(|| TreeEntry {
             qid,
             tree: Arc::clone(tree),
             shape: Arc::clone(shape),
-        })
+        });
+        let filed = Filed {
+            profile_group,
+            tree_group: Some(gi),
+        };
+        (filed, entry)
     }
+}
+
+/// The groups [`StructuralIndex::add_beside_tree`] filed a record in.
+#[derive(Debug, Clone, Copy)]
+struct Filed {
+    /// Its profile group, if it has a folded SELECT.
+    profile_group: Option<usize>,
+    /// Its tree group (and VP-tree entry), if it has a tree.
+    tree_group: Option<usize>,
 }
 
 /// An in-flight double-buffered rebuild: the next generation, fully built
@@ -528,11 +545,11 @@ impl IndexRegistry {
     // Write-path hooks (called by the Query Storage)
     // ------------------------------------------------------------------
 
-    /// A non-tombstoned record is being inserted: point its signature at
-    /// the tree and folded SELECT its groups already hold, then index it.
+    /// A non-tombstoned record is being inserted: index it, then point
+    /// its signature at the tree and folded SELECT its groups hold.
     pub(crate) fn note_insert(&mut self, record: &QueryRecord, sig: &mut SimSignature) {
-        self.index.adopt(sig);
-        self.index.add(record.id.0, sig);
+        let filed = self.index.add(record.id.0, sig);
+        self.index.adopt(sig, filed);
     }
 
     /// A record was tombstoned. Dead weight accumulates in the index —
@@ -608,7 +625,7 @@ impl IndexRegistry {
         let mut entries = Vec::new();
         for (record, sig) in records.iter().zip(signatures.iter()) {
             if record.validity != Validity::Deleted {
-                entries.extend(index.add_beside_tree(record.id.0, sig));
+                entries.extend(index.add_beside_tree(record.id.0, sig).1);
             }
         }
         index.tree = VpTree::build(entries);
