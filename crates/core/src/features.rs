@@ -468,9 +468,10 @@ fn text_cell(row: &Row, cell: usize) -> &Arc<str> {
 /// The distinct table, attribute and operator names of a store's feature
 /// rows, each held once: [`FeatureRows::of`] fills those cells with
 /// these `Arc`s, so a name costs one allocation per store however many
-/// rows carry it. It only grows, and stays bounded by the schemas the
-/// log has queried. Persistent ([`CowSet`]), so a storage clone shares it
-/// by pointer.
+/// rows carry it. It holds every distinct name the log has used, the
+/// unknown tables and columns of failed queries too (those are logged
+/// as well), and it is never shrunk: a deleted record's names stay.
+/// Persistent ([`CowSet`]), so a storage clone shares it by pointer.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary(CowSet<Arc<str>>);
 

@@ -7,10 +7,14 @@
 //! (scale 300, 32 analysts, the benchmark's pool seed) into a RAM `Cqms`
 //! and bounds the growth of the process's `VmRSS` per record.
 //!
-//! The bound is the measured cost plus 10 %: ≈ 12.0 KiB per record in
-//! debug and release builds on x86-64 Linux with glibc, where storing
-//! summaries as nested vectors, feature-row names per row and a private
-//! tree and folded SELECT per signature measured ≈ 16.4 KiB.
+//! On x86-64 Linux with glibc 2.36 a logged query measures ≈ 12.0 KiB
+//! in debug and release builds, and 11.96–12.06 KiB under glibc's
+//! malloc tunables (huge pages, trim and mmap thresholds, no tcache, one
+//! arena). Storing summaries as nested vectors, feature-row names per
+//! row and a private tree and folded SELECT per signature measured
+//! ≈ 16.4 KiB. The bound sits between the two, ≈ 17 % above the first
+//! and 15 % below the second: another glibc or page-fault pattern has
+//! room, and a return to the unshared layout still fails.
 #![cfg(target_os = "linux")]
 
 use cqms_core::model::UserId;
@@ -21,7 +25,7 @@ use workload::{Domain, Trace, TraceConfig};
 const RECORDS: usize = 2560;
 
 /// Bound on `VmRSS` growth per logged query, in KiB.
-const MAX_KIB_PER_RECORD: f64 = 13.2;
+const MAX_KIB_PER_RECORD: f64 = 14.0;
 
 /// This process's resident set, in KiB.
 fn vm_rss_kib() -> u64 {
