@@ -24,13 +24,40 @@ use std::collections::{HashMap, HashSet};
 /// current one was therefore re-decided, and an unchanged log refines to
 /// exactly its current ids.
 pub fn segment_log(storage: &QueryStorage, config: &CqmsConfig) -> HashMap<QueryId, SessionId> {
+    let mut assignment = HashMap::with_capacity(storage.len());
+    segment(storage, config, |id, _, session| {
+        assignment.insert(id, session);
+    });
+    assignment
+}
+
+/// The records [`segment_log`] moves to another session, each with its
+/// new session, in ascending id order: what an epoch adopts. An unchanged
+/// log yields nothing.
+pub fn session_changes(storage: &QueryStorage, config: &CqmsConfig) -> Vec<(QueryId, SessionId)> {
+    let mut changes = Vec::new();
+    segment(storage, config, |id, carried, session| {
+        if session != carried {
+            changes.push((id, session));
+        }
+    });
+    changes.sort_unstable();
+    changes
+}
+
+/// The one segmentation pass: calls `assign(id, carried, refined)` for
+/// every record, with the session it carries and the one the rule gives.
+fn segment(
+    storage: &QueryStorage,
+    config: &CqmsConfig,
+    mut assign: impl FnMut(QueryId, SessionId, SessionId),
+) {
     let mut log: Vec<(UserId, u64, QueryId, SessionId)> = (storage.iter())
         .map(|r| (r.user, r.ts, r.id, r.session))
         .collect();
     log.sort_unstable();
     let signatures = storage.signatures();
     let idle = config.session_idle_gap_secs;
-    let mut assignment = HashMap::with_capacity(log.len());
     let mut claimed: HashSet<SessionId> = HashSet::new();
     let mut fresh = storage.next_session().0;
     let mut current = SessionId(0);
@@ -57,10 +84,9 @@ pub fn segment_log(storage: &QueryStorage, config: &CqmsConfig) -> HashMap<Query
                 SessionId(fresh - 1)
             };
         }
-        assignment.insert(id, current);
+        assign(id, carried, current);
         prev = Some((user, ts, id));
     }
-    assignment
 }
 
 /// Quality of a segmentation against ground truth.
@@ -190,6 +216,24 @@ mod tests {
         let seg = segment_log(&st, &cfg);
         assert_eq!(seg[&QueryId(0)], seg[&QueryId(1)]);
         assert_ne!(seg[&QueryId(1)], seg[&QueryId(2)]);
+    }
+
+    #[test]
+    fn changes_are_the_moved_records_in_id_order() {
+        let st = storage_from(&[
+            (2, 0, "SELECT * FROM a"),
+            (1, 0, "SELECT * FROM a"),
+            (2, 100_000, "SELECT * FROM a WHERE x = 2"),
+            (1, 100_000, "SELECT * FROM a WHERE x = 1"),
+        ]);
+        let cfg = CqmsConfig::default();
+        let seg = segment_log(&st, &cfg);
+        let mut moved: Vec<(QueryId, SessionId)> = (seg.into_iter())
+            .filter(|(id, s)| st.get(*id).unwrap().session != *s)
+            .collect();
+        moved.sort_unstable();
+        assert_eq!(moved.len(), 3);
+        assert_eq!(session_changes(&st, &cfg), moved);
     }
 
     #[test]

@@ -347,20 +347,11 @@ impl Cqms {
         };
 
         // Offline session refinement.
-        let refined = sessions::segment_log(&self.storage, &self.config);
-        let changed = refined
-            .iter()
-            .filter(|(id, s)| {
-                self.storage
-                    .get(**id)
-                    .map(|r| r.session != **s)
-                    .unwrap_or(false)
-            })
-            .count();
-        if changed > 0 {
-            self.storage.adopt_sessions(&refined);
+        let changes = sessions::session_changes(&self.storage, &self.config);
+        if !changes.is_empty() {
+            self.storage.adopt_sessions(&changes);
         }
-        report.sessions_refined = changed;
+        report.sessions_refined = changes.len();
 
         // Periodic durability: synchronous epochs write due snapshots
         // inline (the caller holds exclusive access anyway); the

@@ -32,7 +32,6 @@ use crate::signature::{FeatureInterner, SimSignature};
 use crate::wal::{self, InsertFrame, WalOp, WalWriter};
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
 use relstore::Catalog;
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 use textindex::{InvertedIndex, TrigramIndex};
@@ -711,15 +710,16 @@ impl QueryStorage {
             + self.indexes.clone_len()
     }
 
-    /// Adopt a refined session assignment from the Query Miner (§4.3: the
-    /// miner periodically recomputes sessions offline). Session ids are
-    /// stable ([`crate::miner::sessions::segment_log`] names each session
-    /// after an id its members already carry), so only the records whose
-    /// id changed are rewritten: the record, its `QueryMeta` row, and its
-    /// place in two member lists (each kept in ascending id order; a list
-    /// left empty is dropped). The next fresh session id never decreases.
-    pub fn adopt_sessions(&mut self, assignment: &HashMap<QueryId, SessionId>) {
-        for (&id, &session) in assignment {
+    /// Adopt refined sessions from the Query Miner (§4.3: the miner
+    /// periodically recomputes sessions offline), in the order given:
+    /// [`crate::miner::sessions::session_changes`] lists only the records
+    /// whose session changed, in ascending id order. Each is rewritten
+    /// in its record, its `QueryMeta` row, and its place in two member
+    /// lists (each kept in ascending id order; a list left empty is
+    /// dropped); a pair naming a record's current session is skipped. The
+    /// next fresh session id never decreases.
+    pub fn adopt_sessions(&mut self, changes: &[(QueryId, SessionId)]) {
+        for &(id, session) in changes {
             let i = id.0 as usize;
             let old = match self.records.get(i) {
                 Some(r) if r.session != session => r.session,
@@ -1169,7 +1169,7 @@ mod tests {
     fn adopted_sessions_reach_records_map_and_query_meta() {
         let mut s = populated();
         // Split session 0: query 1 moves to a fresh session 5.
-        s.adopt_sessions(&HashMap::from([(QueryId(1), SessionId(5))]));
+        s.adopt_sessions(&[(QueryId(1), SessionId(5))]);
         assert_eq!(s.get(QueryId(1)).unwrap().session, SessionId(5));
         assert_eq!(s.queries_in_session(SessionId(0)), vec![QueryId(0)]);
         assert_eq!(s.queries_in_session(SessionId(5)), vec![QueryId(1)]);
