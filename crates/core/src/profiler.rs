@@ -13,7 +13,7 @@ use crate::features::{self, SyntacticFeatures};
 use crate::model::*;
 use crate::storage::{make_record, QueryStorage};
 use relstore::stats::Reservoir;
-use relstore::{Engine, QueryResult, Row, Value};
+use relstore::{Engine, QueryResult, Row};
 use std::fmt::Write as _;
 
 /// Outcome of profiling one statement.
@@ -209,22 +209,18 @@ pub(crate) fn summarize_output(config: &CqmsConfig, r: &QueryResult) -> OutputSu
         // (the overhead matters: this path runs on every large query).
         let mut res = Reservoir::new(config.output_sample_size, config.seed);
         for i in 0..r.rows.len() {
-            res.offer(vec![Value::Int(i as i64)]);
+            res.offer(i);
         }
         OutputSummary::Sample {
             columns,
-            rows: render_rows(
-                res.into_items()
-                    .iter()
-                    .map(|idx| &r.rows[idx[0].as_i64().expect("sampled a row index") as usize]),
-            ),
+            rows: render_rows(res.into_items().into_iter().map(|i| &r.rows[i])),
             total_rows: r.rows.len() as u64,
         }
     }
 }
 
 /// Render `rows` straight into one cell block, each cell as
-/// [`Value::render`] spells it.
+/// [`relstore::Value::render`] spells it.
 fn render_rows<'a>(rows: impl Iterator<Item = &'a Row>) -> Cells {
     let mut cells = Cells::builder();
     for row in rows {

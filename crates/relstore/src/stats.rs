@@ -185,17 +185,19 @@ impl TableStats {
     }
 }
 
-/// Fixed-size reservoir sample (Vitter's algorithm R) with a deterministic
-/// LCG so summaries are reproducible.
+/// Fixed-size reservoir sample (Vitter's algorithm R) of any item type,
+/// with a deterministic SplitMix64 sequence so summaries are
+/// reproducible: for one seed, the positions kept depend only on how
+/// many items were offered, never on what they are.
 #[derive(Debug, Clone)]
-pub struct Reservoir {
+pub struct Reservoir<T> {
     capacity: usize,
     seen: u64,
-    items: Vec<Row>,
+    items: Vec<T>,
     rng_state: u64,
 }
 
-impl Reservoir {
+impl<T> Reservoir<T> {
     pub fn new(capacity: usize, seed: u64) -> Self {
         Reservoir {
             capacity,
@@ -214,15 +216,15 @@ impl Reservoir {
         z ^ (z >> 31)
     }
 
-    pub fn offer(&mut self, row: Row) {
+    pub fn offer(&mut self, item: T) {
         self.seen += 1;
         if self.items.len() < self.capacity {
-            self.items.push(row);
+            self.items.push(item);
             return;
         }
         let j = self.next_u64() % self.seen;
         if (j as usize) < self.capacity {
-            self.items[j as usize] = row;
+            self.items[j as usize] = item;
         }
     }
 
@@ -230,11 +232,11 @@ impl Reservoir {
         self.seen
     }
 
-    pub fn items(&self) -> &[Row] {
+    pub fn items(&self) -> &[T] {
         &self.items
     }
 
-    pub fn into_items(self) -> Vec<Row> {
+    pub fn into_items(self) -> Vec<T> {
         self.items
     }
 }
@@ -340,6 +342,30 @@ mod tests {
         };
         assert_eq!(run(1), run(1));
         assert_ne!(run(1), run(2));
+    }
+
+    #[test]
+    fn index_reservoir_keeps_the_positions_the_row_reservoir_keeps() {
+        for seed in [0, 1, 7, 42, 0xC1D2_2009] {
+            for (capacity, offered) in [(0, 10), (5, 3), (5, 5), (10, 1000), (64, 5000)] {
+                let mut rows = Reservoir::new(capacity, seed);
+                let mut indices = Reservoir::new(capacity, seed);
+                for i in 0..offered {
+                    rows.offer(vec![Value::Int(i as i64)]);
+                    indices.offer(i);
+                }
+                let from_rows: Vec<usize> = rows
+                    .into_items()
+                    .iter()
+                    .map(|r| r[0].as_i64().unwrap() as usize)
+                    .collect();
+                assert_eq!(
+                    from_rows,
+                    indices.into_items(),
+                    "seed {seed}, {capacity}/{offered}"
+                );
+            }
+        }
     }
 
     #[test]
