@@ -281,7 +281,7 @@ impl<'a> CompletionEngine<'a> {
         debug_assert_eq!(counts, {
             let mut scan = ContextCounts::default();
             for r in self.storage.iter_live() {
-                let items = items(&mut r.features.tables.iter().map(String::as_str));
+                let items = items(&mut r.features.tables().map(|t| &**t));
                 scan.add_n(&items, &context, "table:", 1);
             }
             scan
@@ -304,8 +304,8 @@ impl<'a> CompletionEngine<'a> {
             .collect();
         debug_assert_eq!(pop, {
             let mut scan: HashMap<String, u32> = HashMap::new();
-            for t in self.storage.iter_live().flat_map(|r| &r.features.tables) {
-                *scan.entry(t.clone()).or_insert(0) += 1;
+            for t in self.storage.iter_live().flat_map(|r| r.features.tables()) {
+                *scan.entry(t.to_string()).or_insert(0) += 1;
             }
             scan
         });
@@ -404,9 +404,9 @@ impl<'a> CompletionEngine<'a> {
         debug_assert_eq!(pop, {
             let mut scan: HashMap<(String, String), u32> = HashMap::new();
             for r in self.storage.iter_live() {
-                for (t, a) in &r.features.attributes {
+                for (t, a) in r.features.attributes() {
                     if in_scope(t) {
-                        *scan.entry((t.clone(), a.clone())).or_insert(0) += 1;
+                        *scan.entry((t.to_string(), a.to_string())).or_insert(0) += 1;
                     }
                 }
             }
@@ -492,12 +492,12 @@ impl<'a> CompletionEngine<'a> {
         debug_assert_eq!(pop, {
             let mut scan: HashMap<PredicateKey, PredicateStats> = HashMap::new();
             for r in self.storage.iter_live() {
-                for p in r.features.predicates.iter().filter(|p| in_scope(&p.table)) {
+                for [t, c, op, constant] in r.features.predicates().filter(|[t, ..]| in_scope(t)) {
                     let entry = scan
-                        .entry((p.table.clone(), p.column.clone(), p.op.clone()))
+                        .entry((t.to_string(), c.to_string(), op.to_string()))
                         .or_insert((0, HashMap::new()));
                     entry.0 += 1;
-                    *entry.1.entry(p.constant.clone()).or_insert(0) += 1;
+                    *entry.1.entry(constant.to_string()).or_insert(0) += 1;
                 }
             }
             scan

@@ -235,11 +235,11 @@ impl<'a> CorrectionEngine<'a> {
         debug_assert_eq!(counts, {
             let mut scan: HashMap<(String, String), HashMap<String, u32>> = HashMap::new();
             for r in self.logs.iter().flat_map(|log| log.iter_live()) {
-                for p in &r.features.predicates {
+                for [_, column, op, constant] in r.features.predicates() {
                     *scan
-                        .entry((p.column.clone(), p.op.clone()))
+                        .entry((column.to_string(), op.to_string()))
                         .or_default()
-                        .entry(p.constant.clone())
+                        .entry(constant.to_string())
                         .or_insert(0) += 1;
                 }
             }

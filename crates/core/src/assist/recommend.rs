@@ -134,7 +134,7 @@ pub fn panel_row(
     };
     Ok(PanelRow {
         score_pct: (score * 100.0).round().clamp(0.0, 100.0) as u8,
-        sql: rec.raw_sql.clone(),
+        sql: rec.raw_sql.to_string(),
         diff,
         annotation: rec.annotation_digest(),
         id: rec.id,

@@ -5,18 +5,20 @@
 //! `Attributes(qid, attrName, relName)` and
 //! `Predicates(qid, attrName, relName, op, const)`. This module extracts
 //! those features from a parsed statement (resolving aliases and, when a
-//! catalog is available, unqualified column names) and builds each query's
-//! rows of those relations ([`FeatureRows`]), which the Meta-query Executor
-//! assembles into `relstore` tables to run SQL against.
+//! catalog is available, unqualified column names) into a temporary
+//! [`SyntacticFeatures`], and builds each query's rows of those relations
+//! from it ([`FeatureRows`]). The rows are what a logged query keeps:
+//! every reader of its features reads them, and the Meta-query Executor
+//! assembles them into `relstore` tables to run SQL against.
 
-use crate::model::{QueryRecord, SessionId};
+use crate::model::QueryRecord;
 use cqms_cow::CowSet;
 use relstore::{Catalog, Row, Value};
 use sqlparse::ast::*;
 use sqlparse::printer::expr_to_sql;
 use sqlparse::visit::{self, Visitor};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// One extracted comparison predicate (`relName.attrName op const`).
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +33,8 @@ pub struct PredicateFeature {
     pub constant: String,
 }
 
-/// The syntactic (and structural) features of one query.
+/// The Figure 1 features of one query, as [`extract`] finds them: a
+/// temporary that [`FeatureRows::of`] turns into the rows a record keeps.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SyntacticFeatures {
     /// Referenced relations, lower-cased, deduplicated, sorted.
@@ -41,55 +44,15 @@ pub struct SyntacticFeatures {
     pub attributes: Vec<(String, String)>,
     /// Comparison predicates against constants.
     pub predicates: Vec<PredicateFeature>,
-    /// Rendered projection items.
-    pub projections: Vec<String>,
-    /// Rendered GROUP BY items.
-    pub group_by: Vec<String>,
-    /// Rendered ORDER BY items.
-    pub order_by: Vec<String>,
-    /// Number of join pairs (tables − 1 per query block, summed).
-    pub num_joins: usize,
-    /// Does any block nest a subquery?
+    /// Does any block nest a subquery ([`has_subquery`])?
     pub has_subquery: bool,
-    /// Does the projection aggregate?
-    pub has_aggregate: bool,
-    /// LIMIT value, when present.
-    pub limit: Option<u64>,
-}
-
-impl SyntacticFeatures {
-    /// Mining item vocabulary: `table:<rel>`, `attr:<rel>.<col>`,
-    /// `pred:<rel>.<col><op>` (constants stripped — §4.3).
-    pub fn items(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for t in &self.tables {
-            out.push(format!("table:{t}"));
-        }
-        for (t, a) in &self.attributes {
-            if t.is_empty() {
-                out.push(format!("attr:{a}"));
-            } else {
-                out.push(format!("attr:{t}.{a}"));
-            }
-        }
-        for p in &self.predicates {
-            if p.table.is_empty() {
-                out.push(format!("pred:{}{}", p.column, p.op));
-            } else {
-                out.push(format!("pred:{}.{}{}", p.table, p.column, p.op));
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
 }
 
 struct Extractor<'c> {
     catalog: Option<&'c Catalog>,
     /// binding (lower) → table (lower), per depth level (0 = outer).
     alias_stack: Vec<HashMap<String, String>>,
-    features: SyntacticFeatures,
+    found: SyntacticFeatures,
 }
 
 impl<'c> Extractor<'c> {
@@ -143,26 +106,22 @@ impl<'c> Extractor<'c> {
 
 impl<'c> Visitor for Extractor<'c> {
     fn visit_table(&mut self, name: &str, _alias: Option<&str>, _depth: usize) {
-        self.features.tables.push(name.to_ascii_lowercase());
+        self.found.tables.push(name.to_ascii_lowercase());
     }
 
     fn visit_column(&mut self, col: &ColumnRef, _depth: usize) {
         let (t, a) = self.resolve(col);
-        self.features.attributes.push((t, a));
+        self.found.attributes.push((t, a));
     }
 
     fn visit_comparison(&mut self, col: &ColumnRef, op: BinaryOp, lit: &Literal, _depth: usize) {
         let (t, a) = self.resolve(col);
-        self.features.predicates.push(PredicateFeature {
+        self.found.predicates.push(PredicateFeature {
             table: t,
             column: a,
             op: op.as_str().to_string(),
             constant: render_literal(lit),
         });
-    }
-
-    fn enter_subquery(&mut self, _depth: usize) {
-        self.features.has_subquery = true;
     }
 }
 
@@ -203,58 +162,59 @@ pub fn extract(stmt: &Statement, catalog: Option<&Catalog>) -> SyntacticFeatures
     let mut ex = Extractor {
         catalog,
         alias_stack: Vec::new(),
-        features: SyntacticFeatures::default(),
+        found: SyntacticFeatures::default(),
     };
     // Pre-push alias maps for nested selects as we walk. The generic walker
     // has no enter/leave select hooks, so walk manually at the top level.
     if let Statement::Select(s) = stmt {
         walk_select_features(&mut ex, s);
-        ex.features.projections = s
-            .projection
-            .iter()
-            .map(|item| match item {
-                SelectItem::Wildcard => "*".to_string(),
-                SelectItem::QualifiedWildcard(q) => format!("{}.*", q.to_ascii_lowercase()),
-                SelectItem::Expr { expr, alias } => {
-                    let base = expr_to_sql(expr).to_ascii_lowercase();
-                    match alias {
-                        Some(a) => format!("{base} as {}", a.to_ascii_lowercase()),
-                        None => base,
-                    }
-                }
-            })
-            .collect();
-        ex.features.group_by = s
-            .group_by
-            .iter()
-            .map(|e| expr_to_sql(e).to_ascii_lowercase())
-            .collect();
-        ex.features.order_by = s
-            .order_by
-            .iter()
-            .map(|o| {
-                let mut t = expr_to_sql(&o.expr).to_ascii_lowercase();
-                if o.desc {
-                    t.push_str(" desc");
-                }
-                t
-            })
-            .collect();
-        ex.features.limit = s.limit;
-        ex.features.has_aggregate = has_aggregate(s);
     } else {
         visit::walk_statement(&mut ex, stmt);
     }
 
-    let f = &mut ex.features;
-    let raw_table_count = f.tables.len();
+    let f = &mut ex.found;
     f.tables.sort();
     f.tables.dedup();
     f.attributes.sort();
     f.attributes.dedup();
-    f.num_joins = raw_table_count.saturating_sub(1);
     f.attributes.retain(|(_, a)| !a.is_empty());
-    ex.features
+    f.has_subquery = has_subquery(stmt);
+    ex.found
+}
+
+/// Does any block of `stmt` nest a subquery?
+pub fn has_subquery(stmt: &Statement) -> bool {
+    struct Nested(bool);
+    impl Visitor for Nested {
+        fn enter_subquery(&mut self, _depth: usize) {
+            self.0 = true;
+        }
+    }
+    let mut nested = Nested(false);
+    visit::walk_statement(&mut nested, stmt);
+    nested.0
+}
+
+/// The rendered, lower-cased projection items of a SELECT (`*`,
+/// `t.*`, `expr` or `expr as alias`); empty for any other statement.
+pub fn projections(stmt: &Statement) -> Vec<String> {
+    let Statement::Select(s) = stmt else {
+        return Vec::new();
+    };
+    s.projection
+        .iter()
+        .map(|item| match item {
+            SelectItem::Wildcard => "*".to_string(),
+            SelectItem::QualifiedWildcard(q) => format!("{}.*", q.to_ascii_lowercase()),
+            SelectItem::Expr { expr, alias } => {
+                let base = expr_to_sql(expr).to_ascii_lowercase();
+                match alias {
+                    Some(a) => format!("{base} as {}", a.to_ascii_lowercase()),
+                    None => base,
+                }
+            }
+        })
+        .collect()
 }
 
 fn walk_select_features(ex: &mut Extractor<'_>, s: &SelectStatement) {
@@ -324,7 +284,6 @@ fn walk_expr_features(ex: &mut Extractor<'_>, e: &Expr) {
         }
         Expr::InSubquery { expr, subquery, .. } => {
             walk_expr_features(ex, expr);
-            ex.enter_subquery(0);
             walk_select_features(ex, subquery);
         }
         Expr::Between {
@@ -344,7 +303,7 @@ fn walk_expr_features(ex: &mut Extractor<'_>, e: &Expr) {
         Expr::Like { expr, pattern, .. } => {
             if let (Expr::Column(c), Expr::Literal(p)) = (&**expr, &**pattern) {
                 let (t, a) = ex.resolve(c);
-                ex.features.predicates.push(PredicateFeature {
+                ex.found.predicates.push(PredicateFeature {
                     table: t,
                     column: a,
                     op: "LIKE".to_string(),
@@ -355,11 +314,9 @@ fn walk_expr_features(ex: &mut Extractor<'_>, e: &Expr) {
             walk_expr_features(ex, pattern);
         }
         Expr::Exists { subquery, .. } => {
-            ex.enter_subquery(0);
             walk_select_features(ex, subquery);
         }
         Expr::ScalarSubquery(sub) => {
-            ex.enter_subquery(0);
             walk_select_features(ex, sub);
         }
         Expr::Case {
@@ -381,7 +338,9 @@ fn walk_expr_features(ex: &mut Extractor<'_>, e: &Expr) {
     }
 }
 
-fn has_aggregate(s: &SelectStatement) -> bool {
+/// Does a SELECT aggregate (an aggregate call in its projection, a
+/// GROUP BY or a HAVING)? False for any other statement.
+pub fn has_aggregate(stmt: &Statement) -> bool {
     fn in_expr(e: &Expr) -> bool {
         match e {
             Expr::Function {
@@ -392,6 +351,9 @@ fn has_aggregate(s: &SelectStatement) -> bool {
             _ => false,
         }
     }
+    let Statement::Select(s) = stmt else {
+        return false;
+    };
     s.projection.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => in_expr(expr),
         _ => false,
@@ -446,15 +408,12 @@ pub const FEATURE_RELATIONS: [(&str, &[(&str, DataType)]); 5] = [
     ),
 ];
 
-/// Positions of `QueryMeta` in [`FEATURE_RELATIONS`] and of `sessionId`
-/// in it.
-const QUERY_META: usize = 4;
-const SESSION_ID: usize = 3;
-
-/// Positions of the relations completion counts in [`FEATURE_RELATIONS`].
+/// Positions of the relations in [`FEATURE_RELATIONS`] that rows are
+/// read or rebuilt by.
 const DATA_SOURCES: usize = 1;
 const ATTRIBUTES: usize = 2;
 const PREDICATES: usize = 3;
+const QUERY_META: usize = 4;
 
 /// The text a feature row holds in `cell` (every cell past `qid` in the
 /// three relations completion counts is text).
@@ -466,72 +425,91 @@ fn text_cell(row: &Row, cell: usize) -> &Arc<str> {
 }
 
 /// The distinct table, attribute and operator names of a store's feature
-/// rows, each held once: [`FeatureRows::of`] fills those cells with
-/// these `Arc`s, so a name costs one allocation per store however many
-/// rows carry it. It holds every distinct name the log has used, the
-/// unknown tables and columns of failed queries too (those are logged
-/// as well), and it is never shrunk: a deleted record's names stay.
-/// Persistent ([`CowSet`]), so a storage clone shares it by pointer.
+/// rows, each held once: [`FeatureRows::share_names`] points those cells
+/// at these `Arc`s, so a name costs one allocation per store however
+/// many rows carry it. It holds every distinct name the log has used,
+/// the unknown tables and columns of failed queries too (those are
+/// logged as well), and it is never shrunk: a deleted record's names
+/// stay. Persistent ([`CowSet`]), so a storage clone shares it by
+/// pointer.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary(CowSet<Arc<str>>);
 
 impl Vocabulary {
-    /// The one shared copy of `s`, added on first sight.
-    pub fn share(&mut self, s: &str) -> Arc<str> {
-        if let Some(shared) = self.0.get_by(s) {
+    /// The one shared copy of `s`; `s` itself becomes it on first sight.
+    pub fn share(&mut self, s: &Arc<str>) -> Arc<str> {
+        if let Some(shared) = self.0.get_by(&**s) {
             return Arc::clone(shared);
         }
-        let shared: Arc<str> = Arc::from(s);
-        self.0.insert(Arc::clone(&shared));
-        shared
+        self.0.insert(Arc::clone(s));
+        Arc::clone(s)
     }
 }
 
 /// One logged query's rows in the feature relations, indexed like
-/// [`FEATURE_RELATIONS`]. Rows sit behind `Arc`, so showing them to a SQL
-/// meta-query copies pointers, never cells.
+/// [`FEATURE_RELATIONS`]: what its record keeps of its syntactic
+/// features. Rows sit behind `Arc`, so showing them to a SQL meta-query
+/// copies pointers, never cells.
 #[derive(Debug, Clone)]
 pub struct FeatureRows([Vec<Arc<Row>>; 5]);
 
+/// The relations and cells [`FeatureRows::share_names`] points at the
+/// vocabulary: `relName`, `attrName` and `op`.
+const NAME_CELLS: [(usize, std::ops::Range<usize>); 3] =
+    [(DATA_SOURCES, 1..2), (ATTRIBUTES, 1..3), (PREDICATES, 1..4)];
+
 impl FeatureRows {
-    /// Build the rows of `record`. Every relName, attrName and op cell is
-    /// `vocabulary`'s one shared copy of its string; `qText` and the
-    /// predicate constants are the record's own.
-    pub fn of(record: &QueryRecord, vocabulary: &mut Vocabulary) -> FeatureRows {
+    /// Build the rows of `record` from `features`. `qText` is the
+    /// record's own text (the same `Arc`); names are fresh until
+    /// [`FeatureRows::share_names`] points them at a store's vocabulary.
+    pub fn of(record: &QueryRecord, features: &SyntacticFeatures) -> FeatureRows {
         let qid = || Value::Int(record.id.0 as i64);
         let text = |s: &str| Value::from(s);
-        let f = &record.features;
         let row = |cells: Vec<Value>| Arc::new(cells);
-        let mut word = |s: &str| Value::Text(vocabulary.share(s));
+        let f = features;
         FeatureRows([
-            vec![row(vec![qid(), text(&record.raw_sql)])],
-            f.tables.iter().map(|t| row(vec![qid(), word(t)])).collect(),
+            vec![row(vec![qid(), Value::Text(Arc::clone(&record.raw_sql))])],
+            f.tables.iter().map(|t| row(vec![qid(), text(t)])).collect(),
             f.attributes
                 .iter()
-                .map(|(t, a)| row(vec![qid(), word(a), word(t)]))
+                .map(|(t, a)| row(vec![qid(), text(a), text(t)]))
                 .collect(),
             f.predicates
                 .iter()
                 .map(|p| {
                     row(vec![
                         qid(),
-                        word(&p.column),
-                        word(&p.table),
-                        word(&p.op),
+                        text(&p.column),
+                        text(&p.table),
+                        text(&p.op),
                         text(&p.constant),
                     ])
                 })
                 .collect(),
-            vec![row(vec![
-                qid(),
-                Value::Int(record.user.0 as i64),
-                Value::Int(record.ts as i64),
-                Value::Int(record.session.0 as i64),
-                Value::Int(record.runtime.elapsed_us as i64),
-                Value::Int(record.runtime.cardinality as i64),
-                Value::Bool(record.runtime.success),
-            ])],
+            vec![meta_row(record)],
         ])
+    }
+
+    /// The rows of a tombstone: none in any relation. One shared value.
+    pub fn empty() -> Arc<FeatureRows> {
+        static EMPTY: LazyLock<Arc<FeatureRows>> =
+            LazyLock::new(|| Arc::new(FeatureRows(Default::default())));
+        Arc::clone(&EMPTY)
+    }
+
+    /// Point every relName, attrName and op cell at `vocabulary`'s one
+    /// shared copy of its string; `qText` and the predicate constants
+    /// stay the record's own.
+    pub fn share_names(&mut self, vocabulary: &mut Vocabulary) {
+        for (relation, cells) in NAME_CELLS {
+            for row in &mut self.0[relation] {
+                for cell in &mut Arc::make_mut(row)[cells.clone()] {
+                    if let Value::Text(name) = cell {
+                        *name = vocabulary.share(name);
+                    }
+                }
+            }
+        }
     }
 
     /// The query's rows in relation `i` of [`FEATURE_RELATIONS`].
@@ -539,23 +517,22 @@ impl FeatureRows {
         &self.0[i]
     }
 
-    /// `DataSources.relName` per row: the record's `features.tables`, in
-    /// order.
-    pub(crate) fn tables(&self) -> impl Iterator<Item = &Arc<str>> {
+    /// `DataSources.relName` per row: the extracted tables, in order.
+    pub fn tables(&self) -> impl Iterator<Item = &Arc<str>> {
         self.0[DATA_SOURCES].iter().map(|r| text_cell(r, 1))
     }
 
-    /// `(relName, attrName)` per `Attributes` row: the record's
-    /// `features.attributes`, in order.
-    pub(crate) fn attributes(&self) -> impl Iterator<Item = (&Arc<str>, &Arc<str>)> {
+    /// `(relName, attrName)` per `Attributes` row: the extracted
+    /// attributes, in order.
+    pub fn attributes(&self) -> impl Iterator<Item = (&Arc<str>, &Arc<str>)> {
         self.0[ATTRIBUTES]
             .iter()
             .map(|r| (text_cell(r, 2), text_cell(r, 1)))
     }
 
-    /// `[relName, attrName, op, const]` per `Predicates` row: the record's
-    /// `features.predicates` as `[table, column, op, constant]`, in order.
-    pub(crate) fn predicates(&self) -> impl Iterator<Item = [&Arc<str>; 4]> {
+    /// `[relName, attrName, op, const]` per `Predicates` row: the
+    /// extracted predicates as `[table, column, op, constant]`, in order.
+    pub fn predicates(&self) -> impl Iterator<Item = [&Arc<str>; 4]> {
         self.0[PREDICATES].iter().map(|r| {
             [
                 text_cell(r, 2),
@@ -566,20 +543,63 @@ impl FeatureRows {
         })
     }
 
-    /// These rows with `QueryMeta.sessionId` pointing at `session` (the
-    /// miner's offline refinement, §4.3); every other row stays shared.
-    pub fn with_session(&self, session: SessionId) -> FeatureRows {
+    /// Mining item vocabulary: `table:<rel>`, `attr:<rel>.<col>`,
+    /// `pred:<rel>.<col><op>` (constants stripped — §4.3), sorted and
+    /// deduplicated.
+    pub fn items(&self) -> Vec<String> {
+        let mut out: Vec<String> = Vec::new();
+        for t in self.tables() {
+            out.push(format!("table:{t}"));
+        }
+        for (t, a) in self.attributes() {
+            if t.is_empty() {
+                out.push(format!("attr:{a}"));
+            } else {
+                out.push(format!("attr:{t}.{a}"));
+            }
+        }
+        for [t, c, op, _] in self.predicates() {
+            if t.is_empty() {
+                out.push(format!("pred:{c}{op}"));
+            } else {
+                out.push(format!("pred:{t}.{c}{op}"));
+            }
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    /// These rows with the `QueryMeta` row rebuilt from `record`, whose
+    /// session moved (the miner's offline refinement, §4.3) or whose
+    /// runtime was refreshed; every other row stays shared, and a
+    /// tombstone's rows stay empty.
+    pub fn with_meta(&self, record: &QueryRecord) -> FeatureRows {
         let mut out = self.clone();
         for row in &mut out.0[QUERY_META] {
-            Arc::make_mut(row)[SESSION_ID] = Value::Int(session.0 as i64);
+            *row = meta_row(record);
         }
         out
     }
 }
 
+/// The `QueryMeta` row of `record`.
+fn meta_row(record: &QueryRecord) -> Arc<Row> {
+    Arc::new(vec![
+        Value::Int(record.id.0 as i64),
+        Value::Int(record.user.0 as i64),
+        Value::Int(record.ts as i64),
+        Value::Int(record.session.0 as i64),
+        Value::Int(record.runtime.elapsed_us as i64),
+        Value::Int(record.runtime.cardinality as i64),
+        Value::Bool(record.runtime.success),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::SessionId;
 
     fn features(sql: &str) -> SyntacticFeatures {
         extract(&sqlparse::parse(sql).unwrap(), None)
@@ -604,7 +624,6 @@ mod tests {
             .collect();
         assert!(pred_keys.contains(&"watersalinity.salinity>0.2".to_string()));
         assert!(pred_keys.contains(&"watertemp.temp<18".to_string()));
-        assert_eq!(f.num_joins, 1);
         assert!(!f.has_subquery);
     }
 
@@ -646,23 +665,43 @@ mod tests {
 
     #[test]
     fn aggregates_and_clauses() {
-        let f = features(
-            "SELECT lake, COUNT(*) FROM WaterTemp GROUP BY lake \
+        let stmt = sqlparse::parse(
+            "SELECT lake, COUNT(*) AS n, T.* FROM WaterTemp T GROUP BY lake \
              HAVING COUNT(*) > 3 ORDER BY lake DESC LIMIT 10",
-        );
-        assert!(f.has_aggregate);
-        assert_eq!(f.group_by, vec!["lake"]);
-        assert_eq!(f.order_by, vec!["lake desc"]);
-        assert_eq!(f.limit, Some(10));
+        )
+        .unwrap();
+        assert!(has_aggregate(&stmt));
+        assert_eq!(projections(&stmt), ["lake", "count(*) as n", "t.*"]);
+        let plain = sqlparse::parse("SELECT * FROM WaterTemp").unwrap();
+        assert!(!has_aggregate(&plain));
+        assert_eq!(projections(&plain), ["*"]);
+        let insert = sqlparse::parse("INSERT INTO t VALUES (1)").unwrap();
+        assert!(!has_aggregate(&insert) && projections(&insert).is_empty());
     }
 
     #[test]
     fn items_vocabulary() {
-        let f = features("SELECT * FROM WaterTemp T WHERE T.temp < 18");
-        let items = f.items();
-        assert!(items.contains(&"table:watertemp".to_string()));
-        assert!(items.contains(&"attr:watertemp.temp".to_string()));
-        assert!(items.contains(&"pred:watertemp.temp<".to_string()));
+        let sql = "SELECT * FROM WaterTemp T WHERE T.temp < 18";
+        let record = crate::storage::make_record(
+            crate::model::QueryId(0),
+            crate::model::UserId(1),
+            0,
+            sql,
+            sqlparse::parse(sql).ok(),
+            features(sql),
+            Default::default(),
+            crate::model::OutputSummary::None,
+            SessionId(0),
+            crate::model::Visibility::Public,
+        );
+        assert_eq!(
+            record.features.items(),
+            [
+                "attr:watertemp.temp",
+                "pred:watertemp.temp<",
+                "table:watertemp"
+            ]
+        );
     }
 
     #[test]
@@ -685,8 +724,7 @@ mod tests {
             SessionId(7),
             crate::model::Visibility::Public,
         );
-        let mut vocabulary = Vocabulary::default();
-        let rows = FeatureRows::of(&record, &mut vocabulary);
+        let rows = &record.features;
         let rendered = |i: usize| -> Vec<Vec<String>> {
             rows.relation(i)
                 .iter()
@@ -701,6 +739,10 @@ mod tests {
             [["1", "salinity", "watersalinity", ">", "0.2"]]
         );
         assert_eq!(rendered(4), [["1", "42", "100", "7", "1234", "10", "TRUE"]]);
+        // `qText` is the record's text itself.
+        assert!(
+            matches!(&rows.relation(0)[0][1], Value::Text(t) if Arc::ptr_eq(t, &record.raw_sql))
+        );
         // Every row fits its relation's schema as built.
         for (i, (name, cols)) in FEATURE_RELATIONS.iter().enumerate() {
             let mut t = relstore::Table::new(relstore::TableSchema::build(name, cols));
@@ -709,18 +751,27 @@ mod tests {
                 assert_eq!(t.rows.last().unwrap(), r, "{name} row coerced on insert");
             }
         }
-        // A session move rewrites QueryMeta.sessionId alone.
-        assert_eq!(FEATURE_RELATIONS[QUERY_META].1[SESSION_ID].0, "sessionId");
-        let moved = rows.with_session(SessionId(9));
+        // A session move rewrites the QueryMeta row alone.
+        let mut moved_record = record.clone();
+        moved_record.session = SessionId(9);
+        let moved = rows.with_meta(&moved_record);
         assert_eq!(moved.relation(4)[0][3], Value::Int(9));
         assert_eq!(rows.relation(4)[0][3], Value::Int(7));
         assert!(Arc::ptr_eq(&moved.relation(0)[0], &rows.relation(0)[0]));
+        assert!(Arc::ptr_eq(&moved.relation(3)[0], &rows.relation(3)[0]));
         // Names are shared through the vocabulary; the constant is not.
-        let again = FeatureRows::of(&record, &mut vocabulary);
+        let mut vocabulary = Vocabulary::default();
+        let mut shared = FeatureRows::clone(rows);
+        shared.share_names(&mut vocabulary);
+        let mut again = FeatureRows::of(&record, &features(sql));
+        again.share_names(&mut vocabulary);
         let [t, a, op, c] = again.predicates().next().unwrap();
-        let [t0, a0, op0, c0] = rows.predicates().next().unwrap();
+        let [t0, a0, op0, c0] = shared.predicates().next().unwrap();
         assert!(Arc::ptr_eq(t, t0) && Arc::ptr_eq(a, a0) && Arc::ptr_eq(op, op0));
         assert!(!Arc::ptr_eq(c, c0));
         assert!(Arc::ptr_eq(again.tables().next().unwrap(), t0));
+        // A tombstone's rows are empty and shared.
+        assert!((0..FEATURE_RELATIONS.len()).all(|i| FeatureRows::empty().relation(i).is_empty()));
+        assert!(Arc::ptr_eq(&FeatureRows::empty(), &FeatureRows::empty()));
     }
 }

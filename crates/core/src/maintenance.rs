@@ -55,19 +55,15 @@ pub fn scan_schema_changes(
 
     for id in ids {
         report.examined += 1;
-        let (mut stmt, logical_time, tables) = {
+        let (mut stmt, logical_time, mut names) = {
             let r = storage.get(id)?;
-            (
-                r.statement.clone().unwrap(),
-                r.runtime.logical_time,
-                r.features.tables.clone(),
-            )
+            let tables: Vec<String> = r.features.tables().map(|t| t.to_string()).collect();
+            (r.statement.clone().unwrap(), r.runtime.logical_time, tables)
         };
 
         // Gather changes to any input relation after the query ran. Renames
         // chain (a table renamed twice), so follow the log in order.
         let mut relevant: Vec<(u64, String, SchemaChangeKind)> = Vec::new();
-        let mut names = tables.clone();
         for change in engine.catalog.changes() {
             if change.at <= logical_time {
                 continue;
@@ -125,20 +121,20 @@ pub fn scan_schema_changes(
                 let new_sql = sqlparse::to_sql(&stmt);
                 let original = {
                     let r = storage.get_mut(id)?;
-                    if new_sql != r.raw_sql {
-                        let original = std::mem::replace(&mut r.raw_sql, new_sql);
+                    if *new_sql != *r.raw_sql {
+                        let original = std::mem::replace(&mut r.raw_sql, new_sql.into());
                         let old_tfp = r.template_fp;
-                        r.derive(Some(stmt), Some(&engine.catalog));
-                        Some((original, old_tfp, r.template_fp))
+                        let features = r.derive(Some(stmt), Some(&engine.catalog));
+                        Some((original.to_string(), old_tfp, r.template_fp, features))
                     } else {
                         None
                     }
                 };
-                if let Some((original_sql, old_tfp, new_tfp)) = original {
+                if let Some((original_sql, old_tfp, new_tfp, features)) = original {
                     // Popularity follows the query to its new template.
                     storage.retemplate(old_tfp, new_tfp);
                     storage.set_validity(id, Validity::Repaired { original_sql, at })?;
-                    storage.reindex(id)?;
+                    storage.reindex(id, &features)?;
                     report.repaired.push(id);
                 }
                 // Still valid untouched: a benign change (e.g. ADD COLUMN).
@@ -207,11 +203,13 @@ pub fn refresh_statistics(
         if !r.is_live() || r.statement.is_none() {
             continue;
         }
-        let touches_any = !r.features.tables.is_empty();
-        if touches_any {
+        if r.features.tables().next().is_some() {
             report.naive_rerun_count += 1;
         }
-        if r.features.tables.iter().any(|t| drifted.contains(t)) {
+        if drifted
+            .iter()
+            .any(|d| r.features.tables().any(|t| **t == **d))
+        {
             candidates.push((storage.popularity(r.template_fp), r.id));
         }
     }

@@ -68,10 +68,12 @@ pub struct TreePattern {
 
 impl TreePattern {
     /// Does `record` match this pattern?
+    /// Tables and predicates are read from its feature rows; subqueries,
+    /// aggregation and projections from its statement, if it parsed.
     pub fn matches(&self, record: &QueryRecord) -> bool {
         let f = &record.features;
         for t in &self.tables_all {
-            if !f.tables.iter().any(|x| x.eq_ignore_ascii_case(t)) {
+            if !f.tables().any(|x| x.eq_ignore_ascii_case(t)) {
                 return false;
             }
         }
@@ -79,43 +81,46 @@ impl TreePattern {
             && !self
                 .tables_any
                 .iter()
-                .any(|t| f.tables.iter().any(|x| x.eq_ignore_ascii_case(t)))
+                .any(|t| f.tables().any(|x| x.eq_ignore_ascii_case(t)))
         {
             return false;
         }
         if let Some((rel, attr, op)) = &self.predicate_on {
-            let hit = f.predicates.iter().any(|p| {
-                p.table.eq_ignore_ascii_case(rel)
-                    && p.column.eq_ignore_ascii_case(attr)
-                    && op.as_ref().map(|o| p.op == *o).unwrap_or(true)
+            let hit = f.predicates().any(|[t, c, o, _]| {
+                t.eq_ignore_ascii_case(rel)
+                    && c.eq_ignore_ascii_case(attr)
+                    && op.as_ref().is_none_or(|want| **o == **want)
             });
             if !hit {
                 return false;
             }
         }
         if let Some(min) = self.min_tables {
-            if f.tables.len() < min {
+            if f.tables().count() < min {
                 return false;
             }
         }
+        let stmt = record.statement.as_ref();
         if let Some(sub) = self.has_subquery {
-            if f.has_subquery != sub {
+            if stmt.is_some_and(features::has_subquery) != sub {
                 return false;
             }
         }
         if let Some(agg) = self.has_aggregate {
-            if f.has_aggregate != agg {
+            if stmt.is_some_and(features::has_aggregate) != agg {
                 return false;
             }
         }
-        for p in &self.projects {
-            let pl = p.to_ascii_lowercase();
-            let hit = f
-                .projections
-                .iter()
-                .any(|x| x == &pl || x.ends_with(&format!(".{pl}")) || x == "*");
-            if !hit {
-                return false;
+        if !self.projects.is_empty() {
+            let projections = stmt.map(features::projections).unwrap_or_default();
+            for p in &self.projects {
+                let pl = p.to_ascii_lowercase();
+                let hit = projections
+                    .iter()
+                    .any(|x| x == &pl || x.ends_with(&format!(".{pl}")) || x == "*");
+                if !hit {
+                    return false;
+                }
             }
         }
         true
@@ -277,12 +282,9 @@ impl<'a> MetaQueryExecutor<'a> {
             })
             .map(|i| (i, Vec::new()))
             .collect();
-        let feature_rows = self.storage.feature_rows();
         for record in self.records() {
-            if let Some(Some(rows)) = feature_rows.get(record.id.0 as usize) {
-                for (i, shown) in &mut shown {
-                    shown.extend_from_slice(rows.relation(*i));
-                }
+            for (i, shown) in &mut shown {
+                shown.extend_from_slice(record.features.relation(*i));
             }
         }
         let mut engine = relstore::Engine::new();
@@ -1512,8 +1514,8 @@ mod tests {
         let rewritten = "SELECT city FROM CityLocations WHERE pop > 2";
         let r = st.get_mut(QueryId(1)).unwrap();
         r.raw_sql = rewritten.into();
-        r.derive(sqlparse::parse(rewritten).ok(), None);
-        st.reindex(QueryId(1)).unwrap();
+        let features = r.derive(sqlparse::parse(rewritten).ok(), None);
+        st.reindex(QueryId(1), &features).unwrap();
         assert!(st.indexes().overridden(1));
         let probe = record_with_output(u64::MAX, "SELECT city FROM CityLocations", None);
         assert_class_sweeps_exact(&st, &probe, "with the override outstanding");

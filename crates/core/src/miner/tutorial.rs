@@ -25,7 +25,7 @@ pub fn generate_tutorial(
     for r in view.records() {
         logged += 1;
         *popularity.entry(r.template_fp).or_insert(0) += 1;
-        for t in &r.features.tables {
+        for t in r.features.tables() {
             per_rel.entry(t).or_default().push(r);
         }
     }

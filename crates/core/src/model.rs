@@ -6,11 +6,12 @@
 //! features, a semantic output summary, session membership, annotations,
 //! access control and maintenance state.
 
-use crate::features::{self, SyntacticFeatures};
+use crate::features::{self, FeatureRows, SyntacticFeatures};
 use relstore::Catalog;
 use sqlparse::ast::Statement;
 use sqlparse::EditOp;
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $inner:ty) => {
@@ -366,17 +367,17 @@ pub struct QueryRecord {
     pub user: UserId,
     /// Trace-time seconds (wall-clock stand-in).
     pub ts: u64,
-    /// The SQL exactly as typed.
-    pub raw_sql: String,
+    /// The SQL exactly as typed; its `Queries.qText` cell shares it.
+    pub raw_sql: Arc<str>,
     /// Parsed statement (None when the text failed to parse — the log still
     /// records the attempt; §2.3 correction mode needs those too).
     pub statement: Option<Statement>,
-    /// Fingerprint of the canonicalised statement.
-    pub structure_fp: u64,
     /// Fingerprint of the constant-stripped template (popularity key).
     pub template_fp: u64,
-    /// Extracted syntactic features (the Fig. 1 relations' source).
-    pub features: SyntacticFeatures,
+    /// The query's rows of the Figure 1 feature relations: its extracted
+    /// syntactic features, held once. Only the storage's `insert`,
+    /// `reindex`, `delete` and session moves rewrite them.
+    pub features: Arc<FeatureRows>,
     /// Captured runtime features.
     pub runtime: RuntimeFeatures,
     /// Semantic output summary.
@@ -394,28 +395,27 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
-    /// Re-derive, in place, everything that is a function of `raw_sql`:
-    /// its parse, both fingerprints and the syntactic features, resolved
-    /// against `catalog` when one is given — the rewrite path of WAL
-    /// replay and maintenance repair alike.
-    pub fn derive(&mut self, statement: Option<Statement>, catalog: Option<&Catalog>) {
-        self.features = statement
+    /// Re-derive, in place, the parse of `raw_sql` and its template
+    /// fingerprint, and return its features, resolved against `catalog`
+    /// when one is given, for [`crate::storage::QueryStorage::reindex`] —
+    /// the rewrite path of WAL replay and maintenance repair alike.
+    pub fn derive(
+        &mut self,
+        statement: Option<Statement>,
+        catalog: Option<&Catalog>,
+    ) -> SyntacticFeatures {
+        let features = statement
             .as_ref()
             .map(|stmt| features::extract(stmt, catalog))
             .unwrap_or_default();
         self.set_statement(statement);
+        features
     }
 
-    /// The statement and its fingerprints — the part of
+    /// The statement and its template fingerprint — the part of
     /// [`QueryRecord::derive`] every record constructor shares.
     pub(crate) fn set_statement(&mut self, statement: Option<Statement>) {
-        (self.structure_fp, self.template_fp) = match &statement {
-            Some(stmt) => (
-                sqlparse::structure_fingerprint(stmt),
-                sqlparse::template_fingerprint(stmt),
-            ),
-            None => (0, 0),
-        };
+        self.template_fp = statement.as_ref().map_or(0, sqlparse::template_fingerprint);
         self.statement = statement;
     }
 

@@ -9,7 +9,7 @@
 
 use crate::config::{CqmsConfig, ProfilingDepth};
 use crate::error::CqmsError;
-use crate::features::{self, SyntacticFeatures};
+use crate::features::{self, FeatureRows, SyntacticFeatures};
 use crate::model::*;
 use crate::storage::{make_record, QueryStorage};
 use relstore::stats::Reservoir;
@@ -179,11 +179,12 @@ impl Profiler {
     }
 }
 
-/// Table-set Jaccard similarity between two feature sets.
-fn table_overlap(a: &SyntacticFeatures, b: &SyntacticFeatures) -> f64 {
+/// Table-set Jaccard similarity between a logged query's feature rows and
+/// a new query's features.
+fn table_overlap(a: &FeatureRows, b: &SyntacticFeatures) -> f64 {
     use std::collections::HashSet;
-    let sa: HashSet<&String> = a.tables.iter().collect();
-    let sb: HashSet<&String> = b.tables.iter().collect();
+    let sa: HashSet<&str> = a.tables().map(|t| &**t).collect();
+    let sb: HashSet<&str> = b.tables.iter().map(String::as_str).collect();
     if sa.is_empty() && sb.is_empty() {
         return 1.0;
     }
@@ -269,7 +270,7 @@ mod tests {
         assert!(rec.runtime.success);
         assert!(rec.runtime.cardinality > 0);
         assert!(!rec.runtime.plan.is_empty());
-        assert!(rec.features.tables.contains(&"watertemp".to_string()));
+        assert!(rec.features.tables().any(|t| &**t == "watertemp"));
         assert!(matches!(
             rec.summary,
             OutputSummary::Full { .. } | OutputSummary::Sample { .. }
@@ -549,7 +550,7 @@ mod tests {
             )
             .unwrap();
         let rec = st.get(out.id).unwrap();
-        assert!(rec.features.tables.is_empty());
+        assert!(rec.features.tables().next().is_none());
         assert_eq!(rec.summary, OutputSummary::None);
         // Raw text search still works.
         assert!(!st.trigram_index().search("temp < 18").is_empty());

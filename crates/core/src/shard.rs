@@ -1482,7 +1482,7 @@ mod tests {
             let id = *res.as_ref().unwrap();
             let (shard, local) = s.locate(id);
             assert_eq!(shard, s.shard_of(u), "item {i} landed on the wrong shard");
-            let sql = s.shards()[shard].read(|c| c.storage.get(local).unwrap().raw_sql.clone());
+            let sql = s.shards()[shard].read(|c| c.storage.get(local).unwrap().raw_sql.to_string());
             assert!(sql.contains(&format!("temp < {i}")));
         }
         assert!(s.ingest_batch(&[]).is_empty());

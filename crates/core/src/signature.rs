@@ -28,7 +28,6 @@
 //! identical are at the same feature distance from any probe, so kNN
 //! computes that distance once per class.
 
-use crate::features::SyntacticFeatures;
 use crate::model::{OutputSummary, QueryRecord};
 use cqms_cow::{CowMap, SnapshotVec};
 use sqlparse::{FlatTree, SelectProfile, TreeShape};
@@ -185,7 +184,7 @@ impl SimSignature {
     }
 
     fn assemble(record: &QueryRecord, map: &mut dyn FnMut(&str) -> u32) -> SimSignature {
-        let f: &SyntacticFeatures = &record.features;
+        let f = &record.features;
         let mut ids = |keys: Vec<String>| -> Vec<u32> {
             let mut keys = keys;
             keys.sort();
@@ -194,16 +193,11 @@ impl SimSignature {
             v.sort_unstable();
             v
         };
-        let tables = ids(f.tables.iter().map(|t| format!("t:{t}")).collect());
-        let attributes = ids(f
-            .attributes
-            .iter()
-            .map(|(t, c)| format!("a:{t}.{c}"))
-            .collect());
+        let tables = ids(f.tables().map(|t| format!("t:{t}")).collect());
+        let attributes = ids(f.attributes().map(|(t, c)| format!("a:{t}.{c}")).collect());
         let predicates = ids(f
-            .predicates
-            .iter()
-            .map(|p| format!("p:{}.{}{}", p.table, p.column, p.op))
+            .predicates()
+            .map(|[t, c, op, _]| format!("p:{t}.{c}{op}"))
             .collect());
 
         // The nested tree lives only long enough to take its shape and be

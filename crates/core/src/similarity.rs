@@ -44,31 +44,27 @@ fn jaccard_distance<T: std::hash::Hash + Eq>(a: &HashSet<T>, b: &HashSet<T>) -> 
 /// Feature distance: weighted Jaccard over tables, attributes and predicate
 /// templates (weights from config; constants excluded per §4.3).
 pub fn feature_distance(a: &QueryRecord, b: &QueryRecord, config: &CqmsConfig) -> f64 {
-    let ta: HashSet<&String> = a.features.tables.iter().collect();
-    let tb: HashSet<&String> = b.features.tables.iter().collect();
+    let ta: HashSet<&str> = a.features.tables().map(|t| &**t).collect();
+    let tb: HashSet<&str> = b.features.tables().map(|t| &**t).collect();
     let aa: HashSet<String> = a
         .features
-        .attributes
-        .iter()
+        .attributes()
         .map(|(t, c)| format!("{t}.{c}"))
         .collect();
     let ab: HashSet<String> = b
         .features
-        .attributes
-        .iter()
+        .attributes()
         .map(|(t, c)| format!("{t}.{c}"))
         .collect();
     let pa: HashSet<String> = a
         .features
-        .predicates
-        .iter()
-        .map(|p| format!("{}.{}{}", p.table, p.column, p.op))
+        .predicates()
+        .map(|[t, c, op, _]| format!("{t}.{c}{op}"))
         .collect();
     let pb: HashSet<String> = b
         .features
-        .predicates
-        .iter()
-        .map(|p| format!("{}.{}{}", p.table, p.column, p.op))
+        .predicates()
+        .map(|[t, c, op, _]| format!("{t}.{c}{op}"))
         .collect();
     config.weight_tables * jaccard_distance(&ta, &tb)
         + config.weight_attributes * jaccard_distance(&aa, &ab)

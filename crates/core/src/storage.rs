@@ -11,8 +11,9 @@
 //!   substring ([`textindex::TrigramIndex`]) meta-queries;
 //! * **feature rows** — each query's rows of the Figure 1 relations
 //!   (`Queries`, `DataSources`, `Attributes`, `Predicates`, `QueryMeta`),
-//!   kept beside its record ([`FeatureRows`]); a SQL meta-query is shown
-//!   the rows of the queries its viewer may see
+//!   held by its record ([`FeatureRows`]) as its one copy of its
+//!   syntactic features; a SQL meta-query is shown the rows of the
+//!   queries its viewer may see
 //!   ([`crate::metaquery::MetaQueryExecutor::by_feature_sql`]);
 //! * **typed records** ([`QueryRecord`]) carrying the parse tree, runtime
 //!   features, output summary, annotations, ACLs and maintenance state.
@@ -46,9 +47,6 @@ use textindex::{InvertedIndex, TrigramIndex};
 /// thing a clone does not carry: a clone serves every read and logs nothing.
 pub struct QueryStorage {
     records: SnapshotVec<Arc<QueryRecord>>,
-    /// Per-record Figure 1 rows, parallel to `records`; `None` once the
-    /// record is tombstoned.
-    feature_rows: SnapshotVec<Option<Arc<FeatureRows>>>,
     text: InvertedIndex,
     trigram: TrigramIndex,
     /// Each edge behind its own `Arc`: an edge owns its edit script, and
@@ -84,8 +82,8 @@ pub struct QueryStorage {
     /// through `get_mut`).
     live: usize,
     /// Completion's statistics over the live records, read from their
-    /// feature-row slots (kept coherent by `insert`/`delete`/
-    /// `set_validity`/`reindex`, like `live`).
+    /// feature rows (kept coherent by `insert`/`delete`/`set_validity`/
+    /// `reindex`, like `live`).
     completion: CompletionCounts,
     /// The newest `ts` of any record, tombstones included (records are
     /// never removed and no mutator rewrites `ts`, so `insert` alone
@@ -105,7 +103,6 @@ impl Clone for QueryStorage {
     fn clone(&self) -> Self {
         QueryStorage {
             records: self.records.clone(),
-            feature_rows: self.feature_rows.clone(),
             text: self.text.clone(),
             trigram: self.trigram.clone(),
             edges: self.edges.clone(),
@@ -136,7 +133,6 @@ impl QueryStorage {
     pub fn new() -> Self {
         QueryStorage {
             records: SnapshotVec::new(),
-            feature_rows: SnapshotVec::new(),
             text: InvertedIndex::new(),
             trigram: TrigramIndex::new(),
             edges: SegVec::new(),
@@ -203,10 +199,11 @@ impl QueryStorage {
     /// Insert a fully-built record (the Profiler constructs records; tests
     /// may too). The record's `id` must equal `self.len()`.
     ///
-    /// A record arriving already tombstoned (snapshot restore) is logged
-    /// but never indexed — the same end state [`QueryStorage::delete`]
-    /// leaves behind.
-    pub fn insert(&mut self, record: QueryRecord) -> QueryId {
+    /// The record's feature-row names are pointed at the store's
+    /// vocabulary. A record arriving already tombstoned (snapshot
+    /// restore) is logged but never indexed and keeps no rows — the same
+    /// end state [`QueryStorage::delete`] leaves behind.
+    pub fn insert(&mut self, mut record: QueryRecord) -> QueryId {
         assert_eq!(
             record.id.0 as usize,
             self.records.len(),
@@ -243,8 +240,11 @@ impl QueryStorage {
             self.wal_log(op);
         }
         self.signatures.push(Arc::new(sig));
-        let rows = (!tombstoned).then(|| Arc::new(FeatureRows::of(&record, &mut self.vocabulary)));
-        self.feature_rows.push(rows);
+        if tombstoned {
+            record.features = FeatureRows::empty();
+        } else {
+            Arc::make_mut(&mut record.features).share_names(&mut self.vocabulary);
+        }
         self.records.push(Arc::new(record));
         if live {
             self.count_completion(id, true);
@@ -278,13 +278,6 @@ impl QueryStorage {
     /// Live records only.
     pub fn iter_live(&self) -> impl Iterator<Item = &QueryRecord> {
         self.records.iter().map(Arc::as_ref).filter(|r| r.is_live())
-    }
-
-    /// Each record's Figure 1 rows, parallel to the record vector (`None`
-    /// for tombstones) — what a SQL meta-query's relations are assembled
-    /// from.
-    pub fn feature_rows(&self) -> &SnapshotVec<Option<Arc<FeatureRows>>> {
-        &self.feature_rows
     }
 
     /// Completion's statistics, counted over the live records.
@@ -394,27 +387,27 @@ impl QueryStorage {
         Ok(())
     }
 
-    /// Tombstone a query: drop it from the text indexes, drop its feature
-    /// rows and count it as dead weight in the structural index; the
-    /// record itself remains for audit (§2.4 delete).
+    /// Tombstone a query: drop it from the text indexes, swap its feature
+    /// rows for the shared empty ones and count it as dead weight in the
+    /// structural index; the record itself remains for audit (§2.4
+    /// delete).
     pub fn delete(&mut self, id: QueryId) -> Result<(), CqmsError> {
         let (tfp, was_live) = {
-            let r = self.get_mut(id)?;
+            let r = self.get(id)?;
             if r.validity == Validity::Deleted {
                 return Ok(()); // idempotent: already tombstoned
             }
-            let tfp = r.template_fp;
-            let was_live = r.is_live();
-            r.validity = Validity::Deleted;
-            (tfp, was_live)
+            (r.template_fp, r.is_live())
         };
         if was_live {
             self.live -= 1;
             self.count_completion(id, false);
         }
+        let r = self.get_mut(id)?;
+        r.validity = Validity::Deleted;
+        r.features = FeatureRows::empty();
         self.text.remove(id.0);
         self.trigram.remove(id.0);
-        *self.feature_rows_mut(id) = None;
         if let Some(c) = self.template_counts.get_mut(&tfp) {
             *c = c.saturating_sub(1);
         }
@@ -499,82 +492,70 @@ impl QueryStorage {
         *self.template_counts.entry_or_default(new_fp) += 1;
     }
 
-    /// Add (or subtract) a live record's completion features to the
-    /// counters. They are read from the record's feature-row slot, which
-    /// only `insert` and `reindex` write — not from `record.features`,
-    /// which maintenance rewrites through `get_mut` before it re-validates
-    /// and reindexes the record.
+    /// Add (or subtract) a live record's completion features — its
+    /// feature rows — to the counters.
     fn count_completion(&mut self, id: QueryId, add: bool) {
-        let QueryStorage {
-            feature_rows,
-            completion,
-            ..
-        } = self;
-        if let Some(Some(rows)) = feature_rows.get(id.0 as usize) {
-            completion.count(rows, add);
+        if let Some(r) = self.records.get(id.0 as usize) {
+            self.completion.count(&r.features, add);
         }
     }
 
-    /// The feature-row slot of a record known to exist.
-    fn feature_rows_mut(&mut self, id: QueryId) -> &mut Option<Arc<FeatureRows>> {
-        self.feature_rows
-            .get_mut(id.0 as usize)
-            .expect("feature rows parallel records")
-    }
-
-    /// Re-index a record whose SQL (or output summary) was rewritten —
-    /// the maintenance repair path, and the only sanctioned route for
-    /// any in-place record mutation that derived state depends on.
+    /// Re-index a record whose SQL was rewritten — the maintenance repair
+    /// path, and WAL replay's — given the `features` its
+    /// [`QueryRecord::derive`] returned.
     ///
-    /// Text indexes, feature rows and the similarity signature are
-    /// rebuilt immediately; the structural index (VP-tree, ParseTree
-    /// profile groups, feature classes) is *not* rebuilt inline —
-    /// the registry logs an override (probes mask the stale entries and
-    /// re-evaluate this record from its fresh signature) and schedules a
-    /// background rebuild into the next miner epoch.
-    pub fn reindex(&mut self, id: QueryId) -> Result<(), CqmsError> {
-        self.get(id)?;
-        let (sql, rows, live) = {
-            let QueryStorage {
-                records,
-                vocabulary,
-                ..
-            } = &mut *self;
-            let r = records.get(id.0 as usize).expect("validated by get above");
-            let rows = Arc::new(FeatureRows::of(r, vocabulary));
-            (r.raw_sql.clone(), rows, r.is_live())
-        };
-        self.text.add(id.0, &sql);
-        self.trigram.add(id.0, &sql);
+    /// In this order: the completion counts subtract the record's old
+    /// rows, the new rows are built from `features` and stored in the
+    /// record, and the counts add them back. Text indexes and the
+    /// similarity signature are rebuilt immediately; the structural
+    /// index (VP-tree, ParseTree profile groups, feature classes) is
+    /// *not* rebuilt inline — the registry logs an override (probes mask
+    /// the stale entries and re-evaluate this record from its fresh
+    /// signature) and schedules a background rebuild into the next miner
+    /// epoch.
+    pub fn reindex(&mut self, id: QueryId, features: &SyntacticFeatures) -> Result<(), CqmsError> {
+        let live = self.get(id)?.is_live();
         if live {
             self.count_completion(id, false);
         }
-        *self.feature_rows_mut(id) = Some(rows);
+        let r = Arc::make_mut(
+            self.records
+                .get_mut(id.0 as usize)
+                .expect("validated above"),
+        );
+        let mut rows = FeatureRows::of(r, features);
+        rows.share_names(&mut self.vocabulary);
+        r.features = Arc::new(rows);
         if live {
             self.count_completion(id, true);
         }
-        // Rebuild the similarity signature (the statement, features and
-        // possibly the summary changed).
-        let sig = {
-            let QueryStorage {
-                records, interner, ..
-            } = &mut *self;
-            let r = records
-                .get(id.0 as usize)
-                .expect("validated by get above")
-                .as_ref();
-            SimSignature::build(r, interner)
-        };
-        *self
-            .signatures
-            .get_mut(id.0 as usize)
-            .expect("signatures parallel records") = Arc::new(sig);
+        self.refresh_derived(id);
+        Ok(())
+    }
+
+    /// Rebuild what [`QueryStorage::reindex`] rebuilds past the feature
+    /// rows — text indexes, signature, the registry override — and log
+    /// the `Reindex`. Shared with summary refresh, whose rows keep their
+    /// features, and with the replay of a `Reindex` that left the SQL
+    /// as it was.
+    pub(crate) fn refresh_derived(&mut self, id: QueryId) {
+        let sql = Arc::clone(&self.records[id.0 as usize].raw_sql);
+        self.text.add(id.0, &sql);
+        self.trigram.add(id.0, &sql);
+        // Rebuild the similarity signature (the statement, features or
+        // the summary changed).
+        let sig = SimSignature::build(&self.records[id.0 as usize], &mut self.interner);
+        let slot = self.signatures.get_mut(id.0 as usize);
+        *slot.expect("signatures parallel records") = Arc::new(sig);
         // The record's parse tree / folded SELECT / summary may have
         // changed: log an override (probes re-evaluate this record from
         // the fresh signature) and schedule the background rebuild that
         // retires it — no index is dropped, no probe pays a lazy build.
         self.indexes.note_reindex(id.0);
-        self.wal_log(WalOp::Reindex { id, raw_sql: sql });
+        self.wal_log(WalOp::Reindex {
+            id,
+            raw_sql: sql.to_string(),
+        });
         // Bulk-repair bound: the override log is scanned by every probe,
         // and a repair storm can outpace the background rebuild that
         // retires it. Once the log crosses the threshold, publish a
@@ -583,23 +564,26 @@ impl QueryStorage {
         if self.indexes.override_count() >= OVERRIDE_PUBLISH_THRESHOLD {
             self.run_index_maintenance();
         }
-        Ok(())
     }
 
     /// Refresh a record's output summary (§4.4 statistics refresh). The
     /// summary feeds the signature's hashed output row/cell sets — the
     /// query-by-data screens and the Output/Combined distances — so the
-    /// *only* sanctioned route is this setter, which routes
-    /// through [`QueryStorage::reindex`] (now a registry rebuild
-    /// request). Mutating `record.summary` through `get_mut` instead
-    /// trips the coherence `debug_assert` on the query-by-data path.
+    /// *only* sanctioned route is this setter, which rebuilds what
+    /// [`QueryStorage::reindex`] does (a registry rebuild request) and
+    /// the `QueryMeta` row, from the record's refreshed runtime.
+    /// Mutating `record.summary` through `get_mut` instead trips the
+    /// coherence `debug_assert` on the query-by-data path.
     pub fn refresh_summary(
         &mut self,
         id: QueryId,
         summary: OutputSummary,
     ) -> Result<(), CqmsError> {
-        self.get_mut(id)?.summary = summary;
-        self.reindex(id)
+        let r = self.get_mut(id)?;
+        r.summary = summary;
+        r.features = Arc::new(r.features.with_meta(r));
+        self.refresh_derived(id);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -698,12 +682,11 @@ impl QueryStorage {
     }
 
     /// Pointers a snapshot clone copies eagerly: one per chunk of each
-    /// id-indexed vector (records, feature rows, signatures, document
-    /// slots, VP-tree entries, profile groups and feature classes). Everything else a clone shares
-    /// costs O(1) per structure; nothing is copied by value.
+    /// id-indexed vector (records, signatures, document slots, VP-tree
+    /// entries, profile groups and feature classes). Everything else a
+    /// clone shares costs O(1) per structure; nothing is copied by value.
     pub fn cow_head_len(&self) -> usize {
         self.records.chunk_count()
-            + self.feature_rows.chunk_count()
             + self.signatures.chunk_count()
             + self.text.clone_len()
             + self.trigram.clone_len()
@@ -725,10 +708,9 @@ impl QueryStorage {
                 Some(r) if r.session != session => r.session,
                 _ => continue,
             };
-            Arc::make_mut(self.records.get_mut(i).expect("checked above")).session = session;
-            if let Some(rows) = self.feature_rows_mut(id) {
-                *rows = Arc::new(rows.with_session(session));
-            }
+            let r = Arc::make_mut(self.records.get_mut(i).expect("checked above"));
+            r.session = session;
+            r.features = Arc::new(r.features.with_meta(r));
             if let Some(members) = self.sessions.get_mut(&old) {
                 if let Ok(at) = members.binary_search(&id) {
                     members.remove(at);
@@ -1013,8 +995,9 @@ fn io_err(e: std::io::Error) -> CqmsError {
 }
 
 /// Build a record from its parts — the constructor of ingest, replay,
-/// probes and tests; callers extract `features` first (against their
-/// catalog, if they have one).
+/// probes and tests; callers extract the features first (against their
+/// catalog, if they have one), and the record keeps them as its feature
+/// rows.
 #[allow(clippy::too_many_arguments)]
 pub fn make_record(
     id: QueryId,
@@ -1022,7 +1005,7 @@ pub fn make_record(
     ts: u64,
     raw_sql: &str,
     statement: Option<sqlparse::Statement>,
-    features: SyntacticFeatures,
+    extracted: SyntacticFeatures,
     runtime: RuntimeFeatures,
     summary: OutputSummary,
     session: SessionId,
@@ -1032,11 +1015,10 @@ pub fn make_record(
         id,
         user,
         ts,
-        raw_sql: raw_sql.to_string(),
+        raw_sql: Arc::from(raw_sql),
         statement: None,
-        structure_fp: 0,
         template_fp: 0,
-        features,
+        features: FeatureRows::empty(),
         runtime,
         summary,
         session,
@@ -1046,6 +1028,7 @@ pub fn make_record(
         quality: 0.5,
     };
     record.set_statement(statement);
+    record.features = Arc::new(FeatureRows::of(&record, &extracted));
     record
 }
 
@@ -1189,7 +1172,10 @@ mod tests {
         assert!(!s.text_index().contains(0));
         assert_eq!(s.popularity(fp), 1);
         assert!(feature_sql(&s, "SELECT * FROM Queries WHERE qid = 0").is_empty());
-        assert!(s.feature_rows()[0].is_none());
+        assert!(Arc::ptr_eq(
+            &s.get(QueryId(0)).unwrap().features,
+            &FeatureRows::empty()
+        ));
         // Record is retained for audit.
         assert_eq!(s.get(QueryId(0)).unwrap().validity, Validity::Deleted);
     }
@@ -1433,8 +1419,8 @@ mod tests {
         let rewritten = "SELECT salinity FROM WaterSalinity WHERE salinity > 0.2";
         let r = s.get_mut(QueryId(0)).unwrap();
         r.raw_sql = rewritten.into();
-        r.derive(sqlparse::parse(rewritten).ok(), None);
-        s.reindex(QueryId(0)).unwrap();
+        let features = r.derive(sqlparse::parse(rewritten).ok(), None);
+        s.reindex(QueryId(0), &features).unwrap();
         let temp18 = "SELECT * FROM WaterTemp WHERE temp < 18";
         assert_eq!(
             feature_sql(&s, "SELECT * FROM Queries"),
@@ -1599,7 +1585,9 @@ mod tests {
         .unwrap();
         assert!(!s.index_rebuild_pending());
         // Reindex: override logged + rebuild scheduled; nothing dropped.
-        s.reindex(QueryId(1)).unwrap();
+        let r = s.get_mut(QueryId(1)).unwrap();
+        let features = r.derive(r.statement.clone(), None);
+        s.reindex(QueryId(1), &features).unwrap();
         assert!(s.index_rebuild_pending());
         assert!(s.indexes().overridden(1));
         assert_eq!(s.index_generation(), 1, "no inline rebuild");

@@ -117,7 +117,7 @@ pub fn render_log_summary(view: &MetaQueryExecutor, max_sessions: usize) -> Stri
     );
     for (session, members) in sessions.iter().take(max_sessions) {
         let (first, last) = (members[0], members[members.len() - 1]);
-        let tables = last.features.tables.join(", ");
+        let tables: Vec<&str> = last.features.tables().map(|t| &**t).collect();
         let _ = writeln!(
             out,
             "  session {:>4} user {:>3} {:>3} queries {:>8}  [{}]  {}",
@@ -125,7 +125,7 @@ pub fn render_log_summary(view: &MetaQueryExecutor, max_sessions: usize) -> Stri
             first.user,
             members.len(),
             fmt_clock(first.ts),
-            tables,
+            tables.join(", "),
             truncate(&last.raw_sql, 48),
         );
     }

@@ -171,7 +171,7 @@ impl InsertFrame {
             user: r.user,
             ts: r.ts,
             session: r.session,
-            raw_sql: r.raw_sql.clone(),
+            raw_sql: r.raw_sql.to_string(),
             visibility: r.visibility,
             validity: r.validity.clone(),
             elapsed_us: r.runtime.elapsed_us,
@@ -1215,15 +1215,17 @@ pub fn apply_op(
             Ok(true)
         }
         WalOp::Reindex { id, raw_sql } => {
-            if storage.get(*id)?.raw_sql != *raw_sql {
-                let r = storage.get_mut(*id)?;
-                let old_tfp = r.template_fp;
-                r.raw_sql = raw_sql.clone();
-                r.derive(sqlparse::parse(raw_sql).ok(), catalog);
-                let new_tfp = r.template_fp;
-                storage.retemplate(old_tfp, new_tfp);
+            if *storage.get(*id)?.raw_sql == **raw_sql {
+                storage.refresh_derived(*id);
+                return Ok(true);
             }
-            storage.reindex(*id)?;
+            let r = storage.get_mut(*id)?;
+            let old_tfp = r.template_fp;
+            r.raw_sql = raw_sql.as_str().into();
+            let features = r.derive(sqlparse::parse(raw_sql).ok(), catalog);
+            let new_tfp = r.template_fp;
+            storage.retemplate(old_tfp, new_tfp);
+            storage.reindex(*id, &features)?;
             Ok(true)
         }
     }
@@ -1816,13 +1818,13 @@ mod tests {
         storage.insert(record(1, "SELECT * FROM Lakes", 0));
         // Simulate the repair path: rewrite sql in place, retemplate,
         // set_validity(Repaired), reindex — as maintenance.rs does.
-        let (old_tfp, new_tfp) = {
+        let (old_tfp, new_tfp, features) = {
             let new_sql = "SELECT temperature FROM WaterTemp WHERE temperature < 18";
             let r = storage.get_mut(QueryId(0)).unwrap();
             let old = r.template_fp;
             r.raw_sql = new_sql.into();
-            r.derive(sqlparse::parse(new_sql).ok(), None);
-            (old, r.template_fp)
+            let features = r.derive(sqlparse::parse(new_sql).ok(), None);
+            (old, r.template_fp, features)
         };
         storage.retemplate(old_tfp, new_tfp);
         storage
@@ -1834,7 +1836,7 @@ mod tests {
                 },
             )
             .unwrap();
-        storage.reindex(QueryId(0)).unwrap();
+        storage.reindex(QueryId(0), &features).unwrap();
         // Plus an annotation, an edge and a visibility change.
         storage
             .annotate(

@@ -156,7 +156,7 @@ fn overloaded_slot_is_never_durable_admitted_slots_flush() {
     // The durability oracle: admitted slots are on disk, the shed slot
     // is nowhere — not merely unacknowledged but never executed.
     let (recovered, _) = log.lock().recover().expect("recover");
-    let durable: Vec<&str> = recovered.iter().map(|r| r.raw_sql.as_str()).collect();
+    let durable: Vec<&str> = recovered.iter().map(|r| &*r.raw_sql).collect();
     assert!(durable.contains(&"SELECT * FROM Lakes"));
     assert!(durable.contains(&"SELECT salinity FROM WaterSalinity"));
     assert!(
@@ -678,7 +678,9 @@ fn override_storm_forces_inline_publish() {
     }
     let gen0 = cqms.storage.index_generation();
     for i in 0..storm {
-        cqms.storage.reindex(QueryId(i)).expect("repair");
+        let stmt = cqms.storage.get(QueryId(i)).unwrap().statement.clone();
+        let feats = cqms_core::features::extract(&stmt.unwrap(), Some(&cqms.data.catalog));
+        cqms.storage.reindex(QueryId(i), &feats).expect("repair");
         assert!(
             cqms.storage.indexes().override_count() < BOUND,
             "override log bounded at the threshold (repair {i})"

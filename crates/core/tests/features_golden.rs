@@ -67,16 +67,16 @@ const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 fn features_line(record: &QueryRecord) -> String {
     let f = &record.features;
     let mut line = format!("{}|{}|", record.id.0, f.items().join(","));
-    for t in &f.tables {
+    for t in f.tables() {
         write!(line, "{t},").unwrap();
     }
     line.push('|');
-    for (t, a) in &f.attributes {
+    for (t, a) in f.attributes() {
         write!(line, "{t}.{a},").unwrap();
     }
     line.push('|');
-    for p in &f.predicates {
-        write!(line, "{}.{} {} {},", p.table, p.column, p.op, p.constant).unwrap();
+    for [t, c, op, constant] in f.predicates() {
+        write!(line, "{t}.{c} {op} {constant},").unwrap();
     }
     line.push('\n');
     line

@@ -121,6 +121,32 @@ fn build_storage(records: Vec<QueryRecord>) -> QueryStorage {
     st
 }
 
+/// Re-derive a record's features from its own statement and reindex it:
+/// the repair path with the text left as it was.
+fn reindex_in_place(st: &mut QueryStorage, id: QueryId) {
+    let r = st.get_mut(id).unwrap();
+    let features = r.derive(r.statement.clone(), None);
+    st.reindex(id, &features).unwrap();
+}
+
+/// The mining items of a statement, as a logged record's rows hold them.
+fn items_of(stmt: sqlparse::Statement) -> HashSet<String> {
+    let features = extract(&stmt, None);
+    let record = make_record(
+        QueryId(0),
+        UserId(0),
+        0,
+        "",
+        Some(stmt),
+        features,
+        RuntimeFeatures::default(),
+        OutputSummary::None,
+        SessionId(0),
+        Visibility::Public,
+    );
+    record.features.items().into_iter().collect()
+}
+
 /// Reference kNN: full scan over live visible records with the exact
 /// signature kernels, brute-force ordering (score desc, id asc).
 fn brute_knn(
@@ -470,9 +496,9 @@ proptest! {
         for (pick, sql) in &rewrites {
             let id = QueryId((pick % n) as u64);
             let r = st.get_mut(id).unwrap();
-            r.raw_sql = sql.clone();
-            r.derive(sqlparse::parse(sql).ok(), None);
-            st.reindex(id).unwrap();
+            r.raw_sql = sql.as_str().into();
+            let features = r.derive(sqlparse::parse(sql).ok(), None);
+            st.reindex(id, &features).unwrap();
         }
         let dir = Directory::new();
         let cfg = CqmsConfig::default();
@@ -610,9 +636,9 @@ proptest! {
         // masked in its group, evaluated from its live signature.
         let pick = groups.iter().max_by_key(|m| m.len()).map_or(0, |m| m[m.len() - 1]);
         let r = st.get_mut(QueryId(pick)).unwrap();
-        r.raw_sql = rewrite.clone();
-        r.derive(sqlparse::parse(&rewrite).ok(), None);
-        st.reindex(QueryId(pick)).unwrap();
+        r.raw_sql = rewrite.as_str().into();
+        let features = r.derive(sqlparse::parse(&rewrite).ok(), None);
+        st.reindex(QueryId(pick), &features).unwrap();
         prop_assert!(st.indexes().overridden(pick));
         check(&st, "reindexed")?;
         // Phase 6: incremental inserts into the already-built tree.
@@ -715,7 +741,7 @@ proptest! {
         }
         let reindexed = QueryId((reindex_pick % n) as u64);
         if st.get(reindexed).unwrap().validity != Validity::Deleted {
-            st.reindex(reindexed).unwrap();
+            reindex_in_place(&mut st, reindexed);
         }
         // Publish: delta replay + one swap.
         let pinned_mid = st.clone();
@@ -961,7 +987,7 @@ proptest! {
                 WalStep::Reindex(i) if n > 0 => {
                     let id = QueryId((i % n) as u64);
                     if st.get(id).unwrap().validity != Validity::Deleted {
-                        st.reindex(id).unwrap();
+                        reindex_in_place(&mut st, id);
                     }
                 }
                 WalStep::Flush => st.wal_flush().unwrap(),
@@ -1128,8 +1154,6 @@ proptest! {
         let stmt = sqlparse::parse(&sql).unwrap();
         let printed = sqlparse::to_sql(&sqlparse::canonicalize(&stmt));
         let reparsed = sqlparse::parse(&printed).unwrap();
-        let a: HashSet<String> = extract(&stmt, None).items().into_iter().collect();
-        let b: HashSet<String> = extract(&reparsed, None).items().into_iter().collect();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(items_of(stmt), items_of(reparsed));
     }
 }

@@ -25,7 +25,7 @@ use cqms_core::admin::Directory;
 use cqms_core::assist::completion::{
     CatalogView, CompletionContext, CompletionEngine, CompletionStats, Suggestion,
 };
-use cqms_core::features::SyntacticFeatures;
+use cqms_core::features::FeatureRows;
 use cqms_core::metaquery::{ScoredHit, TreePattern};
 use cqms_core::miner::assoc::{mine_apriori, AssocRule, ContextCounts};
 use cqms_core::model::{
@@ -80,8 +80,8 @@ impl RefModel {
         }
     }
 
-    fn features(&self) -> impl Iterator<Item = &SyntacticFeatures> {
-        self.live.iter().map(|(_, r)| &r.features)
+    fn features(&self) -> impl Iterator<Item = &FeatureRows> {
+        self.live.iter().map(|(_, r)| &*r.features)
     }
 
     /// The live records `viewer` may see that `keep` admits, ascending ids.
@@ -214,38 +214,40 @@ impl RefModel {
     /// record.
     fn complete_stats(&self, partial: &str) -> CompletionStats {
         let (ctx, _, present) = CompletionEngine::detect_context(partial);
-        let in_scope = |t: &String| present.is_empty() || present.contains(t);
+        let in_scope = |t: &str| present.is_empty() || present.iter().any(|p| p == t);
         let mut stats = CompletionStats::default();
         match ctx {
             CompletionContext::Table => {
                 let context: HashSet<String> =
                     present.iter().map(|t| format!("table:{t}")).collect();
                 for f in self.features() {
-                    let items: Vec<String> =
-                        f.tables.iter().map(|t| format!("table:{t}")).collect();
+                    let items: Vec<String> = f.tables().map(|t| format!("table:{t}")).collect();
                     stats.rule_counts.add_n(&items, &context, "table:", 1);
-                    for t in &f.tables {
-                        *stats.table_pop.entry(t.clone()).or_insert(0) += 1;
+                    for t in f.tables() {
+                        *stats.table_pop.entry(t.to_string()).or_insert(0) += 1;
                     }
                 }
             }
             CompletionContext::Attribute => {
                 for f in self.features() {
-                    for (t, a) in f.attributes.iter().filter(|(t, _)| in_scope(t)) {
-                        *stats.attr_pop.entry((t.clone(), a.clone())).or_insert(0) += 1;
+                    for (t, a) in f.attributes().filter(|(t, _)| in_scope(t)) {
+                        *stats
+                            .attr_pop
+                            .entry((t.to_string(), a.to_string()))
+                            .or_insert(0) += 1;
                     }
                 }
             }
             CompletionContext::Predicate => {
                 for f in self.features() {
-                    for p in &f.predicates {
-                        if !p.table.is_empty() && !in_scope(&p.table) {
+                    for [t, c, op, constant] in f.predicates() {
+                        if !t.is_empty() && !in_scope(t) {
                             continue;
                         }
-                        let key = (p.table.clone(), p.column.clone(), p.op.clone());
+                        let key = (t.to_string(), c.to_string(), op.to_string());
                         let entry = stats.pred_pop.entry(key).or_insert((0, HashMap::new()));
                         entry.0 += 1;
-                        *entry.1.entry(p.constant.clone()).or_insert(0) += 1;
+                        *entry.1.entry(constant.to_string()).or_insert(0) += 1;
                     }
                 }
             }

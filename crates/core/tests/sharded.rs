@@ -175,7 +175,7 @@ fn denote_unsharded(svc: &CqmsService, hits: &[(QueryId, f64)]) -> Denoted {
         .map(|(id, score)| {
             svc.read(|c| {
                 let r = c.storage.get(*id).expect("hit resolves");
-                (score.to_bits(), r.user.0, r.raw_sql.clone())
+                (score.to_bits(), r.user.0, r.raw_sql.to_string())
             })
         })
         .collect();
@@ -190,7 +190,7 @@ fn denote_sharded(s: &ShardedCqms, hits: &[(QueryId, f64)]) -> Denoted {
             let (shard, local) = s.locate(*id);
             s.shards()[shard].read(|c| {
                 let r = c.storage.get(local).expect("hit resolves");
-                (score.to_bits(), r.user.0, r.raw_sql.clone())
+                (score.to_bits(), r.user.0, r.raw_sql.to_string())
             })
         })
         .collect();
@@ -581,7 +581,7 @@ fn substring_search_matches_brute_force_over_the_log() {
         shard.read(|c| {
             live.extend(c.storage.iter_live().map(|r| {
                 let id = sharded.globalize(i, r.id);
-                (id, r.user, r.visibility, r.raw_sql.clone())
+                (id, r.user, r.visibility, r.raw_sql.to_string())
             }))
         });
     }

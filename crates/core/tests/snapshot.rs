@@ -246,14 +246,14 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
             .filter(|r| r.is_live() && c.directory.can_see(viewer, r))
             .collect();
         let reads = |r: &cqms_core::model::QueryRecord, table: &str| {
-            r.features.tables.iter().any(|t| t == table)
+            r.features.tables().any(|t| &**t == table)
         };
         let mut feature_sql: Vec<Vec<String>> = shown
             .iter()
             .filter(|r| reads(r, "watersalinity") && reads(r, "watertemp"))
-            .map(|r| vec![r.id.0.to_string(), r.raw_sql.clone()])
+            .map(|r| vec![r.id.0.to_string(), r.raw_sql.to_string()])
             .collect();
-        let sources: usize = shown.iter().map(|r| r.features.tables.len()).sum();
+        let sources: usize = shown.iter().map(|r| r.features.tables().count()).sum();
         feature_sql.push(vec![sources.to_string()]);
         let dist: Vec<Vec<f64>> = (shown.iter())
             .map(|a| {
@@ -621,17 +621,10 @@ fn held_snapshots_share_the_index_head() {
             "record {id}"
         );
     }
-    // Feature rows likewise: a held snapshot shares record 0's through its
-    // slot, and nothing copies the rows themselves.
-    let rows = held[0].storage().feature_rows()[0]
-        .as_ref()
-        .expect("record 0 is live");
-    assert!(
-        Arc::strong_count(rows) <= cqms_cow::CHUNK + 3,
-        "{} references for {} held snapshots",
-        Arc::strong_count(rows),
-        held.len()
-    );
+    // Feature rows likewise: record 0 holds its rows, every held snapshot
+    // shares the record, and nothing copies the rows themselves.
+    let rows = &held[0].storage().get(QueryId(0)).expect("logged").features;
+    assert_eq!(Arc::strong_count(rows), 1);
     assert_eq!(Arc::strong_count(&rows.relation(0)[0]), 1);
     // Each one still serves its own capture-time state.
     assert_eq!(held[0].live_count(), 1);

@@ -68,9 +68,12 @@ fn main() {
         };
         let Some(best) = recs.first() else { continue };
         total += 1;
-        let rec_tables = &cqms.storage.get(best.id).unwrap().features.tables;
+        let rec_tables = &cqms.storage.get(best.id).unwrap().features;
         let own_topic = &topic_tables[q.topic as usize];
-        if rec_tables.iter().any(|t| own_topic.contains(t)) {
+        if rec_tables
+            .tables()
+            .any(|t| own_topic.iter().any(|o| **o == **t))
+        {
             hits += 1;
         }
     }
@@ -111,8 +114,8 @@ fn main() {
         // Popularity-only baseline: most common table overall (excl. context).
         let mut pop: std::collections::HashMap<String, u32> = Default::default();
         for r in cqms.storage.iter_live() {
-            for t in &r.features.tables {
-                *pop.entry(t.clone()).or_insert(0) += 1;
+            for t in r.features.tables() {
+                *pop.entry(t.to_string()).or_insert(0) += 1;
             }
         }
         let best_pop = pop

@@ -45,7 +45,7 @@ fn digest(cqms: &Cqms) -> StateDigest {
     let mut sqls = Vec::new();
     for r in cqms.storage.iter() {
         *per_user.entry(r.user.0).or_insert(0) += 1;
-        sqls.push(r.raw_sql.clone());
+        sqls.push(r.raw_sql.to_string());
     }
     sqls.sort();
     StateDigest {
@@ -526,7 +526,7 @@ fn sharded_digest(s: &cqms::engine::ShardedCqms) -> StateDigest {
         shard.read(|c| {
             for r in c.storage.iter() {
                 *per_user.entry(r.user.0).or_insert(0) += 1;
-                sqls.push(r.raw_sql.clone());
+                sqls.push(r.raw_sql.to_string());
             }
             for (fp, n) in c.storage.template_histogram() {
                 *popularity.entry(fp).or_insert(0) += n;

@@ -199,7 +199,7 @@ fn figure3_assisted_interaction_full_stack() {
         }
         let mut popularity: HashMap<&str, usize> = HashMap::new();
         for r in cqms.storage.iter_live() {
-            for t in &r.features.tables {
+            for t in r.features.tables() {
                 *popularity.entry(t).or_default() += 1;
             }
         }

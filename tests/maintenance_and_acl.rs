@@ -120,7 +120,7 @@ fn chained_schema_evolution_repairs_transitively() {
         .unwrap();
     let (schema, _) = c.run_maintenance().unwrap();
     assert_eq!(schema.repaired, vec![out.id]);
-    let repaired = c.storage.get(out.id).unwrap().raw_sql.clone();
+    let repaired = c.storage.get(out.id).unwrap().raw_sql.to_string();
     assert!(repaired.contains("LakeTemperatures"), "{repaired}");
     assert!(repaired.contains("temperature"), "{repaired}");
     // The repaired query executes.
@@ -170,7 +170,7 @@ fn chained_schema_evolution_repairs_transitively() {
         assert!(schema.affected > 0, "{ddls:?} affected no logged query");
         assert_eq!(!schema.repaired.is_empty(), renames, "{ddls:?}: {schema:?}");
         for id in &schema.repaired {
-            let sql = c.storage.get(*id).unwrap().raw_sql.clone();
+            let sql = c.storage.get(*id).unwrap().raw_sql.to_string();
             assert!(c.data.execute(&sql).is_ok(), "{ddls:?} broke {sql}");
         }
     }
@@ -217,7 +217,7 @@ fn flagged_query_recovers_after_schema_restored() {
     c.data
         .execute("ALTER TABLE WaterTemp ADD COLUMN month INT")
         .unwrap();
-    let sql = c.storage.get(out.id).unwrap().raw_sql.clone();
+    let sql = c.storage.get(out.id).unwrap().raw_sql.to_string();
     assert!(c.data.execute(&sql).is_ok());
 }
 
