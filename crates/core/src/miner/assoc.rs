@@ -3,7 +3,7 @@
 //! "By learning association rules, a CQMS could provide more advanced
 //! support for query composition" — the §2.3 example being *WaterSalinity ⇒
 //! WaterTemp*. Transactions are per-query item sets from
-//! [`crate::features::SyntacticFeatures::items`] (`table:…`, `attr:…`,
+//! [`crate::features::FeatureRows::items`] (`table:…`, `attr:…`,
 //! `pred:…`). Classic Apriori with support counting and single-consequent
 //! rule generation over a multiset of transactions. A [`RuleMiner`] is
 //! transient: a snapshot read fills it from its viewer's live records.

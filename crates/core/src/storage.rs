@@ -920,7 +920,8 @@ pub(crate) struct PredicateCount {
 /// persisted: log replay and snapshot load rebuild it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompletionCounts {
-    /// A record's `features.tables` → live records with exactly that list.
+    /// A record's table list (`FeatureRows::tables`) → live records with
+    /// exactly that list.
     table_sets: CowMap<Arc<[Arc<str>]>, u32>,
     /// (table, attribute) → live records that use it.
     attrs: CowMap<(Arc<str>, Arc<str>), u32>,
