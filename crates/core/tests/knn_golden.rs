@@ -18,9 +18,14 @@
 //! retires them. Both digests of each phase are pinned for each
 //! (deployment, domain); ids differ between deployments, so tied hits may
 //! order differently and each deployment has its own.
+//!
+//! A third digest pins the session graph's Figure 2 labels: every
+//! session's `render_session` window and the `EditPatternMiner`'s edit
+//! counts, for every viewer.
 
 use cqms_core::assist::recommend::PanelRow;
 use cqms_core::metaquery::ScoredHit;
+use cqms_core::miner::editpatterns::EditPatternMiner;
 use cqms_core::model::{QueryId, UserId, Validity, Visibility};
 use cqms_core::shard::ShardedCqms;
 use cqms_core::similarity::DistanceKind;
@@ -77,6 +82,29 @@ const WEBLOG_TREES: Golden = Golden {
     ram: [0x2b4998d4076211af, 0x2b4998d4076211af],
     sharded: [0x2fce902af71dcdb7, 0x2fce902af71dcdb7],
     reopened: [0x2b4998d4076211af, 0x2b4998d4076211af],
+};
+
+/// The session-window and edit-pattern digest of each deployment.
+struct Sessions {
+    ram: u64,
+    sharded: u64,
+    reopened: u64,
+}
+
+const LAKES_SESSIONS: Sessions = Sessions {
+    ram: 0xe811b0701782e9cf,
+    sharded: 0xa314562de242de8d,
+    reopened: 0xc9c3b8fc237695c8,
+};
+const SKY_SESSIONS: Sessions = Sessions {
+    ram: 0x792d21c97633d4bf,
+    sharded: 0x6de9ae15b5f25204,
+    reopened: 0x6f6784477fc5e565,
+};
+const WEBLOG_SESSIONS: Sessions = Sessions {
+    ram: 0xe3276193e6bf3937,
+    sharded: 0x6ebcff3358f603bf,
+    reopened: 0xb48ad2d6ce24bf7e,
 };
 
 /// 64-bit FNV-1a: stable across platforms and toolchains.
@@ -157,6 +185,22 @@ fn phase_digest(trace: &Trace, probed: &dyn Probed) -> [u64; 2] {
 /// A deployment's `[overrides outstanding, rebuilt]` phase digests.
 type Phases = [[u64; 2]; 2];
 
+/// Fold every session window of `snap` and its mined edit counts, as
+/// each of `viewers` sees them, into `h`.
+fn sessions_digest(mut h: u64, snap: &ReadSnapshot, viewers: &[UserId]) -> u64 {
+    for &viewer in viewers {
+        for session in snap.storage().session_ids() {
+            let window = snap
+                .render_session(viewer, session)
+                .unwrap_or_else(|_| "hidden\n".into());
+            h = fnv(format!("{viewer}|{session}\n{window}").as_bytes(), h);
+        }
+        let edits = EditPatternMiner::mine(&snap.view(viewer)).top_edits(usize::MAX);
+        h = fnv(format!("{viewer}|edits|{edits:?}\n").as_bytes(), h);
+    }
+    h
+}
+
 fn check(what: &str, got: Phases, golden: [&[u64; 2]; 2]) {
     for (digest, name) in ["classes", "trees"].iter().enumerate() {
         let got = [got[0][digest], got[1][digest]];
@@ -212,17 +256,16 @@ fn flagged() -> Validity {
 /// The trace's queries as `(issuer, id)`, in issue order.
 type Issued = Vec<(UserId, QueryId)>;
 
-/// Ingest the trace into a single-node CQMS, then churn it.
-fn ingest_and_churn(cqms: &mut Cqms, trace: &Trace) -> Issued {
-    cqms.register_user("root");
-    let users: Vec<UserId> = (0..trace.config.users)
-        .map(|i| cqms.register_user(&format!("user-{i}")))
-        .collect();
+/// Ingest the trace into a single-node CQMS, then churn it. Returns the
+/// registered users (root first) and the issued queries.
+fn ingest_and_churn(cqms: &mut Cqms, trace: &Trace) -> (Vec<UserId>, Issued) {
+    let mut viewers = vec![cqms.register_user("root")];
+    viewers.extend((0..trace.config.users).map(|i| cqms.register_user(&format!("user-{i}"))));
     let issued: Issued = trace
         .queries
         .iter()
         .map(|q| {
-            let user = users[q.user as usize];
+            let user = viewers[q.user as usize + 1];
             (user, cqms.run_query_at(user, &q.sql, q.ts).unwrap().id)
         })
         .collect();
@@ -235,7 +278,7 @@ fn ingest_and_churn(cqms: &mut Cqms, trace: &Trace) -> Issued {
     cqms.data.execute(rename(trace.config.domain)).unwrap();
     let (schema, _) = cqms.run_maintenance().unwrap();
     assert!(!schema.repaired.is_empty(), "the rename rewrote no query");
-    issued
+    (viewers, issued)
 }
 
 /// Probe a single-node CQMS, rebuild its indexes, probe again.
@@ -247,23 +290,22 @@ fn probe_single(cqms: &mut Cqms, trace: &Trace, viewer: UserId) -> Phases {
     [outstanding, rebuilt]
 }
 
-fn ram(trace: &Trace) -> Phases {
+fn ram(trace: &Trace) -> (Phases, u64) {
     let mut cqms = Cqms::new(trace.build_engine(), config(1));
-    let issued = ingest_and_churn(&mut cqms, trace);
-    probe_single(&mut cqms, trace, issued[0].0)
+    let (viewers, issued) = ingest_and_churn(&mut cqms, trace);
+    let phases = probe_single(&mut cqms, trace, issued[0].0);
+    (phases, sessions_digest(FNV_SEED, &cqms.capture_snapshot(0), &viewers))
 }
 
-fn sharded(trace: &Trace) -> Phases {
+fn sharded(trace: &Trace) -> (Phases, u64) {
     let sharded = ShardedCqms::new(|| trace.build_engine(), config(2));
-    sharded.register_user("root");
-    let users: Vec<UserId> = (0..trace.config.users)
-        .map(|i| sharded.register_user(&format!("user-{i}")))
-        .collect();
+    let mut viewers = vec![sharded.register_user("root")];
+    viewers.extend((0..trace.config.users).map(|i| sharded.register_user(&format!("user-{i}"))));
     let issued: Issued = trace
         .queries
         .iter()
         .map(|q| {
-            let user = users[q.user as usize];
+            let user = viewers[q.user as usize + 1];
             (user, sharded.run_query_at(user, &q.sql, q.ts).unwrap().id)
         })
         .collect();
@@ -291,62 +333,75 @@ fn sharded(trace: &Trace) -> Phases {
     let outstanding = phase_digest(trace, &(&sharded, viewer));
     sharded.rebuild_indexes();
     let rebuilt = phase_digest(trace, &(&sharded, viewer));
+    let mut sessions = FNV_SEED;
+    for (i, shard) in sharded.shards().iter().enumerate() {
+        sessions = fnv(format!("shard {i}\n").as_bytes(), sessions);
+        sessions = shard.read(|c| sessions_digest(sessions, &c.capture_snapshot(0), &viewers));
+    }
     sharded.shutdown();
-    [outstanding, rebuilt]
+    ([outstanding, rebuilt], sessions)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cqms-knn-{tag}-{}", std::process::id()))
 }
 
-fn durable(trace: &Trace) -> Phases {
+fn durable(trace: &Trace) -> (Phases, u64) {
     let dir = temp_dir(&format!("{:?}", trace.config.domain));
     let _ = std::fs::remove_dir_all(&dir);
-    let issued = {
+    let (viewers, issued) = {
         let mut cqms = Cqms::open(trace.build_engine(), config(1), &dir).unwrap();
-        let issued = ingest_and_churn(&mut cqms, trace);
+        let churned = ingest_and_churn(&mut cqms, trace);
         cqms.wal_flush().unwrap();
-        issued
+        churned
     };
     let mut engine: Engine = trace.build_engine();
     engine.execute(rename(trace.config.domain)).unwrap();
     let mut reopened = Cqms::open(engine, config(1), &dir).unwrap();
     let digests = probe_single(&mut reopened, trace, issued[0].0);
+    let sessions = sessions_digest(FNV_SEED, &reopened.capture_snapshot(0), &viewers);
     drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
-    digests
+    (digests, sessions)
 }
 
-fn check_domain(domain: Domain, golden: &Golden, trees: &Golden) {
+fn check_domain(domain: Domain, golden: &Golden, trees: &Golden, sessions: &Sessions) {
     let trace = trace(domain);
-    check(
-        &format!("{domain:?} RAM"),
-        ram(&trace),
-        [&golden.ram, &trees.ram],
-    );
+    let (ram, ram_sessions) = ram(&trace);
+    check(&format!("{domain:?} RAM"), ram, [&golden.ram, &trees.ram]);
+    let (two, two_sessions) = sharded(&trace);
     check(
         &format!("{domain:?} 2 shards"),
-        sharded(&trace),
+        two,
         [&golden.sharded, &trees.sharded],
     );
+    let (reopened, reopened_sessions) = durable(&trace);
     check(
         &format!("{domain:?} reopened"),
-        durable(&trace),
+        reopened,
         [&golden.reopened, &trees.reopened],
+    );
+    let got = [ram_sessions, two_sessions, reopened_sessions];
+    let want = [sessions.ram, sessions.sharded, sessions.reopened];
+    assert_eq!(
+        got, want,
+        "{domain:?} [RAM, 2 shards, reopened] session digests moved; computed \
+         [0x{:016x}, 0x{:016x}, 0x{:016x}]",
+        got[0], got[1], got[2]
     );
 }
 
 #[test]
 fn lakes_knn_and_panels_are_pinned() {
-    check_domain(Domain::Lakes, &LAKES, &LAKES_TREES);
+    check_domain(Domain::Lakes, &LAKES, &LAKES_TREES, &LAKES_SESSIONS);
 }
 
 #[test]
 fn skysurvey_knn_and_panels_are_pinned() {
-    check_domain(Domain::SkySurvey, &SKY, &SKY_TREES);
+    check_domain(Domain::SkySurvey, &SKY, &SKY_TREES, &SKY_SESSIONS);
 }
 
 #[test]
 fn weblog_knn_and_panels_are_pinned() {
-    check_domain(Domain::WebLog, &WEBLOG, &WEBLOG_TREES);
+    check_domain(Domain::WebLog, &WEBLOG, &WEBLOG_TREES, &WEBLOG_SESSIONS);
 }
