@@ -154,6 +154,7 @@ mod tests {
             SessionId(0),
             vis,
         )
+        .record
     }
 
     #[test]

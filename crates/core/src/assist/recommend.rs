@@ -9,9 +9,10 @@
 use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::metaquery::{MetaQueryExecutor, ScoredHit};
-use crate::model::{QueryId, QueryRecord, UserId};
+use crate::model::QueryId;
 use crate::similarity::{self, DistanceKind};
-use crate::storage::QueryStorage;
+use crate::storage::{NewRecord, QueryStorage};
+use sqlparse::SelectStatement;
 
 /// One row of the Figure 3 recommendation panel.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,13 +36,13 @@ pub struct PanelRow {
 /// feature-class sweep and lower-bound pruning make panel latency track
 /// the number of genuinely similar queries rather than the log size. The
 /// `3k` candidates are ranked first; only the `k` rows shown are diffed
-/// and rendered.
+/// and rendered, against the seed's SELECT folded once.
 pub fn recommend_panel(
     view: &MetaQueryExecutor,
     seed_sql: &str,
     k: usize,
 ) -> Result<Vec<PanelRow>, CqmsError> {
-    let seed = seed_probe(view.viewer(), seed_sql)?;
+    let seed = NewRecord::probe(view.viewer(), seed_sql)?;
     let hits = knn_candidates(view, &seed, k * 3);
     let (storage, config) = (view.storage(), view.config());
     let now_ts = storage.max_ts();
@@ -50,37 +51,19 @@ pub fn recommend_panel(
         storage.popularity(fp)
     })?;
     sort_ranked(&mut ranked);
+    let folded = folded_seed(&seed);
     ranked
         .into_iter()
         .take(k)
-        .map(|(score, id)| panel_row(storage, &seed, id, score))
+        .map(|(score, id)| panel_row(storage, folded.as_ref(), id, score))
         .collect()
-}
-
-/// The seed query as a kNN probe record, parsed once per panel (a
-/// sharded deployment hands the same probe to every shard).
-pub fn seed_probe(viewer: UserId, seed_sql: &str) -> Result<QueryRecord, CqmsError> {
-    let stmt = sqlparse::parse(seed_sql)?;
-    let feats = crate::features::extract(&stmt, None);
-    Ok(crate::storage::make_record(
-        QueryId(u64::MAX),
-        viewer,
-        u64::MAX, // not used for ranking of the probe itself
-        seed_sql,
-        Some(stmt),
-        feats,
-        Default::default(),
-        crate::model::OutputSummary::None,
-        crate::model::SessionId(u64::MAX),
-        crate::model::Visibility::Private,
-    ))
 }
 
 /// The panel's kNN candidate pool for `seed`: the top `m` Combined hits
 /// `view` shows, in the executor's (score desc, id asc) order.
 /// Sharded deployments run this per shard and merge with the same
 /// comparator, which reproduces a single instance's pool exactly.
-pub fn knn_candidates(view: &MetaQueryExecutor, seed: &QueryRecord, m: usize) -> Vec<ScoredHit> {
+pub fn knn_candidates(view: &MetaQueryExecutor, seed: &NewRecord, m: usize) -> Vec<ScoredHit> {
     view.knn(seed, m, DistanceKind::Combined)
 }
 
@@ -117,19 +100,29 @@ pub fn sort_ranked(ranked: &mut [(f64, QueryId)]) {
     });
 }
 
+/// The seed's SELECT folded for diffing ([`sqlparse::diff::fold_for_diff`]),
+/// or `None` when the seed is no SELECT: what [`panel_row`] diffs the
+/// shown candidates against.
+pub fn folded_seed(seed: &NewRecord) -> Option<SelectStatement> {
+    let select = seed.parsed.as_ref()?.as_select()?;
+    Some(sqlparse::diff::fold_for_diff(select))
+}
+
 /// Render one ranked candidate of this storage as a panel row: its diff
-/// against the seed's statement and its annotation digest.
+/// against the seed's [`folded_seed`] — from the candidate signature's
+/// folded SELECT, so nothing is re-parsed — and its annotation digest.
 pub fn panel_row(
     storage: &QueryStorage,
-    seed: &QueryRecord,
+    seed: Option<&SelectStatement>,
     id: QueryId,
     score: f64,
 ) -> Result<PanelRow, CqmsError> {
     let rec = storage.get(id)?;
-    let diff = match (&seed.statement, &rec.statement) {
-        (Some(sqlparse::Statement::Select(a)), Some(sqlparse::Statement::Select(b))) => {
-            sqlparse::summarize_edits(&sqlparse::diff_selects(a, b))
-        }
+    let folded = storage
+        .signature(id)
+        .and_then(|s| s.folded_select.as_deref());
+    let diff = match (seed, folded) {
+        (Some(a), Some(b)) => sqlparse::summarize_edits(&sqlparse::diff::diff_selects_folded(a, b)),
         _ => "n/a".to_string(),
     };
     Ok(PanelRow {

@@ -184,23 +184,31 @@ pub fn extract(stmt: &Statement, catalog: Option<&Catalog>) -> SyntacticFeatures
 
 /// Does any block of `stmt` nest a subquery?
 pub fn has_subquery(stmt: &Statement) -> bool {
-    struct Nested(bool);
-    impl Visitor for Nested {
-        fn enter_subquery(&mut self, _depth: usize) {
-            self.0 = true;
-        }
-    }
     let mut nested = Nested(false);
     visit::walk_statement(&mut nested, stmt);
     nested.0
 }
 
-/// The rendered, lower-cased projection items of a SELECT (`*`,
-/// `t.*`, `expr` or `expr as alias`); empty for any other statement.
-pub fn projections(stmt: &Statement) -> Vec<String> {
-    let Statement::Select(s) = stmt else {
-        return Vec::new();
-    };
+/// Does any block of a SELECT nest a subquery?
+pub fn select_has_subquery(s: &SelectStatement) -> bool {
+    let mut nested = Nested(false);
+    visit::walk_select(&mut nested, s, 0);
+    nested.0
+}
+
+/// A visitor that notes whether it entered a subquery.
+struct Nested(bool);
+
+impl Visitor for Nested {
+    fn enter_subquery(&mut self, _depth: usize) {
+        self.0 = true;
+    }
+}
+
+/// The rendered, lower-cased projection items of a SELECT (`*`, `t.*`,
+/// `expr` or `expr as alias`). Identifier case does not matter, so a
+/// signature's folded copy answers as the statement would.
+pub fn projections(s: &SelectStatement) -> Vec<String> {
     s.projection
         .iter()
         .map(|item| match item {
@@ -339,8 +347,9 @@ fn walk_expr_features(ex: &mut Extractor<'_>, e: &Expr) {
 }
 
 /// Does a SELECT aggregate (an aggregate call in its projection, a
-/// GROUP BY or a HAVING)? False for any other statement.
-pub fn has_aggregate(stmt: &Statement) -> bool {
+/// GROUP BY or a HAVING)? Identifier case does not matter, so a
+/// signature's folded copy answers as the statement would.
+pub fn has_aggregate(s: &SelectStatement) -> bool {
     fn in_expr(e: &Expr) -> bool {
         match e {
             Expr::Function {
@@ -351,9 +360,6 @@ pub fn has_aggregate(stmt: &Statement) -> bool {
             _ => false,
         }
     }
-    let Statement::Select(s) = stmt else {
-        return false;
-    };
     s.projection.iter().any(|i| match i {
         SelectItem::Expr { expr, .. } => in_expr(expr),
         _ => false,
@@ -425,9 +431,9 @@ fn text_cell(row: &Row, cell: usize) -> &Arc<str> {
 }
 
 /// The distinct table, attribute and operator names of a store's feature
-/// rows, each held once: [`FeatureRows::share_names`] points those cells
-/// at these `Arc`s, so a name costs one allocation per store however
-/// many rows carry it. It holds every distinct name the log has used,
+/// rows, each held once: [`FeatureRows::of`] takes those cells from
+/// here, so a name costs one allocation per store however many rows
+/// carry it. It holds every distinct name the log has used,
 /// the unknown tables and columns of failed queries too (those are
 /// logged as well), and it is never shrunk: a deleted record's names
 /// stay. Persistent ([`CowSet`]), so a storage clone shares it by
@@ -436,13 +442,14 @@ fn text_cell(row: &Row, cell: usize) -> &Arc<str> {
 pub struct Vocabulary(CowSet<Arc<str>>);
 
 impl Vocabulary {
-    /// The one shared copy of `s`; `s` itself becomes it on first sight.
-    pub fn share(&mut self, s: &Arc<str>) -> Arc<str> {
-        if let Some(shared) = self.0.get_by(&**s) {
+    /// The one shared copy of `s`, allocated on first sight.
+    pub fn name(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get_by(s) {
             return Arc::clone(shared);
         }
-        self.0.insert(Arc::clone(s));
-        Arc::clone(s)
+        let name: Arc<str> = Arc::from(s);
+        self.0.insert(Arc::clone(&name));
+        name
     }
 }
 
@@ -453,39 +460,42 @@ impl Vocabulary {
 #[derive(Debug, Clone)]
 pub struct FeatureRows([Vec<Arc<Row>>; 5]);
 
-/// The relations and cells [`FeatureRows::share_names`] points at the
-/// vocabulary: `relName`, `attrName` and `op`.
-const NAME_CELLS: [(usize, std::ops::Range<usize>); 3] =
-    [(DATA_SOURCES, 1..2), (ATTRIBUTES, 1..3), (PREDICATES, 1..4)];
-
 impl FeatureRows {
     /// Build the rows of `record` from `features`. `qText` is the
-    /// record's own text (the same `Arc`); names are fresh until
-    /// [`FeatureRows::share_names`] points them at a store's vocabulary.
-    pub fn of(record: &QueryRecord, features: &SyntacticFeatures) -> FeatureRows {
+    /// record's own text (the same `Arc`); relName, attrName and op
+    /// cells are `vocabulary`'s one copy of each name, and only the
+    /// predicate constants are the record's own.
+    pub fn of(
+        record: &QueryRecord,
+        features: &SyntacticFeatures,
+        vocabulary: &mut Vocabulary,
+    ) -> FeatureRows {
         let qid = || Value::Int(record.id.0 as i64);
-        let text = |s: &str| Value::from(s);
         let row = |cells: Vec<Value>| Arc::new(cells);
         let f = features;
+        let mut name = |s: &str| Value::Text(vocabulary.name(s));
+        let tables = (f.tables.iter())
+            .map(|t| row(vec![qid(), name(t)]))
+            .collect();
+        let attributes = (f.attributes.iter())
+            .map(|(t, a)| row(vec![qid(), name(a), name(t)]))
+            .collect();
+        let predicates = (f.predicates.iter())
+            .map(|p| {
+                row(vec![
+                    qid(),
+                    name(&p.column),
+                    name(&p.table),
+                    name(&p.op),
+                    Value::from(p.constant.as_str()),
+                ])
+            })
+            .collect();
         FeatureRows([
             vec![row(vec![qid(), Value::Text(Arc::clone(&record.raw_sql))])],
-            f.tables.iter().map(|t| row(vec![qid(), text(t)])).collect(),
-            f.attributes
-                .iter()
-                .map(|(t, a)| row(vec![qid(), text(a), text(t)]))
-                .collect(),
-            f.predicates
-                .iter()
-                .map(|p| {
-                    row(vec![
-                        qid(),
-                        text(&p.column),
-                        text(&p.table),
-                        text(&p.op),
-                        text(&p.constant),
-                    ])
-                })
-                .collect(),
+            tables,
+            attributes,
+            predicates,
             vec![meta_row(record)],
         ])
     }
@@ -495,21 +505,6 @@ impl FeatureRows {
         static EMPTY: LazyLock<Arc<FeatureRows>> =
             LazyLock::new(|| Arc::new(FeatureRows(Default::default())));
         Arc::clone(&EMPTY)
-    }
-
-    /// Point every relName, attrName and op cell at `vocabulary`'s one
-    /// shared copy of its string; `qText` and the predicate constants
-    /// stay the record's own.
-    pub fn share_names(&mut self, vocabulary: &mut Vocabulary) {
-        for (relation, cells) in NAME_CELLS {
-            for row in &mut self.0[relation] {
-                for cell in &mut Arc::make_mut(row)[cells.clone()] {
-                    if let Value::Text(name) = cell {
-                        *name = vocabulary.share(name);
-                    }
-                }
-            }
-        }
     }
 
     /// The query's rows in relation `i` of [`FEATURE_RELATIONS`].
@@ -670,13 +665,16 @@ mod tests {
              HAVING COUNT(*) > 3 ORDER BY lake DESC LIMIT 10",
         )
         .unwrap();
-        assert!(has_aggregate(&stmt));
-        assert_eq!(projections(&stmt), ["lake", "count(*) as n", "t.*"]);
+        let select = stmt.as_select().unwrap();
+        assert!(has_aggregate(select));
+        assert_eq!(projections(select), ["lake", "count(*) as n", "t.*"]);
+        // The folded copy a signature keeps answers alike.
+        let folded = sqlparse::diff::fold_for_diff(select);
+        assert!(has_aggregate(&folded));
+        assert_eq!(projections(&folded), projections(select));
         let plain = sqlparse::parse("SELECT * FROM WaterTemp").unwrap();
-        assert!(!has_aggregate(&plain));
-        assert_eq!(projections(&plain), ["*"]);
-        let insert = sqlparse::parse("INSERT INTO t VALUES (1)").unwrap();
-        assert!(!has_aggregate(&insert) && projections(&insert).is_empty());
+        assert!(!has_aggregate(plain.as_select().unwrap()));
+        assert_eq!(projections(plain.as_select().unwrap()), ["*"]);
     }
 
     #[test]
@@ -694,8 +692,9 @@ mod tests {
             SessionId(0),
             crate::model::Visibility::Public,
         );
+        let rows = FeatureRows::of(&record, &record.extracted, &mut Vocabulary::default());
         assert_eq!(
-            record.features.items(),
+            rows.items(),
             [
                 "attr:watertemp.temp",
                 "pred:watertemp.temp<",
@@ -724,7 +723,8 @@ mod tests {
             SessionId(7),
             crate::model::Visibility::Public,
         );
-        let rows = &record.features;
+        let mut vocabulary = Vocabulary::default();
+        let rows = &FeatureRows::of(&record, &record.extracted, &mut vocabulary);
         let rendered = |i: usize| -> Vec<Vec<String>> {
             rows.relation(i)
                 .iter()
@@ -752,21 +752,18 @@ mod tests {
             }
         }
         // A session move rewrites the QueryMeta row alone.
-        let mut moved_record = record.clone();
+        let mut moved_record = record.record.clone();
         moved_record.session = SessionId(9);
         let moved = rows.with_meta(&moved_record);
         assert_eq!(moved.relation(4)[0][3], Value::Int(9));
         assert_eq!(rows.relation(4)[0][3], Value::Int(7));
         assert!(Arc::ptr_eq(&moved.relation(0)[0], &rows.relation(0)[0]));
         assert!(Arc::ptr_eq(&moved.relation(3)[0], &rows.relation(3)[0]));
-        // Names are shared through the vocabulary; the constant is not.
-        let mut vocabulary = Vocabulary::default();
-        let mut shared = FeatureRows::clone(rows);
-        shared.share_names(&mut vocabulary);
-        let mut again = FeatureRows::of(&record, &features(sql));
-        again.share_names(&mut vocabulary);
+        // Names come from the vocabulary, allocated once; the constant
+        // is each row's own.
+        let again = FeatureRows::of(&record, &features(sql), &mut vocabulary);
         let [t, a, op, c] = again.predicates().next().unwrap();
-        let [t0, a0, op0, c0] = shared.predicates().next().unwrap();
+        let [t0, a0, op0, c0] = rows.predicates().next().unwrap();
         assert!(Arc::ptr_eq(t, t0) && Arc::ptr_eq(a, a0) && Arc::ptr_eq(op, op0));
         assert!(!Arc::ptr_eq(c, c0));
         assert!(Arc::ptr_eq(again.tables().next().unwrap(), t0));

@@ -25,6 +25,7 @@ use crate::storage::QueryStorage;
 use relstore::{Engine, SchemaChangeKind, TableStats};
 use sqlparse::ast::Statement;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Outcome of one maintenance scan.
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -49,16 +50,16 @@ pub fn scan_schema_changes(
     let mut report = MaintenanceReport::default();
     let ids: Vec<QueryId> = storage
         .iter()
-        .filter(|r| r.is_live() && r.statement.is_some())
+        .filter(|r| r.is_live() && storage.parsed(r.id))
         .map(|r| r.id)
         .collect();
 
     for id in ids {
         report.examined += 1;
-        let (mut stmt, logical_time, mut names) = {
+        let (raw_sql, logical_time, mut names) = {
             let r = storage.get(id)?;
             let tables: Vec<String> = r.features.tables().map(|t| t.to_string()).collect();
-            (r.statement.clone().unwrap(), r.runtime.logical_time, tables)
+            (Arc::clone(&r.raw_sql), r.runtime.logical_time, tables)
         };
 
         // Gather changes to any input relation after the query ran. Renames
@@ -80,6 +81,7 @@ pub fn scan_schema_changes(
             continue;
         }
         report.affected += 1;
+        let mut stmt = sqlparse::parse(&raw_sql)?;
 
         // Apply rename repairs in log order.
         let mut hopeless = false;
@@ -119,25 +121,14 @@ pub fn scan_schema_changes(
         match engine.validates(&stmt) {
             Ok(()) => {
                 let new_sql = sqlparse::to_sql(&stmt);
-                let original = {
-                    let r = storage.get_mut(id)?;
-                    if *new_sql != *r.raw_sql {
-                        let original = std::mem::replace(&mut r.raw_sql, new_sql.into());
-                        let old_tfp = r.template_fp;
-                        let features = r.derive(Some(stmt), Some(&engine.catalog));
-                        Some((original.to_string(), old_tfp, r.template_fp, features))
-                    } else {
-                        None
-                    }
-                };
-                if let Some((original_sql, old_tfp, new_tfp, features)) = original {
-                    // Popularity follows the query to its new template.
-                    storage.retemplate(old_tfp, new_tfp);
+                // Unchanged SQL is still valid untouched: a benign change
+                // (e.g. ADD COLUMN).
+                if new_sql != *raw_sql {
+                    let original_sql = raw_sql.to_string();
                     storage.set_validity(id, Validity::Repaired { original_sql, at })?;
-                    storage.reindex(id, &features)?;
+                    storage.reindex(id, &new_sql, Some(&stmt), Some(&engine.catalog))?;
                     report.repaired.push(id);
                 }
-                // Still valid untouched: a benign change (e.g. ADD COLUMN).
             }
             Err(e) => {
                 storage.set_validity(
@@ -200,7 +191,7 @@ pub fn refresh_statistics(
     // 2. Candidate queries: live, successful, touching a drifted table.
     let mut candidates: Vec<(u32, QueryId)> = Vec::new();
     for r in storage.iter() {
-        if !r.is_live() || r.statement.is_none() {
+        if !r.is_live() || !storage.parsed(r.id) {
             continue;
         }
         if r.features.tables().next().is_some() {
@@ -223,15 +214,17 @@ pub fn refresh_statistics(
             report.skipped_over_budget = candidates.len() - i;
             break;
         }
-        let stmt = storage.get(*id)?.statement.clone().unwrap();
+        let stmt = sqlparse::parse(&storage.get(*id)?.raw_sql)?;
         if let Ok(res) = engine.execute_statement(&stmt) {
             {
+                // The `QueryMeta` row shows the refreshed runtime.
                 let r = storage.get_mut(*id)?;
                 r.runtime.elapsed_us = res.metrics.elapsed.as_micros() as u64;
                 r.runtime.cardinality = res.metrics.cardinality;
                 r.runtime.rows_scanned = res.metrics.rows_scanned;
                 r.runtime.plan = res.metrics.plan.clone();
                 r.runtime.logical_time = res.metrics.logical_time;
+                r.features = Arc::new(r.features.with_meta(r));
             }
             // The drifted data also drifted the stored output: refresh
             // the summary through `refresh_summary` (→ reindex → the
@@ -295,14 +288,15 @@ pub fn recompute_quality_with(storage: &mut QueryStorage, latencies: &[u64]) {
 
     let ids: Vec<QueryId> = storage.iter().map(|r| r.id).collect();
     for id in ids {
+        // Folding changes only identifier case, so the signature's folded
+        // SELECT has the statement's size.
+        let size = storage
+            .signature(id)
+            .and_then(|s| s.folded_select.as_deref())
+            .map_or(20, sqlparse::diff::select_size);
         let r = storage.get_mut(id).unwrap();
         let success = if r.runtime.success { 1.0 } else { 0.0 };
         let efficiency = 1.0 - pct(r.runtime.elapsed_us);
-        let size = r
-            .statement
-            .as_ref()
-            .and_then(|s| s.as_select().map(sqlparse::diff::select_size))
-            .unwrap_or(20);
         let simplicity = 1.0 / (1.0 + size as f64 / 10.0);
         let documented = if r.annotations.is_empty() { 0.0 } else { 1.0 };
         let fresh = match r.validity {
@@ -467,6 +461,42 @@ mod tests {
         assert_eq!(r1.drifted_tables, vec!["watertemp"]);
         assert_eq!(r1.refreshed, vec![q_temp]);
         assert!(r1.naive_rerun_count >= 2, "naive would rerun everything");
+    }
+
+    #[test]
+    fn refreshed_runtime_reaches_query_meta_without_a_summary() {
+        let mut en = engine();
+        let mut st = QueryStorage::new();
+        let id = log_query(&mut st, &mut en, "SELECT * FROM WaterTemp WHERE temp > 40");
+        let cfg = CqmsConfig {
+            profiling_depth: ProfilingDepth::Features,
+            ..CqmsConfig::default()
+        };
+        let (dir, viewer) = (crate::admin::Directory::new(), UserId(1));
+        let cardinality = |st: &QueryStorage| -> String {
+            let mq = crate::metaquery::MetaQueryExecutor::new(st, &dir, &cfg, viewer);
+            let out = mq
+                .by_feature_sql(&format!(
+                    "SELECT cardinality FROM QueryMeta WHERE qid = {}",
+                    id.0
+                ))
+                .unwrap();
+            out.rows[0][0].render()
+        };
+        let before = cardinality(&st);
+        let mut baseline = HashMap::new();
+        refresh_statistics(&mut st, &mut en, &mut baseline, &cfg).unwrap();
+        en.execute("UPDATE WaterTemp SET temp = temp + 1000")
+            .unwrap();
+        let r = refresh_statistics(&mut st, &mut en, &mut baseline, &cfg).unwrap();
+        assert_eq!(r.refreshed, vec![id]);
+        let refreshed = st.get(id).unwrap().runtime.cardinality;
+        assert_ne!(
+            before,
+            refreshed.to_string(),
+            "the drift moved the cardinality"
+        );
+        assert_eq!(cardinality(&st), refreshed.to_string());
     }
 
     #[test]

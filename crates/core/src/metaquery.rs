@@ -29,7 +29,7 @@ use crate::indexreg::FeatureClass;
 use crate::model::{QueryId, QueryRecord, SessionEdge, SessionId, UserId};
 use crate::signature::SimSignature;
 use crate::similarity::{self, DistanceKind};
-use crate::storage::QueryStorage;
+use crate::storage::{NewRecord, QueryStorage};
 use relstore::TableSchema;
 use sqlparse::ast::*;
 use std::cmp::Reverse;
@@ -67,10 +67,14 @@ pub struct TreePattern {
 }
 
 impl TreePattern {
-    /// Does `record` match this pattern?
+    /// Does `record` match this pattern? `folded` is its signature's
+    /// folded SELECT, if it has one.
+    ///
     /// Tables and predicates are read from its feature rows; subqueries,
-    /// aggregation and projections from its statement, if it parsed.
-    pub fn matches(&self, record: &QueryRecord) -> bool {
+    /// aggregation and projections from `folded` (folding changes only
+    /// identifier case), or else from its text, re-parsed — a non-SELECT
+    /// can still nest a subquery.
+    pub fn matches(&self, record: &QueryRecord, folded: Option<&SelectStatement>) -> bool {
         let f = &record.features;
         for t in &self.tables_all {
             if !f.tables().any(|x| x.eq_ignore_ascii_case(t)) {
@@ -100,19 +104,29 @@ impl TreePattern {
                 return false;
             }
         }
-        let stmt = record.statement.as_ref();
+        if self.has_subquery.is_none() && self.has_aggregate.is_none() && self.projects.is_empty() {
+            return true;
+        }
+        let parsed = (folded.is_none())
+            .then(|| sqlparse::parse(&record.raw_sql).ok())
+            .flatten();
+        let select = folded.or_else(|| parsed.as_ref().and_then(Statement::as_select));
         if let Some(sub) = self.has_subquery {
-            if stmt.is_some_and(features::has_subquery) != sub {
+            let nested = match select {
+                Some(s) => features::select_has_subquery(s),
+                None => parsed.as_ref().is_some_and(features::has_subquery),
+            };
+            if nested != sub {
                 return false;
             }
         }
         if let Some(agg) = self.has_aggregate {
-            if stmt.is_some_and(features::has_aggregate) != agg {
+            if select.is_some_and(features::has_aggregate) != agg {
                 return false;
             }
         }
         if !self.projects.is_empty() {
-            let projections = stmt.map(features::projections).unwrap_or_default();
+            let projections = select.map(features::projections).unwrap_or_default();
             for p in &self.projects {
                 let pl = p.to_ascii_lowercase();
                 let hit = projections
@@ -206,7 +220,6 @@ impl<'a> MetaQueryExecutor<'a> {
             .collect();
         (self.storage.edges().iter())
             .filter(|e| members.contains(&e.from) && members.contains(&e.to))
-            .map(Arc::as_ref)
             .collect()
     }
 
@@ -329,10 +342,14 @@ impl<'a> MetaQueryExecutor<'a> {
         Ok(sql)
     }
 
-    /// Query-by-parse-tree: structural pattern matching over stored ASTs.
+    /// Query-by-parse-tree: structural pattern matching over the feature
+    /// rows and the signatures' folded SELECTs.
     pub fn by_parse_tree(&self, pattern: &TreePattern) -> Vec<QueryId> {
         (self.records())
-            .filter(|r| pattern.matches(r))
+            .filter(|r| {
+                let sig = self.storage.signature(r.id);
+                pattern.matches(r, sig.and_then(|s| s.folded_select.as_deref()))
+            })
             .map(|r| r.id)
             .collect()
     }
@@ -428,7 +445,7 @@ impl<'a> MetaQueryExecutor<'a> {
     /// still make the top k. Both are *exact*: the result (ids and
     /// scores, ties broken by ascending id) is identical to the
     /// brute-force scan, which the pruning-equivalence proptest asserts.
-    pub fn knn(&self, target: &QueryRecord, k: usize, metric: DistanceKind) -> Vec<ScoredHit> {
+    pub fn knn(&self, target: &NewRecord, k: usize, metric: DistanceKind) -> Vec<ScoredHit> {
         if k == 0 {
             return Vec::new();
         }
@@ -817,21 +834,7 @@ impl<'a> MetaQueryExecutor<'a> {
         k: usize,
         metric: DistanceKind,
     ) -> Result<Vec<ScoredHit>, CqmsError> {
-        let stmt = sqlparse::parse(sql)?;
-        let feats = crate::features::extract(&stmt, None);
-        let probe = crate::storage::make_record(
-            QueryId(u64::MAX),
-            self.viewer,
-            0,
-            sql,
-            Some(stmt),
-            feats,
-            Default::default(),
-            crate::model::OutputSummary::None,
-            crate::model::SessionId(u64::MAX),
-            crate::model::Visibility::Private,
-        );
-        Ok(self.knn(&probe, k, metric))
+        Ok(self.knn(&NewRecord::probe(self.viewer, sql)?, k, metric))
     }
 }
 
@@ -979,6 +982,22 @@ mod tests {
     use crate::features::extract;
     use crate::model::*;
     use crate::storage::make_record;
+
+    /// Stored record `id` as a kNN probe: its text re-parsed, its
+    /// features extracted as `add` extracts them.
+    fn probe_of(st: &QueryStorage, id: u64) -> NewRecord {
+        let record = st.get(QueryId(id)).unwrap().clone();
+        let parsed = sqlparse::parse(&record.raw_sql).ok();
+        let extracted = parsed
+            .as_ref()
+            .map(|s| extract(s, None))
+            .unwrap_or_default();
+        NewRecord {
+            record,
+            parsed,
+            extracted,
+        }
+    }
 
     fn add(storage: &mut QueryStorage, id: u64, user: u32, sql: &str, vis: Visibility) {
         let stmt = sqlparse::parse(sql).ok();
@@ -1216,7 +1235,7 @@ mod tests {
         st.run_index_maintenance();
         assert_eq!(st.index_generation(), 1);
         let brute = |st: &QueryStorage, _dir: &Directory, cfg: &CqmsConfig, m| {
-            let probe = st.get(QueryId(12)).unwrap().clone();
+            let probe = probe_of(st, 12);
             let psig = st.probe_signature(&probe);
             let mut hits: Vec<ScoredHit> = st
                 .iter_live()
@@ -1251,7 +1270,7 @@ mod tests {
         assert_eq!(st.index_generation(), 1, "…but does not rebuild");
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
         let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
-        let probe = st.get(QueryId(12)).unwrap().clone();
+        let probe = probe_of(&st, 12);
         for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
             let got = mq.knn(&probe, 3, metric);
             assert_eq!(got, brute(&st, &dir, &cfg, metric), "{metric:?}");
@@ -1299,7 +1318,7 @@ mod tests {
         assert_eq!(st.indexes().structural().groups.len(), 3);
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
         let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
-        let probe = st.get(QueryId(0)).unwrap().clone();
+        let probe = probe_of(&st, 0);
         st.metric_stats().parse_tree.reset();
         let hits = mq.knn(&probe, 5, DistanceKind::ParseTree);
         assert_eq!(hits.len(), 5);
@@ -1334,7 +1353,7 @@ mod tests {
         // diffed — exactly once.
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
         let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
-        let probe = st.get(QueryId(1)).unwrap().clone();
+        let probe = probe_of(&st, 1);
         st.metric_stats().parse_tree.reset();
         let hits = mq.knn(&probe, 10, DistanceKind::ParseTree);
         let ids: Vec<u64> = hits.iter().map(|h| h.id.0).collect();
@@ -1356,7 +1375,7 @@ mod tests {
             add(&mut st, i, 1, &sql, Visibility::Public);
         }
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
-        let probe = st.get(QueryId(2)).unwrap().clone();
+        let probe = probe_of(&st, 2);
         for phase in ["grown", "rebuilt"] {
             let index = st.indexes().structural();
             assert_eq!(index.tree.len(), 1, "{phase}");
@@ -1388,7 +1407,7 @@ mod tests {
         assert_eq!(st.indexes().structural().groups.len(), 1);
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
         let mq = MetaQueryExecutor::new(&st, &dir, &cfg, UserId(1));
-        let probe = st.get(QueryId(2)).unwrap().clone();
+        let probe = probe_of(&st, 2);
         st.metric_stats().parse_tree.reset();
         let hits = mq.knn(&probe, 5, DistanceKind::ParseTree);
         assert_eq!(hits.len(), 5);
@@ -1399,7 +1418,7 @@ mod tests {
 
     /// A record built like `add`'s, carrying `output` as its one-column
     /// summary when given.
-    fn record_with_output(id: u64, sql: &str, output: Option<&str>) -> QueryRecord {
+    fn record_with_output(id: u64, sql: &str, output: Option<&str>) -> NewRecord {
         let stmt = sqlparse::parse(sql).ok();
         let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
         let mut r = make_record(
@@ -1426,7 +1445,7 @@ mod tests {
     /// Every visible live record scored by the exact kernel, best first.
     fn brute(
         st: &QueryStorage,
-        probe: &QueryRecord,
+        probe: &NewRecord,
         k: usize,
         metric: DistanceKind,
     ) -> Vec<ScoredHit> {
@@ -1452,7 +1471,7 @@ mod tests {
         hits
     }
 
-    fn assert_class_sweeps_exact(st: &QueryStorage, probe: &QueryRecord, what: &str) {
+    fn assert_class_sweeps_exact(st: &QueryStorage, probe: &NewRecord, what: &str) {
         let (dir, cfg) = (Directory::new(), CqmsConfig::default());
         let mq = MetaQueryExecutor::new(st, &dir, &cfg, UserId(1));
         for k in 1..=st.len() {
@@ -1512,10 +1531,9 @@ mod tests {
             st.insert(record_with_output(i as u64, sql, None));
         }
         let rewritten = "SELECT city FROM CityLocations WHERE pop > 2";
-        let r = st.get_mut(QueryId(1)).unwrap();
-        r.raw_sql = rewritten.into();
-        let features = r.derive(sqlparse::parse(rewritten).ok(), None);
-        st.reindex(QueryId(1), &features).unwrap();
+        let parsed = sqlparse::parse(rewritten).ok();
+        st.reindex(QueryId(1), rewritten, parsed.as_ref(), None)
+            .unwrap();
         assert!(st.indexes().overridden(1));
         let probe = record_with_output(u64::MAX, "SELECT city FROM CityLocations", None);
         assert_class_sweeps_exact(&st, &probe, "with the override outstanding");

@@ -4,6 +4,7 @@
 //! generate a tutorial … demonstrating common mistakes and good practices").
 
 use crate::metaquery::MetaQueryExecutor;
+use crate::model::EdgeKind;
 use std::collections::HashMap;
 
 /// Frequencies of single edits across session edges.
@@ -14,12 +15,17 @@ pub struct EditPatternMiner {
 }
 
 impl EditPatternMiner {
-    /// Mine the session edges `view` shows from scratch.
+    /// Mine the evolution edges `view` shows from scratch, each labelled
+    /// by its ends' current statements.
     pub fn mine(view: &MetaQueryExecutor) -> EditPatternMiner {
         let mut m = EditPatternMiner::default();
-        for session in view.storage().session_ids() {
+        let storage = view.storage();
+        for session in storage.session_ids() {
             for e in view.session_edges(session) {
-                for op in &e.edits {
+                if e.kind != EdgeKind::Evolution {
+                    continue;
+                }
+                for op in storage.edge_edits(e.from, e.to) {
                     *m.unigrams.entry(op.kind()).or_insert(0) += 1;
                 }
             }
@@ -44,7 +50,6 @@ mod tests {
     use crate::features::extract;
     use crate::model::*;
     use crate::storage::{make_record, QueryStorage};
-    use sqlparse::diff_statements;
 
     /// Mine `st` as user 1 sees it.
     fn mine(st: &QueryStorage) -> EditPatternMiner {
@@ -54,7 +59,7 @@ mod tests {
 
     fn storage_with_session(sqls: &[&str]) -> QueryStorage {
         let mut st = QueryStorage::new();
-        let mut prev: Option<(QueryId, sqlparse::Statement)> = None;
+        let mut prev: Option<QueryId> = None;
         for (i, sql) in sqls.iter().enumerate() {
             let stmt = sqlparse::parse(sql).unwrap();
             let feats = extract(&stmt, None);
@@ -64,7 +69,7 @@ mod tests {
                 UserId(1),
                 100 + i as u64,
                 sql,
-                Some(stmt.clone()),
+                Some(stmt),
                 feats,
                 RuntimeFeatures {
                     success: true,
@@ -74,15 +79,14 @@ mod tests {
                 SessionId(0),
                 Visibility::Public,
             ));
-            if let Some((pid, pstmt)) = &prev {
+            if let Some(pid) = prev {
                 st.add_edge(SessionEdge {
-                    from: *pid,
+                    from: pid,
                     to: id,
                     kind: EdgeKind::Evolution,
-                    edits: diff_statements(pstmt, &stmt),
                 });
             }
-            prev = Some((id, stmt));
+            prev = Some(id);
         }
         st
     }
@@ -92,7 +96,9 @@ mod tests {
         let st = storage_with_session(&workload::querygen::figure2_session());
         let m = mine(&st);
         // Every edit of the five edges is counted once.
-        let edits: usize = st.edges().iter().map(|e| e.edits.len()).sum();
+        let edits: usize = (st.edges().iter())
+            .map(|e| st.edge_edits(e.from, e.to).len())
+            .sum();
         let counted: u32 = m.top_edits(usize::MAX).iter().map(|(_, c)| c).sum();
         assert_eq!((st.edges().len(), counted as usize), (5, edits));
         let top = m.top_edits(3);

@@ -2,14 +2,13 @@
 //!
 //! "A query is the primary data type in a CQMS" (§4.1). A [`QueryRecord`]
 //! bundles everything the paper's data-model discussion calls for: the raw
-//! text, the canonical parse tree, extracted syntactic features, runtime
-//! features, a semantic output summary, session membership, annotations,
-//! access control and maintenance state.
+//! text, extracted syntactic features, runtime features, a semantic output
+//! summary, session membership, annotations, access control and
+//! maintenance state. The parse tree is derived from the text when a
+//! reader needs it; the record's similarity signature keeps its flattened
+//! tree and folded SELECT.
 
-use crate::features::{self, FeatureRows, SyntacticFeatures};
-use relstore::Catalog;
-use sqlparse::ast::Statement;
-use sqlparse::EditOp;
+use crate::features::FeatureRows;
 use std::fmt;
 use std::sync::Arc;
 
@@ -346,7 +345,9 @@ pub enum EdgeKind {
 }
 
 /// One edge of the session graph, stored as a normalised edge relation.
-#[derive(Debug, Clone, PartialEq)]
+/// An evolution edge's Fig. 2 labels are derived from its two ends'
+/// current statements ([`crate::storage::QueryStorage::edge_edits`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SessionEdge {
     /// The earlier query.
     pub from: QueryId,
@@ -354,8 +355,6 @@ pub struct SessionEdge {
     pub to: QueryId,
     /// Kind of relationship.
     pub kind: EdgeKind,
-    /// The parse-tree diff labels shown on Fig. 2 edges.
-    pub edits: Vec<EditOp>,
 }
 
 /// A fully profiled, logged query.
@@ -367,11 +366,10 @@ pub struct QueryRecord {
     pub user: UserId,
     /// Trace-time seconds (wall-clock stand-in).
     pub ts: u64,
-    /// The SQL exactly as typed; its `Queries.qText` cell shares it.
+    /// The SQL exactly as typed (or as maintenance repaired it); its
+    /// `Queries.qText` cell shares it. Text that failed to parse is
+    /// logged too — §2.3 correction mode needs those attempts.
     pub raw_sql: Arc<str>,
-    /// Parsed statement (None when the text failed to parse — the log still
-    /// records the attempt; §2.3 correction mode needs those too).
-    pub statement: Option<Statement>,
     /// Fingerprint of the constant-stripped template (popularity key).
     pub template_fp: u64,
     /// The query's rows of the Figure 1 feature relations: its extracted
@@ -395,30 +393,6 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
-    /// Re-derive, in place, the parse of `raw_sql` and its template
-    /// fingerprint, and return its features, resolved against `catalog`
-    /// when one is given, for [`crate::storage::QueryStorage::reindex`] —
-    /// the rewrite path of WAL replay and maintenance repair alike.
-    pub fn derive(
-        &mut self,
-        statement: Option<Statement>,
-        catalog: Option<&Catalog>,
-    ) -> SyntacticFeatures {
-        let features = statement
-            .as_ref()
-            .map(|stmt| features::extract(stmt, catalog))
-            .unwrap_or_default();
-        self.set_statement(statement);
-        features
-    }
-
-    /// The statement and its template fingerprint — the part of
-    /// [`QueryRecord::derive`] every record constructor shares.
-    pub(crate) fn set_statement(&mut self, statement: Option<Statement>) {
-        self.template_fp = statement.as_ref().map_or(0, sqlparse::template_fingerprint);
-        self.statement = statement;
-    }
-
     /// Is this record alive and usable for search/recommendation?
     pub fn is_live(&self) -> bool {
         self.validity.is_usable()

@@ -126,20 +126,19 @@ impl Profiler {
         let annotation_requested = feats.tables.len() >= config.annotate_table_threshold
             || (config.annotate_on_subquery && feats.has_subquery);
 
-        // 7. Log the record + session edge.
+        // 7. Log the record + session edge. An edge joins two queries
+        // that parsed; its labels are derived when it is shown.
+        let parsed = statement.is_some();
         let record = make_record(
             id, user, ts, sql, statement, feats, runtime, summary, session, visibility,
         );
         storage.insert(record);
-        if let Some(prev_id) = prev {
-            if let Some(edits) = storage.statement_edits(prev_id, id) {
-                storage.add_edge(SessionEdge {
-                    from: prev_id,
-                    to: id,
-                    kind: EdgeKind::Evolution,
-                    edits,
-                });
-            }
+        if let Some(prev_id) = prev.filter(|&p| parsed && storage.parsed(p)) {
+            storage.add_edge(SessionEdge {
+                from: prev_id,
+                to: id,
+                kind: EdgeKind::Evolution,
+            });
         }
 
         Ok(ProfiledQuery {
@@ -307,8 +306,7 @@ mod tests {
                 110,
             )
             .unwrap();
-        let rec = st.get(out.id).unwrap();
-        assert!(rec.statement.is_none());
+        assert!(!st.parsed(out.id));
         assert_eq!(st.len(), 2);
     }
 
@@ -442,8 +440,9 @@ mod tests {
         .unwrap();
         let edges = st.edges();
         assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].edits.len(), 1);
-        let label = edges[0].edits[0].label();
+        let edits = st.edge_edits(edges[0].from, edges[0].to);
+        assert_eq!(edits.len(), 1);
+        let label = edits[0].label();
         assert!(label.contains("22") && label.contains("18"), "{label}");
     }
 

@@ -386,7 +386,6 @@ impl Cqms {
             from,
             to,
             kind: EdgeKind::Investigation,
-            edits: Vec::new(),
         });
         Ok(())
     }
@@ -1057,7 +1056,7 @@ mod tests {
             assert!(out.result.is_none());
             let rec = c.storage.get(out.id).expect("logged");
             (
-                rec.statement.is_none(),
+                !c.storage.parsed(out.id),
                 rec.runtime.success,
                 rec.runtime.error.clone(),
             )

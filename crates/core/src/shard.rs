@@ -98,6 +98,7 @@ use crate::server::{Cqms, MinerReport};
 use crate::service::{CqmsService, IngestItem};
 use crate::similarity::DistanceKind;
 use crate::snapshot::ReadSnapshot;
+use crate::storage::NewRecord;
 use crate::wal::RecoveryReport;
 use parking_lot::{Mutex, RwLock};
 use relstore::Engine;
@@ -948,7 +949,7 @@ impl ShardedCqms {
         seed_sql: &str,
         k: usize,
     ) -> Result<Vec<PanelRow>, CqmsError> {
-        let seed = recommend::seed_probe(user, seed_sql)?;
+        let seed = NewRecord::probe(user, seed_sql)?;
         let snaps = self.snapshots();
         // Global ranking terms: summed template counts, max trace time.
         let mut pop: HashMap<u64, u32> = HashMap::new();
@@ -992,12 +993,14 @@ impl ShardedCqms {
             }
         }
         sort_ranked(&mut ranked);
+        let folded = recommend::folded_seed(&seed);
         ranked
             .into_iter()
             .take(k)
             .map(|(score, id)| {
                 let (shard, local) = self.locate(id);
-                let row = recommend::panel_row(snaps[shard].storage(), &seed, local, score)?;
+                let storage = snaps[shard].storage();
+                let row = recommend::panel_row(storage, folded.as_ref(), local, score)?;
                 Ok(PanelRow { id, ..row })
             })
             .collect()

@@ -28,9 +28,10 @@
 //! identical are at the same feature distance from any probe, so kNN
 //! computes that distance once per class.
 
-use crate::model::{OutputSummary, QueryRecord};
+use crate::features::SyntacticFeatures;
+use crate::model::OutputSummary;
 use cqms_cow::{CowMap, SnapshotVec};
-use sqlparse::{FlatTree, SelectProfile, TreeShape};
+use sqlparse::{FlatTree, SelectProfile, Statement, TreeShape};
 use std::sync::Arc;
 
 /// FNV-1a 64-bit hash (stable across runs; used for output row/cell
@@ -163,18 +164,32 @@ pub struct SimSignature {
 }
 
 impl SimSignature {
-    /// Build the signature for a record at ingest, interning new features.
-    pub fn build(record: &QueryRecord, interner: &mut FeatureInterner) -> SimSignature {
-        Self::assemble(record, &mut |key| interner.intern(key))
+    /// Build the signature of a query at ingest from its extracted
+    /// features, its statement (`None` when its text failed to parse) and
+    /// its output summary, interning new features.
+    pub fn build(
+        features: &SyntacticFeatures,
+        statement: Option<&Statement>,
+        summary: &OutputSummary,
+        interner: &mut FeatureInterner,
+    ) -> SimSignature {
+        Self::assemble(features, statement, summary, &mut |key| {
+            interner.intern(key)
+        })
     }
 
     /// Build a probe signature against a read-only interner. Features and
     /// tree-node labels the store has never seen get unique sentinel ids
     /// from `u32::MAX` downward — they match nothing, which is exactly
     /// their semantics (an unseen label relabels against every stored one).
-    pub fn probe(record: &QueryRecord, interner: &FeatureInterner) -> SimSignature {
+    pub fn probe(
+        features: &SyntacticFeatures,
+        statement: Option<&Statement>,
+        summary: &OutputSummary,
+        interner: &FeatureInterner,
+    ) -> SimSignature {
         let mut next_sentinel = u32::MAX;
-        Self::assemble(record, &mut |key| {
+        Self::assemble(features, statement, summary, &mut |key| {
             interner.lookup(key).unwrap_or_else(|| {
                 let id = next_sentinel;
                 next_sentinel -= 1;
@@ -183,8 +198,23 @@ impl SimSignature {
         })
     }
 
-    fn assemble(record: &QueryRecord, map: &mut dyn FnMut(&str) -> u32) -> SimSignature {
-        let f = &record.features;
+    /// This signature with its output hashes taken from `summary`: what a
+    /// summary refresh changes, everything derived from the SQL shared.
+    pub fn with_summary(&self, summary: &OutputSummary) -> SimSignature {
+        let (output_rows, output_cells) = output_hashes(summary);
+        SimSignature {
+            output_rows,
+            output_cells,
+            ..self.clone()
+        }
+    }
+
+    fn assemble(
+        f: &SyntacticFeatures,
+        statement: Option<&Statement>,
+        summary: &OutputSummary,
+        map: &mut dyn FnMut(&str) -> u32,
+    ) -> SimSignature {
         let mut ids = |keys: Vec<String>| -> Vec<u32> {
             let mut keys = keys;
             keys.sort();
@@ -193,16 +223,21 @@ impl SimSignature {
             v.sort_unstable();
             v
         };
-        let tables = ids(f.tables().map(|t| format!("t:{t}")).collect());
-        let attributes = ids(f.attributes().map(|(t, c)| format!("a:{t}.{c}")).collect());
+        let tables = ids(f.tables.iter().map(|t| format!("t:{t}")).collect());
+        let attributes = ids(f
+            .attributes
+            .iter()
+            .map(|(t, c)| format!("a:{t}.{c}"))
+            .collect());
         let predicates = ids(f
-            .predicates()
-            .map(|[t, c, op, _]| format!("p:{t}.{c}{op}"))
+            .predicates
+            .iter()
+            .map(|p| format!("p:{}.{}{}", p.table, p.column, p.op))
             .collect());
 
         // The nested tree lives only long enough to take its shape and be
         // flattened; node labels share the feature-id space (`n:` keys).
-        let (tree, tree_shape) = match &record.statement {
+        let (tree, tree_shape) = match statement {
             Some(s) => {
                 let node = sqlparse::statement_tree(&sqlparse::strip_constants(s));
                 let mut key = String::new();
@@ -216,7 +251,7 @@ impl SimSignature {
             }
             None => (None, None),
         };
-        let (diff_profile, folded_select, profile_fp) = match &record.statement {
+        let (diff_profile, folded_select, profile_fp) = match statement {
             Some(sqlparse::Statement::Select(s)) => {
                 let folded = sqlparse::diff::fold_for_diff(s);
                 let fp = fnv1a(sqlparse::printer::select_to_sql(&folded).as_bytes());
@@ -229,27 +264,7 @@ impl SimSignature {
             _ => (None, None, None),
         };
 
-        let (output_rows, output_cells) = match &record.summary {
-            OutputSummary::None => (None, None),
-            OutputSummary::Full { rows, .. } | OutputSummary::Sample { rows, .. } => {
-                // Same join key the record-based output distance uses, so
-                // the hashed set has identical cardinalities.
-                let mut row_hashes: Vec<u64> = rows
-                    .iter()
-                    .map(|r| fnv1a(r.join("\u{1}").as_bytes()))
-                    .collect();
-                row_hashes.sort_unstable();
-                row_hashes.dedup();
-                let mut cell_hashes: Vec<u64> = rows
-                    .iter()
-                    .flat_map(|r| r.iter())
-                    .map(|c| fnv1a(c.to_ascii_lowercase().as_bytes()))
-                    .collect();
-                cell_hashes.sort_unstable();
-                cell_hashes.dedup();
-                (Some(row_hashes), Some(cell_hashes))
-            }
-        };
+        let (output_rows, output_cells) = output_hashes(summary);
 
         let feature_bloom = bloom64(
             tables
@@ -310,21 +325,33 @@ impl SimSignature {
     /// place and the output-cell screens would silently go stale. Debug
     /// assertions on the query-by-data path enforce the invariant.
     pub fn summary_coherent(&self, summary: &OutputSummary) -> bool {
-        match (summary, &self.output_rows) {
-            (OutputSummary::None, None) => self.output_cells.is_none(),
-            (
-                OutputSummary::Full { rows, .. } | OutputSummary::Sample { rows, .. },
-                Some(hashes),
-            ) => {
-                let mut fresh: Vec<u64> = rows
-                    .iter()
-                    .map(|r| fnv1a(r.join("\u{1}").as_bytes()))
-                    .collect();
-                fresh.sort_unstable();
-                fresh.dedup();
-                fresh == *hashes
-            }
-            _ => false,
+        let (rows, cells) = output_hashes(summary);
+        rows == self.output_rows && cells == self.output_cells
+    }
+}
+
+/// The hashed output rows and lower-cased output cells of `summary`,
+/// each sorted and deduplicated (`None` for no summary).
+fn output_hashes(summary: &OutputSummary) -> (Option<Vec<u64>>, Option<Vec<u64>>) {
+    match summary {
+        OutputSummary::None => (None, None),
+        OutputSummary::Full { rows, .. } | OutputSummary::Sample { rows, .. } => {
+            // Same join key the reference output distance uses, so the
+            // hashed set has identical cardinalities.
+            let mut row_hashes: Vec<u64> = rows
+                .iter()
+                .map(|r| fnv1a(r.join("\u{1}").as_bytes()))
+                .collect();
+            row_hashes.sort_unstable();
+            row_hashes.dedup();
+            let mut cell_hashes: Vec<u64> = rows
+                .iter()
+                .flat_map(|r| r.iter())
+                .map(|c| fnv1a(c.to_ascii_lowercase().as_bytes()))
+                .collect();
+            cell_hashes.sort_unstable();
+            cell_hashes.dedup();
+            (Some(row_hashes), Some(cell_hashes))
         }
     }
 }
@@ -370,9 +397,17 @@ mod tests {
     use super::*;
     use crate::features::extract;
     use crate::model::*;
-    use crate::storage::make_record;
+    use crate::storage::{make_record, NewRecord};
 
-    fn rec(id: u64, sql: &str) -> QueryRecord {
+    fn build(r: &NewRecord, interner: &mut FeatureInterner) -> SimSignature {
+        SimSignature::build(&r.extracted, r.parsed.as_ref(), &r.summary, interner)
+    }
+
+    fn probe(r: &NewRecord, interner: &FeatureInterner) -> SimSignature {
+        SimSignature::probe(&r.extracted, r.parsed.as_ref(), &r.summary, interner)
+    }
+
+    fn rec(id: u64, sql: &str) -> NewRecord {
         let stmt = sqlparse::parse(sql).ok();
         let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
         make_record(
@@ -405,7 +440,7 @@ mod tests {
     #[test]
     fn signature_sets_sorted_and_deduped() {
         let mut i = FeatureInterner::new();
-        let s = SimSignature::build(
+        let s = build(
             &rec(0, "SELECT * FROM WaterTemp WHERE temp < 18 AND temp < 22"),
             &mut i,
         );
@@ -419,18 +454,18 @@ mod tests {
     #[test]
     fn probe_sentinels_never_match() {
         let mut i = FeatureInterner::new();
-        let stored = SimSignature::build(&rec(0, "SELECT * FROM WaterTemp"), &mut i);
-        let probe = SimSignature::probe(&rec(1, "SELECT * FROM Unseen"), &i);
-        assert_eq!(intersect_count(&stored.tables, &probe.tables), 0);
+        let stored = build(&rec(0, "SELECT * FROM WaterTemp"), &mut i);
+        let unseen = probe(&rec(1, "SELECT * FROM Unseen"), &i);
+        assert_eq!(intersect_count(&stored.tables, &unseen.tables), 0);
         // The same table as stored does resolve to the interned id.
-        let probe2 = SimSignature::probe(&rec(2, "SELECT * FROM WaterTemp"), &i);
+        let probe2 = probe(&rec(2, "SELECT * FROM WaterTemp"), &i);
         assert_eq!(intersect_count(&stored.tables, &probe2.tables), 1);
     }
 
     #[test]
     fn unparseable_sql_has_no_tree() {
         let mut i = FeatureInterner::new();
-        let s = SimSignature::build(&rec(0, "SELEC nope"), &mut i);
+        let s = build(&rec(0, "SELEC nope"), &mut i);
         assert!(s.tree.is_none());
         assert!(s.tables.is_empty());
     }
@@ -443,7 +478,7 @@ mod tests {
             columns: vec!["lake".into()],
             rows: [["Lake Washington"], ["Green Lake"]].into_iter().collect(),
         };
-        let s = SimSignature::build(&r, &mut i);
+        let s = build(&r, &mut i);
         assert!(s.may_contain_cell("lake washington"));
         assert!(s.may_contain_cell("GREEN LAKE"));
         assert!(!s.may_contain_cell("Lake Union"));

@@ -8,9 +8,8 @@
 //! based and output based — plus the combined ranking policy.
 
 use crate::config::CqmsConfig;
-use crate::model::{OutputSummary, QueryRecord};
+use crate::model::QueryRecord;
 use crate::signature::{self, SimSignature};
-use std::collections::HashSet;
 
 /// Which distance the kNN meta-query uses (§2.3 "Query similarity could be
 /// defined in terms of query parse trees, features, or output data").
@@ -31,106 +30,25 @@ pub enum DistanceKind {
     Combined,
 }
 
-/// Jaccard distance between two string sets (1 − |∩|/|∪|; empty∪empty = 0).
-fn jaccard_distance<T: std::hash::Hash + Eq>(a: &HashSet<T>, b: &HashSet<T>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    let inter = a.intersection(b).count() as f64;
-    let union = (a.len() + b.len()) as f64 - inter;
-    1.0 - inter / union
-}
-
-/// Feature distance: weighted Jaccard over tables, attributes and predicate
-/// templates (weights from config; constants excluded per §4.3).
-pub fn feature_distance(a: &QueryRecord, b: &QueryRecord, config: &CqmsConfig) -> f64 {
-    let ta: HashSet<&str> = a.features.tables().map(|t| &**t).collect();
-    let tb: HashSet<&str> = b.features.tables().map(|t| &**t).collect();
-    let aa: HashSet<String> = a
-        .features
-        .attributes()
-        .map(|(t, c)| format!("{t}.{c}"))
-        .collect();
-    let ab: HashSet<String> = b
-        .features
-        .attributes()
-        .map(|(t, c)| format!("{t}.{c}"))
-        .collect();
-    let pa: HashSet<String> = a
-        .features
-        .predicates()
-        .map(|[t, c, op, _]| format!("{t}.{c}{op}"))
-        .collect();
-    let pb: HashSet<String> = b
-        .features
-        .predicates()
-        .map(|[t, c, op, _]| format!("{t}.{c}{op}"))
-        .collect();
-    config.weight_tables * jaccard_distance(&ta, &tb)
-        + config.weight_attributes * jaccard_distance(&aa, &ab)
-        + config.weight_predicates * jaccard_distance(&pa, &pb)
-}
-
-/// Exact Zhang–Shasha tree edit distance on canonical, constant-stripped
-/// parse trees, normalised by the larger tree size. The reference the
-/// signature kernel [`tree_edit_distance_sig`] is tested against: it
-/// rebuilds both [`sqlparse::TreeNode`]s per call.
-pub fn tree_edit_distance(a: &QueryRecord, b: &QueryRecord) -> f64 {
-    match (&a.statement, &b.statement) {
-        (Some(sa), Some(sb)) => {
-            let ta = sqlparse::statement_tree(&sqlparse::strip_constants(sa));
-            let tb = sqlparse::statement_tree(&sqlparse::strip_constants(sb));
-            sqlparse::normalized_tree_distance(&ta, &tb)
-        }
-        _ => 1.0,
-    }
-}
-
-/// Parse-tree distance: normalised edit count between the statements
-/// (§4.3 "parse tree similarity"). Unparseable statements are maximally far.
-pub fn tree_distance(a: &QueryRecord, b: &QueryRecord) -> f64 {
-    match (&a.statement, &b.statement) {
-        (Some(sqlparse::Statement::Select(sa)), Some(sqlparse::Statement::Select(sb))) => {
-            sqlparse::diff::edit_distance_normalized(sa, sb)
-        }
-        (Some(x), Some(y)) if x == y => 0.0,
-        _ => 1.0,
-    }
-}
-
-/// Output distance: Jaccard over stored output rows — treating queries "as
-/// black boxes" (§4.1). `None` when either side has no summary.
-pub fn output_distance(a: &QueryRecord, b: &QueryRecord) -> Option<f64> {
-    let rows = |s: &OutputSummary| -> Option<HashSet<String>> {
-        match s {
-            OutputSummary::None => None,
-            OutputSummary::Full { rows, .. } | OutputSummary::Sample { rows, .. } => {
-                Some(rows.iter().map(|r| r.join("\u{1}")).collect())
-            }
-        }
-    };
-    let ra = rows(&a.summary)?;
-    let rb = rows(&b.summary)?;
-    Some(jaccard_distance(&ra, &rb))
-}
-
 // ---------------------------------------------------------------------
 // Signature-based kernels (the hot path)
 //
-// Every function below is value-identical to its record-based sibling
-// above but runs allocation-free over precomputed [`SimSignature`]s:
-// interned sorted id sets instead of freshly `format!`-ed `HashSet`s,
-// trees flattened once at ingest instead of per-pair rebuilds, hashed
-// output-row sets instead of re-joined strings. kNN, the recommendation
-// panel, the miner's distance matrix and query-by-data all go through
-// these.
+// Every function below runs allocation-free over precomputed
+// [`SimSignature`]s: interned sorted id sets instead of freshly
+// `format!`-ed `HashSet`s, trees flattened once at ingest instead of
+// per-pair rebuilds, hashed output-row sets instead of re-joined strings.
+// kNN, the recommendation panel, the miner's distance matrix and
+// query-by-data all go through these. The record-based references they
+// are tested against, which re-parse each record's text and rebuild its
+// feature sets per call, live with the tests
+// (`crates/core/tests/support/reference.rs`).
 // ---------------------------------------------------------------------
 
 /// The Combined blend (§2.3): features and parse tree always available,
 /// output folded in when both sides store a summary. Single source of
-/// truth for the weights — the exact distance ([`distance`],
-/// [`distance_with`]) and the kNN lower bound (tree term at 0) both go
-/// through here, so the bound can never drift above the distance.
+/// truth for the weights — the exact distance ([`distance_with`]) and
+/// the kNN lower bound (tree term at 0) both go through here, so the
+/// bound can never drift above the distance.
 pub fn combined_blend(f: f64, t: f64, o: Option<f64>) -> f64 {
     match o {
         Some(o) => 0.45 * f + 0.35 * t + 0.2 * o,
@@ -138,8 +56,9 @@ pub fn combined_blend(f: f64, t: f64, o: Option<f64>) -> f64 {
     }
 }
 
-/// Feature distance over signatures — same weighted Jaccard as
-/// [`feature_distance`], as a sorted merge over interned ids.
+/// Feature distance: weighted Jaccard over tables, attributes and
+/// predicate templates (weights from config; constants excluded per
+/// §4.3), as a sorted merge over interned ids.
 pub fn feature_distance_sig(a: &SimSignature, b: &SimSignature, config: &CqmsConfig) -> f64 {
     feature_distance_sets(a.feature_sets(), b.feature_sets(), config)
 }
@@ -170,8 +89,9 @@ pub fn feature_distance_disjoint(a: &SimSignature, b: &SimSignature, config: &Cq
         + config.weight_predicates * j(&a.predicates, &b.predicates)
 }
 
-/// Zhang–Shasha distance over the cached flattened trees — same value as
-/// [`tree_edit_distance`] without rebuilding or flattening either tree.
+/// Exact Zhang–Shasha tree edit distance on the canonical,
+/// constant-stripped parse trees, normalised by the larger tree size,
+/// over the cached flattened trees (unparsed records are maximally far).
 pub fn tree_edit_distance_sig(a: &SimSignature, b: &SimSignature) -> f64 {
     match (&a.tree, &b.tree) {
         (Some(ta), Some(tb)) => sqlparse::normalized_ted(ta, tb),
@@ -179,17 +99,19 @@ pub fn tree_edit_distance_sig(a: &SimSignature, b: &SimSignature) -> f64 {
     }
 }
 
-/// Output distance over hashed row sets — same Jaccard as
-/// [`output_distance`] without re-joining or re-hashing any row.
+/// Output distance: Jaccard over the stored output rows — treating
+/// queries "as black boxes" (§4.1) — as hashed row sets. `None` when
+/// either side has no summary.
 pub fn output_distance_sig(a: &SimSignature, b: &SimSignature) -> Option<f64> {
     let ra = a.output_rows.as_ref()?;
     let rb = b.output_rows.as_ref()?;
     Some(signature::jaccard_ids(ra, rb))
 }
 
-/// ParseTree (diff-based) distance over the cached folded statements —
-/// same value as [`tree_distance`] without the two per-pair clones the
-/// differ's fold pass otherwise makes.
+/// Parse-tree distance (§4.3 "parse tree similarity"): the normalised
+/// edit count between two SELECTs, over the cached folded statements.
+/// Two other statements are at 0 when equal and 1 otherwise; unparsed
+/// ones are maximally far.
 pub fn tree_distance_sig(
     a: &QueryRecord,
     a_sig: &SimSignature,
@@ -198,19 +120,25 @@ pub fn tree_distance_sig(
 ) -> f64 {
     match (&a_sig.folded_select, &b_sig.folded_select) {
         (Some(fa), Some(fb)) => sqlparse::diff::edit_distance_normalized_folded(fa, fb),
-        // Folded statements exist iff the statement is a SELECT, so these
-        // arms mirror tree_distance's non-SELECT cases exactly.
-        _ => match (&a.statement, &b.statement) {
-            (Some(x), Some(y)) if x == y => 0.0,
-            _ => 1.0,
-        },
+        // Folded statements exist iff the statement is a SELECT and trees
+        // iff it parsed, so only two parsed non-SELECTs are compared, by
+        // re-parsing their text.
+        (None, None) if a_sig.tree.is_some() && b_sig.tree.is_some() => {
+            let parse = |r: &QueryRecord| sqlparse::parse(&r.raw_sql).ok();
+            if a.raw_sql == b.raw_sql || parse(a) == parse(b) {
+                0.0
+            } else {
+                1.0
+            }
+        }
+        _ => 1.0,
     }
 }
 
 /// Distance under the chosen metric over precomputed signatures. The
-/// records are still needed for the non-SELECT fallback arms of
+/// records are still needed for the non-SELECT arm of
 /// [`DistanceKind::ParseTree`] (and the ParseTree component of
-/// `Combined`), which compare the statements directly.
+/// `Combined`), which compares the statements parsed from their text.
 pub fn distance_with(
     a: &QueryRecord,
     a_sig: &SimSignature,
@@ -228,27 +156,6 @@ pub fn distance_with(
             let f = feature_distance_sig(a_sig, b_sig, config);
             let t = tree_distance_sig(a, a_sig, b, b_sig);
             combined_blend(f, t, output_distance_sig(a_sig, b_sig))
-        }
-    }
-}
-
-/// Distance under the chosen metric, in [0, 1].
-///
-/// Record-based reference implementation: materialises feature sets and
-/// parse trees per call. The serving paths use [`distance_with`] over
-/// precomputed signatures instead; this stays as the ground truth the
-/// signature kernels are tested (and benchmarked) against.
-pub fn distance(a: &QueryRecord, b: &QueryRecord, kind: DistanceKind, config: &CqmsConfig) -> f64 {
-    match kind {
-        DistanceKind::Features => feature_distance(a, b, config),
-        DistanceKind::ParseTree => tree_distance(a, b),
-        DistanceKind::TreeEdit => tree_edit_distance(a, b),
-        DistanceKind::Output => output_distance(a, b).unwrap_or(1.0),
-        DistanceKind::Combined => {
-            // Blend: features and tree always available; output when stored.
-            let f = feature_distance(a, b, config);
-            let t = tree_distance(a, b);
-            combined_blend(f, t, output_distance(a, b))
         }
     }
 }
@@ -280,9 +187,10 @@ mod tests {
     use super::*;
     use crate::features::extract;
     use crate::model::*;
-    use crate::storage::make_record;
+    use crate::signature::FeatureInterner;
+    use crate::storage::{make_record, NewRecord};
 
-    fn rec(id: u64, sql: &str) -> QueryRecord {
+    fn rec(id: u64, sql: &str) -> NewRecord {
         let stmt = sqlparse::parse(sql).unwrap();
         let feats = extract(&stmt, None);
         make_record(
@@ -302,7 +210,7 @@ mod tests {
         )
     }
 
-    fn with_summary(mut r: QueryRecord, rows: Vec<Vec<&str>>) -> QueryRecord {
+    fn with_summary(mut r: NewRecord, rows: Vec<Vec<&str>>) -> NewRecord {
         r.summary = OutputSummary::Full {
             columns: vec!["c".into()],
             rows: rows.into_iter().collect(),
@@ -310,36 +218,55 @@ mod tests {
         r
     }
 
+    /// The signatures of `recs`, over one interner.
+    fn sigs(recs: &[&NewRecord]) -> Vec<SimSignature> {
+        let mut interner = FeatureInterner::new();
+        (recs.iter())
+            .map(|r| {
+                SimSignature::build(&r.extracted, r.parsed.as_ref(), &r.summary, &mut interner)
+            })
+            .collect()
+    }
+
+    /// The distance between `a` and `b` under `kind`.
+    fn distance(a: &NewRecord, b: &NewRecord, kind: DistanceKind) -> f64 {
+        let s = sigs(&[a, b]);
+        distance_with(a, &s[0], b, &s[1], kind, &CqmsConfig::default())
+    }
+
     #[test]
     fn identical_queries_distance_zero() {
-        let cfg = CqmsConfig::default();
         let a = rec(0, "SELECT * FROM WaterTemp WHERE temp < 18");
         let b = rec(1, "select * from watertemp where TEMP < 18");
-        assert!(feature_distance(&a, &b, &cfg) < 1e-9);
-        assert!(tree_distance(&a, &b) < 1e-9);
-        assert!(distance(&a, &b, DistanceKind::Combined, &cfg) < 1e-9);
+        for kind in [
+            DistanceKind::Features,
+            DistanceKind::ParseTree,
+            DistanceKind::Combined,
+        ] {
+            assert!(distance(&a, &b, kind) < 1e-9, "{kind:?}");
+        }
     }
 
     #[test]
     fn constant_change_is_nearer_than_table_change() {
-        let cfg = CqmsConfig::default();
         let base = rec(0, "SELECT * FROM WaterTemp WHERE temp < 18");
         let const_change = rec(1, "SELECT * FROM WaterTemp WHERE temp < 22");
         let table_change = rec(2, "SELECT * FROM CityLocations WHERE pop < 18");
-        let d1 = distance(&base, &const_change, DistanceKind::Combined, &cfg);
-        let d2 = distance(&base, &table_change, DistanceKind::Combined, &cfg);
+        let d1 = distance(&base, &const_change, DistanceKind::Combined);
+        let d2 = distance(&base, &table_change, DistanceKind::Combined);
         assert!(d1 < d2, "{d1} !< {d2}");
         // Constants are excluded from features entirely.
-        assert!(feature_distance(&base, &const_change, &cfg) < 1e-9);
+        assert!(distance(&base, &const_change, DistanceKind::Features) < 1e-9);
     }
 
     #[test]
     fn overlapping_tables_closer_than_disjoint() {
-        let cfg = CqmsConfig::default();
         let a = rec(0, "SELECT * FROM WaterSalinity, WaterTemp");
         let b = rec(1, "SELECT * FROM WaterTemp, CityLocations");
         let c = rec(2, "SELECT * FROM Lakes");
-        assert!(feature_distance(&a, &b, &cfg) < feature_distance(&a, &c, &cfg));
+        assert!(
+            distance(&a, &b, DistanceKind::Features) < distance(&a, &c, DistanceKind::Features)
+        );
     }
 
     #[test]
@@ -357,9 +284,10 @@ mod tests {
             rec(2, "SELECT lake FROM WaterTemp"),
             vec![vec!["Lake Union"]],
         );
-        assert_eq!(output_distance(&a, &b), Some(0.0));
-        assert_eq!(output_distance(&a, &c), Some(1.0));
-        assert_eq!(output_distance(&a, &rec(3, "SELECT 1")), None);
+        let s = sigs(&[&a, &b, &c, &rec(3, "SELECT 1")]);
+        assert_eq!(output_distance_sig(&s[0], &s[1]), Some(0.0));
+        assert_eq!(output_distance_sig(&s[0], &s[2]), Some(1.0));
+        assert_eq!(output_distance_sig(&s[0], &s[3]), None);
     }
 
     #[test]
@@ -377,64 +305,30 @@ mod tests {
 
     #[test]
     fn tree_edit_metric_behaves() {
-        let cfg = CqmsConfig::default();
         let a = rec(0, "SELECT * FROM WaterTemp WHERE temp < 18");
         let b = rec(1, "SELECT * FROM WaterTemp WHERE temp < 22");
         // Constants are stripped first, so a constant change is distance 0.
-        assert!(distance(&a, &b, DistanceKind::TreeEdit, &cfg) < 1e-9);
+        assert!(distance(&a, &b, DistanceKind::TreeEdit) < 1e-9);
         let c = rec(2, "SELECT city FROM CityLocations GROUP BY city");
-        let d_far = distance(&a, &c, DistanceKind::TreeEdit, &cfg);
+        let d_far = distance(&a, &c, DistanceKind::TreeEdit);
         assert!(d_far > 0.3, "{d_far}");
         // Symmetry.
-        assert!((d_far - distance(&c, &a, DistanceKind::TreeEdit, &cfg)).abs() < 1e-12);
+        assert!((d_far - distance(&c, &a, DistanceKind::TreeEdit)).abs() < 1e-12);
     }
 
     #[test]
-    fn signature_kernels_match_record_kernels() {
-        let cfg = CqmsConfig::default();
-        let recs = [
-            rec(0, "SELECT * FROM WaterTemp WHERE temp < 18"),
-            with_summary(
-                rec(1, "SELECT lake FROM WaterTemp, Lakes WHERE area > 100"),
-                vec![vec!["Lake Washington"], vec!["Green Lake"]],
-            ),
-            with_summary(
-                rec(2, "SELECT city FROM CityLocations GROUP BY city"),
-                vec![vec!["Lake Washington"]],
-            ),
-            rec(3, "SELECT salinity FROM WaterSalinity WHERE salinity > 0.2"),
-        ];
-        let mut interner = crate::signature::FeatureInterner::new();
-        let sigs: Vec<SimSignature> = recs
-            .iter()
-            .map(|r| SimSignature::build(r, &mut interner))
-            .collect();
-        for i in 0..recs.len() {
-            for j in 0..recs.len() {
-                for kind in [
-                    DistanceKind::Features,
-                    DistanceKind::ParseTree,
-                    DistanceKind::TreeEdit,
-                    DistanceKind::Output,
-                    DistanceKind::Combined,
-                ] {
-                    let legacy = distance(&recs[i], &recs[j], kind, &cfg);
-                    let sig = distance_with(&recs[i], &sigs[i], &recs[j], &sigs[j], kind, &cfg);
-                    assert_eq!(legacy, sig, "{kind:?} diverges on pair ({i}, {j})");
-                }
-            }
-        }
-        // Disjoint fast path agrees with the full merge on disjoint pairs
-        // (records 0 and 2 share no tables, attributes or predicates).
-        assert_eq!(
-            feature_distance_disjoint(&sigs[0], &sigs[2], &cfg),
-            feature_distance_sig(&sigs[0], &sigs[2], &cfg),
-        );
+    fn non_select_statements_compare_by_equality() {
+        let insert = rec(0, "INSERT INTO t VALUES (1)");
+        let same = rec(1, "INSERT INTO t  VALUES (1)");
+        let other = rec(2, "INSERT INTO t VALUES (2)");
+        let select = rec(3, "SELECT * FROM t");
+        assert_eq!(distance(&insert, &same, DistanceKind::ParseTree), 0.0);
+        assert_eq!(distance(&insert, &other, DistanceKind::ParseTree), 1.0);
+        assert_eq!(distance(&insert, &select, DistanceKind::ParseTree), 1.0);
     }
 
     #[test]
     fn distance_is_symmetric() {
-        let cfg = CqmsConfig::default();
         let a = rec(0, "SELECT * FROM WaterTemp WHERE temp < 18");
         let b = rec(1, "SELECT lake FROM WaterTemp, Lakes WHERE area > 100");
         for kind in [
@@ -443,8 +337,8 @@ mod tests {
             DistanceKind::TreeEdit,
             DistanceKind::Combined,
         ] {
-            let d1 = distance(&a, &b, kind, &cfg);
-            let d2 = distance(&b, &a, kind, &cfg);
+            let d1 = distance(&a, &b, kind);
+            let d2 = distance(&b, &a, kind);
             assert!((d1 - d2).abs() < 1e-9, "{kind:?} asymmetric");
             assert!((0.0..=1.0).contains(&d1));
         }

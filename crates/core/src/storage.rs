@@ -15,8 +15,11 @@
 //!   syntactic features; a SQL meta-query is shown the rows of the
 //!   queries its viewer may see
 //!   ([`crate::metaquery::MetaQueryExecutor::by_feature_sql`]);
-//! * **typed records** ([`QueryRecord`]) carrying the parse tree, runtime
-//!   features, output summary, annotations, ACLs and maintenance state.
+//! * **typed records** ([`QueryRecord`]) carrying runtime features,
+//!   output summary, annotations, ACLs and maintenance state; the parse
+//!   tree lives on only in the record's similarity signature (its
+//!   flattened tree and folded SELECT) and is re-parsed from the text
+//!   when a reader needs more.
 //!
 //! One `QueryStorage` is single-writer. Deployments that need parallel
 //! write throughput run several — one per shard, routed by user hash —
@@ -25,7 +28,7 @@
 //! space by the shard layer.
 
 use crate::error::CqmsError;
-use crate::features::{FeatureRows, SyntacticFeatures, Vocabulary};
+use crate::features::{self, FeatureRows, SyntacticFeatures, Vocabulary};
 use crate::indexreg::{IndexBuild, IndexRegistry, OVERRIDE_PUBLISH_THRESHOLD};
 use crate::metricindex::MetricIndexStats;
 use crate::model::*;
@@ -33,7 +36,9 @@ use crate::signature::{FeatureInterner, SimSignature};
 use crate::wal::{self, InsertFrame, WalOp, WalWriter};
 use cqms_cow::{CowMap, SegVec, SnapshotVec};
 use relstore::Catalog;
+use sqlparse::{EditOp, Statement};
 use std::io::{BufRead, Write};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use textindex::{InvertedIndex, TrigramIndex};
 
@@ -49,10 +54,8 @@ pub struct QueryStorage {
     records: SnapshotVec<Arc<QueryRecord>>,
     text: InvertedIndex,
     trigram: TrigramIndex,
-    /// Each edge behind its own `Arc`: an edge owns its edit script, and
-    /// the tail copy the first append after a snapshot makes should bump
-    /// counts, not duplicate scripts.
-    edges: SegVec<Arc<SessionEdge>>,
+    /// The session graph's edges, in insertion order.
+    edges: SegVec<SessionEdge>,
     sessions: CowMap<SessionId, Vec<QueryId>>,
     /// Popularity: template fingerprint → number of live queries.
     template_counts: CowMap<u64, u32>,
@@ -196,14 +199,21 @@ impl QueryStorage {
         id
     }
 
-    /// Insert a fully-built record (the Profiler constructs records; tests
-    /// may too). The record's `id` must equal `self.len()`.
+    /// Insert a record built by [`make_record`] (the Profiler constructs
+    /// records; tests may too). The record's `id` must equal `self.len()`.
     ///
-    /// The record's feature-row names are pointed at the store's
-    /// vocabulary. A record arriving already tombstoned (snapshot
-    /// restore) is logged but never indexed and keeps no rows — the same
-    /// end state [`QueryStorage::delete`] leaves behind.
-    pub fn insert(&mut self, mut record: QueryRecord) -> QueryId {
+    /// Its feature rows are built from the extracted features with names
+    /// from the store's vocabulary, and its signature from them and the
+    /// statement; both temporaries are then dropped. A record arriving
+    /// already tombstoned (snapshot restore) is logged but never indexed
+    /// and keeps no rows — the same end state [`QueryStorage::delete`]
+    /// leaves behind.
+    pub fn insert(&mut self, new: NewRecord) -> QueryId {
+        let NewRecord {
+            mut record,
+            parsed,
+            extracted,
+        } = new;
         assert_eq!(
             record.id.0 as usize,
             self.records.len(),
@@ -222,7 +232,12 @@ impl QueryStorage {
         if record.session.0 >= self.next_session {
             self.next_session = record.session.0 + 1;
         }
-        let mut sig = SimSignature::build(&record, &mut self.interner);
+        let mut sig = SimSignature::build(
+            &extracted,
+            parsed.as_ref(),
+            &record.summary,
+            &mut self.interner,
+        );
         let live = record.is_live();
         if live {
             self.live += 1;
@@ -240,10 +255,9 @@ impl QueryStorage {
             self.wal_log(op);
         }
         self.signatures.push(Arc::new(sig));
-        if tombstoned {
-            record.features = FeatureRows::empty();
-        } else {
-            Arc::make_mut(&mut record.features).share_names(&mut self.vocabulary);
+        if !tombstoned {
+            let rows = FeatureRows::of(&record, &extracted, &mut self.vocabulary);
+            record.features = Arc::new(rows);
         }
         self.records.push(Arc::new(record));
         if live {
@@ -325,17 +339,30 @@ impl QueryStorage {
         hist
     }
 
-    /// The typed edits from `from`'s statement to `to`'s — a session
-    /// edge's labels, diffed in place — or `None` unless both records
-    /// exist and parsed.
-    pub(crate) fn statement_edits(
-        &self,
-        from: QueryId,
-        to: QueryId,
-    ) -> Option<Vec<sqlparse::EditOp>> {
-        let a = self.get(from).ok()?.statement.as_ref()?;
-        let b = self.get(to).ok()?.statement.as_ref()?;
-        Some(sqlparse::diff_statements(a, b))
+    /// Did record `id`'s SQL parse? (Its signature has a tree iff so.)
+    pub fn parsed(&self, id: QueryId) -> bool {
+        self.signature(id).is_some_and(|s| s.tree.is_some())
+    }
+
+    /// The typed edits from `from`'s current statement to `to`'s — the
+    /// Fig. 2 labels of an evolution edge — or none unless both parse.
+    /// Two SELECTs are diffed from their signatures' folded copies, which
+    /// is what [`sqlparse::diff_selects`] diffs; any other pair is
+    /// re-parsed.
+    pub fn edge_edits(&self, from: QueryId, to: QueryId) -> Vec<EditOp> {
+        let folded = |id| self.signature(id).and_then(|s| s.folded_select.as_deref());
+        if let (Some(a), Some(b)) = (folded(from), folded(to)) {
+            return sqlparse::diff::diff_selects_folded(a, b);
+        }
+        let parse = |id| {
+            self.get(id)
+                .ok()
+                .and_then(|r| sqlparse::parse(&r.raw_sql).ok())
+        };
+        match (parse(from), parse(to)) {
+            (Some(a), Some(b)) => sqlparse::diff_statements(&a, &b),
+            _ => Vec::new(),
+        }
     }
 
     /// Record a session-graph edge.
@@ -345,11 +372,11 @@ impl QueryStorage {
             to: edge.to,
             kind: edge.kind,
         });
-        self.edges.push(Arc::new(edge));
+        self.edges.push(edge);
     }
 
     /// The session graph's edges, in insertion order.
-    pub fn edges(&self) -> &SegVec<Arc<SessionEdge>> {
+    pub fn edges(&self) -> &SegVec<SessionEdge> {
         &self.edges
     }
 
@@ -482,7 +509,7 @@ impl QueryStorage {
     /// Move one query's popularity count between template fingerprints —
     /// a maintenance repair can change a record's template (e.g. a table
     /// rename), and the count must follow it.
-    pub(crate) fn retemplate(&mut self, old_fp: u64, new_fp: u64) {
+    fn retemplate(&mut self, old_fp: u64, new_fp: u64) {
         if old_fp == new_fp {
             return;
         }
@@ -500,20 +527,31 @@ impl QueryStorage {
         }
     }
 
-    /// Re-index a record whose SQL was rewritten — the maintenance repair
-    /// path, and WAL replay's — given the `features` its
-    /// [`QueryRecord::derive`] returned.
+    /// Re-index a record whose SQL was rewritten to `raw_sql` — the
+    /// maintenance repair path, and WAL replay's — given `statement`,
+    /// what `raw_sql` parses to, and the catalog its features resolve
+    /// against, if any.
     ///
-    /// In this order: the completion counts subtract the record's old
-    /// rows, the new rows are built from `features` and stored in the
-    /// record, and the counts add them back. Text indexes and the
+    /// The template fingerprint is re-derived and the popularity count
+    /// follows it. Then, in this order: the completion counts subtract
+    /// the record's old rows, the new rows are extracted and stored in
+    /// the record, and the counts add them back. Text indexes and the
     /// similarity signature are rebuilt immediately; the structural
     /// index (VP-tree, ParseTree profile groups, feature classes) is
     /// *not* rebuilt inline — the registry logs an override (probes mask
     /// the stale entries and re-evaluate this record from its fresh
     /// signature) and schedules a background rebuild into the next miner
     /// epoch.
-    pub fn reindex(&mut self, id: QueryId, features: &SyntacticFeatures) -> Result<(), CqmsError> {
+    pub fn reindex(
+        &mut self,
+        id: QueryId,
+        raw_sql: &str,
+        statement: Option<&Statement>,
+        catalog: Option<&Catalog>,
+    ) -> Result<(), CqmsError> {
+        let extracted = statement
+            .map(|stmt| features::extract(stmt, catalog))
+            .unwrap_or_default();
         let live = self.get(id)?.is_live();
         if live {
             self.count_completion(id, false);
@@ -523,28 +561,28 @@ impl QueryStorage {
                 .get_mut(id.0 as usize)
                 .expect("validated above"),
         );
-        let mut rows = FeatureRows::of(r, features);
-        rows.share_names(&mut self.vocabulary);
-        r.features = Arc::new(rows);
+        let old_fp = r.template_fp;
+        r.raw_sql = Arc::from(raw_sql);
+        r.template_fp = statement.map_or(0, sqlparse::template_fingerprint);
+        let new_fp = r.template_fp;
+        r.features = Arc::new(FeatureRows::of(r, &extracted, &mut self.vocabulary));
+        let sig = SimSignature::build(&extracted, statement, &r.summary, &mut self.interner);
+        self.retemplate(old_fp, new_fp);
         if live {
             self.count_completion(id, true);
         }
-        self.refresh_derived(id);
+        self.refresh_derived(id, sig);
         Ok(())
     }
 
-    /// Rebuild what [`QueryStorage::reindex`] rebuilds past the feature
-    /// rows — text indexes, signature, the registry override — and log
-    /// the `Reindex`. Shared with summary refresh, whose rows keep their
-    /// features, and with the replay of a `Reindex` that left the SQL
-    /// as it was.
-    pub(crate) fn refresh_derived(&mut self, id: QueryId) {
+    /// Install `sig` as record `id`'s signature and rebuild what
+    /// [`QueryStorage::reindex`] rebuilds past the feature rows — text
+    /// indexes, the registry override — and log the `Reindex`. Shared
+    /// with summary refresh, whose rows keep their features.
+    fn refresh_derived(&mut self, id: QueryId, sig: SimSignature) {
         let sql = Arc::clone(&self.records[id.0 as usize].raw_sql);
         self.text.add(id.0, &sql);
         self.trigram.add(id.0, &sql);
-        // Rebuild the similarity signature (the statement, features or
-        // the summary changed).
-        let sig = SimSignature::build(&self.records[id.0 as usize], &mut self.interner);
         let slot = self.signatures.get_mut(id.0 as usize);
         *slot.expect("signatures parallel records") = Arc::new(sig);
         // The record's parse tree / folded SELECT / summary may have
@@ -579,10 +617,12 @@ impl QueryStorage {
         id: QueryId,
         summary: OutputSummary,
     ) -> Result<(), CqmsError> {
+        self.get(id)?;
+        let sig = self.signatures[id.0 as usize].with_summary(&summary);
         let r = self.get_mut(id)?;
         r.summary = summary;
         r.features = Arc::new(r.features.with_meta(r));
-        self.refresh_derived(id);
+        self.refresh_derived(id, sig);
         Ok(())
     }
 
@@ -611,11 +651,16 @@ impl QueryStorage {
         &self.indexes
     }
 
-    /// Build a probe signature for a record that is not (necessarily) in
+    /// Build a probe signature for a query that is not (necessarily) in
     /// the store — ad-hoc SQL being composed, §2.3. Read-only: unseen
     /// features get sentinel ids that match nothing.
-    pub fn probe_signature(&self, record: &QueryRecord) -> SimSignature {
-        SimSignature::probe(record, &self.interner)
+    pub fn probe_signature(&self, query: &NewRecord) -> SimSignature {
+        SimSignature::probe(
+            &query.extracted,
+            query.parsed.as_ref(),
+            &query.summary,
+            &self.interner,
+        )
     }
 
     /// Cheap-bound effectiveness counters + rebuild counters for the
@@ -995,30 +1040,80 @@ fn io_err(e: std::io::Error) -> CqmsError {
     CqmsError::Snapshot(e.to_string())
 }
 
+/// A query on its way into the log: its record, and what was parsed from
+/// its `raw_sql` — the statement (`None` when the text failed to parse)
+/// and its syntactic features. [`QueryStorage::insert`] builds the
+/// record's feature rows and signature from them and drops them, and a
+/// probe signature reads them the same way: a logged record keeps its
+/// text, not its parse. Until it is inserted the record has no feature
+/// rows. Dereferences to the record.
+#[derive(Debug, Clone)]
+pub struct NewRecord {
+    /// The record as it will be logged.
+    pub record: QueryRecord,
+    /// The statement `raw_sql` parses to.
+    pub parsed: Option<Statement>,
+    /// Its features, extracted against the caller's catalog, if any.
+    pub extracted: SyntacticFeatures,
+}
+
+impl NewRecord {
+    /// `sql`, which must parse, as `viewer`'s kNN probe: a query that is
+    /// not in the log (features extracted without a catalog). A sharded
+    /// deployment hands the same probe to every shard.
+    pub fn probe(viewer: UserId, sql: &str) -> Result<NewRecord, CqmsError> {
+        let stmt = sqlparse::parse(sql)?;
+        let features = features::extract(&stmt, None);
+        Ok(make_record(
+            QueryId(u64::MAX),
+            viewer,
+            0,
+            sql,
+            Some(stmt),
+            features,
+            RuntimeFeatures::default(),
+            OutputSummary::None,
+            SessionId(u64::MAX),
+            Visibility::Private,
+        ))
+    }
+}
+
+impl Deref for NewRecord {
+    type Target = QueryRecord;
+    fn deref(&self) -> &QueryRecord {
+        &self.record
+    }
+}
+
+impl DerefMut for NewRecord {
+    fn deref_mut(&mut self) -> &mut QueryRecord {
+        &mut self.record
+    }
+}
+
 /// Build a record from its parts — the constructor of ingest, replay,
-/// probes and tests; callers extract the features first (against their
-/// catalog, if they have one), and the record keeps them as its feature
-/// rows.
+/// probes and tests; callers parse the SQL and extract the features
+/// first (against their catalog, if they have one).
 #[allow(clippy::too_many_arguments)]
 pub fn make_record(
     id: QueryId,
     user: UserId,
     ts: u64,
     raw_sql: &str,
-    statement: Option<sqlparse::Statement>,
+    parsed: Option<Statement>,
     extracted: SyntacticFeatures,
     runtime: RuntimeFeatures,
     summary: OutputSummary,
     session: SessionId,
     visibility: Visibility,
-) -> QueryRecord {
-    let mut record = QueryRecord {
+) -> NewRecord {
+    let record = QueryRecord {
         id,
         user,
         ts,
         raw_sql: Arc::from(raw_sql),
-        statement: None,
-        template_fp: 0,
+        template_fp: parsed.as_ref().map_or(0, sqlparse::template_fingerprint),
         features: FeatureRows::empty(),
         runtime,
         summary,
@@ -1028,9 +1123,11 @@ pub fn make_record(
         validity: Validity::Valid,
         quality: 0.5,
     };
-    record.set_statement(statement);
-    record.features = Arc::new(FeatureRows::of(&record, &extracted));
-    record
+    NewRecord {
+        record,
+        parsed,
+        extracted,
+    }
 }
 
 #[cfg(test)]
@@ -1038,7 +1135,7 @@ mod tests {
     use super::*;
     use crate::features::extract;
 
-    fn record(id: u64, user: u32, ts: u64, sql: &str, session: u64) -> QueryRecord {
+    fn record(id: u64, user: u32, ts: u64, sql: &str, session: u64) -> NewRecord {
         let stmt = sqlparse::parse(sql).ok();
         let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
         make_record(
@@ -1200,18 +1297,14 @@ mod tests {
     #[test]
     fn edges_recorded_per_session() {
         let mut s = populated();
-        let a = s.get(QueryId(0)).unwrap().statement.clone().unwrap();
-        let b = s.get(QueryId(1)).unwrap().statement.clone().unwrap();
-        let edits = sqlparse::diff_statements(&a, &b);
         s.add_edge(SessionEdge {
             from: QueryId(0),
             to: QueryId(1),
             kind: EdgeKind::Evolution,
-            edits,
         });
         let edges = s.edges();
         assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].edits.len(), 1);
+        assert_eq!(s.edge_edits(edges[0].from, edges[0].to).len(), 1);
     }
 
     #[test]
@@ -1227,13 +1320,10 @@ mod tests {
             },
         )
         .unwrap();
-        let a = s.get(QueryId(0)).unwrap().statement.clone().unwrap();
-        let b = s.get(QueryId(1)).unwrap().statement.clone().unwrap();
         s.add_edge(SessionEdge {
             from: QueryId(0),
             to: QueryId(1),
             kind: EdgeKind::Evolution,
-            edits: sqlparse::diff_statements(&a, &b),
         });
         s.delete(QueryId(0)).unwrap();
 
@@ -1248,7 +1338,7 @@ mod tests {
             "join\twith\ttabs and\nnewline"
         );
         assert_eq!(restored.edges().len(), 1);
-        assert_eq!(restored.edges()[0].edits.len(), 1);
+        assert_eq!(restored.edge_edits(QueryId(0), QueryId(1)).len(), 1);
         // Derived state rebuilt.
         assert_eq!(restored.trigram_index().search("temp < 18"), vec![1]);
         assert_eq!(
@@ -1301,7 +1391,6 @@ mod tests {
             from: QueryId(0),
             to: QueryId(1),
             kind: EdgeKind::Evolution,
-            edits: Vec::new(),
         });
         let mut buf = Vec::new();
         s.snapshot(&mut buf).unwrap();
@@ -1418,10 +1507,9 @@ mod tests {
         // duplicated, none left behind — so it keeps its place ahead of
         // query 1 in every relation.
         let rewritten = "SELECT salinity FROM WaterSalinity WHERE salinity > 0.2";
-        let r = s.get_mut(QueryId(0)).unwrap();
-        r.raw_sql = rewritten.into();
-        let features = r.derive(sqlparse::parse(rewritten).ok(), None);
-        s.reindex(QueryId(0), &features).unwrap();
+        let parsed = sqlparse::parse(rewritten).ok();
+        s.reindex(QueryId(0), rewritten, parsed.as_ref(), None)
+            .unwrap();
         let temp18 = "SELECT * FROM WaterTemp WHERE temp < 18";
         assert_eq!(
             feature_sql(&s, "SELECT * FROM Queries"),
@@ -1586,9 +1674,10 @@ mod tests {
         .unwrap();
         assert!(!s.index_rebuild_pending());
         // Reindex: override logged + rebuild scheduled; nothing dropped.
-        let r = s.get_mut(QueryId(1)).unwrap();
-        let features = r.derive(r.statement.clone(), None);
-        s.reindex(QueryId(1), &features).unwrap();
+        let sql = "SELECT * FROM WaterTemp WHERE temp < 18";
+        assert_eq!(&*s.get(QueryId(1)).unwrap().raw_sql, sql);
+        let parsed = sqlparse::parse(sql).ok();
+        s.reindex(QueryId(1), sql, parsed.as_ref(), None).unwrap();
         assert!(s.index_rebuild_pending());
         assert!(s.indexes().overridden(1));
         assert_eq!(s.index_generation(), 1, "no inline rebuild");

@@ -2,7 +2,7 @@
 //!
 //! * [`render_session`] — the Figure 2 "query session window": nodes are the
 //!   session's queries, edges show the parse-tree diff between consecutive
-//!   queries;
+//!   queries' current statements;
 //! * [`render_panel`] — the Figure 3 "Similar Queries" panel (score / query
 //!   / diff / annotations columns);
 //! * [`render_log_summary`] — the Search & Browse listing with sessions
@@ -51,7 +51,7 @@ pub fn render_session(view: &MetaQueryExecutor, session: SessionId) -> Result<St
             for e in edges.iter().filter(|e| e.from == rec.id && e.to == next.id) {
                 match e.kind {
                     crate::model::EdgeKind::Evolution => {
-                        for op in &e.edits {
+                        for op in view.storage().edge_edits(e.from, e.to) {
                             let _ = writeln!(out, "   |  {}", op.label());
                             printed = true;
                         }
@@ -156,12 +156,11 @@ mod tests {
     use crate::features::extract;
     use crate::model::*;
     use crate::storage::{make_record, QueryStorage};
-    use sqlparse::diff_statements;
 
     fn storage_with_figure2() -> QueryStorage {
         let mut st = QueryStorage::new();
         let sqls = workload::querygen::figure2_session();
-        let mut prev: Option<(QueryId, sqlparse::Statement)> = None;
+        let mut prev: Option<QueryId> = None;
         for (i, sql) in sqls.iter().enumerate() {
             let stmt = sqlparse::parse(sql).unwrap();
             let feats = extract(&stmt, None);
@@ -171,7 +170,7 @@ mod tests {
                 UserId(1),
                 9000 + 60 * i as u64, // 02:30, 02:31, ... like the figure
                 sql,
-                Some(stmt.clone()),
+                Some(stmt),
                 feats,
                 RuntimeFeatures {
                     success: true,
@@ -181,15 +180,14 @@ mod tests {
                 SessionId(0),
                 Visibility::Public,
             ));
-            if let Some((pid, pstmt)) = &prev {
+            if let Some(pid) = prev {
                 st.add_edge(SessionEdge {
-                    from: *pid,
+                    from: pid,
                     to: id,
                     kind: EdgeKind::Evolution,
-                    edits: diff_statements(pstmt, &stmt),
                 });
             }
-            prev = Some((id, stmt));
+            prev = Some(id);
         }
         st
     }

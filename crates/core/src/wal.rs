@@ -1187,12 +1187,10 @@ pub fn apply_op(
             Ok(true)
         }
         WalOp::Edge { from, to, kind } => {
-            let edits = storage.statement_edits(*from, *to).unwrap_or_default();
             storage.add_edge(SessionEdge {
                 from: *from,
                 to: *to,
                 kind: *kind,
-                edits,
             });
             Ok(true)
         }
@@ -1215,17 +1213,16 @@ pub fn apply_op(
             Ok(true)
         }
         WalOp::Reindex { id, raw_sql } => {
-            if *storage.get(*id)?.raw_sql == **raw_sql {
-                storage.refresh_derived(*id);
+            let record = storage.get(*id)?;
+            if *record.raw_sql == **raw_sql {
+                // A summary refresh: summaries are not logged, so this
+                // one re-derives what the record already holds.
+                let summary = record.summary.clone();
+                storage.refresh_summary(*id, summary)?;
                 return Ok(true);
             }
-            let r = storage.get_mut(*id)?;
-            let old_tfp = r.template_fp;
-            r.raw_sql = raw_sql.as_str().into();
-            let features = r.derive(sqlparse::parse(raw_sql).ok(), catalog);
-            let new_tfp = r.template_fp;
-            storage.retemplate(old_tfp, new_tfp);
-            storage.reindex(*id, &features)?;
+            let statement = sqlparse::parse(raw_sql).ok();
+            storage.reindex(*id, raw_sql, statement.as_ref(), catalog)?;
             Ok(true)
         }
     }
@@ -1589,8 +1586,9 @@ pub(crate) fn retry_write<T, E>(op: impl FnMut() -> Result<T, E>) -> (Result<T, 
 mod tests {
     use super::*;
     use crate::features::extract;
+    use crate::storage::NewRecord;
 
-    fn record(id: u64, sql: &str, session: u64) -> QueryRecord {
+    fn record(id: u64, sql: &str, session: u64) -> NewRecord {
         let stmt = sqlparse::parse(sql).ok();
         let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
         make_record(
@@ -1816,17 +1814,8 @@ mod tests {
         storage.attach_wal(WalWriter::new(Box::new(sink), 1));
         storage.insert(record(0, "SELECT temp FROM WaterTemp WHERE temp < 18", 0));
         storage.insert(record(1, "SELECT * FROM Lakes", 0));
-        // Simulate the repair path: rewrite sql in place, retemplate,
-        // set_validity(Repaired), reindex — as maintenance.rs does.
-        let (old_tfp, new_tfp, features) = {
-            let new_sql = "SELECT temperature FROM WaterTemp WHERE temperature < 18";
-            let r = storage.get_mut(QueryId(0)).unwrap();
-            let old = r.template_fp;
-            r.raw_sql = new_sql.into();
-            let features = r.derive(sqlparse::parse(new_sql).ok(), None);
-            (old, r.template_fp, features)
-        };
-        storage.retemplate(old_tfp, new_tfp);
+        // Simulate the repair path: set_validity(Repaired), then reindex
+        // the rewritten SQL — as maintenance.rs does.
         storage
             .set_validity(
                 QueryId(0),
@@ -1836,7 +1825,11 @@ mod tests {
                 },
             )
             .unwrap();
-        storage.reindex(QueryId(0), &features).unwrap();
+        let new_sql = "SELECT temperature FROM WaterTemp WHERE temperature < 18";
+        let parsed = sqlparse::parse(new_sql).ok();
+        storage
+            .reindex(QueryId(0), new_sql, parsed.as_ref(), None)
+            .unwrap();
         // Plus an annotation, an edge and a visibility change.
         storage
             .annotate(
@@ -1853,7 +1846,6 @@ mod tests {
             from: QueryId(0),
             to: QueryId(1),
             kind: EdgeKind::Evolution,
-            edits: Vec::new(),
         });
         storage
             .set_visibility(QueryId(1), Visibility::Private)

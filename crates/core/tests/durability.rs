@@ -452,7 +452,6 @@ fn mid_batch_crash_replays_only_synced_operations() {
         from: QueryId(0),
         to: QueryId(1),
         kind: EdgeKind::Evolution,
-        edits: Vec::new(),
     });
     st.annotate(
         QueryId(2),
@@ -488,9 +487,9 @@ fn mid_batch_crash_replays_only_synced_operations() {
     // "process".
     st.insert(mk(5, "SELECT * FROM WaterTemp WHERE month = 3", 2_000));
     st.delete(QueryId(0)).unwrap();
-    let stmt = st.get(QueryId(1)).unwrap().statement.clone();
-    let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
-    st.reindex(QueryId(1), &feats).unwrap();
+    let sql = sqls[1];
+    st.reindex(QueryId(1), sql, sqlparse::parse(sql).ok().as_ref(), None)
+        .unwrap();
     st.annotate(
         QueryId(2),
         Annotation {

@@ -678,9 +678,11 @@ fn override_storm_forces_inline_publish() {
     }
     let gen0 = cqms.storage.index_generation();
     for i in 0..storm {
-        let stmt = cqms.storage.get(QueryId(i)).unwrap().statement.clone();
-        let feats = cqms_core::features::extract(&stmt.unwrap(), Some(&cqms.data.catalog));
-        cqms.storage.reindex(QueryId(i), &feats).expect("repair");
+        let sql = cqms.storage.get(QueryId(i)).unwrap().raw_sql.clone();
+        let stmt = sqlparse::parse(&sql).ok();
+        (cqms.storage)
+            .reindex(QueryId(i), &sql, stmt.as_ref(), Some(&cqms.data.catalog))
+            .expect("repair");
         assert!(
             cqms.storage.indexes().override_count() < BOUND,
             "override log bounded at the threshold (repair {i})"

@@ -294,7 +294,10 @@ fn ram(trace: &Trace) -> (Phases, u64) {
     let mut cqms = Cqms::new(trace.build_engine(), config(1));
     let (viewers, issued) = ingest_and_churn(&mut cqms, trace);
     let phases = probe_single(&mut cqms, trace, issued[0].0);
-    (phases, sessions_digest(FNV_SEED, &cqms.capture_snapshot(0), &viewers))
+    (
+        phases,
+        sessions_digest(FNV_SEED, &cqms.capture_snapshot(0), &viewers),
+    )
 }
 
 fn sharded(trace: &Trace) -> (Phases, u64) {
@@ -404,4 +407,46 @@ fn skysurvey_knn_and_panels_are_pinned() {
 #[test]
 fn weblog_knn_and_panels_are_pinned() {
     check_domain(Domain::WebLog, &WEBLOG, &WEBLOG_TREES, &WEBLOG_SESSIONS);
+}
+
+/// An evolution edge's labels come from its two ends' current
+/// statements, so a rename repair relabels it the same way live and
+/// after a reopen from a WAL snapshot (which re-logs every query with
+/// its repaired SQL, then the edges).
+#[test]
+fn session_labels_agree_live_and_reopened_after_a_rename() {
+    let trace = trace(Domain::Lakes);
+    let dir = temp_dir("labels");
+    let _ = std::fs::remove_dir_all(&dir);
+    let sqls = [
+        "SELECT * FROM Lakes",
+        "SELECT * FROM Lakes, WaterTemp",
+        "SELECT * FROM Lakes, WaterTemp WHERE temp < 18",
+    ];
+    let (user, session, live) = {
+        let mut cqms = Cqms::open(trace.build_engine(), config(1), &dir).unwrap();
+        let user = cqms.register_user("analyst");
+        let ids: Vec<QueryId> = (sqls.iter().enumerate())
+            .map(|(i, sql)| cqms.run_query_at(user, sql, 100 + i as u64).unwrap().id)
+            .collect();
+        let session = cqms.storage.get(ids[0]).unwrap().session;
+        assert_eq!(cqms.storage.queries_in_session(session), ids);
+        cqms.data.execute(rename(Domain::Lakes)).unwrap();
+        let (schema, _) = cqms.run_maintenance().unwrap();
+        assert_eq!(schema.repaired, ids[1..]);
+        assert!(cqms.force_snapshot().unwrap(), "snapshot written");
+        let live = cqms
+            .capture_snapshot(0)
+            .render_session(user, session)
+            .unwrap();
+        (user, session, live)
+    };
+    let mut engine: Engine = trace.build_engine();
+    engine.execute(rename(Domain::Lakes)).unwrap();
+    let reopened = Cqms::open(engine, config(1), &dir).unwrap();
+    let window = reopened.capture_snapshot(0).render_session(user, session);
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(window.unwrap(), live);
+    assert!(live.contains("+laketemperatures"), "{live}");
 }

@@ -9,11 +9,14 @@ use cqms_core::metaquery::{MetaQueryExecutor, ScoredHit};
 use cqms_core::miner::assoc::{mine_apriori, RuleMiner};
 use cqms_core::model::*;
 use cqms_core::similarity::{self, DistanceKind};
-use cqms_core::storage::{make_record, QueryStorage};
+use cqms_core::storage::{make_record, NewRecord, QueryStorage};
 use cqms_core::wal::{MemSink, WalWriter};
 use cqms_core::CqmsConfig;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashSet};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 // ---------------------------------------------------------------------
 // Generators
@@ -57,7 +60,7 @@ fn annotation_strategy() -> impl Strategy<Value = String> {
     "[a-zA-Z0-9 \t\n\\\\'\"%_-]{0,40}"
 }
 
-fn record_strategy(id: u64) -> impl Strategy<Value = QueryRecord> {
+fn record_strategy(id: u64) -> impl Strategy<Value = NewRecord> {
     (
         sql_strategy(),
         0u32..4,
@@ -104,7 +107,7 @@ fn record_strategy(id: u64) -> impl Strategy<Value = QueryRecord> {
         })
 }
 
-fn records_strategy() -> impl Strategy<Value = Vec<QueryRecord>> {
+fn records_strategy() -> impl Strategy<Value = Vec<NewRecord>> {
     proptest::collection::vec(0u64..1, 1..12).prop_flat_map(|seeds| {
         let n = seeds.len();
         let recs: Vec<_> = (0..n as u64).map(record_strategy).collect();
@@ -112,7 +115,7 @@ fn records_strategy() -> impl Strategy<Value = Vec<QueryRecord>> {
     })
 }
 
-fn build_storage(records: Vec<QueryRecord>) -> QueryStorage {
+fn build_storage(records: Vec<NewRecord>) -> QueryStorage {
     let mut st = QueryStorage::new();
     for (i, mut r) in records.into_iter().enumerate() {
         r.id = QueryId(i as u64);
@@ -121,12 +124,17 @@ fn build_storage(records: Vec<QueryRecord>) -> QueryStorage {
     st
 }
 
-/// Re-derive a record's features from its own statement and reindex it:
-/// the repair path with the text left as it was.
+/// Re-derive a record's features from its own text and reindex it: the
+/// repair path with the text left as it was.
 fn reindex_in_place(st: &mut QueryStorage, id: QueryId) {
-    let r = st.get_mut(id).unwrap();
-    let features = r.derive(r.statement.clone(), None);
-    st.reindex(id, &features).unwrap();
+    let sql = st.get(id).unwrap().raw_sql.clone();
+    rewrite(st, id, &sql);
+}
+
+/// Reindex record `id` with its text rewritten to `sql`.
+fn rewrite(st: &mut QueryStorage, id: QueryId, sql: &str) {
+    let parsed = sqlparse::parse(sql).ok();
+    st.reindex(id, sql, parsed.as_ref(), None).unwrap();
 }
 
 /// The mining items of a statement, as a logged record's rows hold them.
@@ -144,7 +152,11 @@ fn items_of(stmt: sqlparse::Statement) -> HashSet<String> {
         SessionId(0),
         Visibility::Public,
     );
-    record.features.items().into_iter().collect()
+    reference::detached(&record)
+        .features
+        .items()
+        .into_iter()
+        .collect()
 }
 
 /// Reference kNN: full scan over live visible records with the exact
@@ -154,7 +166,7 @@ fn brute_knn(
     dir: &Directory,
     cfg: &CqmsConfig,
     viewer: UserId,
-    probe: &QueryRecord,
+    probe: &NewRecord,
     metric: DistanceKind,
     k: usize,
 ) -> Vec<ScoredHit> {
@@ -207,7 +219,7 @@ fn live_classes(st: &QueryStorage) -> BTreeMap<[Vec<u32>; 3], Vec<u64>> {
 /// feature-less records (unparseable text ⇒ empty feature sets, no parse
 /// tree) and optional output summaries, which together exercise every
 /// pruning branch (posting candidates, emptiness patterns, output blend).
-fn knn_record_strategy(id: u64) -> impl Strategy<Value = QueryRecord> {
+fn knn_record_strategy(id: u64) -> impl Strategy<Value = NewRecord> {
     knn_record_of(
         id,
         prop_oneof![
@@ -233,15 +245,12 @@ fn grouped_sql_strategy() -> impl Strategy<Value = String> {
 }
 
 /// A [`knn_record_strategy`] record over [`grouped_sql_strategy`].
-fn grouped_record_strategy(id: u64) -> impl Strategy<Value = QueryRecord> {
+fn grouped_record_strategy(id: u64) -> impl Strategy<Value = NewRecord> {
     knn_record_of(id, grouped_sql_strategy())
 }
 
 /// A kNN test record with SQL from `sql`.
-fn knn_record_of(
-    id: u64,
-    sql: impl Strategy<Value = String>,
-) -> impl Strategy<Value = QueryRecord> {
+fn knn_record_of(id: u64, sql: impl Strategy<Value = String>) -> impl Strategy<Value = NewRecord> {
     (
         sql,
         0u32..4,
@@ -377,18 +386,10 @@ proptest! {
         for (a, b, investigation) in edge_seeds {
             let from = QueryId((a % n) as u64);
             let to = QueryId((b % n) as u64);
-            let edits = match (
-                st.get(from).ok().and_then(|r| r.statement.clone()),
-                st.get(to).ok().and_then(|r| r.statement.clone()),
-            ) {
-                (Some(x), Some(y)) => sqlparse::diff_statements(&x, &y),
-                _ => Vec::new(),
-            };
             st.add_edge(SessionEdge {
                 from,
                 to,
                 kind: if investigation { EdgeKind::Investigation } else { EdgeKind::Evolution },
-                edits,
             });
         }
         // Tombstone a random subset.
@@ -494,11 +495,7 @@ proptest! {
             }
         }
         for (pick, sql) in &rewrites {
-            let id = QueryId((pick % n) as u64);
-            let r = st.get_mut(id).unwrap();
-            r.raw_sql = sql.as_str().into();
-            let features = r.derive(sqlparse::parse(sql).ok(), None);
-            st.reindex(id, &features).unwrap();
+            rewrite(&mut st, QueryId((pick % n) as u64), sql);
         }
         let dir = Directory::new();
         let cfg = CqmsConfig::default();
@@ -635,10 +632,7 @@ proptest! {
         // Phase 5: a member of the largest group is rewritten in place:
         // masked in its group, evaluated from its live signature.
         let pick = groups.iter().max_by_key(|m| m.len()).map_or(0, |m| m[m.len() - 1]);
-        let r = st.get_mut(QueryId(pick)).unwrap();
-        r.raw_sql = rewrite.as_str().into();
-        let features = r.derive(sqlparse::parse(&rewrite).ok(), None);
-        st.reindex(QueryId(pick), &features).unwrap();
+        self::rewrite(&mut st, QueryId(pick), &rewrite);
         prop_assert!(st.indexes().overridden(pick));
         check(&st, "reindexed")?;
         // Phase 6: incremental inserts into the already-built tree.
@@ -691,7 +685,7 @@ proptest! {
         viewer in 0u32..4,
         k in 1usize..6,
     ) {
-        let later: Vec<QueryRecord> =
+        let later: Vec<NewRecord> =
             records.iter().chain(&mid_inserts).cycle().take(10).cloned().collect();
         let mut st = QueryStorage::new();
         for (i, mut r) in records.into_iter().enumerate() {
@@ -970,18 +964,10 @@ proptest! {
                 WalStep::Edge(a, b, inv) if n > 0 => {
                     let from = QueryId((a % n) as u64);
                     let to = QueryId((b % n) as u64);
-                    let edits = match (
-                        st.get(from).ok().and_then(|r| r.statement.clone()),
-                        st.get(to).ok().and_then(|r| r.statement.clone()),
-                    ) {
-                        (Some(x), Some(y)) => sqlparse::diff_statements(&x, &y),
-                        _ => Vec::new(),
-                    };
                     st.add_edge(SessionEdge {
                         from,
                         to,
                         kind: if inv { EdgeKind::Investigation } else { EdgeKind::Evolution },
-                        edits,
                     });
                 }
                 WalStep::Reindex(i) if n > 0 => {
@@ -1032,18 +1018,18 @@ proptest! {
                 OutputSummary::None, SessionId(0), Visibility::Public,
             )
         };
-        let ra = mk(0, &a);
-        let rb = mk(1, &b);
+        let ra = reference::detached(&mk(0, &a));
+        let rb = reference::detached(&mk(1, &b));
         for kind in [
             DistanceKind::Features,
             DistanceKind::ParseTree,
             DistanceKind::TreeEdit,
             DistanceKind::Combined,
         ] {
-            let daa = similarity::distance(&ra, &ra, kind, &cfg);
+            let daa = reference::distance(&ra, &ra, kind, &cfg);
             prop_assert!(daa.abs() < 1e-9, "{kind:?} identity failed: {daa}");
-            let dab = similarity::distance(&ra, &rb, kind, &cfg);
-            let dba = similarity::distance(&rb, &ra, kind, &cfg);
+            let dab = reference::distance(&ra, &rb, kind, &cfg);
+            let dba = reference::distance(&rb, &ra, kind, &cfg);
             prop_assert!((dab - dba).abs() < 1e-9, "{kind:?} asymmetric");
             prop_assert!((0.0..=1.0).contains(&dab), "{kind:?} out of range: {dab}");
         }
@@ -1156,4 +1142,89 @@ proptest! {
         let reparsed = sqlparse::parse(&printed).unwrap();
         prop_assert_eq!(items_of(stmt), items_of(reparsed));
     }
+}
+
+/// Every signature kernel equals its record-based reference on a fixed
+/// set of queries, with and without output summaries, under every
+/// metric; the disjoint-feature fast path equals the full merge.
+#[test]
+fn signature_kernels_match_record_kernels() {
+    let cfg = CqmsConfig::default();
+    let rec = |id: u64, sql: &str, output: &[&str]| {
+        let stmt = sqlparse::parse(sql).unwrap();
+        let feats = extract(&stmt, None);
+        let mut r = make_record(
+            QueryId(id),
+            UserId(0),
+            100,
+            sql,
+            Some(stmt),
+            feats,
+            RuntimeFeatures {
+                success: true,
+                ..Default::default()
+            },
+            OutputSummary::None,
+            SessionId(0),
+            Visibility::Public,
+        );
+        if !output.is_empty() {
+            r.summary = OutputSummary::Full {
+                columns: vec!["c".into()],
+                rows: output.iter().map(|v| [*v]).collect(),
+            };
+        }
+        r
+    };
+    let recs = [
+        rec(0, "SELECT * FROM WaterTemp WHERE temp < 18", &[]),
+        rec(
+            1,
+            "SELECT lake FROM WaterTemp, Lakes WHERE area > 100",
+            &["Lake Washington", "Green Lake"],
+        ),
+        rec(
+            2,
+            "SELECT city FROM CityLocations GROUP BY city",
+            &["Lake Washington"],
+        ),
+        rec(
+            3,
+            "SELECT salinity FROM WaterSalinity WHERE salinity > 0.2",
+            &[],
+        ),
+        rec(4, "INSERT INTO Lakes VALUES ('Lake Union', 2)", &[]),
+        rec(5, "INSERT INTO Lakes  VALUES ('Lake Union', 2)", &[]),
+    ];
+    let mut st = QueryStorage::new();
+    for r in &recs {
+        st.insert(r.clone());
+    }
+    let sigs: Vec<_> = (0..recs.len() as u64)
+        .map(|i| st.signature(QueryId(i)).unwrap())
+        .collect();
+    for i in 0..recs.len() {
+        for j in 0..recs.len() {
+            let (a, b) = (
+                st.get(QueryId(i as u64)).unwrap(),
+                st.get(QueryId(j as u64)).unwrap(),
+            );
+            for kind in [
+                DistanceKind::Features,
+                DistanceKind::ParseTree,
+                DistanceKind::TreeEdit,
+                DistanceKind::Output,
+                DistanceKind::Combined,
+            ] {
+                let legacy = reference::distance(a, b, kind, &cfg);
+                let sig = similarity::distance_with(a, sigs[i], b, sigs[j], kind, &cfg);
+                assert_eq!(legacy, sig, "{kind:?} diverges on pair ({i}, {j})");
+            }
+        }
+    }
+    // Records 0 and 2 share no tables, attributes or predicates.
+    assert_eq!(
+        similarity::feature_distance_disjoint(sigs[0], sigs[2], &cfg),
+        similarity::feature_distance_sig(sigs[0], sigs[2], &cfg),
+    );
 }

@@ -7,17 +7,17 @@
 //! (scale 300, 32 analysts, the benchmark's pool seed) into a RAM `Cqms`
 //! and bounds the growth of the process's `VmRSS` per record.
 //!
-//! On x86-64 Linux with glibc 2.36 a logged query measures ≈ 10.2 KiB
-//! in release builds, and 10.19–10.86 KiB under glibc's malloc tunables
-//! (huge pages, trim and mmap thresholds, no tcache, one arena). Keeping
-//! a second copy of each query's features beside its feature rows (a
-//! `SyntacticFeatures` in the record, and the text again in `qText`)
-//! measured ≈ 11.96 KiB; the layout before that, with nested-vector
-//! summaries, feature-row names per row and a private tree and folded
-//! SELECT per signature, ≈ 16.4 KiB. The bound sits between the first
-//! two, ≈ 13 % above the one and 4 % below the other: another glibc or
-//! page-fault pattern has room, and a return to the second copy still
-//! fails.
+//! On x86-64 Linux with glibc 2.36 a logged query measures ≈ 8.0 KiB in
+//! release builds. Keeping each query's parsed statement in its record,
+//! and each session edge's edit script beside it, measured ≈ 10.2 KiB
+//! (10.19–10.86 KiB under glibc's malloc tunables: huge pages, trim and
+//! mmap thresholds, no tcache, one arena); a second copy of each query's
+//! features on top of that ≈ 11.96 KiB, and the layout before, with
+//! nested-vector summaries, feature-row names per row and a private tree
+//! and folded SELECT per signature, ≈ 16.4 KiB. The bound sits between
+//! the first two, ≈ 14 % above the one and 10 % below the other: another
+//! glibc or page-fault pattern has room, and a return to a stored parse
+//! still fails.
 #![cfg(target_os = "linux")]
 
 use cqms_core::model::UserId;
@@ -28,7 +28,7 @@ use workload::{Domain, Trace, TraceConfig};
 const RECORDS: usize = 2560;
 
 /// Bound on `VmRSS` growth per logged query, in KiB.
-const MAX_KIB_PER_RECORD: f64 = 11.5;
+const MAX_KIB_PER_RECORD: f64 = 9.2;
 
 /// This process's resident set, in KiB.
 fn vm_rss_kib() -> u64 {

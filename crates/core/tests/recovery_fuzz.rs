@@ -23,10 +23,8 @@
 //! one LSN is one logical op.
 
 use cqms_core::features::extract;
-use cqms_core::model::{
-    OutputSummary, QueryId, QueryRecord, RuntimeFeatures, SessionId, UserId, Visibility,
-};
-use cqms_core::storage::{make_record, QueryStorage};
+use cqms_core::model::{OutputSummary, QueryId, RuntimeFeatures, SessionId, UserId, Visibility};
+use cqms_core::storage::{make_record, NewRecord, QueryStorage};
 use cqms_core::wal::{apply_op, encode_frame, open_dir, write_snapshot_file, InsertFrame, WalOp};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -42,7 +40,7 @@ fn case_dir(tag: &str) -> PathBuf {
     ))
 }
 
-fn record(id: u64, sql: &str) -> QueryRecord {
+fn record(id: u64, sql: &str) -> NewRecord {
     let stmt = sqlparse::parse(sql).ok();
     let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
     make_record(

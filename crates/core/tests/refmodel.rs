@@ -9,7 +9,7 @@
 //! with the product's own `suggest_with_stats`, so a mismatch is a
 //! collection bug, never a scoring one. For kNN similarity search
 //! (§4.2), [`RefModel::similar`] scores every visible live record with
-//! the record-based `similarity::distance` and keeps the best k, under
+//! the record-based `reference::distance` and keeps the best k, under
 //! all four indexed metrics (`Features`, `Combined`, `TreeEdit`,
 //! `ParseTree`). For
 //! substring and parse-tree search (§2.2), [`RefModel::substring`] and
@@ -19,7 +19,8 @@
 //! the miner epoch's session refinement (§2.2: "query sessions should be
 //! automatically identified"), [`RefModel::sessions`] re-segments each
 //! shard's whole log, tombstones included, with the record-based
-//! `similarity::feature_distance`.
+//! `reference::feature_distance`. Parse-tree search re-parses each
+//! record's text ([`TreePattern::matches`] without a folded SELECT).
 
 use cqms_core::admin::Directory;
 use cqms_core::assist::completion::{
@@ -28,18 +29,19 @@ use cqms_core::assist::completion::{
 use cqms_core::features::FeatureRows;
 use cqms_core::metaquery::{ScoredHit, TreePattern};
 use cqms_core::miner::assoc::{mine_apriori, AssocRule, ContextCounts};
-use cqms_core::model::{
-    OutputSummary, QueryId, QueryRecord, SessionId, UserId, Validity, Visibility,
-};
+use cqms_core::model::{QueryId, QueryRecord, SessionId, UserId, Validity, Visibility};
 use cqms_core::service::IngestItem;
 use cqms_core::shard::ShardedCqms;
-use cqms_core::similarity::{self, DistanceKind};
-use cqms_core::storage::{make_record, QueryStorage};
+use cqms_core::similarity::DistanceKind;
+use cqms_core::storage::{NewRecord, QueryStorage};
 use cqms_core::{CqmsConfig, CqmsError};
 use proptest::prelude::*;
 use relstore::Engine;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 /// The naive model: the live records under their global ids, every
 /// shard's whole log under its local ids, the directory, the catalog names
@@ -103,7 +105,7 @@ impl RefModel {
 
     /// The visible live records `pattern` matches, ascending ids.
     fn parse_tree(&self, viewer: UserId, pattern: &TreePattern) -> Vec<QueryId> {
-        self.visible_ids(viewer, |r| pattern.matches(r))
+        self.visible_ids(viewer, |r| pattern.matches(r, None))
     }
 
     /// The association rules over the live records `viewer` may see: one
@@ -151,7 +153,7 @@ impl RefModel {
                         if let Some(p) = prev {
                             let (pr, cr) = (get(p).unwrap(), get(id).unwrap());
                             let gap = cr.ts.saturating_sub(pr.ts);
-                            let dist = similarity::feature_distance(pr, cr, config);
+                            let dist = reference::feature_distance(pr, cr, config);
                             let new_session = if gap > 3 * config.session_idle_gap_secs {
                                 true
                             } else if gap > config.session_idle_gap_secs {
@@ -182,27 +184,14 @@ impl RefModel {
         k: usize,
         metric: DistanceKind,
     ) -> Result<Vec<ScoredHit>, CqmsError> {
-        let stmt = sqlparse::parse(sql)?;
-        let features = cqms_core::features::extract(&stmt, None);
-        let probe = make_record(
-            QueryId(u64::MAX),
-            viewer,
-            0,
-            sql,
-            Some(stmt),
-            features,
-            Default::default(),
-            OutputSummary::None,
-            SessionId(u64::MAX),
-            Visibility::Private,
-        );
+        let probe = reference::detached(&NewRecord::probe(viewer, sql)?);
         let mut hits: Vec<ScoredHit> = self
             .live
             .iter()
             .filter(|(_, r)| self.directory.can_see(viewer, r))
             .map(|(id, r)| ScoredHit {
                 id: *id,
-                score: 1.0 - similarity::distance(&probe, r, metric, &self.config),
+                score: 1.0 - reference::distance(&probe, r, metric, &self.config),
             })
             .collect();
         hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.id.cmp(&b.id)));

@@ -20,7 +20,7 @@ use cqms_core::assist::recommend::recommend_panel;
 use cqms_core::metaquery::{MetaQueryExecutor, ScoredHit};
 use cqms_core::miner::cluster::{kmedoids, ClusteringResult};
 use cqms_core::model::{GroupId, OutputSummary, QueryId, SessionId, UserId, Visibility};
-use cqms_core::similarity::{self, DistanceKind};
+use cqms_core::similarity::DistanceKind;
 use cqms_core::storage::make_record;
 use cqms_core::{Cqms, CqmsConfig, CqmsService, ShardedCqms};
 use proptest::prelude::*;
@@ -30,6 +30,9 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 use workload::Domain;
+
+#[path = "support/reference.rs"]
+mod reference;
 
 const USERS: u32 = 3;
 const KEYWORD_PROBE: &str = "watertemp temp salinity lakes month";
@@ -172,7 +175,7 @@ struct Answers {
     feature_sql: Vec<Vec<String>>,
     knn: Vec<(QueryId, u64)>,
     /// TreeEdit kNN of [`UNSEEN_TREE_PROBE`]; the oracle is the
-    /// record-based [`similarity::tree_edit_distance`] over every shown
+    /// record-based `reference::tree_edit_distance` over every shown
     /// record.
     unseen_tree_knn: Vec<(QueryId, u64)>,
     complete: Vec<(String, u64, String)>,
@@ -258,7 +261,7 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
         let dist: Vec<Vec<f64>> = (shown.iter())
             .map(|a| {
                 (shown.iter())
-                    .map(|b| similarity::feature_distance(a, b, &c.config))
+                    .map(|b| reference::feature_distance(a, b, &c.config))
                     .collect()
             })
             .collect();
@@ -278,7 +281,7 @@ fn live_answers(svc: &CqmsService, viewer: UserId) -> Answers {
         let mut unseen_tree_knn: Vec<ScoredHit> = (shown.iter())
             .map(|r| ScoredHit {
                 id: r.id,
-                score: 1.0 - similarity::tree_edit_distance(&unseen, r),
+                score: 1.0 - reference::tree_edit_distance(&unseen, r),
             })
             .collect();
         unseen_tree_knn.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.id.cmp(&b.id)));

@@ -125,10 +125,10 @@ pub fn diff_selects(a: &SelectStatement, b: &SelectStatement) -> Vec<EditOp> {
 }
 
 /// [`diff_selects`] over statements already passed through
-/// `fold_select`. Folding is idempotent, so this produces the exact
-/// same edits as `diff_selects` on the originals — callers that compare
-/// one query against many (kNN) fold each side once instead of per pair.
-pub(crate) fn diff_selects_folded(a: &SelectStatement, b: &SelectStatement) -> Vec<EditOp> {
+/// [`fold_for_diff`]. Folding is idempotent, so this produces the exact
+/// same edits as `diff_selects` on the originals — callers that keep a
+/// folded copy (a similarity signature) diff it without folding again.
+pub fn diff_selects_folded(a: &SelectStatement, b: &SelectStatement) -> Vec<EditOp> {
     let mut edits = Vec::new();
 
     // Tables (FROM + explicit joins), multiset diff by name.

@@ -65,7 +65,7 @@ pub fn walk_statement<V: Visitor>(v: &mut V, stmt: &Statement) {
 }
 
 /// Walk a SELECT at the given subquery depth.
-pub(crate) fn walk_select<V: Visitor>(v: &mut V, s: &SelectStatement, depth: usize) {
+pub fn walk_select<V: Visitor>(v: &mut V, s: &SelectStatement, depth: usize) {
     for t in &s.from {
         v.visit_table(&t.name, t.alias.as_deref(), depth);
         for j in &t.joins {

@@ -12,6 +12,7 @@
 
 use cqms::engine::model::UserId;
 use cqms::engine::service::{CqmsService, IngestItem};
+use cqms::engine::storage::NewRecord;
 use cqms::engine::{Cqms, CqmsConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -428,20 +429,7 @@ fn readers_race_background_rebuilds() {
     // Steady state: registry-served kNN equals brute force, so every
     // mid-build insert was replayed and every swap was clean.
     svc.read(|c| {
-        let probe_stmt = sqlparse::parse(PROBE).unwrap();
-        let feats = cqms::engine::features::extract(&probe_stmt, None);
-        let probe = cqms::engine::storage::make_record(
-            cqms::engine::model::QueryId(u64::MAX),
-            users[0],
-            0,
-            PROBE,
-            Some(probe_stmt),
-            feats,
-            Default::default(),
-            cqms::engine::model::OutputSummary::None,
-            cqms::engine::model::SessionId(u64::MAX),
-            cqms::engine::model::Visibility::Private,
-        );
+        let probe = NewRecord::probe(users[0], PROBE).unwrap();
         let psig = c.storage.probe_signature(&probe);
         for metric in [DistanceKind::TreeEdit, DistanceKind::ParseTree] {
             let got = c
@@ -725,20 +713,7 @@ fn sharded_readers_race_per_shard_rebuilds() {
         let mut want: Vec<ScoredHit> = Vec::new();
         for (i, shard) in s.shards().iter().enumerate() {
             shard.read(|c| {
-                let probe_stmt = sqlparse::parse(PROBE).unwrap();
-                let feats = cqms::engine::features::extract(&probe_stmt, None);
-                let probe = cqms::engine::storage::make_record(
-                    cqms::engine::model::QueryId(u64::MAX),
-                    viewer,
-                    0,
-                    PROBE,
-                    Some(probe_stmt),
-                    feats,
-                    Default::default(),
-                    cqms::engine::model::OutputSummary::None,
-                    cqms::engine::model::SessionId(u64::MAX),
-                    cqms::engine::model::Visibility::Private,
-                );
+                let probe = NewRecord::probe(viewer, PROBE).unwrap();
                 let psig = c.storage.probe_signature(&probe);
                 for r in c.storage.iter_live() {
                     want.push(ScoredHit {
