@@ -33,9 +33,9 @@ pub struct CqmsConfig {
     // --- Session detection (§2.2/§4.1) ---
     /// Queries by the same user within this many seconds continue a session.
     pub session_idle_gap_secs: u64,
-    /// Queries beyond the gap can still continue a session when at least
-    /// this similar (template feature overlap), and queries within the gap
-    /// break the session when utterly dissimilar.
+    /// Queries beyond the gap, up to 3× it, still continue a session when
+    /// their feature distance to the user's latest query is at most this
+    /// ([`crate::miner::sessions::continues`]).
     pub session_similarity_threshold: f64,
 
     // --- Assisted interaction (§2.3) ---

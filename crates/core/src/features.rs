@@ -566,7 +566,6 @@ impl FeatureRows {
     }
 
     /// These rows with the `QueryMeta` row rebuilt from `record`, whose
-    /// session moved (the miner's offline refinement, §4.3) or whose
     /// runtime was refreshed; every other row stays shared, and a
     /// tombstone's rows stay empty.
     pub fn with_meta(&self, record: &QueryRecord) -> FeatureRows {

@@ -1,6 +1,7 @@
 //! The Query Miner (Figure 4, §4.3): analysis of the query log.
 //!
-//! * [`sessions`] — offline session segmentation + quality metrics;
+//! * [`sessions`] — the session rule applied as each query is logged, and
+//!   segmentation quality metrics;
 //! * [`cluster`] — k-medoids query/session clustering with purity and
 //!   adjusted-Rand-index scoring (served as a snapshot read);
 //! * [`assoc`] — Apriori association-rule mining over query feature
@@ -10,8 +11,9 @@
 //!   relation … by showing the user the most popular queries that include
 //!   the relation").
 //!
-//! The miner *epoch* computes only what a read consumes (refined
-//! sessions) and is also where *scheduled index rebuilds* execute: the
+//! The miner *epoch* computes no mined state (sessions are decided when a
+//! query is logged; rules and clusters are reads) and is where
+//! *scheduled index rebuilds* execute: the
 //! Query Storage's [`crate::indexreg::IndexRegistry`] only ever flags
 //! that a structural rebuild is wanted (tombstone threshold, maintenance
 //! reindex, summary refresh), and [`crate::server::Cqms::run_miner_epoch`]

@@ -1,92 +1,66 @@
-//! Offline session segmentation (§2.2: "query sessions should be
-//! automatically identified") and its evaluation against planted truth.
+//! Session identification (§2.2: "query sessions should be automatically
+//! identified") — the one rule, applied once when a query is logged — and
+//! its evaluation against planted truth.
 
 use crate::config::CqmsConfig;
 use crate::model::{QueryId, SessionId, UserId};
+use crate::signature::SimSignature;
 use crate::similarity;
 use crate::storage::QueryStorage;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-/// Segment the whole log per user (tombstones included), returning a
-/// session for every record: the miner's refined view, which the server
-/// adopts over the profiler's online assignment.
+/// The session rule: does a query logged at `ts` with signature `sig`
+/// continue the session of its user's latest logged query (logged at
+/// `prev_ts`, signature `prev`)? It does when the idle gap is at most
+/// the threshold, or at most 3× the threshold and the two are near in
+/// feature distance (the same analysis resumed). A query back-dated
+/// before its user's latest one starts a new session. The distance is
+/// computed only for gaps in (idle, 3×idle].
 ///
-/// Heuristic: order each user's queries by time (ties by id); a new
-/// session starts when the idle gap exceeds the threshold *and* the
-/// queries are dissimilar, or when the gap exceeds 3× the threshold
-/// regardless. The feature distance is computed only for gaps in
-/// between, over the stored signatures.
-///
-/// Ids are stable: a refined session keeps the id its first member
-/// already carries, unless an earlier session of this pass (users in id
-/// order) claimed that id; then it takes a fresh id, counting up from the
-/// storage's next unused one. A record assigned a session other than its
-/// current one was therefore re-decided, and an unchanged log refines to
-/// exactly its current ids.
-pub fn segment_log(storage: &QueryStorage, config: &CqmsConfig) -> HashMap<QueryId, SessionId> {
-    let mut assignment = HashMap::with_capacity(storage.len());
-    segment(storage, config, |id, _, session| {
-        assignment.insert(id, session);
-    });
-    assignment
-}
-
-/// The records [`segment_log`] moves to another session, each with its
-/// new session, in ascending id order: what an epoch adopts. An unchanged
-/// log yields nothing.
-pub fn session_changes(storage: &QueryStorage, config: &CqmsConfig) -> Vec<(QueryId, SessionId)> {
-    let mut changes = Vec::new();
-    segment(storage, config, |id, carried, session| {
-        if session != carried {
-            changes.push((id, session));
-        }
-    });
-    changes.sort_unstable();
-    changes
-}
-
-/// The one segmentation pass: calls `assign(id, carried, refined)` for
-/// every record, with the session it carries and the one the rule gives.
-fn segment(
-    storage: &QueryStorage,
+/// [`QueryStorage::log_query`] applies it to every query the profiler
+/// logs, so a session is fixed when its query is logged.
+pub fn continues(
     config: &CqmsConfig,
-    mut assign: impl FnMut(QueryId, SessionId, SessionId),
-) {
-    let mut log: Vec<(UserId, u64, QueryId, SessionId)> = (storage.iter())
-        .map(|r| (r.user, r.ts, r.id, r.session))
-        .collect();
-    log.sort_unstable();
-    let signatures = storage.signatures();
+    prev_ts: u64,
+    prev: &SimSignature,
+    ts: u64,
+    sig: &SimSignature,
+) -> bool {
     let idle = config.session_idle_gap_secs;
-    let mut claimed: HashSet<SessionId> = HashSet::new();
-    let mut fresh = storage.next_session().0;
-    let mut current = SessionId(0);
-    let mut prev: Option<(UserId, u64, QueryId)> = None;
-    for &(user, ts, id, carried) in &log {
-        let new_session = match prev {
-            Some((prev_user, prev_ts, prev_id)) if prev_user == user => {
-                let gap = ts - prev_ts;
-                gap > 3 * idle
-                    || (gap > idle && {
-                        let sig =
-                            |id: QueryId| &**signatures.get(id.0 as usize).expect("dense ids");
-                        similarity::feature_distance_sig(sig(prev_id), sig(id), config)
-                            > config.session_similarity_threshold
-                    })
+    ts.checked_sub(prev_ts).is_some_and(|gap| {
+        gap <= idle
+            || (gap <= 3 * idle
+                && similarity::feature_distance_sig(prev, sig, config)
+                    <= config.session_similarity_threshold)
+    })
+}
+
+/// The rule applied to the whole log as it stands (tombstones included):
+/// every record in arrival (id) order, anchored on its user's latest
+/// earlier record, sessions numbered 0.. in the order they open. For a
+/// log the profiler wrote under `config`, this is the stored assignment,
+/// ids and all, as long as no record was rewritten since it was logged;
+/// another `config` shows what the rule would have decided (the tests'
+/// idle-gap sweep, the ledger's `miner.sessions_us` probe).
+pub fn segment_log(storage: &QueryStorage, config: &CqmsConfig) -> HashMap<QueryId, SessionId> {
+    let sig = |id: QueryId| storage.signature(id).expect("signatures parallel records");
+    let mut latest: HashMap<UserId, (u64, QueryId, SessionId)> = HashMap::new();
+    let mut assignment = HashMap::with_capacity(storage.len());
+    let mut opened = 0;
+    for r in storage.iter() {
+        let session = match latest.get(&r.user) {
+            Some(&(ts, prev, session)) if continues(config, ts, sig(prev), r.ts, sig(r.id)) => {
+                session
             }
-            _ => true,
+            _ => {
+                opened += 1;
+                SessionId(opened - 1)
+            }
         };
-        if new_session {
-            current = if claimed.insert(carried) {
-                carried
-            } else {
-                fresh += 1;
-                SessionId(fresh - 1)
-            };
-        }
-        assign(id, carried, current);
-        prev = Some((user, ts, id));
+        latest.insert(r.user, (r.ts, r.id, session));
+        assignment.insert(r.id, session);
     }
+    assignment
 }
 
 /// Quality of a segmentation against ground truth.
@@ -219,21 +193,45 @@ mod tests {
     }
 
     #[test]
-    fn changes_are_the_moved_records_in_id_order() {
-        let st = storage_from(&[
+    fn the_walk_reproduces_the_logged_sessions() {
+        let cfg = CqmsConfig::default();
+        let idle = cfg.session_idle_gap_secs;
+        let mut st = QueryStorage::new();
+        let specs: [(u32, u64, &str); 7] = [
             (2, 0, "SELECT * FROM a"),
             (1, 0, "SELECT * FROM a"),
             (2, 100_000, "SELECT * FROM a WHERE x = 2"),
-            (1, 100_000, "SELECT * FROM a WHERE x = 1"),
-        ]);
-        let cfg = CqmsConfig::default();
-        let seg = segment_log(&st, &cfg);
-        let mut moved: Vec<(QueryId, SessionId)> = (seg.into_iter())
-            .filter(|(id, s)| st.get(*id).unwrap().session != *s)
-            .collect();
-        moved.sort_unstable();
-        assert_eq!(moved.len(), 3);
-        assert_eq!(session_changes(&st, &cfg), moved);
+            (1, 2 * idle, "SELECT * FROM a"),
+            // Back-dated before user 1's latest query: a new session.
+            (1, idle, "SELECT * FROM a"),
+            (1, 2 * idle, "SELECT b FROM c WHERE d = 1"),
+            (2, 100_000 + idle, "SELECT * FROM a WHERE x = 3"),
+        ];
+        let mut continued = Vec::new();
+        for (i, &(user, ts, sql)) in specs.iter().enumerate() {
+            let stmt = sqlparse::parse(sql).ok();
+            let feats = stmt.as_ref().map(|s| extract(s, None)).unwrap_or_default();
+            let record = make_record(
+                QueryId(i as u64),
+                UserId(user),
+                ts,
+                sql,
+                stmt,
+                feats,
+                RuntimeFeatures::default(),
+                OutputSummary::None,
+                SessionId(u64::MAX),
+                Visibility::Public,
+            );
+            continued.push(st.log_query(record, &cfg).map(|p| p.0));
+        }
+        assert_eq!(
+            continued,
+            [None, None, None, Some(1), None, Some(4), Some(2)]
+        );
+        let stored: HashMap<QueryId, SessionId> = st.iter().map(|r| (r.id, r.session)).collect();
+        assert_eq!(segment_log(&st, &cfg), stored);
+        assert_eq!(stored[&QueryId(4)], SessionId(3));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! Sits in front of the DBMS on the Traditional Interaction path: it forwards
 //! each SQL statement to the engine, then logs the query — raw text,
 //! extracted features, runtime statistics, an adaptive output summary — into
-//! the Query Storage. It also assigns queries to sessions *online* (gap +
-//! similarity heuristic) and fires the §2.1 annotation-request trigger for
-//! hard-to-reuse queries.
+//! the Query Storage, which decides its session as it logs it
+//! ([`crate::miner::sessions::continues`]). It also fires the §2.1
+//! annotation-request trigger for hard-to-reuse queries.
 
 use crate::config::{CqmsConfig, ProfilingDepth};
 use crate::error::CqmsError;
-use crate::features::{self, FeatureRows, SyntacticFeatures};
+use crate::features::{self, SyntacticFeatures};
 use crate::model::*;
 use crate::storage::{make_record, QueryStorage};
 use relstore::stats::Reservoir;
@@ -34,9 +34,8 @@ pub struct ProfiledQuery {
 }
 
 /// The profiler. Stateless: each user's session cursor is the user's
-/// latest record in the Query Storage, so it survives restarts and follows
-/// the miner's session refinement; storage and engine are passed per call
-/// so the server can coordinate borrows.
+/// latest record in the Query Storage, so it survives restarts; storage
+/// and engine are passed per call so the server can coordinate borrows.
 #[derive(Default)]
 pub struct Profiler;
 
@@ -119,21 +118,28 @@ impl Profiler {
             _ => OutputSummary::None,
         };
 
-        // 5. Online session assignment.
-        let (session, new_session, prev) = self.assign_session(config, storage, user, ts, &feats);
-
-        // 6. Annotation-request trigger (§2.1).
+        // 5. Annotation-request trigger (§2.1).
         let annotation_requested = feats.tables.len() >= config.annotate_table_threshold
             || (config.annotate_on_subquery && feats.has_subquery);
 
-        // 7. Log the record + session edge. An edge joins two queries
-        // that parsed; its labels are derived when it is shown.
+        // 6. Log the record (`log_query` decides its session) and the
+        // session edge. An edge joins two queries that parsed; its labels
+        // are derived when it is shown.
         let parsed = statement.is_some();
         let record = make_record(
-            id, user, ts, sql, statement, feats, runtime, summary, session, visibility,
+            id,
+            user,
+            ts,
+            sql,
+            statement,
+            feats,
+            runtime,
+            summary,
+            SessionId(0),
+            visibility,
         );
-        storage.insert(record);
-        if let Some(prev_id) = prev.filter(|&p| parsed && storage.parsed(p)) {
+        let continued = storage.log_query(record, config);
+        if let Some(prev_id) = continued.filter(|&p| parsed && storage.parsed(p)) {
             storage.add_edge(SessionEdge {
                 from: prev_id,
                 to: id,
@@ -146,50 +152,9 @@ impl Profiler {
             result,
             error,
             annotation_requested,
-            new_session,
+            new_session: continued.is_none(),
         })
     }
-
-    /// Online session heuristic: continue the session of the user's latest
-    /// logged query when the idle gap is small; beyond the gap, only a
-    /// strong feature overlap (same analysis resumed) keeps it alive.
-    fn assign_session(
-        &self,
-        config: &CqmsConfig,
-        storage: &mut QueryStorage,
-        user: UserId,
-        ts: u64,
-        feats: &SyntacticFeatures,
-    ) -> (SessionId, bool, Option<QueryId>) {
-        let continued = storage.latest_of(user).and_then(|prev| {
-            let gap = ts.checked_sub(prev.ts)?;
-            // Gap exceeded: check similarity against the previous query
-            // before breaking the session.
-            let resumed = gap <= config.session_idle_gap_secs
-                || (gap <= 3 * config.session_idle_gap_secs
-                    && table_overlap(&prev.features, feats)
-                        >= 1.0 - config.session_similarity_threshold);
-            resumed.then_some((prev.session, prev.id))
-        });
-        match continued {
-            Some((session, prev)) => (session, false, Some(prev)),
-            None => (storage.new_session(), true, None),
-        }
-    }
-}
-
-/// Table-set Jaccard similarity between a logged query's feature rows and
-/// a new query's features.
-fn table_overlap(a: &FeatureRows, b: &SyntacticFeatures) -> f64 {
-    use std::collections::HashSet;
-    let sa: HashSet<&str> = a.tables().map(|t| &**t).collect();
-    let sb: HashSet<&str> = b.tables.iter().map(String::as_str).collect();
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    let union = (sa.len() + sb.len()) as f64 - inter;
-    inter / union
 }
 
 /// §4.1's adaptive rule: store the full output when it is small relative to
@@ -357,33 +322,50 @@ mod tests {
         assert!(c.new_session);
     }
 
+    /// Profile `sql` for user 1 at `ts`.
+    fn run(
+        (cfg, st, en, p): &mut (CqmsConfig, QueryStorage, Engine, Profiler),
+        sql: &str,
+        ts: u64,
+    ) -> ProfiledQuery {
+        let vis = Visibility::Public;
+        p.profile(cfg, st, en, UserId(1), vis, sql, ts).unwrap()
+    }
+
     #[test]
-    fn moderate_gap_same_tables_continues_session() {
-        let (cfg, mut st, mut en, mut p) = setup();
-        let a = p
-            .profile(
-                &cfg,
-                &mut st,
-                &mut en,
-                UserId(1),
-                Visibility::Public,
-                "SELECT * FROM WaterTemp WHERE temp < 18",
-                100,
-            )
-            .unwrap();
-        // Gap between 1× and 3× the idle threshold, identical table set.
-        let b = p
-            .profile(
-                &cfg,
-                &mut st,
-                &mut en,
-                UserId(1),
-                Visibility::Public,
-                "SELECT * FROM WaterTemp WHERE temp < 12",
-                100 + 2 * cfg.session_idle_gap_secs,
-            )
-            .unwrap();
+    fn a_back_dated_query_opens_a_session_without_an_edge() {
+        let mut rig = setup();
+        let q = "SELECT * FROM WaterTemp WHERE temp < 18";
+        let a = run(&mut rig, q, 1_000);
+        // Logged after `a` but stamped before it, with the same text.
+        let b = run(&mut rig, q, 990);
+        let st = &rig.1;
+        assert!(b.new_session);
+        assert_ne!(st.get(a.id).unwrap().session, st.get(b.id).unwrap().session);
+        assert!(st.edges().is_empty());
+        // `b` is now the user's latest query: the next one continues it.
+        let c = run(&mut rig, q, 1_000);
+        let st = &rig.1;
+        assert_eq!(st.get(b.id).unwrap().session, st.get(c.id).unwrap().session);
+        assert_eq!((st.edges()[0].from, st.edges()[0].to), (b.id, c.id));
+    }
+
+    #[test]
+    fn a_query_after_a_tombstoned_latest_continues_its_session() {
+        let mut rig = setup();
+        let idle = rig.0.session_idle_gap_secs;
+        let a = run(&mut rig, "SELECT * FROM WaterTemp WHERE temp < 18", 100);
+        rig.1.delete(a.id).unwrap();
+        // In the gap band: the deleted query's signature still decides.
+        let b = run(
+            &mut rig,
+            "SELECT * FROM WaterTemp WHERE temp < 12",
+            100 + 2 * idle,
+        );
+        let st = &rig.1;
+        assert!(!b.new_session);
         assert_eq!(st.get(a.id).unwrap().session, st.get(b.id).unwrap().session);
+        assert_eq!(st.edges().len(), 1);
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::error::CqmsError;
 use crate::indexreg::IndexBuild;
 use crate::maintenance::{self, MaintenanceReport, RefreshReport};
 use crate::metaquery::MetaQueryExecutor;
-use crate::miner::sessions;
 use crate::model::*;
 use crate::profiler::{ProfiledQuery, Profiler};
 use crate::storage::QueryStorage;
@@ -44,20 +43,15 @@ pub struct MinerReport {
     /// Always 0 — clustering is a read; kept because
     /// `ledger/src/main.rs:351` reads it for `miner.clusters`.
     pub clusters: usize,
-    /// Records this epoch moved to another session. Session ids are
-    /// stable ([`crate::miner::sessions::segment_log`]), so this counts
-    /// records whose session the offline rule re-decided, never records
-    /// merely renumbered; an epoch over an unchanged log reports 0.
-    pub sessions_refined: usize,
     /// Did this epoch build + publish a scheduled index generation?
     pub index_rebuilt: bool,
     /// The structural-index generation published after this epoch.
     pub index_generation: u64,
     /// Did this epoch write a durable snapshot and truncate the WAL?
     pub snapshot_written: bool,
-    /// The WAL flush that closes the epoch failed: state the epoch derived
-    /// (refined sessions, rotations) may not be durable yet. `None` means
-    /// the flush succeeded (or there is no WAL attached).
+    /// The WAL flush that closes the epoch failed: a due snapshot's log
+    /// rotation may not be durable yet. `None` means the flush succeeded
+    /// (or there is no WAL attached).
     pub wal_flush_error: Option<CqmsError>,
     /// Retries the closing WAL flush needed before succeeding (or giving
     /// up into [`MinerReport::wal_flush_error`]) — transient sink faults
@@ -113,10 +107,11 @@ impl Cqms {
     /// Not persisted (by design, matching the snapshot format): the
     /// user/group [`Directory`] — deployments re-register principals at
     /// startup in the same order, which reproduces the same dense ids —
-    /// plus output summaries and refined sessions, which the maintenance
-    /// and miner passes re-derive. Everything else derived from the log —
-    /// indexes, popularity, each analyst's session cursor — is rebuilt by
-    /// replay, so the first query after a restart continues its session.
+    /// plus output summaries, which the maintenance pass re-derives. Each
+    /// record's session is in its `Insert` frame, as decided when it was
+    /// logged. Everything else derived from the log — indexes,
+    /// popularity, each analyst's session cursor — is rebuilt by replay,
+    /// so the first query after a restart continues its session.
     ///
     /// ```
     /// use cqms_core::{Cqms, CqmsConfig};
@@ -322,8 +317,9 @@ impl Cqms {
     // Query Miner (§4.3)
     // ------------------------------------------------------------------
 
-    /// Run one miner epoch: execute any scheduled index rebuild, refine
-    /// session boundaries, write a due snapshot.
+    /// Run one miner epoch: execute any scheduled index rebuild and write
+    /// a due snapshot. Sessions are not the epoch's: each query's is
+    /// decided when it is logged.
     pub fn run_miner_epoch(&mut self) -> MinerReport {
         self.miner_epoch(true)
     }
@@ -345,13 +341,6 @@ impl Cqms {
             index_generation: self.storage.index_generation(),
             ..MinerReport::default()
         };
-
-        // Offline session refinement.
-        let changes = sessions::session_changes(&self.storage, &self.config);
-        if !changes.is_empty() {
-            self.storage.adopt_sessions(&changes);
-        }
-        report.sessions_refined = changes.len();
 
         // Periodic durability: synchronous epochs write due snapshots
         // inline (the caller holds exclusive access anyway); the
@@ -513,8 +502,8 @@ impl Cqms {
 ///
 /// Shutdown is graceful in both forms: [`BackgroundMiner::stop`] and simply
 /// dropping the handle join the thread, and the miner runs one *final*
-/// epoch on the way out so its index rebuild and session refinement of the
-/// latest ingested queries are visible after shutdown. Every epoch —
+/// epoch on the way out so its index rebuild over the latest ingested
+/// queries is visible after shutdown. Every epoch —
 /// periodic or final — acquires the write lock with a bounded retry and is
 /// skipped if the lock stays held for the whole grace period (e.g. by the
 /// very thread doing the join), so the miner can be delayed by a stuck
@@ -646,8 +635,7 @@ fn try_miner_epoch(
         report.wal_flush_error = Some(e);
     }
     // Republish the service's read snapshot before the lock is released:
-    // the epoch rebuilt indexes and refined sessions, both of which
-    // snapshot readers must see.
+    // the epoch rebuilt indexes, which snapshot readers must see.
     if let Some(publish) = publish {
         publish(&guard);
     }
@@ -890,7 +878,7 @@ mod tests {
     }
 
     #[test]
-    fn an_epoch_rewrites_only_the_sessions_it_redecides() {
+    fn a_band_gap_query_is_split_when_logged() {
         let mut c = cqms();
         let idle = c.config.session_idle_gap_secs;
         let users: Vec<UserId> = (0..4)
@@ -904,35 +892,27 @@ mod tests {
                 ts += 60;
             }
         }
-        c.run_miner_epoch();
         let sessions =
             |c: &Cqms| -> Vec<SessionId> { c.storage.iter().map(|r| r.session).collect() };
         let before = sessions(&c);
 
-        // Same table, so the online rule resumes the session across a
-        // gap in (idle, 3×idle]; new attributes and predicates, so the
-        // offline rule splits it off.
+        // A gap in (idle, 3×idle] on the same table, with new attributes
+        // and predicates: far in feature distance, so a new session.
         let first = c.storage.latest_of(users[0]).unwrap().id;
-        let split = c
+        let out = c
             .run_query_at(
                 users[0],
                 "SELECT lake, month FROM WaterTemp WHERE month = 3",
                 ts + idle,
             )
-            .unwrap()
-            .id;
+            .unwrap();
+        let split = out.id;
         let gap = c.storage.get(split).unwrap().ts - c.storage.get(first).unwrap().ts;
         assert!(gap > idle && gap <= 3 * idle);
-        assert_eq!(
-            c.storage.get(split).unwrap().session,
-            before[first.0 as usize]
-        );
         let sig = |id: QueryId| c.storage.signature(id).unwrap();
         let dist = similarity::feature_distance_sig(sig(first), sig(split), &c.config);
         assert!(dist > c.config.session_similarity_threshold);
-
-        let report = c.run_miner_epoch();
-        assert_eq!(report.sessions_refined, 1);
+        assert!(out.new_session);
         let after = sessions(&c);
         assert_eq!(after[..before.len()], before[..]);
         assert!(!before.contains(&after[split.0 as usize]));
@@ -940,7 +920,11 @@ mod tests {
             c.storage.queries_in_session(after[split.0 as usize]),
             [split]
         );
-        assert_eq!(c.run_miner_epoch().sessions_refined, 0);
+        assert!(c.storage.edges().iter().all(|e| e.to != split));
+
+        // The epoch leaves every session as it was logged.
+        c.run_miner_epoch();
+        assert_eq!(sessions(&c), after);
     }
 
     #[test]

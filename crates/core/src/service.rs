@@ -453,10 +453,9 @@ impl CqmsService {
 
     /// Run one synchronous miner epoch on the caller's thread. A failure
     /// of the closing WAL flush is surfaced in
-    /// [`MinerReport::wal_flush_error`] rather than swallowed: the epoch
-    /// derives state the log does not carry (refined sessions, see
-    /// [`crate::wal`]), but a due snapshot rotates the log, so the caller
-    /// must be able to see that the rotation did not reach disk. Transient flush faults are retried with
+    /// [`MinerReport::wal_flush_error`] rather than swallowed: a due
+    /// snapshot rotates the log, so the caller must be able to see that
+    /// the rotation did not reach disk. Transient flush faults are retried with
     /// capped exponential backoff first; recovered retries are counted in
     /// [`MinerReport::wal_flush_retries`].
     pub fn run_miner_epoch(&self) -> MinerReport {

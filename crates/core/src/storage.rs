@@ -27,10 +27,12 @@
 //! exactly; ids here are then *shard-local* and striped into a global id
 //! space by the shard layer.
 
+use crate::config::CqmsConfig;
 use crate::error::CqmsError;
 use crate::features::{self, FeatureRows, SyntacticFeatures, Vocabulary};
 use crate::indexreg::{IndexBuild, IndexRegistry, OVERRIDE_PUBLISH_THRESHOLD};
 use crate::metricindex::MetricIndexStats;
+use crate::miner::sessions;
 use crate::model::*;
 use crate::signature::{FeatureInterner, SimSignature};
 use crate::wal::{self, InsertFrame, WalOp, WalWriter};
@@ -59,8 +61,8 @@ pub struct QueryStorage {
     sessions: CowMap<SessionId, Vec<QueryId>>,
     /// Popularity: template fingerprint → number of live queries.
     template_counts: CowMap<u64, u32>,
-    /// Each user's most recent query (tombstoned ones included) — where the
-    /// Profiler's online session assignment resumes. Maintained by `insert`
+    /// Each user's most recent query (tombstoned ones included) — the
+    /// anchor of the user's next session decision. Maintained by `insert`
     /// alone, so log replay and snapshot load rebuild it. A hashed map, not
     /// a vector indexed by user: user ids are the caller's (registration is
     /// optional), so nothing bounds the largest one.
@@ -186,21 +188,10 @@ impl QueryStorage {
         self.max_ts
     }
 
-    /// The session id [`QueryStorage::new_session`] would allocate next:
-    /// one past every id a record has carried.
-    pub(crate) fn next_session(&self) -> SessionId {
-        SessionId(self.next_session)
-    }
-
-    /// Allocate a fresh session id.
-    pub fn new_session(&mut self) -> SessionId {
-        let id = SessionId(self.next_session);
-        self.next_session += 1;
-        id
-    }
-
-    /// Insert a record built by [`make_record`] (the Profiler constructs
-    /// records; tests may too). The record's `id` must equal `self.len()`.
+    /// Insert a record built by [`make_record`] (replay, snapshot load and
+    /// tests construct records; the Profiler goes through
+    /// [`QueryStorage::log_query`]). The record's `id` must equal
+    /// `self.len()`, and it joins the session it carries.
     ///
     /// Its feature rows are built from the extracted features with names
     /// from the store's vocabulary, and its signature from them and the
@@ -209,6 +200,24 @@ impl QueryStorage {
     /// and keeps no rows — the same end state [`QueryStorage::delete`]
     /// leaves behind.
     pub fn insert(&mut self, new: NewRecord) -> QueryId {
+        self.insert_with(new, None).0
+    }
+
+    /// Log a new query: insert it as [`QueryStorage::insert`] does, in the
+    /// session [`sessions::continues`] decides against its user's latest
+    /// logged query (tombstoned or not) over the signature the insert
+    /// builds — that query's session, or a fresh one. Returns the latest
+    /// query when the session continues. The `Insert` frame carries the
+    /// decision, so replay and snapshot load restore it unchanged.
+    pub fn log_query(&mut self, new: NewRecord, config: &CqmsConfig) -> Option<QueryId> {
+        self.insert_with(new, Some(config)).1
+    }
+
+    fn insert_with(
+        &mut self,
+        new: NewRecord,
+        decide_session: Option<&CqmsConfig>,
+    ) -> (QueryId, Option<QueryId>) {
         let NewRecord {
             mut record,
             parsed,
@@ -219,6 +228,26 @@ impl QueryStorage {
             self.records.len(),
             "QueryStorage ids are dense"
         );
+        let mut sig = SimSignature::build(
+            &extracted,
+            parsed.as_ref(),
+            &record.summary,
+            &mut self.interner,
+        );
+        let mut continued = None;
+        if let Some(config) = decide_session {
+            let latest = self.latest_of(record.user).filter(|prev| {
+                let prev_sig = &self.signatures[prev.id.0 as usize];
+                sessions::continues(config, prev.ts, prev_sig, record.ts, &sig)
+            });
+            record.session = match latest {
+                Some(prev) => {
+                    continued = Some(prev.id);
+                    prev.session
+                }
+                None => SessionId(self.next_session),
+            };
+        }
         let id = record.id;
         let tombstoned = record.validity == Validity::Deleted;
         if !tombstoned {
@@ -232,12 +261,6 @@ impl QueryStorage {
         if record.session.0 >= self.next_session {
             self.next_session = record.session.0 + 1;
         }
-        let mut sig = SimSignature::build(
-            &extracted,
-            parsed.as_ref(),
-            &record.summary,
-            &mut self.interner,
-        );
         let live = record.is_live();
         if live {
             self.live += 1;
@@ -263,7 +286,7 @@ impl QueryStorage {
         if live {
             self.count_completion(id, true);
         }
-        id
+        (id, continued)
     }
 
     /// Look up a record by id (tombstoned records included).
@@ -392,8 +415,8 @@ impl QueryStorage {
         ids
     }
 
-    /// The most recently logged query of `user` (tombstoned or not), with
-    /// its *current* session — a miner epoch may have moved it to another.
+    /// The most recently logged query of `user` (tombstoned or not): the
+    /// anchor of the user's next session decision.
     pub fn latest_of(&self, user: UserId) -> Option<&QueryRecord> {
         self.get(*self.last_by_user.get(&user)?).ok()
     }
@@ -736,40 +759,6 @@ impl QueryStorage {
             + self.text.clone_len()
             + self.trigram.clone_len()
             + self.indexes.clone_len()
-    }
-
-    /// Adopt refined sessions from the Query Miner (§4.3: the miner
-    /// periodically recomputes sessions offline), in the order given:
-    /// [`crate::miner::sessions::session_changes`] lists only the records
-    /// whose session changed, in ascending id order. Each is rewritten
-    /// in its record, its `QueryMeta` row, and its place in two member
-    /// lists (each kept in ascending id order; a list left empty is
-    /// dropped); a pair naming a record's current session is skipped. The
-    /// next fresh session id never decreases.
-    pub fn adopt_sessions(&mut self, changes: &[(QueryId, SessionId)]) {
-        for &(id, session) in changes {
-            let i = id.0 as usize;
-            let old = match self.records.get(i) {
-                Some(r) if r.session != session => r.session,
-                _ => continue,
-            };
-            let r = Arc::make_mut(self.records.get_mut(i).expect("checked above"));
-            r.session = session;
-            r.features = Arc::new(r.features.with_meta(r));
-            if let Some(members) = self.sessions.get_mut(&old) {
-                if let Ok(at) = members.binary_search(&id) {
-                    members.remove(at);
-                }
-                if members.is_empty() {
-                    self.sessions.remove(&old);
-                }
-            }
-            let members = self.sessions.entry_or_default(session);
-            if let Err(at) = members.binary_search(&id) {
-                members.insert(at, id);
-            }
-            self.next_session = self.next_session.max(session.0 + 1);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1237,28 +1226,43 @@ mod tests {
 
     #[test]
     fn sessions_group_queries() {
-        let mut s = populated();
+        let s = populated();
         assert_eq!(
             s.queries_in_session(SessionId(0)),
             vec![QueryId(0), QueryId(1)]
         );
-        let fresh = s.new_session();
-        assert_eq!(fresh, SessionId(2));
+        assert_eq!(s.session_ids(), [SessionId(0), SessionId(1)]);
     }
 
     #[test]
-    fn adopted_sessions_reach_records_map_and_query_meta() {
+    fn logged_sessions_reach_records_map_and_query_meta() {
         let mut s = populated();
-        // Split session 0: query 1 moves to a fresh session 5.
-        s.adopt_sessions(&[(QueryId(1), SessionId(5))]);
-        assert_eq!(s.get(QueryId(1)).unwrap().session, SessionId(5));
-        assert_eq!(s.queries_in_session(SessionId(0)), vec![QueryId(0)]);
-        assert_eq!(s.queries_in_session(SessionId(5)), vec![QueryId(1)]);
-        assert_eq!(s.new_session(), SessionId(6));
+        let cfg = CqmsConfig::default();
+        // User 1's latest query is 60 s old: its session continues,
+        // whatever the record carried. User 3 has none: a fresh session.
+        let sql = "SELECT * FROM WaterTemp WHERE temp < 12";
+        assert_eq!(
+            s.log_query(record(3, 1, 100, sql, 9), &cfg),
+            Some(QueryId(1))
+        );
+        let sql = "SELECT * FROM Lakes";
+        assert_eq!(s.log_query(record(4, 3, 100, sql, 9), &cfg), None);
+        let members = |s: &QueryStorage, session| s.queries_in_session(SessionId(session)).to_vec();
+        assert_eq!(members(&s, 0), [QueryId(0), QueryId(1), QueryId(3)]);
+        assert_eq!(members(&s, 2), [QueryId(4)]);
+        assert!(members(&s, 9).is_empty());
         let rows = feature_sql(&s, "SELECT qid, sessionId FROM QueryMeta ORDER BY qid");
-        assert_eq!(rows, [["0", "0"], ["1", "5"], ["2", "1"]]);
-        let rows = feature_sql(&s, "SELECT qid FROM QueryMeta WHERE sessionId = 5");
-        assert_eq!(rows, [["1"]]);
+        assert_eq!(
+            rows,
+            [["0", "0"], ["1", "0"], ["2", "1"], ["3", "0"], ["4", "2"]]
+        );
+        // A snapshot carries each decision as it was made.
+        let mut buf = Vec::new();
+        s.snapshot(&mut buf).unwrap();
+        let restored = QueryStorage::load(&buf[..]).unwrap();
+        for session in 0..3 {
+            assert_eq!(members(&restored, session), members(&s, session));
+        }
     }
 
     #[test]

@@ -64,17 +64,15 @@
 //! # What is (deliberately) not logged
 //!
 //! Anything re-derivable: the parsed statement, fingerprints and
-//! syntactic features (functions of the SQL and the catalog, see
-//! [`QueryRecord::derive`]), output summaries (statistics,
-//! re-creatable by maintenance refresh), runtime plan/error text, the
-//! miner's session refinements ([`QueryStorage::adopt_sessions`]: the
-//! partition is a function of the log, so the first epoch after a
-//! replay re-derives it, and because session ids are stable it moves
-//! only the records the profiler's online rule placed otherwise; a
-//! snapshot does capture each record's session as of its horizon), and
-//! the user/group directory (deployments
-//! re-register principals at startup, which reproduces the same dense
-//! ids). Association rules and clusters are computed per read.
+//! syntactic features (functions of the SQL and the catalog, rebuilt
+//! when a frame is applied), output summaries (statistics,
+//! re-creatable by maintenance refresh), runtime plan/error text, and
+//! the user/group directory (deployments re-register principals at
+//! startup, which reproduces the same dense ids). Association rules and
+//! clusters are computed per read. A record's session is not derived
+//! again: it is decided once, when the query is logged
+//! ([`QueryStorage::log_query`]), and its `Insert` frame carries it, so
+//! replay and snapshot load restore the live sessions exactly.
 
 use crate::error::CqmsError;
 use crate::features;

@@ -699,6 +699,98 @@ fn sharded_deployment_recovers_every_shard() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sessions are decided when a query is logged and carried by its
+/// `Insert` frame, so a log-replay reopen after a miner epoch shows every
+/// shard's live sessions, member lists and Evolution edges — band-gap
+/// splits, a back-dated query and a query anchored on a tombstone
+/// included — on one shard and on two.
+#[test]
+fn log_replay_after_an_epoch_shows_the_live_sessions() {
+    use cqms_core::ShardedCqms;
+
+    type Shard = (
+        Vec<SessionId>,
+        Vec<(SessionId, Vec<QueryId>)>,
+        Vec<(QueryId, QueryId)>,
+    );
+    fn state(s: &ShardedCqms) -> Vec<Shard> {
+        (s.shards().iter())
+            .map(|shard| {
+                shard.read(|c| {
+                    let st = &c.storage;
+                    (
+                        st.iter().map(|r| r.session).collect(),
+                        (st.session_ids().into_iter())
+                            .map(|id| (id, st.queries_in_session(id).to_vec()))
+                            .collect(),
+                        st.edges().iter().map(|e| (e.from, e.to)).collect(),
+                    )
+                })
+            })
+            .collect()
+    }
+
+    let idle = CqmsConfig::default().session_idle_gap_secs;
+    // (trace time, SQL) per analyst: in-gap, band-gap resumed, band-gap
+    // split, back-dated (a session), and in-gap after the back-dated one.
+    let script: [(u64, &str); 6] = [
+        (1_000, "SELECT lake, temp FROM WaterTemp WHERE temp < 18"),
+        (1_060, "SELECT lake, temp FROM WaterTemp WHERE temp < 15"),
+        (
+            1_060 + 2 * idle,
+            "SELECT lake, temp FROM WaterTemp WHERE temp < 12",
+        ),
+        (
+            1_060 + 4 * idle,
+            "SELECT city FROM CityLocations WHERE pop > 5",
+        ),
+        (1_000, "SELECT city FROM CityLocations WHERE pop > 6"),
+        (1_000 + idle / 2, "SELECT * FROM Lakes"),
+    ];
+    for shards in [1, 2] {
+        let dir = temp_dir(&format!("sessions-replay-{shards}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CqmsConfig {
+            shards,
+            ..CqmsConfig::default()
+        };
+        let live = {
+            let s = ShardedCqms::open(engine, config.clone(), &dir).unwrap();
+            let users: Vec<UserId> = (0..3)
+                .map(|i| s.register_user(&format!("user{i}")))
+                .collect();
+            for (k, &(ts, sql)) in script.iter().enumerate() {
+                for (i, &u) in users.iter().enumerate() {
+                    let id = s.run_query_at(u, sql, ts + i as u64).unwrap().id;
+                    // User 0's back-dated query is deleted: it still
+                    // anchors the next one's session.
+                    if i == 0 && k == script.len() - 2 {
+                        s.delete_query(u, id).unwrap();
+                    }
+                }
+            }
+            for report in s.run_miner_epoch() {
+                assert!(!report.snapshot_written);
+            }
+            let live = state(&s);
+            s.shutdown();
+            live
+        };
+        for i in 0..shards {
+            let shard = dir.join(format!("shard-{i}"));
+            assert!(wal::list_snapshots(&shard).unwrap().is_empty());
+        }
+        let s = ShardedCqms::open(engine, config, &dir).unwrap();
+        assert_eq!(state(&s), live, "{shards} shard(s)");
+        // Per analyst: three sessions and three edges.
+        let sessions: usize = live.iter().map(|(_, members, _)| members.len()).sum();
+        let edges: usize = live.iter().map(|(_, _, edges)| edges.len()).sum();
+        assert_eq!((sessions, edges), (3 * 3, 3 * 3), "{shards} shard(s)");
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Byte offset, length and LSN of every frame in a segment, walked off
 /// the `[len][crc][body]` framing — lets a test wound one frame precisely.
 fn frame_offsets(bytes: &[u8]) -> Vec<(usize, usize, u64)> {

@@ -16,11 +16,12 @@
 //! [`RefModel::parse_tree`] scan every visible live record. For the
 //! Query Miner's association rules (§4.3), [`RefModel::association_rules`]
 //! runs plain Apriori over one transaction per visible live record. For
-//! the miner epoch's session refinement (§2.2: "query sessions should be
-//! automatically identified"), [`RefModel::sessions`] re-segments each
-//! shard's whole log, tombstones included, with the record-based
-//! `reference::feature_distance`. Parse-tree search re-parses each
-//! record's text ([`TreePattern::matches`] without a folded SELECT).
+//! the sessions decided as queries are logged (§2.2: "query sessions
+//! should be automatically identified"), [`RefModel::sessions`] walks
+//! each shard's whole log, tombstones included, with the record-based
+//! `reference::feature_distance` over each query's text as it stood when
+//! the decision was made ([`TextHistory`]). Parse-tree search re-parses
+//! each record's text ([`TreePattern::matches`] without a folded SELECT).
 
 use cqms_core::admin::Directory;
 use cqms_core::assist::completion::{
@@ -29,26 +30,37 @@ use cqms_core::assist::completion::{
 use cqms_core::features::FeatureRows;
 use cqms_core::metaquery::{ScoredHit, TreePattern};
 use cqms_core::miner::assoc::{mine_apriori, AssocRule, ContextCounts};
-use cqms_core::model::{QueryId, QueryRecord, SessionId, UserId, Validity, Visibility};
+use cqms_core::model::{
+    EdgeKind, OutputSummary, QueryId, QueryRecord, RuntimeFeatures, SessionId, UserId, Validity,
+    Visibility,
+};
 use cqms_core::service::IngestItem;
 use cqms_core::shard::ShardedCqms;
 use cqms_core::similarity::DistanceKind;
-use cqms_core::storage::{NewRecord, QueryStorage};
+use cqms_core::storage::{make_record, NewRecord, QueryStorage};
 use cqms_core::{CqmsConfig, CqmsError};
 use proptest::prelude::*;
 use relstore::Engine;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[path = "support/reference.rs"]
 mod reference;
 
+/// Each query's text, by global id, as the store last derived its
+/// features from it, with the catalog it was derived against (the table
+/// rename applied or not), from the trace time it took effect: at ingest,
+/// at a repair's rewrite, and at a reopen, which re-derives every record.
+/// The session rule compares a query with its user's latest one as both
+/// stood when the query arrived; a later rewrite or reopen moves nothing.
+type TextHistory = HashMap<QueryId, Vec<(u64, String, bool)>>;
+
 /// The naive model: the live records under their global ids, every
-/// shard's whole log under its local ids, the directory, the catalog names
-/// and the configuration.
+/// shard's whole log (global and local ids), the directory, the catalog
+/// names and the configuration.
 struct RefModel {
     live: Vec<(QueryId, QueryRecord)>,
-    logs: Vec<Vec<QueryRecord>>,
+    logs: Vec<Vec<(QueryId, QueryRecord)>>,
     directory: Directory,
     catalog: CatalogView,
     config: CqmsConfig,
@@ -68,7 +80,11 @@ impl RefModel {
                         .iter_live()
                         .map(|r| (sharded.globalize(i, r.id), r.clone())),
                 );
-                logs.push(c.storage.iter().cloned().collect());
+                logs.push(
+                    (c.storage.iter())
+                        .map(|r| (sharded.globalize(i, r.id), r.clone()))
+                        .collect(),
+                );
                 directory = c.directory.clone();
                 catalog = CatalogView::of(&c.data);
             });
@@ -124,53 +140,79 @@ impl RefModel {
         )
     }
 
-    /// Each shard's offline session assignment, local ids: every user's
-    /// log (tombstones included) in timestamp order, a new session when
-    /// the idle gap exceeds the threshold and the feature distance to the
-    /// previous query does too, or when the gap exceeds 3× the threshold.
-    /// Session ids are numbered 0.. over the users in id order; compare
-    /// partitions ([`partition`]), not ids.
-    fn sessions(&self) -> Vec<HashMap<QueryId, SessionId>> {
+    /// Each shard's session assignment and Evolution edges, local ids:
+    /// every record in arrival (id) order, tombstones included, continues
+    /// the session of its user's latest earlier record when the idle gap
+    /// is within the threshold, or within 3× the threshold and the
+    /// feature distance between the two, as `texts` had them at the
+    /// arrival, is too; a back-dated record opens a session. Each
+    /// continuation is an edge (every generated query parses). Session
+    /// ids are numbered 0.. per shard; compare partitions ([`partition`]),
+    /// not ids.
+    #[allow(clippy::type_complexity)]
+    fn sessions(
+        &self,
+        texts: &TextHistory,
+    ) -> Vec<(HashMap<QueryId, SessionId>, BTreeSet<(QueryId, QueryId)>)> {
         let config = &self.config;
+        let engines = [engine(false), engine(true)];
+        // Query `id` as a detached record of its text at trace time `at`.
+        let as_of = |id: QueryId, at: u64| -> QueryRecord {
+            let (_, text, renamed) = (texts[&id].iter().rev())
+                .find(|(since, ..)| *since <= at)
+                .expect("a query's first text is from its arrival");
+            let stmt = sqlparse::parse(text).ok();
+            let catalog = &engines[usize::from(*renamed)].catalog;
+            let extracted = (stmt.as_ref())
+                .map(|s| cqms_core::features::extract(s, Some(catalog)))
+                .unwrap_or_default();
+            reference::detached(&make_record(
+                id,
+                UserId(0),
+                at,
+                text,
+                stmt,
+                extracted,
+                RuntimeFeatures::default(),
+                OutputSummary::None,
+                SessionId(0),
+                Visibility::Public,
+            ))
+        };
+        let idle = config.session_idle_gap_secs;
         (self.logs.iter())
             .map(|log| {
-                let get = |id: QueryId| log.get(id.0 as usize);
-                let mut per_user: HashMap<UserId, Vec<QueryId>> = HashMap::new();
-                for r in log {
-                    per_user.entry(r.user).or_default().push(r.id);
-                }
-                let mut assignment: HashMap<QueryId, SessionId> = HashMap::new();
+                let mut latest: HashMap<UserId, (QueryId, &QueryRecord, SessionId)> =
+                    HashMap::new();
+                let mut assignment = HashMap::new();
+                let mut edges = BTreeSet::new();
                 let mut next = 0u64;
-                let mut users: Vec<UserId> = per_user.keys().copied().collect();
-                users.sort();
-                for user in users {
-                    let mut ids = per_user.remove(&user).unwrap();
-                    ids.sort_by_key(|id| get(*id).map(|r| r.ts).unwrap_or(0));
-                    let mut current = SessionId(next);
-                    next += 1;
-                    let mut prev: Option<QueryId> = None;
-                    for id in ids {
-                        if let Some(p) = prev {
-                            let (pr, cr) = (get(p).unwrap(), get(id).unwrap());
-                            let gap = cr.ts.saturating_sub(pr.ts);
-                            let dist = reference::feature_distance(pr, cr, config);
-                            let new_session = if gap > 3 * config.session_idle_gap_secs {
-                                true
-                            } else if gap > config.session_idle_gap_secs {
-                                dist > config.session_similarity_threshold
-                            } else {
-                                false
-                            };
-                            if new_session {
-                                current = SessionId(next);
-                                next += 1;
+                for (global, r) in log {
+                    let continued = latest.get(&r.user).filter(|(prev_global, prev, _)| {
+                        match r.ts.checked_sub(prev.ts) {
+                            Some(gap) if gap <= idle => true,
+                            Some(gap) if gap <= 3 * idle => {
+                                let (a, b) = (as_of(*prev_global, r.ts), as_of(*global, r.ts));
+                                reference::feature_distance(&a, &b, config)
+                                    <= config.session_similarity_threshold
                             }
+                            _ => false,
                         }
-                        assignment.insert(id, current);
-                        prev = Some(id);
-                    }
+                    });
+                    let session = match continued {
+                        Some(&(_, prev, session)) => {
+                            edges.insert((prev.id, r.id));
+                            session
+                        }
+                        None => {
+                            next += 1;
+                            SessionId(next - 1)
+                        }
+                    };
+                    assignment.insert(r.id, session);
+                    latest.insert(r.user, (*global, r, session));
                 }
-                assignment
+                (assignment, edges)
             })
             .collect()
     }
@@ -472,6 +514,8 @@ struct Harness {
     users: Vec<UserId>,
     /// Owner and id of every issued query, in issue order.
     issued: Vec<(UserId, QueryId)>,
+    /// Every issued query's texts, as the store derived its features.
+    texts: TextHistory,
     renamed: bool,
 }
 
@@ -500,11 +544,35 @@ impl Harness {
             dir,
             users,
             issued: Vec::new(),
+            texts: TextHistory::new(),
             renamed: false,
         }
     }
 
+    /// Apply `op` at trace time `ts`, then note every text the store
+    /// derived features from anew.
     fn apply(&mut self, op: &Op, ts: u64) {
+        self.run(op, ts);
+        let reopened = matches!(op, Op::Reopen { .. });
+        for (i, shard) in self.sharded.shards().iter().enumerate() {
+            shard.read(|c| {
+                for r in c.storage.iter() {
+                    let history = self
+                        .texts
+                        .entry(self.sharded.globalize(i, r.id))
+                        .or_default();
+                    let stale = history.last().is_none_or(|(_, text, renamed)| {
+                        **text != *r.raw_sql || (reopened && *renamed != self.renamed)
+                    });
+                    if stale {
+                        history.push((ts, r.raw_sql.to_string(), self.renamed));
+                    }
+                }
+            });
+        }
+    }
+
+    fn run(&mut self, op: &Op, ts: u64) {
         let s = &self.sharded;
         let nth = |n: usize| self.issued[n % self.issued.len()];
         match op {
@@ -593,21 +661,24 @@ impl Harness {
     /// Every probe's merged statistics and top-k, every kNN probe's
     /// neighbours for two viewers, and every viewer's association rules and
     /// substring needle's and parse-tree pattern's matches, against the
-    /// model; every shard's session map against its records; and, after a
-    /// miner epoch (`epoch`), every shard's session partition against the
-    /// model's.
-    fn check(&self, step: usize, epoch: bool) -> Result<(), TestCaseError> {
+    /// model; every shard's session map against its records; and every
+    /// shard's session partition and Evolution edges against the model's.
+    fn check(&self, step: usize) -> Result<(), TestCaseError> {
         let model = RefModel::of(&self.sharded, &self.config);
-        let oracle = model.sessions();
+        let oracle = model.sessions(&self.texts);
         for (i, shard) in self.sharded.shards().iter().enumerate() {
-            let (records, members) = shard.read(|c| {
+            let (records, members, edges) = shard.read(|c| {
                 let records: Vec<(QueryId, SessionId)> =
                     c.storage.iter().map(|r| (r.id, r.session)).collect();
                 let members: Vec<(SessionId, Vec<QueryId>)> = (c.storage.session_ids())
                     .into_iter()
                     .map(|s| (s, c.storage.queries_in_session(s).to_vec()))
                     .collect();
-                (records, members)
+                let edges: BTreeSet<(QueryId, QueryId)> = (c.storage.edges().iter())
+                    .filter(|e| e.kind == EdgeKind::Evolution)
+                    .map(|e| (e.from, e.to))
+                    .collect();
+                (records, members, edges)
             });
             let mut expected: BTreeMap<SessionId, Vec<QueryId>> = BTreeMap::new();
             for &(id, session) in &records {
@@ -620,15 +691,15 @@ impl Harness {
                 i,
                 step
             );
-            if epoch {
-                prop_assert_eq!(
-                    partition(records),
-                    partition(oracle[i].iter().map(|(&id, &s)| (id, s))),
-                    "shard {} sessions after step {}",
-                    i,
-                    step
-                );
-            }
+            let (sessions, evolution) = &oracle[i];
+            prop_assert_eq!(
+                partition(records),
+                partition(sessions.iter().map(|(&id, &s)| (id, s))),
+                "shard {} sessions after step {}",
+                i,
+                step
+            );
+            prop_assert_eq!(&edges, evolution, "shard {} edges after step {}", i, step);
         }
         for &viewer in &self.users {
             prop_assert_eq!(
@@ -720,9 +791,9 @@ proptest! {
     /// record-by-record scan of them, after every step of a random trace
     /// (ingests, batches, deletes, validity and visibility flips, rename
     /// repairs, maintenance passes, index rebuilds, miner epochs, WAL and
-    /// snapshot reopens), on one shard and on two. After a miner epoch,
-    /// every shard's sessions partition its log as the model's offline
-    /// segmentation does.
+    /// snapshot reopens), on one shard and on two; and every shard's
+    /// sessions and Evolution edges are the ones the session rule decided
+    /// as each query was logged.
     #[test]
     fn completion_matches_refmodel(
         ops in proptest::collection::vec(op_strategy(), 1..30),
@@ -731,7 +802,7 @@ proptest! {
         let mut h = Harness::new(shards);
         for (i, op) in ops.iter().enumerate() {
             h.apply(op, 1_000 + i as u64 * 60);
-            h.check(i, matches!(op, Op::MinerEpoch))?;
+            h.check(i)?;
         }
     }
 }

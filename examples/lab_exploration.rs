@@ -45,20 +45,21 @@ fn main() {
         }
     }
     println!(
-        "replayed {} queries ({} failures), {} sessions detected online",
+        "replayed {} queries ({} failures), {} sessions decided as they were logged",
         trace.queries.len(),
         failures,
         cqms.storage.session_ids().len()
     );
 
-    // One miner epoch refines sessions; rules and clusters are reads.
+    // One miner epoch runs the scheduled index rebuild; rules and clusters
+    // are reads.
     let miner = cqms.run_miner_epoch();
     let snap = cqms.capture_snapshot(0);
     let rules = snap.association_rules(members[0]);
     let (_, clustering) = snap.cluster_queries(members[0], 0);
     println!(
-        "miner epoch: {} session labels refined; {} association rules, {} query clusters\n",
-        miner.sessions_refined,
+        "miner epoch: index generation {}; {} association rules, {} query clusters\n",
+        miner.index_generation,
         rules.len(),
         clustering.medoids.len()
     );

@@ -7,6 +7,10 @@ use cqms::engine::{Cqms, CqmsConfig};
 use workload::{Domain, Trace, TraceConfig};
 
 fn replay(domain: Domain, sessions: u32) -> (Cqms, Trace, Vec<UserId>) {
+    replay_with(domain, sessions, CqmsConfig::default())
+}
+
+fn replay_with(domain: Domain, sessions: u32, config: CqmsConfig) -> (Cqms, Trace, Vec<UserId>) {
     let trace = Trace::generate(
         TraceConfig::new(domain)
             .with_sessions(sessions)
@@ -14,7 +18,7 @@ fn replay(domain: Domain, sessions: u32) -> (Cqms, Trace, Vec<UserId>) {
             .with_scale(150),
     );
     let engine = trace.build_engine();
-    let mut cqms = Cqms::new(engine, CqmsConfig::default());
+    let mut cqms = Cqms::new(engine, config);
     let users: Vec<UserId> = (0..4)
         .map(|i| cqms.register_user(&format!("user-{i}")))
         .collect();
@@ -46,25 +50,12 @@ fn all_domains_replay_cleanly() {
     }
 }
 
+/// The sessions stored as each query was logged, across idle gaps,
+/// against the trace's planted sessions; and the rule re-applied to the
+/// stored log (`segment_log`) reproduces them.
 #[test]
 fn online_sessions_approximate_ground_truth() {
-    let (cqms, trace, users) = replay(Domain::Lakes, 25);
-    // Build the per-user orderings and truth map.
-    let mut order: std::collections::HashMap<UserId, Vec<QueryId>> = Default::default();
-    let mut truth: std::collections::HashMap<QueryId, u64> = Default::default();
-    for (i, q) in trace.queries.iter().enumerate() {
-        let id = QueryId(i as u64);
-        let user = users[q.user as usize % users.len()];
-        order.entry(user).or_default().push(id);
-        truth.insert(id, q.session as u64);
-    }
-    let order: Vec<(UserId, Vec<QueryId>)> = order.into_iter().collect();
-    let predicted: std::collections::HashMap<QueryId, cqms::engine::model::SessionId> =
-        cqms.storage.iter().map(|r| (r.id, r.session)).collect();
-    let q = cqms::engine::miner::sessions::segmentation_quality(&order, &truth, &predicted);
-    assert!(q.boundary_f1 > 0.85, "online segmentation too weak: {q:?}");
-    assert!(q.pairwise_f1 > 0.8, "{q:?}");
-    // The miner's offline pass over the same log, across idle gaps:
+    use cqms::engine::miner::sessions::{segment_log, segmentation_quality};
     // (gap seconds, boundary F1 floor, pairwise F1 floor).
     for (gap, boundary_f1, pairwise_f1) in [(120, 0.85, 0.9), (600, 0.95, 0.95), (1800, 0.95, 0.95)]
     {
@@ -72,12 +63,25 @@ fn online_sessions_approximate_ground_truth() {
             session_idle_gap_secs: gap,
             ..CqmsConfig::default()
         };
-        let refined = cqms::engine::miner::sessions::segment_log(&cqms.storage, &config);
-        let q = cqms::engine::miner::sessions::segmentation_quality(&order, &truth, &refined);
+        let (cqms, trace, users) = replay_with(Domain::Lakes, 25, config.clone());
+        // Build the per-user orderings and truth map.
+        let mut order: std::collections::HashMap<UserId, Vec<QueryId>> = Default::default();
+        let mut truth: std::collections::HashMap<QueryId, u64> = Default::default();
+        for (i, q) in trace.queries.iter().enumerate() {
+            let id = QueryId(i as u64);
+            let user = users[q.user as usize % users.len()];
+            order.entry(user).or_default().push(id);
+            truth.insert(id, q.session as u64);
+        }
+        let order: Vec<(UserId, Vec<QueryId>)> = order.into_iter().collect();
+        let stored: std::collections::HashMap<QueryId, cqms::engine::model::SessionId> =
+            cqms.storage.iter().map(|r| (r.id, r.session)).collect();
+        let q = segmentation_quality(&order, &truth, &stored);
         assert!(
             q.boundary_f1 >= boundary_f1 && q.pairwise_f1 >= pairwise_f1,
-            "offline segmentation at a {gap} s gap: {q:?}"
+            "stored sessions at a {gap} s gap: {q:?}"
         );
+        assert_eq!(segment_log(&cqms.storage, &config), stored, "{gap} s gap");
     }
 }
 
